@@ -46,6 +46,16 @@ def _parse_field(text: str) -> FieldConfig:
     raise argparse.ArgumentTypeError(f"field must be 'q' or 'p:PRIME', got {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stairstep",
@@ -58,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
-        p.add_argument("--stages", type=int, default=6)
+        p.add_argument("--stages", type=_nonnegative_int, default=6)
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--field", type=_parse_field, default=default_field)
@@ -159,9 +169,15 @@ def _cmd_poincare(args, ideal) -> int:
     return 0
 
 
+def _max_degree(args, ideal) -> int:
+    if args.max_degree is not None:
+        return args.max_degree
+    return default_max_degree(ideal, args.stages)
+
+
 def _cmd_verify(args, ideal) -> int:
     field = _resolve_field(args.field)
-    max_degree = args.max_degree or default_max_degree(ideal, args.stages)
+    max_degree = _max_degree(args, ideal)
     res = build_resolution(ideal, args.stages + 1)
     report = check_complex(res)
     report.checks.extend(check_minimality(res).checks)
@@ -178,7 +194,7 @@ def _cmd_verify(args, ideal) -> int:
 
 def _cmd_oracle(args, ideal) -> int:
     field = _resolve_field(args.field)
-    max_degree = args.max_degree or default_max_degree(ideal, args.stages)
+    max_degree = _max_degree(args, ideal)
     oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, field)
     engine_table = graded_betti(build_resolution(ideal, args.stages))
     diff = compare_betti(engine_table, oracle_table)

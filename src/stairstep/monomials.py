@@ -6,7 +6,9 @@ ideals are minimal generating sets kept in staircase order
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -86,13 +88,37 @@ ResidueElement = Optional[Monomial]
 class MonomialIdeal:
     """A monomial ideal of k[x,y] given by its minimal generating set.
 
-    Generators are ordered a_1 > a_2 > ... > a_r >= 0 with
-    0 <= b_1 < b_2 < ... < b_r.  The public constructor
-    :func:`normalize_ideal` rejects the zero and unit ideals; colon
-    ideals may carry them via the internal ``_raw`` constructor.
+    Generators are in staircase order: a_1 > a_2 > ... > a_r >= 0 with
+    0 <= b_1 < b_2 < ... < b_r, where g_i = x^{a_i} y^{b_i}.  Construction
+    rejects any other order with ``ValueError``, because :meth:`contains`
+    relies on it: the generators with a_k <= p form a suffix, whose first
+    member has the smallest y-exponent, so x^p y^q lies in M iff q >= b_k
+    for the first k with a_k <= p.  The public constructor
+    :func:`normalize_ideal` rejects the zero and unit ideals; colon ideals
+    may carry them via the internal ``_raw`` constructor.
     """
 
     generators: tuple[Monomial, ...]
+    # bisect index: -a_1 < ... < -a_r, and b_1 < ... < b_r followed by an
+    # infinite sentinel for x below every a_k; not part of equality,
+    # hashing or repr, so standard_monomials' cache keys are those of the
+    # generators alone
+    _neg_a: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _b: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gens = self.generators
+        neg_a = [-g.xdeg for g in gens]
+        b = [g.ydeg for g in gens]
+        for i in range(1, len(b)):
+            if neg_a[i - 1] >= neg_a[i] or b[i - 1] >= b[i]:
+                raise ValueError(
+                    f"generators not in staircase order at {gens[i - 1]}, {gens[i]}: "
+                    "x-exponents must strictly decrease and y-exponents strictly increase"
+                )
+        b.append(math.inf)
+        object.__setattr__(self, "_neg_a", tuple(neg_a))
+        object.__setattr__(self, "_b", tuple(b))
 
     @staticmethod
     def _raw(generators: Iterable[Monomial]) -> "MonomialIdeal":
@@ -115,7 +141,11 @@ class MonomialIdeal:
         return max((g.degree for g in self.generators), default=0)
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.generators)
+        return self.contains_xy(m.xdeg, m.ydeg)
+
+    def contains_xy(self, x: int, y: int) -> bool:
+        """Whether x^x y^y lies in M, without building a Monomial."""
+        return y >= self._b[bisect_left(self._neg_a, -x)]
 
     def normal_form(self, m: Monomial) -> ResidueElement:
         return None if self.contains(m) else m
@@ -180,9 +210,8 @@ def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
         return ()
     out = []
     for i in range(d, -1, -1):
-        m = Monomial(i, d - i)
-        if not ideal.contains(m):
-            out.append(m)
+        if not ideal.contains_xy(i, d - i):
+            out.append(Monomial(i, d - i))
     return tuple(out)
 
 

@@ -125,27 +125,38 @@ class ComposeProduct:
         return not self.entries
 
 
+def _int_columns(d: Differential) -> list[list[tuple[int, int, int, int]]]:
+    """Entries grouped by column as (row, sign, xdeg, ydeg)."""
+    cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(d.source.rank)]
+    for row, col, sign, mono in d.entries:
+        cols[col].append((row, sign, mono.xdeg, mono.ydeg))
+    return cols
+
+
 def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
-    """Reduce d_lo o d_hi over S; the complex property holds iff zero."""
+    """Reduce d_lo o d_hi over S; the complex property holds iff zero.
+
+    Every pair of entries is multiplied out on integer exponents; a
+    Monomial is built only for a term that survives with a nonzero
+    coefficient."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
-    lo_cols = d_lo.columns()
-    ring = d_lo.ring
+    lo_cols = _int_columns(d_lo)
+    contains_xy = d_lo.ring.contains_xy
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
-    hi_cols = d_hi.columns()
-    for col, entries in enumerate(hi_cols):
-        acc: dict[tuple[int, Monomial], int] = {}
-        for mid, sign, mono in entries:
-            for row, sign2, mono2 in lo_cols[mid]:
-                prod = mono * mono2
-                if ring.contains(prod):
+    for col, entries in enumerate(_int_columns(d_hi)):
+        acc: dict[tuple[int, int, int], int] = {}
+        for mid, sign, x, y in entries:
+            for row, sign2, x2, y2 in lo_cols[mid]:
+                px, py = x + x2, y + y2
+                if contains_xy(px, py):
                     continue
-                key = (row, prod)
+                key = (row, px, py)
                 acc[key] = acc.get(key, 0) + sign * sign2
         by_cell: dict[int, list[tuple[int, Monomial]]] = {}
-        for (row, prod), coeff in acc.items():
+        for (row, px, py), coeff in acc.items():
             if coeff:
-                by_cell.setdefault(row, []).append((coeff, prod))
+                by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
         for row, terms in by_cell.items():
             out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
     return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
@@ -212,78 +223,91 @@ def syzygy_generators_Mx(ideal: MonomialIdeal) -> list[list[tuple[int, int, Mono
 
 
 class _MainBuilder:
-    """Stage-by-stage fold assembling the main-case resolution."""
+    """Stage-by-stage fold assembling the main-case resolution.
+
+    The F1/F2/F3 column templates depend only on M, so they are built
+    once here as (bidegree offset, column) pairs; each instance appends
+    its (row, col, sign, mono) entries directly and shares the template's
+    monomials."""
 
     def __init__(self, ideal: MonomialIdeal, ideal_class: IdealClass):
         self.ideal = ideal
         self.ideal_class = ideal_class
-        self.r, self.a, self.b, self.case = _main_data(ideal)
+        r, a, b, case = _main_data(ideal)
+        self.r, self.a, self.b = r, a, b
         e1 = (GeneratorLabel("e1"), (0, 0))
         self.modules = [GradedFreeModule((e1,))]
         self.differentials: list[Differential] = []
         self.blocks: list[tuple[Block, ...]] = [(Block("F0", (0, 0), 0, 1),)]
         self.decomposition: list[tuple[int, int, int, int]] = []
+        # F2 columns: entries (0 for the x-row | 1 for the y-row, sign, mono)
+        f2 = []
+        for i in range(r):
+            if case == 1 or i < r - 1:
+                col = ((0, 1, Monomial(a[i] - 1, b[i])),)
+            else:
+                col = ((1, 1, Monomial(0, b[r - 1] - 1)),)
+            f2.append(((a[i], b[i]), col))
+        f2.append(((1, 1), ((0, -1, Y), (1, 1, X))))
+        self._f2 = tuple(f2)
+        # F3 columns: (label kind, label index, offset, entries (row
+        # relative to the F2 block's start, sign, mono))
+        f3 = []
+        for i in range(r):
+            col = [(i, 1, X)]
+            if case == 2 and i == r - 1:
+                col.append((r, -1, Monomial(0, b[r - 1] - 1)))
+            f3.append(("c_x", (i + 1,), (a[i] + 1, b[i]), tuple(col)))
+        for i in range(r):
+            if case == 2 and i == r - 1:
+                col = [(r - 1, 1, Y)]
+            else:
+                col = [(i, 1, Y), (r, 1, Monomial(a[i] - 1, b[i]))]
+            f3.append(("c_y", (i + 1,), (a[i], b[i] + 1), tuple(col)))
+        for i in range(r - 1):
+            col = [(r, 1, Monomial(a[i] - 1, b[i + 1] - 1))]
+            f3.append(("d", (i + 1,), (a[i], b[i + 1]), tuple(col)))
+        self._f3 = tuple(f3)
 
-    # template emitters; each appends generators + columns and returns a Block
-    def _emit_f1(self, gens, cols, target: int, base, stage, blk, idx):
+    # template emitters; each appends generators + entries and returns a Block
+    def _emit_f1(self, gens, entries, target: int, base, stage, blk, idx):
         start = len(gens)
         kx, ky = ("ex", "ey") if stage == 1 else ("h_x", "h_y")
         gens.append((GeneratorLabel(kx, idx, stage, blk), (base[0] + 1, base[1])))
-        cols.append([(target, 1, X)])
+        entries.append((target, start, 1, X))
         gens.append((GeneratorLabel(ky, idx, stage, blk), (base[0], base[1] + 1)))
-        cols.append([(target, 1, Y)])
+        entries.append((target, start + 1, 1, Y))
         return Block("F1", base, start, 2)
 
-    def _emit_f2(self, gens, cols, px: int, py: int, base, stage, blk, jdx):
-        r, a, b, case = self.r, self.a, self.b, self.case
+    def _emit_f2(self, gens, entries, px: int, py: int, base, stage, blk, jdx):
         start = len(gens)
+        bx, by = base
         kind = "f" if stage == 2 else "k"
-        for i in range(1, r + 1):
+        rows = (px, py)
+        for i, ((dx, dy), col) in enumerate(self._f2, start=1):
+            c = len(gens)
             idx = (i,) if stage == 2 else (i, *jdx)
-            gens.append(
-                (GeneratorLabel(kind, idx, stage, blk), (base[0] + a[i - 1], base[1] + b[i - 1]))
-            )
-            if case == 1 or i < r:
-                cols.append([(px, 1, Monomial(a[i - 1] - 1, b[i - 1]))])
-            else:
-                cols.append([(py, 1, Monomial(0, b[r - 1] - 1))])
-        idx = (r + 1,) if stage == 2 else (r + 1, *jdx)
-        gens.append((GeneratorLabel(kind, idx, stage, blk), (base[0] + 1, base[1] + 1)))
-        cols.append([(px, -1, Y), (py, 1, X)])
-        return Block("F2", base, start, r + 1)
+            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
+            for sel, sign, mono in col:
+                entries.append((rows[sel], c, sign, mono))
+        return Block("F2", base, start, len(self._f2))
 
-    def _emit_f3(self, gens, cols, f: list[int], base, stage, blk):
-        r, a, b, case = self.r, self.a, self.b, self.case
+    def _emit_f3(self, gens, entries, f0: int, base, stage, blk):
         start = len(gens)
-        for i in range(1, r + 1):
-            gens.append(
-                (GeneratorLabel("c_x", (i,), stage, blk), (base[0] + a[i - 1] + 1, base[1] + b[i - 1]))
-            )
-            col = [(f[i - 1], 1, X)]
-            if case == 2 and i == r:
-                col.append((f[r], -1, Monomial(0, b[r - 1] - 1)))
-            cols.append(col)
-        for i in range(1, r + 1):
-            gens.append(
-                (GeneratorLabel("c_y", (i,), stage, blk), (base[0] + a[i - 1], base[1] + b[i - 1] + 1))
-            )
-            if case == 2 and i == r:
-                cols.append([(f[r - 1], 1, Y)])
-            else:
-                cols.append([(f[i - 1], 1, Y), (f[r], 1, Monomial(a[i - 1] - 1, b[i - 1]))])
-        for i in range(1, r):
-            gens.append(
-                (GeneratorLabel("d", (i,), stage, blk), (base[0] + a[i - 1], base[1] + b[i]))
-            )
-            cols.append([(f[r], 1, Monomial(a[i - 1] - 1, b[i] - 1))])
-        return Block("F3", base, start, 3 * r - 1)
+        bx, by = base
+        for kind, idx, (dx, dy), col in self._f3:
+            c = len(gens)
+            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
+            for rel, sign, mono in col:
+                entries.append((f0 + rel, c, sign, mono))
+        return Block("F3", base, start, len(self._f3))
 
     def step(self) -> None:
         r, a, b = self.r, self.a, self.b
         stage = len(self.modules)
         prev_blocks = self.blocks[-1]
         gens: list[tuple[GeneratorLabel, tuple[int, int]]] = []
-        cols: list[list[tuple[int, int, Monomial]]] = []
+        entries: list[tuple[int, int, int, Monomial]] = []
         new_blocks: list[Block] = []
         prev = self.modules[-1]
         blk = 0
@@ -292,7 +316,7 @@ class _MainBuilder:
         # F1 template instances first
         for pb in prev_blocks:
             if pb.kind == "F0":
-                new_blocks.append(self._emit_f1(gens, cols, pb.start, pb.base, stage, blk, ()))
+                new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, stage, blk, ()))
                 blk += 1
                 u += 1
             elif pb.kind == "F3":
@@ -301,7 +325,7 @@ class _MainBuilder:
                     base = prev.bidegree(tgt)
                     f1_count += 1
                     idx = (j,) if stage == 4 else (f1_count,)
-                    new_blocks.append(self._emit_f1(gens, cols, tgt, base, stage, blk, idx))
+                    new_blocks.append(self._emit_f1(gens, entries, tgt, base, stage, blk, idx))
                     blk += 1
                     u += 1
         # then F2 template instances
@@ -311,7 +335,7 @@ class _MainBuilder:
                 f2_count += 1
                 jdx = () if stage == 2 else (f2_count,)
                 new_blocks.append(
-                    self._emit_f2(gens, cols, pb.start, pb.start + 1, pb.base, stage, blk, jdx)
+                    self._emit_f2(gens, entries, pb.start, pb.start + 1, pb.base, stage, blk, jdx)
                 )
                 blk += 1
                 v += 1
@@ -322,23 +346,17 @@ class _MainBuilder:
                     base = (pb.base[0] + a[j - 1], pb.base[1] + b[j - 1])
                     f2_count += 1
                     jdx = (j,) if stage == 4 else (f2_count,)
-                    new_blocks.append(self._emit_f2(gens, cols, px, py, base, stage, blk, jdx))
+                    new_blocks.append(self._emit_f2(gens, entries, px, py, base, stage, blk, jdx))
                     blk += 1
                     v += 1
         # then F3 template instances
         for pb in prev_blocks:
             if pb.kind == "F2":
-                f = list(range(pb.start, pb.start + r + 1))
-                new_blocks.append(self._emit_f3(gens, cols, f, pb.base, stage, blk))
+                new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, stage, blk))
                 blk += 1
                 w += 1
         module = GradedFreeModule(tuple(gens))
-        entries = tuple(
-            (row, col, sign, mono)
-            for col, column in enumerate(cols)
-            for row, sign, mono in column
-        )
-        self.differentials.append(Differential(module, prev, entries, self.ideal))
+        self.differentials.append(Differential(module, prev, tuple(entries), self.ideal))
         self.modules.append(module)
         self.blocks.append(tuple(new_blocks))
         if stage >= 4:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -146,3 +147,35 @@ class TestFieldEnv:
     def test_env_invalid_prime_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
         assert run(capsys, "oracle", "x2y,xy2", "--stages", "3")[0] == 2
+
+
+class TestInputBounds:
+    def test_max_degree_zero_is_not_the_default(self, capsys):
+        code, out, err = run(capsys, "verify", "xy2,y4", "--max-degree", "0")
+        assert code == 2
+        assert "verdict" not in out and "max_degree 0" in err
+
+    def test_oracle_max_degree_zero(self, capsys):
+        assert run(capsys, "oracle", "xy2,y4", "--max-degree", "0")[0] == 2
+
+    def test_max_degree_at_generator_degree_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "xy2,y4", "--stages", "3", "--max-degree", "4")
+        assert (code, out.strip()) == (0, "verdict: pass")
+
+    @pytest.mark.parametrize("command", ["resolve", "betti", "verify", "oracle"])
+    @pytest.mark.parametrize("ideal", ["xy2,y4", "x2y,xy2", "x", "x2y", "x,y", "x3,y", "x2,y3"])
+    def test_negative_stages_rejected_in_every_regime(self, capsys, command, ideal):
+        code, out, err = run(capsys, command, ideal, "--stages", "-1")
+        assert (code, out) == (2, "")
+        assert "--stages" in err
+
+    def test_large_prime_field_accepted_quickly(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "xy2,y4", "--stages", "3", "--field", "p:1000000000000000003")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out.strip()) == (0, "verdict: pass")
+
+    def test_large_composite_field_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "xy2,y4", "--field", "p:1000000016000000063")
+        assert code == 2
+        assert "not prime" in err

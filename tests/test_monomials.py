@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from stairstep import (
     EmptyIdeal,
     Monomial,
+    MonomialIdeal,
     ParseError,
     UnitIdeal,
     colon_x,
@@ -101,6 +102,48 @@ class TestMembership:
         if ideal.contains(m):
             assert ideal.contains(m * Monomial(1, 0))
             assert ideal.contains(m * Monomial(0, 1))
+
+
+def scan_contains(ideal, m):
+    """Reference membership test: a linear divisibility scan."""
+    return any(g.divides(m) for g in ideal.generators)
+
+
+# reaches past the outer corners of every ideal drawn from ``ideals``
+far_monomials = st.builds(Monomial, st.integers(0, 12), st.integers(0, 12))
+
+
+class TestStaircaseIndex:
+    @given(ideals, far_monomials)
+    def test_contains_matches_scan(self, ideal, m):
+        assert ideal.contains(m) == scan_contains(ideal, m)
+        assert ideal.contains_xy(m.xdeg, m.ydeg) == scan_contains(ideal, m)
+
+    @given(ideals, far_monomials)
+    def test_colon_contains_matches_scan(self, ideal, m):
+        for colon in (colon_x(ideal), colon_y(ideal)):
+            assert colon.contains(m) == scan_contains(colon, m)
+
+    @given(st.integers(1, 9), far_monomials)
+    def test_zero_and_unit_colons(self, e, m):
+        zero = colon_x(M((0, e)))  # (y^e):x is zero in S
+        unit = colon_x(M((1, 0), (0, e)))  # x kills everything in S
+        assert zero.is_zero and not zero.contains(m)
+        assert unit.is_unit and unit.contains(m)
+
+    # (y^4, x*y^2) reversed, equal x-exponents, equal y-exponents, a repeat
+    @pytest.mark.parametrize("gens", [((0, 4), (1, 2)), ((2, 1), (2, 3)), ((3, 2), (1, 2)), ((1, 1), (1, 1))])
+    def test_out_of_order_generators_rejected(self, gens):
+        with pytest.raises(ValueError, match="staircase order"):
+            MonomialIdeal(tuple(Monomial(a, b) for a, b in gens))
+
+    def test_index_not_in_equality_hash_or_repr(self):
+        ideal = M((1, 2), (0, 4))
+        same = MonomialIdeal((Monomial(1, 2), Monomial(0, 4)))
+        assert ideal == same and hash(ideal) == hash(same)
+        assert repr(ideal) == (
+            "MonomialIdeal(generators=(Monomial(xdeg=1, ydeg=2), Monomial(xdeg=0, ydeg=4)))"
+        )
 
 
 class TestColonIdeals:

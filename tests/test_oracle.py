@@ -25,6 +25,7 @@ from stairstep import (
     normalize_ideal,
     standard_monomials,
 )
+from stairstep.oracle import _is_prime
 from stairstep.resolution import GeneratorLabel
 
 
@@ -63,6 +64,36 @@ class TestFieldConfig:
     def test_composite_rejected(self, p):
         with pytest.raises(ValueError):
             PrimeField(p)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+        for n in range(5000):
+            assert _is_prime(n) == trial(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to bases 2, 3, 5, 7
+            3825123056546413051,  # to bases 2 .. 23
+            318665857834031151167461,  # to bases 2 .. 37: only base 41 exposes it
+            1000000016000000063,  # 1000000007 * 1000000009
+        ],
+    )
+    def test_strong_pseudoprimes_rejected(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+
+    def test_large_primes_accepted(self):
+        for p in (1000000007, 1000000000000000003, 2**61 - 1, 2**31 - 1):
+            assert PrimeField(p).p == p
+
+    def test_beyond_deterministic_bound_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2**89 - 1)  # prime, but above 3.3e24
 
 
 class TestGradedPiece:

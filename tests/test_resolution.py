@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from conftest import exhaustive_corpus
 from stairstep import (
+    Differential,
     IdealClass,
     Monomial,
     StageTooSmall,
@@ -19,6 +21,7 @@ from stairstep import (
     compose_check,
     extend_resolution,
     normalize_ideal,
+    parse_ideal,
     resolution_from_json,
     resolution_to_json,
     syzygy_generators_Mx,
@@ -316,3 +319,62 @@ class TestDispatchAndJson:
         entry = data["differentials"][0]["entries"][0]
         assert set(entry) == {"row", "col", "sign", "monomial"}
         assert data["decomposition"][0] == {"stage": 4, "u": 1, "v": 2, "w": 0}
+
+
+# SHA-256 of json.dumps(resolution_to_json(build_resolution(M, 8)), sort_keys=True),
+# recorded from the engine before its templates were prebuilt per ideal:
+# entry order, monomials and labels must not change.
+GOLDEN_JSON_SHA256 = {
+    "xy2,y4": "adf9065f81deb8167b18bdd1fb59fc8682bdf601fa895334582bcdf2572993be",
+    "x2y,xy2": "06ce83784a0d9b8fb71c2ca5c41579de155ef49f5fa1e46e77e0929e2d72c3d5",
+    "x2,xy": "22b7a60d6c8af541e6a17e55587c8f89ece686aa721422e918d16fcfb1417983",
+    "xy,y3": "4a737b6f7c8a49351557aa72651cd6667c263ac3726c87dfd7703e02eb05e3f4",
+    "x3,x2y2,xy3,y5": "4458ccdb8ef9957e164ca372a5a85c5aecd52f81ade081721bbe8c7ef163d2ed",
+    "x6,x5y,x4y2,x3y3,x2y4,xy5": "a6515eeb4ebd23a6d03753c37218cce56221db650a08040dcac8b000c01546a4",
+    "x2,y3": "61d1b951571af9cb5cf8b226959616df436fb98fecffcfc0c7a1f25064047960",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN_JSON_SHA256))
+def test_resolution_json_is_unchanged(text):
+    data = resolution_to_json(build_resolution(parse_ideal(text), 8))
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_JSON_SHA256[text]
+
+
+def compose_reference(d_hi, d_lo):
+    """compose_check's result computed with Monomial arithmetic throughout."""
+    ring = d_lo.ring
+    out = {}
+    for col in range(d_hi.source.rank):
+        acc = {}
+        for mid, c, sign, mono in d_hi.entries:
+            if c != col:
+                continue
+            for row, c2, sign2, mono2 in d_lo.entries:
+                if c2 == mid and not ring.contains(mono * mono2):
+                    key = (row, mono * mono2)
+                    acc[key] = acc.get(key, 0) + sign * sign2
+        for (row, prod), coeff in acc.items():
+            if coeff:
+                out.setdefault((row, col), []).append((coeff, prod))
+    return {cell: tuple(sorted(terms, key=lambda t: t[1])) for cell, terms in out.items()}
+
+
+@pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))])
+def test_compose_check_matches_monomial_reference(ideal):
+    res = build_resolution(ideal, 6)
+    nonzero = 0
+    for i in range(1, len(res.differentials)):
+        d_hi, d_lo = res.differentials[i], res.differentials[i - 1]
+        # flip the first entry of every column: a column with several
+        # entries loses the cancellation that made its composite vanish
+        entries, seen = [], set()
+        for row, col, sign, mono in d_hi.entries:
+            entries.append((row, col, sign if col in seen else -sign, mono))
+            seen.add(col)
+        bad = Differential(d_hi.source, d_hi.target, tuple(entries), d_hi.ring)
+        for hi in (d_hi, bad):
+            assert compose_check(hi, d_lo).entries == compose_reference(hi, d_lo)
+        nonzero += not compose_check(bad, d_lo).is_zero
+    assert nonzero > 0
