@@ -72,24 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--field", type=_parse_field, default=default_field)
-        p.add_argument("--graded", action="store_true")
-        p.add_argument("--expand", type=int, default=None)
-        p.add_argument("--svg", default=None)
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     add("classify", "print the construction regime of the ideal")
     add("resolve", "build and print the resolution through --stages")
-    add("betti", "total Betti numbers, or the graded table with --graded")
-    add("poincare", "Poincare-Betti series, expanded with --expand N")
+    betti = add("betti", "total Betti numbers, or the graded table with --graded")
+    betti.add_argument("--graded", action="store_true")
+    poincare = add("poincare", "Poincare-Betti series, expanded with --expand N")
+    poincare.add_argument("--expand", type=int, default=None)
     add("verify", "run complex, minimality and exactness checks")
     add("oracle", "brute-force Betti table, compared against the engine")
-    add("staircase", "render the staircase diagram (ASCII or --svg PATH)")
+    staircase = add("staircase", "render the staircase diagram (ASCII or --svg PATH)")
+    staircase.add_argument("--svg", default=None)
     return parser
-
-
-def _resolve_field(value) -> FieldConfig:
-    return value if not isinstance(value, str) else _parse_field(value)
 
 
 def _print_resolution_text(res: Resolution) -> None:
@@ -176,12 +171,11 @@ def _max_degree(args, ideal) -> int:
 
 
 def _cmd_verify(args, ideal) -> int:
-    field = _resolve_field(args.field)
     max_degree = _max_degree(args, ideal)
     res = build_resolution(ideal, args.stages + 1)
     report = check_complex(res)
     report.checks.extend(check_minimality(res).checks)
-    report.checks.extend(check_exactness(res, args.stages, max_degree, field).checks)
+    report.checks.extend(check_exactness(res, args.stages, max_degree, args.field).checks)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -193,9 +187,8 @@ def _cmd_verify(args, ideal) -> int:
 
 
 def _cmd_oracle(args, ideal) -> int:
-    field = _resolve_field(args.field)
     max_degree = _max_degree(args, ideal)
-    oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, field)
+    oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, args.field)
     engine_table = graded_betti(build_resolution(ideal, args.stages))
     diff = compare_betti(engine_table, oracle_table)
     if args.format == "json":

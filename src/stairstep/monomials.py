@@ -180,14 +180,6 @@ def normalize_ideal(raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal._raw(_minimalize(gens))
 
 
-def is_in_ideal(m: Monomial, ideal: MonomialIdeal) -> bool:
-    return ideal.contains(m)
-
-
-def normal_form(m: Monomial, ideal: MonomialIdeal) -> ResidueElement:
-    return ideal.normal_form(m)
-
-
 def colon_x(ideal: MonomialIdeal) -> MonomialIdeal:
     """Minimal generating set of the annihilator 0:(x) in S = k[x,y]/M.
 

@@ -7,13 +7,14 @@ engine construction.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import Monomial, MonomialIdeal, standard_monomials
-from .resolution import Differential, Resolution, compose_check
+from .resolution import Differential, GeneratorLabel, GradedFreeModule, Resolution, compose_check
 
 
 class TruncationTooSmall(ValueError):
@@ -206,8 +207,15 @@ def _slice_basis(module, ideal: MonomialIdeal, degree: int):
     return basis
 
 
+def _inhomogeneous(row: int, col: int) -> ValueError:
+    return ValueError(f"entry ({row}, {col}) is not homogeneous")
+
+
 def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRationals()) -> GradedPieceMatrix:
-    """Matrix of the degree slice; entries reduced through the quotient."""
+    """Matrix of the degree slice; entries reduced through the quotient.
+
+    Raises ValueError naming the (row, col) of an entry whose surviving
+    product falls outside the target's slice of this degree."""
     ideal = diff.ring
     col_basis = _slice_basis(diff.source, ideal, degree)
     row_basis = _slice_basis(diff.target, ideal, degree)
@@ -220,7 +228,9 @@ def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRation
             prod = m * mono
             if ideal.contains(prod):
                 continue
-            ri = row_index[(row, prod)]
+            ri = row_index.get((row, prod))
+            if ri is None:
+                raise _inhomogeneous(row, g)
             col[ri] = col.get(ri, 0) + sign
         columns.append({k: v for k, v in col.items() if v})
     return GradedPieceMatrix(degree, tuple(row_basis), tuple(col_basis), tuple(columns))
@@ -290,58 +300,92 @@ def check_minimality(res: Resolution) -> VerificationReport:
     return report
 
 
-def _template_rank_tables(res: Resolution, max_degree: int, fld: FieldConfig):
-    """Per-block-kind slice ranks and dimensions, memoized by degree offset.
+def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
+    """Connected blocks of a differential: columns sharing a target row.
 
-    Engine-built main-case resolutions are block diagonal with disjoint
-    target rows, so slice ranks add over blocks and each block's slice
-    depends only on its template kind and the degree offset."""
-    from .resolution import build_resolution
+    Slice ranks add over blocks.  A key is a block's entries (column, row,
+    sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
+    to the twist of the first row of each block with that key.  Entries
+    must be homogeneous (else ValueError), so a key and that one twist fix
+    every twist of the block."""
+    src = [dx + dy for _label, (dx, dy) in diff.source.generators]
+    tgt = [dx + dy for _label, (dx, dy) in diff.target.generators]
+    parent = list(range(len(tgt)))  # union-find over target rows
 
-    probe = build_resolution(res.ring, 3)
-    templates = {"F1": probe.differentials[0], "F2": probe.differentials[1], "F3": probe.differentials[2]}
-    ranks = {kind: [0] * (max_degree + 1) for kind in templates}
-    dims = {kind: [0] * (max_degree + 1) for kind in templates}
-    for kind, diff in templates.items():
-        for s in range(max_degree + 1):
-            piece = graded_piece(diff, s, fld)
-            dims[kind][s] = len(piece.col_basis)
-            ranks[kind][s] = piece.rank(fld)
-    return ranks, dims
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first = [-1] * len(src)  # each column joins the block of its first row
+    for row, col, _sign, mono in diff.entries:
+        if src[col] != tgt[row] + mono.xdeg + mono.ydeg:
+            raise _inhomogeneous(row, col)
+        f = first[col]
+        if f < 0:
+            first[col] = row
+        elif f != row:
+            parent[find(row)] = find(f)
+    root = [find(f) if f >= 0 else -1 for f in first]
+    blocks: dict[int, tuple[dict, dict, list, int]] = {}
+    for row, col, sign, mono in diff.entries:
+        block = blocks.get(root[col])
+        if block is None:
+            block = blocks[root[col]] = ({}, {}, [], tgt[row])
+        cols, rows, entries, _twist = block
+        entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, mono.xdeg, mono.ydeg))
+    keyed: dict[tuple, list[int]] = {}
+    for _cols, _rows, entries, twist in blocks.values():
+        keyed.setdefault(tuple(entries), []).append(twist)
+    return keyed
 
 
-def _exactness_dims_fast(res: Resolution, max_stage: int, max_degree: int, fld: FieldConfig):
-    ranks_t, dims_t = _template_rank_tables(res, max_degree, fld)
-    offsets = []  # per stage: list of (kind, base total degree)
-    for blocks in res.blocks:
-        offsets.append([(b.kind, b.base[0] + b.base[1]) for b in blocks if b.kind != "F0"])
-
-    def stage_tables(i: int) -> tuple[list[int], list[int]]:
-        dim = [0] * (max_degree + 1)
-        rank = [0] * (max_degree + 1)
-        for kind, s0 in offsets[i]:
-            tr, td = ranks_t[kind], dims_t[kind]
-            for d in range(s0, max_degree + 1):
-                dim[d] += td[d - s0]
-                rank[d] += tr[d - s0]
-        return dim, rank
-
-    return stage_tables
+_BLOCK_LABEL = GeneratorLabel("block")
 
 
-def _exactness_dims_generic(res: Resolution, max_stage: int, max_degree: int, fld: FieldConfig):
-    def stage_tables(i: int) -> tuple[list[int], list[int]]:
-        dim = [0] * (max_degree + 1)
-        rank = [0] * (max_degree + 1)
-        if i <= len(res.differentials):
-            diff = res.differentials[i - 1]
-            for d in range(max_degree + 1):
-                piece = graded_piece(diff, d, fld)
-                dim[d] = len(piece.col_basis)
-                rank[d] = piece.rank(fld)
-        return dim, rank
+def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict):
+    """(low, ranks): ranks[s] is the block's slice rank in degree low + s,
+    counted from its first row's twist, through degree top.  Each key is
+    ranked once with graded_piece and extended on demand."""
+    if key not in tables:
+        ctw: list = [None] * (1 + max(e[0] for e in key))
+        rtw: list = [None] * (1 + max(e[1] for e in key))
+        rtw[0] = 0
+        while None in ctw or None in rtw:  # spread through the connected block
+            for c, r, _s, x, y in key:
+                if rtw[r] is not None:
+                    ctw[c] = rtw[r] + x + y
+                elif ctw[c] is not None:
+                    rtw[r] = ctw[c] - x - y
+        low = min(rtw)  # no column twist lies below its rows'
+        source = GradedFreeModule(tuple((_BLOCK_LABEL, (t - low, 0)) for t in ctw))
+        target = GradedFreeModule(tuple((_BLOCK_LABEL, (t - low, 0)) for t in rtw))
+        entries = tuple((r, c, s, Monomial(x, y)) for c, r, s, x, y in key)
+        tables[key] = (Differential(source, target, entries, ring), low, [])
+    block, low, ranks = tables[key]
+    for s in range(len(ranks), top - low + 1):
+        ranks.append(graded_piece(block, s, fld).rank(fld))
+    return low, ranks
 
-    return stage_tables
+
+def _stage_tables(diff: Differential, max_degree: int, hilbert: list[int], fld: FieldConfig, tables: dict):
+    """Slice dimensions and ranks of one differential in degrees 0..max_degree;
+    hilbert[n], extended on demand, is the dimension of S in degree n."""
+    dim = [0] * (max_degree + 1)
+    rank = [0] * (max_degree + 1)
+    twists = Counter(dx + dy for _label, (dx, dy) in diff.source.generators)
+    for t, count in twists.items():
+        while len(hilbert) <= max_degree - t:
+            hilbert.append(len(standard_monomials(diff.ring, len(hilbert))))
+        for d in range(max(t, 0), max_degree + 1):
+            dim[d] += count * hilbert[d - t]
+    for key, bases in _split_blocks(diff).items():
+        low, ranks = _block_ranks(key, diff.ring, max_degree - min(bases), fld, tables)
+        for base, count in Counter(bases).items():
+            lo = base + low
+            for d in range(max(lo, 0), max_degree + 1):
+                rank[d] += count * ranks[d - lo]
+    return dim, rank
 
 
 def check_exactness(
@@ -350,7 +394,12 @@ def check_exactness(
     max_degree: int,
     fld: FieldConfig = ExactRationals(),
 ) -> VerificationReport:
-    """Rank-nullity comparison dim ker = dim im on every degree slice."""
+    """Rank-nullity comparison dim ker = dim im on every degree slice.
+
+    Ranks come from the differentials' own entries, block by block, so any
+    Resolution is checked alike: engine-built, modified or loaded from JSON.
+    An inhomogeneous entry in d_i ends the report with a failed record at
+    stage i and no degree."""
     if max_degree < res.ring.max_generator_degree:
         raise TruncationTooSmall(
             f"max_degree {max_degree} below largest generator degree "
@@ -361,20 +410,18 @@ def check_exactness(
         raise ValueError(
             f"resolution built to stage {res.stages}; need stage {max_stage + 1}"
         )
-    stage_tables = (
-        _exactness_dims_fast(res, max_stage, max_degree, fld)
-        if res.blocks is not None
-        else _exactness_dims_generic(res, max_stage, max_degree, fld)
-    )
     report = VerificationReport(res.ring)
+    tables: dict = {}  # block key -> (block, low, ranks), shared by all stages
+    hilbert = [len(standard_monomials(res.ring, d)) for d in range(max_degree + 1)]
     # augmentation S -> k: kernel dims of stage 0
-    ker_prev = [
-        len(standard_monomials(res.ring, d)) - (1 if d == 0 else 0)
-        for d in range(max_degree + 1)
-    ]
+    ker_prev = [h - (1 if d == 0 else 0) for d, h in enumerate(hilbert)]
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
-            dim, rank = stage_tables(i)
+            try:
+                dim, rank = _stage_tables(res.differentials[i - 1], max_degree, hilbert, fld, tables)
+            except ValueError as exc:
+                report.checks.append(CheckRecord("exactness", i, None, False, str(exc)))
+                return report
         else:
             dim = rank = [0] * (max_degree + 1)
         for d in range(max_degree + 1):

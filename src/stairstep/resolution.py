@@ -10,7 +10,7 @@ types get their own closed-form constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import IdealClass, classify
 from .monomials import Monomial, MonomialIdeal, X, Y
@@ -28,8 +28,7 @@ class ShapeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
+class GeneratorLabel(NamedTuple):
     """Structured generator name: template kind, indices, creation path."""
 
     kind: str
@@ -186,7 +185,7 @@ class Resolution:
     modules: list[GradedFreeModule]
     differentials: list[Differential]
     decomposition: list[tuple[int, int, int, int]]  # (stage, u, v, w)
-    blocks: Optional[list[tuple[Block, ...]]] = None
+    blocks: Optional[list[tuple[Block, ...]]] = None  # engine metadata for extend_resolution
     coeffs: Optional[InductiveCoeffs] = None
 
     @property
@@ -378,36 +377,6 @@ def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> R
     for _ in range(stages):
         builder.step()
     return builder.resolution()
-
-
-def _require_main(ideal: MonomialIdeal) -> IdealClass:
-    cls = classify(ideal)
-    if not cls.is_main:
-        raise WrongClass(f"{ideal} is degenerate ({cls.slug})")
-    return cls
-
-
-def build_d1(ideal: MonomialIdeal) -> Differential:
-    cls = _require_main(ideal)
-    return _build_main(ideal, cls, 1).differentials[0]
-
-
-def build_d2(ideal: MonomialIdeal) -> Differential:
-    cls = _require_main(ideal)
-    return _build_main(ideal, cls, 2).differentials[1]
-
-
-def build_d3(ideal: MonomialIdeal) -> Differential:
-    cls = _require_main(ideal)
-    return _build_main(ideal, cls, 3).differentials[2]
-
-
-def build_d4(ideal: MonomialIdeal) -> tuple[Differential, tuple[int, int, int]]:
-    cls = _require_main(ideal)
-    res = _build_main(ideal, cls, 4)
-    stage, u, v, w = res.decomposition[0]
-    assert stage == 4
-    return res.differentials[3], (u, v, w)
 
 
 def extend_resolution(res: Resolution, n: int) -> Resolution:

@@ -136,6 +136,23 @@ class TestErrors:
     def test_bad_field_exit_2(self, capsys):
         assert run(capsys, "oracle", "x2,y2", "--field", "p:6")[0] == 2
 
+    def test_graded_only_on_betti(self, capsys):
+        assert run(capsys, "classify", "x2y,xy2", "--graded")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "x2y,xy2", "--seed", "3"),
+            ("betti", "x2y,xy2", "--expand", "3"),
+            ("poincare", "x2y,xy2", "--graded"),
+            ("staircase", "x2y,xy2", "--expand", "3"),
+            ("verify", "x2y,xy2", "--svg", "out.svg"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[2]}",
+    )
+    def test_flag_on_other_subcommand_exit_2(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
+
 
 class TestFieldEnv:
     def test_env_override(self, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from stairstep import (
     UnitIdeal,
     colon_x,
     colon_y,
-    normal_form,
     normalize_ideal,
     parse_ideal,
     parse_monomial,
@@ -93,9 +92,9 @@ class TestMembership:
 
     def test_normal_form(self):
         ideal = M((2, 1), (1, 2))
-        assert normal_form(Monomial(2, 1), ideal) is None
-        assert normal_form(Monomial(1, 1), ideal) == Monomial(1, 1)
-        assert normal_form(Monomial(0, 7), M((3, 0), (0, 7))) is None
+        assert ideal.normal_form(Monomial(2, 1)) is None
+        assert ideal.normal_form(Monomial(1, 1)) == Monomial(1, 1)
+        assert M((3, 0), (0, 7)).normal_form(Monomial(0, 7)) is None
 
     @given(ideals, monomials)
     def test_absorption(self, ideal, m):

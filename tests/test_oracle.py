@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,9 +24,11 @@ from stairstep import (
     graded_piece,
     minimal_resolution_bruteforce,
     normalize_ideal,
+    resolution_from_json,
+    resolution_to_json,
     standard_monomials,
 )
-from stairstep.oracle import _is_prime
+from stairstep.oracle import CheckRecord, _is_prime
 from stairstep.resolution import GeneratorLabel
 
 
@@ -202,6 +205,94 @@ class TestMutations:
         bad = replace(res, differentials=diffs[:3], modules=res.modules[:3] + [src], blocks=None)
         report = check_exactness(bad, 2, 15)
         assert not report.verdict
+
+
+def whole_matrix_exactness(res, max_stage, max_degree, fld=ExactRationals()):
+    """Pass/fail of every exactness check, from slices of whole differentials."""
+    ker_prev = [len(standard_monomials(res.ring, d)) - (d == 0) for d in range(max_degree + 1)]
+    passed = []
+    for diff in res.differentials[: max_stage + 1]:
+        pieces = [graded_piece(diff, d, fld) for d in range(max_degree + 1)]
+        rank = [piece.rank(fld) for piece in pieces]
+        passed += [ker_prev[d] == rank[d] for d in range(max_degree + 1)]
+        ker_prev = [len(piece.col_basis) - r for piece, r in zip(pieces, rank)]
+    return passed
+
+
+class TestExactnessReadsEntries:
+    """Exactness comes from the differentials' entries, never from the
+    engine's block metadata."""
+
+    @pytest.mark.parametrize("stage_index", [2, 4, 5])
+    def test_column_drop_caught_with_blocks_kept(self, stage_index):
+        res = build_resolution(M_RIGHT, 7)
+        bad = replace(mutate(res, stage_index, "drop"), blocks=res.blocks)
+        assert bad.blocks is not None
+        assert not check_exactness(bad, 6, 15).verdict
+
+    @pytest.mark.parametrize("stage_index", [2, 5])
+    def test_inhomogeneous_entry_reported(self, stage_index):
+        bad = mutate(build_resolution(M_RIGHT, 7), stage_index, "shift")
+        diff = bad.differentials[stage_index]
+        row, col = diff.entries[0][:2]
+        detail = f"entry ({row}, {col}) is not homogeneous"
+        with pytest.raises(ValueError) as exc:
+            for d in range(16):
+                graded_piece(diff, d)
+        assert str(exc.value) == detail
+        report = check_exactness(bad, 6, 15)
+        assert report.failures() == [CheckRecord("exactness", stage_index + 1, None, False, detail)]
+
+    @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (1, 1), (0, 3))], ids=str)
+    @pytest.mark.parametrize("which", ["sign", "drop"])
+    def test_block_ranks_match_whole_matrices(self, ideal, which):
+        res = build_resolution(ideal, 6)
+        for k, diff in enumerate(res.differentials):
+            for j in range(0, len(diff.entries), 5):
+                row, col, sign, mono = diff.entries[j]
+                if which == "sign":
+                    entries = diff.entries[:j] + ((row, col, -sign, mono),) + diff.entries[j + 1 :]
+                else:
+                    entries = tuple(e for e in diff.entries if e[1] != col)
+                diffs = list(res.differentials)
+                diffs[k] = replace(diff, entries=entries)
+                bad = replace(res, differentials=diffs)
+                report = check_exactness(bad, 5, 12)
+                assert [c.passed for c in report.checks] == whole_matrix_exactness(bad, 5, 12)
+
+    def test_signs_are_part_of_the_key(self):
+        # d2 has columns (y, -x) and (y, x): rank 2 in the slices where
+        # x and y survive, but rank 1 if the signs were dropped
+        def module(*twists):
+            return GradedFreeModule(tuple((GeneratorLabel("g"), (t, 0)) for t in twists))
+
+        x, y = Monomial(1, 0), Monomial(0, 1)
+        f0, f1, f2 = module(0), module(1, 1), module(2, 2)
+        d1 = Differential(f1, f0, ((0, 0, 1, x), (0, 1, 1, y)), M_RIGHT)
+        d2 = Differential(f2, f1, ((0, 0, 1, y), (1, 0, -1, x), (0, 1, 1, y), (1, 1, 1, x)), M_RIGHT)
+        base = build_resolution(M_RIGHT, 2)
+        res = replace(base, modules=[f0, f1, f2], differentials=[d1, d2], blocks=None)
+        passed = [c.passed for c in check_exactness(res, 1, 6).checks]
+        assert passed == whole_matrix_exactness(res, 1, 6)
+        assert not all(passed)
+
+    def test_zero_column_of_negative_degree(self):
+        res = build_resolution(M_RIGHT, 4)
+        d2 = res.differentials[1]
+        source = GradedFreeModule(d2.source.generators + ((GeneratorLabel("g"), (-1, 0)),))
+        diffs = [res.differentials[0], replace(d2, source=source)] + res.differentials[2:]
+        bad = replace(res, differentials=diffs, blocks=None)
+        passed = [c.passed for c in check_exactness(bad, 2, 8).checks]
+        assert passed == whole_matrix_exactness(bad, 2, 8)
+        assert not all(passed)
+
+    def test_json_round_trip_gives_same_report(self):
+        res = build_resolution(M((3, 0), (2, 2), (1, 3), (0, 5)), 9)
+        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        assert loaded.blocks is None
+        expected = check_exactness(res, 8, 30).to_json()
+        assert expected["verdict"] == "pass"
+        assert check_exactness(loaded, 8, 30).to_json() == expected
 
 
 class TestBruteforce:

@@ -12,10 +12,6 @@ from stairstep import (
     Monomial,
     StageTooSmall,
     WrongClass,
-    build_d1,
-    build_d2,
-    build_d3,
-    build_d4,
     build_degenerate,
     build_resolution,
     compose_check,
@@ -39,51 +35,48 @@ M_RIGHT = M((2, 1), (1, 2))  # (x^2y, xy^2), case 1
 class TestLowStages:
     def test_d1(self):
         for ideal in (M_LEFT, M_RIGHT):
-            assert build_d1(ideal).dense_strings() == [["x", "y"]]
-
-    def test_d1_wrong_class(self):
-        with pytest.raises(WrongClass):
-            build_d1(M((3, 0), (0, 7)))
+            assert build_resolution(ideal, 1).differentials[0].dense_strings() == [["x", "y"]]
 
     def test_d2_case1(self):
-        assert build_d2(M_RIGHT).dense_strings() == [
+        assert build_resolution(M_RIGHT, 2).differentials[1].dense_strings() == [
             ["x*y", "y^2", "-y"],
             ["0", "0", "x"],
         ]
 
     def test_d2_case2(self):
-        assert build_d2(M_LEFT).dense_strings() == [
+        assert build_resolution(M_LEFT, 2).differentials[1].dense_strings() == [
             ["y^2", "0", "-y"],
             ["0", "y^3", "x"],
         ]
 
     def test_d2_twists(self):
-        d2 = build_d2(M_RIGHT)
+        d2 = build_resolution(M_RIGHT, 2).differentials[1]
         assert [d2.source.bidegree(i) for i in range(3)] == [(2, 1), (1, 2), (1, 1)]
 
     def test_d3_case1(self):
-        assert build_d3(M_RIGHT).dense_strings() == [
+        assert build_resolution(M_RIGHT, 3).differentials[2].dense_strings() == [
             ["x", "0", "y", "0", "0"],
             ["0", "x", "0", "y", "0"],
             ["0", "0", "x*y", "y^2", "x*y"],
         ]
 
     def test_d3_case2(self):
-        assert build_d3(M_LEFT).dense_strings() == [
+        assert build_resolution(M_LEFT, 3).differentials[2].dense_strings() == [
             ["x", "0", "y", "0", "0"],
             ["0", "x", "0", "y", "0"],
             ["0", "-y^3", "y^2", "0", "y^3"],
         ]
 
     def test_d3_twists(self):
-        d3 = build_d3(M_RIGHT)
+        d3 = build_resolution(M_RIGHT, 3).differentials[2]
         # S(-a_i-b_i-1)^2 for each generator plus S(-a_i-b_{i+1})
         assert sorted(d3.source.twist(i) for i in range(5)) == [4, 4, 4, 4, 4]
-        d3 = build_d3(M_LEFT)
+        d3 = build_resolution(M_LEFT, 3).differentials[2]
         assert sorted(d3.source.twist(i) for i in range(5)) == [4, 4, 5, 5, 5]
 
     def test_d4_case1(self):
-        d4, (u, v, w) = build_d4(M_RIGHT)
+        res = build_resolution(M_RIGHT, 4)
+        d4, (_stage, u, v, w) = res.differentials[3], res.decomposition[0]
         assert (u, v, w) == (1, 2, 0)
         # F1 block on d_1, then the two k-blocks over (c_j^x, c_j^y)
         assert d4.dense_strings() == [
@@ -95,7 +88,7 @@ class TestLowStages:
         ]
 
     def test_d4_case2_column(self):
-        d4, _ = build_d4(M_LEFT)
+        d4 = build_resolution(M_LEFT, 4).differentials[3]
         grid = d4.dense_strings()
         # k-block for j=1: column i=r is y^{b_r-1} * e_{c_1^y}
         assert grid[2][3] == "y^3"
@@ -108,9 +101,10 @@ class TestLowStages:
             if not classify(ideal).is_main:
                 continue
             r = ideal.num_generators
-            assert build_d2(ideal).source.rank == r + 1
-            assert build_d3(ideal).source.rank == 3 * r - 1
-            d4, (u, v, w) = build_d4(ideal)
+            assert build_resolution(ideal, 2).differentials[1].source.rank == r + 1
+            assert build_resolution(ideal, 3).differentials[2].source.rank == 3 * r - 1
+            res = build_resolution(ideal, 4)
+            d4, (_stage, u, v, w) = res.differentials[3], res.decomposition[0]
             assert (u, v, w) == (r - 1, r, 0)
             assert d4.source.rank == 2 * (r - 1) + (r + 1) * r
 
