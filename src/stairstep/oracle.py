@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .betti import BettiTable
@@ -71,118 +71,123 @@ class PrimeField:
 FieldConfig = Union[ExactRationals, PrimeField]
 
 
-class _QOps:
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
+def _modulus(fld: FieldConfig) -> int:
+    """The characteristic: p for F_p, 0 for Q."""
+    return fld.p if isinstance(fld, PrimeField) else 0
 
 
-class _FpOps:
-    def __init__(self, p: int):
-        self.p = p
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def from_int(self, n):
-        return n % self.p
+def _working_copy(col: dict[int, int], p: int) -> dict[int, int]:
+    """Nonzero entries of an integer column, reduced mod p when p > 0."""
+    if p:
+        return {r: v % p for r, v in col.items() if v % p}
+    return {r: v for r, v in col.items() if v}
 
 
-def _ops(fld: FieldConfig):
-    return _QOps() if isinstance(fld, ExactRationals) else _FpOps(fld.p)
+def _subtract(vec: dict, b: int, other: dict, p: int) -> None:
+    """vec -= b * other in place, mod p when p > 0; zeros are dropped."""
+    for k, v in other.items():
+        nv = vec.get(k, 0) - b * v
+        if p:
+            nv %= p
+        if nv:
+            vec[k] = nv
+        else:
+            vec.pop(k, None)
 
 
-def _reduce_column(col, pivots, ops, combo=None, pivcombos=None):
-    """Reduce a sparse column against the pivot set in place.
+def _divide(vecs, g: int) -> None:
+    """Divide integer vectors by g in place; g must divide every entry."""
+    if g != 1:
+        for vec in vecs:
+            for k in vec:
+                vec[k] //= g
 
+
+def _content(vecs) -> int:
+    """The gcd of every entry of the vectors (0 if all are empty)."""
+    return gcd(*(v for vec in vecs for v in vec.values()))
+
+
+def _reduce_column(col, pivots, p, combo=None, pivcombos=None):
+    """Reduce a sparse integer column against the pivot set in place.
+
+    p is the characteristic (0 for Q).  pivots maps a row to (a, tail):
+    the pivot entry a in that row and the pivot column's other entries.
+    With b the column's entry in a pivot row, col <- a*col - b*pivot, and
+    the combo likewise.  Over F_p pivots are monic, so a == 1 and entries
+    stay reduced mod p.  Over Q the elimination is fraction-free: after a
+    step with a != 1 the column and combo are divided by their common gcd.
     Returns None if the column vanished, else the pivot row it claims
-    (the column and combo are normalized and entered into the pivot set
-    by the caller)."""
+    (the caller enters it into the pivot set)."""
+    vecs = (col,) if combo is None else (col, combo)
     while col:
         prow = min(col)
-        if prow not in pivots:
+        piv = pivots.get(prow)
+        if piv is None:
             return prow
-        factor = col.pop(prow)
-        nfac = ops.neg(factor)
-        for rr, vv in pivots[prow].items():
-            if rr == prow:
-                continue
-            nv = ops.add(col.get(rr, 0), ops.mul(nfac, vv))
-            if nv:
-                col[rr] = nv
-            elif rr in col:
-                del col[rr]
+        a, tail = piv
+        b = col.pop(prow)  # a*b - b*a: the pivot row clears by construction
+        if a != 1:
+            for vec in vecs:
+                for k in vec:
+                    vec[k] *= a
+        _subtract(col, b, tail, p)
         if combo is not None:
-            for cc, vv in pivcombos[prow].items():
-                nv = ops.add(combo.get(cc, 0), ops.mul(nfac, vv))
-                if nv:
-                    combo[cc] = nv
-                elif cc in combo:
-                    del combo[cc]
+            _subtract(combo, b, pivcombos[prow], p)
+        if a != 1:
+            _divide(vecs, _content(vecs) or 1)
     return None
 
 
-def _install_pivot(prow, col, pivots, ops, combo=None, pivcombos=None):
-    inv = ops.inv(col[prow])
-    pivots[prow] = {r: ops.mul(v, inv) for r, v in col.items()}
+def _install_pivot(prow, col, pivots, p, combo=None, pivcombos=None):
+    """Enter a column and its combo into the pivot set, scaled so the
+    pivot entry is 1 over F_p, and primitive with a positive pivot entry
+    over Q.  The pivot entry is popped from col into pivots[prow]."""
+    vecs = (col,) if combo is None else (col, combo)
+    if p:
+        inv = pow(col[prow], p - 2, p)
+        for vec in vecs:
+            for k in vec:
+                vec[k] = vec[k] * inv % p
+    else:
+        lead = col[prow]
+        g = 1 if lead in (1, -1) else _content(vecs)  # a unit lead leaves no content
+        _divide(vecs, g if lead > 0 else -g)
+    pivots[prow] = (col.pop(prow), col)
     if combo is not None:
-        pivcombos[prow] = {c: ops.mul(v, inv) for c, v in combo.items()}
+        pivcombos[prow] = combo
 
 
 def sparse_rank(columns, fld: FieldConfig) -> int:
     """Rank of a matrix given as sparse columns {row: int_coeff}."""
-    ops = _ops(fld)
+    p = _modulus(fld)
     pivots: dict = {}
     for col in columns:
-        work = {r: ops.from_int(v) for r, v in col.items() if v}
-        prow = _reduce_column(work, pivots, ops)
+        work = _working_copy(col, p)
+        prow = _reduce_column(work, pivots, p)
         if prow is not None:
-            _install_pivot(prow, work, pivots, ops)
+            _install_pivot(prow, work, pivots, p)
     return len(pivots)
 
 
-def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, object]]:
-    """Nullspace basis; vectors are sparse {column_index: coeff}."""
-    ops = _ops(fld)
+def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
+    """Nullspace basis of a matrix given as sparse columns {row: int_coeff}.
+
+    Vectors are sparse {column_index: int_coeff}, each fixed only up to a
+    nonzero scalar: over Q the coefficients are integers (common factors
+    met during elimination are divided out), over F_p they lie in 0..p-1."""
+    p = _modulus(fld)
     pivots: dict = {}
     pivcombos: dict = {}
     null = []
     for j, col in enumerate(columns):
-        work = {r: ops.from_int(v) for r, v in col.items() if v}
-        combo = {j: ops.one}
-        prow = _reduce_column(work, pivots, ops, combo, pivcombos)
+        work = _working_copy(col, p)
+        combo = {j: 1}
+        prow = _reduce_column(work, pivots, p, combo, pivcombos)
         if prow is None:
             null.append(combo)
         else:
-            _install_pivot(prow, work, pivots, ops, combo, pivcombos)
+            _install_pivot(prow, work, pivots, p, combo, pivcombos)
     return null
 
 
@@ -217,18 +222,19 @@ def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRation
     Raises ValueError naming the (row, col) of an entry whose surviving
     product falls outside the target's slice of this degree."""
     ideal = diff.ring
+    contains_xy = ideal.contains_xy
     col_basis = _slice_basis(diff.source, ideal, degree)
     row_basis = _slice_basis(diff.target, ideal, degree)
-    row_index = {key: i for i, key in enumerate(row_basis)}
+    row_index = {(row, m.xdeg, m.ydeg): i for i, (row, m) in enumerate(row_basis)}
     diff_cols = diff.columns()
     columns = []
     for g, m in col_basis:
         col: dict[int, int] = {}
         for row, sign, mono in diff_cols[g]:
-            prod = m * mono
-            if ideal.contains(prod):
+            px, py = m.xdeg + mono.xdeg, m.ydeg + mono.ydeg
+            if contains_xy(px, py):
                 continue
-            ri = row_index.get((row, prod))
+            ri = row_index.get((row, px, py))
             if ri is None:
                 raise _inhomogeneous(row, g)
             col[ri] = col.get(ri, 0) + sign
@@ -457,21 +463,25 @@ def minimal_resolution_bruteforce(
             f"max_degree {max_degree} below largest generator degree "
             f"{ideal.max_generator_degree}"
         )
-    ops = _ops(fld)
+    p = _modulus(fld)
+    contains_xy = ideal.contains_xy
+    std = [[(m.xdeg, m.ydeg) for m in standard_monomials(ideal, n)] for n in range(max_degree + 1)]
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    # F_{i-1} data: generator twists and images (elements of F_{i-2});
-    # stage 0 is S itself with the augmentation to k.
+    # F_{i-1} data: generator twists and images (elements of F_{i-2}, keyed
+    # by (generator, xdeg, ydeg)); stage 0 is S itself with the
+    # augmentation to k.
     twists = [0]
     images: Optional[list[dict]] = None  # None marks the augmentation
     for stage in range(1, max_stage + 1):
         new_twists: list[int] = []
         new_gens: list[dict] = []  # kernel elements, i.e. columns of the next map
-        prev_kernel: list[dict] = []
+        prev_basis: list[tuple[int, int, int]] = []
+        prev_kernel: list[dict] = []  # sparse over prev_basis
         for d in range(max_degree + 1):
             src_basis = [
-                (g, m)
-                for g, tw in enumerate(twists)
-                for m in standard_monomials(ideal, d - tw)
+                (g, x, y)
+                for g, tw in enumerate(twists) if tw <= d
+                for x, y in std[d - tw]
             ]
             if not src_basis:
                 prev_kernel = []
@@ -479,51 +489,43 @@ def minimal_resolution_bruteforce(
             src_index = {key: i for i, key in enumerate(src_basis)}
             if images is None:
                 # augmentation: everything of positive degree is a syzygy
-                if d == 0:
-                    kernel_elems: list[dict] = []
-                else:
-                    kernel_elems = [{(g, m): ops.one} for g, m in src_basis]
+                kernel: list[dict] = [] if d == 0 else [{i: 1} for i in range(len(src_basis))]
             else:
                 columns = []
                 row_index: dict = {}
-                for g, m in src_basis:
-                    col: dict[int, object] = {}
-                    for (tg, tm), coeff in images[g].items():
-                        prod = m * tm
-                        if ideal.contains(prod):
+                for g, x, y in src_basis:
+                    col: dict[int, int] = {}
+                    for (tg, tx, ty), coeff in images[g].items():
+                        px, py = x + tx, y + ty
+                        if contains_xy(px, py):
                             continue
-                        key = (tg, prod)
-                        ri = row_index.setdefault(key, len(row_index))
-                        col[ri] = ops.add(col.get(ri, 0), coeff)
-                    columns.append({k: v for k, v in col.items() if v})
-                null = sparse_nullspace(columns, fld)
-                kernel_elems = [
-                    {src_basis[j]: v for j, v in combo.items()} for combo in null
-                ]
+                        ri = row_index.setdefault((tg, px, py), len(row_index))
+                        col[ri] = col.get(ri, 0) + coeff
+                    columns.append(col)
+                kernel = sparse_nullspace(columns, fld)
             # span of lower-degree syzygies: x and y multiples of the
-            # previous degree's full kernel
+            # previous degree's full kernel; a shifted basis element is
+            # missing from src_index exactly when it lies in M
             pivots: dict = {}
+            shifts = [
+                [src_index.get((g, x + dx, y + dy)) for g, x, y in prev_basis]
+                for dx, dy in ((1, 0), (0, 1))
+            ] if prev_kernel else []
             for k_elem in prev_kernel:
-                for var in (Monomial(1, 0), Monomial(0, 1)):
-                    shifted: dict[int, object] = {}
-                    for (g, m), coeff in k_elem.items():
-                        nm = m * var
-                        if ideal.contains(nm):
-                            continue
-                        shifted[src_index[(g, nm)]] = coeff
-                    prow = _reduce_column(shifted, pivots, ops)
+                for moved in shifts:
+                    shifted = {moved[j]: c for j, c in k_elem.items() if moved[j] is not None}
+                    prow = _reduce_column(shifted, pivots, p)
                     if prow is not None:
-                        _install_pivot(prow, shifted, pivots, ops)
-            for k_elem in kernel_elems:
-                vec = {src_index[key]: coeff for key, coeff in k_elem.items()}
-                prow = _reduce_column(vec, pivots, ops)
+                        _install_pivot(prow, shifted, pivots, p)
+            for k_elem in kernel:
+                vec = dict(k_elem)
+                prow = _reduce_column(vec, pivots, p)
                 if prow is not None:
-                    _install_pivot(prow, vec, pivots, ops)
-                    reduced = {src_basis[i]: v for i, v in vec.items()}
-                    new_gens.append(reduced)
+                    new_gens.append({src_basis[i]: v for i, v in vec.items()})
+                    _install_pivot(prow, vec, pivots, p)
                     new_twists.append(d)
                     entries[(stage, d)] = entries.get((stage, d), 0) + 1
-            prev_kernel = kernel_elems
+            prev_basis, prev_kernel = src_basis, kernel
         twists, images = new_twists, new_gens
         if not twists:
             break

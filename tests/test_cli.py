@@ -5,10 +5,14 @@ import time
 
 import pytest
 
+import stairstep.cli
 from stairstep import (
+    ExactRationals,
+    PrimeField,
     check_complex,
     check_exactness,
     check_minimality,
+    minimal_resolution_bruteforce,
     resolution_from_json,
 )
 from stairstep.cli import main
@@ -154,12 +158,29 @@ class TestErrors:
         assert run(capsys, *argv)[0] == 2
 
 
+def oracle_fields(capsys, monkeypatch):
+    """Run `oracle x2y,xy2 --stages 4` and return the fields the oracle got."""
+    seen = []
+
+    def spy(ideal, max_stage, max_degree, fld):
+        seen.append(fld)
+        return minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
+
+    monkeypatch.setattr(stairstep.cli, "minimal_resolution_bruteforce", spy)
+    code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
+    assert code == 0
+    assert "engine agreement: pass" in out
+    return seen
+
+
 class TestFieldEnv:
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:7")
-        code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
-        assert code == 0
-        assert "engine agreement: pass" in out
+        assert oracle_fields(capsys, monkeypatch) == [PrimeField(7)]
+
+    def test_default_is_exact_rationals(self, capsys, monkeypatch):
+        monkeypatch.delenv("STAIRSTEP_FIELD", raising=False)
+        assert oracle_fields(capsys, monkeypatch) == [ExactRationals()]
 
     def test_env_invalid_prime_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import exhaustive_corpus
 from stairstep import (
@@ -14,6 +17,7 @@ from stairstep import (
     Monomial,
     PrimeField,
     TruncationTooSmall,
+    betti_json,
     build_degenerate,
     build_resolution,
     check_complex,
@@ -24,11 +28,12 @@ from stairstep import (
     graded_piece,
     minimal_resolution_bruteforce,
     normalize_ideal,
+    parse_ideal,
     resolution_from_json,
     resolution_to_json,
     standard_monomials,
 )
-from stairstep.oracle import CheckRecord, _is_prime
+from stairstep.oracle import CheckRecord, _is_prime, sparse_nullspace, sparse_rank
 from stairstep.resolution import GeneratorLabel
 
 
@@ -97,6 +102,114 @@ class TestFieldConfig:
     def test_beyond_deterministic_bound_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             PrimeField(2**89 - 1)  # prime, but above 3.3e24
+
+
+def reference_elimination(columns, nrows, p):
+    """(rank, null) by Gaussian elimination on Fraction entries, reduced mod
+    p when p > 0.  Each null vector has coefficient 1 at its own column and
+    is otherwise supported on earlier pivot columns, as the oracle's are."""
+    norm = (lambda v: v % p) if p else (lambda v: v)
+    inv = (lambda v: Fraction(pow(int(v), p - 2, p))) if p else (lambda v: 1 / v)
+    pivots = {}  # row -> (reduced column, combo), pivot entry 1
+    null = []
+    for j, col in enumerate(columns):
+        work = [norm(Fraction(col.get(r, 0))) for r in range(nrows)]
+        combo = {j: Fraction(1)}
+        for r in range(nrows):
+            if not work[r]:
+                continue
+            if r not in pivots:
+                scale = inv(work[r])
+                work = [norm(v * scale) for v in work]
+                pivots[r] = (work, {c: norm(v * scale) for c, v in combo.items()})
+                break
+            factor = work[r]
+            pcol, pcombo = pivots[r]
+            work = [norm(v - factor * w) for v, w in zip(work, pcol)]
+            for c, v in pcombo.items():
+                combo[c] = norm(combo.get(c, 0) - factor * v)
+        else:
+            null.append({c: v for c, v in combo.items() if v})
+    return len(pivots), null
+
+
+FIELDS = [ExactRationals(), PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(32003)]
+
+matrices = st.integers(1, 6).flatmap(
+    lambda nrows: st.tuples(
+        st.just(nrows),
+        st.lists(st.dictionaries(st.integers(0, nrows - 1), st.integers(-4, 4), max_size=nrows), max_size=7),
+    )
+)
+
+
+class TestElimination:
+    """The fraction-free elimination against a Fraction reference."""
+
+    @given(matrices, st.sampled_from(FIELDS))
+    def test_matches_fraction_reference(self, matrix, fld):
+        nrows, columns = matrix
+        p = getattr(fld, "p", 0)
+        snapshot = [dict(col) for col in columns]
+        rank, ref_null = reference_elimination(columns, nrows, p)
+        assert sparse_rank(columns, fld) == rank
+        null = sparse_nullspace(columns, fld)
+        assert columns == snapshot
+        assert len(null) == len(columns) - rank
+        for vec, ref in zip(null, ref_null):
+            # the same line as the reference vector, with integer coefficients
+            assert all(isinstance(v, int) and v for v in vec.values())
+            j = max(ref)
+            assert vec.keys() == ref.keys()
+            for c, v in ref.items():
+                gap = vec[c] - vec[j] * v
+                assert (gap % p if p else gap) == 0
+            for r in range(nrows):
+                total = sum(c * columns[k].get(r, 0) for k, c in vec.items())
+                assert (total % p if p else total) == 0
+        # independent: the null vectors have full rank as columns
+        assert sparse_rank(null, fld) == len(null)
+
+    @pytest.mark.parametrize("fld, rank", [(ExactRationals(), 2), (PrimeField(2), 1), (PrimeField(3), 2)])
+    def test_rank_depends_on_characteristic(self, fld, rank):
+        columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+        assert sparse_rank(columns, fld) == rank
+        assert len(sparse_nullspace(columns, fld)) == 2 - rank
+
+    @pytest.mark.parametrize("fld, rank", [(ExactRationals(), 3), (PrimeField(3), 2), (PrimeField(2), 3)])
+    def test_determinant_three(self, fld, rank):
+        # [[2, 1, 0], [1, 2, 0], [0, 0, 1]] has determinant 3
+        columns = [{0: 2, 1: 1}, {0: 1, 1: 2}, {2: 1}]
+        assert sparse_rank(columns, fld) == rank
+        null = sparse_nullspace(columns, fld)
+        assert len(null) == 3 - rank
+        if null:
+            assert null == [{0: 1, 1: 1}]  # 2 + 1 = 1 + 2 = 3 = 0 in F_3
+
+    def test_common_factors_divided_out(self):
+        # [2 4 6]: each step has pivot entry 2, so the scaled columns carry a
+        # factor 2 until the gcd division removes it
+        null = sparse_nullspace([{0: 2}, {0: 4}, {0: 6}], ExactRationals())
+        assert null == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+
+
+BRUTEFORCE_SHA256 = {
+    # json.dumps(betti_json(minimal_resolution_bruteforce(M, 6, 15, fld)), sort_keys=True),
+    # the same over Q and over F_32003
+    "xy2,y4": "6f83a3e59a208b24859b07d27a7c94a5b1b86becc636010f7f77670f39bfb2f5",
+    "x2y,xy2": "bb94d328868de0b89159a8a3fb7ab0e8afbd37b1abdd0dadb20642cab01f93ee",
+    "x2,xy": "665e62c1d28142f5c98c575fb2f70c7b9a815d9cfe75e8bf0bbb50df158e523b",
+    "x3,x2y2,xy3,y5": "239dedce0337530300beebe166874dc8f1e935c9f7c29c4920664da9686bb012",
+    "x6,x5y,x4y2,x3y3,x2y4,xy5": "53fdb284dcfbf968c3563f9b65e904e41696870617c0d0714c5328d4c45b9a62",
+}
+
+
+@pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("text", sorted(BRUTEFORCE_SHA256))
+def test_bruteforce_table_is_unchanged(text, fld):
+    table = minimal_resolution_bruteforce(parse_ideal(text), 6, 15, fld)
+    digest = hashlib.sha256(json.dumps(betti_json(table), sort_keys=True).encode()).hexdigest()
+    assert digest == BRUTEFORCE_SHA256[text]
 
 
 class TestGradedPiece:
