@@ -4,8 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import IdealClass
-from .resolution import Resolution
+from .classify import IdealClass, classify
+from .monomials import MonomialIdeal
+from .resolution import Resolution, StageTooSmall, _main_betti_counts, build_degenerate
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,11 @@ class BettiTable:
         return sum(v for (j, _d), v in self.entries.items() if j == i)
 
     def totals(self) -> list[int]:
-        return [self.total(i) for i in range(self.max_stage + 1)]
+        out = [0] * (self.max_stage + 1)
+        for (i, _d), v in self.entries.items():
+            if i <= self.max_stage:
+                out[i] += v
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,12 +123,26 @@ def graded_betti(res: Resolution) -> BettiTable:
     return BettiTable(entries, max_stage=len(res.modules) - 1, max_degree=None)
 
 
+def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
+    """The graded Betti table of :func:`build_resolution` through
+    ``stages``, without building it in the main case.
+
+    A main-case table is counted from the base degrees of the F1, F2 and
+    F3 blocks stage by stage, with no module or matrix built; the
+    degenerate closed forms are built, which is cheap."""
+    if stages < 0:
+        raise StageTooSmall("need n >= 0")
+    if classify(ideal).is_main:
+        return BettiTable(_main_betti_counts(ideal, stages), max_stage=stages)
+    return graded_betti(build_degenerate(ideal, stages))
+
+
 def render_betti_table(table: BettiTable) -> str:
     """Macaulay2-style text layout: row j, column i holds beta_{i, i+j}."""
     cols = range(table.max_stage + 1)
     max_row = max((d - i for (i, d) in table.entries), default=0)
     lines = ["      " + " ".join(str(i) for i in cols)]
-    lines.append("total: " + " ".join(str(table.total(i)) for i in cols))
+    lines.append("total: " + " ".join(str(v) for v in table.totals()))
     for j in range(max_row + 1):
         cells = [
             str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "."

@@ -12,6 +12,7 @@ import sys
 from .betti import (
     betti_csv,
     betti_json,
+    betti_table,
     graded_betti,
     poincare_series,
     render_betti_table,
@@ -117,8 +118,7 @@ def _cmd_resolve(args, ideal) -> int:
 
 
 def _cmd_betti(args, ideal) -> int:
-    res = build_resolution(ideal, args.stages)
-    table = graded_betti(res)
+    table = betti_table(ideal, args.stages)
     if args.graded:
         if args.format == "json":
             print(json.dumps(betti_json(table)))

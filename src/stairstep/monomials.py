@@ -105,6 +105,9 @@ class MonomialIdeal:
     # generators alone
     _neg_a: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _b: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # the dataclass hash of the generators, computed once: every
+    # standard_monomials lookup hashes its ideal
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = self.generators
@@ -119,6 +122,10 @@ class MonomialIdeal:
         b.append(math.inf)
         object.__setattr__(self, "_neg_a", tuple(neg_a))
         object.__setattr__(self, "_b", tuple(b))
+        object.__setattr__(self, "_hash", hash((gens,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def _raw(generators: Iterable[Monomial]) -> "MonomialIdeal":
@@ -195,7 +202,9 @@ def colon_y(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._raw(_minimalize(gens)) if gens else MonomialIdeal._raw(())
 
 
-@lru_cache(maxsize=None)
+# Bounded: the largest working set seen on the benchmark workloads is
+# about a thousand (ideal, degree) pairs.
+@lru_cache(maxsize=4096)
 def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     """k-basis of the degree-d graded piece of S, highest x-power first."""
     if d < 0:

@@ -14,7 +14,14 @@ from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import Monomial, MonomialIdeal, standard_monomials
-from .resolution import Differential, GeneratorLabel, GradedFreeModule, Resolution, compose_check
+from .resolution import (
+    Differential,
+    GeneratorLabel,
+    GradedFreeModule,
+    Resolution,
+    _compose_columns,
+    _int_columns,
+)
 
 
 class TruncationTooSmall(ValueError):
@@ -283,8 +290,12 @@ class VerificationReport:
 def check_complex(res: Resolution) -> VerificationReport:
     """Symbolic check that consecutive differentials compose to zero."""
     report = VerificationReport(res.ring)
-    for i in range(1, len(res.differentials)):
-        prod = compose_check(res.differentials[i], res.differentials[i - 1])
+    diffs = res.differentials
+    lo_cols = _int_columns(diffs[0]) if diffs else []
+    for i in range(1, len(diffs)):
+        hi_cols = _int_columns(diffs[i])  # grouped once: d_hi here, d_lo next
+        prod = _compose_columns(diffs[i], diffs[i - 1], hi_cols, lo_cols)
+        lo_cols = hi_cols
         detail = "" if prod.is_zero else f"nonzero composite at cells {sorted(prod.entries)[:3]}"
         report.checks.append(CheckRecord("complex", i + 1, None, prod.is_zero, detail))
     return report

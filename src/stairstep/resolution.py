@@ -6,6 +6,10 @@ The main-case resolution is assembled from three column templates
 is a direct sum of copies of F1, F2 and F3 and the next differential is
 block diagonal in instantiated templates.  The five degenerate ideal
 types get their own closed-form constructions.
+
+Graded Betti numbers need no matrices: a counting pass advances the
+number of F1, F2 and F3 blocks per base degree by the same rules on the
+same templates; stage 40 takes milliseconds.
 """
 from __future__ import annotations
 
@@ -138,12 +142,18 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
     Every pair of entries is multiplied out on integer exponents; a
     Monomial is built only for a term that survives with a nonzero
     coefficient."""
+    return _compose_columns(d_hi, d_lo, _int_columns(d_hi), _int_columns(d_lo))
+
+
+def _compose_columns(d_hi: Differential, d_lo: Differential, hi_cols, lo_cols) -> ComposeProduct:
+    """:func:`compose_check` on both maps' entries already grouped by
+    :func:`_int_columns`, so a caller composing a chain of maps groups
+    each map once."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
-    lo_cols = _int_columns(d_lo)
     contains_xy = d_lo.ring.contains_xy
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
-    for col, entries in enumerate(_int_columns(d_hi)):
+    for col, entries in enumerate(hi_cols):
         acc: dict[tuple[int, int, int], int] = {}
         for mid, sign, x, y in entries:
             for row, sign2, x2, y2 in lo_cols[mid]:
@@ -221,24 +231,22 @@ def syzygy_generators_Mx(ideal: MonomialIdeal) -> list[list[tuple[int, int, Mono
     return cols
 
 
-class _MainBuilder:
-    """Stage-by-stage fold assembling the main-case resolution.
+class _MainTemplates:
+    """The F1/F2/F3 column templates of a main-case ideal.
 
-    The F1/F2/F3 column templates depend only on M, so they are built
-    once here as (bidegree offset, column) pairs; each instance appends
-    its (row, col, sign, mono) entries directly and shares the template's
-    monomials."""
+    They depend only on M, so they are built once per ideal as (bidegree
+    offset, column) pairs.  An instance of a template based at bidegree
+    B has one generator at B + offset per column.  From stage 1 on, every
+    block of stage i+1 is based at a block of stage i: F1 at the F0 and
+    at B + D for each F3 at B, F2 at each F1 and at B + G for each F3 at
+    B, and F3 at each F2.  G holds the first r F2 offsets (a_i, b_i); D
+    holds the offsets (a_i, b_{i+1}) of the F3 columns d_i."""
 
-    def __init__(self, ideal: MonomialIdeal, ideal_class: IdealClass):
-        self.ideal = ideal
-        self.ideal_class = ideal_class
+    def __init__(self, ideal: MonomialIdeal):
         r, a, b, case = _main_data(ideal)
-        self.r, self.a, self.b = r, a, b
-        e1 = (GeneratorLabel("e1"), (0, 0))
-        self.modules = [GradedFreeModule((e1,))]
-        self.differentials: list[Differential] = []
-        self.blocks: list[tuple[Block, ...]] = [(Block("F0", (0, 0), 0, 1),)]
-        self.decomposition: list[tuple[int, int, int, int]] = []
+        self.r = r
+        # F1 columns: entries into the one target row
+        self._f1 = (((1, 0), X), ((0, 1), Y))
         # F2 columns: entries (0 for the x-row | 1 for the y-row, sign, mono)
         f2 = []
         for i in range(r):
@@ -267,15 +275,79 @@ class _MainBuilder:
             col = [(r, 1, Monomial(a[i] - 1, b[i + 1] - 1))]
             f3.append(("d", (i + 1,), (a[i], b[i + 1]), tuple(col)))
         self._f3 = tuple(f3)
+        self._g = tuple(offset for offset, _col in self._f2[:r])
+        self._d = tuple(offset for kind, _idx, offset, _col in self._f3 if kind == "d")
+
+
+def _spread(counts: dict[int, int], offsets, out: dict[int, int]) -> dict[int, int]:
+    """Add counts[base] to out[base + o] for every base and offset o."""
+    for base, c in counts.items():
+        for o in offsets:
+            out[base + o] = out.get(base + o, 0) + c
+    return out
+
+
+def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers beta_{i,d} of the main-case resolution through
+    ``stages``, with no module or matrix built.
+
+    Each stage is kept as the number of F1, F2 and F3 blocks per total
+    degree of their base, and is advanced by the rules of
+    :meth:`_MainBuilder.step` on the same templates; a block then adds one
+    generator per template column at its base degree plus the column's."""
+    t = _MainTemplates(ideal)
+
+    def degrees(offsets) -> tuple[int, ...]:
+        return tuple(dx + dy for dx, dy in offsets)
+
+    f1 = degrees(offset for offset, _col in t._f1)
+    f2 = degrees(offset for offset, _col in t._f2)
+    f3 = degrees(offset for _kind, _idx, offset, _col in t._f3)
+    g, d = degrees(t._g), degrees(t._d)
+    entries = {(0, 0): 1}
+    f0_bases: dict[int, int] = {0: 1}
+    f1_bases: dict[int, int] = {}
+    f2_bases: dict[int, int] = {}
+    f3_bases: dict[int, int] = {}
+    for stage in range(1, stages + 1):
+        f0_bases, f1_bases, f2_bases, f3_bases = (
+            {},
+            _spread(f3_bases, d, dict(f0_bases)),
+            _spread(f3_bases, g, dict(f1_bases)),
+            f2_bases,
+        )
+        gens: dict[int, int] = {}
+        for bases, offsets in ((f1_bases, f1), (f2_bases, f2), (f3_bases, f3)):
+            _spread(bases, offsets, gens)
+        for deg, c in gens.items():
+            entries[(stage, deg)] = c
+    return entries
+
+
+class _MainBuilder(_MainTemplates):
+    """Stage-by-stage fold assembling the main-case resolution.
+
+    Each template instance appends its (row, col, sign, mono) entries
+    directly and shares the template's monomials."""
+
+    def __init__(self, ideal: MonomialIdeal, ideal_class: IdealClass):
+        super().__init__(ideal)
+        self.ideal = ideal
+        self.ideal_class = ideal_class
+        e1 = (GeneratorLabel("e1"), (0, 0))
+        self.modules = [GradedFreeModule((e1,))]
+        self.differentials: list[Differential] = []
+        self.blocks: list[tuple[Block, ...]] = [(Block("F0", (0, 0), 0, 1),)]
+        self.decomposition: list[tuple[int, int, int, int]] = []
 
     # template emitters; each appends generators + entries and returns a Block
     def _emit_f1(self, gens, entries, target: int, base, stage, blk, idx):
         start = len(gens)
-        kx, ky = ("ex", "ey") if stage == 1 else ("h_x", "h_y")
-        gens.append((GeneratorLabel(kx, idx, stage, blk), (base[0] + 1, base[1])))
-        entries.append((target, start, 1, X))
-        gens.append((GeneratorLabel(ky, idx, stage, blk), (base[0], base[1] + 1)))
-        entries.append((target, start + 1, 1, Y))
+        bx, by = base
+        kinds = ("ex", "ey") if stage == 1 else ("h_x", "h_y")
+        for kind, ((dx, dy), mono) in zip(kinds, self._f1):
+            entries.append((target, len(gens), 1, mono))
+            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
         return Block("F1", base, start, 2)
 
     def _emit_f2(self, gens, entries, px: int, py: int, base, stage, blk, jdx):
@@ -302,7 +374,7 @@ class _MainBuilder:
         return Block("F3", base, start, len(self._f3))
 
     def step(self) -> None:
-        r, a, b = self.r, self.a, self.b
+        r = self.r
         stage = len(self.modules)
         prev_blocks = self.blocks[-1]
         gens: list[tuple[GeneratorLabel, tuple[int, int]]] = []
@@ -312,22 +384,22 @@ class _MainBuilder:
         blk = 0
         u = v = w = 0
         f1_count = 0
-        # F1 template instances first
+        # F1 template instances first: one at the F0, one at B + D per F3 at B
         for pb in prev_blocks:
             if pb.kind == "F0":
                 new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, stage, blk, ()))
                 blk += 1
                 u += 1
             elif pb.kind == "F3":
-                for j in range(1, r):
-                    tgt = pb.start + 2 * r + (j - 1)
-                    base = prev.bidegree(tgt)
+                for j, (dx, dy) in enumerate(self._d, start=1):
+                    tgt = pb.start + 2 * r + (j - 1)  # the column d_j of this F3
+                    base = (pb.base[0] + dx, pb.base[1] + dy)
                     f1_count += 1
                     idx = (j,) if stage == 4 else (f1_count,)
                     new_blocks.append(self._emit_f1(gens, entries, tgt, base, stage, blk, idx))
                     blk += 1
                     u += 1
-        # then F2 template instances
+        # then F2 template instances: one per F1, one at B + G per F3 at B
         f2_count = 0
         for pb in prev_blocks:
             if pb.kind == "F1":
@@ -339,16 +411,16 @@ class _MainBuilder:
                 blk += 1
                 v += 1
             elif pb.kind == "F3":
-                for j in range(1, r + 1):
-                    px = pb.start + (j - 1)
+                for j, (gx, gy) in enumerate(self._g, start=1):
+                    px = pb.start + (j - 1)  # the columns c_j^x and c_j^y of this F3
                     py = pb.start + r + (j - 1)
-                    base = (pb.base[0] + a[j - 1], pb.base[1] + b[j - 1])
+                    base = (pb.base[0] + gx, pb.base[1] + gy)
                     f2_count += 1
                     jdx = (j,) if stage == 4 else (f2_count,)
                     new_blocks.append(self._emit_f2(gens, entries, px, py, base, stage, blk, jdx))
                     blk += 1
                     v += 1
-        # then F3 template instances
+        # then F3 template instances: one per F2
         for pb in prev_blocks:
             if pb.kind == "F2":
                 new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, stage, blk))

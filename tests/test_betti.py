@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from conftest import exhaustive_corpus
+from conftest import exhaustive_corpus, random_corpus
 from stairstep import (
     IdealClass,
     Monomial,
     PoincareSeries,
+    StageTooSmall,
     betti_csv,
     betti_json,
+    betti_table,
     build_resolution,
     classify,
     graded_betti,
     normalize_ideal,
+    parse_ideal,
     poincare_series,
     render_betti_table,
     series_expand,
@@ -135,6 +139,64 @@ class TestGradedBetti:
             table = graded_betti(build_resolution(ideal, 5))
             assert table.entries[(0, 0)] == 1
             assert all(d == 0 for (i, d) in table.entries if i == 0 and d > 0)
+
+
+DEEP_IDEALS = ("x6,x5y,x4y2,x3y3,x2y4,xy5", "x8y,x7y3,x6y5,x5y6,xy8,y9")
+
+
+@st.composite
+def staircase_ideals(draw):
+    """r <= 5 generators x^{a_i} y^{b_i} with exponents <= 8."""
+    r = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.integers(0, 8), min_size=r, max_size=r, unique=True))
+    ys = draw(st.lists(st.integers(0, 8), min_size=r, max_size=r, unique=True))
+    gens = [Monomial(a, b) for a, b in zip(sorted(xs, reverse=True), sorted(ys))]
+    assume(gens != [Monomial(0, 0)])
+    return normalize_ideal(gens)
+
+
+class TestBettiTable:
+    """The counted table against the materialized engine."""
+
+    def test_matches_engine_on_acceptance_corpus(self):
+        corpus = exhaustive_corpus(4) + random_corpus(50, seed=0)
+        kinds = set()
+        for ideal in corpus:
+            counted = betti_table(ideal, 9)
+            built = graded_betti(build_resolution(ideal, 9))
+            assert counted.entries == built.entries, str(ideal)
+            assert (counted.max_stage, counted.max_degree) == (9, None)
+            kinds.add(classify(ideal))
+        assert kinds == set(IdealClass)
+
+    @pytest.mark.parametrize("text", DEEP_IDEALS)
+    def test_matches_engine_on_deep_ideals(self, text):
+        ideal = parse_ideal(text)
+        assert betti_table(ideal, 11).entries == graded_betti(build_resolution(ideal, 11)).entries
+
+    @given(staircase_ideals(), st.integers(0, 7))
+    def test_matches_engine_on_random_staircases(self, ideal, stages):
+        assert betti_table(ideal, stages).entries == graded_betti(build_resolution(ideal, stages)).entries
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x2y,xy2", "xy2,y4", "x4y,x2y3,y5", "x3,x2y2,xy3,y5", "x5,x4y,x2y2,xy4,y6", *DEEP_IDEALS,
+         "x7,x6y,x5y2,x4y3,x3y4,x2y5,xy6"],
+    )
+    def test_totals_follow_the_recursion_to_stage_40(self, text):
+        ideal = parse_ideal(text)
+        cls = classify(ideal)
+        assert cls.is_main
+        expected = total_betti(cls, ideal.num_generators, 40)
+        assert betti_table(ideal, 40).totals() == expected
+
+    def test_deep_total(self):
+        assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).total(40) == 562162801058854612
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,y"])
+    def test_negative_stages_rejected(self, text):
+        with pytest.raises(StageTooSmall):
+            betti_table(parse_ideal(text), -1)
 
 
 class TestSerialization:

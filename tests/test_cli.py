@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -12,10 +13,12 @@ from stairstep import (
     check_complex,
     check_exactness,
     check_minimality,
+    build_resolution,
     minimal_resolution_bruteforce,
     resolution_from_json,
 )
 from stairstep.cli import main
+from stairstep.resolution import _MainBuilder
 
 
 def run(capsys, *argv):
@@ -56,6 +59,46 @@ class TestBetti:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "betti", "xy2,y4", "--format", "json")
         assert json.loads(out)["totals"] == [1, 2, 3, 5, 8, 13, 21]
+
+    # stdout of `betti IDEAL --graded --stages 11`, as the materialized
+    # engine printed it
+    DEEP_SHA256 = {
+        ("x6,x5y,x4y2,x3y3,x2y4,xy5", "text"):
+            "a2224b0b0d3b8eb17875de20a43094db9f8a8f3f00884c564864b4c73e9ac6e0",
+        ("x6,x5y,x4y2,x3y3,x2y4,xy5", "json"):
+            "a21870fd3bc655bbd5eb0b6cd143f2e77def8afa472e29779a8ef618a1e4d849",
+        ("x8y,x7y3,x6y5,x5y6,xy8,y9", "text"):
+            "1fe1133a459bee5a053571c346784364a14ddc29a63eed60e314eebfc0d3f007",
+        ("x8y,x7y3,x6y5,x5y6,xy8,y9", "json"):
+            "4bbaaf1ed1ea781c027dd8e20642d085adbe115a04abdd1bc2e8c522d3810ae5",
+    }
+
+    @pytest.mark.parametrize("ideal, fmt", sorted(DEEP_SHA256))
+    def test_deep_graded_output_is_pinned(self, capsys, ideal, fmt):
+        code, out, _ = run(capsys, "betti", ideal, "--graded", "--stages", "11", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DEEP_SHA256[(ideal, fmt)]
+
+    def test_never_builds_a_main_case_resolution(self, capsys, monkeypatch):
+        built = []
+
+        def spy(ideal, stages):
+            built.append(str(ideal))
+            return build_resolution(ideal, stages)
+
+        def refuse(self):
+            raise AssertionError("betti built a main-case stage")
+
+        monkeypatch.setattr(stairstep.cli, "build_resolution", spy)
+        assert run(capsys, "resolve", "xy2,y4", "--stages", "2")[0] == 0
+        assert built == ["(x*y^2, y^4)"]  # the spy sees what the CLI builds
+        monkeypatch.setattr(_MainBuilder, "step", refuse)
+        for ideal in ("xy2,y4", "x2y,xy2", "x6,x5y,x4y2,x3y3,x2y4,xy5"):
+            for fmt in ("text", "json", "csv"):
+                for graded in ((), ("--graded",)):
+                    code, out, _ = run(capsys, "betti", ideal, "--stages", "9", "--format", fmt, *graded)
+                    assert code == 0 and out
+        assert built == ["(x*y^2, y^4)"]
 
 
 class TestPoincare:

@@ -144,6 +144,12 @@ class TestStaircaseIndex:
             "MonomialIdeal(generators=(Monomial(xdeg=1, ydeg=2), Monomial(xdeg=0, ydeg=4)))"
         )
 
+    @given(ideals)
+    def test_cached_hash_is_the_dataclass_hash(self, ideal):
+        # a frozen dataclass hashes the tuple of its compared fields
+        assert hash(ideal) == hash((ideal.generators,))
+        assert hash(ideal) == hash(MonomialIdeal(ideal.generators))
+
 
 class TestColonIdeals:
     def test_colon_x_examples(self):
@@ -181,6 +187,19 @@ class TestColonIdeals:
 
 
 class TestStandardMonomials:
+    def test_cache_is_bounded(self):
+        standard_monomials.cache_clear()
+        maxsize = standard_monomials.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 1024
+        ideal = M((2, 1), (1, 2))
+        for d in range(-maxsize - 10, 0):  # distinct keys, each with an empty piece
+            standard_monomials(ideal, d)
+        info = standard_monomials.cache_info()
+        assert (info.misses, info.currsize) == (maxsize + 10, maxsize)
+        assert standard_monomials(ideal, 3) == (Monomial(3, 0), Monomial(0, 3))
+        standard_monomials.cache_clear()
+        assert standard_monomials.cache_info().currsize == 0
+
     def test_examples(self):
         xy = M((1, 0), (0, 1))
         assert standard_monomials(xy, 0) == (Monomial(0, 0),)

@@ -24,6 +24,7 @@ from stairstep import (
     check_exactness,
     check_minimality,
     compare_betti,
+    compose_check,
     graded_betti,
     graded_piece,
     minimal_resolution_bruteforce,
@@ -246,6 +247,38 @@ class TestChecks:
         assert check_complex(res).verdict
         assert check_minimality(res).verdict
         assert check_exactness(res, 8, 20).verdict
+
+    def test_complex_groups_each_map_once(self, monkeypatch):
+        import stairstep.oracle
+
+        grouped = []
+        real = stairstep.oracle._int_columns
+
+        def spy(d):
+            grouped.append(d)
+            return real(d)
+
+        monkeypatch.setattr(stairstep.oracle, "_int_columns", spy)
+        res = build_resolution(M_RIGHT, 7)
+        assert check_complex(res).verdict
+        assert [id(d) for d in grouped] == [id(d) for d in res.differentials]
+
+    @pytest.mark.parametrize("stage_index", [1, 3, 5])
+    def test_complex_matches_compose_check_pairwise(self, stage_index):
+        # a middle map with a flipped sign is the upper map of one
+        # composite and the lower map of the next
+        res = build_resolution(M_LEFT, 7)
+        d = res.differentials[stage_index]
+        row, col, sign, mono = d.entries[0]
+        flipped = replace(d, entries=((row, col, -sign, mono),) + d.entries[1:])
+        diffs = list(res.differentials)
+        diffs[stage_index] = flipped
+        bad = replace(res, differentials=diffs)
+        report = check_complex(bad)
+        expected = [compose_check(diffs[i], diffs[i - 1]) for i in range(1, len(diffs))]
+        assert [c.stage for c in report.checks] == list(range(2, len(diffs) + 1))
+        assert [c.passed for c in report.checks] == [p.is_zero for p in expected]
+        assert not report.verdict
 
     def test_minimality_catches_zero_entry(self):
         # the (x^3, y^7) second map with entry y^7 instead of y^6:
