@@ -27,6 +27,7 @@ from .oracle import (
     TruncationTooSmall,
     check_complex,
     check_exactness,
+    check_homogeneity,
     check_minimality,
     compare_betti,
     default_max_degree,
@@ -189,8 +190,11 @@ def _cmd_verify(args, ideal) -> int:
 def _cmd_oracle(args, ideal) -> int:
     max_degree = _max_degree(args, ideal)
     oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, args.field)
-    engine_table = graded_betti(build_resolution(ideal, args.stages))
-    diff = compare_betti(engine_table, oracle_table)
+    res = build_resolution(ideal, args.stages)
+    # the tables compare total degrees only; the bigrading is checked apart
+    homogeneity = check_homogeneity(res)
+    diff = compare_betti(graded_betti(res), oracle_table)
+    agree = diff.is_empty and homogeneity.verdict
     if args.format == "json":
         print(
             json.dumps(
@@ -198,6 +202,7 @@ def _cmd_oracle(args, ideal) -> int:
                     "oracle": betti_json(oracle_table),
                     "match": diff.is_empty,
                     "mismatches": [list(m) for m in diff.mismatches],
+                    "homogeneous": homogeneity.verdict,
                 }
             )
         )
@@ -205,13 +210,12 @@ def _cmd_oracle(args, ideal) -> int:
         print(betti_csv(oracle_table))
     else:
         print(render_betti_table(oracle_table))
-        if diff.is_empty:
-            print("engine agreement: pass")
-        else:
-            for i, d, eng, orc in diff.mismatches:
-                print(f"MISMATCH beta_({i},{d}): engine {eng} vs oracle {orc}")
-            print("engine agreement: fail")
-    return 0 if diff.is_empty else 1
+        for c in homogeneity.failures():
+            print(f"FAIL homogeneity at stage {c.stage}: {c.detail}")
+        for i, d, eng, orc in diff.mismatches:
+            print(f"MISMATCH beta_({i},{d}): engine {eng} vs oracle {orc}")
+        print("engine agreement: " + ("pass" if agree else "fail"))
+    return 0 if agree else 1
 
 
 def _cmd_staircase(args, ideal) -> int:

@@ -154,6 +154,19 @@ class MonomialIdeal:
         """Whether x^x y^y lies in M, without building a Monomial."""
         return y >= self._b[bisect_left(self._neg_a, -x)]
 
+    def stair(self) -> list:
+        """stair[p] for 0 <= p <= a_1: the least q with x^p y^q in M
+        (inf if there is none), so x^p y^q lies in M iff
+        q >= stair[min(p, a_1)].  One linear sweep over the generators;
+        a loop testing many products looks each up in the list."""
+        gens = self.generators
+        hi = gens[0].xdeg + 1 if gens else 1
+        stair: list = [math.inf] * hi
+        for g in gens:  # g is the first generator dividing x^p y^q for a_g <= p < hi
+            stair[g.xdeg : hi] = [g.ydeg] * (hi - g.xdeg)
+            hi = g.xdeg
+        return stair
+
     def normal_form(self, m: Monomial) -> ResidueElement:
         return None if self.contains(m) else m
 

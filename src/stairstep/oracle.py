@@ -14,14 +14,7 @@ from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import Monomial, MonomialIdeal, standard_monomials
-from .resolution import (
-    Differential,
-    GeneratorLabel,
-    GradedFreeModule,
-    Resolution,
-    _compose_columns,
-    _int_columns,
-)
+from .resolution import Differential, GradedFreeModule, Resolution, _compose_columns
 
 
 class TruncationTooSmall(ValueError):
@@ -237,8 +230,8 @@ def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRation
     columns = []
     for g, m in col_basis:
         col: dict[int, int] = {}
-        for row, sign, mono in diff_cols[g]:
-            px, py = m.xdeg + mono.xdeg, m.ydeg + mono.ydeg
+        for row, sign, x, y in diff_cols[g]:
+            px, py = m.xdeg + x, m.ydeg + y
             if contains_xy(px, py):
                 continue
             ri = row_index.get((row, px, py))
@@ -291,9 +284,9 @@ def check_complex(res: Resolution) -> VerificationReport:
     """Symbolic check that consecutive differentials compose to zero."""
     report = VerificationReport(res.ring)
     diffs = res.differentials
-    lo_cols = _int_columns(diffs[0]) if diffs else []
+    lo_cols = diffs[0].columns() if diffs else []
     for i in range(1, len(diffs)):
-        hi_cols = _int_columns(diffs[i])  # grouped once: d_hi here, d_lo next
+        hi_cols = diffs[i].columns()  # grouped once: d_hi here, d_lo next
         prod = _compose_columns(diffs[i], diffs[i - 1], hi_cols, lo_cols)
         lo_cols = hi_cols
         detail = "" if prod.is_zero else f"nonzero composite at cells {sorted(prod.entries)[:3]}"
@@ -304,16 +297,29 @@ def check_complex(res: Resolution) -> VerificationReport:
 def check_minimality(res: Resolution) -> VerificationReport:
     """No differential entry may be a unit or vanish in S."""
     report = VerificationReport(res.ring)
-    contains_xy = res.ring.contains_xy
+    stair = res.ring.stair()
+    n, far = len(stair), stair[-1]
     for i, diff in enumerate(res.differentials, start=1):
         bad = [
-            (row, col, str(mono))
-            for row, col, _sign, mono in diff.entries
-            if mono.degree < 1 or contains_xy(mono.xdeg, mono.ydeg)
+            (row, col, str(Monomial(x, y)))
+            for row, col, _sign, x, y in diff.entries
+            if x + y < 1 or y >= (stair[x] if x < n else far)
         ]
         report.checks.append(
             CheckRecord("minimality", i, None, not bad, f"bad entries {bad[:3]}" if bad else "")
         )
+    return report
+
+
+def check_homogeneity(res: Resolution) -> VerificationReport:
+    """Every entry must carry its column's bidegree onto its row's:
+    source bidegree = target bidegree + (xdeg, ydeg).  Total degrees alone,
+    which the Betti tables read, would miss a swapped bidegree."""
+    report = VerificationReport(res.ring)
+    for i, diff in enumerate(res.differentials, start=1):
+        bad = diff.inhomogeneous_entries()
+        detail = str(_inhomogeneous(*bad[0])) if bad else ""
+        report.checks.append(CheckRecord("homogeneity", i, None, not bad, detail))
     return report
 
 
@@ -323,10 +329,10 @@ def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
     to the twist of the first row of each block with that key.  Entries
-    must be homogeneous (else ValueError), so a key and that one twist fix
-    every twist of the block."""
-    src = [dx + dy for _label, (dx, dy) in diff.source.generators]
-    tgt = [dx + dy for _label, (dx, dy) in diff.target.generators]
+    must be homogeneous in the bigrading (else ValueError), so a key and
+    that one twist fix every twist of the block."""
+    src = [bideg for _label, bideg in diff.source.generators]
+    tgt = [bideg for _label, bideg in diff.target.generators]
     parent = list(range(len(tgt)))  # union-find over target rows
 
     def find(i: int) -> int:
@@ -335,8 +341,9 @@ def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
         return i
 
     first = [-1] * len(src)  # each column joins the block of its first row
-    for row, col, _sign, mono in diff.entries:
-        if src[col] != tgt[row] + mono.xdeg + mono.ydeg:
+    for row, col, _sign, x, y in diff.entries:
+        tx, ty = tgt[row]
+        if src[col] != (tx + x, ty + y):
             raise _inhomogeneous(row, col)
         f = first[col]
         if f < 0:
@@ -345,19 +352,17 @@ def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
             parent[find(row)] = find(f)
     root = [find(f) if f >= 0 else -1 for f in first]
     blocks: dict[int, tuple[dict, dict, list, int]] = {}
-    for row, col, sign, mono in diff.entries:
+    for row, col, sign, x, y in diff.entries:
         block = blocks.get(root[col])
         if block is None:
-            block = blocks[root[col]] = ({}, {}, [], tgt[row])
+            tx, ty = tgt[row]
+            block = blocks[root[col]] = ({}, {}, [], tx + ty)
         cols, rows, entries, _twist = block
-        entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, mono.xdeg, mono.ydeg))
+        entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, x, y))
     keyed: dict[tuple, list[int]] = {}
     for _cols, _rows, entries, twist in blocks.values():
         keyed.setdefault(tuple(entries), []).append(twist)
     return keyed
-
-
-_BLOCK_LABEL = GeneratorLabel("block")
 
 
 def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict):
@@ -375,9 +380,9 @@ def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, ta
                 elif ctw[c] is not None:
                     rtw[r] = ctw[c] - x - y
         low = min(rtw)  # no column twist lies below its rows'
-        source = GradedFreeModule(tuple((_BLOCK_LABEL, (t - low, 0)) for t in ctw))
-        target = GradedFreeModule(tuple((_BLOCK_LABEL, (t - low, 0)) for t in rtw))
-        entries = tuple((r, c, s, Monomial(x, y)) for c, r, s, x, y in key)
+        source = GradedFreeModule(tuple(("block", (t - low, 0)) for t in ctw))
+        target = GradedFreeModule(tuple(("block", (t - low, 0)) for t in rtw))
+        entries = tuple((r, c, s, x, y) for c, r, s, x, y in key)
         tables[key] = (Differential(source, target, entries, ring), low, [])
     block, low, ranks = tables[key]
     for s in range(len(ranks), top - low + 1):

@@ -14,7 +14,7 @@ same templates; stage 40 takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .classify import IdealClass, classify
 from .monomials import Monomial, MonomialIdeal, X, Y
@@ -32,40 +32,15 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class GeneratorLabel(NamedTuple):
-    """Structured generator name: template kind, indices, creation path."""
-
-    kind: str
-    index: tuple[int, ...] = ()
-    stage: int = 0
-    block: int = 0
-    text: Optional[str] = None  # set on JSON reload
-
-    def __str__(self) -> str:
-        if self.text is not None:
-            return self.text
-        base = {
-            "e1": "e1",
-            "ex": "e_x",
-            "ey": "e_y",
-            "f": f"f{self.index[0] if self.index else ''}",
-            "c_x": f"c{self.index[0]}^x" if self.index else "c^x",
-            "c_y": f"c{self.index[0]}^y" if self.index else "c^y",
-            "d": f"d{self.index[0]}" if self.index else "d",
-            "h_x": f"h{self.index[0]}^x" if self.index else "h^x",
-            "h_y": f"h{self.index[0]}^y" if self.index else "h^y",
-            "k": f"k{self.index[0]},{self.index[1]}" if len(self.index) == 2 else "k",
-        }.get(self.kind, self.kind)
-        if self.stage >= 5:
-            return f"{base}@{self.stage}.{self.block}"
-        return base
-
-
 @dataclass(frozen=True)
 class GradedFreeModule:
-    """Ordered labeled generators, each with a bidegree twist."""
+    """Ordered labeled generators, each with a bidegree twist.
 
-    generators: tuple[tuple[GeneratorLabel, tuple[int, int]], ...]
+    A generator is (label, (dx, dy)) with a plain-string label such as
+    "e_x", "f2" or "c3^x@5.7": atomic data, which the garbage collector
+    stops tracking and never walks again."""
+
+    generators: tuple[tuple[str, tuple[int, int]], ...]
 
     @property
     def rank(self) -> int:
@@ -81,38 +56,46 @@ class GradedFreeModule:
 
 @dataclass(frozen=True)
 class Differential:
-    """Sparse matrix of signed monomials between graded free modules."""
+    """Sparse matrix of signed monomials between graded free modules.
+
+    An entry (row, col, sign, xdeg, ydeg) is sign * x^xdeg y^ydeg, with
+    nonnegative exponents, in row ``row`` of column ``col``."""
 
     source: GradedFreeModule
     target: GradedFreeModule
-    entries: tuple[tuple[int, int, int, Monomial], ...]  # (row, col, sign, mono)
+    entries: tuple[tuple[int, int, int, int, int], ...]
     ring: MonomialIdeal
 
-    def columns(self) -> list[list[tuple[int, int, Monomial]]]:
-        cols: list[list[tuple[int, int, Monomial]]] = [[] for _ in range(self.source.rank)]
-        for row, col, sign, mono in self.entries:
-            cols[col].append((row, sign, mono))
+    def columns(self) -> list[list[tuple[int, int, int, int]]]:
+        """Entries grouped by column as (row, sign, xdeg, ydeg)."""
+        cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.source.rank)]
+        for row, col, sign, x, y in self.entries:
+            cols[col].append((row, sign, x, y))
         return cols
 
+    def inhomogeneous_entries(self) -> list[tuple[int, int]]:
+        """(row, col) of each entry whose column's bidegree is not its
+        row's bidegree plus (xdeg, ydeg)."""
+        src, tgt = self.source.generators, self.target.generators
+        bad = []
+        for row, col, _sign, x, y in self.entries:
+            tx, ty = tgt[row][1]
+            if src[col][1] != (tx + x, ty + y):
+                bad.append((row, col))
+        return bad
+
     def is_homogeneous(self) -> bool:
-        for row, col, _sign, mono in self.entries:
-            sx, sy = self.source.bidegree(col)
-            tx, ty = self.target.bidegree(row)
-            if (sx, sy) != (tx + mono.xdeg, ty + mono.ydeg):
-                return False
-        return True
+        return not self.inhomogeneous_entries()
 
     def is_minimal(self) -> bool:
         """No unit entries and every entry survives in S."""
-        return all(
-            mono.degree >= 1 and not self.ring.contains(mono)
-            for _r, _c, _s, mono in self.entries
-        )
+        contains_xy = self.ring.contains_xy
+        return all(x + y >= 1 and not contains_xy(x, y) for _r, _c, _s, x, y in self.entries)
 
     def dense_strings(self) -> list[list[str]]:
         grid = [["0"] * self.source.rank for _ in range(self.target.rank)]
-        for row, col, sign, mono in self.entries:
-            grid[row][col] = ("-" if sign < 0 else "") + str(mono)
+        for row, col, sign, x, y in self.entries:
+            grid[row][col] = ("-" if sign < 0 else "") + str(Monomial(x, y))
         return grid
 
 
@@ -128,37 +111,30 @@ class ComposeProduct:
         return not self.entries
 
 
-def _int_columns(d: Differential) -> list[list[tuple[int, int, int, int]]]:
-    """Entries grouped by column as (row, sign, xdeg, ydeg)."""
-    cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(d.source.rank)]
-    for row, col, sign, mono in d.entries:
-        cols[col].append((row, sign, mono.xdeg, mono.ydeg))
-    return cols
-
-
 def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
     """Reduce d_lo o d_hi over S; the complex property holds iff zero.
 
     Every pair of entries is multiplied out on integer exponents; a
     Monomial is built only for a term that survives with a nonzero
     coefficient."""
-    return _compose_columns(d_hi, d_lo, _int_columns(d_hi), _int_columns(d_lo))
+    return _compose_columns(d_hi, d_lo, d_hi.columns(), d_lo.columns())
 
 
 def _compose_columns(d_hi: Differential, d_lo: Differential, hi_cols, lo_cols) -> ComposeProduct:
     """:func:`compose_check` on both maps' entries already grouped by
-    :func:`_int_columns`, so a caller composing a chain of maps groups
-    each map once."""
+    :meth:`Differential.columns`, so a caller composing a chain of maps
+    groups each map once."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
-    contains_xy = d_lo.ring.contains_xy
+    stair = d_lo.ring.stair()
+    n, far = len(stair), stair[-1]
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
     for col, entries in enumerate(hi_cols):
         acc: dict[tuple[int, int, int], int] = {}
         for mid, sign, x, y in entries:
             for row, sign2, x2, y2 in lo_cols[mid]:
                 px, py = x + x2, y + y2
-                if contains_xy(px, py):
+                if py >= (stair[px] if px < n else far):
                     continue
                 key = (row, px, py)
                 acc[key] = acc.get(key, 0) + sign * sign2
@@ -235,48 +211,57 @@ class _MainTemplates:
     """The F1/F2/F3 column templates of a main-case ideal.
 
     They depend only on M, so they are built once per ideal as (bidegree
-    offset, column) pairs.  An instance of a template based at bidegree
-    B has one generator at B + offset per column.  From stage 1 on, every
-    block of stage i+1 is based at a block of stage i: F1 at the F0 and
-    at B + D for each F3 at B, F2 at each F1 and at B + G for each F3 at
-    B, and F3 at each F2.  G holds the first r F2 offsets (a_i, b_i); D
-    holds the offsets (a_i, b_{i+1}) of the F3 columns d_i."""
+    offset, column) pairs, an entry's monomial kept as its exponents.  An
+    instance of a template based at bidegree B has one generator at
+    B + offset per column.  From stage 1 on, every block of stage i+1 is
+    based at a block of stage i: F1 at the F0 and at B + D for each F3 at
+    B, F2 at each F1 and at B + G for each F3 at B, and F3 at each F2.  G
+    holds the first r F2 offsets (a_i, b_i); D holds the offsets
+    (a_i, b_{i+1}) of the F3 columns d_i.  Generator labels are the
+    per-column prefixes here, completed per block by the emitters."""
 
     def __init__(self, ideal: MonomialIdeal):
         r, a, b, case = _main_data(ideal)
         self.r = r
-        # F1 columns: entries into the one target row
-        self._f1 = (((1, 0), X), ((0, 1), Y))
-        # F2 columns: entries (0 for the x-row | 1 for the y-row, sign, mono)
+        # F1 columns: (offset, xdeg, ydeg) of the entry into the one target row
+        self._f1 = (((1, 0), 1, 0), ((0, 1), 0, 1))
+        # F2 columns: entries (0 for the x-row | 1 for the y-row, sign, xdeg, ydeg)
         f2 = []
         for i in range(r):
             if case == 1 or i < r - 1:
-                col = ((0, 1, Monomial(a[i] - 1, b[i])),)
+                col = ((0, 1, a[i] - 1, b[i]),)
             else:
-                col = ((1, 1, Monomial(0, b[r - 1] - 1)),)
+                col = ((1, 1, 0, b[r - 1] - 1),)
             f2.append(((a[i], b[i]), col))
-        f2.append(((1, 1), ((0, -1, Y), (1, 1, X))))
+        f2.append(((1, 1), ((0, -1, 0, 1), (1, 1, 1, 0))))
         self._f2 = tuple(f2)
-        # F3 columns: (label kind, label index, offset, entries (row
-        # relative to the F2 block's start, sign, mono))
+        # F3 columns: entries (row relative to the F2 block's start, sign,
+        # xdeg, ydeg); the columns c_i^x, then c_i^y, then d_i
         f3 = []
         for i in range(r):
-            col = [(i, 1, X)]
+            col = [(i, 1, 1, 0)]
             if case == 2 and i == r - 1:
-                col.append((r, -1, Monomial(0, b[r - 1] - 1)))
-            f3.append(("c_x", (i + 1,), (a[i] + 1, b[i]), tuple(col)))
+                col.append((r, -1, 0, b[r - 1] - 1))
+            f3.append(((a[i] + 1, b[i]), tuple(col)))
         for i in range(r):
             if case == 2 and i == r - 1:
-                col = [(r - 1, 1, Y)]
+                col = [(r - 1, 1, 0, 1)]
             else:
-                col = [(i, 1, Y), (r, 1, Monomial(a[i] - 1, b[i]))]
-            f3.append(("c_y", (i + 1,), (a[i], b[i] + 1), tuple(col)))
+                col = [(i, 1, 0, 1), (r, 1, a[i] - 1, b[i])]
+            f3.append(((a[i], b[i] + 1), tuple(col)))
         for i in range(r - 1):
-            col = [(r, 1, Monomial(a[i] - 1, b[i + 1] - 1))]
-            f3.append(("d", (i + 1,), (a[i], b[i + 1]), tuple(col)))
+            f3.append(((a[i], b[i + 1]), ((r, 1, a[i] - 1, b[i + 1] - 1),)))
         self._f3 = tuple(f3)
         self._g = tuple(offset for offset, _col in self._f2[:r])
-        self._d = tuple(offset for kind, _idx, offset, _col in self._f3 if kind == "d")
+        self._d = tuple(offset for offset, _col in self._f3[2 * r :])
+        # label prefixes: f_i at stage 2, k_{i,j} later, and the F3 columns
+        self._f_labels = tuple(f"f{i}" for i in range(1, r + 2))
+        self._k_heads = tuple(f"k{i}," for i in range(1, r + 2))
+        self._f3_labels = (
+            tuple(f"c{i}^x" for i in range(1, r + 1))
+            + tuple(f"c{i}^y" for i in range(1, r + 1))
+            + tuple(f"d{i}" for i in range(1, r))
+        )
 
 
 def _spread(counts: dict[int, int], offsets, out: dict[int, int]) -> dict[int, int]:
@@ -300,9 +285,9 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     def degrees(offsets) -> tuple[int, ...]:
         return tuple(dx + dy for dx, dy in offsets)
 
-    f1 = degrees(offset for offset, _col in t._f1)
+    f1 = degrees(offset for offset, _x, _y in t._f1)
     f2 = degrees(offset for offset, _col in t._f2)
-    f3 = degrees(offset for _kind, _idx, offset, _col in t._f3)
+    f3 = degrees(offset for offset, _col in t._f3)
     g, d = degrees(t._g), degrees(t._d)
     entries = {(0, 0): 1}
     f0_bases: dict[int, int] = {0: 1}
@@ -327,67 +312,68 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
 class _MainBuilder(_MainTemplates):
     """Stage-by-stage fold assembling the main-case resolution.
 
-    Each template instance appends its (row, col, sign, mono) entries
-    directly and shares the template's monomials."""
+    Each template instance appends its (row, col, sign, xdeg, ydeg)
+    entries directly.  A generator label is its template column's prefix
+    plus, from stage 5 on, "@{stage}.{block}"."""
 
     def __init__(self, ideal: MonomialIdeal, ideal_class: IdealClass):
         super().__init__(ideal)
         self.ideal = ideal
         self.ideal_class = ideal_class
-        e1 = (GeneratorLabel("e1"), (0, 0))
-        self.modules = [GradedFreeModule((e1,))]
+        self.modules = [GradedFreeModule((("e1", (0, 0)),))]
         self.differentials: list[Differential] = []
         self.blocks: list[tuple[Block, ...]] = [(Block("F0", (0, 0), 0, 1),)]
         self.decomposition: list[tuple[int, int, int, int]] = []
 
     # template emitters; each appends generators + entries and returns a Block
-    def _emit_f1(self, gens, entries, target: int, base, stage, blk, idx):
+    def _emit_f1(self, gens, entries, target: int, base, labels):
         start = len(gens)
         bx, by = base
-        kinds = ("ex", "ey") if stage == 1 else ("h_x", "h_y")
-        for kind, ((dx, dy), mono) in zip(kinds, self._f1):
-            entries.append((target, len(gens), 1, mono))
-            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
+        for label, ((dx, dy), x, y) in zip(labels, self._f1):
+            entries.append((target, len(gens), 1, x, y))
+            gens.append((label, (bx + dx, by + dy)))
         return Block("F1", base, start, 2)
 
-    def _emit_f2(self, gens, entries, px: int, py: int, base, stage, blk, jdx):
+    def _emit_f2(self, gens, entries, px: int, py: int, base, labels):
         start = len(gens)
         bx, by = base
-        kind = "f" if stage == 2 else "k"
         rows = (px, py)
-        for i, ((dx, dy), col) in enumerate(self._f2, start=1):
+        for label, ((dx, dy), col) in zip(labels, self._f2):
             c = len(gens)
-            idx = (i,) if stage == 2 else (i, *jdx)
-            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
-            for sel, sign, mono in col:
-                entries.append((rows[sel], c, sign, mono))
+            gens.append((label, (bx + dx, by + dy)))
+            for sel, sign, x, y in col:
+                entries.append((rows[sel], c, sign, x, y))
         return Block("F2", base, start, len(self._f2))
 
-    def _emit_f3(self, gens, entries, f0: int, base, stage, blk):
+    def _emit_f3(self, gens, entries, f0: int, base, labels):
         start = len(gens)
         bx, by = base
-        for kind, idx, (dx, dy), col in self._f3:
+        for label, ((dx, dy), col) in zip(labels, self._f3):
             c = len(gens)
-            gens.append((GeneratorLabel(kind, idx, stage, blk), (bx + dx, by + dy)))
-            for rel, sign, mono in col:
-                entries.append((f0 + rel, c, sign, mono))
+            gens.append((label, (bx + dx, by + dy)))
+            for rel, sign, x, y in col:
+                entries.append((f0 + rel, c, sign, x, y))
         return Block("F3", base, start, len(self._f3))
 
     def step(self) -> None:
         r = self.r
         stage = len(self.modules)
         prev_blocks = self.blocks[-1]
-        gens: list[tuple[GeneratorLabel, tuple[int, int]]] = []
-        entries: list[tuple[int, int, int, Monomial]] = []
+        gens: list[tuple[str, tuple[int, int]]] = []
+        entries: list[tuple[int, int, int, int, int]] = []
         new_blocks: list[Block] = []
         prev = self.modules[-1]
         blk = 0
         u = v = w = 0
         f1_count = 0
+
+        def at() -> str:  # the label suffix of the block being emitted
+            return f"@{stage}.{blk}" if stage >= 5 else ""
+
         # F1 template instances first: one at the F0, one at B + D per F3 at B
         for pb in prev_blocks:
             if pb.kind == "F0":
-                new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, stage, blk, ()))
+                new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, ("e_x", "e_y")))
                 blk += 1
                 u += 1
             elif pb.kind == "F3":
@@ -395,8 +381,10 @@ class _MainBuilder(_MainTemplates):
                     tgt = pb.start + 2 * r + (j - 1)  # the column d_j of this F3
                     base = (pb.base[0] + dx, pb.base[1] + dy)
                     f1_count += 1
-                    idx = (j,) if stage == 4 else (f1_count,)
-                    new_blocks.append(self._emit_f1(gens, entries, tgt, base, stage, blk, idx))
+                    head = f"h{j if stage == 4 else f1_count}^"
+                    tail = at()
+                    labels = (head + "x" + tail, head + "y" + tail)
+                    new_blocks.append(self._emit_f1(gens, entries, tgt, base, labels))
                     blk += 1
                     u += 1
         # then F2 template instances: one per F1, one at B + G per F3 at B
@@ -404,9 +392,13 @@ class _MainBuilder(_MainTemplates):
         for pb in prev_blocks:
             if pb.kind == "F1":
                 f2_count += 1
-                jdx = () if stage == 2 else (f2_count,)
+                if stage == 2:
+                    labels = self._f_labels
+                else:
+                    tail = f"{f2_count}{at()}"
+                    labels = [k + tail for k in self._k_heads]
                 new_blocks.append(
-                    self._emit_f2(gens, entries, pb.start, pb.start + 1, pb.base, stage, blk, jdx)
+                    self._emit_f2(gens, entries, pb.start, pb.start + 1, pb.base, labels)
                 )
                 blk += 1
                 v += 1
@@ -416,14 +408,17 @@ class _MainBuilder(_MainTemplates):
                     py = pb.start + r + (j - 1)
                     base = (pb.base[0] + gx, pb.base[1] + gy)
                     f2_count += 1
-                    jdx = (j,) if stage == 4 else (f2_count,)
-                    new_blocks.append(self._emit_f2(gens, entries, px, py, base, stage, blk, jdx))
+                    tail = f"{j if stage == 4 else f2_count}{at()}"
+                    labels = [k + tail for k in self._k_heads]
+                    new_blocks.append(self._emit_f2(gens, entries, px, py, base, labels))
                     blk += 1
                     v += 1
         # then F3 template instances: one per F2
         for pb in prev_blocks:
             if pb.kind == "F2":
-                new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, stage, blk))
+                tail = at()
+                labels = [label + tail for label in self._f3_labels]
+                new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, labels))
                 blk += 1
                 w += 1
         module = GradedFreeModule(tuple(gens))
@@ -486,8 +481,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
     if n < 0:
         raise StageTooSmall("need n >= 0")
     gens = ideal.generators
-    e1 = (GeneratorLabel("e1"), (0, 0))
-    modules = [GradedFreeModule((e1,))]
+    modules = [GradedFreeModule((("e1", (0, 0)),))]
     diffs: list[Differential] = []
     coeffs: Optional[InductiveCoeffs] = None
 
@@ -495,7 +489,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         prev = modules[-1]
         module = GradedFreeModule(tuple(labels_bidegs))
         entries = tuple(
-            (row, col, sign, mono)
+            (row, col, sign, mono.xdeg, mono.ydeg)
             for col, column in enumerate(columns)
             for row, sign, mono in column
         )
@@ -506,8 +500,8 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         while len(modules) - 1 < n:
             add_stage([], [])
 
-    def lab(name: str, stage: int) -> GeneratorLabel:
-        return GeneratorLabel(name, (), stage, 0, text=f"{name}({stage})" if stage >= 2 else None)
+    def lab(name: str, stage: int) -> str:
+        return f"{name}({stage})" if stage >= 2 else name
 
     if cls is IdealClass.TYPE_III:
         add_zero_stages()
@@ -516,7 +510,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         var = Y if gens[0] == X else X
         if n >= 1:
             add_stage(
-                [(GeneratorLabel("ex" if var == X else "ey"), (var.xdeg, var.ydeg))],
+                [("e_x" if var == X else "e_y", (var.xdeg, var.ydeg))],
                 [[(0, 1, var)]],
             )
         add_zero_stages()
@@ -540,7 +534,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         x_, y_, m_ = mk(1, 0), mk(0, 1), mk(a - 1, b)
         if n >= 1:
             add_stage(
-                [(GeneratorLabel("ex"), (x_.xdeg, x_.ydeg)), (GeneratorLabel("ey"), (y_.xdeg, y_.ydeg))],
+                [("e_x", (x_.xdeg, x_.ydeg)), ("e_y", (y_.xdeg, y_.ydeg))],
                 [[(0, 1, x_)], [(0, 1, y_)]],
             )
         # column patterns for stages 2,3,4; stages >= 5 repeat with period 2.
@@ -567,7 +561,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         xa, yb = Monomial(a, 0), Monomial(0, b)
         if n >= 1:
             add_stage(
-                [(GeneratorLabel("ex"), (1, 0)), (GeneratorLabel("ey"), (0, 1))],
+                [("e_x", (1, 0)), ("e_y", (0, 1))],
                 [[(0, 1, X)], [(0, 1, Y)]],
             )
         fs: dict[int, list[tuple[int, Monomial]]] = {}
@@ -632,7 +626,7 @@ def resolution_to_json(res: Resolution) -> dict:
             {
                 "rank": m.rank,
                 "generators": [
-                    {"label": str(label), "bidegree": [dx, dy]}
+                    {"label": label, "bidegree": [dx, dy]}
                     for label, (dx, dy) in m.generators
                 ],
             }
@@ -641,8 +635,8 @@ def resolution_to_json(res: Resolution) -> dict:
         "differentials": [
             {
                 "entries": [
-                    {"row": row, "col": col, "sign": sign, "monomial": [mono.xdeg, mono.ydeg]}
-                    for row, col, sign, mono in d.entries
+                    {"row": row, "col": col, "sign": sign, "monomial": [x, y]}
+                    for row, col, sign, x, y in d.entries
                 ]
             }
             for d in res.differentials
@@ -662,7 +656,7 @@ def resolution_from_json(data: dict) -> Resolution:
     modules = [
         GradedFreeModule(
             tuple(
-                (GeneratorLabel("loaded", text=g["label"]), tuple(g["bidegree"]))
+                (g["label"], tuple(g["bidegree"]))
                 for g in m["generators"]
             )
         )
@@ -670,11 +664,11 @@ def resolution_from_json(data: dict) -> Resolution:
     ]
     diffs = []
     for i, d in enumerate(data["differentials"]):
-        entries = tuple(
-            (e["row"], e["col"], e["sign"], Monomial(*e["monomial"]))
-            for e in d["entries"]
-        )
-        diffs.append(Differential(modules[i + 1], modules[i], entries, ideal))
+        entries = []
+        for e in d["entries"]:
+            mono = Monomial(*e["monomial"])  # rejects a negative exponent
+            entries.append((e["row"], e["col"], e["sign"], mono.xdeg, mono.ydeg))
+        diffs.append(Differential(modules[i + 1], modules[i], tuple(entries), ideal))
     decomposition = [
         (d["stage"], d["u"], d["v"], d["w"]) for d in data.get("decomposition", [])
     ]

@@ -119,6 +119,12 @@ class TestStaircaseIndex:
         assert ideal.contains_xy(m.xdeg, m.ydeg) == scan_contains(ideal, m)
 
     @given(ideals, far_monomials)
+    def test_stair_matches_scan(self, ideal, m):
+        for i in (ideal, colon_x(ideal), colon_y(ideal)):
+            stair = i.stair()
+            assert (m.ydeg >= stair[min(m.xdeg, len(stair) - 1)]) == scan_contains(i, m)
+
+    @given(ideals, far_monomials)
     def test_colon_contains_matches_scan(self, ideal, m):
         for colon in (colon_x(ideal), colon_y(ideal)):
             assert colon.contains(m) == scan_contains(colon, m)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -22,6 +23,7 @@ from stairstep import (
     build_resolution,
     check_complex,
     check_exactness,
+    check_homogeneity,
     check_minimality,
     compare_betti,
     compose_check,
@@ -34,8 +36,9 @@ from stairstep import (
     resolution_to_json,
     standard_monomials,
 )
+from stairstep.cli import main as cli_main
 from stairstep.oracle import CheckRecord, _is_prime, sparse_nullspace, sparse_rank
-from stairstep.resolution import GeneratorLabel
+from stairstep.resolution import _MainBuilder
 
 
 def M(*pairs):
@@ -51,14 +54,14 @@ def mutate(res, stage_index, which):
     d = res.differentials[stage_index]
     entries = list(d.entries)
     if which == "sign":
-        r, c, s, m = entries[0]
-        entries[0] = (r, c, -s, m)
+        r, c, s, x, y = entries[0]
+        entries[0] = (r, c, -s, x, y)
     elif which == "drop":
         drop_col = entries[-1][1]
         entries = [e for e in entries if e[1] != drop_col]
     elif which == "shift":
-        r, c, s, m = entries[0]
-        entries[0] = (r, c, s, m * Monomial(1, 0))
+        r, c, s, x, y = entries[0]
+        entries[0] = (r, c, s, x + 1, y)
     d2 = replace(d, entries=tuple(entries))
     diffs = list(res.differentials)
     diffs[stage_index] = d2
@@ -249,16 +252,14 @@ class TestChecks:
         assert check_exactness(res, 8, 20).verdict
 
     def test_complex_groups_each_map_once(self, monkeypatch):
-        import stairstep.oracle
-
         grouped = []
-        real = stairstep.oracle._int_columns
+        real = Differential.columns
 
         def spy(d):
             grouped.append(d)
             return real(d)
 
-        monkeypatch.setattr(stairstep.oracle, "_int_columns", spy)
+        monkeypatch.setattr(Differential, "columns", spy)
         res = build_resolution(M_RIGHT, 7)
         assert check_complex(res).verdict
         assert [id(d) for d in grouped] == [id(d) for d in res.differentials]
@@ -269,8 +270,8 @@ class TestChecks:
         # composite and the lower map of the next
         res = build_resolution(M_LEFT, 7)
         d = res.differentials[stage_index]
-        row, col, sign, mono = d.entries[0]
-        flipped = replace(d, entries=((row, col, -sign, mono),) + d.entries[1:])
+        row, col, sign, x, y = d.entries[0]
+        flipped = replace(d, entries=((row, col, -sign, x, y),) + d.entries[1:])
         diffs = list(res.differentials)
         diffs[stage_index] = flipped
         bad = replace(res, differentials=diffs)
@@ -286,8 +287,8 @@ class TestChecks:
         res = build_degenerate(M((3, 0), (0, 7)), 3)
         d2 = res.differentials[1]
         entries = tuple(
-            (r, c, s, Monomial(0, 7) if m == Monomial(0, 6) else m)
-            for r, c, s, m in d2.entries
+            (r, c, s, x, 7 if (x, y) == (0, 6) else y)
+            for r, c, s, x, y in d2.entries
         )
         bad = replace(res, differentials=[res.differentials[0], replace(d2, entries=entries), res.differentials[2]])
         report = check_minimality(bad)
@@ -295,9 +296,9 @@ class TestChecks:
         assert any(c.stage == 2 and not c.passed for c in report.checks)
 
     def test_minimality_catches_unit_entry(self):
-        gen = (GeneratorLabel("e1"), (0, 0))
+        gen = ("e1", (0, 0))
         mod = GradedFreeModule((gen,))
-        identity = Differential(mod, mod, ((0, 0, 1, Monomial(0, 0)),), M_RIGHT)
+        identity = Differential(mod, mod, ((0, 0, 1, 0, 0),), M_RIGHT)
         res = build_resolution(M_RIGHT, 2)
         bad = replace(res, differentials=[identity], blocks=None)
         assert not check_minimality(bad).verdict
@@ -395,9 +396,9 @@ class TestExactnessReadsEntries:
         res = build_resolution(ideal, 6)
         for k, diff in enumerate(res.differentials):
             for j in range(0, len(diff.entries), 5):
-                row, col, sign, mono = diff.entries[j]
+                row, col, sign, x, y = diff.entries[j]
                 if which == "sign":
-                    entries = diff.entries[:j] + ((row, col, -sign, mono),) + diff.entries[j + 1 :]
+                    entries = diff.entries[:j] + ((row, col, -sign, x, y),) + diff.entries[j + 1 :]
                 else:
                     entries = tuple(e for e in diff.entries if e[1] != col)
                 diffs = list(res.differentials)
@@ -409,13 +410,13 @@ class TestExactnessReadsEntries:
     def test_signs_are_part_of_the_key(self):
         # d2 has columns (y, -x) and (y, x): rank 2 in the slices where
         # x and y survive, but rank 1 if the signs were dropped
-        def module(*twists):
-            return GradedFreeModule(tuple((GeneratorLabel("g"), (t, 0)) for t in twists))
+        def module(*bidegrees):
+            return GradedFreeModule(tuple(("g", b) for b in bidegrees))
 
-        x, y = Monomial(1, 0), Monomial(0, 1)
-        f0, f1, f2 = module(0), module(1, 1), module(2, 2)
-        d1 = Differential(f1, f0, ((0, 0, 1, x), (0, 1, 1, y)), M_RIGHT)
-        d2 = Differential(f2, f1, ((0, 0, 1, y), (1, 0, -1, x), (0, 1, 1, y), (1, 1, 1, x)), M_RIGHT)
+        x, y = (1, 0), (0, 1)
+        f0, f1, f2 = module((0, 0)), module(x, y), module((1, 1), (1, 1))
+        d1 = Differential(f1, f0, ((0, 0, 1, *x), (0, 1, 1, *y)), M_RIGHT)
+        d2 = Differential(f2, f1, ((0, 0, 1, *y), (1, 0, -1, *x), (0, 1, 1, *y), (1, 1, 1, *x)), M_RIGHT)
         base = build_resolution(M_RIGHT, 2)
         res = replace(base, modules=[f0, f1, f2], differentials=[d1, d2], blocks=None)
         passed = [c.passed for c in check_exactness(res, 1, 6).checks]
@@ -425,7 +426,7 @@ class TestExactnessReadsEntries:
     def test_zero_column_of_negative_degree(self):
         res = build_resolution(M_RIGHT, 4)
         d2 = res.differentials[1]
-        source = GradedFreeModule(d2.source.generators + ((GeneratorLabel("g"), (-1, 0)),))
+        source = GradedFreeModule(d2.source.generators + (("g", (-1, 0)),))
         diffs = [res.differentials[0], replace(d2, source=source)] + res.differentials[2:]
         bad = replace(res, differentials=diffs, blocks=None)
         passed = [c.passed for c in check_exactness(bad, 2, 8).checks]
@@ -484,3 +485,82 @@ class TestCompareBetti:
         a = BettiTable({(0, 0): 1, (7, 9): 5}, max_stage=7)
         b = BettiTable({(0, 0): 1}, max_stage=3)
         assert compare_betti(a, b).is_empty
+
+
+@pytest.fixture
+def swapped_f2(monkeypatch):
+    """The engine with each F2 generator at (bx + dy, by + dx) instead of
+    (bx + dx, by + dy): every total degree, entry and Betti number stays
+    as it was, only the bigrading is wrong."""
+    real = _MainBuilder._emit_f2
+
+    def emit(self, gens, entries, px, py, base, labels):
+        start = len(gens)
+        block = real(self, gens, entries, px, py, base, labels)
+        bx, by = base
+        for k, ((dx, dy), _col) in enumerate(self._f2):
+            gens[start + k] = (gens[start + k][0], (bx + dy, by + dx))
+        return block
+
+    monkeypatch.setattr(_MainBuilder, "_emit_f2", emit)
+
+
+class TestBidegrees:
+    """Entries must match the bigrading, not only the total degrees."""
+
+    @pytest.mark.parametrize("text", ["x3,x2y2,xy3,y5", "x2y,xy2"])
+    def test_swapped_f2_bidegrees_fail(self, swapped_f2, text):
+        res = build_resolution(parse_ideal(text), 8)
+        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        for r in (res, loaded):
+            # the total-degree checks cannot see it
+            assert check_complex(r).verdict and check_minimality(r).verdict
+            assert r.differentials[1].inhomogeneous_entries()
+            exactness = check_exactness(r, 7, 30).failures()
+            assert [(c.kind, c.stage, c.degree) for c in exactness] == [("exactness", 2, None)]
+            assert "is not homogeneous" in exactness[0].detail
+            homogeneity = check_homogeneity(r).failures()
+            assert [c.stage for c in homogeneity] == list(range(2, 9))  # into or out of an F2
+            assert homogeneity[0].detail == exactness[0].detail
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (("verify", "x3,x2y2,xy3,y5", "--stages", "8"), "verdict: fail"),
+            (("verify", "x2y,xy2", "--stages", "8"), "verdict: fail"),
+            (("oracle", "x3,x2y2,xy3,y5", "--stages", "6"), "engine agreement: fail"),
+            (("oracle", "x2y,xy2", "--stages", "6", "--field", "p:32003"), "engine agreement: fail"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_cli_fails_on_swapped_f2(self, swapped_f2, capsys, argv, last):
+        code = cli_main(list(argv))
+        out = capsys.readouterr().out
+        assert (code, out.splitlines()[-1]) == (1, last)
+        if argv[0] == "oracle":
+            assert "FAIL homogeneity at stage 2: entry" in out
+            assert "MISMATCH" not in out
+
+    def test_oracle_json_reports_homogeneity(self, swapped_f2, capsys):
+        assert cli_main(["oracle", "x2y,xy2", "--stages", "4", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert (data["match"], data["homogeneous"]) == (True, False)
+
+
+# One ideal per construction regime.
+REGIMES = ["x2y,xy2", "xy2,y4", "x", "x2y3", "x,y", "x3,y", "x3,y7"]
+
+
+@pytest.mark.parametrize("text", REGIMES)
+def test_resolution_is_atomic_data(text):
+    """Entries and generator pairs hold only ints and strings, so the
+    collector stops tracking them and never walks them again."""
+    res = build_resolution(parse_ideal(text), 8)
+    loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+    for r in (res, loaded):
+        gc.collect()
+        assert not any(gc.is_tracked(e) for d in r.differentials for e in d.entries)
+        # a pair is untracked once its bidegree tuple is, and a tuple referred
+        # to only by a young tuple is reached after it: a second pass
+        gc.collect()
+        assert not any(gc.is_tracked(g) for m in r.modules for g in m.generators)

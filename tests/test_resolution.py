@@ -315,6 +315,19 @@ class TestDispatchAndJson:
         assert data["decomposition"][0] == {"stage": 4, "u": 1, "v": 2, "w": 0}
 
 
+@pytest.mark.parametrize("text", ["x3,x2y2,xy3,y5", "xy2,y4", "x3,y7", "x2y3", "x3,y"])
+def test_json_reload_keeps_labels_and_rejects_negative_exponents(text):
+    res = build_resolution(parse_ideal(text), 7)
+    dumped = json.dumps(resolution_to_json(res))
+    loaded = resolution_from_json(json.loads(dumped))
+    assert [m.generators for m in loaded.modules] == [m.generators for m in res.modules]
+    assert json.dumps(resolution_to_json(loaded)) == dumped
+    data = json.loads(dumped)
+    data["differentials"][-1]["entries"][0]["monomial"][1] = -1
+    with pytest.raises(ValueError, match="negative exponent"):
+        resolution_from_json(data)
+
+
 # SHA-256 of json.dumps(resolution_to_json(build_resolution(M, 8)), sort_keys=True),
 # recorded from the engine before its templates were prebuilt per ideal:
 # entry order, monomials and labels must not change.
@@ -342,10 +355,12 @@ def compose_reference(d_hi, d_lo):
     out = {}
     for col in range(d_hi.source.rank):
         acc = {}
-        for mid, c, sign, mono in d_hi.entries:
+        for mid, c, sign, x, y in d_hi.entries:
             if c != col:
                 continue
-            for row, c2, sign2, mono2 in d_lo.entries:
+            mono = Monomial(x, y)
+            for row, c2, sign2, x2, y2 in d_lo.entries:
+                mono2 = Monomial(x2, y2)
                 if c2 == mid and not ring.contains(mono * mono2):
                     key = (row, mono * mono2)
                     acc[key] = acc.get(key, 0) + sign * sign2
@@ -364,8 +379,8 @@ def test_compose_check_matches_monomial_reference(ideal):
         # flip the first entry of every column: a column with several
         # entries loses the cancellation that made its composite vanish
         entries, seen = [], set()
-        for row, col, sign, mono in d_hi.entries:
-            entries.append((row, col, sign if col in seen else -sign, mono))
+        for row, col, sign, x, y in d_hi.entries:
+            entries.append((row, col, sign if col in seen else -sign, x, y))
             seen.add(col)
         bad = Differential(d_hi.source, d_hi.target, tuple(entries), d_hi.ring)
         for hi in (d_hi, bad):
