@@ -61,18 +61,15 @@ class Monomial:
         return Monomial(self.ydeg, self.xdeg)
 
     def __str__(self) -> str:
-        if self.is_unit:
-            return "1"
-        parts = []
-        if self.xdeg == 1:
-            parts.append("x")
-        elif self.xdeg > 1:
-            parts.append(f"x^{self.xdeg}")
-        if self.ydeg == 1:
-            parts.append("y")
-        elif self.ydeg > 1:
-            parts.append(f"y^{self.ydeg}")
-        return "*".join(parts)
+        return term_str(self.xdeg, self.ydeg)
+
+
+def term_str(xdeg: int, ydeg: int) -> str:
+    """x^xdeg * y^ydeg as text ("x*y^2", "1"), for any integer exponents,
+    so a malformed entry can be reported without building a Monomial."""
+    x = "" if xdeg == 0 else "x" if xdeg == 1 else f"x^{xdeg}"
+    y = "" if ydeg == 0 else "y" if ydeg == 1 else f"y^{ydeg}"
+    return f"{x}*{y}" if x and y else x or y or "1"
 
 
 ONE = Monomial(0, 0)

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .betti import BettiTable
-from .monomials import Monomial, MonomialIdeal, standard_monomials
+from .monomials import Monomial, MonomialIdeal, standard_monomials, term_str
 from .resolution import Differential, GradedFreeModule, Resolution, _compose_columns
 
 
@@ -295,15 +295,16 @@ def check_complex(res: Resolution) -> VerificationReport:
 
 
 def check_minimality(res: Resolution) -> VerificationReport:
-    """No differential entry may be a unit or vanish in S."""
+    """No differential entry may be a unit, vanish in S or have a negative
+    exponent."""
     report = VerificationReport(res.ring)
     stair = res.ring.stair()
     n, far = len(stair), stair[-1]
     for i, diff in enumerate(res.differentials, start=1):
         bad = [
-            (row, col, str(Monomial(x, y)))
+            (row, col, term_str(x, y))
             for row, col, _sign, x, y in diff.entries
-            if x + y < 1 or y >= (stair[x] if x < n else far)
+            if x < 0 or y < 0 or x + y < 1 or y >= (stair[x] if x < n else far)
         ]
         report.checks.append(
             CheckRecord("minimality", i, None, not bad, f"bad entries {bad[:3]}" if bad else "")

@@ -14,10 +14,9 @@ same templates; stage 40 takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .classify import IdealClass, classify
-from .monomials import Monomial, MonomialIdeal, X, Y
+from .monomials import Monomial, MonomialIdeal, X, Y, term_str
 
 
 class WrongClass(ValueError):
@@ -84,18 +83,10 @@ class Differential:
                 bad.append((row, col))
         return bad
 
-    def is_homogeneous(self) -> bool:
-        return not self.inhomogeneous_entries()
-
-    def is_minimal(self) -> bool:
-        """No unit entries and every entry survives in S."""
-        contains_xy = self.ring.contains_xy
-        return all(x + y >= 1 and not contains_xy(x, y) for _r, _c, _s, x, y in self.entries)
-
     def dense_strings(self) -> list[list[str]]:
         grid = [["0"] * self.source.rank for _ in range(self.target.rank)]
         for row, col, sign, x, y in self.entries:
-            grid[row][col] = ("-" if sign < 0 else "") + str(Monomial(x, y))
+            grid[row][col] = ("-" if sign < 0 else "") + term_str(x, y)
         return grid
 
 
@@ -147,32 +138,19 @@ def _compose_columns(d_hi: Differential, d_lo: Differential, hi_cols, lo_cols) -
     return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: str  # "F0", "F1", "F2", "F3"
-    base: tuple[int, int]
-    start: int
-    size: int
-
-
-@dataclass(frozen=True)
-class InductiveCoeffs:
-    """Type V only: per-stage coefficient sequences for the complete
-    intersection resolution.  fs[i][j-1] and gs[i][j] are signed monomials."""
-
-    fs: dict[int, list[tuple[int, Monomial]]]
-    gs: dict[int, dict[int, tuple[int, Monomial]]]
-
-
 @dataclass
 class Resolution:
+    """The modules F_0..F_n and the maps d_i: F_i -> F_{i-1}; nothing
+    derived from them is stored beside them."""
+
     ring: MonomialIdeal
     ideal_class: IdealClass
     modules: list[GradedFreeModule]
     differentials: list[Differential]
-    decomposition: list[tuple[int, int, int, int]]  # (stage, u, v, w)
-    blocks: Optional[list[tuple[Block, ...]]] = None  # engine metadata for extend_resolution
-    coeffs: Optional[InductiveCoeffs] = None
+
+    # Not a field: read only by the benchmark's traced with_blocks counter;
+    # it goes with the next benchmark change.
+    blocks = None
 
     @property
     def stages(self) -> int:
@@ -272,41 +250,49 @@ def _spread(counts: dict[int, int], offsets, out: dict[int, int]) -> dict[int, i
     return out
 
 
+def _degrees(offsets) -> tuple[int, ...]:
+    return tuple(dx + dy for dx, dy in offsets)
+
+
+def _main_block_bases(t: _MainTemplates, stages: int):
+    """Yield (stage, f1, f2, f3) for stages 1..stages, each dict the number
+    of F1, F2 or F3 blocks of that stage per total degree of their base.
+
+    The counts advance by the rules of :meth:`_MainBuilder.step` on the
+    same templates, with no module or matrix built."""
+    g, d = _degrees(t._g), _degrees(t._d)
+    f0: dict[int, int] = {0: 1}
+    f1: dict[int, int] = {}
+    f2: dict[int, int] = {}
+    f3: dict[int, int] = {}
+    for stage in range(1, stages + 1):
+        f0, f1, f2, f3 = {}, _spread(f3, d, dict(f0)), _spread(f3, g, dict(f1)), f2
+        yield stage, f1, f2, f3
+
+
 def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int], int]:
     """Graded Betti numbers beta_{i,d} of the main-case resolution through
-    ``stages``, with no module or matrix built.
-
-    Each stage is kept as the number of F1, F2 and F3 blocks per total
-    degree of their base, and is advanced by the rules of
-    :meth:`_MainBuilder.step` on the same templates; a block then adds one
-    generator per template column at its base degree plus the column's."""
+    ``stages``: a block adds one generator per template column at its base
+    degree plus the column's."""
     t = _MainTemplates(ideal)
-
-    def degrees(offsets) -> tuple[int, ...]:
-        return tuple(dx + dy for dx, dy in offsets)
-
-    f1 = degrees(offset for offset, _x, _y in t._f1)
-    f2 = degrees(offset for offset, _col in t._f2)
-    f3 = degrees(offset for offset, _col in t._f3)
-    g, d = degrees(t._g), degrees(t._d)
+    f1 = _degrees(offset for offset, _x, _y in t._f1)
+    f2 = _degrees(offset for offset, _col in t._f2)
+    f3 = _degrees(offset for offset, _col in t._f3)
     entries = {(0, 0): 1}
-    f0_bases: dict[int, int] = {0: 1}
-    f1_bases: dict[int, int] = {}
-    f2_bases: dict[int, int] = {}
-    f3_bases: dict[int, int] = {}
-    for stage in range(1, stages + 1):
-        f0_bases, f1_bases, f2_bases, f3_bases = (
-            {},
-            _spread(f3_bases, d, dict(f0_bases)),
-            _spread(f3_bases, g, dict(f1_bases)),
-            f2_bases,
-        )
+    for stage, f1_bases, f2_bases, f3_bases in _main_block_bases(t, stages):
         gens: dict[int, int] = {}
         for bases, offsets in ((f1_bases, f1), (f2_bases, f2), (f3_bases, f3)):
             _spread(bases, offsets, gens)
         for deg, c in gens.items():
             entries[(stage, deg)] = c
     return entries
+
+
+@dataclass(frozen=True)
+class Block:
+    kind: str  # "F0", "F1", "F2", "F3"
+    base: tuple[int, int]
+    start: int
 
 
 class _MainBuilder(_MainTemplates):
@@ -316,14 +302,12 @@ class _MainBuilder(_MainTemplates):
     entries directly.  A generator label is its template column's prefix
     plus, from stage 5 on, "@{stage}.{block}"."""
 
-    def __init__(self, ideal: MonomialIdeal, ideal_class: IdealClass):
+    def __init__(self, ideal: MonomialIdeal):
         super().__init__(ideal)
         self.ideal = ideal
-        self.ideal_class = ideal_class
         self.modules = [GradedFreeModule((("e1", (0, 0)),))]
         self.differentials: list[Differential] = []
-        self.blocks: list[tuple[Block, ...]] = [(Block("F0", (0, 0), 0, 1),)]
-        self.decomposition: list[tuple[int, int, int, int]] = []
+        self._blocks: tuple[Block, ...] = (Block("F0", (0, 0), 0),)  # the last stage's
 
     # template emitters; each appends generators + entries and returns a Block
     def _emit_f1(self, gens, entries, target: int, base, labels):
@@ -332,7 +316,7 @@ class _MainBuilder(_MainTemplates):
         for label, ((dx, dy), x, y) in zip(labels, self._f1):
             entries.append((target, len(gens), 1, x, y))
             gens.append((label, (bx + dx, by + dy)))
-        return Block("F1", base, start, 2)
+        return Block("F1", base, start)
 
     def _emit_f2(self, gens, entries, px: int, py: int, base, labels):
         start = len(gens)
@@ -343,7 +327,7 @@ class _MainBuilder(_MainTemplates):
             gens.append((label, (bx + dx, by + dy)))
             for sel, sign, x, y in col:
                 entries.append((rows[sel], c, sign, x, y))
-        return Block("F2", base, start, len(self._f2))
+        return Block("F2", base, start)
 
     def _emit_f3(self, gens, entries, f0: int, base, labels):
         start = len(gens)
@@ -353,18 +337,17 @@ class _MainBuilder(_MainTemplates):
             gens.append((label, (bx + dx, by + dy)))
             for rel, sign, x, y in col:
                 entries.append((f0 + rel, c, sign, x, y))
-        return Block("F3", base, start, len(self._f3))
+        return Block("F3", base, start)
 
     def step(self) -> None:
         r = self.r
         stage = len(self.modules)
-        prev_blocks = self.blocks[-1]
+        prev_blocks = self._blocks
         gens: list[tuple[str, tuple[int, int]]] = []
         entries: list[tuple[int, int, int, int, int]] = []
         new_blocks: list[Block] = []
         prev = self.modules[-1]
         blk = 0
-        u = v = w = 0
         f1_count = 0
 
         def at() -> str:  # the label suffix of the block being emitted
@@ -375,7 +358,6 @@ class _MainBuilder(_MainTemplates):
             if pb.kind == "F0":
                 new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, ("e_x", "e_y")))
                 blk += 1
-                u += 1
             elif pb.kind == "F3":
                 for j, (dx, dy) in enumerate(self._d, start=1):
                     tgt = pb.start + 2 * r + (j - 1)  # the column d_j of this F3
@@ -386,7 +368,6 @@ class _MainBuilder(_MainTemplates):
                     labels = (head + "x" + tail, head + "y" + tail)
                     new_blocks.append(self._emit_f1(gens, entries, tgt, base, labels))
                     blk += 1
-                    u += 1
         # then F2 template instances: one per F1, one at B + G per F3 at B
         f2_count = 0
         for pb in prev_blocks:
@@ -401,7 +382,6 @@ class _MainBuilder(_MainTemplates):
                     self._emit_f2(gens, entries, pb.start, pb.start + 1, pb.base, labels)
                 )
                 blk += 1
-                v += 1
             elif pb.kind == "F3":
                 for j, (gx, gy) in enumerate(self._g, start=1):
                     px = pb.start + (j - 1)  # the columns c_j^x and c_j^y of this F3
@@ -412,7 +392,6 @@ class _MainBuilder(_MainTemplates):
                     labels = [k + tail for k in self._k_heads]
                     new_blocks.append(self._emit_f2(gens, entries, px, py, base, labels))
                     blk += 1
-                    v += 1
         # then F3 template instances: one per F2
         for pb in prev_blocks:
             if pb.kind == "F2":
@@ -420,50 +399,17 @@ class _MainBuilder(_MainTemplates):
                 labels = [label + tail for label in self._f3_labels]
                 new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, labels))
                 blk += 1
-                w += 1
         module = GradedFreeModule(tuple(gens))
         self.differentials.append(Differential(module, prev, tuple(entries), self.ideal))
         self.modules.append(module)
-        self.blocks.append(tuple(new_blocks))
-        if stage >= 4:
-            self.decomposition.append((stage, u, v, w))
-
-    def resolution(self) -> Resolution:
-        return Resolution(
-            self.ideal,
-            self.ideal_class,
-            self.modules,
-            self.differentials,
-            self.decomposition,
-            self.blocks,
-        )
+        self._blocks = tuple(new_blocks)
 
 
 def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> Resolution:
-    builder = _MainBuilder(ideal, ideal_class)
+    builder = _MainBuilder(ideal)
     for _ in range(stages):
         builder.step()
-    return builder.resolution()
-
-
-def extend_resolution(res: Resolution, n: int) -> Resolution:
-    """Continue a main-case resolution through stage n."""
-    if not res.ideal_class.is_main:
-        raise WrongClass("extend_resolution only applies to main-case resolutions")
-    if n < 4:
-        raise StageTooSmall("extension starts at stage 4")
-    if res.blocks is None:
-        raise ValueError("resolution lacks block structure (loaded from JSON?)")
-    if res.stages < 4:
-        raise StageTooSmall("resolution must be built through stage 4 first")
-    builder = _MainBuilder(res.ring, res.ideal_class)
-    builder.modules = list(res.modules)
-    builder.differentials = list(res.differentials)
-    builder.blocks = list(res.blocks)
-    builder.decomposition = list(res.decomposition)
-    while len(builder.modules) - 1 < n:
-        builder.step()
-    return builder.resolution()
+    return Resolution(ideal, ideal_class, builder.modules, builder.differentials)
 
 
 def _mk(swap: bool):
@@ -483,7 +429,6 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
     gens = ideal.generators
     modules = [GradedFreeModule((("e1", (0, 0)),))]
     diffs: list[Differential] = []
-    coeffs: Optional[InductiveCoeffs] = None
 
     def add_stage(labels_bidegs, columns):
         prev = modules[-1]
@@ -606,8 +551,7 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
                 labels.append((lab(f"e{j}", i), bideg))
                 columns.append(col)
             add_stage(labels, columns)
-        coeffs = InductiveCoeffs(fs, gs)
-    return Resolution(ideal, cls, modules, diffs, [], None, coeffs)
+    return Resolution(ideal, cls, modules, diffs)
 
 
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
@@ -641,11 +585,20 @@ def resolution_to_json(res: Resolution) -> dict:
             }
             for d in res.differentials
         ],
-        "decomposition": [
-            {"stage": stage, "u": u, "v": v, "w": w}
-            for stage, u, v, w in res.decomposition
-        ],
+        "decomposition": _decomposition(res),
     }
+
+
+def _decomposition(res: Resolution) -> list[dict]:
+    """The main case's per-stage F1/F2/F3 block totals (u, v, w) from stage
+    4 on, counted from M and the stage; [] for the degenerate types."""
+    if not classify(res.ring).is_main:
+        return []
+    return [
+        {"stage": stage, "u": sum(f1.values()), "v": sum(f2.values()), "w": sum(f3.values())}
+        for stage, f1, f2, f3 in _main_block_bases(_MainTemplates(res.ring), res.stages)
+        if stage >= 4
+    ]
 
 
 def resolution_from_json(data: dict) -> Resolution:
@@ -669,7 +622,4 @@ def resolution_from_json(data: dict) -> Resolution:
             mono = Monomial(*e["monomial"])  # rejects a negative exponent
             entries.append((e["row"], e["col"], e["sign"], mono.xdeg, mono.ydeg))
         diffs.append(Differential(modules[i + 1], modules[i], tuple(entries), ideal))
-    decomposition = [
-        (d["stage"], d["u"], d["v"], d["w"]) for d in data.get("decomposition", [])
-    ]
-    return Resolution(ideal, cls, modules, diffs, decomposition, None)
+    return Resolution(ideal, cls, modules, diffs)

@@ -50,7 +50,7 @@ M_RIGHT = M((2, 1), (1, 2))
 
 
 def mutate(res, stage_index, which):
-    """Corrupt one differential and drop the fast-path block data."""
+    """Corrupt one differential of a resolution."""
     d = res.differentials[stage_index]
     entries = list(d.entries)
     if which == "sign":
@@ -65,7 +65,7 @@ def mutate(res, stage_index, which):
     d2 = replace(d, entries=tuple(entries))
     diffs = list(res.differentials)
     diffs[stage_index] = d2
-    return replace(res, differentials=diffs, blocks=None)
+    return replace(res, differentials=diffs)
 
 
 class TestFieldConfig:
@@ -300,15 +300,23 @@ class TestChecks:
         mod = GradedFreeModule((gen,))
         identity = Differential(mod, mod, ((0, 0, 1, 0, 0),), M_RIGHT)
         res = build_resolution(M_RIGHT, 2)
-        bad = replace(res, differentials=[identity], blocks=None)
+        bad = replace(res, differentials=[identity])
         assert not check_minimality(bad).verdict
 
-    def test_exactness_generic_path_agrees_with_fast_path(self):
-        res = build_resolution(M_RIGHT, 7)
-        fast = check_exactness(res, 6, 15)
-        generic = check_exactness(replace(res, blocks=None), 6, 15)
-        assert fast.verdict and generic.verdict
-        assert [c.passed for c in fast.checks] == [c.passed for c in generic.checks]
+    def test_minimality_reports_negative_exponent(self):
+        # x^-1 y^3 in place of d2's first entry: a failed record, as the
+        # other checks give, not a ValueError from building the detail
+        res = build_resolution(M_RIGHT, 4)
+        d2 = res.differentials[1]
+        row, col, sign, _x, _y = d2.entries[0]
+        entries = ((row, col, sign, -1, 3),) + d2.entries[1:]
+        diffs = [res.differentials[0], replace(d2, entries=entries)] + res.differentials[2:]
+        bad = replace(res, differentials=diffs)
+        detail = f"bad entries [({row}, {col}, 'x^-1*y^3')]"
+        assert check_minimality(bad).failures() == [CheckRecord("minimality", 2, None, False, detail)]
+        assert not check_complex(bad).verdict
+        assert not check_homogeneity(bad).verdict
+        assert not check_exactness(bad, 3, 10).verdict
 
     def test_truncation_guard(self):
         res = build_resolution(M((5, 0), (0, 6)), 5)
@@ -349,7 +357,7 @@ class TestMutations:
         new_d3 = Differential(src, d3.target, entries, d3.ring)
         diffs = list(res.differentials)
         diffs[2] = new_d3
-        bad = replace(res, differentials=diffs[:3], modules=res.modules[:3] + [src], blocks=None)
+        bad = replace(res, differentials=diffs[:3], modules=res.modules[:3] + [src])
         report = check_exactness(bad, 2, 15)
         assert not report.verdict
 
@@ -367,14 +375,14 @@ def whole_matrix_exactness(res, max_stage, max_degree, fld=ExactRationals()):
 
 
 class TestExactnessReadsEntries:
-    """Exactness comes from the differentials' entries, never from the
-    engine's block metadata."""
+    """Exactness comes from the differentials' entries, whatever made the
+    resolution."""
 
     @pytest.mark.parametrize("stage_index", [2, 4, 5])
-    def test_column_drop_caught_with_blocks_kept(self, stage_index):
+    def test_column_drop_caught_after_json_reload(self, stage_index):
         res = build_resolution(M_RIGHT, 7)
-        bad = replace(mutate(res, stage_index, "drop"), blocks=res.blocks)
-        assert bad.blocks is not None
+        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        bad = mutate(loaded, stage_index, "drop")
         assert not check_exactness(bad, 6, 15).verdict
 
     @pytest.mark.parametrize("stage_index", [2, 5])
@@ -418,7 +426,7 @@ class TestExactnessReadsEntries:
         d1 = Differential(f1, f0, ((0, 0, 1, *x), (0, 1, 1, *y)), M_RIGHT)
         d2 = Differential(f2, f1, ((0, 0, 1, *y), (1, 0, -1, *x), (0, 1, 1, *y), (1, 1, 1, *x)), M_RIGHT)
         base = build_resolution(M_RIGHT, 2)
-        res = replace(base, modules=[f0, f1, f2], differentials=[d1, d2], blocks=None)
+        res = replace(base, modules=[f0, f1, f2], differentials=[d1, d2])
         passed = [c.passed for c in check_exactness(res, 1, 6).checks]
         assert passed == whole_matrix_exactness(res, 1, 6)
         assert not all(passed)
@@ -428,7 +436,7 @@ class TestExactnessReadsEntries:
         d2 = res.differentials[1]
         source = GradedFreeModule(d2.source.generators + (("g", (-1, 0)),))
         diffs = [res.differentials[0], replace(d2, source=source)] + res.differentials[2:]
-        bad = replace(res, differentials=diffs, blocks=None)
+        bad = replace(res, differentials=diffs)
         passed = [c.passed for c in check_exactness(bad, 2, 8).checks]
         assert passed == whole_matrix_exactness(bad, 2, 8)
         assert not all(passed)
@@ -436,7 +444,6 @@ class TestExactnessReadsEntries:
     def test_json_round_trip_gives_same_report(self):
         res = build_resolution(M((3, 0), (2, 2), (1, 3), (0, 5)), 9)
         loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
-        assert loaded.blocks is None
         expected = check_exactness(res, 8, 30).to_json()
         assert expected["verdict"] == "pass"
         assert check_exactness(loaded, 8, 30).to_json() == expected

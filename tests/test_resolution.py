@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,12 +12,13 @@ from stairstep import (
     Differential,
     IdealClass,
     Monomial,
-    StageTooSmall,
+    Resolution,
     WrongClass,
     build_degenerate,
     build_resolution,
+    check_homogeneity,
+    check_minimality,
     compose_check,
-    extend_resolution,
     normalize_ideal,
     parse_ideal,
     resolution_from_json,
@@ -30,6 +33,11 @@ def M(*pairs):
 
 M_LEFT = M((1, 2), (0, 4))   # (xy^2, y^4), case 2
 M_RIGHT = M((2, 1), (1, 2))  # (x^2y, xy^2), case 1
+
+
+def decomposition(res):
+    """The (stage, u, v, w) block totals the JSON form derives."""
+    return [(d["stage"], d["u"], d["v"], d["w"]) for d in resolution_to_json(res)["decomposition"]]
 
 
 class TestLowStages:
@@ -76,7 +84,7 @@ class TestLowStages:
 
     def test_d4_case1(self):
         res = build_resolution(M_RIGHT, 4)
-        d4, (_stage, u, v, w) = res.differentials[3], res.decomposition[0]
+        d4, (_stage, u, v, w) = res.differentials[3], decomposition(res)[0]
         assert (u, v, w) == (1, 2, 0)
         # F1 block on d_1, then the two k-blocks over (c_j^x, c_j^y)
         assert d4.dense_strings() == [
@@ -104,7 +112,7 @@ class TestLowStages:
             assert build_resolution(ideal, 2).differentials[1].source.rank == r + 1
             assert build_resolution(ideal, 3).differentials[2].source.rank == 3 * r - 1
             res = build_resolution(ideal, 4)
-            d4, (_stage, u, v, w) = res.differentials[3], res.decomposition[0]
+            d4, (_stage, u, v, w) = res.differentials[3], decomposition(res)[0]
             assert (u, v, w) == (r - 1, r, 0)
             assert d4.source.rank == 2 * (r - 1) + (r + 1) * r
 
@@ -149,7 +157,7 @@ class TestMainRecursion:
 
     def test_decomposition_recursion(self):
         res = build_resolution(M_RIGHT, 8)
-        dec = {stage: (u, v, w) for stage, u, v, w in res.decomposition}
+        dec = {stage: (u, v, w) for stage, u, v, w in decomposition(res)}
         assert dec[4] == (1, 2, 0)
         assert dec[5] == (0, 1, 2)
         r = 2
@@ -161,7 +169,7 @@ class TestMainRecursion:
         for ideal in (M_LEFT, M((3, 0), (2, 2), (1, 3))):
             res = build_resolution(ideal, 9)
             r = ideal.num_generators
-            for stage, u, v, w in res.decomposition:
+            for stage, u, v, w in decomposition(res):
                 assert res.modules[stage].rank == 2 * u + (r + 1) * v + (3 * r - 1) * w
 
     def test_rank_recursions(self):
@@ -178,20 +186,6 @@ class TestMainRecursion:
             for i in range(4, 9):
                 assert ranks[i] == r * ranks[i - 2] + (r - 1) * ranks[i - 3]
 
-    def test_extend_matches_fresh_build(self):
-        res4 = build_resolution(M_RIGHT, 4)
-        res8 = extend_resolution(res4, 8)
-        fresh = build_resolution(M_RIGHT, 8)
-        assert res8.total_betti_numbers() == fresh.total_betti_numbers()
-        for a, b in zip(res8.differentials, fresh.differentials):
-            assert a.entries == b.entries
-
-    def test_extend_guards(self):
-        with pytest.raises(StageTooSmall):
-            extend_resolution(build_resolution(M_RIGHT, 4), 3)
-        with pytest.raises(WrongClass):
-            extend_resolution(build_degenerate(M((3, 0), (0, 7)), 4), 6)
-
 
 class TestStructuralInvariants:
     @pytest.mark.parametrize("ideal", exhaustive_corpus(3), ids=str)
@@ -199,9 +193,8 @@ class TestStructuralInvariants:
         res = build_resolution(ideal, 7)
         assert res.modules[0].rank == 1
         assert res.modules[0].bidegree(0) == (0, 0)
-        for diff in res.differentials:
-            assert diff.is_homogeneous()
-            assert diff.is_minimal()
+        assert check_homogeneity(res).verdict
+        assert check_minimality(res).verdict
         for hi, lo in zip(res.differentials[1:], res.differentials):
             assert compose_check(hi, lo).is_zero
 
@@ -271,10 +264,14 @@ class TestDegenerate:
 
     def test_type_v_coefficient_identity(self):
         res = build_degenerate(M((3, 0), (0, 7)), 10)
-        fs = res.coeffs.fs
+
+        def coeff(i, col):  # the monomial of column col's one entry in d_i
+            ((_row, _sign, x, y),) = res.differentials[i - 1].columns()[col]
+            return Monomial(x, y)
+
         for i in range(3, 11):
-            assert fs[i][0][1] * fs[i - 1][0][1] == Monomial(3, 0)
-            assert fs[i][1][1] * fs[i - 1][1][1] == Monomial(0, 7)
+            assert coeff(i, 0) * coeff(i - 1, 0) == Monomial(3, 0)
+            assert coeff(i, 1) * coeff(i - 1, 1) == Monomial(0, 7)
 
     def test_type_v_complex(self):
         res = build_degenerate(M((3, 0), (0, 7)), 8)
@@ -313,6 +310,34 @@ class TestDispatchAndJson:
         entry = data["differentials"][0]["entries"][0]
         assert set(entry) == {"row", "col", "sign", "monomial"}
         assert data["decomposition"][0] == {"stage": 4, "u": 1, "v": 2, "w": 0}
+
+
+class TestOneRepresentation:
+    """A resolution is its modules and maps; everything else is derived."""
+
+    def test_four_fields(self):
+        assert [f.name for f in fields(Resolution)] == ["ring", "ideal_class", "modules", "differentials"]
+
+    def test_build_leaves_few_tracked_objects(self):
+        # the engine's block lists are dropped with the builder; only the
+        # resolution's containers stay tracked, not one object per block
+        ideal = parse_ideal("x6,x5y,x4y2,x3y3,x2y4,xy5")
+        gc.collect()
+        gc.collect()
+        before = len(gc.get_objects())
+        res = build_resolution(ideal, 10)
+        gc.collect()
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+        assert sum(m.rank for m in res.modules) == 37051
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x3,y7"])
+    def test_json_decomposition_is_derived_on_output(self, text):
+        res = build_resolution(parse_ideal(text), 7)
+        dumped = json.dumps(resolution_to_json(res))
+        data = json.loads(dumped)
+        data["decomposition"] = [{"stage": 4, "u": 99, "v": 0, "w": 7}]
+        assert json.dumps(resolution_to_json(resolution_from_json(data))) == dumped
 
 
 @pytest.mark.parametrize("text", ["x3,x2y2,xy3,y5", "xy2,y4", "x3,y7", "x2y3", "x3,y"])
