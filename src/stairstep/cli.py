@@ -58,34 +58,31 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only ``command``'s, which
+    costs about a fifth as much.  The usage line lists all seven either
+    way; the full parser keeps argparse's default metavar, which reads the
+    same, because errors name the argument by an explicit metavar instead
+    of as "command"."""
     parser = argparse.ArgumentParser(
         prog="stairstep",
         description="Minimal free resolutions of k over k[x,y]/M "
         "for monomial ideals M in two variables.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     default_field = os.environ.get("STAIRSTEP_FIELD", "q")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_handler, help_text, extra) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
         p.add_argument("--stages", type=_nonnegative_int, default=6)
         p.add_argument("--max-degree", type=int, default=None)
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--field", type=_parse_field, default=default_field)
-        return p
-
-    add("classify", "print the construction regime of the ideal")
-    add("resolve", "build and print the resolution through --stages")
-    betti = add("betti", "total Betti numbers, or the graded table with --graded")
-    betti.add_argument("--graded", action="store_true")
-    poincare = add("poincare", "Poincare-Betti series, expanded with --expand N")
-    poincare.add_argument("--expand", type=int, default=None)
-    add("verify", "run complex, minimality and exactness checks")
-    add("oracle", "brute-force Betti table, compared against the engine")
-    staircase = add("staircase", "render the staircase diagram (ASCII or --svg PATH)")
-    staircase.add_argument("--svg", default=None)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -228,19 +225,36 @@ def _cmd_staircase(args, ideal) -> int:
     return 0
 
 
+# name -> (handler, help, arguments beyond the common ones), in usage order
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "resolve": _cmd_resolve,
-    "betti": _cmd_betti,
-    "poincare": _cmd_poincare,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "staircase": _cmd_staircase,
+    "classify": (_cmd_classify, "print the construction regime of the ideal", ()),
+    "resolve": (_cmd_resolve, "build and print the resolution through --stages", ()),
+    "betti": (
+        _cmd_betti,
+        "total Betti numbers, or the graded table with --graded",
+        (("--graded", {"action": "store_true"}),),
+    ),
+    "poincare": (
+        _cmd_poincare,
+        "Poincare-Betti series, expanded with --expand N",
+        (("--expand", {"type": int, "default": None}),),
+    ),
+    "verify": (_cmd_verify, "run complex, minimality and exactness checks", ()),
+    "oracle": (_cmd_oracle, "brute-force Betti table, compared against the engine", ()),
+    "staircase": (
+        _cmd_staircase,
+        "render the staircase diagram (ASCII or --svg PATH)",
+        (("--svg", {"default": None}),),
+    ),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named subcommand gets only its own parser; anything else, such as
+    # --help or an unknown command, gets all of them
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -251,7 +265,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, ideal)
+        return _COMMANDS[args.command][0](args, ideal)
     except TruncationTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

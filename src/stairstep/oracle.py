@@ -281,14 +281,14 @@ class VerificationReport:
 
 
 def check_complex(res: Resolution) -> VerificationReport:
-    """Symbolic check that consecutive differentials compose to zero."""
+    """Symbolic check that consecutive differentials compose to zero.
+
+    Each map below the top one is grouped by column once, as the lower map
+    of its composite; the top map, the largest, is never grouped."""
     report = VerificationReport(res.ring)
     diffs = res.differentials
-    lo_cols = diffs[0].columns() if diffs else []
     for i in range(1, len(diffs)):
-        hi_cols = diffs[i].columns()  # grouped once: d_hi here, d_lo next
-        prod = _compose_columns(diffs[i], diffs[i - 1], hi_cols, lo_cols)
-        lo_cols = hi_cols
+        prod = _compose_columns(diffs[i], diffs[i - 1], diffs[i - 1].columns())
         detail = "" if prod.is_zero else f"nonzero composite at cells {sorted(prod.entries)[:3]}"
         report.checks.append(CheckRecord("complex", i + 1, None, prod.is_zero, detail))
     return report
@@ -324,14 +324,20 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     return report
 
 
-def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
+def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]:
     """Connected blocks of a differential: columns sharing a target row.
 
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
-    to the twist of the first row of each block with that key.  Entries
-    must be homogeneous in the bigrading (else ValueError), so a key and
-    that one twist fix every twist of the block."""
+    to the twist of the first row of each block with that key.  Every
+    entry must be homogeneous in the bigrading (else ValueError), so a key
+    and that one twist fix every twist of the block.  Only columns of
+    twist <= max_degree join a block: a column above has no basis element
+    in any slice through max_degree, so dropping it leaves every slice
+    matrix there as it was."""
+    bad = diff.inhomogeneous_entries()
+    if bad:
+        raise _inhomogeneous(*bad[0])
     src = [bideg for _label, bideg in diff.source.generators]
     tgt = [bideg for _label, bideg in diff.target.generators]
     parent = list(range(len(tgt)))  # union-find over target rows
@@ -341,11 +347,10 @@ def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
             parent[i] = i = parent[parent[i]]
         return i
 
+    in_window = [dx + dy <= max_degree for dx, dy in src]
+    kept = [entry for entry in diff.entries if in_window[entry[1]]]
     first = [-1] * len(src)  # each column joins the block of its first row
-    for row, col, _sign, x, y in diff.entries:
-        tx, ty = tgt[row]
-        if src[col] != (tx + x, ty + y):
-            raise _inhomogeneous(row, col)
+    for row, col, _sign, _x, _y in kept:
         f = first[col]
         if f < 0:
             first[col] = row
@@ -353,7 +358,7 @@ def _split_blocks(diff: Differential) -> dict[tuple, list[int]]:
             parent[find(row)] = find(f)
     root = [find(f) if f >= 0 else -1 for f in first]
     blocks: dict[int, tuple[dict, dict, list, int]] = {}
-    for row, col, sign, x, y in diff.entries:
+    for row, col, sign, x, y in kept:
         block = blocks.get(root[col])
         if block is None:
             tx, ty = tgt[row]
@@ -402,7 +407,7 @@ def _stage_tables(diff: Differential, max_degree: int, hilbert: list[int], fld: 
             hilbert.append(len(standard_monomials(diff.ring, len(hilbert))))
         for d in range(max(t, 0), max_degree + 1):
             dim[d] += count * hilbert[d - t]
-    for key, bases in _split_blocks(diff).items():
+    for key, bases in _split_blocks(diff, max_degree).items():
         low, ranks = _block_ranks(key, diff.ring, max_degree - min(bases), fld, tables)
         for base, count in Counter(bases).items():
             lo = base + low

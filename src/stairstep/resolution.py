@@ -14,6 +14,7 @@ same templates; stage 40 takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .classify import IdealClass, classify
 from .monomials import Monomial, MonomialIdeal, X, Y, term_str
@@ -75,13 +76,13 @@ class Differential:
     def inhomogeneous_entries(self) -> list[tuple[int, int]]:
         """(row, col) of each entry whose column's bidegree is not its
         row's bidegree plus (xdeg, ydeg)."""
-        src, tgt = self.source.generators, self.target.generators
-        bad = []
-        for row, col, _sign, x, y in self.entries:
-            tx, ty = tgt[row][1]
-            if src[col][1] != (tx + x, ty + y):
-                bad.append((row, col))
-        return bad
+        src = [bideg for _label, bideg in self.source.generators]
+        tgt = [bideg for _label, bideg in self.target.generators]
+        return [
+            (row, col)
+            for row, col, _sign, x, y in self.entries
+            if src[col] != (tgt[row][0] + x, tgt[row][1] + y)
+        ]
 
     def dense_strings(self) -> list[list[str]]:
         grid = [["0"] * self.source.rank for _ in range(self.target.rank)]
@@ -108,34 +109,50 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
     Every pair of entries is multiplied out on integer exponents; a
     Monomial is built only for a term that survives with a nonzero
     coefficient."""
-    return _compose_columns(d_hi, d_lo, d_hi.columns(), d_lo.columns())
+    return _compose_columns(d_hi, d_lo, d_lo.columns())
 
 
-def _compose_columns(d_hi: Differential, d_lo: Differential, hi_cols, lo_cols) -> ComposeProduct:
-    """:func:`compose_check` on both maps' entries already grouped by
+def _compose_columns(d_hi: Differential, d_lo: Differential, lo_cols) -> ComposeProduct:
+    """:func:`compose_check` with only d_lo's entries grouped, by
     :meth:`Differential.columns`, so a caller composing a chain of maps
-    groups each map once."""
+    groups each lower map once and never the top one.
+
+    d_hi's entries are read in column order: the sort is linear on the
+    column-ordered entries the engine and JSON give, and correct on any
+    order, and each column's terms are reduced once its entries end."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
     stair = d_lo.ring.stair()
     n, far = len(stair), stair[-1]
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
-    for col, entries in enumerate(hi_cols):
-        acc: dict[tuple[int, int, int], int] = {}
-        for mid, sign, x, y in entries:
-            for row, sign2, x2, y2 in lo_cols[mid]:
-                px, py = x + x2, y + y2
-                if py >= (stair[px] if px < n else far):
-                    continue
-                key = (row, px, py)
-                acc[key] = acc.get(key, 0) + sign * sign2
-        by_cell: dict[int, list[tuple[int, Monomial]]] = {}
-        for (row, px, py), coeff in acc.items():
-            if coeff:
-                by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
-        for row, terms in by_cell.items():
-            out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
+    acc: dict[tuple[int, int, int], int] = {}
+    current = -1
+    for mid, col, sign, x, y in sorted(d_hi.entries, key=itemgetter(1)):
+        if col != current:
+            if any(acc.values()):
+                _collect_terms(acc, current, out)
+            acc = {}
+            current = col
+        for row, sign2, x2, y2 in lo_cols[mid]:
+            px, py = x + x2, y + y2
+            if py >= (stair[px] if px < n else far):
+                continue
+            key = (row, px, py)
+            acc[key] = acc.get(key, 0) + sign * sign2
+    if any(acc.values()):
+        _collect_terms(acc, current, out)
     return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
+
+
+def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
+    """Enter one column's nonzero (row, xdeg, ydeg) coefficients into out
+    as (row, col) -> terms sorted by monomial."""
+    by_cell: dict[int, list[tuple[int, Monomial]]] = {}
+    for (row, px, py), coeff in acc.items():
+        if coeff:
+            by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
+    for row, terms in by_cell.items():
+        out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
 
 
 @dataclass
@@ -188,50 +205,54 @@ def syzygy_generators_Mx(ideal: MonomialIdeal) -> list[list[tuple[int, int, Mono
 class _MainTemplates:
     """The F1/F2/F3 column templates of a main-case ideal.
 
-    They depend only on M, so they are built once per ideal as (bidegree
-    offset, column) pairs, an entry's monomial kept as its exponents.  An
-    instance of a template based at bidegree B has one generator at
-    B + offset per column.  From stage 1 on, every block of stage i+1 is
-    based at a block of stage i: F1 at the F0 and at B + D for each F3 at
-    B, F2 at each F1 and at B + G for each F3 at B, and F3 at each F2.  G
-    holds the first r F2 offsets (a_i, b_i); D holds the offsets
-    (a_i, b_{i+1}) of the F3 columns d_i.  Generator labels are the
-    per-column prefixes here, completed per block by the emitters."""
+    They depend only on M, so they are flattened once per ideal: one
+    (dx, dy) generator offset per column, and the entries of all columns
+    in order, each (row, column offset, sign, xdeg, ydeg) with its monomial
+    kept as exponents.  An instance of a template based at bidegree B has
+    one generator at B + offset per column.  From stage 1 on, every block
+    of stage i+1 is based at a block of stage i: F1 at the F0 and at B + D
+    for each F3 at B, F2 at each F1 and at B + G for each F3 at B, and F3
+    at each F2.  G holds the first r F2 offsets (a_i, b_i); D holds the
+    offsets (a_i, b_{i+1}) of the F3 columns d_i.  Generator labels are the
+    per-column prefixes here, completed per block by the builder."""
 
     def __init__(self, ideal: MonomialIdeal):
         r, a, b, case = _main_data(ideal)
         self.r = r
-        # F1 columns: (offset, xdeg, ydeg) of the entry into the one target row
-        self._f1 = (((1, 0), 1, 0), ((0, 1), 0, 1))
-        # F2 columns: entries (0 for the x-row | 1 for the y-row, sign, xdeg, ydeg)
+        # F1: the e_x and e_y columns, each x or y into the one target row
+        self._f1_offsets = ((1, 0), (0, 1))
+        # F2: an entry's row is 0 for the x-row, 1 for the y-row
+        self._f2_offsets = tuple((a[i], b[i]) for i in range(r)) + ((1, 1),)
         f2 = []
         for i in range(r):
             if case == 1 or i < r - 1:
-                col = ((0, 1, a[i] - 1, b[i]),)
+                f2.append((0, i, 1, a[i] - 1, b[i]))
             else:
-                col = ((1, 1, 0, b[r - 1] - 1),)
-            f2.append(((a[i], b[i]), col))
-        f2.append(((1, 1), ((0, -1, 0, 1), (1, 1, 1, 0))))
-        self._f2 = tuple(f2)
-        # F3 columns: entries (row relative to the F2 block's start, sign,
-        # xdeg, ydeg); the columns c_i^x, then c_i^y, then d_i
+                f2.append((1, i, 1, 0, b[r - 1] - 1))
+        f2 += [(0, r, -1, 0, 1), (1, r, 1, 1, 0)]
+        self._f2_entries = tuple(f2)
+        # F3: the columns c_i^x, then c_i^y, then d_i; an entry's row is
+        # relative to the first row of the F2 block it maps into
+        self._f3_offsets = (
+            tuple((a[i] + 1, b[i]) for i in range(r))
+            + tuple((a[i], b[i] + 1) for i in range(r))
+            + tuple((a[i], b[i + 1]) for i in range(r - 1))
+        )
         f3 = []
         for i in range(r):
-            col = [(i, 1, 1, 0)]
+            f3.append((i, i, 1, 1, 0))
             if case == 2 and i == r - 1:
-                col.append((r, -1, 0, b[r - 1] - 1))
-            f3.append(((a[i] + 1, b[i]), tuple(col)))
+                f3.append((r, i, -1, 0, b[r - 1] - 1))
         for i in range(r):
             if case == 2 and i == r - 1:
-                col = [(r - 1, 1, 0, 1)]
+                f3.append((r - 1, r + i, 1, 0, 1))
             else:
-                col = [(i, 1, 0, 1), (r, 1, a[i] - 1, b[i])]
-            f3.append(((a[i], b[i] + 1), tuple(col)))
+                f3 += [(i, r + i, 1, 0, 1), (r, r + i, 1, a[i] - 1, b[i])]
         for i in range(r - 1):
-            f3.append(((a[i], b[i + 1]), ((r, 1, a[i] - 1, b[i + 1] - 1),)))
-        self._f3 = tuple(f3)
-        self._g = tuple(offset for offset, _col in self._f2[:r])
-        self._d = tuple(offset for offset, _col in self._f3[2 * r :])
+            f3.append((r, 2 * r + i, 1, a[i] - 1, b[i + 1] - 1))
+        self._f3_entries = tuple(f3)
+        self._g = self._f2_offsets[:r]
+        self._d = self._f3_offsets[2 * r :]
         # label prefixes: f_i at stage 2, k_{i,j} later, and the F3 columns
         self._f_labels = tuple(f"f{i}" for i in range(1, r + 2))
         self._k_heads = tuple(f"k{i}," for i in range(1, r + 2))
@@ -275,9 +296,7 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     ``stages``: a block adds one generator per template column at its base
     degree plus the column's."""
     t = _MainTemplates(ideal)
-    f1 = _degrees(offset for offset, _x, _y in t._f1)
-    f2 = _degrees(offset for offset, _col in t._f2)
-    f3 = _degrees(offset for offset, _col in t._f3)
+    f1, f2, f3 = _degrees(t._f1_offsets), _degrees(t._f2_offsets), _degrees(t._f3_offsets)
     entries = {(0, 0): 1}
     for stage, f1_bases, f2_bases, f3_bases in _main_block_bases(t, stages):
         gens: dict[int, int] = {}
@@ -288,18 +307,13 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     return entries
 
 
-@dataclass(frozen=True)
-class Block:
-    kind: str  # "F0", "F1", "F2", "F3"
-    base: tuple[int, int]
-    start: int
-
-
 class _MainBuilder(_MainTemplates):
     """Stage-by-stage fold assembling the main-case resolution.
 
-    Each template instance appends its (row, col, sign, xdeg, ydeg)
-    entries directly.  A generator label is its template column's prefix
+    An F2 or F3 instance appends its (row, col, sign, xdeg, ydeg) entries
+    with one comprehension over the flattened template and its (label,
+    bidegree) generators with one more; an F1 instance appends its two of
+    each directly.  A generator label is its template column's prefix
     plus, from stage 5 on, "@{stage}.{block}"."""
 
     def __init__(self, ideal: MonomialIdeal):
@@ -307,37 +321,8 @@ class _MainBuilder(_MainTemplates):
         self.ideal = ideal
         self.modules = [GradedFreeModule((("e1", (0, 0)),))]
         self.differentials: list[Differential] = []
-        self._blocks: tuple[Block, ...] = (Block("F0", (0, 0), 0),)  # the last stage's
-
-    # template emitters; each appends generators + entries and returns a Block
-    def _emit_f1(self, gens, entries, target: int, base, labels):
-        start = len(gens)
-        bx, by = base
-        for label, ((dx, dy), x, y) in zip(labels, self._f1):
-            entries.append((target, len(gens), 1, x, y))
-            gens.append((label, (bx + dx, by + dy)))
-        return Block("F1", base, start)
-
-    def _emit_f2(self, gens, entries, px: int, py: int, base, labels):
-        start = len(gens)
-        bx, by = base
-        rows = (px, py)
-        for label, ((dx, dy), col) in zip(labels, self._f2):
-            c = len(gens)
-            gens.append((label, (bx + dx, by + dy)))
-            for sel, sign, x, y in col:
-                entries.append((rows[sel], c, sign, x, y))
-        return Block("F2", base, start)
-
-    def _emit_f3(self, gens, entries, f0: int, base, labels):
-        start = len(gens)
-        bx, by = base
-        for label, ((dx, dy), col) in zip(labels, self._f3):
-            c = len(gens)
-            gens.append((label, (bx + dx, by + dy)))
-            for rel, sign, x, y in col:
-                entries.append((f0 + rel, c, sign, x, y))
-        return Block("F3", base, start)
+        # the last stage's blocks: (kind, base x, base y, first generator)
+        self._blocks: tuple[tuple[str, int, int, int], ...] = (("F0", 0, 0, 0),)
 
     def step(self) -> None:
         r = self.r
@@ -345,64 +330,69 @@ class _MainBuilder(_MainTemplates):
         prev_blocks = self._blocks
         gens: list[tuple[str, tuple[int, int]]] = []
         entries: list[tuple[int, int, int, int, int]] = []
-        new_blocks: list[Block] = []
-        prev = self.modules[-1]
-        blk = 0
-        f1_count = 0
+        blocks: list[tuple[str, int, int, int]] = []
 
         def at() -> str:  # the label suffix of the block being emitted
-            return f"@{stage}.{blk}" if stage >= 5 else ""
+            return f"@{stage}.{len(blocks)}" if stage >= 5 else ""
 
-        # F1 template instances first: one at the F0, one at B + D per F3 at B
-        for pb in prev_blocks:
-            if pb.kind == "F0":
-                new_blocks.append(self._emit_f1(gens, entries, pb.start, pb.base, ("e_x", "e_y")))
-                blk += 1
-            elif pb.kind == "F3":
-                for j, (dx, dy) in enumerate(self._d, start=1):
-                    tgt = pb.start + 2 * r + (j - 1)  # the column d_j of this F3
-                    base = (pb.base[0] + dx, pb.base[1] + dy)
-                    f1_count += 1
-                    head = f"h{j if stage == 4 else f1_count}^"
-                    tail = at()
-                    labels = (head + "x" + tail, head + "y" + tail)
-                    new_blocks.append(self._emit_f1(gens, entries, tgt, base, labels))
-                    blk += 1
-        # then F2 template instances: one per F1, one at B + G per F3 at B
-        f2_count = 0
-        for pb in prev_blocks:
-            if pb.kind == "F1":
-                f2_count += 1
-                if stage == 2:
-                    labels = self._f_labels
-                else:
-                    tail = f"{f2_count}{at()}"
-                    labels = [k + tail for k in self._k_heads]
-                new_blocks.append(
-                    self._emit_f2(gens, entries, pb.start, pb.start + 1, pb.base, labels)
-                )
-                blk += 1
-            elif pb.kind == "F3":
-                for j, (gx, gy) in enumerate(self._g, start=1):
-                    px = pb.start + (j - 1)  # the columns c_j^x and c_j^y of this F3
-                    py = pb.start + r + (j - 1)
-                    base = (pb.base[0] + gx, pb.base[1] + gy)
-                    f2_count += 1
-                    tail = f"{j if stage == 4 else f2_count}{at()}"
-                    labels = [k + tail for k in self._k_heads]
-                    new_blocks.append(self._emit_f2(gens, entries, px, py, base, labels))
-                    blk += 1
-        # then F3 template instances: one per F2
-        for pb in prev_blocks:
-            if pb.kind == "F2":
+        # F1 template instances first: one at the F0, one at B + D per F3 at
+        # B.  Past stage 1 every F1 comes from an F3 and is numbered by the
+        # F1s so far; at stage 4 that is j, as stage 3 is one F3 block.
+        for kind, bx, by, start in prev_blocks:
+            if kind == "F0":
+                instances = (("e_", start, bx, by),)
+            elif kind == "F3":
+                instances = [
+                    (f"h{len(blocks) + j}^", start + 2 * r + j - 1, bx + dx, by + dy)  # into d_j of this F3
+                    for j, (dx, dy) in enumerate(self._d, start=1)
+                ]
+            else:
+                continue
+            for head, row, x0, y0 in instances:
+                c = len(gens)
                 tail = at()
-                labels = [label + tail for label in self._f3_labels]
-                new_blocks.append(self._emit_f3(gens, entries, pb.start, pb.base, labels))
-                blk += 1
+                entries += ((row, c, 1, 1, 0), (row, c + 1, 1, 0, 1))
+                gens += ((head + "x" + tail, (x0 + 1, y0)), (head + "y" + tail, (x0, y0 + 1)))
+                blocks.append(("F1", x0, y0, c))
+        # then F2 template instances: one per F1, one at B + G per F3 at B,
+        # each numbered by the F2s so far
+        f1_count = len(blocks)
+        offsets, template = self._f2_offsets, self._f2_entries
+        for kind, bx, by, start in prev_blocks:
+            if kind == "F1":
+                instances = ((start, start + 1, bx, by),)
+            elif kind == "F3":
+                instances = [
+                    (start + j, start + r + j, bx + gx, by + gy)  # the columns c_j^x and c_j^y
+                    for j, (gx, gy) in enumerate(self._g)
+                ]
+            else:
+                continue
+            for px, py, x0, y0 in instances:
+                if stage == 2:
+                    heads, tail = self._f_labels, ""
+                else:
+                    heads, tail = self._k_heads, f"{len(blocks) - f1_count + 1}{at()}"
+                c = len(gens)
+                rows = (px, py)
+                entries += [(rows[sel], c + k, sign, x, y) for sel, k, sign, x, y in template]
+                gens += [(head + tail, (x0 + dx, y0 + dy)) for head, (dx, dy) in zip(heads, offsets)]
+                blocks.append(("F2", x0, y0, c))
+        # then F3 template instances: one per F2
+        offsets, template = self._f3_offsets, self._f3_entries
+        for kind, bx, by, start in prev_blocks:
+            if kind == "F2":
+                c = len(gens)
+                tail = at()
+                entries += [(start + rel, c + k, sign, x, y) for rel, k, sign, x, y in template]
+                gens += [
+                    (label + tail, (bx + dx, by + dy)) for label, (dx, dy) in zip(self._f3_labels, offsets)
+                ]
+                blocks.append(("F3", bx, by, c))
         module = GradedFreeModule(tuple(gens))
-        self.differentials.append(Differential(module, prev, tuple(entries), self.ideal))
+        self.differentials.append(Differential(module, self.modules[-1], tuple(entries), self.ideal))
         self.modules.append(module)
-        self._blocks = tuple(new_blocks)
+        self._blocks = tuple(blocks)
 
 
 def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> Resolution:
@@ -605,7 +595,9 @@ def resolution_from_json(data: dict) -> Resolution:
     from .monomials import normalize_ideal
 
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
-    cls = IdealClass.from_slug(data["class"])
+    cls = classify(ideal)
+    if data["class"] != cls.slug:
+        raise ValueError(f"class {data['class']!r} does not match the ideal's class {cls.slug!r}")
     modules = [
         GradedFreeModule(
             tuple(

@@ -143,6 +143,19 @@ class TestResolve:
         assert code == 0
         assert "ranks: 1 2 3 5 8" in out
 
+    # stdout of `resolve IDEAL --stages 8 --format json`, as the engine
+    # printed it before its templates were flattened
+    JSON_SHA256 = {
+        "x6,x5y,x4y2,x3y3,x2y4,xy5": "e421ab698d60a820b211f0316f072dfd476ce866c9af6e6f01c78f940b2a0cb7",
+        "x3,x2y2,xy3,y5": "37357a542f63c69ea599c25148ac65199621e28e9de0db87f30cc87fd45a6313",
+    }
+
+    @pytest.mark.parametrize("ideal", sorted(JSON_SHA256))
+    def test_json_output_is_pinned(self, capsys, ideal):
+        code, out, _ = run(capsys, "resolve", ideal, "--stages", "8", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.JSON_SHA256[ideal]
+
     def test_json_round_trip_reverifies(self, capsys):
         code, out, _ = run(capsys, "resolve", "xy2,y4", "--stages", "7", "--format", "json")
         assert code == 0
@@ -178,7 +191,23 @@ class TestErrors:
         assert code == 2
 
     def test_unknown_subcommand_exit_2(self, capsys):
-        assert run(capsys, "frobnicate", "x")[0] == 2
+        code, _, err = run(capsys, "frobnicate", "x")
+        assert code == 2
+        assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+    def test_help_lists_every_subcommand(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "{classify,resolve,betti,poincare,verify,oracle,staircase}" in out
+        for name in ("classify", "resolve", "betti", "poincare", "verify", "oracle", "staircase"):
+            assert f"\n    {name} " in out
+
+    def test_usage_line_lists_every_subcommand(self, capsys):
+        # only betti's parser is built, yet the usage line is the full one
+        code, _, err = run(capsys, "betti", "x2y,xy2", "--svg", "a")
+        assert code == 2
+        usage = stairstep.cli._build_parser().format_usage()
+        assert err == usage + "stairstep: error: unrecognized arguments: --svg a\n"
 
     def test_bad_field_exit_2(self, capsys):
         assert run(capsys, "oracle", "x2,y2", "--field", "p:6")[0] == 2

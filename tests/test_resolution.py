@@ -299,6 +299,12 @@ class TestDispatchAndJson:
             for a, b in zip(res2.differentials, res.differentials):
                 assert a.entries == b.entries
 
+    def test_json_class_must_match_the_ideal(self):
+        data = json.loads(json.dumps(resolution_to_json(build_resolution(M((3, 0), (0, 7)), 6))))
+        data["class"] = "main-case-2"
+        with pytest.raises(ValueError, match="'main-case-2'.*'type-5'"):
+            resolution_from_json(data)
+
     def test_json_schema_fields(self):
         data = resolution_to_json(build_resolution(M_RIGHT, 5))
         assert data["ideal"] == [[2, 1], [1, 2]]
