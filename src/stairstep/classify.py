@@ -24,13 +24,6 @@ class IdealClass(enum.Enum):
     def is_main(self) -> bool:
         return self in (IdealClass.MAIN_CASE_1, IdealClass.MAIN_CASE_2)
 
-    @classmethod
-    def from_slug(cls, slug: str) -> "IdealClass":
-        for member in cls:
-            if member.value == slug:
-                return member
-        raise ValueError(f"unknown ideal class {slug!r}")
-
 
 def classify(ideal: MonomialIdeal) -> IdealClass:
     """The unique regime of a normalized proper nonzero ideal."""

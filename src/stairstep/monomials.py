@@ -216,14 +216,19 @@ def colon_y(ideal: MonomialIdeal) -> MonomialIdeal:
 # about a thousand (ideal, degree) pairs.
 @lru_cache(maxsize=4096)
 def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
-    """k-basis of the degree-d graded piece of S, highest x-power first."""
+    """k-basis of the degree-d graded piece of S, highest x-power first.
+
+    Only x-exponents that can be standard are tested: below a_1 when
+    x^{a_1} lies in M, and above d - b_r when y^{b_r} does.  So when M
+    holds a pure power, one degree costs at most a_1 or b_r membership
+    tests, however large d is."""
     if d < 0:
         return ()
-    out = []
-    for i in range(d, -1, -1):
-        if not ideal.contains_xy(i, d - i):
-            out.append(Monomial(i, d - i))
-    return tuple(out)
+    gens = ideal.generators
+    hi = min(d, gens[0].xdeg - 1) if gens and gens[0].ydeg == 0 else d
+    lo = max(0, d - gens[-1].ydeg + 1) if gens and gens[-1].xdeg == 0 else 0
+    contains_xy = ideal.contains_xy
+    return tuple(Monomial(i, d - i) for i in range(hi, lo - 1, -1) if not contains_xy(i, d - i))
 
 
 @dataclass(frozen=True)

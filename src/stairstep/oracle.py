@@ -1,9 +1,11 @@
 """Independent verification by exact linear algebra on graded pieces.
 
 The brute-force resolution here never looks at the engine's matrices:
-it finds syzygies degree by degree as nullspaces of graded slices and
-extracts minimal generators by rank, so it can adjudicate every
-engine construction.
+it finds syzygies degree by degree from graded slices, so it can
+adjudicate every engine construction.  In each degree it first
+eliminates the x- and y-shifts of the previous degree's syzygies, then
+takes the nullspace of only the slice columns outside their pivot
+coordinates: every vector of that nullspace is a new minimal generator.
 """
 from __future__ import annotations
 
@@ -77,17 +79,20 @@ def _modulus(fld: FieldConfig) -> int:
 
 
 def _working_copy(col: dict[int, int], p: int) -> dict[int, int]:
-    """Nonzero entries of an integer column, reduced mod p when p > 0."""
+    """Nonzero entries of an integer column; when p > 0, each a residue
+    mod p in (-p, p)."""
     if p:
-        return {r: v % p for r, v in col.items() if v % p}
+        return {r: w for r, v in col.items() if (w := v if -p < v < p else v % p)}
     return {r: v for r, v in col.items() if v}
 
 
 def _subtract(vec: dict, b: int, other: dict, p: int) -> None:
-    """vec -= b * other in place, mod p when p > 0; zeros are dropped."""
+    """vec -= b * other in place; zeros are dropped.  When p > 0 entries
+    are residues in (-p, p), reduced mod p only when one leaves that range:
+    an entry in it is zero mod p only if it is 0."""
     for k, v in other.items():
         nv = vec.get(k, 0) - b * v
-        if p:
+        if p and not -p < nv < p:
             nv %= p
         if nv:
             vec[k] = nv
@@ -115,8 +120,9 @@ def _reduce_column(col, pivots, p, combo=None, pivcombos=None):
     the pivot entry a in that row and the pivot column's other entries.
     With b the column's entry in a pivot row, col <- a*col - b*pivot, and
     the combo likewise.  Over F_p pivots are monic, so a == 1 and entries
-    stay reduced mod p.  Over Q the elimination is fraction-free: after a
-    step with a != 1 the column and combo are divided by their common gcd.
+    stay residues in (-p, p).  Over Q the elimination is fraction-free:
+    after a step with a != 1 the column and combo are divided by their
+    common gcd.
     Returns None if the column vanished, else the pivot row it claims
     (the caller enters it into the pivot set)."""
     vecs = (col,) if combo is None else (col, combo)
@@ -144,14 +150,16 @@ def _install_pivot(prow, col, pivots, p, combo=None, pivcombos=None):
     pivot entry is 1 over F_p, and primitive with a positive pivot entry
     over Q.  The pivot entry is popped from col into pivots[prow]."""
     vecs = (col,) if combo is None else (col, combo)
-    if p:
-        inv = pow(col[prow], p - 2, p)
+    lead = col[prow]
+    if p and lead not in (1, -1):
+        inv = pow(lead, p - 2, p)
         for vec in vecs:
             for k in vec:
                 vec[k] = vec[k] * inv % p
     else:
-        lead = col[prow]
-        g = 1 if lead in (1, -1) else _content(vecs)  # a unit lead leaves no content
+        # a unit lead leaves no content over Q and needs no inverse over
+        # F_p: a lead of -1 only flips every sign
+        g = 1 if lead in (1, -1) else _content(vecs)
         _divide(vecs, g if lead > 0 else -g)
     pivots[prow] = (col.pop(prow), col)
     if combo is not None:
@@ -188,6 +196,11 @@ def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
             null.append(combo)
         else:
             _install_pivot(prow, work, pivots, p, combo, pivcombos)
+    if p:  # from residues in (-p, p) to 0..p-1
+        for vec in null:
+            for k, v in vec.items():
+                if v < 0:
+                    vec[k] = v + p
     return null
 
 
@@ -479,7 +492,16 @@ def minimal_resolution_bruteforce(
     fld: FieldConfig = ExactRationals(),
 ) -> BettiTable:
     """Graded Betti numbers computed from scratch, one syzygy stage at a
-    time, without consulting the engine's matrices."""
+    time, without consulting the engine's matrices.
+
+    In each degree d the kernel K_d of the slice map contains the shifted
+    syzygies V_d = x*K_{d-1} + y*K_{d-1}, which are eliminated first.  The
+    echelon basis of V_d has distinct pivot coordinates P, so projecting
+    onto P is an isomorphism on V_d, and K_d is the direct sum of V_d and
+    the kernel vectors that vanish on P.  Only the slice columns outside P
+    are built, and every vector of their nullspace is a new minimal
+    generator.  The basis of K_d carried to degree d + 1 is V_d's echelon
+    basis and these new generators."""
     if max_degree < ideal.max_generator_degree:
         raise TruncationTooSmall(
             f"max_degree {max_degree} below largest generator degree "
@@ -498,7 +520,7 @@ def minimal_resolution_bruteforce(
         new_twists: list[int] = []
         new_gens: list[dict] = []  # kernel elements, i.e. columns of the next map
         prev_basis: list[tuple[int, int, int]] = []
-        prev_kernel: list[dict] = []  # sparse over prev_basis
+        prev_kernel: list[dict] = []  # a basis of K_{d-1}, sparse over prev_basis
         for d in range(max_degree + 1):
             src_basis = [
                 (g, x, y)
@@ -508,14 +530,30 @@ def minimal_resolution_bruteforce(
             if not src_basis:
                 prev_kernel = []
                 continue
-            src_index = {key: i for i, key in enumerate(src_basis)}
+            # V_d in echelon form; a shifted basis element is missing from
+            # src_index exactly when it lies in M
+            pivots: dict = {}
+            if prev_kernel:
+                src_index = {key: i for i, key in enumerate(src_basis)}
+                shifts = [
+                    [src_index.get((g, x + dx, y + dy)) for g, x, y in prev_basis]
+                    for dx, dy in ((1, 0), (0, 1))
+                ]
+                for k_elem in prev_kernel:
+                    for moved in shifts:
+                        shifted = {moved[j]: c for j, c in k_elem.items() if moved[j] is not None}
+                        prow = _reduce_column(shifted, pivots, p)
+                        if prow is not None:
+                            _install_pivot(prow, shifted, pivots, p)
+            free = [i for i in range(len(src_basis)) if i not in pivots]
             if images is None:
                 # augmentation: everything of positive degree is a syzygy
-                kernel: list[dict] = [] if d == 0 else [{i: 1} for i in range(len(src_basis))]
+                found: list[dict] = [] if d == 0 else [{i: 1} for i in free]
             else:
                 columns = []
                 row_index: dict = {}
-                for g, x, y in src_basis:
+                for i in free:
+                    g, x, y = src_basis[i]
                     col: dict[int, int] = {}
                     for (tg, tx, ty), coeff in images[g].items():
                         px, py = x + tx, y + ty
@@ -524,30 +562,19 @@ def minimal_resolution_bruteforce(
                         ri = row_index.setdefault((tg, px, py), len(row_index))
                         col[ri] = col.get(ri, 0) + coeff
                     columns.append(col)
-                kernel = sparse_nullspace(columns, fld)
-            # span of lower-degree syzygies: x and y multiples of the
-            # previous degree's full kernel; a shifted basis element is
-            # missing from src_index exactly when it lies in M
-            pivots: dict = {}
-            shifts = [
-                [src_index.get((g, x + dx, y + dy)) for g, x, y in prev_basis]
-                for dx, dy in ((1, 0), (0, 1))
-            ] if prev_kernel else []
-            for k_elem in prev_kernel:
-                for moved in shifts:
-                    shifted = {moved[j]: c for j, c in k_elem.items() if moved[j] is not None}
-                    prow = _reduce_column(shifted, pivots, p)
-                    if prow is not None:
-                        _install_pivot(prow, shifted, pivots, p)
-            for k_elem in kernel:
-                vec = dict(k_elem)
-                prow = _reduce_column(vec, pivots, p)
-                if prow is not None:
-                    new_gens.append({src_basis[i]: v for i, v in vec.items()})
-                    _install_pivot(prow, vec, pivots, p)
-                    new_twists.append(d)
-                    entries[(stage, d)] = entries.get((stage, d), 0) + 1
-            prev_basis, prev_kernel = src_basis, kernel
+                # over F_p, lifted from 0..p-1 to (-p/2, p/2] (no change over
+                # Q): a coefficient -1 then stays -1, a pivot lead that later
+                # eliminations install without an inverse
+                found = [
+                    {free[j]: c - p if 2 * c > p else c for j, c in vec.items()}
+                    for vec in sparse_nullspace(columns, fld)
+                ]
+            if found:
+                entries[(stage, d)] = len(found)
+                new_twists += [d] * len(found)
+                new_gens += [{src_basis[i]: c for i, c in vec.items()} for vec in found]
+            prev_basis = src_basis
+            prev_kernel = [{**tail, prow: a} for prow, (a, tail) in pivots.items()] + found
         twists, images = new_twists, new_gens
         if not twists:
             break

@@ -45,9 +45,9 @@ def test_slugs():
         "type-5",
     ]
     for c in IdealClass:
-        assert IdealClass.from_slug(c.slug) is c
+        assert IdealClass(c.slug) is c
     with pytest.raises(ValueError):
-        IdealClass.from_slug("type-9")
+        IdealClass("type-9")
 
 
 def test_total_and_single_valued_exhaustively():

@@ -229,6 +229,42 @@ class TestStandardMonomials:
         )
         assert standard_monomials(ideal, d) == expected
 
+    @given(st.data(), ideals, st.booleans(), st.booleans())
+    def test_scan_window_matches_full_scan(self, data, ideal, pure_x, pure_y):
+        # with and without x^a and y^b among the generators, in degrees up
+        # to 3 (a_1 + b_r), where the window leaves out most exponents
+        gens = list(ideal.generators)
+        if pure_x:
+            gens.append(Monomial(data.draw(st.integers(1, 9)), 0))
+        if pure_y:
+            gens.append(Monomial(0, data.draw(st.integers(1, 9))))
+        ideal = normalize_ideal(gens)
+        first, last = ideal.generators[0], ideal.generators[-1]
+        d = data.draw(st.integers(0, 3 * (first.xdeg + last.ydeg)))
+        expected = tuple(
+            Monomial(i, d - i)
+            for i in range(d, -1, -1)
+            if not ideal.contains(Monomial(i, d - i))
+        )
+        assert standard_monomials(ideal, d) == expected
+
+    def test_pure_powers_bound_the_scan(self, monkeypatch):
+        # (x^50, y): one standard monomial per degree below 50, tested once
+        calls = []
+        real = MonomialIdeal.contains_xy
+
+        def spy(self, x, y):
+            calls.append((x, y))
+            return real(self, x, y)
+
+        monkeypatch.setattr(MonomialIdeal, "contains_xy", spy)
+        standard_monomials.cache_clear()
+        ideal = M((50, 0), (0, 1))
+        pieces = [standard_monomials(ideal, d) for d in range(200)]
+        standard_monomials.cache_clear()
+        assert pieces == [(Monomial(d, 0),) for d in range(50)] + [()] * 150
+        assert len(calls) == 50
+
     @given(ideals)
     def test_eventually_constant(self, ideal):
         start = ideal.generators[0].xdeg + ideal.generators[-1].ydeg

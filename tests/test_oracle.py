@@ -37,7 +37,16 @@ from stairstep import (
     standard_monomials,
 )
 from stairstep.cli import main as cli_main
-from stairstep.oracle import CheckRecord, _is_prime, sparse_nullspace, sparse_rank
+import stairstep.oracle
+from stairstep.oracle import (
+    CheckRecord,
+    _install_pivot,
+    _is_prime,
+    _modulus,
+    _reduce_column,
+    sparse_nullspace,
+    sparse_rank,
+)
 from stairstep.resolution import _MainBuilder
 
 
@@ -570,6 +579,96 @@ class TestBruteforce:
             engine = graded_betti(build_resolution(ideal, 5))
             oracle = minimal_resolution_bruteforce(ideal, 5, 12)
             assert compare_betti(engine, oracle).is_empty, str(ideal)
+
+
+def bruteforce_reference(ideal, max_stage, max_degree, fld):
+    """The oracle's Betti table the long way: the full nullspace of every
+    slice, each kernel vector then reduced against the x- and y-shifts of
+    the previous degree's kernel, and kept as a generator if it survives."""
+    p = _modulus(fld)
+    std = [[(m.xdeg, m.ydeg) for m in standard_monomials(ideal, n)] for n in range(max_degree + 1)]
+    entries = {(0, 0): 1}
+    twists, images = [0], None  # None marks the augmentation S -> k
+    for stage in range(1, max_stage + 1):
+        new_twists, new_gens = [], []
+        prev_basis, prev_kernel = [], []
+        for d in range(max_degree + 1):
+            basis = [(g, x, y) for g, tw in enumerate(twists) if tw <= d for x, y in std[d - tw]]
+            index = {key: i for i, key in enumerate(basis)}
+            if images is None:
+                kernel = [{i: 1} for i in range(len(basis))] if d else []
+            else:
+                rows, columns = {}, []
+                for g, x, y in basis:
+                    col = {}
+                    for (tg, tx, ty), c in images[g].items():
+                        if not ideal.contains_xy(x + tx, y + ty):
+                            ri = rows.setdefault((tg, x + tx, y + ty), len(rows))
+                            col[ri] = col.get(ri, 0) + c
+                    columns.append(col)
+                kernel = sparse_nullspace(columns, fld)
+            pivots = {}
+            for k in prev_kernel:
+                for dx, dy in ((1, 0), (0, 1)):
+                    vec = {}
+                    for j, c in k.items():
+                        g, x, y = prev_basis[j]
+                        if (g, x + dx, y + dy) in index:  # else the shift lies in M
+                            vec[index[g, x + dx, y + dy]] = c
+                    prow = _reduce_column(vec, pivots, p)
+                    if prow is not None:
+                        _install_pivot(prow, vec, pivots, p)
+            for k in kernel:
+                vec = dict(k)
+                prow = _reduce_column(vec, pivots, p)
+                if prow is not None:
+                    new_gens.append({basis[i]: c for i, c in vec.items()})
+                    new_twists.append(d)
+                    entries[(stage, d)] = entries.get((stage, d), 0) + 1
+                    _install_pivot(prow, vec, pivots, p)
+            prev_basis, prev_kernel = basis, kernel
+        twists, images = new_twists, new_gens
+    return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(ideal, max_stage, max_degree): r <= 5, exponents <= 6, stages <= 5
+    and max_degree <= 14."""
+    r = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.integers(0, 6), min_size=r, max_size=r, unique=True))
+    ys = draw(st.lists(st.integers(0, 6), min_size=r, max_size=r, unique=True))
+    pairs = list(zip(sorted(xs, reverse=True), sorted(ys)))
+    assume(pairs != [(0, 0)])
+    ideal = M(*pairs)
+    return ideal, draw(st.integers(1, 5)), draw(st.integers(ideal.max_generator_degree, 14))
+
+
+class TestBruteforceComplement:
+    """The oracle solves only for new syzygies, on the slice columns outside
+    the pivots of the shifted span."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(32003)]))
+    def test_tables_match_full_nullspace_reference(self, case, fld):
+        ideal, max_stage, max_degree = case
+        table = minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
+        assert table.entries == bruteforce_reference(ideal, max_stage, max_degree, fld).entries
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x6,x5y,x4y2,x3y3,x2y4,xy5"])
+    def test_every_nullspace_vector_is_a_generator(self, monkeypatch, text, fld):
+        vectors = []
+
+        def spy(columns, f):
+            null = sparse_nullspace(columns, f)
+            vectors.extend(null)
+            return null
+
+        monkeypatch.setattr(stairstep.oracle, "sparse_nullspace", spy)
+        table = minimal_resolution_bruteforce(parse_ideal(text), 6, 15, fld)
+        generators = sum(v for (i, _d), v in table.entries.items() if i >= 2)
+        assert generators > 0 and len(vectors) == generators
 
 
 class TestCompareBetti:
