@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import Monomial, MonomialIdeal, standard_monomials, term_str
-from .resolution import Differential, GradedFreeModule, Resolution, _compose_columns
+from .resolution import Differential, Resolution, _compose_columns
 
 
 class TruncationTooSmall(ValueError):
@@ -232,6 +232,10 @@ def _inhomogeneous(row: int, col: int) -> ValueError:
 def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRationals()) -> GradedPieceMatrix:
     """Matrix of the degree slice; entries reduced through the quotient.
 
+    This is the definition of a slice.  check_exactness does not build
+    slices: it ranks each block's bigraded pieces, whose direct sum a slice
+    is (see _block_ranks).
+
     Raises ValueError naming the (row, col) of an entry whose surviving
     product falls outside the target's slice of this degree."""
     ideal = diff.ring
@@ -257,7 +261,7 @@ def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRation
 
 @dataclass(frozen=True)
 class CheckRecord:
-    kind: str  # "complex" | "minimality" | "exactness"
+    kind: str  # "complex" | "minimality" | "homogeneity" | "exactness"
     stage: int
     degree: Optional[int]
     passed: bool
@@ -384,44 +388,103 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]
     return keyed
 
 
-def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict):
+def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
+    """x-exponents of the standard monomials of degree n >= 0, highest
+    first; std caches them by degree and is extended on demand."""
+    while len(std) <= n:
+        std.append(tuple(m.xdeg for m in standard_monomials(ring, len(std))))
+    return std[n]
+
+
+def _bigraded_block(key: tuple):
+    """(cbi, rbi, cells): the relative bidegree of each column and row of
+    a block, its first row at (0, 0), and each column's entries folded into
+    one integer per row, cells that cancel dropped.  The key's entries are
+    homogeneous in the bigrading, so an entry joins a column's and a row's
+    bidegree and one of them fixes the other.  An entry with a negative
+    exponent maps the column's generator off its row's slice: ValueError."""
+    cbi: list = [None] * (1 + max(e[0] for e in key))
+    rbi: list = [None] * (1 + max(e[1] for e in key))
+    rbi[0] = (0, 0)
+    while None in cbi or None in rbi:  # spread through the connected block
+        for c, r, _s, x, y in key:
+            if rbi[r] is not None:
+                cbi[c] = (rbi[r][0] + x, rbi[r][1] + y)
+            elif cbi[c] is not None:
+                rbi[r] = (cbi[c][0] - x, cbi[c][1] - y)
+    cells: list[dict[int, int]] = [{} for _ in cbi]
+    for c, r, s, x, y in key:
+        if x < 0 or y < 0:
+            raise _inhomogeneous(r, c)
+        cells[c][r] = cells[c].get(r, 0) + s
+    return cbi, rbi, [{r: v for r, v in col.items() if v} for col in cells]
+
+
+def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list):
     """(low, ranks): ranks[s] is the block's slice rank in degree low + s,
-    counted from its first row's twist, through degree top.  Each key is
-    ranked once with graded_piece and extended on demand."""
-    if key not in tables:
-        ctw: list = [None] * (1 + max(e[0] for e in key))
-        rtw: list = [None] * (1 + max(e[1] for e in key))
-        rtw[0] = 0
-        while None in ctw or None in rtw:  # spread through the connected block
-            for c, r, _s, x, y in key:
-                if rtw[r] is not None:
-                    ctw[c] = rtw[r] + x + y
-                elif ctw[c] is not None:
-                    rtw[r] = ctw[c] - x - y
-        low = min(rtw)  # no column twist lies below its rows'
-        source = GradedFreeModule(tuple(("block", (t - low, 0)) for t in ctw))
-        target = GradedFreeModule(tuple(("block", (t - low, 0)) for t in rtw))
-        entries = tuple((r, c, s, x, y) for c, r, s, x, y in key)
-        tables[key] = (Differential(source, target, entries, ring), low, [])
-    block, low, ranks = tables[key]
-    for s in range(len(ranks), top - low + 1):
-        ranks.append(graded_piece(block, s, fld).rank(fld))
+    counted from its first row's twist, through degree top.
+
+    Every entry is homogeneous in the bigrading, so a slice is the direct
+    sum of its bigraded pieces, and a piece has at most one basis element
+    per generator: the generator times the one monomial of the piece's
+    bidegree, if that monomial is standard.  An entry of sign s from a
+    column alive in the piece to a row alive there is s in the piece's
+    matrix; to a dead row, its product lies in M.  So a piece's matrix is
+    the block's integer sign matrix on the columns and rows alive there,
+    and its rank is computed once per (alive columns, alive rows) pattern
+    and looked up after.  Each key's ranks are extended on demand."""
+    state = tables.get(key)
+    if state is None:
+        cbi, rbi, cells = _bigraded_block(key)
+        state = tables[key] = (cbi, rbi, cells, min(x + y for x, y in rbi), [], {})
+    cbi, rbi, cells, low, ranks, patterns = state
+    _std_x(ring, std, top - low)  # no column twist lies below its rows'
+    stair = ring.stair()
+    n_stair, far = len(stair), stair[-1]
+    for t in range(low + len(ranks), top + 1):
+        pieces: dict[int, list[int]] = {}  # x-degree of a piece -> its alive columns
+        for c, (cx, cy) in enumerate(cbi):
+            n = t - cx - cy
+            if n >= 0:
+                for u in std[n]:
+                    pieces.setdefault(cx + u, []).append(c)
+        total = 0
+        for px, cols in pieces.items():
+            py = t - px
+            rows = set()
+            for c in cols:
+                for r in cells[c]:
+                    rx, ry = rbi[r]
+                    u = px - rx  # >= 0: no entry has a negative exponent
+                    if py - ry < (stair[u] if u < n_stair else far):
+                        rows.add(r)
+            if not rows:
+                continue
+            pattern = (tuple(cols), frozenset(rows))
+            rank = patterns.get(pattern)
+            if rank is None:
+                rank = patterns[pattern] = sparse_rank(
+                    [{r: v for r, v in cells[c].items() if r in rows} for c in cols], fld
+                )
+            total += rank
+        ranks.append(total)
     return low, ranks
 
 
-def _stage_tables(diff: Differential, max_degree: int, hilbert: list[int], fld: FieldConfig, tables: dict):
+def _stage_tables(diff: Differential, max_degree: int, std: list, fld: FieldConfig, tables: dict):
     """Slice dimensions and ranks of one differential in degrees 0..max_degree;
-    hilbert[n], extended on demand, is the dimension of S in degree n."""
+    std[n], extended on demand, holds the x-exponents of the standard
+    monomials of degree n (see _std_x)."""
     dim = [0] * (max_degree + 1)
     rank = [0] * (max_degree + 1)
     twists = Counter(dx + dy for _label, (dx, dy) in diff.source.generators)
     for t, count in twists.items():
-        while len(hilbert) <= max_degree - t:
-            hilbert.append(len(standard_monomials(diff.ring, len(hilbert))))
-        for d in range(max(t, 0), max_degree + 1):
-            dim[d] += count * hilbert[d - t]
+        if t <= max_degree:
+            _std_x(diff.ring, std, max_degree - t)
+            for d in range(max(t, 0), max_degree + 1):
+                dim[d] += count * len(std[d - t])
     for key, bases in _split_blocks(diff, max_degree).items():
-        low, ranks = _block_ranks(key, diff.ring, max_degree - min(bases), fld, tables)
+        low, ranks = _block_ranks(key, diff.ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
             lo = base + low
             for d in range(max(lo, 0), max_degree + 1):
@@ -437,10 +500,15 @@ def check_exactness(
 ) -> VerificationReport:
     """Rank-nullity comparison dim ker = dim im on every degree slice.
 
-    Ranks come from the differentials' own entries, block by block, so any
-    Resolution is checked alike: engine-built, modified or loaded from JSON.
-    An inhomogeneous entry in d_i ends the report with a failed record at
-    stage i and no degree."""
+    Ranks come from the differentials' own entries, so any Resolution is
+    checked alike: engine-built, modified or loaded from JSON.  Each
+    differential is split into connected blocks; a slice's rank is the sum
+    of its blocks' ranks, and a block's rank in a degree is the sum of the
+    ranks of its bigraded pieces there, each ranked once per pattern of
+    alive columns and rows (_block_ranks).  dim ker comes from the Hilbert
+    function of S and each module's twists.  An inhomogeneous entry in d_i
+    ends the report with a failed record at stage i and no degree, as does
+    an entry with a negative exponent in a column of twist <= max_degree."""
     if max_degree < res.ring.max_generator_degree:
         raise TruncationTooSmall(
             f"max_degree {max_degree} below largest generator degree "
@@ -452,14 +520,14 @@ def check_exactness(
             f"resolution built to stage {res.stages}; need stage {max_stage + 1}"
         )
     report = VerificationReport(res.ring)
-    tables: dict = {}  # block key -> (block, low, ranks), shared by all stages
-    hilbert = [len(standard_monomials(res.ring, d)) for d in range(max_degree + 1)]
+    tables: dict = {}  # block key -> its bigraded data and ranks, shared by all stages
+    std: list = []
     # augmentation S -> k: kernel dims of stage 0
-    ker_prev = [h - (1 if d == 0 else 0) for d, h in enumerate(hilbert)]
+    ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
             try:
-                dim, rank = _stage_tables(res.differentials[i - 1], max_degree, hilbert, fld, tables)
+                dim, rank = _stage_tables(res.differentials[i - 1], max_degree, std, fld, tables)
             except ValueError as exc:
                 report.checks.append(CheckRecord("exactness", i, None, False, str(exc)))
                 return report

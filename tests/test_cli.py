@@ -279,6 +279,20 @@ class TestInputBounds:
         assert (code, out) == (2, "")
         assert "--stages" in err
 
+    def test_betti_at_stage_limit(self, capsys):
+        limit = stairstep.cli.BETTI_MAX_STAGES
+        assert limit >= 40  # CI's beta_40 step and the README commands stay valid
+        code, out, _ = run(capsys, "betti", "x2y,xy2", "--stages", str(limit))
+        assert code == 0
+        assert len(out.split()) == limit + 1
+
+    @pytest.mark.parametrize("graded", [(), ("--graded",)])
+    def test_betti_above_stage_limit_exit_2(self, capsys, graded):
+        limit = stairstep.cli.BETTI_MAX_STAGES
+        code, out, err = run(capsys, "betti", "x2y,xy2", "--stages", str(limit + 1), *graded)
+        assert (code, out) == (2, "")
+        assert f"--stages must be <= {limit}, got {limit + 1}" in err
+
     def test_large_prime_field_accepted_quickly(self, capsys):
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "xy2,y4", "--stages", "3", "--field", "p:1000000000000000003")

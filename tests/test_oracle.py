@@ -417,6 +417,56 @@ def exactness_reference(res, max_stage, max_degree, fld):
     return records
 
 
+def piece_patterns(res, max_stage, max_degree):
+    """Every distinct (block key, alive columns, alive rows) among the
+    bigraded pieces of degree <= max_degree, from the generators' own
+    bidegrees: a generator of bidegree (gx, gy) is alive in the piece of
+    bidegree (p, q) when x^(p-gx) y^(q-gy) is a standard monomial.  Blocks
+    are the connected components of the columns of twist <= max_degree, and
+    a key numbers a block's columns and rows in order of use."""
+    ring = res.ring
+
+    def alive(bidegree, p, q):
+        u, v = p - bidegree[0], q - bidegree[1]
+        return u >= 0 and v >= 0 and not ring.contains_xy(u, v)
+
+    patterns = set()
+    for diff in res.differentials[: max_stage + 1]:
+        src = [b for _label, b in diff.source.generators]
+        tgt = [b for _label, b in diff.target.generators]
+        kept = [e for e in diff.entries if sum(src[e[1]]) <= max_degree]
+        parent = list(range(len(tgt)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        first = {}
+        for row, col, *_ in kept:
+            parent[find(row)] = find(first.setdefault(col, row))
+        blocks = {}
+        for entry in kept:
+            blocks.setdefault(find(entry[0]), []).append(entry)
+        instances = set()
+        for entries in blocks.values():
+            cols, rows = {}, {}
+            key = tuple(
+                (cols.setdefault(c, len(cols)), rows.setdefault(r, len(rows)), s, x, y)
+                for r, c, s, x, y in entries
+            )
+            # instances with one key and one bidegree have the same pieces
+            instances.add((key, tuple(src[c] for c in cols), tuple(tgt[r] for r in rows)))
+        for key, col_bideg, row_bideg in instances:
+            for p in range(max_degree + 1):
+                for q in range(max_degree + 1 - p):
+                    alive_cols = tuple(i for i, b in enumerate(col_bideg) if alive(b, p, q))
+                    if alive_cols:
+                        alive_rows = tuple(i for i, b in enumerate(row_bideg) if alive(b, p, q))
+                        patterns.add((key, alive_cols, alive_rows))
+    return patterns
+
+
 @st.composite
 def small_resolutions(draw):
     """(resolution, max_stage, max_degree): r <= 4, exponents <= 5, up to
@@ -547,6 +597,65 @@ class TestExactnessReadsEntries:
         expected = check_exactness(res, 8, 30).to_json()
         assert expected["verdict"] == "pass"
         assert check_exactness(loaded, 8, 30).to_json() == expected
+
+    @pytest.mark.parametrize("ideal", [M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))], ids=str)
+    def test_one_rank_per_piece_pattern(self, monkeypatch, ideal):
+        # each bigraded piece is a block's sign matrix on its alive columns
+        # and rows, ranked once per pattern; no slice is built
+        calls = {"graded_piece": 0, "sparse_rank": 0}
+        for name in calls:
+            real = getattr(stairstep.oracle, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(stairstep.oracle, name, spy)
+        res = build_resolution(ideal, 9)
+        assert check_exactness(res, 8, 40).verdict
+        assert calls["graded_piece"] == 0
+        assert 0 < calls["sparse_rank"] <= len(piece_patterns(res, 8, 40))
+
+    @staticmethod
+    def hand_built(case):
+        """A two-map resolution over (x^2y, xy^2) with one unusual block."""
+
+        def module(*bidegrees):
+            return GradedFreeModule(tuple(("g", b) for b in bidegrees))
+
+        x, y = (1, 0), (0, 1)
+        f0, f1 = module((0, 0)), module(x, y)
+        d1 = Differential(f1, f0, ((0, 0, 1, *x), (0, 1, 1, *y)), M_RIGHT)
+        if case == "cancel":
+            # the cell (e_y, column 0) holds +x and -x, which cancel
+            f2 = module((1, 1))
+            entries = ((0, 0, 1, *y), (1, 0, 1, *x), (1, 0, -1, *x))
+        elif case == "double":
+            # the cell (e_x, column 0) holds y twice: 2y, which is 0 over F_2
+            f2 = module((1, 1))
+            entries = ((0, 0, 1, *y), (0, 0, 1, *y), (1, 0, -1, *x))
+        else:
+            # the columns y*e_x -+ x*e_y at their monomial x^2: the row e_x
+            # meets x^2y = 0 in S and e_y meets x^3, so the piece has rank
+            # 1, and rank 2 over Q if the dead row were kept
+            f2 = module((1, 1), (1, 1))
+            entries = ((0, 0, 1, *y), (1, 0, -1, *x), (0, 1, 1, *y), (1, 1, 1, *x))
+        d2 = Differential(f2, f1, entries, M_RIGHT)
+        return replace(build_resolution(M_RIGHT, 2), modules=[f0, f1, f2], differentials=[d1, d2])
+
+    @pytest.mark.parametrize("case", ["cancel", "double", "dead row"])
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(32003)], ids=str)
+    def test_hand_built_blocks_match_reference(self, case, fld):
+        res = self.hand_built(case)
+        report = check_exactness(res, 1, 8, fld)
+        assert report.checks == exactness_reference(res, 1, 8, fld)
+
+    def test_doubled_cell_vanishes_only_over_f2(self):
+        res = self.hand_built("double")
+        passed = {}
+        for fld in (ExactRationals(), PrimeField(2), PrimeField(32003)):
+            passed[str(fld)] = [c.passed for c in check_exactness(res, 1, 8, fld).checks]
+        assert passed["ExactRationals()"] == passed["PrimeField(p=32003)"] != passed["PrimeField(p=2)"]
 
 
 class TestBruteforce:
