@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class EmptyIdeal(ValueError):
@@ -52,14 +52,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.xdeg + other.xdeg, self.ydeg + other.ydeg)
 
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.xdeg - other.xdeg, self.ydeg - other.ydeg)
-
-    def swapped(self) -> "Monomial":
-        return Monomial(self.ydeg, self.xdeg)
-
     def __str__(self) -> str:
         return term_str(self.xdeg, self.ydeg)
 
@@ -73,12 +65,6 @@ def term_str(xdeg: int, ydeg: int) -> str:
 
 
 ONE = Monomial(0, 0)
-X = Monomial(1, 0)
-Y = Monomial(0, 1)
-
-# The image of a monomial in S = k[x,y]/M: either a standard monomial
-# or zero (represented as None).
-ResidueElement = Optional[Monomial]
 
 
 @dataclass(frozen=True)
@@ -163,14 +149,6 @@ class MonomialIdeal:
             stair[g.xdeg : hi] = [g.ydeg] * (hi - g.xdeg)
             hi = g.xdeg
         return stair
-
-    def normal_form(self, m: Monomial) -> ResidueElement:
-        return None if self.contains(m) else m
-
-    def swapped(self) -> "MonomialIdeal":
-        return MonomialIdeal._raw(
-            sorted((g.swapped() for g in self.generators), key=lambda g: -g.xdeg)
-        )
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"

@@ -4,8 +4,9 @@ The main-case resolution is assembled from three column templates
 (the maps into a rank-1 target, an {e_x,e_y} pair, and a full
 {e_f_1..e_f_{r+1}} stage-two module).  From stage four on, every module
 is a direct sum of copies of F1, F2 and F3 and the next differential is
-block diagonal in instantiated templates.  The five degenerate ideal
-types get their own closed-form constructions.
+block diagonal in instantiated templates.  Degenerate types I, III, IV
+and V are one Kunneth tensor product of the one-variable resolutions of k;
+type II, a single generator, has its own period-2 construction.
 
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree by the same rules on the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .classify import IdealClass, classify
-from .monomials import Monomial, MonomialIdeal, X, Y, term_str
+from .monomials import Monomial, MonomialIdeal, term_str
 
 
 class WrongClass(ValueError):
@@ -177,31 +178,6 @@ class Resolution:
         return [m.rank for m in self.modules]
 
 
-def _main_data(ideal: MonomialIdeal) -> tuple[int, list[int], list[int], int]:
-    gens = ideal.generators
-    r = len(gens)
-    a = [g.xdeg for g in gens]
-    b = [g.ydeg for g in gens]
-    case = 1 if a[-1] >= 1 else 2
-    return r, a, b, case
-
-
-def syzygy_generators_Mx(ideal: MonomialIdeal) -> list[list[tuple[int, int, Monomial]]]:
-    """Generators of the first syzygy module of the colon ideal 0:(x),
-    as columns over the basis {e_f_1, ..., e_f_r}: multiplication-by-x
-    columns followed by the y-gap columns."""
-    if not classify(ideal).is_main:
-        raise WrongClass(f"{ideal} is degenerate")
-    r, a, b, case = _main_data(ideal)
-    cols: list[list[tuple[int, int, Monomial]]] = []
-    top = r if case == 1 else r - 1
-    for i in range(top):
-        cols.append([(i, 1, X)])
-    for i in range(r - 1):
-        cols.append([(i, 1, Monomial(0, b[i + 1] - b[i]))])
-    return cols
-
-
 class _MainTemplates:
     """The F1/F2/F3 column templates of a main-case ideal.
 
@@ -217,7 +193,9 @@ class _MainTemplates:
     per-column prefixes here, completed per block by the builder."""
 
     def __init__(self, ideal: MonomialIdeal):
-        r, a, b, case = _main_data(ideal)
+        gens = ideal.generators
+        a, b = [g.xdeg for g in gens], [g.ydeg for g in gens]
+        r, case = len(gens), 1 if a[-1] >= 1 else 2
         self.r = r
         # F1: the e_x and e_y columns, each x or y into the one target row
         self._f1_offsets = ((1, 0), (0, 1))
@@ -409,14 +387,96 @@ def _mk(swap: bool):
     return make
 
 
+def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
+    """Twists and map exponents of the minimal resolution of k over one
+    factor k[v]/(v^e) through stage n: k[v] (e None) has the one map v,
+    k (e = 1) none, and e >= 2 maps alternating v and v^(e-1).  Generator
+    u_p has twist e*(p//2) + p%2 and d(u_p) = v^powers[p] * u_{p-1}."""
+    top = n if e is not None and e >= 2 else 0 if e == 1 else min(n, 1)
+    twists = [(e or 0) * (p // 2) + p % 2 for p in range(top + 1)]
+    powers = [0] + [1 if p % 2 else e - 1 for p in range(1, top + 1)]
+    return twists, powers
+
+
+def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
+    """Types I, III, IV and V as the tensor product of the two factors'
+    resolutions; see :func:`build_degenerate`."""
+    first, last = ideal.generators[0], ideal.generators[-1]
+    xtw, xpow = _factor(first.xdeg if first.ydeg == 0 else None, n)
+    ytw, ypow = _factor(last.ydeg if last.xdeg == 0 else None, n)
+    tx, ty = len(xtw) - 1, len(ytw) - 1
+    modules = [GradedFreeModule((("e1", (0, 0)),))]
+    diffs: list[Differential] = []
+    # per stage i, indexed by p: the row of u_p*v_{i-p} and its sign eps
+    rows, signs = {0: 0}, {0: 1}
+    for i in range(1, n + 1):
+        lo, hi = max(0, i - ty), min(i, tx)
+        ps = [  # the p of (i,0), (0,i), (i-1,1), (1,i-1), ... that both factors reach
+            p
+            for j in range(min(i // 2, tx, ty) + 1)
+            for p in ((i - j, j) if 2 * j != i else (j,))
+            if lo <= p <= hi
+        ]
+        if cls is IdealClass.TYPE_IV:
+            labels = ["g" if i == 1 else f"g({i})"] * len(ps)
+        elif i == 1:
+            labels = ["e_x" if p else "e_y" for p in ps]
+        else:
+            labels = [f"e{c}({i})" for c in range(1, len(ps) + 1)]
+        prev_rows, prev_signs = rows, signs
+        rows, signs = {}, {}
+        gens: list[tuple[str, tuple[int, int]]] = []
+        entries: list[tuple[int, int, int, int, int]] = []
+        for c, p in enumerate(ps):
+            q = i - p
+            rows[p] = c
+            k = p if p < q else q  # eps(p, q), as build_degenerate states it
+            flip = (k and (k - 1) // 2 % 2) != (p > q and q % 2 == 1 and p % 2 == 0)
+            signs[p] = s = -1 if flip else 1
+            gens.append((labels[c], (xtw[p], ytw[q])))
+            # d(u_p*v_q) = du_p*v_q + (-1)^p u_p*dv_q, in ascending rows:
+            # u_p*v_{q-1} precedes u_{p-1}*v_q exactly when p >= q
+            if p:
+                dx = (prev_rows[p - 1], c, s * prev_signs[p - 1], xpow[p], 0)
+                if not q:
+                    entries.append(dx)
+                    continue
+            s *= -prev_signs[p] if p % 2 else prev_signs[p]
+            dy = (prev_rows[p], c, s, 0, ypow[q])
+            entries += (dy, dx) if p >= q else (dx, dy) if p else (dy,)
+        module = GradedFreeModule(tuple(gens))
+        diffs.append(Differential(module, modules[-1], tuple(entries), ideal))
+        modules.append(module)
+    return Resolution(ideal, cls, modules, diffs)
+
+
 def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
-    """The appendix resolution of a degenerate ideal through stage n."""
+    """The appendix resolution of a degenerate ideal through stage n.
+
+    Types I, III, IV and V are S = k[x]/(x^a) tensor k[y]/(y^b), where a
+    factor is k[v] when M holds no power of v.  By Kunneth (Tate 1957) the
+    tensor product of the two factors' minimal resolutions of k is a
+    minimal resolution of k over S.  Over k[v] that is the one map v; over
+    k[v]/(v) = k there are no maps; over k[v]/(v^e), e >= 2, the maps
+    alternate v and v^(e-1).  Stage i holds the generators u_p*v_q
+    (u_p tensor v_q) with p + q = i that both factors reach, in the order
+    (i,0), (0,i), (i-1,1), (1,i-1), ..., and the Koszul differential
+    d(u_p*v_q) = du_p*v_q + (-1)^p u_p*dv_q.  Each generator is then
+    multiplied by eps(p, q) = -1 exactly when, with k = min(p, q),
+    "k >= 1 and (k-1)//2 is odd" XOR "p > q, q odd and p even".  The
+    Koszul signs alone give a resolution too; this basis change keeps the
+    appendix's signs, which the earlier inductive type-V construction
+    gave and the pinned JSON records.
+
+    Type II, a single generator of degree >= 2, is not a product; its
+    maps repeat with period 2 from stage 3 on."""
     cls = classify(ideal)
     if cls.is_main:
         raise WrongClass(f"{ideal} is in the main case")
     if n < 0:
         raise StageTooSmall("need n >= 0")
-    gens = ideal.generators
+    if cls is not IdealClass.TYPE_II:
+        return _build_product(ideal, cls, n)
     modules = [GradedFreeModule((("e1", (0, 0)),))]
     diffs: list[Differential] = []
 
@@ -431,116 +491,35 @@ def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
         diffs.append(Differential(module, prev, entries, ideal))
         modules.append(module)
 
-    def add_zero_stages():
-        while len(modules) - 1 < n:
-            add_stage([], [])
-
-    def lab(name: str, stage: int) -> str:
-        return f"{name}({stage})" if stage >= 2 else name
-
-    if cls is IdealClass.TYPE_III:
-        add_zero_stages()
-    elif cls is IdealClass.TYPE_I:
-        # S is a polynomial ring in the surviving variable
-        var = Y if gens[0] == X else X
-        if n >= 1:
-            add_stage(
-                [("e_x" if var == X else "e_y", (var.xdeg, var.ydeg))],
-                [[(0, 1, var)]],
-            )
-        add_zero_stages()
-    elif cls is IdealClass.TYPE_IV:
-        # S = k[v]/(v^e): 1x1 matrices alternating (v), (v^{e-1})
-        if gens[0].xdeg >= 2:
-            v, e = X, gens[0].xdeg
-        else:
-            v, e = Y, gens[1].ydeg
-        vbar = Monomial(v.xdeg * (e - 1), v.ydeg * (e - 1))
-        bideg = (0, 0)
-        for i in range(1, n + 1):
-            m = v if i % 2 == 1 else vbar
-            bideg = (bideg[0] + m.xdeg, bideg[1] + m.ydeg)
-            add_stage([(lab("g", i), bideg)], [[(0, 1, m)]])
-    elif cls is IdealClass.TYPE_II:
-        g = gens[0]
-        swap = g.xdeg == 0
-        mk = _mk(swap)
-        a, b = (g.ydeg, g.xdeg) if swap else (g.xdeg, g.ydeg)
-        x_, y_, m_ = mk(1, 0), mk(0, 1), mk(a - 1, b)
-        if n >= 1:
-            add_stage(
-                [("e_x", (x_.xdeg, x_.ydeg)), ("e_y", (y_.xdeg, y_.ydeg))],
-                [[(0, 1, x_)], [(0, 1, y_)]],
-            )
-        # column patterns for stages 2,3,4; stages >= 5 repeat with period 2.
-        # The second basis element of F4 carries a minus sign so that both
-        # composites with the period-2 neighbors vanish in all characteristics.
-        patterns = {
-            2: [[(0, -1, y_), (1, 1, x_)], [(0, 1, m_)]],
-            3: [[(0, 1, m_), (1, 1, y_)], [(1, 1, x_)]],
-            4: [[(0, -1, x_), (1, 1, y_)], [(1, -1, m_)]],
-        }
-        for i in range(2, n + 1):
-            pat = patterns[i] if i <= 4 else patterns[3 if i % 2 == 1 else 4]
-            prev = modules[-1]
-            labels = []
-            columns = []
-            for j, col in enumerate(pat):
-                row0, _s, mono0 = col[0]
-                tb = prev.bidegree(row0)
-                labels.append((lab(f"g{j + 1}", i), (tb[0] + mono0.xdeg, tb[1] + mono0.ydeg)))
-                columns.append(col)
-            add_stage(labels, columns)
-    else:  # TYPE_V
-        a, b = gens[0].xdeg, gens[1].ydeg
-        xa, yb = Monomial(a, 0), Monomial(0, b)
-        if n >= 1:
-            add_stage(
-                [("e_x", (1, 0)), ("e_y", (0, 1))],
-                [[(0, 1, X)], [(0, 1, Y)]],
-            )
-        fs: dict[int, list[tuple[int, Monomial]]] = {}
-        gs: dict[int, dict[int, tuple[int, Monomial]]] = {}
-        fs[2] = [(1, Monomial(a - 1, 0)), (1, Monomial(0, b - 1)), (1, X)]
-        gs[2] = {3: (-1, Y)}
-        for i in range(3, n + 1):
-            pf, pg = fs[i - 1], gs[i - 1]
-            f: list[tuple[int, Monomial]] = [
-                (1, xa / pf[0][1]),
-                (1, yb / pf[1][1]),
-            ]
-            g: dict[int, tuple[int, Monomial]] = {}
-            for j in range(3, i + 1):
-                g[j] = pg[j]
-                sgn, mono = pf[j - 3]
-                f.append((-sgn, mono))
-            g[i + 1] = pf[i - 1]
-            sgn, mono = pf[i - 2]
-            f.append((-sgn, mono))
-            fs[i], gs[i] = f, g
-        for i in range(2, n + 1):
-            prev = modules[-1]
-            labels = []
-            columns = []
-            for j in range(1, i + 2):
-                fsgn, fmono = fs[i][j - 1]
-                if j <= 2:
-                    col = [(j - 1, fsgn, fmono)]
-                    tb = prev.bidegree(j - 1)
-                    bideg = (tb[0] + fmono.xdeg, tb[1] + fmono.ydeg)
-                elif j <= i:
-                    gsgn, gmono = gs[i][j]
-                    col = [(j - 3, gsgn, gmono), (j - 1, fsgn, fmono)]
-                    tb = prev.bidegree(j - 3)
-                    bideg = (tb[0] + gmono.xdeg, tb[1] + gmono.ydeg)
-                else:  # j == i + 1
-                    gsgn, gmono = gs[i][j]
-                    col = [(i - 2, gsgn, gmono), (i - 1, fsgn, fmono)]
-                    tb = prev.bidegree(i - 2)
-                    bideg = (tb[0] + gmono.xdeg, tb[1] + gmono.ydeg)
-                labels.append((lab(f"e{j}", i), bideg))
-                columns.append(col)
-            add_stage(labels, columns)
+    g = ideal.generators[0]
+    swap = g.xdeg == 0
+    mk = _mk(swap)
+    a, b = (g.ydeg, g.xdeg) if swap else (g.xdeg, g.ydeg)
+    x_, y_, m_ = mk(1, 0), mk(0, 1), mk(a - 1, b)
+    if n >= 1:
+        add_stage(
+            [("e_x", (x_.xdeg, x_.ydeg)), ("e_y", (y_.xdeg, y_.ydeg))],
+            [[(0, 1, x_)], [(0, 1, y_)]],
+        )
+    # column patterns for stages 2,3,4; stages >= 5 repeat with period 2.
+    # The second basis element of F4 carries a minus sign so that both
+    # composites with the period-2 neighbors vanish in all characteristics.
+    patterns = {
+        2: [[(0, -1, y_), (1, 1, x_)], [(0, 1, m_)]],
+        3: [[(0, 1, m_), (1, 1, y_)], [(1, 1, x_)]],
+        4: [[(0, -1, x_), (1, 1, y_)], [(1, -1, m_)]],
+    }
+    for i in range(2, n + 1):
+        pat = patterns[i] if i <= 4 else patterns[3 if i % 2 == 1 else 4]
+        prev = modules[-1]
+        labels = []
+        columns = []
+        for j, col in enumerate(pat):
+            row0, _s, mono0 = col[0]
+            tb = prev.bidegree(row0)
+            labels.append((f"g{j + 1}({i})", (tb[0] + mono0.xdeg, tb[1] + mono0.ydeg)))
+            columns.append(col)
+        add_stage(labels, columns)
     return Resolution(ideal, cls, modules, diffs)
 
 
@@ -611,7 +590,9 @@ def resolution_from_json(data: dict) -> Resolution:
     for i, d in enumerate(data["differentials"]):
         entries = []
         for e in d["entries"]:
-            mono = Monomial(*e["monomial"])  # rejects a negative exponent
-            entries.append((e["row"], e["col"], e["sign"], mono.xdeg, mono.ydeg))
+            x, y = e["monomial"]
+            if x < 0 or y < 0:
+                raise ValueError(f"negative exponent in {(x, y)}")
+            entries.append((e["row"], e["col"], e["sign"], x, y))
         diffs.append(Differential(modules[i + 1], modules[i], tuple(entries), ideal))
     return Resolution(ideal, cls, modules, diffs)

@@ -90,12 +90,6 @@ class TestMembership:
         assert not ideal.contains(Monomial(5, 0))
         assert ideal.contains(Monomial(0, 4))
 
-    def test_normal_form(self):
-        ideal = M((2, 1), (1, 2))
-        assert ideal.normal_form(Monomial(2, 1)) is None
-        assert ideal.normal_form(Monomial(1, 1)) == Monomial(1, 1)
-        assert M((3, 0), (0, 7)).normal_form(Monomial(0, 7)) is None
-
     @given(ideals, monomials)
     def test_absorption(self, ideal, m):
         if ideal.contains(m):

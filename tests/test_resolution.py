@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -23,7 +24,6 @@ from stairstep import (
     parse_ideal,
     resolution_from_json,
     resolution_to_json,
-    syzygy_generators_Mx,
 )
 
 
@@ -115,34 +115,6 @@ class TestLowStages:
             d4, (_stage, u, v, w) = res.differentials[3], decomposition(res)[0]
             assert (u, v, w) == (r - 1, r, 0)
             assert d4.source.rank == 2 * (r - 1) + (r + 1) * r
-
-
-class TestSyzygyGeneratorsMx:
-    def test_case1(self):
-        cols = syzygy_generators_Mx(M_RIGHT)
-        assert cols == [
-            [(0, 1, Monomial(1, 0))],
-            [(1, 1, Monomial(1, 0))],
-            [(0, 1, Monomial(0, 1))],
-        ]
-
-    def test_case2(self):
-        cols = syzygy_generators_Mx(M_LEFT)
-        assert cols == [
-            [(0, 1, Monomial(1, 0))],
-            [(0, 1, Monomial(0, 2))],
-        ]
-
-    def test_columns_are_syzygies(self):
-        for ideal in exhaustive_corpus(3):
-            from stairstep import classify, colon_x
-
-            if not classify(ideal).is_main:
-                continue
-            mx = colon_x(ideal)
-            for col in syzygy_generators_Mx(ideal):
-                for i, _sign, mono in col:
-                    assert ideal.contains(mono * mx.generators[i])
 
 
 class TestMainRecursion:
@@ -353,10 +325,12 @@ def test_json_reload_keeps_labels_and_rejects_negative_exponents(text):
     loaded = resolution_from_json(json.loads(dumped))
     assert [m.generators for m in loaded.modules] == [m.generators for m in res.modules]
     assert json.dumps(resolution_to_json(loaded)) == dumped
-    data = json.loads(dumped)
-    data["differentials"][-1]["entries"][0]["monomial"][1] = -1
-    with pytest.raises(ValueError, match="negative exponent"):
-        resolution_from_json(data)
+    for var in (0, 1):  # a negative x-exponent, then a negative y-exponent
+        data = json.loads(dumped)
+        mono = data["differentials"][-1]["entries"][0]["monomial"]
+        mono[var] = -1
+        with pytest.raises(ValueError, match=re.escape(f"negative exponent in {tuple(mono)}")):
+            resolution_from_json(data)
 
 
 # SHA-256 of json.dumps(resolution_to_json(build_resolution(M, 8)), sort_keys=True),
@@ -378,6 +352,30 @@ def test_resolution_json_is_unchanged(text):
     data = resolution_to_json(build_resolution(parse_ideal(text), 8))
     digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_JSON_SHA256[text]
+
+
+# SHA-256 over the JSON of every degenerate ideal with exponents up to 8,
+# recorded from the per-type constructions the Kunneth product replaced.
+DEGENERATE_SHA256 = "6b851371f21fa14d239c0f970fb02ed3aeefc637f88b962256d5c8e13937afec"
+
+
+def test_degenerate_json_is_unchanged():
+    # for a in 1..8: (x^a), (y^a), then (x^a, y^b) and (x^a y^b) for b in
+    # 1..8, main-case ideals skipped; each at stages 0, 1, 2, 5, 12 and 30
+    sha, updates = hashlib.sha256(), 0
+    for a in range(1, 9):
+        gens = [[(a, 0)], [(0, a)]]
+        for b in range(1, 9):
+            gens += [[(a, 0), (0, b)], [(a, b)]]
+        for pairs in gens:
+            ideal = M(*pairs)
+            if build_resolution(ideal, 0).ideal_class.is_main:
+                continue
+            for stage in (0, 1, 2, 5, 12, 30):
+                data = resolution_to_json(build_resolution(ideal, stage))
+                sha.update(json.dumps(data, sort_keys=True).encode())
+                updates += 1
+    assert (updates, sha.hexdigest()) == (864, DEGENERATE_SHA256)
 
 
 def compose_reference(d_hi, d_lo):
