@@ -6,7 +6,7 @@ from typing import Optional
 
 from .classify import IdealClass, classify
 from .monomials import MonomialIdeal
-from .resolution import Resolution, StageTooSmall, _main_betti_counts, build_degenerate
+from .resolution import Resolution, StageTooSmall, _main_betti_counts, build_resolution
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
         raise StageTooSmall("need n >= 0")
     if classify(ideal).is_main:
         return BettiTable(_main_betti_counts(ideal, stages), max_stage=stages)
-    return graded_betti(build_degenerate(ideal, stages))
+    return graded_betti(build_resolution(ideal, stages))
 
 
 def render_betti_table(table: BettiTable) -> str:

@@ -246,7 +246,7 @@ _COMMANDS = {
     "poincare": (
         _cmd_poincare,
         "Poincare-Betti series, expanded with --expand N",
-        (("--expand", {"type": int, "default": None}),),
+        (("--expand", {"type": _nonnegative_int, "default": None}),),
     ),
     "verify": (_cmd_verify, "run complex, minimality and exactness checks", ()),
     "oracle": (_cmd_oracle, "brute-force Betti table, compared against the engine", ()),

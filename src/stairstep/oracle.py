@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import Monomial, MonomialIdeal, standard_monomials, term_str
-from .resolution import Differential, Resolution, _compose_columns
+from .resolution import Differential, Resolution, compose_check
 
 
 class TruncationTooSmall(ValueError):
@@ -305,7 +305,7 @@ def check_complex(res: Resolution) -> VerificationReport:
     report = VerificationReport(res.ring)
     diffs = res.differentials
     for i in range(1, len(diffs)):
-        prod = _compose_columns(diffs[i], diffs[i - 1], diffs[i - 1].columns())
+        prod = compose_check(diffs[i], diffs[i - 1])
         detail = "" if prod.is_zero else f"nonzero composite at cells {sorted(prod.entries)[:3]}"
         report.checks.append(CheckRecord("complex", i + 1, None, prod.is_zero, detail))
     return report
@@ -347,11 +347,13 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
     to the twist of the first row of each block with that key.  Every
-    entry must be homogeneous in the bigrading (else ValueError), so a key
-    and that one twist fix every twist of the block.  Only columns of
-    twist <= max_degree join a block: a column above has no basis element
-    in any slice through max_degree, so dropping it leaves every slice
-    matrix there as it was."""
+    entry must be homogeneous in the bigrading, so a key and that one
+    twist fix every twist of the block.  Only columns of twist <=
+    max_degree join a block: a column above has no basis element in any
+    slice through max_degree, so dropping it leaves every slice matrix
+    there as it was.  A kept entry with a negative exponent maps its
+    column's generator off its row's slice.  Either fault raises
+    ValueError naming the entry by the differential's own (row, col)."""
     bad = diff.inhomogeneous_entries()
     if bad:
         raise _inhomogeneous(*bad[0])
@@ -367,7 +369,9 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]
     in_window = [dx + dy <= max_degree for dx, dy in src]
     kept = [entry for entry in diff.entries if in_window[entry[1]]]
     first = [-1] * len(src)  # each column joins the block of its first row
-    for row, col, _sign, _x, _y in kept:
+    for row, col, _sign, x, y in kept:
+        if x < 0 or y < 0:
+            raise _inhomogeneous(row, col)
         f = first[col]
         if f < 0:
             first[col] = row
@@ -400,9 +404,9 @@ def _bigraded_block(key: tuple):
     """(cbi, rbi, cells): the relative bidegree of each column and row of
     a block, its first row at (0, 0), and each column's entries folded into
     one integer per row, cells that cancel dropped.  The key's entries are
-    homogeneous in the bigrading, so an entry joins a column's and a row's
-    bidegree and one of them fixes the other.  An entry with a negative
-    exponent maps the column's generator off its row's slice: ValueError."""
+    homogeneous in the bigrading and have no negative exponent (see
+    _split_blocks), so an entry joins a column's and a row's bidegree and
+    one of them fixes the other."""
     cbi: list = [None] * (1 + max(e[0] for e in key))
     rbi: list = [None] * (1 + max(e[1] for e in key))
     rbi[0] = (0, 0)
@@ -413,9 +417,7 @@ def _bigraded_block(key: tuple):
             elif cbi[c] is not None:
                 rbi[r] = (cbi[c][0] - x, cbi[c][1] - y)
     cells: list[dict[int, int]] = [{} for _ in cbi]
-    for c, r, s, x, y in key:
-        if x < 0 or y < 0:
-            raise _inhomogeneous(r, c)
+    for c, r, s, _x, _y in key:
         cells[c][r] = cells[c].get(r, 0) + s
     return cbi, rbi, [{r: v for r, v in col.items() if v} for col in cells]
 

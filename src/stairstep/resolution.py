@@ -1,6 +1,8 @@
 """Explicit graded minimal free resolutions of k over S = k[x,y]/M.
 
-The main-case resolution is assembled from three column templates
+build_resolution is the one builder: it rejects a negative stage count,
+classifies M and hands it to the builder of its regime.  The main-case
+resolution is assembled from three column templates
 (the maps into a rank-1 target, an {e_x,e_y} pair, and a full
 {e_f_1..e_f_{r+1}} stage-two module).  From stage four on, every module
 is a direct sum of copies of F1, F2 and F3 and the next differential is
@@ -19,10 +21,6 @@ from operator import itemgetter
 
 from .classify import IdealClass, classify
 from .monomials import Monomial, MonomialIdeal, term_str
-
-
-class WrongClass(ValueError):
-    """Construction applied to an ideal outside its regime."""
 
 
 class StageTooSmall(ValueError):
@@ -109,20 +107,15 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
 
     Every pair of entries is multiplied out on integer exponents; a
     Monomial is built only for a term that survives with a nonzero
-    coefficient."""
-    return _compose_columns(d_hi, d_lo, d_lo.columns())
-
-
-def _compose_columns(d_hi: Differential, d_lo: Differential, lo_cols) -> ComposeProduct:
-    """:func:`compose_check` with only d_lo's entries grouped, by
-    :meth:`Differential.columns`, so a caller composing a chain of maps
-    groups each lower map once and never the top one.
-
-    d_hi's entries are read in column order: the sort is linear on the
-    column-ordered entries the engine and JSON give, and correct on any
-    order, and each column's terms are reduced once its entries end."""
+    coefficient.  Only d_lo's entries are grouped, by
+    :meth:`Differential.columns`, so a chain of composites groups each
+    lower map once and never the top one.  d_hi's entries are read in
+    column order: the sort is linear on the column-ordered entries the
+    engine and JSON give, and correct on any order, and each column's
+    terms are reduced once its entries end."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
+    lo_cols = d_lo.columns()
     stair = d_lo.ring.stair()
     n, far = len(stair), stair[-1]
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
@@ -380,13 +373,6 @@ def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> R
     return Resolution(ideal, ideal_class, builder.modules, builder.differentials)
 
 
-def _mk(swap: bool):
-    def make(p: int, q: int) -> Monomial:
-        return Monomial(q, p) if swap else Monomial(p, q)
-
-    return make
-
-
 def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
     """Twists and map exponents of the minimal resolution of k over one
     factor k[v]/(v^e) through stage n: k[v] (e None) has the one map v,
@@ -399,8 +385,21 @@ def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
 
 
 def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
-    """Types I, III, IV and V as the tensor product of the two factors'
-    resolutions; see :func:`build_degenerate`."""
+    """Types I, III, IV and V through stage n.
+
+    S is k[x]/(x^a) tensor k[y]/(y^b), where a factor is k[v] when M holds
+    no power of v.  By Kunneth (Tate 1957) the tensor product of the two
+    factors' minimal resolutions of k is a minimal resolution of k over S.
+    Over k[v] that is the one map v; over k[v]/(v) = k there are no maps;
+    over k[v]/(v^e), e >= 2, the maps alternate v and v^(e-1).  Stage i
+    holds the generators u_p*v_q (u_p tensor v_q) with p + q = i that both
+    factors reach, in the order (i,0), (0,i), (i-1,1), (1,i-1), ..., and
+    the Koszul differential d(u_p*v_q) = du_p*v_q + (-1)^p u_p*dv_q.  Each
+    generator is then multiplied by eps(p, q) = -1 exactly when, with
+    k = min(p, q), "k >= 1 and (k-1)//2 is odd" XOR "p > q, q odd and p
+    even".  The Koszul signs alone give a resolution too; this basis change
+    keeps the appendix's signs, which the earlier inductive type-V
+    construction gave and the pinned JSON records."""
     first, last = ideal.generators[0], ideal.generators[-1]
     xtw, xpow = _factor(first.xdeg if first.ydeg == 0 else None, n)
     ytw, ypow = _factor(last.ydeg if last.xdeg == 0 else None, n)
@@ -430,7 +429,7 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
         for c, p in enumerate(ps):
             q = i - p
             rows[p] = c
-            k = p if p < q else q  # eps(p, q), as build_degenerate states it
+            k = p if p < q else q  # eps(p, q), as the docstring states it
             flip = (k and (k - 1) // 2 % 2) != (p > q and q % 2 == 1 and p % 2 == 0)
             signs[p] = s = -1 if flip else 1
             gens.append((labels[c], (xtw[p], ytw[q])))
@@ -450,85 +449,61 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
     return Resolution(ideal, cls, modules, diffs)
 
 
-def build_degenerate(ideal: MonomialIdeal, n: int) -> Resolution:
-    """The appendix resolution of a degenerate ideal through stage n.
+def _build_type_ii(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
+    """Type II, a single generator g of degree >= 2, through stage n.
 
-    Types I, III, IV and V are S = k[x]/(x^a) tensor k[y]/(y^b), where a
-    factor is k[v] when M holds no power of v.  By Kunneth (Tate 1957) the
-    tensor product of the two factors' minimal resolutions of k is a
-    minimal resolution of k over S.  Over k[v] that is the one map v; over
-    k[v]/(v) = k there are no maps; over k[v]/(v^e), e >= 2, the maps
-    alternate v and v^(e-1).  Stage i holds the generators u_p*v_q
-    (u_p tensor v_q) with p + q = i that both factors reach, in the order
-    (i,0), (0,i), (i-1,1), (1,i-1), ..., and the Koszul differential
-    d(u_p*v_q) = du_p*v_q + (-1)^p u_p*dv_q.  Each generator is then
-    multiplied by eps(p, q) = -1 exactly when, with k = min(p, q),
-    "k >= 1 and (k-1)//2 is odd" XOR "p > q, q odd and p even".  The
-    Koszul signs alone give a resolution too; this basis change keeps the
-    appendix's signs, which the earlier inductive type-V construction
-    gave and the pinned JSON records.
-
-    Type II, a single generator of degree >= 2, is not a product; its
-    maps repeat with period 2 from stage 3 on."""
-    cls = classify(ideal)
-    if cls.is_main:
-        raise WrongClass(f"{ideal} is in the main case")
-    if n < 0:
-        raise StageTooSmall("need n >= 0")
-    if cls is not IdealClass.TYPE_II:
-        return _build_product(ideal, cls, n)
+    It is not a product; its maps repeat with period 2 from stage 3 on.
+    u is the variable g is divisible by (x, unless g is a power of y), v
+    the other and m = g/u.  A column is its entries (row, sign, monomial);
+    a generator's bidegree is its first entry's row's plus that monomial."""
+    g = ideal.generators[0]
+    u, v = ((1, 0), (0, 1)) if g.xdeg else ((0, 1), (1, 0))
+    m = (g.xdeg - u[0], g.ydeg - u[1])
+    # the columns of d_1..d_4; stage i >= 5 repeats d_{4 - i % 2}.  The
+    # second generator of F4 carries a minus sign so that both composites
+    # with its period-2 neighbours vanish in every characteristic.
+    patterns = (
+        (((0, 1, u),), ((0, 1, v),)),
+        (((0, -1, v), (1, 1, u)), ((0, 1, m),)),
+        (((0, 1, m), (1, 1, v)), ((1, 1, u),)),
+        (((0, -1, u), (1, 1, v)), ((1, -1, m),)),
+    )
+    # each pattern's entries, emitted once and shared by every stage using it
+    entries = [
+        tuple((row, c, sign, x, y) for c, col in enumerate(cols) for row, sign, (x, y) in col)
+        for cols in patterns
+    ]
     modules = [GradedFreeModule((("e1", (0, 0)),))]
     diffs: list[Differential] = []
-
-    def add_stage(labels_bidegs, columns):
+    for i in range(1, n + 1):
+        k = min(i, 4 - i % 2) - 1
         prev = modules[-1]
-        module = GradedFreeModule(tuple(labels_bidegs))
-        entries = tuple(
-            (row, col, sign, mono.xdeg, mono.ydeg)
-            for col, column in enumerate(columns)
-            for row, sign, mono in column
-        )
-        diffs.append(Differential(module, prev, entries, ideal))
+        labels = ("e_x", "e_y") if i == 1 else (f"g1({i})", f"g2({i})")
+        gens = []
+        for label, col in zip(labels, patterns[k]):
+            row, _sign, (x, y) = col[0]
+            bx, by = prev.bidegree(row)
+            gens.append((label, (bx + x, by + y)))
+        module = GradedFreeModule(tuple(gens))
+        diffs.append(Differential(module, prev, entries[k], ideal))
         modules.append(module)
-
-    g = ideal.generators[0]
-    swap = g.xdeg == 0
-    mk = _mk(swap)
-    a, b = (g.ydeg, g.xdeg) if swap else (g.xdeg, g.ydeg)
-    x_, y_, m_ = mk(1, 0), mk(0, 1), mk(a - 1, b)
-    if n >= 1:
-        add_stage(
-            [("e_x", (x_.xdeg, x_.ydeg)), ("e_y", (y_.xdeg, y_.ydeg))],
-            [[(0, 1, x_)], [(0, 1, y_)]],
-        )
-    # column patterns for stages 2,3,4; stages >= 5 repeat with period 2.
-    # The second basis element of F4 carries a minus sign so that both
-    # composites with the period-2 neighbors vanish in all characteristics.
-    patterns = {
-        2: [[(0, -1, y_), (1, 1, x_)], [(0, 1, m_)]],
-        3: [[(0, 1, m_), (1, 1, y_)], [(1, 1, x_)]],
-        4: [[(0, -1, x_), (1, 1, y_)], [(1, -1, m_)]],
-    }
-    for i in range(2, n + 1):
-        pat = patterns[i] if i <= 4 else patterns[3 if i % 2 == 1 else 4]
-        prev = modules[-1]
-        labels = []
-        columns = []
-        for j, col in enumerate(pat):
-            row0, _s, mono0 = col[0]
-            tb = prev.bidegree(row0)
-            labels.append((f"g{j + 1}({i})", (tb[0] + mono0.xdeg, tb[1] + mono0.ydeg)))
-            columns.append(col)
-        add_stage(labels, columns)
     return Resolution(ideal, cls, modules, diffs)
 
 
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
-    """Resolution of k over k[x,y]/M through the requested stage."""
+    """Resolution of k over k[x,y]/M through the requested stage: the
+    main-case templates, the Kunneth product of types I, III, IV and V, or
+    the period-2 construction of type II."""
+    if stages < 0:
+        raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
     if cls.is_main:
-        return _build_main(ideal, cls, stages)
-    return build_degenerate(ideal, stages)
+        build = _build_main
+    elif cls is IdealClass.TYPE_II:
+        build = _build_type_ii
+    else:
+        build = _build_product
+    return build(ideal, cls, stages)
 
 
 def resolution_to_json(res: Resolution) -> dict:

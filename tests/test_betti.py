@@ -193,10 +193,13 @@ class TestBettiTable:
     def test_deep_total(self):
         assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).total(40) == 562162801058854612
 
-    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,y"])
+    @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x", "x2y3", "x,y", "x3,y", "x2,y3"])
     def test_negative_stages_rejected(self, text):
+        # both entry points agree in every regime, main case and degenerate
         with pytest.raises(StageTooSmall):
             betti_table(parse_ideal(text), -1)
+        with pytest.raises(StageTooSmall):
+            build_resolution(parse_ideal(text), -1)
 
 
 class TestSerialization:

@@ -279,6 +279,11 @@ class TestInputBounds:
         assert (code, out) == (2, "")
         assert "--stages" in err
 
+    def test_negative_expand_rejected(self, capsys):
+        code, out, err = run(capsys, "poincare", "x2y,xy2", "--expand", "-3")
+        assert (code, out) == (2, "")
+        assert "--expand" in err
+
     def test_betti_at_stage_limit(self, capsys):
         limit = stairstep.cli.BETTI_MAX_STAGES
         assert limit >= 40  # CI's beta_40 step and the README commands stay valid

@@ -19,7 +19,6 @@ from stairstep import (
     PrimeField,
     TruncationTooSmall,
     betti_json,
-    build_degenerate,
     build_resolution,
     check_complex,
     check_exactness,
@@ -294,7 +293,7 @@ class TestChecks:
     def test_minimality_catches_zero_entry(self):
         # the (x^3, y^7) second map with entry y^7 instead of y^6:
         # y^7 = 0 in S, so the column drops rank
-        res = build_degenerate(M((3, 0), (0, 7)), 3)
+        res = build_resolution(M((3, 0), (0, 7)), 3)
         d2 = res.differentials[1]
         entries = tuple(
             (r, c, s, x, 7 if (x, y) == (0, 6) else y)
@@ -570,6 +569,21 @@ class TestExactnessReadsEntries:
         passed = [c.passed for c in check_exactness(bad, 2, 8).checks]
         assert passed == whole_matrix_exactness(bad, 2, 8)
         assert not all(passed)
+
+    def test_negative_exponent_named_by_its_own_row_and_col(self):
+        # a homogeneous entry x^-1*y^3 into d5's last row, in a new column;
+        # the report names it as check_minimality does, not by its place
+        # inside its block
+        res = build_resolution(M_RIGHT, 6)
+        d5 = res.differentials[4]
+        tx, ty = d5.target.bidegree(7)
+        source = GradedFreeModule(d5.source.generators + (("g", (tx - 1, ty + 3)),))
+        bad_d5 = replace(d5, source=source, entries=d5.entries + ((7, 13, 1, -1, 3),))
+        bad = replace(res, differentials=res.differentials[:4] + [bad_d5] + res.differentials[5:])
+        assert check_homogeneity(bad).verdict
+        assert "(7, 13," in check_minimality(bad).failures()[0].detail
+        detail = "entry (7, 13) is not homogeneous"
+        assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
 
     @settings(max_examples=60, deadline=None)
     @given(small_resolutions(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(32003)]))

@@ -14,8 +14,6 @@ from stairstep import (
     IdealClass,
     Monomial,
     Resolution,
-    WrongClass,
-    build_degenerate,
     build_resolution,
     check_homogeneity,
     check_minimality,
@@ -180,19 +178,19 @@ class TestStructuralInvariants:
 
 class TestDegenerate:
     def test_type_iii_terminates(self):
-        res = build_degenerate(M((1, 0), (0, 1)), 5)
+        res = build_resolution(M((1, 0), (0, 1)), 5)
         assert res.total_betti_numbers() == [1, 0, 0, 0, 0, 0]
 
     def test_type_i(self):
-        res = build_degenerate(M((1, 0)), 4)
+        res = build_resolution(M((1, 0)), 4)
         assert res.total_betti_numbers() == [1, 1, 0, 0, 0]
         # x is zero in S = k[x,y]/(x); the map must use the surviving variable
         assert res.differentials[0].dense_strings() == [["y"]]
-        res = build_degenerate(M((0, 1)), 2)
+        res = build_resolution(M((0, 1)), 2)
         assert res.differentials[0].dense_strings() == [["x"]]
 
     def test_type_iv_alternation(self):
-        res = build_degenerate(M((3, 0), (0, 1)), 6)
+        res = build_resolution(M((3, 0), (0, 1)), 6)
         grids = [d.dense_strings() for d in res.differentials]
         assert grids[0] == [["x"]]
         assert grids[1] == [["x^2"]]
@@ -200,12 +198,12 @@ class TestDegenerate:
             assert grids[i] == grids[i - 2]
 
     def test_type_iv_a2_both_maps_x(self):
-        res = build_degenerate(M((2, 0), (0, 1)), 4)
+        res = build_resolution(M((2, 0), (0, 1)), 4)
         for d in res.differentials:
             assert d.dense_strings() == [["x"]]
 
     def test_type_ii_matrices(self):
-        res = build_degenerate(M((2, 3)), 8)
+        res = build_resolution(M((2, 3)), 8)
         grids = [d.dense_strings() for d in res.differentials]
         assert grids[0] == [["x", "y"]]
         assert grids[1] == [["-y", "x*y^3"], ["x", "0"]]
@@ -215,12 +213,12 @@ class TestDegenerate:
             assert grids[i] == grids[i - 2]
 
     def test_type_ii_pure_power_swaps(self):
-        res = build_degenerate(M((0, 3)), 4)
+        res = build_resolution(M((0, 3)), 4)
         grids = [d.dense_strings() for d in res.differentials]
         assert grids[1] == [["-x", "y^2"], ["y", "0"]]
 
     def test_type_v_printed_matrices(self):
-        res = build_degenerate(M((3, 0), (0, 7)), 4)
+        res = build_resolution(M((3, 0), (0, 7)), 4)
         grids = [d.dense_strings() for d in res.differentials]
         assert grids[0] == [["x", "y"]]
         assert grids[1] == [["x^2", "0", "-y"], ["0", "y^6", "x"]]
@@ -231,11 +229,11 @@ class TestDegenerate:
         ]
 
     def test_type_v_ranks(self):
-        res = build_degenerate(M((2, 0), (0, 2)), 10)
+        res = build_resolution(M((2, 0), (0, 2)), 10)
         assert res.total_betti_numbers() == list(range(1, 12))
 
     def test_type_v_coefficient_identity(self):
-        res = build_degenerate(M((3, 0), (0, 7)), 10)
+        res = build_resolution(M((3, 0), (0, 7)), 10)
 
         def coeff(i, col):  # the monomial of column col's one entry in d_i
             ((_row, _sign, x, y),) = res.differentials[i - 1].columns()[col]
@@ -246,13 +244,9 @@ class TestDegenerate:
             assert coeff(i, 1) * coeff(i - 1, 1) == Monomial(0, 7)
 
     def test_type_v_complex(self):
-        res = build_degenerate(M((3, 0), (0, 7)), 8)
+        res = build_resolution(M((3, 0), (0, 7)), 8)
         for hi, lo in zip(res.differentials[1:], res.differentials):
             assert compose_check(hi, lo).is_zero
-
-    def test_wrong_class(self):
-        with pytest.raises(WrongClass):
-            build_degenerate(M_RIGHT, 4)
 
 
 class TestDispatchAndJson:
