@@ -6,7 +6,13 @@ from typing import Optional
 
 from .classify import IdealClass, classify
 from .monomials import MonomialIdeal
-from .resolution import Resolution, StageTooSmall, _main_betti_counts, build_resolution
+from .resolution import (
+    Resolution,
+    StageTooSmall,
+    _main_betti_counts,
+    _product_betti_counts,
+    build_resolution,
+)
 
 
 @dataclass(frozen=True)
@@ -125,25 +131,35 @@ def graded_betti(res: Resolution) -> BettiTable:
 
 def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
     """The graded Betti table of :func:`build_resolution` through
-    ``stages``, without building it in the main case.
+    ``stages``, counted without building it except for type II.
 
     A main-case table is counted from the base degrees of the F1, F2 and
-    F3 blocks stage by stage, with no module or matrix built; the
-    degenerate closed forms are built, which is cheap."""
+    F3 blocks stage by stage, with no module or matrix built.  Types I,
+    III, IV and V, the Kunneth product, add one generator of stage i for
+    each p that both one-variable factors reach, at twist
+    xtw[p] + ytw[i-p].  Type II, two generators per stage, is built."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
-    if classify(ideal).is_main:
+    cls = classify(ideal)
+    if cls.is_main:
         return BettiTable(_main_betti_counts(ideal, stages), max_stage=stages)
-    return graded_betti(build_resolution(ideal, stages))
+    if cls is IdealClass.TYPE_II:
+        return graded_betti(build_resolution(ideal, stages))
+    return BettiTable(_product_betti_counts(ideal, stages), max_stage=stages)
+
+
+def render_shape(table: BettiTable) -> tuple[int, int]:
+    """(rows, columns) of the cell grid :func:`render_betti_table` prints."""
+    return 1 + max((d - i for (i, d) in table.entries), default=0), table.max_stage + 1
 
 
 def render_betti_table(table: BettiTable) -> str:
     """Macaulay2-style text layout: row j, column i holds beta_{i, i+j}."""
-    cols = range(table.max_stage + 1)
-    max_row = max((d - i for (i, d) in table.entries), default=0)
+    rows, n_cols = render_shape(table)
+    cols = range(n_cols)
     lines = ["      " + " ".join(str(i) for i in cols)]
     lines.append("total: " + " ".join(str(v) for v in table.totals()))
-    for j in range(max_row + 1):
+    for j in range(rows):
         cells = [
             str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "."
             for i in cols

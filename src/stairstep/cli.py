@@ -16,6 +16,7 @@ from .betti import (
     graded_betti,
     poincare_series,
     render_betti_table,
+    render_shape,
     series_expand,
 )
 from .classify import classify
@@ -121,6 +122,13 @@ def _cmd_resolve(args, ideal) -> int:
 # (9 MB).  Stage 1000 costs 3-5x that, and stage 2000 another 4-7x.
 BETTI_MAX_STAGES = 500
 
+# The largest grid of cells `betti --graded` prints as text, one per
+# (row, stage).  Rendering costs 190-350 ns a cell on the same VM: 3.96 M
+# cells (the 200-generator staircase at stage 200) take 0.74 s and print
+# 8.6 MB.  A degenerate ideal has one row per d - i, so (x^100000, y) at
+# stage 40 would print 82 M cells.  json and csv list only nonzero entries.
+BETTI_MAX_CELLS = 5_000_000
+
 
 def _cmd_betti(args, ideal) -> int:
     if args.stages > BETTI_MAX_STAGES:
@@ -132,6 +140,13 @@ def _cmd_betti(args, ideal) -> int:
         elif args.format == "csv":
             print(betti_csv(table))
         else:
+            rows, cols = render_shape(table)
+            if rows * cols > BETTI_MAX_CELLS:
+                raise ValueError(
+                    f"betti --graded text would print {rows * cols} cells ({rows} rows x {cols} "
+                    f"stages), above the limit of {BETTI_MAX_CELLS}; --format json or csv lists "
+                    "only the nonzero entries"
+                )
             print(render_betti_table(table))
     else:
         totals = table.totals()

@@ -3,9 +3,14 @@
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
 adjudicate every engine construction.  In each degree it first
-eliminates the x- and y-shifts of the previous degree's syzygies, then
-takes the nullspace of only the slice columns outside their pivot
-coordinates: every vector of that nullspace is a new minimal generator.
+eliminates the shifts of the previous degree's syzygies, then takes the
+nullspace of only the slice columns outside their pivot coordinates:
+every vector of that nullspace is a new minimal generator.  A slice's
+basis element g*x^a*y^b is the int key g*W + (W-1-a), W = max_degree + 1,
+so a shift by x is key - 1 and a shift by y is the key itself.  All of
+K_{d-1} is shifted by x, but only R, its pivots from y-shifts and its new
+generators, by y: the pivots X from x-shifts span x*K_{d-2}, and
+y*X = x*(y*K_{d-2}) already lies in x*K_{d-1}.
 """
 from __future__ import annotations
 
@@ -570,68 +575,109 @@ def minimal_resolution_bruteforce(
     onto P is an isomorphism on V_d, and K_d is the direct sum of V_d and
     the kernel vectors that vanish on P.  Only the slice columns outside P
     are built, and every vector of their nullspace is a new minimal
-    generator.  The basis of K_d carried to degree d + 1 is V_d's echelon
-    basis and these new generators."""
+    generator.
+
+    The basis of K_d carried to degree d + 1 has two parts: X, the pivots
+    installed from x-shifts, which are eliminated first and so span
+    x*K_{d-1}; and R, the pivots installed from y-shifts with the new
+    generators.  Then V_{d+1} = x*K_d + y*R, because
+    y*X = y*x*K_{d-1} = x*(y*K_{d-1}) lies in x*K_d.
+
+    The basis element g*x^a*y^b of a slice in degree d is the int key
+    g*W + (W-1-a), W = max_degree + 1: keys sort by generator, then by
+    falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
+    key - 1, by y the key itself.  A product is tested against M with the
+    ring's stair, so no index of a slice's basis is built."""
     if max_degree < ideal.max_generator_degree:
         raise TruncationTooSmall(
             f"max_degree {max_degree} below largest generator degree "
             f"{ideal.max_generator_degree}"
         )
     p = _modulus(fld)
-    contains_xy = ideal.contains_xy
-    std = [[(m.xdeg, m.ydeg) for m in standard_monomials(ideal, n)] for n in range(max_degree + 1)]
+    width = max_degree + 1
+    # x^a y^b lies in M iff b >= stair[a], for every a <= max_degree
+    stair = ideal.stair()
+    stair += [stair[-1]] * (width - len(stair))
+    # x-degrees of the standard monomials of degree n <= top, the highest
+    # degree of one in the window: a power of x and one of y in M bound it
+    first_gen, last_gen = ideal.generators[0], ideal.generators[-1]
+    top = max_degree
+    if first_gen.ydeg == 0 and last_gen.xdeg == 0:
+        top = min(top, first_gen.xdeg + last_gen.ydeg - 2)
+    std = [tuple(m.xdeg for m in standard_monomials(ideal, n)) for n in range(top + 1)]
+    while not std[top]:
+        top -= 1
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    # F_{i-1} data: generator twists and images (elements of F_{i-2}, keyed
-    # by (generator, xdeg, ydeg)); stage 0 is S itself with the
-    # augmentation to k.
+    # F_{i-1} data: generator twists, nondecreasing, and images, each a list
+    # of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the generator's
+    # twist; stage 0 is S itself with the augmentation to k.
     twists = [0]
-    images: Optional[list[dict]] = None  # None marks the augmentation
+    images: Optional[list[list[tuple[int, int, int, int]]]] = None  # None marks the augmentation
     for stage in range(1, max_stage + 1):
         new_twists: list[int] = []
-        new_gens: list[dict] = []  # kernel elements, i.e. columns of the next map
-        prev_basis: list[tuple[int, int, int]] = []
-        prev_kernel: list[dict] = []  # a basis of K_{d-1}, sparse over prev_basis
-        for d in range(max_degree + 1):
-            src_basis = [
-                (g, x, y)
-                for g, tw in enumerate(twists) if tw <= d
-                for x, y in std[d - tw]
-            ]
-            if not src_basis:
-                prev_kernel = []
+        new_gens: list[list[tuple[int, int, int, int]]] = []
+        # K_{d-1}'s basis as sparse {key: coeff}: X from x-shifts, R the rest
+        x_part: list[dict] = []
+        r_part: list[dict] = []
+        # the generators twist[g] <= d with a nonzero slice in degree d
+        # are first <= g < alive; with none, K_d is 0 and the next nonzero
+        # slice is at the next twist
+        count, first, alive, d = len(twists), 0, 0, 0
+        while d < width:
+            while alive < count and twists[alive] <= d:
+                alive += 1
+            while first < alive and twists[first] < d - top:
+                first += 1
+            if first == alive:
+                x_part, r_part = [], []
+                if alive == count:
+                    break
+                d = twists[alive]
                 continue
-            # V_d in echelon form; a shifted basis element is missing from
-            # src_index exactly when it lies in M
+            # V_d in echelon form, x-shifts first.  A key k of degree d - 1
+            # has x-degree W-1-r and y-degree low - twists[g] + r, where
+            # g, r = divmod(k, W); a shift in M is dropped.
+            low = d - width
             pivots: dict = {}
-            if prev_kernel:
-                src_index = {key: i for i, key in enumerate(src_basis)}
-                shifts = [
-                    [src_index.get((g, x + dx, y + dy)) for g, x, y in prev_basis]
-                    for dx, dy in ((1, 0), (0, 1))
-                ]
-                for k_elem in prev_kernel:
-                    for moved in shifts:
-                        shifted = {moved[j]: c for j, c in k_elem.items() if moved[j] is not None}
-                        prow = _reduce_column(shifted, pivots, p)
-                        if prow is not None:
-                            _install_pivot(prow, shifted, pivots, p)
-            free = [i for i in range(len(src_basis)) if i not in pivots]
+            for vec in x_part + r_part:
+                shifted = {}
+                for k, c in vec.items():
+                    r = k % width
+                    if low - twists[k // width] + r < stair[width - r]:
+                        shifted[k - 1] = c
+                prow = _reduce_column(shifted, pivots, p)
+                if prow is not None:
+                    _install_pivot(prow, shifted, pivots, p)
+            from_x = len(pivots)
+            for vec in r_part:
+                shifted = {}
+                for k, c in vec.items():
+                    r = k % width
+                    if low - twists[k // width] + r + 1 < stair[width - 1 - r]:
+                        shifted[k] = c
+                prow = _reduce_column(shifted, pivots, p)
+                if prow is not None:
+                    _install_pivot(prow, shifted, pivots, p)
+            # the slice's keys outside the pivots, and their columns
+            free: list[int] = []
+            columns: list[dict[int, int]] = []
+            for g in range(first, alive):
+                n = d - twists[g]
+                base = g * width + width - 1
+                for a in std[n]:
+                    k = base - a
+                    if k in pivots:
+                        continue
+                    free.append(k)
+                    if images is not None:
+                        b = n - a
+                        columns.append(
+                            {tk - a: c for tk, tx, ty, c in images[g] if ty + b < stair[tx + a]}
+                        )
             if images is None:
                 # augmentation: everything of positive degree is a syzygy
-                found: list[dict] = [] if d == 0 else [{i: 1} for i in free]
+                found: list[dict] = [{k: 1} for k in free] if d else []
             else:
-                columns = []
-                row_index: dict = {}
-                for i in free:
-                    g, x, y = src_basis[i]
-                    col: dict[int, int] = {}
-                    for (tg, tx, ty), coeff in images[g].items():
-                        px, py = x + tx, y + ty
-                        if contains_xy(px, py):
-                            continue
-                        ri = row_index.setdefault((tg, px, py), len(row_index))
-                        col[ri] = col.get(ri, 0) + coeff
-                    columns.append(col)
                 # over F_p, lifted from 0..p-1 to (-p/2, p/2] (no change over
                 # Q): a coefficient -1 then stays -1, a pivot lead that later
                 # eliminations install without an inverse
@@ -642,9 +688,19 @@ def minimal_resolution_bruteforce(
             if found:
                 entries[(stage, d)] = len(found)
                 new_twists += [d] * len(found)
-                new_gens += [{src_basis[i]: c for i, c in vec.items()} for vec in found]
-            prev_basis = src_basis
-            prev_kernel = [{**tail, prow: a} for prow, (a, tail) in pivots.items()] + found
+                for vec in found:
+                    image = []
+                    for k, c in vec.items():
+                        g, r = divmod(k, width)
+                        a = width - 1 - r
+                        image.append((k, a, d - twists[g] - a, c))
+                    new_gens.append(image)
+            basis = []
+            for prow, (lead, tail) in pivots.items():
+                tail[prow] = lead  # the elimination is over: restore the vector
+                basis.append(tail)
+            x_part, r_part = basis[:from_x], basis[from_x:] + found
+            d += 1
         twists, images = new_twists, new_gens
         if not twists:
             break

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import stairstep.betti
 from conftest import exhaustive_corpus, random_corpus
 from stairstep import (
     IdealClass,
@@ -189,6 +190,28 @@ class TestBettiTable:
         assert cls.is_main
         expected = total_betti(cls, ideal.num_generators, 40)
         assert betti_table(ideal, 40).totals() == expected
+
+    def test_counted_product_tables_match_built(self, monkeypatch):
+        # every ideal of types I, III, IV and V with exponents up to 8,
+        # counted with no resolution built, against the built one
+        cases = [M((1, 0)), M((0, 1))] + [M((a, 0), (0, b)) for a in range(1, 9) for b in range(1, 9)]
+        built = {
+            (ideal, stages): graded_betti(build_resolution(ideal, stages))
+            for ideal in cases
+            for stages in (0, 1, 2, 5, 12, 30)
+        }
+
+        def no_build(ideal, stages):
+            raise AssertionError(f"{ideal} was built")
+
+        monkeypatch.setattr(stairstep.betti, "build_resolution", no_build)
+        kinds = set()
+        for (ideal, stages), table in built.items():
+            counted = betti_table(ideal, stages)
+            assert (counted.entries, counted.max_stage, counted.max_degree) == (
+                table.entries, table.max_stage, table.max_degree), (str(ideal), stages)
+            kinds.add(classify(ideal))
+        assert kinds == {IdealClass.TYPE_I, IdealClass.TYPE_III, IdealClass.TYPE_IV, IdealClass.TYPE_V}
 
     def test_deep_total(self):
         assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).total(40) == 562162801058854612

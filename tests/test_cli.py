@@ -10,13 +10,17 @@ import stairstep.cli
 from stairstep import (
     ExactRationals,
     PrimeField,
+    betti_table,
     check_complex,
     check_exactness,
     check_minimality,
     build_resolution,
     minimal_resolution_bruteforce,
+    parse_ideal,
+    render_betti_table,
     resolution_from_json,
 )
+from stairstep.betti import render_shape
 from stairstep.cli import main
 from stairstep.resolution import _MainBuilder
 
@@ -297,6 +301,36 @@ class TestInputBounds:
         code, out, err = run(capsys, "betti", "x2y,xy2", "--stages", str(limit + 1), *graded)
         assert (code, out) == (2, "")
         assert f"--stages must be <= {limit}, got {limit + 1}" in err
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x^7,y"])
+    def test_betti_graded_at_cell_limit(self, capsys, monkeypatch, text):
+        table = betti_table(parse_ideal(text), 9)
+        rows, cols = render_shape(table)
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", rows * cols)
+        code, out, _ = run(capsys, "betti", text, "--stages", "9", "--graded")
+        assert (code, out) == (0, render_betti_table(table) + "\n")
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", rows * cols - 1)
+        code, out, err = run(capsys, "betti", text, "--stages", "9", "--graded")
+        assert (code, out) == (2, "")
+        assert f"would print {rows * cols} cells ({rows} rows x 10 stages)" in err
+        assert f"above the limit of {rows * cols - 1}" in err
+
+    def test_betti_graded_cell_limit_fits_the_stage_limit(self):
+        # the six-generator table at the deepest stage betti accepts fits
+        table = betti_table(parse_ideal("x6,x5y,x4y2,x3y3,x2y4,xy5"), stairstep.cli.BETTI_MAX_STAGES)
+        rows, cols = render_shape(table)
+        assert rows * cols <= stairstep.cli.BETTI_MAX_CELLS
+
+    def test_betti_graded_text_too_large_exit_2(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "betti", "x^100000,y", "--stages", "40", "--graded")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert f"would print 81998401 cells (1999961 rows x 41 stages), above the limit of " \
+            f"{stairstep.cli.BETTI_MAX_CELLS}" in err
+        # json and csv list the nonzero entries only, and are not bounded
+        code, out, _ = run(capsys, "betti", "x^100000,y", "--stages", "40", "--graded", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 41  # the header, one generator per stage
 
     def test_large_prime_field_accepted_quickly(self, capsys):
         t0 = time.perf_counter()

@@ -778,6 +778,21 @@ class TestBruteforceComplement:
         table = minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
         assert table.entries == bruteforce_reference(ideal, max_stage, max_degree, fld).entries
 
+    @pytest.mark.parametrize(
+        "fld", [ExactRationals(), PrimeField(2), PrimeField(32003)], ids=["Q", "F2", "F32003"]
+    )
+    @pytest.mark.parametrize("text", ["xy2,y4", "x2y,xy2"])
+    def test_wide_window_matches_full_nullspace_reference(self, text, fld):
+        # neither ideal holds a power of x, so slices grow with the degree
+        # and K_d keeps y-shifted pivots and x-shifted ones far beyond the
+        # window the hypothesis cases reach.  Stage 2 comes first: a wrong
+        # shift rule finds spurious generators there, whose own syzygies
+        # would make the stage-7 run take minutes before it failed.
+        ideal = parse_ideal(text)
+        for stages in (2, 7):
+            table = minimal_resolution_bruteforce(ideal, stages, 40, fld)
+            assert table.entries == bruteforce_reference(ideal, stages, 40, fld).entries
+
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x6,x5y,x4y2,x3y3,x2y4,xy5"])
     def test_every_nullspace_vector_is_a_generator(self, monkeypatch, text, fld):
