@@ -25,7 +25,6 @@ from .oracle import (
     ExactRationals,
     FieldConfig,
     PrimeField,
-    TruncationTooSmall,
     check_complex,
     check_exactness,
     check_homogeneity,
@@ -290,9 +289,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command][0](args, ideal)
-    except TruncationTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

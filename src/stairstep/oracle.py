@@ -346,19 +346,21 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     return report
 
 
-def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]:
+def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
     """Connected blocks of a differential: columns sharing a target row.
 
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
-    to the twist of the first row of each block with that key.  Every
-    entry must be homogeneous in the bigrading, so a key and that one
-    twist fix every twist of the block.  Only columns of twist <=
-    max_degree join a block: a column above has no basis element in any
-    slice through max_degree, so dropping it leaves every slice matrix
-    there as it was.  A kept entry with a negative exponent maps its
-    column's generator off its row's slice.  Either fault raises
-    ValueError naming the entry by the differential's own (row, col)."""
+    to (cbi, rbi, twists): the bidegrees of its first block's columns and
+    rows relative to that block's first row, read from the modules, and
+    the twist of the first row of each block with that key.  Every entry
+    must be homogeneous in the bigrading, so a key fixes its relative
+    bidegrees.  Only columns of twist <= max_degree join a block: a column
+    above has no basis element in any slice through max_degree, so
+    dropping it leaves every slice matrix there as it was.  A kept entry
+    with a negative exponent maps its column's generator off its row's
+    slice.  Either fault raises ValueError naming the entry by the
+    differential's own (row, col)."""
     bad = diff.inhomogeneous_entries()
     if bad:
         raise _inhomogeneous(*bad[0])
@@ -383,17 +385,22 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, list[int]]
         elif f != row:
             parent[find(row)] = find(f)
     root = [find(f) if f >= 0 else -1 for f in first]
-    blocks: dict[int, tuple[dict, dict, list, int]] = {}
+    blocks: dict[int, tuple[dict, dict, list]] = {}
     for row, col, sign, x, y in kept:
         block = blocks.get(root[col])
         if block is None:
-            tx, ty = tgt[row]
-            block = blocks[root[col]] = ({}, {}, [], tx + ty)
-        cols, rows, entries, _twist = block
+            block = blocks[root[col]] = ({}, {}, [])
+        cols, rows, entries = block
         entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, x, y))
-    keyed: dict[tuple, list[int]] = {}
-    for _cols, _rows, entries, twist in blocks.values():
-        keyed.setdefault(tuple(entries), []).append(twist)
+    keyed: dict[tuple, tuple[list, list, list[int]]] = {}
+    for cols, rows, entries in blocks.values():
+        tx, ty = tgt[next(iter(rows))]
+        key = tuple(entries)
+        found = keyed.get(key)
+        if found is None:  # the key's first block: bidegrees relative to its first row
+            cbi = [(src[c][0] - tx, src[c][1] - ty) for c in cols]
+            found = keyed[key] = (cbi, [(tgt[r][0] - tx, tgt[r][1] - ty) for r in rows], [])
+        found[2].append(tx + ty)
     return keyed
 
 
@@ -405,31 +412,13 @@ def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
     return std[n]
 
 
-def _bigraded_block(key: tuple):
-    """(cbi, rbi, cells): the relative bidegree of each column and row of
-    a block, its first row at (0, 0), and each column's entries folded into
-    one integer per row, cells that cancel dropped.  The key's entries are
-    homogeneous in the bigrading and have no negative exponent (see
-    _split_blocks), so an entry joins a column's and a row's bidegree and
-    one of them fixes the other."""
-    cbi: list = [None] * (1 + max(e[0] for e in key))
-    rbi: list = [None] * (1 + max(e[1] for e in key))
-    rbi[0] = (0, 0)
-    while None in cbi or None in rbi:  # spread through the connected block
-        for c, r, _s, x, y in key:
-            if rbi[r] is not None:
-                cbi[c] = (rbi[r][0] + x, rbi[r][1] + y)
-            elif cbi[c] is not None:
-                rbi[r] = (cbi[c][0] - x, cbi[c][1] - y)
-    cells: list[dict[int, int]] = [{} for _ in cbi]
-    for c, r, s, _x, _y in key:
-        cells[c][r] = cells[c].get(r, 0) + s
-    return cbi, rbi, [{r: v for r, v in col.items() if v} for col in cells]
-
-
-def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list):
+def _block_ranks(
+    key: tuple, cbi: list, rbi: list, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list
+):
     """(low, ranks): ranks[s] is the block's slice rank in degree low + s,
-    counted from its first row's twist, through degree top.
+    counted from its first row's twist, through degree top.  cbi and rbi
+    are the bidegrees of the key's columns and rows relative to its first
+    row (see _split_blocks).
 
     Every entry is homogeneous in the bigrading, so a slice is the direct
     sum of its bigraded pieces, and a piece has at most one basis element
@@ -437,14 +426,19 @@ def _block_ranks(key: tuple, ring: MonomialIdeal, top: int, fld: FieldConfig, ta
     bidegree, if that monomial is standard.  An entry of sign s from a
     column alive in the piece to a row alive there is s in the piece's
     matrix; to a dead row, its product lies in M.  So a piece's matrix is
-    the block's integer sign matrix on the columns and rows alive there,
-    and its rank is computed once per (alive columns, alive rows) pattern
-    and looked up after.  Each key's ranks are extended on demand."""
+    the block's integer sign matrix on the columns and rows alive there:
+    the key's entries are folded into one integer per cell, cells that
+    cancel dropped, once per key, and a piece's rank is computed once per
+    (alive columns, alive rows) pattern and looked up after.  Each key's
+    ranks are extended on demand."""
     state = tables.get(key)
     if state is None:
-        cbi, rbi, cells = _bigraded_block(key)
-        state = tables[key] = (cbi, rbi, cells, min(x + y for x, y in rbi), [], {})
-    cbi, rbi, cells, low, ranks, patterns = state
+        cells: list[dict[int, int]] = [{} for _ in cbi]
+        for c, r, s, _x, _y in key:
+            cells[c][r] = cells[c].get(r, 0) + s
+        folded = [{r: v for r, v in col.items() if v} for col in cells]
+        state = tables[key] = (folded, min(x + y for x, y in rbi), [], {})
+    cells, low, ranks, patterns = state
     _std_x(ring, std, top - low)  # no column twist lies below its rows'
     stair = ring.stair()
     n_stair, far = len(stair), stair[-1]
@@ -490,8 +484,8 @@ def _stage_tables(diff: Differential, max_degree: int, std: list, fld: FieldConf
             _std_x(diff.ring, std, max_degree - t)
             for d in range(max(t, 0), max_degree + 1):
                 dim[d] += count * len(std[d - t])
-    for key, bases in _split_blocks(diff, max_degree).items():
-        low, ranks = _block_ranks(key, diff.ring, max_degree - min(bases), fld, tables, std)
+    for key, (cbi, rbi, bases) in _split_blocks(diff, max_degree).items():
+        low, ranks = _block_ranks(key, cbi, rbi, diff.ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
             lo = base + low
             for d in range(max(lo, 0), max_degree + 1):
@@ -507,8 +501,9 @@ def check_exactness(
 ) -> VerificationReport:
     """Rank-nullity comparison dim ker = dim im on every degree slice.
 
-    Ranks come from the differentials' own entries, so any Resolution is
-    checked alike: engine-built, modified or loaded from JSON.  Each
+    Ranks come from the differentials' own entries and modules, so any
+    Resolution is checked alike: engine-built, modified or loaded from
+    JSON, whatever the order of its entries.  Each
     differential is split into connected blocks; a slice's rank is the sum
     of its blocks' ranks, and a block's rank in a degree is the sum of the
     ranks of its bigraded pieces there, each ranked once per pattern of
@@ -527,7 +522,7 @@ def check_exactness(
             f"resolution built to stage {res.stages}; need stage {max_stage + 1}"
         )
     report = VerificationReport(res.ring)
-    tables: dict = {}  # block key -> its bigraded data and ranks, shared by all stages
+    tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
     std: list = []
     # augmentation S -> k: kernel dims of stage 0
     ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]

@@ -589,13 +589,18 @@ def resolution_from_json(data: dict) -> Resolution:
         )
         for m in data["modules"]
     ]
+    if len(data["differentials"]) != len(modules) - 1:
+        raise ValueError(f"{len(data['differentials'])} differentials between {len(modules)} modules")
     diffs = []
     for i, d in enumerate(data["differentials"]):
+        n_rows, n_cols = modules[i].rank, modules[i + 1].rank
         entries = []
         for e in d["entries"]:
-            x, y = e["monomial"]
+            row, col, (x, y) = e["row"], e["col"], e["monomial"]
             if x < 0 or y < 0:
                 raise ValueError(f"negative exponent in {(x, y)}")
-            entries.append((e["row"], e["col"], e["sign"], x, y))
+            if not (0 <= row < n_rows and 0 <= col < n_cols):
+                raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
+            entries.append((row, col, e["sign"], x, y))
         diffs.append(Differential(modules[i + 1], modules[i], tuple(entries), ideal))
     return Resolution(ideal, cls, modules, diffs)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -670,6 +672,64 @@ class TestExactnessReadsEntries:
         for fld in (ExactRationals(), PrimeField(2), PrimeField(32003)):
             passed[str(fld)] = [c.passed for c in check_exactness(res, 1, 8, fld).checks]
         assert passed["ExactRationals()"] == passed["PrimeField(p=32003)"] != passed["PrimeField(p=2)"]
+
+    @pytest.mark.parametrize(
+        "text", ["x2y,xy2", "xy2,y4", "x3,x2y2,xy3,y5", "x3,y7", "x2y3", "x3,y"], ids=str
+    )
+    def test_entry_order_does_not_change_the_report(self, text):
+        res = build_resolution(parse_ideal(text), 7)
+        rng = random.Random(7)
+
+        def reorder(how):
+            diffs = []
+            for d in res.differentials:
+                entries = list(d.entries)
+                if how == "reverse":
+                    entries.reverse()
+                else:
+                    rng.shuffle(entries)
+                diffs.append(replace(d, entries=tuple(entries)))
+            return replace(res, differentials=diffs)
+
+        for fld in (ExactRationals(), PrimeField(2), PrimeField(32003)):
+            expected = check_exactness(res, 6, 24, fld).to_json()
+            assert expected["verdict"] == "pass"
+            for how in ("reverse", "shuffle"):
+                assert check_exactness(reorder(how), 6, 24, fld).to_json() == expected
+
+    @staticmethod
+    def chain(n, far_entry_first):
+        """A resolution loaded from JSON whose d1 is one block: n columns
+        x*e_j - x*e_{j+1} over n + 1 rows, all rows of bidegree (0, 0)."""
+        data = resolution_to_json(build_resolution(M((2, 0), (0, 1)), 1))
+        data["modules"] = [
+            {"rank": rank, "generators": [{"label": "g", "bidegree": bideg}] * rank}
+            for rank, bideg in ((n + 1, [0, 0]), (n, [1, 0]))
+        ]
+        entries = []
+        for j in range(n):
+            entries.append({"row": j, "col": j, "sign": 1, "monomial": [1, 0]})
+            entries.append({"row": j + 1, "col": j, "sign": -1, "monomial": [1, 0]})
+        if far_entry_first:
+            entries.insert(0, entries.pop())
+        data["differentials"] = [{"entries": entries}]
+        return resolution_from_json(json.loads(json.dumps(data)))
+
+    def test_entry_order_does_not_change_the_cost(self):
+        # with the entry at the chain's far end first, relative bidegrees
+        # derived from the entries alone spread one link per sweep: n
+        # sweeps over 2n entries; read from the modules they cost one pass
+        seconds, reports = {}, {}
+        for far_entry_first in (False, True):
+            res = self.chain(4000, far_entry_first)
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                reports[far_entry_first] = check_exactness(res, 0, 2)
+                runs.append(time.perf_counter() - start)
+            seconds[far_entry_first] = min(runs)
+        assert reports[True] == reports[False]
+        assert seconds[True] <= 5 * seconds[False]
 
 
 class TestBruteforce:

@@ -327,6 +327,38 @@ def test_json_reload_keeps_labels_and_rejects_negative_exponents(text):
             resolution_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("row", 99, "entry (99, 0) of d2 is outside its 2x3 matrix"),
+        ("row", -1, "entry (-1, 0) of d2 is outside its 2x3 matrix"),
+        ("col", -1, "entry (0, -1) of d2 is outside its 2x3 matrix"),
+        ("col", 3, "entry (0, 3) of d2 is outside its 2x3 matrix"),
+    ],
+)
+def test_json_reload_rejects_entries_outside_their_matrix(field, value, message):
+    # left unchecked, a row of 99 loads and crashes the checks with
+    # IndexError, and a col of -1 wraps to the last column
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    entry = data["differentials"][1]["entries"][0]
+    assert (entry["row"], entry["col"]) == (0, 0)
+    entry[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolution_from_json(data)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_json_reload_rejects_a_differential_count_off_the_modules(extra):
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    if extra > 0:
+        data["differentials"].append(data["differentials"][-1])
+    else:
+        data["differentials"].pop()
+    count = 4 + extra
+    with pytest.raises(ValueError, match=f"^{count} differentials between 5 modules$"):
+        resolution_from_json(data)
+
+
 # SHA-256 of json.dumps(resolution_to_json(build_resolution(M, 8)), sort_keys=True),
 # recorded from the engine before its templates were prebuilt per ideal:
 # entry order, monomials and labels must not change.
