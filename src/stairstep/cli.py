@@ -71,17 +71,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    default_field = os.environ.get("STAIRSTEP_FIELD", "q")
-    for name, (_handler, help_text, extra) in _COMMANDS.items():
+    for name, (_handler, help_text, flags) in _COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
-        p.add_argument("--stages", type=_nonnegative_int, default=6)
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.add_argument("--field", type=_parse_field, default=default_field)
-        for flag, kwargs in extra:
+        for flag, kwargs in flags:
+            if flag == "--field":  # STAIRSTEP_FIELD is read on every call
+                kwargs = {**kwargs, "default": os.environ.get("STAIRSTEP_FIELD", "q")}
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -121,12 +118,25 @@ def _cmd_resolve(args, ideal) -> int:
 # (9 MB).  Stage 1000 costs 3-5x that, and stage 2000 another 4-7x.
 BETTI_MAX_STAGES = 500
 
-# The largest grid of cells `betti --graded` prints as text, one per
-# (row, stage).  Rendering costs 190-350 ns a cell on the same VM: 3.96 M
+# The largest grid of cells `betti --graded` or `oracle` prints as text, one
+# per (row, stage).  Rendering costs 190-350 ns a cell on the same VM: 3.96 M
 # cells (the 200-generator staircase at stage 200) take 0.74 s and print
 # 8.6 MB.  A degenerate ideal has one row per d - i, so (x^100000, y) at
 # stage 40 would print 82 M cells.  json and csv list only nonzero entries.
 BETTI_MAX_CELLS = 5_000_000
+
+
+def _betti_text(table, command: str) -> str:
+    """render_betti_table(table), or ValueError naming ``command`` when its
+    grid is larger than BETTI_MAX_CELLS."""
+    rows, cols = render_shape(table)
+    if rows * cols > BETTI_MAX_CELLS:
+        raise ValueError(
+            f"{command} text would print {rows * cols} cells ({rows} rows x {cols} "
+            f"stages), above the limit of {BETTI_MAX_CELLS}; --format json or csv lists "
+            "only the nonzero entries"
+        )
+    return render_betti_table(table)
 
 
 def _cmd_betti(args, ideal) -> int:
@@ -139,14 +149,7 @@ def _cmd_betti(args, ideal) -> int:
         elif args.format == "csv":
             print(betti_csv(table))
         else:
-            rows, cols = render_shape(table)
-            if rows * cols > BETTI_MAX_CELLS:
-                raise ValueError(
-                    f"betti --graded text would print {rows * cols} cells ({rows} rows x {cols} "
-                    f"stages), above the limit of {BETTI_MAX_CELLS}; --format json or csv lists "
-                    "only the nonzero entries"
-                )
-            print(render_betti_table(table))
+            print(_betti_text(table, "betti --graded"))
     else:
         totals = table.totals()
         if args.format == "json":
@@ -229,7 +232,7 @@ def _cmd_oracle(args, ideal) -> int:
     elif args.format == "csv":
         print(betti_csv(oracle_table))
     else:
-        print(render_betti_table(oracle_table))
+        print(_betti_text(oracle_table, "oracle"))
         for c in homogeneity.failures():
             print(f"FAIL homogeneity at stage {c.stage}: {c.detail}")
         for i, d, eng, orc in diff.mismatches:
@@ -248,22 +251,35 @@ def _cmd_staircase(args, ideal) -> int:
     return 0
 
 
-# name -> (handler, help, arguments beyond the common ones), in usage order
+# the flags a subcommand may take; each declares only those its handler reads
+_STAGES = ("--stages", {"type": _nonnegative_int, "default": 6})
+_MAX_DEGREE = ("--max-degree", {"type": int, "default": None})
+_FIELD = ("--field", {"type": _parse_field})
+_TEXT_JSON = ("--format", {"choices": ["text", "json"], "default": "text"})
+_TEXT_JSON_CSV = ("--format", {"choices": ["text", "json", "csv"], "default": "text"})
+
+# name -> (handler, help, flags beyond the ideal), in usage order
 _COMMANDS = {
     "classify": (_cmd_classify, "print the construction regime of the ideal", ()),
-    "resolve": (_cmd_resolve, "build and print the resolution through --stages", ()),
+    "resolve": (_cmd_resolve, "build and print the resolution through --stages", (_STAGES, _TEXT_JSON_CSV)),
     "betti": (
         _cmd_betti,
         "total Betti numbers, or the graded table with --graded",
-        (("--graded", {"action": "store_true"}),),
+        (_STAGES, _TEXT_JSON_CSV, ("--graded", {"action": "store_true"})),
     ),
     "poincare": (
         _cmd_poincare,
         "Poincare-Betti series, expanded with --expand N",
-        (("--expand", {"type": _nonnegative_int, "default": None}),),
+        (_TEXT_JSON, ("--expand", {"type": _nonnegative_int, "default": None})),
     ),
-    "verify": (_cmd_verify, "run complex, minimality and exactness checks", ()),
-    "oracle": (_cmd_oracle, "brute-force Betti table, compared against the engine", ()),
+    "verify": (
+        _cmd_verify, "run complex, minimality and exactness checks", (_STAGES, _MAX_DEGREE, _TEXT_JSON, _FIELD)
+    ),
+    "oracle": (
+        _cmd_oracle,
+        "brute-force Betti table, compared against the engine",
+        (_STAGES, _MAX_DEGREE, _TEXT_JSON_CSV, _FIELD),
+    ),
     "staircase": (
         _cmd_staircase,
         "render the staircase diagram (ASCII or --svg PATH)",

@@ -14,9 +14,10 @@ y*X = x*(y*K_{d-2}) already lies in x*K_{d-1}.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, inf
 from typing import Optional, Union
 
 from .betti import BettiTable
@@ -412,13 +413,25 @@ def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
     return std[n]
 
 
+def _std_top(ring: MonomialIdeal) -> float:
+    """The highest degree of a standard monomial: when M holds x^a and y^b,
+    x^u y^v is standard only if u < a and v < b, so none lies above
+    a + b - 2; otherwise every degree has one (inf)."""
+    first, last = ring.generators[0], ring.generators[-1]
+    if first.ydeg == 0 and last.xdeg == 0:
+        return first.xdeg + last.ydeg - 2
+    return inf
+
+
 def _block_ranks(
     key: tuple, cbi: list, rbi: list, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list
 ):
     """(low, ranks): ranks[s] is the block's slice rank in degree low + s,
     counted from its first row's twist, through degree top.  cbi and rbi
     are the bidegrees of the key's columns and rows relative to its first
-    row (see _split_blocks).
+    row (see _split_blocks).  A column is alive in degree t only if its
+    degree lies in [t - _std_top(ring), t], so the columns, sorted by
+    degree once per key, are visited only in that range.
 
     Every entry is homogeneous in the bigrading, so a slice is the direct
     sum of its bigraded pieces, and a piece has at most one basis element
@@ -437,18 +450,20 @@ def _block_ranks(
         for c, r, s, _x, _y in key:
             cells[c][r] = cells[c].get(r, 0) + s
         folded = [{r: v for r, v in col.items() if v} for col in cells]
-        state = tables[key] = (folded, min(x + y for x, y in rbi), [], {})
-    cells, low, ranks, patterns = state
-    _std_x(ring, std, top - low)  # no column twist lies below its rows'
+        by_degree = sorted(range(len(cbi)), key=lambda c: sum(cbi[c]))
+        degrees = [sum(cbi[c]) for c in by_degree]
+        state = tables[key] = (folded, min(x + y for x, y in rbi), [], {}, by_degree, degrees)
+    cells, low, ranks, patterns, by_degree, degrees = state
+    reach = _std_top(ring)
+    _std_x(ring, std, min(top - low, reach))  # no column twist lies below its rows'
     stair = ring.stair()
     n_stair, far = len(stair), stair[-1]
     for t in range(low + len(ranks), top + 1):
         pieces: dict[int, list[int]] = {}  # x-degree of a piece -> its alive columns
-        for c, (cx, cy) in enumerate(cbi):
-            n = t - cx - cy
-            if n >= 0:
-                for u in std[n]:
-                    pieces.setdefault(cx + u, []).append(c)
+        for c in by_degree[bisect_left(degrees, t - reach) : bisect_right(degrees, t)]:
+            cx, cy = cbi[c]
+            for u in std[t - cx - cy]:
+                pieces.setdefault(cx + u, []).append(c)
         total = 0
         for px, cols in pieces.items():
             py = t - px
@@ -475,14 +490,15 @@ def _block_ranks(
 def _stage_tables(diff: Differential, max_degree: int, std: list, fld: FieldConfig, tables: dict):
     """Slice dimensions and ranks of one differential in degrees 0..max_degree;
     std[n], extended on demand, holds the x-exponents of the standard
-    monomials of degree n (see _std_x)."""
+    monomials of degree n (see _std_x), none of which lies above reach."""
     dim = [0] * (max_degree + 1)
     rank = [0] * (max_degree + 1)
+    reach = _std_top(diff.ring)
     twists = Counter(dx + dy for _label, (dx, dy) in diff.source.generators)
     for t, count in twists.items():
         if t <= max_degree:
-            _std_x(diff.ring, std, max_degree - t)
-            for d in range(max(t, 0), max_degree + 1):
+            _std_x(diff.ring, std, min(max_degree - t, reach))
+            for d in range(max(t, 0), min(max_degree, t + reach) + 1):
                 dim[d] += count * len(std[d - t])
     for key, (cbi, rbi, bases) in _split_blocks(diff, max_degree).items():
         low, ranks = _block_ranks(key, cbi, rbi, diff.ring, max_degree - min(bases), fld, tables, std)
@@ -594,11 +610,8 @@ def minimal_resolution_bruteforce(
     stair = ideal.stair()
     stair += [stair[-1]] * (width - len(stair))
     # x-degrees of the standard monomials of degree n <= top, the highest
-    # degree of one in the window: a power of x and one of y in M bound it
-    first_gen, last_gen = ideal.generators[0], ideal.generators[-1]
-    top = max_degree
-    if first_gen.ydeg == 0 and last_gen.xdeg == 0:
-        top = min(top, first_gen.xdeg + last_gen.ydeg - 2)
+    # degree of one in the window
+    top = min(max_degree, _std_top(ideal))
     std = [tuple(m.xdeg for m in standard_monomials(ideal, n)) for n in range(top + 1)]
     while not std[top]:
         top -= 1

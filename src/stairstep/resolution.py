@@ -6,15 +6,16 @@ resolution is assembled from three column templates
 (the maps into a rank-1 target, an {e_x,e_y} pair, and a full
 {e_f_1..e_f_{r+1}} stage-two module).  From stage four on, every module
 is a direct sum of copies of F1, F2 and F3 and the next differential is
-block diagonal in instantiated templates.  Degenerate types I, III, IV
-and V are one Kunneth tensor product of the one-variable resolutions of k;
-type II, a single generator, has its own period-2 construction.
+block diagonal in instantiated templates.  One rule table states which
+blocks of the next stage each block carries; the builder instantiates
+it.  Degenerate types I, III, IV and V are one Kunneth tensor product of
+the one-variable resolutions of k; type II, a single generator, has its
+own period-2 construction.
 
 Graded Betti numbers need no matrices: a counting pass advances the
-number of F1, F2 and F3 blocks per base degree by the same rules on the
-same templates, so stage 40 takes milliseconds; a Kunneth product's are
-read off the two factors' twists by the reachability rule its builder
-uses.
+number of F1, F2 and F3 blocks per base degree over the same rule table,
+so stage 40 takes milliseconds; a Kunneth product's are read off the two
+factors' twists by the reachability rule its builder uses.
 """
 from __future__ import annotations
 
@@ -174,28 +175,29 @@ class Resolution:
 
 
 class _MainTemplates:
-    """The F1/F2/F3 column templates of a main-case ideal.
+    """The F1/F2/F3 column templates of a main-case ideal and the one rule
+    that places them.
 
-    They depend only on M, so they are flattened once per ideal: one
-    (dx, dy) generator offset per column, and the entries of all columns
-    in order, each (row, column offset, sign, xdeg, ydeg) with its monomial
-    kept as exponents.  An instance of a template based at bidegree B has
-    one generator at B + offset per column.  From stage 1 on, every block
-    of stage i+1 is based at a block of stage i: F1 at the F0 and at B + D
-    for each F3 at B, F2 at each F1 and at B + G for each F3 at B, and F3
-    at each F2.  G holds the first r F2 offsets (a_i, b_i); D holds the
-    offsets (a_i, b_{i+1}) of the F3 columns d_i.  Generator labels are the
-    per-column prefixes here, completed per block by the builder."""
+    They depend only on M, so they are flattened once per ideal.  A
+    template is one (dx, dy) generator offset per column (``_offsets``)
+    and its entries, each (row, column offset, sign, xdeg, ydeg) with its
+    monomial kept as exponents; an instance based at bidegree B has one
+    generator at B + offset per column.  ``_children`` is the recursion:
+    each block kind maps to the blocks of the next stage based on one of
+    its kind, each (kind, base offset, entries) with the entries' rows
+    resolved against the parent block's first generator.  An F1 sits at
+    the F0 and at B + D for each F3 at B, an F2 at each F1 and at B + G
+    for each F3 at B, and an F3 at each F2.  G holds the first r F2
+    offsets (a_i, b_i); D holds the offsets (a_i, b_{i+1}) of the F3
+    columns d_i."""
 
     def __init__(self, ideal: MonomialIdeal):
         gens = ideal.generators
         a, b = [g.xdeg for g in gens], [g.ydeg for g in gens]
         r, case = len(gens), 1 if a[-1] >= 1 else 2
-        self.r = r
-        # F1: the e_x and e_y columns, each x or y into the one target row
-        self._f1_offsets = ((1, 0), (0, 1))
+        # F1: the e_x and e_y columns, each x or y into the one row it maps into
+        f1 = ((0, 0, 1, 1, 0), (0, 1, 1, 0, 1))
         # F2: an entry's row is 0 for the x-row, 1 for the y-row
-        self._f2_offsets = tuple((a[i], b[i]) for i in range(r)) + ((1, 1),)
         f2 = []
         for i in range(r):
             if case == 1 or i < r - 1:
@@ -203,14 +205,8 @@ class _MainTemplates:
             else:
                 f2.append((1, i, 1, 0, b[r - 1] - 1))
         f2 += [(0, r, -1, 0, 1), (1, r, 1, 1, 0)]
-        self._f2_entries = tuple(f2)
         # F3: the columns c_i^x, then c_i^y, then d_i; an entry's row is
         # relative to the first row of the F2 block it maps into
-        self._f3_offsets = (
-            tuple((a[i] + 1, b[i]) for i in range(r))
-            + tuple((a[i], b[i] + 1) for i in range(r))
-            + tuple((a[i], b[i + 1]) for i in range(r - 1))
-        )
         f3 = []
         for i in range(r):
             f3.append((i, i, 1, 1, 0))
@@ -223,45 +219,42 @@ class _MainTemplates:
                 f3 += [(i, r + i, 1, 0, 1), (r, r + i, 1, a[i] - 1, b[i])]
         for i in range(r - 1):
             f3.append((r, 2 * r + i, 1, a[i] - 1, b[i + 1] - 1))
-        self._f3_entries = tuple(f3)
-        self._g = self._f2_offsets[:r]
-        self._d = self._f3_offsets[2 * r :]
-        # label prefixes: f_i at stage 2, k_{i,j} later, and the F3 columns
-        self._f_labels = tuple(f"f{i}" for i in range(1, r + 2))
-        self._k_heads = tuple(f"k{i}," for i in range(1, r + 2))
-        self._f3_labels = (
-            tuple(f"c{i}^x" for i in range(1, r + 1))
-            + tuple(f"c{i}^y" for i in range(1, r + 1))
-            + tuple(f"d{i}" for i in range(1, r))
-        )
+        g, d = list(zip(a, b)), [(a[i], b[i + 1]) for i in range(r - 1)]
+        self._offsets = {
+            "F1": ((1, 0), (0, 1)),
+            "F2": tuple(g) + ((1, 1),),
+            "F3": tuple([(x + 1, y) for x, y in g] + [(x, y + 1) for x, y in g] + d),
+        }
 
+        def child(kind, base, template, rows):
+            return kind, base, tuple((rows[row], k, sign, x, y) for row, k, sign, x, y in template)
 
-def _spread(counts: dict[int, int], offsets, out: dict[int, int]) -> dict[int, int]:
-    """Add counts[base] to out[base + o] for every base and offset o."""
-    for base, c in counts.items():
-        for o in offsets:
-            out[base + o] = out.get(base + o, 0) + c
-    return out
-
-
-def _degrees(offsets) -> tuple[int, ...]:
-    return tuple(dx + dy for dx, dy in offsets)
+        self._children = {
+            "F0": (child("F1", (0, 0), f1, (0,)),),
+            "F1": (child("F2", (0, 0), f2, (0, 1)),),
+            "F2": (child("F3", (0, 0), f3, range(r + 1)),),
+            # into d_j of the F3, then into its columns c_j^x and c_j^y
+            "F3": tuple(child("F1", d[j], f1, (2 * r + j,)) for j in range(r - 1))
+            + tuple(child("F2", g[j], f2, (j, r + j)) for j in range(r)),
+        }
 
 
 def _main_block_bases(t: _MainTemplates, stages: int):
-    """Yield (stage, f1, f2, f3) for stages 1..stages, each dict the number
-    of F1, F2 or F3 blocks of that stage per total degree of their base.
+    """Yield (stage, bases) for stages 1..stages, bases mapping F1, F2 and
+    F3 to the number of blocks of that kind per total degree of their base.
 
-    The counts advance by the rules of :meth:`_MainBuilder.step` on the
-    same templates, with no module or matrix built."""
-    g, d = _degrees(t._g), _degrees(t._d)
-    f0: dict[int, int] = {0: 1}
-    f1: dict[int, int] = {}
-    f2: dict[int, int] = {}
-    f3: dict[int, int] = {}
+    The counts advance over ``t._children``, the table
+    :meth:`_MainBuilder.step` builds from, with no module or matrix built."""
+    counts: dict[str, dict[int, int]] = {"F0": {0: 1}}
     for stage in range(1, stages + 1):
-        f0, f1, f2, f3 = {}, _spread(f3, d, dict(f0)), _spread(f3, g, dict(f1)), f2
-        yield stage, f1, f2, f3
+        bases: dict[str, dict[int, int]] = {"F1": {}, "F2": {}, "F3": {}}
+        for parent, parent_counts in counts.items():
+            children = [(bases[kind], ox + oy) for kind, (ox, oy), _entries in t._children[parent]]
+            for base, c in parent_counts.items():
+                for out, o in children:
+                    out[base + o] = out.get(base + o, 0) + c
+        counts = bases
+        yield stage, bases
 
 
 def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int], int]:
@@ -269,12 +262,14 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     ``stages``: a block adds one generator per template column at its base
     degree plus the column's."""
     t = _MainTemplates(ideal)
-    f1, f2, f3 = _degrees(t._f1_offsets), _degrees(t._f2_offsets), _degrees(t._f3_offsets)
+    degrees = {kind: [dx + dy for dx, dy in offsets] for kind, offsets in t._offsets.items()}
     entries = {(0, 0): 1}
-    for stage, f1_bases, f2_bases, f3_bases in _main_block_bases(t, stages):
+    for stage, bases in _main_block_bases(t, stages):
         gens: dict[int, int] = {}
-        for bases, offsets in ((f1_bases, f1), (f2_bases, f2), (f3_bases, f3)):
-            _spread(bases, offsets, gens)
+        for kind, counts in bases.items():
+            for base, c in counts.items():
+                for deg in degrees[kind]:
+                    gens[base + deg] = gens.get(base + deg, 0) + c
         for deg, c in gens.items():
             entries[(stage, deg)] = c
     return entries
@@ -283,11 +278,15 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
 class _MainBuilder(_MainTemplates):
     """Stage-by-stage fold assembling the main-case resolution.
 
-    An F2 or F3 instance appends its (row, col, sign, xdeg, ydeg) entries
-    with one comprehension over the flattened template and its (label,
-    bidegree) generators with one more; an F1 instance appends its two of
-    each directly.  A generator label is its template column's prefix
-    plus, from stage 5 on, "@{stage}.{block}"."""
+    Every block of the last stage places its children by ``_children``;
+    the new stage holds the F1 instances, then the F2s, then the F3s, each
+    kind in the order of the blocks they are based at.  An instance
+    appends its (row, col, sign, xdeg, ydeg) entries with one
+    comprehension over its resolved template and its (label, bidegree)
+    generators with one more.  A generator label is its column's name,
+    from stage 4 on with the block's number among its kind (after "h" for
+    an F1, after the name for an F2), plus, from stage 5 on,
+    "@{stage}.{block}"."""
 
     def __init__(self, ideal: MonomialIdeal):
         super().__init__(ideal)
@@ -296,72 +295,39 @@ class _MainBuilder(_MainTemplates):
         self.differentials: list[Differential] = []
         # the last stage's blocks: (kind, base x, base y, first generator)
         self._blocks: tuple[tuple[str, int, int, int], ...] = (("F0", 0, 0, 0),)
+        # per kind: the column names through stage 3 and from stage 4 on, the
+        # head that precedes a name and the block's number n among its kind
+        # from stage 4 on, and whether n follows a name then instead
+        r = len(ideal.generators)
+        cd = [f"c{i}^{v}" for v in "xy" for i in range(1, r + 1)] + [f"d{i}" for i in range(1, r)]
+        ks = range(1, r + 2)
+        self._labels = {
+            "F1": (("e_x", "e_y"), ("^x", "^y"), "h", False),
+            "F2": ([f"f{i}" for i in ks], [f"k{i}," for i in ks], "", True),
+            "F3": (cd, cd, "", False),
+        }
 
     def step(self) -> None:
-        r = self.r
         stage = len(self.modules)
-        prev_blocks = self._blocks
         gens: list[tuple[str, tuple[int, int]]] = []
         entries: list[tuple[int, int, int, int, int]] = []
         blocks: list[tuple[str, int, int, int]] = []
-
-        def at() -> str:  # the label suffix of the block being emitted
-            return f"@{stage}.{len(blocks)}" if stage >= 5 else ""
-
-        # F1 template instances first: one at the F0, one at B + D per F3 at
-        # B.  Past stage 1 every F1 comes from an F3 and is numbered by the
-        # F1s so far; at stage 4 that is j, as stage 3 is one F3 block.
-        for kind, bx, by, start in prev_blocks:
-            if kind == "F0":
-                instances = (("e_", start, bx, by),)
-            elif kind == "F3":
-                instances = [
-                    (f"h{len(blocks) + j}^", start + 2 * r + j - 1, bx + dx, by + dy)  # into d_j of this F3
-                    for j, (dx, dy) in enumerate(self._d, start=1)
-                ]
-            else:
-                continue
-            for head, row, x0, y0 in instances:
-                c = len(gens)
-                tail = at()
-                entries += ((row, c, 1, 1, 0), (row, c + 1, 1, 0, 1))
-                gens += ((head + "x" + tail, (x0 + 1, y0)), (head + "y" + tail, (x0, y0 + 1)))
-                blocks.append(("F1", x0, y0, c))
-        # then F2 template instances: one per F1, one at B + G per F3 at B,
-        # each numbered by the F2s so far
-        f1_count = len(blocks)
-        offsets, template = self._f2_offsets, self._f2_entries
-        for kind, bx, by, start in prev_blocks:
-            if kind == "F1":
-                instances = ((start, start + 1, bx, by),)
-            elif kind == "F3":
-                instances = [
-                    (start + j, start + r + j, bx + gx, by + gy)  # the columns c_j^x and c_j^y
-                    for j, (gx, gy) in enumerate(self._g)
-                ]
-            else:
-                continue
-            for px, py, x0, y0 in instances:
-                if stage == 2:
-                    heads, tail = self._f_labels, ""
-                else:
-                    heads, tail = self._k_heads, f"{len(blocks) - f1_count + 1}{at()}"
-                c = len(gens)
-                rows = (px, py)
-                entries += [(rows[sel], c + k, sign, x, y) for sel, k, sign, x, y in template]
-                gens += [(head + tail, (x0 + dx, y0 + dy)) for head, (dx, dy) in zip(heads, offsets)]
-                blocks.append(("F2", x0, y0, c))
-        # then F3 template instances: one per F2
-        offsets, template = self._f3_offsets, self._f3_entries
-        for kind, bx, by, start in prev_blocks:
-            if kind == "F2":
-                c = len(gens)
-                tail = at()
-                entries += [(start + rel, c + k, sign, x, y) for rel, k, sign, x, y in template]
-                gens += [
-                    (label + tail, (bx + dx, by + dy)) for label, (dx, dy) in zip(self._f3_labels, offsets)
-                ]
-                blocks.append(("F3", bx, by, c))
+        for kind in ("F1", "F2", "F3"):
+            offsets, (first, names, head, trailing) = self._offsets[kind], self._labels[kind]
+            if stage < 4:
+                names, head, trailing = first, "", False
+            n = 0  # the number of this kind's blocks so far
+            for parent, bx, by, start in self._blocks:
+                for child, (ox, oy), template in self._children[parent]:
+                    if child != kind:
+                        continue
+                    n += 1
+                    c, x0, y0 = len(gens), bx + ox, by + oy
+                    at = f"@{stage}.{len(blocks)}" if stage >= 5 else ""
+                    pre, post = f"{head}{n}" if head else "", f"{n}{at}" if trailing else at
+                    entries += [(start + row, c + k, sign, x, y) for row, k, sign, x, y in template]
+                    gens += [(pre + name + post, (x0 + dx, y0 + dy)) for name, (dx, dy) in zip(names, offsets)]
+                    blocks.append((kind, x0, y0, c))
         module = GradedFreeModule(tuple(gens))
         self.differentials.append(Differential(module, self.modules[-1], tuple(entries), self.ideal))
         self.modules.append(module)
@@ -567,8 +533,9 @@ def _decomposition(res: Resolution) -> list[dict]:
     if not classify(res.ring).is_main:
         return []
     return [
-        {"stage": stage, "u": sum(f1.values()), "v": sum(f2.values()), "w": sum(f3.values())}
-        for stage, f1, f2, f3 in _main_block_bases(_MainTemplates(res.ring), res.stages)
+        {"stage": stage, "u": sum(bases["F1"].values()), "v": sum(bases["F2"].values()),
+         "w": sum(bases["F3"].values())}
+        for stage, bases in _main_block_bases(_MainTemplates(res.ring), res.stages)
         if stage >= 4
     ]
 

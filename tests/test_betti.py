@@ -23,6 +23,7 @@ from stairstep import (
     series_expand,
     total_betti,
 )
+from stairstep.resolution import _MainTemplates
 
 
 def M(*pairs):
@@ -212,6 +213,26 @@ class TestBettiTable:
                 table.entries, table.max_stage, table.max_degree), (str(ideal), stages)
             kinds.add(classify(ideal))
         assert kinds == {IdealClass.TYPE_I, IdealClass.TYPE_III, IdealClass.TYPE_IV, IdealClass.TYPE_V}
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5"])  # main cases 1 and 2
+    def test_one_rule_drives_count_and_build(self, monkeypatch, text):
+        # drop the F2 based at an F3's c_2 columns: the counted and the built
+        # table must change together, as both read the same rule
+        ideal = parse_ideal(text)
+        assert classify(ideal).is_main
+        before = betti_table(ideal, 8).entries
+        real = _MainTemplates.__init__
+
+        def init(self, ideal):
+            real(self, ideal)
+            f3_children = self._children["F3"]
+            dropped = [i for i, child in enumerate(f3_children) if child[0] == "F2"][1]
+            self._children = {**self._children, "F3": f3_children[:dropped] + f3_children[dropped + 1 :]}
+
+        monkeypatch.setattr(_MainTemplates, "__init__", init)
+        counted = betti_table(ideal, 8).entries
+        assert counted == graded_betti(build_resolution(ideal, 8)).entries
+        assert counted != before
 
     def test_deep_total(self):
         assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).total(40) == 562162801058854612

@@ -15,6 +15,7 @@ from stairstep import (
     check_exactness,
     check_minimality,
     build_resolution,
+    default_max_degree,
     minimal_resolution_bruteforce,
     parse_ideal,
     render_betti_table,
@@ -227,6 +228,15 @@ class TestErrors:
             ("poincare", "x2y,xy2", "--graded"),
             ("staircase", "x2y,xy2", "--expand", "3"),
             ("verify", "x2y,xy2", "--svg", "out.svg"),
+            # a subcommand takes only the flags it reads
+            ("classify", "x2y,xy2", "--stages", "3"),
+            ("classify", "x2y,xy2", "--format", "json"),
+            ("staircase", "x2y,xy2", "--field", "p:7"),
+            ("resolve", "x2y,xy2", "--max-degree", "9"),
+            ("betti", "x2y,xy2", "--field", "p:7"),
+            ("poincare", "x2y,xy2", "--stages", "3"),
+            ("poincare", "x2y,xy2", "--format", "csv"),
+            ("verify", "x2y,xy2", "--format", "csv"),
         ],
         ids=lambda argv: f"{argv[0]}{argv[2]}",
     )
@@ -261,6 +271,12 @@ class TestFieldEnv:
     def test_env_invalid_prime_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
         assert run(capsys, "oracle", "x2y,xy2", "--stages", "3")[0] == 2
+
+    @pytest.mark.parametrize("command", ["classify", "resolve", "betti", "poincare", "staircase"])
+    def test_env_invalid_prime_ignored_without_field(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
+        code, out, err = run(capsys, command, "x2y,xy2")
+        assert (code, err) == (0, "") and out
 
 
 class TestInputBounds:
@@ -314,6 +330,21 @@ class TestInputBounds:
         assert (code, out) == (2, "")
         assert f"would print {rows * cols} cells ({rows} rows x 10 stages)" in err
         assert f"above the limit of {rows * cols - 1}" in err
+
+    def test_oracle_text_at_cell_limit(self, capsys, monkeypatch):
+        ideal = parse_ideal("x^7,y")
+        table = minimal_resolution_bruteforce(ideal, 6, default_max_degree(ideal, 6))
+        rows, cols = render_shape(table)
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", rows * cols)
+        code, out, _ = run(capsys, "oracle", "x^7,y")
+        assert code == 0 and out.startswith(render_betti_table(table) + "\n")
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", rows * cols - 1)
+        code, out, err = run(capsys, "oracle", "x^7,y")
+        assert (code, out) == (2, "")
+        assert f"oracle text would print {rows * cols} cells ({rows} rows x 7 stages)" in err
+        assert f"above the limit of {rows * cols - 1}" in err
+        # json and csv list the nonzero entries only
+        assert run(capsys, "oracle", "x^7,y", "--format", "csv")[0] == 0
 
     def test_betti_graded_cell_limit_fits_the_stage_limit(self):
         # the six-generator table at the deepest stage betti accepts fits

@@ -731,6 +731,38 @@ class TestExactnessReadsEntries:
         assert reports[True] == reports[False]
         assert seconds[True] <= 5 * seconds[False]
 
+    @staticmethod
+    def rising_chain(n):
+        """A resolution loaded from JSON over (x^2, y) whose d1 is one block:
+        column j, of bidegree (j+1, 0), is x*e_j - e_{j+1}, row j of
+        bidegree (j, 0)."""
+        data = resolution_to_json(build_resolution(M((2, 0), (0, 1)), 1))
+        data["modules"] = [
+            {"rank": rank, "generators": [{"label": "g", "bidegree": [j + shift, 0]} for j in range(rank)]}
+            for rank, shift in ((n + 1, 0), (n, 1))
+        ]
+        entries = []
+        for j in range(n):
+            entries.append({"row": j, "col": j, "sign": 1, "monomial": [1, 0]})
+            entries.append({"row": j + 1, "col": j, "sign": -1, "monomial": [0, 0]})
+        data["differentials"] = [{"entries": entries}]
+        return resolution_from_json(json.loads(json.dumps(data)))
+
+    def test_cost_follows_the_alive_columns(self):
+        # S has no standard monomial above degree 1, so in each degree at
+        # most two columns of the chain are alive: four times the columns
+        # and degrees must cost about four times as much, not sixteen
+        seconds = {}
+        for n in (1000, 4000):
+            res = self.rising_chain(n)
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                check_exactness(res, 0, n + 1)
+                runs.append(time.perf_counter() - start)
+            seconds[n] = min(runs)
+        assert seconds[4000] <= 8 * seconds[1000]
+
 
 class TestBruteforce:
     def test_golden_left(self):
@@ -892,7 +924,7 @@ def swapped_f2(monkeypatch):
     def init(self, ideal):
         real(self, ideal)
         # the F2 generator offsets only: the bases G of later F2s stay
-        self._f2_offsets = tuple((dy, dx) for dx, dy in self._f2_offsets)
+        self._offsets = {**self._offsets, "F2": tuple((dy, dx) for dx, dy in self._offsets["F2"])}
 
     monkeypatch.setattr(_MainBuilder, "__init__", init)
 
