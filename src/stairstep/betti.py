@@ -1,7 +1,9 @@
 """Betti sequences, graded Betti tables and Poincare-Betti series."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .classify import IdealClass, classify
@@ -123,9 +125,8 @@ def series_expand(series: PoincareSeries, n: int) -> list[int]:
 def graded_betti(res: Resolution) -> BettiTable:
     entries: dict[tuple[int, int], int] = {}
     for i, module in enumerate(res.modules):
-        for _label, (dx, dy) in module.generators:
-            key = (i, dx + dy)
-            entries[key] = entries.get(key, 0) + 1
+        for d, count in Counter(map(add, module.generators.dx, module.generators.dy)).items():
+            entries[(i, d)] = count
     return BettiTable(entries, max_stage=len(res.modules) - 1, max_degree=None)
 
 

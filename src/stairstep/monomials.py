@@ -10,6 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 
@@ -196,17 +197,25 @@ def colon_y(ideal: MonomialIdeal) -> MonomialIdeal:
 def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     """k-basis of the degree-d graded piece of S, highest x-power first.
 
-    Only x-exponents that can be standard are tested: below a_1 when
-    x^{a_1} lies in M, and above d - b_r when y^{b_r} does.  So when M
-    holds a pure power, one degree costs at most a_1 or b_r membership
-    tests, however large d is."""
+    With a_1 > ... > a_r and b_1 < ... < b_r, x^s y^t with s >= a_1 is
+    standard exactly when t < b_1, and with t >= b_r exactly when s < a_r.
+    So the piece is an arm along the x-axis, s >= a_1 and t < b_1, the
+    part below the staircase, s < a_1 and t < b_r, whose at most
+    min(a_1, b_r) exponents are each tested, and an arm along the y-axis,
+    t >= b_r and s < a_r.  A degree costs O(min(a_1, b_r)) plus its
+    standard monomials, however large d is; a pure power in M leaves its
+    arm empty."""
     if d < 0:
         return ()
     gens = ideal.generators
-    hi = min(d, gens[0].xdeg - 1) if gens and gens[0].ydeg == 0 else d
-    lo = max(0, d - gens[-1].ydeg + 1) if gens and gens[-1].xdeg == 0 else 0
+    if not gens:
+        return tuple(Monomial(s, d - s) for s in range(d, -1, -1))
+    a1, b1, ar, br = gens[0].xdeg, gens[0].ydeg, gens[-1].xdeg, gens[-1].ydeg
     contains_xy = ideal.contains_xy
-    return tuple(Monomial(i, d - i) for i in range(hi, lo - 1, -1) if not contains_xy(i, d - i))
+    arm_x = range(d, max(a1, d - b1 + 1) - 1, -1)
+    below = [s for s in range(min(a1 - 1, d), max(0, d - br + 1) - 1, -1) if not contains_xy(s, d - s)]
+    arm_y = range(min(ar - 1, d - br), -1, -1)
+    return tuple(Monomial(s, d - s) for s in chain(arm_x, below, arm_y))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd, inf
+from operator import add
 from typing import Optional, Union
 
 from .betti import BettiTable
@@ -225,8 +227,8 @@ class GradedPieceMatrix:
 
 def _slice_basis(module, ideal: MonomialIdeal, degree: int):
     basis = []
-    for g, (_label, (dx, dy)) in enumerate(module.generators):
-        for m in standard_monomials(ideal, degree - dx - dy):
+    for g, twist in enumerate(map(add, module.generators.dx, module.generators.dy)):
+        for m in standard_monomials(ideal, degree - twist):
             basis.append((g, m))
     return basis
 
@@ -324,11 +326,16 @@ def check_minimality(res: Resolution) -> VerificationReport:
     stair = res.ring.stair()
     n, far = len(stair), stair[-1]
     for i, diff in enumerate(res.differentials, start=1):
-        bad = [
-            (row, col, term_str(x, y))
-            for row, col, _sign, x, y in diff.entries
+        # an entry is bad by its monomial alone, so each distinct one is tested once
+        e = diff.entries
+        bad_monomials = {
+            (x, y)
+            for x, y in set(zip(e.xdegs, e.ydegs))
             if x < 0 or y < 0 or x + y < 1 or y >= (stair[x] if x < n else far)
-        ]
+        }
+        bad = []
+        if bad_monomials:
+            bad = [(row, col, term_str(x, y)) for row, col, _sign, x, y in e if (x, y) in bad_monomials]
         report.checks.append(
             CheckRecord("minimality", i, None, not bad, f"bad entries {bad[:3]}" if bad else "")
         )
@@ -365,8 +372,7 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     bad = diff.inhomogeneous_entries()
     if bad:
         raise _inhomogeneous(*bad[0])
-    src = [bideg for _label, bideg in diff.source.generators]
-    tgt = [bideg for _label, bideg in diff.target.generators]
+    src, tgt, e = diff.source.generators, diff.target.generators, diff.entries
     parent = list(range(len(tgt)))  # union-find over target rows
 
     def find(i: int) -> int:
@@ -374,8 +380,8 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
             parent[i] = i = parent[parent[i]]
         return i
 
-    in_window = [dx + dy <= max_degree for dx, dy in src]
-    kept = [entry for entry in diff.entries if in_window[entry[1]]]
+    in_window = [twist <= max_degree for twist in map(add, src.dx, src.dy)]
+    kept = list(compress(e, map(in_window.__getitem__, e.cols)))
     first = [-1] * len(src)  # each column joins the block of its first row
     for row, col, _sign, x, y in kept:
         if x < 0 or y < 0:
@@ -395,12 +401,13 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
         entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, x, y))
     keyed: dict[tuple, tuple[list, list, list[int]]] = {}
     for cols, rows, entries in blocks.values():
-        tx, ty = tgt[next(iter(rows))]
+        first_row = next(iter(rows))
+        tx, ty = tgt.dx[first_row], tgt.dy[first_row]
         key = tuple(entries)
         found = keyed.get(key)
         if found is None:  # the key's first block: bidegrees relative to its first row
-            cbi = [(src[c][0] - tx, src[c][1] - ty) for c in cols]
-            found = keyed[key] = (cbi, [(tgt[r][0] - tx, tgt[r][1] - ty) for r in rows], [])
+            cbi = [(src.dx[c] - tx, src.dy[c] - ty) for c in cols]
+            found = keyed[key] = (cbi, [(tgt.dx[r] - tx, tgt.dy[r] - ty) for r in rows], [])
         found[2].append(tx + ty)
     return keyed
 
@@ -494,7 +501,7 @@ def _stage_tables(diff: Differential, max_degree: int, std: list, fld: FieldConf
     dim = [0] * (max_degree + 1)
     rank = [0] * (max_degree + 1)
     reach = _std_top(diff.ring)
-    twists = Counter(dx + dy for _label, (dx, dy) in diff.source.generators)
+    twists = Counter(map(add, diff.source.generators.dx, diff.source.generators.dy))
     for t, count in twists.items():
         if t <= max_degree:
             _std_x(diff.ring, std, min(max_degree - t, reach))

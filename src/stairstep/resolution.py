@@ -12,6 +12,11 @@ it.  Degenerate types I, III, IV and V are one Kunneth tensor product of
 the one-variable resolutions of k; type II, a single generator, has its
 own period-2 construction.
 
+A built resolution keeps its ints in arrays: a differential's entries in
+one array('q') of five ints each, a module's bidegrees in two, and no
+label per generator, since a rule renders the labels of a stage on
+demand.
+
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
 so stage 40 takes milliseconds; a Kunneth product's are read off the two
@@ -19,8 +24,10 @@ factors' twists by the reachability rule its builder uses.
 """
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import Iterable, Optional
 
 from .classify import IdealClass, classify
 from .monomials import Monomial, MonomialIdeal, term_str
@@ -34,39 +41,152 @@ class ShapeMismatch(ValueError):
     pass
 
 
+def _append_ints(target: array, values: list[int]) -> array:
+    """Append the ints to an ``array('q')`` and return it.  ``struct``
+    packs a list about four times as fast as ``array.extend`` converts it;
+    on a value it cannot pack, ``extend`` raises its own OverflowError or
+    TypeError."""
+    try:
+        # a Struct of its own: struct.pack would cache one per list length
+        target.frombytes(struct.Struct(f"{len(values)}q").pack(*values))
+    except struct.error:
+        target.extend(values)
+    return target
+
+
+class Generators:
+    """The generators of a graded free module: generator i has bidegree
+    (dx[i], dy[i]), two int arrays, and label ``labels[i]``.
+
+    ``labels`` is anything indexed and iterated in generator order: a
+    tuple of strings for a module read from JSON or built by hand, and for
+    an engine-built module a rule that renders a label when it is asked
+    for, so no per-generator object is stored.  Iterating yields
+    ``(label, (dx, dy))`` pairs, made on demand; a slice is a tuple of
+    them."""
+
+    __slots__ = ("dx", "dy", "labels")
+
+    def __init__(self, dx: array, dy: array, labels) -> None:
+        self.dx, self.dy, self.labels = dx, dy, labels
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[str, tuple[int, int]]]) -> "Generators":
+        pairs = tuple(pairs)
+        return cls(
+            _append_ints(array("q"), [dx for _label, (dx, _dy) in pairs]),
+            _append_ints(array("q"), [dy for _label, (_dx, dy) in pairs]),
+            tuple(label for label, _bideg in pairs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.dx)
+
+    def __iter__(self):
+        return zip(self.labels, zip(self.dx, self.dy))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self.dx))[i]
+        return self.labels[i], (self.dx[i], self.dy[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Generators) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class GradedFreeModule:
     """Ordered labeled generators, each with a bidegree twist.
 
-    A generator is (label, (dx, dy)) with a plain-string label such as
-    "e_x", "f2" or "c3^x@5.7": atomic data, which the garbage collector
-    stops tracking and never walks again."""
+    ``generators`` is a :class:`Generators`; any iterable of
+    ``(label, (dx, dy))`` pairs is accepted and stored as one."""
 
-    generators: tuple[tuple[str, tuple[int, int]], ...]
+    generators: Generators
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.generators, Generators):
+            object.__setattr__(self, "generators", Generators.of(self.generators))
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
     def bidegree(self, i: int) -> tuple[int, int]:
-        return self.generators[i][1]
+        return self.generators.dx[i], self.generators.dy[i]
 
     def twist(self, i: int) -> int:
-        dx, dy = self.generators[i][1]
-        return dx + dy
+        return self.generators.dx[i] + self.generators.dy[i]
+
+
+class Entries:
+    """The entries of a sparse matrix in one int array, five ints per
+    entry: row, col, sign, xdeg, ydeg, the term sign * x^xdeg y^ydeg in row
+    ``row`` of column ``col``.
+
+    ``len`` is the entry count.  Iterating yields ``(row, col, sign, xdeg,
+    ydeg)`` tuples, made on demand, as does indexing; a slice is a tuple
+    of them.  ``cols``, ``xdegs`` and ``ydegs`` are fresh int arrays of
+    one field, in entry order."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: array) -> None:
+        self.ints = ints
+
+    @classmethod
+    def of(cls, entries: Iterable[tuple[int, int, int, int, int]]) -> "Entries":
+        ints: list[int] = []
+        for row, col, sign, x, y in entries:
+            ints += (row, col, sign, x, y)
+        return cls(_append_ints(array("q"), ints))
+
+    @classmethod
+    def interleave(cls, rows: array, cols: array, signs: array, xdegs: array, ydegs: array) -> "Entries":
+        """The entries whose fields are the five equally long arrays."""
+        ints = array("q", bytes(40 * len(rows)))
+        for k, part in enumerate((rows, cols, signs, xdegs, ydegs)):
+            ints[k::5] = part
+        return cls(ints)
+
+    cols = property(lambda self: self.ints[1::5])
+    xdegs = property(lambda self: self.ints[3::5])
+    ydegs = property(lambda self: self.ints[4::5])
+
+    def __len__(self) -> int:
+        return len(self.ints) // 5
+
+    def __iter__(self):
+        it = iter(self.ints)
+        return zip(it, it, it, it, it)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self)[j]
+        j = range(len(self))[j]
+        return tuple(self.ints[5 * j : 5 * j + 5])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Entries) and self.ints == other.ints
 
 
 @dataclass(frozen=True)
 class Differential:
     """Sparse matrix of signed monomials between graded free modules.
 
-    An entry (row, col, sign, xdeg, ydeg) is sign * x^xdeg y^ydeg, with
-    nonnegative exponents, in row ``row`` of column ``col``."""
+    ``entries`` is an :class:`Entries`; any iterable of (row, col, sign,
+    xdeg, ydeg) tuples, the term sign * x^xdeg y^ydeg with nonnegative
+    exponents in row ``row`` of column ``col``, is accepted and stored as
+    one."""
 
     source: GradedFreeModule
     target: GradedFreeModule
-    entries: tuple[tuple[int, int, int, int, int], ...]
+    entries: Entries
     ring: MonomialIdeal
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, Entries):
+            object.__setattr__(self, "entries", Entries.of(self.entries))
 
     def columns(self) -> list[list[tuple[int, int, int, int]]]:
         """Entries grouped by column as (row, sign, xdeg, ydeg)."""
@@ -78,12 +198,13 @@ class Differential:
     def inhomogeneous_entries(self) -> list[tuple[int, int]]:
         """(row, col) of each entry whose column's bidegree is not its
         row's bidegree plus (xdeg, ydeg)."""
-        src = [bideg for _label, bideg in self.source.generators]
-        tgt = [bideg for _label, bideg in self.target.generators]
+        src, tgt = self.source.generators, self.target.generators
+        # lists index without making an int per read, as arrays do
+        sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
         return [
             (row, col)
             for row, col, _sign, x, y in self.entries
-            if src[col] != (tgt[row][0] + x, tgt[row][1] + y)
+            if sx[col] != tx[row] + x or sy[col] != ty[row] + y
         ]
 
     def dense_strings(self) -> list[list[str]]:
@@ -91,6 +212,11 @@ class Differential:
         for row, col, sign, x, y in self.entries:
             grid[row][col] = ("-" if sign < 0 else "") + term_str(x, y)
         return grid
+
+
+def _free_rank_one() -> GradedFreeModule:
+    """F_0 = S: one generator e1 in bidegree (0, 0)."""
+    return GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))
 
 
 @dataclass(frozen=True)
@@ -113,19 +239,33 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
     coefficient.  Only d_lo's entries are grouped, by
     :meth:`Differential.columns`, so a chain of composites groups each
     lower map once and never the top one.  d_hi's entries are read in
-    column order: the sort is linear on the column-ordered entries the
-    engine and JSON give, and correct on any order, and each column's
+    column order: in place, as the engine and JSON give them, and through
+    their indices sorted by column if a column index falls; each column's
     terms are reduced once its entries end."""
     if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
         raise ShapeMismatch("source of lower map must equal target of higher map")
     lo_cols = d_lo.columns()
-    stair = d_lo.ring.stair()
+    hi = d_hi.entries
+    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
+    if out is None:
+        cols = hi.cols
+        out = _compose_columns(map(hi.__getitem__, sorted(range(len(cols)), key=cols.__getitem__)), lo_cols, d_lo.ring)
+    return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
+
+
+def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
+    """The nonzero cells of the composite of the upper map's ``entries``
+    with the lower map's grouped columns, or None if the entries are not
+    in column order."""
+    stair = ring.stair()
     n, far = len(stair), stair[-1]
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
     acc: dict[tuple[int, int, int], int] = {}
     current = -1
-    for mid, col, sign, x, y in sorted(d_hi.entries, key=itemgetter(1)):
+    for mid, col, sign, x, y in entries:
         if col != current:
+            if col < current:
+                return None
             if any(acc.values()):
                 _collect_terms(acc, current, out)
             acc = {}
@@ -138,7 +278,7 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
             acc[key] = acc.get(key, 0) + sign * sign2
     if any(acc.values()):
         _collect_terms(acc, current, out)
-    return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
+    return out
 
 
 def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
@@ -181,15 +321,16 @@ class _MainTemplates:
     They depend only on M, so they are flattened once per ideal.  A
     template is one (dx, dy) generator offset per column (``_offsets``)
     and its entries, each (row, column offset, sign, xdeg, ydeg) with its
-    monomial kept as exponents; an instance based at bidegree B has one
-    generator at B + offset per column.  ``_children`` is the recursion:
-    each block kind maps to the blocks of the next stage based on one of
-    its kind, each (kind, base offset, entries) with the entries' rows
-    resolved against the parent block's first generator.  An F1 sits at
-    the F0 and at B + D for each F3 at B, an F2 at each F1 and at B + G
-    for each F3 at B, and an F3 at each F2.  G holds the first r F2
-    offsets (a_i, b_i); D holds the offsets (a_i, b_{i+1}) of the F3
-    columns d_i."""
+    monomial kept as exponents; ``_columns`` holds each template's entry
+    column offsets, signs, xdegs and ydegs as four int arrays.  An instance
+    based at bidegree B has one generator at B + offset per column.
+    ``_children`` is the recursion: each block kind maps to the blocks of
+    the next stage based on one of its kind, each (kind, base offset,
+    rows) with the rows of the template's entries resolved against the
+    parent block's first generator.  An F1 sits at the F0 and at B + D for
+    each F3 at B, an F2 at each F1 and at B + G for each F3 at B, and an
+    F3 at each F2.  G holds the first r F2 offsets (a_i, b_i); D holds the
+    offsets (a_i, b_{i+1}) of the F3 columns d_i."""
 
     def __init__(self, ideal: MonomialIdeal):
         gens = ideal.generators
@@ -225,9 +366,13 @@ class _MainTemplates:
             "F2": tuple(g) + ((1, 1),),
             "F3": tuple([(x + 1, y) for x, y in g] + [(x, y + 1) for x, y in g] + d),
         }
+        self._columns = {
+            kind: tuple(array("q", part) for part in list(zip(*template))[1:])
+            for kind, template in (("F1", f1), ("F2", f2), ("F3", f3))
+        }
 
         def child(kind, base, template, rows):
-            return kind, base, tuple((rows[row], k, sign, x, y) for row, k, sign, x, y in template)
+            return kind, base, tuple(rows[entry[0]] for entry in template)
 
         self._children = {
             "F0": (child("F1", (0, 0), f1, (0,)),),
@@ -249,7 +394,7 @@ def _main_block_bases(t: _MainTemplates, stages: int):
     for stage in range(1, stages + 1):
         bases: dict[str, dict[int, int]] = {"F1": {}, "F2": {}, "F3": {}}
         for parent, parent_counts in counts.items():
-            children = [(bases[kind], ox + oy) for kind, (ox, oy), _entries in t._children[parent]]
+            children = [(bases[kind], ox + oy) for kind, (ox, oy), _rows in t._children[parent]]
             for base, c in parent_counts.items():
                 for out, o in children:
                     out[base + o] = out.get(base + o, 0) + c
@@ -275,63 +420,126 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     return entries
 
 
+class _MainLabels:
+    """The generator labels of one main-case stage, rendered on demand.
+
+    A stage holds u F1 blocks, then v F2 blocks, then w F3 blocks, of
+    widths 2, r + 1 and 3r - 1, so a label depends only on the stage, the
+    counts and the per-kind names.  ``names`` holds, for F1, F2 and F3 in
+    turn, the column names through stage 3 and from stage 4 on, the head
+    that precedes a name and the block's number n among its kind from
+    stage 4 on, and whether n follows a name then instead.  A label is its
+    column's name, with n from stage 4 on (after "h" for an F1, after the
+    name for an F2), plus, from stage 5 on, "@{stage}.{block}" with the
+    block's index in the stage.  Iterating renders each kind's labels
+    with one comprehension."""
+
+    __slots__ = ("stage", "counts", "names")
+
+    def __init__(self, stage: int, counts: tuple[int, int, int], names: tuple) -> None:
+        self.stage, self.counts, self.names = stage, counts, names
+
+    def _render(self, kind: int, n: int, count: int, block: int) -> list[str]:
+        """The labels of ``count`` consecutive blocks of one kind (0, 1, 2
+        for F1, F2, F3): the first is the n-th of its kind, from 0, and
+        block ``block`` of the stage."""
+        first, names, head, trailing = self.names[kind]
+        if self.stage < 4:
+            return list(first) * count
+        ats = [f"@{self.stage}.{b}" for b in range(block, block + count)] if self.stage >= 5 else [""] * count
+        if head:
+            return [f"{head}{m}{name}{at}" for m, at in enumerate(ats, n + 1) for name in names]
+        posts = [f"{m}{at}" for m, at in enumerate(ats, n + 1)] if trailing else ats
+        return [name + post for post in posts for name in names]
+
+    def __iter__(self):
+        labels, block = [], 0
+        for kind, count in enumerate(self.counts):
+            if count:
+                labels += self._render(kind, 0, count, block)
+                block += count
+        return iter(labels)
+
+    def __getitem__(self, i: int) -> str:
+        block = 0  # the blocks before this kind's
+        for kind, count in enumerate(self.counts):
+            width = len(self.names[kind][0])
+            if i < count * width:
+                n, col = divmod(i, width)
+                return self._render(kind, n, 1, block + n)[col]
+            i -= count * width
+            block += count
+        raise IndexError("label index out of range")
+
+
 class _MainBuilder(_MainTemplates):
     """Stage-by-stage fold assembling the main-case resolution.
 
     Every block of the last stage places its children by ``_children``;
     the new stage holds the F1 instances, then the F2s, then the F3s, each
-    kind in the order of the blocks they are based at.  An instance
-    appends its (row, col, sign, xdeg, ydeg) entries with one
-    comprehension over its resolved template and its (label, bidegree)
-    generators with one more.  A generator label is its column's name,
-    from stage 4 on with the block's number among its kind (after "h" for
-    an F1, after the name for an F2), plus, from stage 5 on,
-    "@{stage}.{block}"."""
+    kind in the order of the blocks they are based at.  A kind's instances
+    are written together: their entry rows with one comprehension over the
+    resolved template rows, their columns with one more, and their signs
+    and exponents by repeating the template's arrays; their bidegrees
+    with one comprehension per coordinate.  The stage's labels are a
+    :class:`_MainLabels` rule, so no label is stored."""
 
     def __init__(self, ideal: MonomialIdeal):
         super().__init__(ideal)
         self.ideal = ideal
-        self.modules = [GradedFreeModule((("e1", (0, 0)),))]
+        self.modules = [_free_rank_one()]
         self.differentials: list[Differential] = []
-        # the last stage's blocks: (kind, base x, base y, first generator)
-        self._blocks: tuple[tuple[str, int, int, int], ...] = (("F0", 0, 0, 0),)
-        # per kind: the column names through stage 3 and from stage 4 on, the
-        # head that precedes a name and the block's number n among its kind
-        # from stage 4 on, and whether n follows a name then instead
+        # the last stage's blocks per kind: (first generator, base x, base y)
+        self._blocks: dict[str, list[tuple[int, int, int]]] = {"F0": [(0, 0, 0)]}
+        # per kind: each parent kind's children of that kind, (base offset, rows)
+        self._kids: dict[str, dict[str, list]] = {kind: {parent: [] for parent in self._children} for kind in ("F1", "F2", "F3")}
+        for parent, children in self._children.items():
+            for kind, base, rel in children:
+                self._kids[kind][parent].append((base, rel))
         r = len(ideal.generators)
-        cd = [f"c{i}^{v}" for v in "xy" for i in range(1, r + 1)] + [f"d{i}" for i in range(1, r)]
+        cd = tuple(f"c{i}^{v}" for v in "xy" for i in range(1, r + 1)) + tuple(f"d{i}" for i in range(1, r))
         ks = range(1, r + 2)
-        self._labels = {
-            "F1": (("e_x", "e_y"), ("^x", "^y"), "h", False),
-            "F2": ([f"f{i}" for i in ks], [f"k{i}," for i in ks], "", True),
-            "F3": (cd, cd, "", False),
-        }
+        self._names = (
+            (("e_x", "e_y"), ("^x", "^y"), "h", False),
+            (tuple(f"f{i}" for i in ks), tuple(f"k{i}," for i in ks), "", True),
+            (cd, cd, "", False),
+        )
 
     def step(self) -> None:
         stage = len(self.modules)
-        gens: list[tuple[str, tuple[int, int]]] = []
-        entries: list[tuple[int, int, int, int, int]] = []
-        blocks: list[tuple[str, int, int, int]] = []
-        for kind in ("F1", "F2", "F3"):
-            offsets, (first, names, head, trailing) = self._offsets[kind], self._labels[kind]
-            if stage < 4:
-                names, head, trailing = first, "", False
-            n = 0  # the number of this kind's blocks so far
-            for parent, bx, by, start in self._blocks:
-                for child, (ox, oy), template in self._children[parent]:
-                    if child != kind:
-                        continue
-                    n += 1
-                    c, x0, y0 = len(gens), bx + ox, by + oy
-                    at = f"@{stage}.{len(blocks)}" if stage >= 5 else ""
-                    pre, post = f"{head}{n}" if head else "", f"{n}{at}" if trailing else at
-                    entries += [(start + row, c + k, sign, x, y) for row, k, sign, x, y in template]
-                    gens += [(pre + name + post, (x0 + dx, y0 + dy)) for name, (dx, dy) in zip(names, offsets)]
-                    blocks.append((kind, x0, y0, c))
-        module = GradedFreeModule(tuple(gens))
-        self.differentials.append(Differential(module, self.modules[-1], tuple(entries), self.ideal))
+        rows, cols, signs, xs, ys, dx, dy = (array("q") for _ in range(7))
+        blocks: dict[str, list[tuple[int, int, int]]] = {}
+        counts: list[int] = []  # the blocks of each kind
+        for kind, kids in self._kids.items():
+            offsets = self._offsets[kind]
+            tcols, tsigns, txs, tys = self._columns[kind]
+            # (first target row, resolved rows, base x, base y) per instance
+            placed = [
+                (start, rel, bx + ox, by + oy)
+                for parent, parents in self._blocks.items()
+                for start, bx, by in parents
+                for (ox, oy), rel in kids[parent]
+            ]
+            n, width, c0 = len(placed), len(offsets), len(dx)
+            counts.append(n)
+            blocks[kind] = []
+            if not n:
+                continue
+            firsts = range(c0, c0 + n * width, width)
+            _append_ints(rows, [start + row for start, rel, _x, _y in placed for row in rel])
+            _append_ints(cols, [c + k for c in firsts for k in tcols])
+            signs += tsigns * n
+            xs += txs * n
+            ys += tys * n
+            _append_ints(dx, [x + ox for _s, _r, x, _y in placed for ox, _oy in offsets])
+            _append_ints(dy, [y + oy for _s, _r, _x, y in placed for _ox, oy in offsets])
+            blocks[kind] = [(c, x, y) for c, (_s, _r, x, y) in zip(firsts, placed)]
+        labels = _MainLabels(stage, tuple(counts), self._names)
+        module = GradedFreeModule(Generators(dx, dy, labels))
+        entries = Entries.interleave(rows, cols, signs, xs, ys)
+        self.differentials.append(Differential(module, self.modules[-1], entries, self.ideal))
         self.modules.append(module)
-        self._blocks = tuple(blocks)
+        self._blocks = blocks
 
 
 def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> Resolution:
@@ -339,6 +547,25 @@ def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> R
     for _ in range(stages):
         builder.step()
     return Resolution(ideal, ideal_class, builder.modules, builder.differentials)
+
+
+class _StageLabels:
+    """The labels of the ``count`` generators of a degenerate stage
+    i >= 2, rendered on demand: "{stem}{c}({i})" for the c-th generator,
+    or "{stem}({i})" for every generator when not numbered."""
+
+    __slots__ = ("stem", "stage", "count", "numbered")
+
+    def __init__(self, stem: str, stage: int, count: int, numbered: bool = True) -> None:
+        self.stem, self.stage, self.count, self.numbered = stem, stage, count, numbered
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.count))
+
+    def __getitem__(self, c: int) -> str:
+        if not 0 <= c < self.count:
+            raise IndexError("label index out of range")
+        return f"{self.stem}{c + 1 if self.numbered else ''}({self.stage})"
 
 
 def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
@@ -398,7 +625,7 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
     construction gave and the pinned JSON records."""
     (xtw, xpow), (ytw, ypow) = _product_factors(ideal, n)
     tx, ty = len(xtw) - 1, len(ytw) - 1
-    modules = [GradedFreeModule((("e1", (0, 0)),))]
+    modules = [_free_rank_one()]
     diffs: list[Differential] = []
     # per stage i, indexed by p: the row of u_p*v_{i-p} and its sign eps
     rows, signs = {0: 0}, {0: 1}
@@ -411,14 +638,14 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
             if p in reach
         ]
         if cls is IdealClass.TYPE_IV:
-            labels = ["g" if i == 1 else f"g({i})"] * len(ps)
+            labels = ("g",) * len(ps) if i == 1 else _StageLabels("g", i, len(ps), numbered=False)
         elif i == 1:
-            labels = ["e_x" if p else "e_y" for p in ps]
+            labels = tuple("e_x" if p else "e_y" for p in ps)
         else:
-            labels = [f"e{c}({i})" for c in range(1, len(ps) + 1)]
+            labels = _StageLabels("e", i, len(ps))
         prev_rows, prev_signs = rows, signs
         rows, signs = {}, {}
-        gens: list[tuple[str, tuple[int, int]]] = []
+        dx, dy = array("q"), array("q")
         entries: list[tuple[int, int, int, int, int]] = []
         for c, p in enumerate(ps):
             q = i - p
@@ -426,19 +653,20 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
             k = p if p < q else q  # eps(p, q), as the docstring states it
             flip = (k and (k - 1) // 2 % 2) != (p > q and q % 2 == 1 and p % 2 == 0)
             signs[p] = s = -1 if flip else 1
-            gens.append((labels[c], (xtw[p], ytw[q])))
+            dx.append(xtw[p])
+            dy.append(ytw[q])
             # d(u_p*v_q) = du_p*v_q + (-1)^p u_p*dv_q, in ascending rows:
             # u_p*v_{q-1} precedes u_{p-1}*v_q exactly when p >= q
             if p:
-                dx = (prev_rows[p - 1], c, s * prev_signs[p - 1], xpow[p], 0)
+                by_x = (prev_rows[p - 1], c, s * prev_signs[p - 1], xpow[p], 0)
                 if not q:
-                    entries.append(dx)
+                    entries.append(by_x)
                     continue
             s *= -prev_signs[p] if p % 2 else prev_signs[p]
-            dy = (prev_rows[p], c, s, 0, ypow[q])
-            entries += (dy, dx) if p >= q else (dx, dy) if p else (dy,)
-        module = GradedFreeModule(tuple(gens))
-        diffs.append(Differential(module, modules[-1], tuple(entries), ideal))
+            by_y = (prev_rows[p], c, s, 0, ypow[q])
+            entries += (by_y, by_x) if p >= q else (by_x, by_y) if p else (by_y,)
+        module = GradedFreeModule(Generators(dx, dy, labels))
+        diffs.append(Differential(module, modules[-1], entries, ideal))
         modules.append(module)
     return Resolution(ideal, cls, modules, diffs)
 
@@ -464,21 +692,20 @@ def _build_type_ii(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
     )
     # each pattern's entries, emitted once and shared by every stage using it
     entries = [
-        tuple((row, c, sign, x, y) for c, col in enumerate(cols) for row, sign, (x, y) in col)
+        Entries.of((row, c, sign, x, y) for c, col in enumerate(cols) for row, sign, (x, y) in col)
         for cols in patterns
     ]
-    modules = [GradedFreeModule((("e1", (0, 0)),))]
+    modules = [_free_rank_one()]
     diffs: list[Differential] = []
     for i in range(1, n + 1):
         k = min(i, 4 - i % 2) - 1
-        prev = modules[-1]
-        labels = ("e_x", "e_y") if i == 1 else (f"g1({i})", f"g2({i})")
-        gens = []
-        for label, col in zip(labels, patterns[k]):
-            row, _sign, (x, y) = col[0]
+        prev, dx, dy = modules[-1], array("q"), array("q")
+        for row, _sign, (x, y) in (col[0] for col in patterns[k]):
             bx, by = prev.bidegree(row)
-            gens.append((label, (bx + x, by + y)))
-        module = GradedFreeModule(tuple(gens))
+            dx.append(bx + x)
+            dy.append(by + y)
+        labels = ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2)
+        module = GradedFreeModule(Generators(dx, dy, labels))
         diffs.append(Differential(module, prev, entries[k], ideal))
         modules.append(module)
     return Resolution(ideal, cls, modules, diffs)
@@ -487,7 +714,8 @@ def _build_type_ii(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
     """Resolution of k over k[x,y]/M through the requested stage: the
     main-case templates, the Kunneth product of types I, III, IV and V, or
-    the period-2 construction of type II."""
+    the period-2 construction of type II.  Bidegrees and exponents are
+    stored as 64-bit ints; one that does not fit raises ValueError."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
@@ -497,7 +725,10 @@ def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
         build = _build_type_ii
     else:
         build = _build_product
-    return build(ideal, cls, stages)
+    try:
+        return build(ideal, cls, stages)
+    except OverflowError as exc:
+        raise ValueError(f"the bidegrees of M through stage {stages} do not fit in 64 bits") from exc
 
 
 def resolution_to_json(res: Resolution) -> dict:
@@ -541,33 +772,38 @@ def _decomposition(res: Resolution) -> list[dict]:
 
 
 def resolution_from_json(data: dict) -> Resolution:
+    """The resolution a :func:`resolution_to_json` dict describes; labels
+    are kept as the file's strings.  Raises ValueError on a class that is
+    not the ideal's, a differential count other than the module count
+    minus one, an entry with a negative exponent or outside its matrix,
+    and an int that does not fit in 64 bits."""
     from .monomials import normalize_ideal
 
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
     cls = classify(ideal)
     if data["class"] != cls.slug:
         raise ValueError(f"class {data['class']!r} does not match the ideal's class {cls.slug!r}")
-    modules = [
-        GradedFreeModule(
-            tuple(
-                (g["label"], tuple(g["bidegree"]))
-                for g in m["generators"]
-            )
-        )
-        for m in data["modules"]
-    ]
-    if len(data["differentials"]) != len(modules) - 1:
-        raise ValueError(f"{len(data['differentials'])} differentials between {len(modules)} modules")
-    diffs = []
-    for i, d in enumerate(data["differentials"]):
-        n_rows, n_cols = modules[i].rank, modules[i + 1].rank
-        entries = []
-        for e in d["entries"]:
-            row, col, (x, y) = e["row"], e["col"], e["monomial"]
-            if x < 0 or y < 0:
-                raise ValueError(f"negative exponent in {(x, y)}")
-            if not (0 <= row < n_rows and 0 <= col < n_cols):
-                raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
-            entries.append((row, col, e["sign"], x, y))
-        diffs.append(Differential(modules[i + 1], modules[i], tuple(entries), ideal))
+    if len(data["differentials"]) != len(data["modules"]) - 1:
+        raise ValueError(f"{len(data['differentials'])} differentials between {len(data['modules'])} modules")
+    try:
+        modules = []
+        for m in data["modules"]:
+            bidegrees = [g["bidegree"] for g in m["generators"]]
+            dx = _append_ints(array("q"), [dx for dx, _dy in bidegrees])
+            dy = _append_ints(array("q"), [dy for _dx, dy in bidegrees])
+            modules.append(GradedFreeModule(Generators(dx, dy, tuple(g["label"] for g in m["generators"]))))
+        diffs = []
+        for i, d in enumerate(data["differentials"]):
+            n_rows, n_cols = modules[i].rank, modules[i + 1].rank
+            ints: list[int] = []
+            for e in d["entries"]:
+                row, col, (x, y) = e["row"], e["col"], e["monomial"]
+                if x < 0 or y < 0:
+                    raise ValueError(f"negative exponent in {(x, y)}")
+                if not (0 <= row < n_rows and 0 <= col < n_cols):
+                    raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
+                ints += (row, col, e["sign"], x, y)
+            diffs.append(Differential(modules[i + 1], modules[i], Entries(_append_ints(array("q"), ints)), ideal))
+    except OverflowError as exc:
+        raise ValueError(f"an int in the file does not fit in 64 bits: {exc}") from exc
     return Resolution(ideal, cls, modules, diffs)

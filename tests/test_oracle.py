@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from stairstep import (
     ExactRationals,
     GradedFreeModule,
     Monomial,
+    MonomialIdeal,
     PrimeField,
     TruncationTooSmall,
     betti_json,
@@ -565,7 +568,7 @@ class TestExactnessReadsEntries:
     def test_zero_column_of_negative_degree(self):
         res = build_resolution(M_RIGHT, 4)
         d2 = res.differentials[1]
-        source = GradedFreeModule(d2.source.generators + (("g", (-1, 0)),))
+        source = GradedFreeModule(tuple(d2.source.generators) + (("g", (-1, 0)),))
         diffs = [res.differentials[0], replace(d2, source=source)] + res.differentials[2:]
         bad = replace(res, differentials=diffs)
         passed = [c.passed for c in check_exactness(bad, 2, 8).checks]
@@ -579,8 +582,8 @@ class TestExactnessReadsEntries:
         res = build_resolution(M_RIGHT, 6)
         d5 = res.differentials[4]
         tx, ty = d5.target.bidegree(7)
-        source = GradedFreeModule(d5.source.generators + (("g", (tx - 1, ty + 3)),))
-        bad_d5 = replace(d5, source=source, entries=d5.entries + ((7, 13, 1, -1, 3),))
+        source = GradedFreeModule(tuple(d5.source.generators) + (("g", (tx - 1, ty + 3)),))
+        bad_d5 = replace(d5, source=source, entries=tuple(d5.entries) + ((7, 13, 1, -1, 3),))
         bad = replace(res, differentials=res.differentials[:4] + [bad_d5] + res.differentials[5:])
         assert check_homogeneity(bad).verdict
         assert "(7, 13," in check_minimality(bad).failures()[0].detail
@@ -762,6 +765,22 @@ class TestExactnessReadsEntries:
                 runs.append(time.perf_counter() - start)
             seconds[n] = min(runs)
         assert seconds[4000] <= 8 * seconds[1000]
+
+    def test_cost_is_linear_in_the_window_without_pure_powers(self):
+        # (x^2y, xy^2) holds no pure power, and each degree d >= 3 has two
+        # standard monomials, x^d and y^d: a window four times as wide must
+        # cost about four times as much, not sixteen
+        res = build_resolution(M_RIGHT, 4)
+        seconds = {}
+        for window in (1000, 4000):
+            runs = []
+            for _ in range(3):
+                standard_monomials.cache_clear()
+                start = time.perf_counter()
+                check_exactness(res, 3, window)
+                runs.append(time.perf_counter() - start)
+            seconds[window] = min(runs)
+        assert seconds[4000] <= 6 * seconds[1000]
 
 
 class TestBruteforce:
@@ -975,16 +994,49 @@ class TestBidegrees:
 REGIMES = ["x2y,xy2", "xy2,y4", "x", "x2y3", "x,y", "x3,y", "x3,y7"]
 
 
+def _parts(res) -> list:
+    """Every object a resolution's modules and maps reach, except types,
+    the ring and strings (a loaded module keeps the file's labels)."""
+    found, seen, stack = [], set(), [res.modules, res.differentials]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, MonomialIdeal, str)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
 @pytest.mark.parametrize("text", REGIMES)
-def test_resolution_is_atomic_data(text):
-    """Entries and generator pairs hold only ints and strings, so the
-    collector stops tracking them and never walks them again."""
+def test_resolution_holds_no_object_per_entry_or_generator(text):
+    """Built or loaded from JSON, a resolution keeps its entries and
+    bidegrees in int arrays and no label per generator: it reaches a few
+    objects of each type per stage, and the collector tracks no tuple."""
     res = build_resolution(parse_ideal(text), 8)
     loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
     for r in (res, loaded):
+        # a tuple of strings is untracked by a collection, and a tuple of
+        # such tuples by the next
         gc.collect()
-        assert not any(gc.is_tracked(e) for d in r.differentials for e in d.entries)
-        # a pair is untracked once its bidegree tuple is, and a tuple referred
-        # to only by a young tuple is reached after it: a second pass
         gc.collect()
-        assert not any(gc.is_tracked(g) for m in r.modules for g in m.generators)
+        parts = _parts(r)
+        kinds = Counter(type(obj).__name__ for obj in parts)
+        assert max(kinds.values()) <= 3 * len(r.modules), kinds
+        assert not any(gc.is_tracked(obj) for obj in parts if isinstance(obj, tuple))
+
+
+def test_deep_resolution_is_held_in_arrays():
+    """(x^9,x^8y^3,x^7y^4,x^6y^5,xy^6,y^8) to stage 10: 45,019 entries of
+    five ints and 37,051 generators of two, with no label stored."""
+    ideal = parse_ideal("x9,x8y3,x7y4,x6y5,xy6,y8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = build_resolution(ideal, 10)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(d.entries) for d in res.differentials) == 45019
+    assert sum(m.rank for m in res.modules) == 37051
+    assert held <= 4_000_000

@@ -347,6 +347,22 @@ def test_json_reload_rejects_entries_outside_their_matrix(field, value, message)
         resolution_from_json(data)
 
 
+@pytest.mark.parametrize("text", ["x3,x2y2,xy{e}", "x{e},y", "x{e}y"])
+def test_bidegrees_beyond_64_bits_are_a_value_error(text):
+    # the main case, the Kunneth product and type II each store a bidegree
+    # or an exponent of about 2^63
+    ideal = parse_ideal(text.format(e=2**63))
+    with pytest.raises(ValueError, match="do not fit in 64 bits"):
+        build_resolution(ideal, 3)
+
+
+def test_json_reload_rejects_an_int_beyond_64_bits():
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data["modules"][2]["generators"][0]["bidegree"][0] = 2**63
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_json_reload_rejects_a_differential_count_off_the_modules(extra):
     data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
