@@ -243,8 +243,12 @@ def _cmd_oracle(args, ideal) -> int:
 
 def _cmd_staircase(args, ideal) -> int:
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(ideal))
+        try:
+            with open(args.svg, "w") as fh:
+                fh.write(render_svg(ideal))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.svg}")
     else:
         print(render_ascii(ideal))

@@ -78,8 +78,7 @@ class MonomialIdeal:
     relies on it: the generators with a_k <= p form a suffix, whose first
     member has the smallest y-exponent, so x^p y^q lies in M iff q >= b_k
     for the first k with a_k <= p.  The public constructor
-    :func:`normalize_ideal` rejects the zero and unit ideals; colon ideals
-    may carry them via the internal ``_raw`` constructor.
+    :func:`normalize_ideal` rejects the zero and unit ideals.
     """
 
     generators: tuple[Monomial, ...]
@@ -111,17 +110,9 @@ class MonomialIdeal:
     def __hash__(self) -> int:
         return self._hash
 
-    @staticmethod
-    def _raw(generators: Iterable[Monomial]) -> "MonomialIdeal":
-        return MonomialIdeal(tuple(generators))
-
     @property
     def num_generators(self) -> int:
         return len(self.generators)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
 
     @property
     def is_unit(self) -> bool:
@@ -173,22 +164,7 @@ def normalize_ideal(raw: Iterable[Monomial]) -> MonomialIdeal:
         raise EmptyIdeal("an ideal needs at least one generator")
     if any(m.is_unit for m in gens):
         raise UnitIdeal("the unit ideal is not a proper ideal")
-    return MonomialIdeal._raw(_minimalize(gens))
-
-
-def colon_x(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Minimal generating set of the annihilator 0:(x) in S = k[x,y]/M.
-
-    May be the zero ideal (for M = (y^b)) or the unit ideal (for M = (x)).
-    """
-    gens = [Monomial(g.xdeg - 1, g.ydeg) for g in ideal.generators if g.xdeg > 0]
-    return MonomialIdeal._raw(_minimalize(gens)) if gens else MonomialIdeal._raw(())
-
-
-def colon_y(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Minimal generating set of 0:(y) in S; mirror of :func:`colon_x`."""
-    gens = [Monomial(g.xdeg, g.ydeg - 1) for g in ideal.generators if g.ydeg > 0]
-    return MonomialIdeal._raw(_minimalize(gens)) if gens else MonomialIdeal._raw(())
+    return MonomialIdeal(_minimalize(gens))
 
 
 # Bounded: the largest working set seen on the benchmark workloads is

@@ -23,7 +23,7 @@ from operator import add
 from typing import Optional, Union
 
 from .betti import BettiTable
-from .monomials import Monomial, MonomialIdeal, standard_monomials, term_str
+from .monomials import MonomialIdeal, standard_monomials, term_str
 from .resolution import Differential, Resolution, compose_check
 
 
@@ -212,59 +212,8 @@ def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
     return null
 
 
-@dataclass(frozen=True)
-class GradedPieceMatrix:
-    """Degree-d slice of a homogeneous map over standard-monomial bases."""
-
-    degree: int
-    row_basis: tuple[tuple[int, Monomial], ...]  # (target gen index, monomial)
-    col_basis: tuple[tuple[int, Monomial], ...]
-    columns: tuple[dict[int, int], ...]  # sparse, integer coefficients
-
-    def rank(self, fld: FieldConfig) -> int:
-        return sparse_rank(self.columns, fld)
-
-
-def _slice_basis(module, ideal: MonomialIdeal, degree: int):
-    basis = []
-    for g, twist in enumerate(map(add, module.generators.dx, module.generators.dy)):
-        for m in standard_monomials(ideal, degree - twist):
-            basis.append((g, m))
-    return basis
-
-
 def _inhomogeneous(row: int, col: int) -> ValueError:
     return ValueError(f"entry ({row}, {col}) is not homogeneous")
-
-
-def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRationals()) -> GradedPieceMatrix:
-    """Matrix of the degree slice; entries reduced through the quotient.
-
-    This is the definition of a slice.  check_exactness does not build
-    slices: it ranks each block's bigraded pieces, whose direct sum a slice
-    is (see _block_ranks).
-
-    Raises ValueError naming the (row, col) of an entry whose surviving
-    product falls outside the target's slice of this degree."""
-    ideal = diff.ring
-    contains_xy = ideal.contains_xy
-    col_basis = _slice_basis(diff.source, ideal, degree)
-    row_basis = _slice_basis(diff.target, ideal, degree)
-    row_index = {(row, m.xdeg, m.ydeg): i for i, (row, m) in enumerate(row_basis)}
-    diff_cols = diff.columns()
-    columns = []
-    for g, m in col_basis:
-        col: dict[int, int] = {}
-        for row, sign, x, y in diff_cols[g]:
-            px, py = m.xdeg + x, m.ydeg + y
-            if contains_xy(px, py):
-                continue
-            ri = row_index.get((row, px, py))
-            if ri is None:
-                raise _inhomogeneous(row, g)
-            col[ri] = col.get(ri, 0) + sign
-        columns.append({k: v for k, v in col.items() if v})
-    return GradedPieceMatrix(degree, tuple(row_basis), tuple(col_basis), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -619,7 +568,8 @@ def minimal_resolution_bruteforce(
     # x-degrees of the standard monomials of degree n <= top, the highest
     # degree of one in the window
     top = min(max_degree, _std_top(ideal))
-    std = [tuple(m.xdeg for m in standard_monomials(ideal, n)) for n in range(top + 1)]
+    std: list = []
+    _std_x(ideal, std, top)
     while not std[top]:
         top -= 1
     entries: dict[tuple[int, int], int] = {(0, 0): 1}

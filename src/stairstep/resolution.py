@@ -223,7 +223,6 @@ def _free_rank_one() -> GradedFreeModule:
 class ComposeProduct:
     """Matrix of residue terms from composing two differentials."""
 
-    shape: tuple[int, int]
     entries: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]]
 
     @property
@@ -250,7 +249,7 @@ def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
     if out is None:
         cols = hi.cols
         out = _compose_columns(map(hi.__getitem__, sorted(range(len(cols)), key=cols.__getitem__)), lo_cols, d_lo.ring)
-    return ComposeProduct((d_lo.target.rank, d_hi.source.rank), out)
+    return ComposeProduct(out)
 
 
 def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
@@ -775,8 +774,9 @@ def resolution_from_json(data: dict) -> Resolution:
     """The resolution a :func:`resolution_to_json` dict describes; labels
     are kept as the file's strings.  Raises ValueError on a class that is
     not the ideal's, a differential count other than the module count
-    minus one, an entry with a negative exponent or outside its matrix,
-    and an int that does not fit in 64 bits."""
+    minus one, an entry with a negative exponent, a sign other than 1 or
+    -1 or a place outside its matrix, and an int that does not fit in 64
+    bits."""
     from .monomials import normalize_ideal
 
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
@@ -803,6 +803,9 @@ def resolution_from_json(data: dict) -> Resolution:
                 if not (0 <= row < n_rows and 0 <= col < n_cols):
                     raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
                 ints += (row, col, e["sign"], x, y)
+            if not set(ints[2::5]) <= {1, -1}:
+                e = next(e for e in d["entries"] if e["sign"] not in (1, -1))
+                raise ValueError(f"entry ({e['row']}, {e['col']}) of d{i + 1} has sign {e['sign']!r}, not 1 or -1")
             diffs.append(Differential(modules[i + 1], modules[i], Entries(_append_ints(array("q"), ints)), ideal))
     except OverflowError as exc:
         raise ValueError(f"an int in the file does not fit in 64 bits: {exc}") from exc

@@ -184,6 +184,14 @@ class TestStaircase:
         assert text.startswith("<svg") and "polygon" in text
         assert ">x</text>" in text and ">y</text>" in text
 
+    def test_svg_unwritable_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "stairs.svg"
+        code, out, err = run(capsys, "staircase", "x2y,xy2", "--svg", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
+
 
 class TestErrors:
     def test_parse_error_exit_2(self, capsys):

@@ -9,8 +9,6 @@ from stairstep import (
     MonomialIdeal,
     ParseError,
     UnitIdeal,
-    colon_x,
-    colon_y,
     normalize_ideal,
     parse_ideal,
     parse_monomial,
@@ -114,21 +112,8 @@ class TestStaircaseIndex:
 
     @given(ideals, far_monomials)
     def test_stair_matches_scan(self, ideal, m):
-        for i in (ideal, colon_x(ideal), colon_y(ideal)):
-            stair = i.stair()
-            assert (m.ydeg >= stair[min(m.xdeg, len(stair) - 1)]) == scan_contains(i, m)
-
-    @given(ideals, far_monomials)
-    def test_colon_contains_matches_scan(self, ideal, m):
-        for colon in (colon_x(ideal), colon_y(ideal)):
-            assert colon.contains(m) == scan_contains(colon, m)
-
-    @given(st.integers(1, 9), far_monomials)
-    def test_zero_and_unit_colons(self, e, m):
-        zero = colon_x(M((0, e)))  # (y^e):x is zero in S
-        unit = colon_x(M((1, 0), (0, e)))  # x kills everything in S
-        assert zero.is_zero and not zero.contains(m)
-        assert unit.is_unit and unit.contains(m)
+        stair = ideal.stair()
+        assert (m.ydeg >= stair[min(m.xdeg, len(stair) - 1)]) == scan_contains(ideal, m)
 
     # (y^4, x*y^2) reversed, equal x-exponents, equal y-exponents, a repeat
     @pytest.mark.parametrize("gens", [((0, 4), (1, 2)), ((2, 1), (2, 3)), ((3, 2), (1, 2)), ((1, 1), (1, 1))])
@@ -149,41 +134,6 @@ class TestStaircaseIndex:
         # a frozen dataclass hashes the tuple of its compared fields
         assert hash(ideal) == hash((ideal.generators,))
         assert hash(ideal) == hash(MonomialIdeal(ideal.generators))
-
-
-class TestColonIdeals:
-    def test_colon_x_examples(self):
-        assert colon_x(M((1, 2), (0, 4))).generators == (Monomial(0, 2),)
-        assert colon_x(M((2, 1), (1, 2))).generators == (
-            Monomial(1, 1),
-            Monomial(0, 2),
-        )
-        assert colon_x(M((1, 0))).is_unit
-
-    def test_colon_y_examples(self):
-        assert colon_y(M((1, 2), (0, 4))).generators == (
-            Monomial(1, 1),
-            Monomial(0, 3),
-        )
-        assert colon_y(M((2, 1), (1, 2))).generators == (
-            Monomial(2, 0),
-            Monomial(1, 1),
-        )
-        assert colon_y(M((0, 1))).is_unit
-
-    @given(ideals)
-    def test_colon_x_characterization(self, ideal):
-        cx = colon_x(ideal)
-        x = Monomial(1, 0)
-        for g in cx.generators:
-            assert ideal.contains(g * x)
-            assert g.is_unit or not ideal.contains(g)
-        # every standard monomial killed by x lies in the colon ideal
-        bound = ideal.max_generator_degree + 2
-        for d in range(bound + 1):
-            for m in standard_monomials(ideal, d):
-                if ideal.contains(m * x):
-                    assert cx.contains(m)
 
 
 class TestStandardMonomials:

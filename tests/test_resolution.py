@@ -347,6 +347,19 @@ def test_json_reload_rejects_entries_outside_their_matrix(field, value, message)
         resolution_from_json(data)
 
 
+@pytest.mark.parametrize("sign", [0, 2, -3])
+def test_json_reload_rejects_a_sign_other_than_one_or_minus_one(sign):
+    # left unchecked, a sign of 3 loads, passes check_complex,
+    # check_minimality and check_exactness over Q, and prints unsigned
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    entries = data["differentials"][1]["entries"]
+    entries[-1]["sign"] = sign
+    row, col = entries[-1]["row"], entries[-1]["col"]
+    message = f"entry ({row}, {col}) of d2 has sign {sign}, not 1 or -1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("text", ["x3,x2y2,xy{e}", "x{e},y", "x{e}y"])
 def test_bidegrees_beyond_64_bits_are_a_value_error(text):
     # the main case, the Kunneth product and type II each store a bidegree
