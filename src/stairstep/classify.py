@@ -26,10 +26,9 @@ class IdealClass(enum.Enum):
 
 
 def classify(ideal: MonomialIdeal) -> IdealClass:
-    """The unique regime of a normalized proper nonzero ideal."""
+    """The unique regime of the ideal, which is proper and nonzero by
+    construction."""
     gens = ideal.generators
-    if not gens or ideal.is_unit:
-        raise ValueError("classify requires a proper nonzero ideal")
     r = len(gens)
     if r == 1:
         g = gens[0]

@@ -7,9 +7,9 @@ ideals are minimal generating sets kept in staircase order
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -70,41 +70,36 @@ ONE = Monomial(0, 0)
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal of k[x,y] given by its minimal generating set.
+    """A proper nonzero monomial ideal of k[x,y], given by its minimal
+    generating set.
 
     Generators are in staircase order: a_1 > a_2 > ... > a_r >= 0 with
     0 <= b_1 < b_2 < ... < b_r, where g_i = x^{a_i} y^{b_i}.  Construction
-    rejects any other order with ``ValueError``, because :meth:`contains`
-    relies on it: the generators with a_k <= p form a suffix, whose first
-    member has the smallest y-exponent, so x^p y^q lies in M iff q >= b_k
-    for the first k with a_k <= p.  The public constructor
-    :func:`normalize_ideal` rejects the zero and unit ideals.
+    rejects an empty tuple with ``EmptyIdeal``, the unit monomial with
+    ``UnitIdeal`` and any other order with ``ValueError``, because
+    :attr:`stair` relies on it: the generators with a_k <= p form a
+    suffix, whose first member has the smallest y-exponent, so x^p y^q
+    lies in M iff q >= b_k for the first k with a_k <= p.
+    :func:`normalize_ideal` builds one from any generators.
     """
 
     generators: tuple[Monomial, ...]
-    # bisect index: -a_1 < ... < -a_r, and b_1 < ... < b_r followed by an
-    # infinite sentinel for x below every a_k; not part of equality,
-    # hashing or repr, so standard_monomials' cache keys are those of the
-    # generators alone
-    _neg_a: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _b: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # the dataclass hash of the generators, computed once: every
     # standard_monomials lookup hashes its ideal
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = self.generators
-        neg_a = [-g.xdeg for g in gens]
-        b = [g.ydeg for g in gens]
-        for i in range(1, len(b)):
-            if neg_a[i - 1] >= neg_a[i] or b[i - 1] >= b[i]:
+        if not gens:
+            raise EmptyIdeal("an ideal needs at least one generator")
+        if any(g.is_unit for g in gens):
+            raise UnitIdeal("the unit ideal is not a proper ideal")
+        for g, h in zip(gens, gens[1:]):
+            if g.xdeg <= h.xdeg or g.ydeg >= h.ydeg:
                 raise ValueError(
-                    f"generators not in staircase order at {gens[i - 1]}, {gens[i]}: "
+                    f"generators not in staircase order at {g}, {h}: "
                     "x-exponents must strictly decrease and y-exponents strictly increase"
                 )
-        b.append(math.inf)
-        object.__setattr__(self, "_neg_a", tuple(neg_a))
-        object.__setattr__(self, "_b", tuple(b))
         object.__setattr__(self, "_hash", hash((gens,)))
 
     def __hash__(self) -> int:
@@ -115,32 +110,35 @@ class MonomialIdeal:
         return len(self.generators)
 
     @property
-    def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_unit
-
-    @property
     def max_generator_degree(self) -> int:
-        return max((g.degree for g in self.generators), default=0)
+        return max(g.degree for g in self.generators)
 
     def contains(self, m: Monomial) -> bool:
         return self.contains_xy(m.xdeg, m.ydeg)
 
     def contains_xy(self, x: int, y: int) -> bool:
-        """Whether x^x y^y lies in M, without building a Monomial."""
-        return y >= self._b[bisect_left(self._neg_a, -x)]
+        """Whether x^x y^y lies in M, for x, y >= 0, without building a
+        Monomial."""
+        stair = self.stair
+        return y >= stair[min(x, len(stair) - 1)]
 
-    def stair(self) -> list:
+    @cached_property
+    def stair(self) -> tuple:
         """stair[p] for 0 <= p <= a_1: the least q with x^p y^q in M
         (inf if there is none), so x^p y^q lies in M iff
-        q >= stair[min(p, a_1)].  One linear sweep over the generators;
-        a loop testing many products looks each up in the list."""
+        q >= stair[min(p, a_1)].  Tabulated by one linear sweep over the
+        generators on first read and kept, outside equality, hashing and
+        repr; a loop testing many products looks each up in the tuple.
+        ValueError when a_1 >= sys.maxsize, which no tuple can index."""
         gens = self.generators
-        hi = gens[0].xdeg + 1 if gens else 1
+        if gens[0].xdeg >= sys.maxsize:
+            raise ValueError(f"the x-exponent a_1 = {gens[0].xdeg} is too large to tabulate the staircase of M")
+        hi = gens[0].xdeg + 1
         stair: list = [math.inf] * hi
         for g in gens:  # g is the first generator dividing x^p y^q for a_g <= p < hi
             stair[g.xdeg : hi] = [g.ydeg] * (hi - g.xdeg)
             hi = g.xdeg
-        return stair
+        return tuple(stair)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -158,13 +156,9 @@ def _minimalize(raw: Iterable[Monomial]) -> tuple[Monomial, ...]:
 
 
 def normalize_ideal(raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Minimal generating set, in staircase order."""
-    gens = list(raw)
-    if not gens:
-        raise EmptyIdeal("an ideal needs at least one generator")
-    if any(m.is_unit for m in gens):
-        raise UnitIdeal("the unit ideal is not a proper ideal")
-    return MonomialIdeal(_minimalize(gens))
+    """The ideal with the minimal generating set of ``raw``, in staircase
+    order; the constructor rejects the zero and unit ideals."""
+    return MonomialIdeal(_minimalize(raw))
 
 
 # Bounded: the largest working set seen on the benchmark workloads is
@@ -184,8 +178,6 @@ def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     if d < 0:
         return ()
     gens = ideal.generators
-    if not gens:
-        return tuple(Monomial(s, d - s) for s in range(d, -1, -1))
     a1, b1, ar, br = gens[0].xdeg, gens[0].ydeg, gens[-1].xdeg, gens[-1].ydeg
     contains_xy = ideal.contains_xy
     arm_x = range(d, max(a1, d - b1 + 1) - 1, -1)

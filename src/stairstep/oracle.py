@@ -272,7 +272,7 @@ def check_minimality(res: Resolution) -> VerificationReport:
     """No differential entry may be a unit, vanish in S or have a negative
     exponent."""
     report = VerificationReport(res.ring)
-    stair = res.ring.stair()
+    stair = res.ring.stair
     n, far = len(stair), stair[-1]
     for i, diff in enumerate(res.differentials, start=1):
         # an entry is bad by its monomial alone, so each distinct one is tested once
@@ -412,7 +412,7 @@ def _block_ranks(
     cells, low, ranks, patterns, by_degree, degrees = state
     reach = _std_top(ring)
     _std_x(ring, std, min(top - low, reach))  # no column twist lies below its rows'
-    stair = ring.stair()
+    stair = ring.stair
     n_stair, far = len(stair), stair[-1]
     for t in range(low + len(ranks), top + 1):
         pieces: dict[int, list[int]] = {}  # x-degree of a piece -> its alive columns
@@ -563,7 +563,7 @@ def minimal_resolution_bruteforce(
     p = _modulus(fld)
     width = max_degree + 1
     # x^a y^b lies in M iff b >= stair[a], for every a <= max_degree
-    stair = ideal.stair()
+    stair = list(ideal.stair)
     stair += [stair[-1]] * (width - len(stair))
     # x-degrees of the standard monomials of degree n <= top, the highest
     # degree of one in the window

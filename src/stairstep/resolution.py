@@ -56,14 +56,13 @@ def _append_ints(target: array, values: list[int]) -> array:
 
 class Generators:
     """The generators of a graded free module: generator i has bidegree
-    (dx[i], dy[i]), two int arrays, and label ``labels[i]``.
+    (dx[i], dy[i]), two int arrays, and the i-th label of ``labels``.
 
-    ``labels`` is anything indexed and iterated in generator order: a
-    tuple of strings for a module read from JSON or built by hand, and for
-    an engine-built module a rule that renders a label when it is asked
-    for, so no per-generator object is stored.  Iterating yields
-    ``(label, (dx, dy))`` pairs, made on demand; a slice is a tuple of
-    them."""
+    ``labels`` is anything iterated in generator order: a tuple of strings
+    for a module read from JSON or built by hand, and for an engine-built
+    module a rule that renders its labels when iterated, so no
+    per-generator object is stored.  Iterating yields ``(label, (dx,
+    dy))`` pairs, made on demand."""
 
     __slots__ = ("dx", "dy", "labels")
 
@@ -84,12 +83,6 @@ class Generators:
 
     def __iter__(self):
         return zip(self.labels, zip(self.dx, self.dy))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self.dx))[i]
-        return self.labels[i], (self.dx[i], self.dy[i])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Generators) and list(self) == list(other)
@@ -256,7 +249,7 @@ def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[di
     """The nonzero cells of the composite of the upper map's ``entries``
     with the lower map's grouped columns, or None if the entries are not
     in column order."""
-    stair = ring.stair()
+    stair = ring.stair
     n, far = len(stair), stair[-1]
     out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
     acc: dict[tuple[int, int, int], int] = {}
@@ -438,37 +431,26 @@ class _MainLabels:
     def __init__(self, stage: int, counts: tuple[int, int, int], names: tuple) -> None:
         self.stage, self.counts, self.names = stage, counts, names
 
-    def _render(self, kind: int, n: int, count: int, block: int) -> list[str]:
-        """The labels of ``count`` consecutive blocks of one kind (0, 1, 2
-        for F1, F2, F3): the first is the n-th of its kind, from 0, and
-        block ``block`` of the stage."""
+    def _render(self, kind: int, count: int, block: int) -> list[str]:
+        """The labels of the stage's ``count`` blocks of one kind (0, 1, 2
+        for F1, F2, F3), the first of which is block ``block`` of the
+        stage."""
         first, names, head, trailing = self.names[kind]
         if self.stage < 4:
             return list(first) * count
         ats = [f"@{self.stage}.{b}" for b in range(block, block + count)] if self.stage >= 5 else [""] * count
         if head:
-            return [f"{head}{m}{name}{at}" for m, at in enumerate(ats, n + 1) for name in names]
-        posts = [f"{m}{at}" for m, at in enumerate(ats, n + 1)] if trailing else ats
+            return [f"{head}{m}{name}{at}" for m, at in enumerate(ats, 1) for name in names]
+        posts = [f"{m}{at}" for m, at in enumerate(ats, 1)] if trailing else ats
         return [name + post for post in posts for name in names]
 
     def __iter__(self):
         labels, block = [], 0
         for kind, count in enumerate(self.counts):
             if count:
-                labels += self._render(kind, 0, count, block)
+                labels += self._render(kind, count, block)
                 block += count
         return iter(labels)
-
-    def __getitem__(self, i: int) -> str:
-        block = 0  # the blocks before this kind's
-        for kind, count in enumerate(self.counts):
-            width = len(self.names[kind][0])
-            if i < count * width:
-                n, col = divmod(i, width)
-                return self._render(kind, n, 1, block + n)[col]
-            i -= count * width
-            block += count
-        raise IndexError("label index out of range")
 
 
 class _MainBuilder(_MainTemplates):
@@ -559,12 +541,7 @@ class _StageLabels:
         self.stem, self.stage, self.count, self.numbered = stem, stage, count, numbered
 
     def __iter__(self):
-        return map(self.__getitem__, range(self.count))
-
-    def __getitem__(self, c: int) -> str:
-        if not 0 <= c < self.count:
-            raise IndexError("label index out of range")
-        return f"{self.stem}{c + 1 if self.numbered else ''}({self.stage})"
+        return iter([f"{self.stem}{c if self.numbered else ''}({self.stage})" for c in range(1, self.count + 1)])
 
 
 def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
@@ -774,9 +751,9 @@ def resolution_from_json(data: dict) -> Resolution:
     """The resolution a :func:`resolution_to_json` dict describes; labels
     are kept as the file's strings.  Raises ValueError on a class that is
     not the ideal's, a differential count other than the module count
-    minus one, an entry with a negative exponent, a sign other than 1 or
-    -1 or a place outside its matrix, and an int that does not fit in 64
-    bits."""
+    minus one, a module whose "rank" is not its generator count, an entry
+    with a negative exponent, a sign other than 1 or -1 or a place outside
+    its matrix, and an int that does not fit in 64 bits."""
     from .monomials import normalize_ideal
 
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
@@ -787,8 +764,10 @@ def resolution_from_json(data: dict) -> Resolution:
         raise ValueError(f"{len(data['differentials'])} differentials between {len(data['modules'])} modules")
     try:
         modules = []
-        for m in data["modules"]:
+        for k, m in enumerate(data["modules"]):
             bidegrees = [g["bidegree"] for g in m["generators"]]
+            if m["rank"] != len(bidegrees):
+                raise ValueError(f"F{k} has rank {m['rank']!r} but {len(bidegrees)} generators")
             dx = _append_ints(array("q"), [dx for dx, _dy in bidegrees])
             dy = _append_ints(array("q"), [dy for _dx, dy in bidegrees])
             modules.append(GradedFreeModule(Generators(dx, dy, tuple(g["label"] for g in m["generators"]))))

@@ -381,3 +381,10 @@ class TestInputBounds:
         code, _, err = run(capsys, "verify", "xy2,y4", "--field", "p:1000000016000000063")
         assert code == 2
         assert "not prime" in err
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_x_exponent_beyond_the_stair_exit_2(self, capsys, command):
+        # a_1 = sys.maxsize: no tuple can index the staircase's x-exponents
+        code, out, err = run(capsys, command, "x^9223372036854775807,y", "--stages", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: the x-exponent a_1 = 9223372036854775807 is too large to tabulate the staircase of M\n"

@@ -9,9 +9,14 @@ from stairstep import (
     MonomialIdeal,
     ParseError,
     UnitIdeal,
+    betti_table,
+    build_resolution,
+    classify,
+    minimal_resolution_bruteforce,
     normalize_ideal,
     parse_ideal,
     parse_monomial,
+    resolution_to_json,
     staircase_outline,
     standard_monomials,
 )
@@ -61,6 +66,14 @@ class TestNormalize:
     def test_unit_rejected(self):
         with pytest.raises(UnitIdeal):
             normalize_ideal([Monomial(0, 0), Monomial(1, 0)])
+
+    def test_constructor_rejects_the_zero_ideal(self):
+        with pytest.raises(EmptyIdeal, match="at least one generator"):
+            MonomialIdeal(())
+
+    def test_constructor_rejects_the_unit_ideal(self):
+        with pytest.raises(UnitIdeal, match="not a proper ideal"):
+            MonomialIdeal((Monomial(0, 0),))
 
     @given(ideals)
     def test_idempotent(self, ideal):
@@ -112,8 +125,32 @@ class TestStaircaseIndex:
 
     @given(ideals, far_monomials)
     def test_stair_matches_scan(self, ideal, m):
-        stair = ideal.stair()
+        stair = ideal.stair
         assert (m.ydeg >= stair[min(m.xdeg, len(stair) - 1)]) == scan_contains(ideal, m)
+
+    @given(ideals)
+    def test_stair_is_a_tuple_tabulated_once(self, ideal):
+        stair = ideal.stair
+        assert type(stair) is tuple and len(stair) == ideal.generators[0].xdeg + 1
+        assert ideal.stair is stair
+
+    @pytest.mark.parametrize("text", ["x^50,y", "x^50*y", "x^50,x*y,y^2"])
+    def test_only_the_checks_tabulate_the_stair(self, text):
+        # classify, betti and resolve never read the stair, so their cost
+        # does not grow with a_1
+        ideal = parse_ideal(text)
+        classify(ideal)
+        betti_table(ideal, 5)
+        resolution_to_json(build_resolution(ideal, 5))
+        assert "stair" not in vars(ideal)
+
+    def test_bruteforce_leaves_the_stair_unchanged(self):
+        # the oracle pads a copy of the stair to its degree window
+        ideal = M((3, 0), (0, 1))
+        before = ideal.stair
+        assert before == (1, 1, 1, 0)
+        minimal_resolution_bruteforce(ideal, 3, 20)
+        assert ideal.stair is before and before == (1, 1, 1, 0)
 
     # (y^4, x*y^2) reversed, equal x-exponents, equal y-exponents, a repeat
     @pytest.mark.parametrize("gens", [((0, 4), (1, 2)), ((2, 1), (2, 3)), ((3, 2), (1, 2)), ((1, 1), (1, 1))])
@@ -123,6 +160,7 @@ class TestStaircaseIndex:
 
     def test_index_not_in_equality_hash_or_repr(self):
         ideal = M((1, 2), (0, 4))
+        assert ideal.stair == (4, 2)  # tabulated on one side only
         same = MonomialIdeal((Monomial(1, 2), Monomial(0, 4)))
         assert ideal == same and hash(ideal) == hash(same)
         assert repr(ideal) == (

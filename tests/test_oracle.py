@@ -419,7 +419,7 @@ class TestMutations:
         d3 = res.differentials[2]
         # remove the e_{d_1} column (the last one)
         entries = tuple(e for e in d3.entries if e[1] != d3.source.rank - 1)
-        gens = d3.source.generators[:-1]
+        gens = tuple(d3.source.generators)[:-1]
         src = GradedFreeModule(gens)
         new_d3 = Differential(src, d3.target, entries, d3.ring)
         diffs = list(res.differentials)

@@ -360,6 +360,17 @@ def test_json_reload_rejects_a_sign_other_than_one_or_minus_one(sign):
         resolution_from_json(data)
 
 
+@pytest.mark.parametrize("rank", [2, 7, "abc", None])
+def test_json_reload_rejects_a_rank_other_than_the_generator_count(rank):
+    # left unchecked, a module of 3 generators loads with any "rank"
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    assert data["modules"][2]["rank"] == len(data["modules"][2]["generators"]) == 3
+    data["modules"][2]["rank"] = rank
+    message = f"F2 has rank {rank!r} but 3 generators"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("text", ["x3,x2y2,xy{e}", "x{e},y", "x{e}y"])
 def test_bidegrees_beyond_64_bits_are_a_value_error(text):
     # the main case, the Kunneth product and type II each store a bidegree
