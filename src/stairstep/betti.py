@@ -8,13 +8,7 @@ from typing import Optional
 
 from .classify import IdealClass, classify
 from .monomials import MonomialIdeal
-from .resolution import (
-    Resolution,
-    StageTooSmall,
-    _main_betti_counts,
-    _product_betti_counts,
-    build_resolution,
-)
+from .resolution import Resolution, StageTooSmall, _main_betti_counts, _product_betti_counts
 
 
 @dataclass(frozen=True)
@@ -132,20 +126,18 @@ def graded_betti(res: Resolution) -> BettiTable:
 
 def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
     """The graded Betti table of :func:`build_resolution` through
-    ``stages``, counted without building it except for type II.
+    ``stages``, counted without building it.
 
     A main-case table is counted from the base degrees of the F1, F2 and
-    F3 blocks stage by stage, with no module or matrix built.  Types I,
-    III, IV and V, the Kunneth product, add one generator of stage i for
-    each p that both one-variable factors reach, at twist
-    xtw[p] + ytw[i-p].  Type II, two generators per stage, is built."""
+    F3 blocks stage by stage, with no module or matrix built; type II is
+    the same rule table at r = 1, two generators per stage.  Types I, III,
+    IV and V, the Kunneth product, add one generator of stage i for each
+    p that both one-variable factors reach, at twist xtw[p] + ytw[i-p]."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
-    if cls.is_main:
+    if cls.is_main or cls is IdealClass.TYPE_II:
         return BettiTable(_main_betti_counts(ideal, stages), max_stage=stages)
-    if cls is IdealClass.TYPE_II:
-        return graded_betti(build_resolution(ideal, stages))
     return BettiTable(_product_betti_counts(ideal, stages), max_stage=stages)
 
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Iterable
 
 
@@ -84,9 +83,6 @@ class MonomialIdeal:
     """
 
     generators: tuple[Monomial, ...]
-    # the dataclass hash of the generators, computed once: every
-    # standard_monomials lookup hashes its ideal
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = self.generators
@@ -100,10 +96,6 @@ class MonomialIdeal:
                     f"generators not in staircase order at {g}, {h}: "
                     "x-exponents must strictly decrease and y-exponents strictly increase"
                 )
-        object.__setattr__(self, "_hash", hash((gens,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def num_generators(self) -> int:
@@ -161,11 +153,9 @@ def normalize_ideal(raw: Iterable[Monomial]) -> MonomialIdeal:
     return MonomialIdeal(_minimalize(raw))
 
 
-# Bounded: the largest working set seen on the benchmark workloads is
-# about a thousand (ideal, degree) pairs.
-@lru_cache(maxsize=4096)
-def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
-    """k-basis of the degree-d graded piece of S, highest x-power first.
+def _standard_x(ideal: MonomialIdeal, d: int) -> tuple[int, ...]:
+    """x-exponents s of the standard monomials x^s y^(d-s) of degree d,
+    highest first.
 
     With a_1 > ... > a_r and b_1 < ... < b_r, x^s y^t with s >= a_1 is
     standard exactly when t < b_1, and with t >= b_r exactly when s < a_r.
@@ -183,7 +173,14 @@ def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     arm_x = range(d, max(a1, d - b1 + 1) - 1, -1)
     below = [s for s in range(min(a1 - 1, d), max(0, d - br + 1) - 1, -1) if not contains_xy(s, d - s)]
     arm_y = range(min(ar - 1, d - br), -1, -1)
-    return tuple(Monomial(s, d - s) for s in chain(arm_x, below, arm_y))
+    return (*arm_x, *below, *arm_y)
+
+
+# Bounded.  No check calls it: they read _standard_x's ints, uncached.
+@lru_cache(maxsize=4096)
+def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
+    """k-basis of the degree-d graded piece of S, highest x-power first."""
+    return tuple(Monomial(s, d - s) for s in _standard_x(ideal, d))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Independent verification by exact linear algebra on graded pieces.
 
+Every check of a resolution lives here, compose_check among them, and
+reads only M, the modules' bidegrees and the differentials' entries.
+
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
 adjudicate every engine construction.  In each degree it first
@@ -19,16 +22,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, inf
-from operator import add
+from operator import add, itemgetter
 from typing import Optional, Union
 
 from .betti import BettiTable
-from .monomials import MonomialIdeal, standard_monomials, term_str
-from .resolution import Differential, Resolution, compose_check
+from .monomials import Monomial, MonomialIdeal, _standard_x, term_str
+from .resolution import Differential, Resolution
 
 
 class TruncationTooSmall(ValueError):
     pass
+
+
+def _require_window(ideal: MonomialIdeal, max_degree: int) -> None:
+    if max_degree < ideal.max_generator_degree:
+        raise TruncationTooSmall(f"max_degree {max_degree} below largest generator degree {ideal.max_generator_degree}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,15 @@ def _inhomogeneous(row: int, col: int) -> ValueError:
     return ValueError(f"entry ({row}, {col}) is not homogeneous")
 
 
+def _inhomogeneous_entries(diff: Differential) -> list[tuple[int, int]]:
+    """(row, col) of each entry whose column's bidegree is not its row's
+    bidegree plus (xdeg, ydeg)."""
+    src, tgt = diff.source.generators, diff.target.generators
+    # lists index without making an int per read, as arrays do
+    sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
+    return [(row, col) for row, col, _sign, x, y in diff.entries if sx[col] != tx[row] + x or sy[col] != ty[row] + y]
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     kind: str  # "complex" | "minimality" | "homogeneity" | "exactness"
@@ -252,6 +269,88 @@ class VerificationReport:
             ],
             "verdict": "pass" if self.verdict else "fail",
         }
+
+
+class ShapeMismatch(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ComposeProduct:
+    """Matrix of residue terms from composing two differentials."""
+
+    entries: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]]
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
+
+def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
+    """Reduce d_lo o d_hi over S; the complex property holds iff zero.
+
+    Every pair of entries is multiplied out on integer exponents; a
+    Monomial is built only for a term that survives with a nonzero
+    coefficient.  Only d_lo is grouped by column, so a chain of composites
+    groups each lower map once and never the top one.  d_hi's entries are
+    read in column order: in place, as the engine and JSON give them, or
+    sorted by column if a column index falls; each column's terms are
+    reduced once its entries end."""
+    if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
+        raise ShapeMismatch("source of lower map must equal target of higher map")
+    lo_cols = _group_columns(d_lo)
+    hi = d_hi.entries
+    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
+    if out is None:
+        out = _compose_columns(sorted(hi, key=itemgetter(1)), lo_cols, d_lo.ring)
+    return ComposeProduct(out)
+
+
+def _group_columns(diff: Differential) -> list[list[tuple[int, int, int, int]]]:
+    """The entries of ``diff`` grouped by column as (row, sign, xdeg, ydeg)."""
+    cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(diff.source.rank)]
+    for row, col, sign, x, y in diff.entries:
+        cols[col].append((row, sign, x, y))
+    return cols
+
+
+def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
+    """The nonzero cells of the composite of the upper map's ``entries``
+    with the lower map's grouped columns, or None if the entries are not
+    in column order."""
+    stair = ring.stair
+    n, far = len(stair), stair[-1]
+    out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
+    acc: dict[tuple[int, int, int], int] = {}
+    current = -1
+    for mid, col, sign, x, y in entries:
+        if col != current:
+            if col < current:
+                return None
+            if any(acc.values()):
+                _collect_terms(acc, current, out)
+            acc = {}
+            current = col
+        for row, sign2, x2, y2 in lo_cols[mid]:
+            px, py = x + x2, y + y2
+            if py >= (stair[px] if px < n else far):
+                continue
+            key = (row, px, py)
+            acc[key] = acc.get(key, 0) + sign * sign2
+    if any(acc.values()):
+        _collect_terms(acc, current, out)
+    return out
+
+
+def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
+    """Enter one column's nonzero (row, xdeg, ydeg) coefficients into out
+    as (row, col) -> terms sorted by monomial."""
+    by_cell: dict[int, list[tuple[int, Monomial]]] = {}
+    for (row, px, py), coeff in acc.items():
+        if coeff:
+            by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
+    for row, terms in by_cell.items():
+        out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
 
 
 def check_complex(res: Resolution) -> VerificationReport:
@@ -297,7 +396,7 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     which the Betti tables read, would miss a swapped bidegree."""
     report = VerificationReport(res.ring)
     for i, diff in enumerate(res.differentials, start=1):
-        bad = diff.inhomogeneous_entries()
+        bad = _inhomogeneous_entries(diff)
         detail = str(_inhomogeneous(*bad[0])) if bad else ""
         report.checks.append(CheckRecord("homogeneity", i, None, not bad, detail))
     return report
@@ -318,7 +417,7 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     with a negative exponent maps its column's generator off its row's
     slice.  Either fault raises ValueError naming the entry by the
     differential's own (row, col)."""
-    bad = diff.inhomogeneous_entries()
+    bad = _inhomogeneous_entries(diff)
     if bad:
         raise _inhomogeneous(*bad[0])
     src, tgt, e = diff.source.generators, diff.target.generators, diff.entries
@@ -365,7 +464,7 @@ def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
     """x-exponents of the standard monomials of degree n >= 0, highest
     first; std caches them by degree and is extended on demand."""
     while len(std) <= n:
-        std.append(tuple(m.xdeg for m in standard_monomials(ring, len(std))))
+        std.append(_standard_x(ring, len(std)))
     return std[n]
 
 
@@ -483,11 +582,7 @@ def check_exactness(
     function of S and each module's twists.  An inhomogeneous entry in d_i
     ends the report with a failed record at stage i and no degree, as does
     an entry with a negative exponent in a column of twist <= max_degree."""
-    if max_degree < res.ring.max_generator_degree:
-        raise TruncationTooSmall(
-            f"max_degree {max_degree} below largest generator degree "
-            f"{res.ring.max_generator_degree}"
-        )
+    _require_window(res.ring, max_degree)
     n_diffs = len(res.differentials)
     if n_diffs < max_stage + 1 and res.modules[-1].rank > 0:
         raise ValueError(
@@ -555,11 +650,7 @@ def minimal_resolution_bruteforce(
     falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
     key - 1, by y the key itself.  A product is tested against M with the
     ring's stair, so no index of a slice's basis is built."""
-    if max_degree < ideal.max_generator_degree:
-        raise TruncationTooSmall(
-            f"max_degree {max_degree} below largest generator degree "
-            f"{ideal.max_generator_degree}"
-        )
+    _require_window(ideal, max_degree)
     p = _modulus(fld)
     width = max_degree + 1
     # x^a y^b lies in M iff b >= stair[a], for every a <= max_degree

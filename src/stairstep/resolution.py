@@ -20,24 +20,21 @@ demand.
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
 so stage 40 takes milliseconds; a Kunneth product's are read off the two
-factors' twists by the reachability rule its builder uses.
+factors' twists by the reachability rule its builder uses.  No check of
+a resolution lives here: they are all in :mod:`stairstep.oracle`.
 """
 from __future__ import annotations
 
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .classify import IdealClass, classify
-from .monomials import Monomial, MonomialIdeal, term_str
+from .monomials import Monomial, MonomialIdeal, normalize_ideal, term_str
 
 
 class StageTooSmall(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
     pass
 
 
@@ -181,25 +178,6 @@ class Differential:
         if not isinstance(self.entries, Entries):
             object.__setattr__(self, "entries", Entries.of(self.entries))
 
-    def columns(self) -> list[list[tuple[int, int, int, int]]]:
-        """Entries grouped by column as (row, sign, xdeg, ydeg)."""
-        cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(self.source.rank)]
-        for row, col, sign, x, y in self.entries:
-            cols[col].append((row, sign, x, y))
-        return cols
-
-    def inhomogeneous_entries(self) -> list[tuple[int, int]]:
-        """(row, col) of each entry whose column's bidegree is not its
-        row's bidegree plus (xdeg, ydeg)."""
-        src, tgt = self.source.generators, self.target.generators
-        # lists index without making an int per read, as arrays do
-        sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
-        return [
-            (row, col)
-            for row, col, _sign, x, y in self.entries
-            if sx[col] != tx[row] + x or sy[col] != ty[row] + y
-        ]
-
     def dense_strings(self) -> list[list[str]]:
         grid = [["0"] * self.source.rank for _ in range(self.target.rank)]
         for row, col, sign, x, y in self.entries:
@@ -210,78 +188,6 @@ class Differential:
 def _free_rank_one() -> GradedFreeModule:
     """F_0 = S: one generator e1 in bidegree (0, 0)."""
     return GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))
-
-
-@dataclass(frozen=True)
-class ComposeProduct:
-    """Matrix of residue terms from composing two differentials."""
-
-    entries: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
-    """Reduce d_lo o d_hi over S; the complex property holds iff zero.
-
-    Every pair of entries is multiplied out on integer exponents; a
-    Monomial is built only for a term that survives with a nonzero
-    coefficient.  Only d_lo's entries are grouped, by
-    :meth:`Differential.columns`, so a chain of composites groups each
-    lower map once and never the top one.  d_hi's entries are read in
-    column order: in place, as the engine and JSON give them, and through
-    their indices sorted by column if a column index falls; each column's
-    terms are reduced once its entries end."""
-    if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
-        raise ShapeMismatch("source of lower map must equal target of higher map")
-    lo_cols = d_lo.columns()
-    hi = d_hi.entries
-    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
-    if out is None:
-        cols = hi.cols
-        out = _compose_columns(map(hi.__getitem__, sorted(range(len(cols)), key=cols.__getitem__)), lo_cols, d_lo.ring)
-    return ComposeProduct(out)
-
-
-def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
-    """The nonzero cells of the composite of the upper map's ``entries``
-    with the lower map's grouped columns, or None if the entries are not
-    in column order."""
-    stair = ring.stair
-    n, far = len(stair), stair[-1]
-    out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
-    acc: dict[tuple[int, int, int], int] = {}
-    current = -1
-    for mid, col, sign, x, y in entries:
-        if col != current:
-            if col < current:
-                return None
-            if any(acc.values()):
-                _collect_terms(acc, current, out)
-            acc = {}
-            current = col
-        for row, sign2, x2, y2 in lo_cols[mid]:
-            px, py = x + x2, y + y2
-            if py >= (stair[px] if px < n else far):
-                continue
-            key = (row, px, py)
-            acc[key] = acc.get(key, 0) + sign * sign2
-    if any(acc.values()):
-        _collect_terms(acc, current, out)
-    return out
-
-
-def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
-    """Enter one column's nonzero (row, xdeg, ydeg) coefficients into out
-    as (row, col) -> terms sorted by monomial."""
-    by_cell: dict[int, list[tuple[int, Monomial]]] = {}
-    for (row, px, py), coeff in acc.items():
-        if coeff:
-            by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
-    for row, terms in by_cell.items():
-        out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
 
 
 @dataclass
@@ -747,15 +653,23 @@ def _decomposition(res: Resolution) -> list[dict]:
     ]
 
 
+def _require_ints(values: list, fields: tuple, item: str) -> None:
+    """ValueError naming the field and item of the first non-int (a bool is not) in values."""
+    if not set(map(type, values)) <= {int}:
+        j = next(j for j, v in enumerate(values) if type(v) is not int)
+        raise ValueError(f"{fields[j % len(fields)]} of {item} {j // len(fields)} is {values[j]!r}, not an int")
+
+
 def resolution_from_json(data: dict) -> Resolution:
     """The resolution a :func:`resolution_to_json` dict describes; labels
     are kept as the file's strings.  Raises ValueError on a class that is
     not the ideal's, a differential count other than the module count
-    minus one, a module whose "rank" is not its generator count, an entry
-    with a negative exponent, a sign other than 1 or -1 or a place outside
-    its matrix, and an int that does not fit in 64 bits."""
-    from .monomials import normalize_ideal
-
+    minus one, an exponent, bidegree, row, col or sign that is not an
+    int (a bool is not), a module whose "rank" is not an int equal to its
+    generator count, an entry with a negative exponent, a sign other than
+    1 or -1 or a place outside its matrix, and an int that does not fit in
+    64 bits."""
+    _require_ints([v for g in data["ideal"] for v in g], ("x-exponent", "y-exponent"), "ideal generator")
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
     cls = classify(ideal)
     if data["class"] != cls.slug:
@@ -766,22 +680,27 @@ def resolution_from_json(data: dict) -> Resolution:
         modules = []
         for k, m in enumerate(data["modules"]):
             bidegrees = [g["bidegree"] for g in m["generators"]]
-            if m["rank"] != len(bidegrees):
+            if type(m["rank"]) is not int or m["rank"] != len(bidegrees):
                 raise ValueError(f"F{k} has rank {m['rank']!r} but {len(bidegrees)} generators")
-            dx = _append_ints(array("q"), [dx for dx, _dy in bidegrees])
-            dy = _append_ints(array("q"), [dy for _dx, dy in bidegrees])
+            dxs, dys = [dx for dx, _dy in bidegrees], [dy for _dx, dy in bidegrees]
+            _require_ints(dxs, ("bidegree[0]",), f"F{k} generator")
+            _require_ints(dys, ("bidegree[1]",), f"F{k} generator")
+            dx, dy = _append_ints(array("q"), dxs), _append_ints(array("q"), dys)
             modules.append(GradedFreeModule(Generators(dx, dy, tuple(g["label"] for g in m["generators"]))))
         diffs = []
         for i, d in enumerate(data["differentials"]):
             n_rows, n_cols = modules[i].rank, modules[i + 1].rank
             ints: list[int] = []
-            for e in d["entries"]:
-                row, col, (x, y) = e["row"], e["col"], e["monomial"]
-                if x < 0 or y < 0:
-                    raise ValueError(f"negative exponent in {(x, y)}")
-                if not (0 <= row < n_rows and 0 <= col < n_cols):
-                    raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
-                ints += (row, col, e["sign"], x, y)
+            try:
+                for e in d["entries"]:
+                    row, col, (x, y) = e["row"], e["col"], e["monomial"]
+                    ints += (row, col, e["sign"], x, y)
+                    if x < 0 or y < 0:
+                        raise ValueError(f"negative exponent in {(x, y)}")
+                    if not (0 <= row < n_rows and 0 <= col < n_cols):
+                        raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
+            finally:  # also when a comparison above failed: a value that is not an int is named first
+                _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
             if not set(ints[2::5]) <= {1, -1}:
                 e = next(e for e in d["entries"] if e["sign"] not in (1, -1))
                 raise ValueError(f"entry ({e['row']}, {e['col']}) of d{i + 1} has sign {e['sign']!r}, not 1 or -1")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-import stairstep.betti
+import stairstep.resolution
 from conftest import exhaustive_corpus, random_corpus
 from stairstep import (
     IdealClass,
@@ -14,6 +14,9 @@ from stairstep import (
     betti_json,
     betti_table,
     build_resolution,
+    check_complex,
+    check_exactness,
+    check_minimality,
     classify,
     graded_betti,
     normalize_ideal,
@@ -23,7 +26,7 @@ from stairstep import (
     series_expand,
     total_betti,
 )
-from stairstep.resolution import _MainTemplates
+from stairstep.resolution import _MainTemplates, _build_main
 
 
 def M(*pairs):
@@ -64,6 +67,12 @@ class TestTotalBetti:
         assert total_betti(IdealClass.TYPE_IV, 2, 4) == [1, 1, 1, 1, 1]
         assert total_betti(IdealClass.TYPE_V, 2, 4) == [1, 2, 3, 4, 5]
 
+    def test_argument_errors(self):
+        with pytest.raises(ValueError, match=r"^need n >= 0$"):
+            total_betti(IdealClass.TYPE_V, 2, -1)
+        with pytest.raises(ValueError, match=r"^main case needs r >= 2$"):
+            total_betti(IdealClass.MAIN_CASE_1, 1, 4)
+
 
 class TestPoincareSeries:
     def test_main_r2_display(self):
@@ -82,6 +91,10 @@ class TestPoincareSeries:
         ]
         assert series_expand(PoincareSeries((1,), (1, -1)), 4) == [1, 1, 1, 1, 1]
         assert series_expand(poincare_series(IdealClass.TYPE_V), 4) == [1, 2, 3, 4, 5]
+
+    def test_main_case_needs_two_generators(self):
+        with pytest.raises(ValueError, match=r"^main case needs r >= 2$"):
+            poincare_series(IdealClass.MAIN_CASE_2, 1)
 
     def test_expand_requires_unit_constant_term(self):
         with pytest.raises(ValueError):
@@ -193,26 +206,41 @@ class TestBettiTable:
         assert betti_table(ideal, 40).totals() == expected
 
     def test_counted_product_tables_match_built(self, monkeypatch):
-        # every ideal of types I, III, IV and V with exponents up to 8,
+        # every ideal of types I, II, III, IV and V with exponents up to 8,
         # counted with no resolution built, against the built one
         cases = [M((1, 0)), M((0, 1))] + [M((a, 0), (0, b)) for a in range(1, 9) for b in range(1, 9)]
+        cases += [M((a, b)) for a in range(9) for b in range(9) if a + b >= 2]  # type II
         built = {
             (ideal, stages): graded_betti(build_resolution(ideal, stages))
             for ideal in cases
             for stages in (0, 1, 2, 5, 12, 30)
         }
 
-        def no_build(ideal, stages):
+        def no_build(ideal, *args):
             raise AssertionError(f"{ideal} was built")
 
-        monkeypatch.setattr(stairstep.betti, "build_resolution", no_build)
+        for builder in ("build_resolution", "_build_main", "_build_type_ii", "_build_product"):
+            monkeypatch.setattr(stairstep.resolution, builder, no_build)
         kinds = set()
         for (ideal, stages), table in built.items():
             counted = betti_table(ideal, stages)
             assert (counted.entries, counted.max_stage, counted.max_degree) == (
                 table.entries, table.max_stage, table.max_degree), (str(ideal), stages)
             kinds.add(classify(ideal))
-        assert kinds == {IdealClass.TYPE_I, IdealClass.TYPE_III, IdealClass.TYPE_IV, IdealClass.TYPE_V}
+        assert kinds == {
+            IdealClass.TYPE_I, IdealClass.TYPE_II, IdealClass.TYPE_III, IdealClass.TYPE_IV, IdealClass.TYPE_V}
+
+    @pytest.mark.parametrize("text", ["x2y3", "y5"])
+    def test_main_rule_table_resolves_type_ii(self, text):
+        # betti_table counts type II over the main-case rule table at r = 1,
+        # which is right because the resolution that table builds is one
+        ideal = parse_ideal(text)
+        assert classify(ideal) is IdealClass.TYPE_II
+        res = _build_main(ideal, classify(ideal), 9)
+        assert check_complex(res).verdict
+        assert check_minimality(res).verdict
+        assert check_exactness(res, 8, 40).verdict
+        assert graded_betti(res).entries == graded_betti(build_resolution(ideal, 9)).entries
 
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5"])  # main cases 1 and 2
     def test_one_rule_drives_count_and_build(self, monkeypatch, text):

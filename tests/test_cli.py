@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,16 @@ class TestPoincare:
         code, out, _ = run(capsys, "poincare", "x2y,xy2", "--expand", "6")
         assert out.strip() == "1 2 3 5 8 13 21"
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "poincare", "x2y,xy2", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"numerator": [1, 1], "denominator": [1, -1, -1], "display": "(1+z)/(1-z-z^2)"}
+
+    def test_json_expand(self, capsys):
+        code, out, _ = run(capsys, "poincare", "x,y", "--format", "json", "--expand", "4")
+        assert code == 0
+        assert json.loads(out) == {"series": "1", "coefficients": [1, 0, 0, 0, 0]}
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -141,12 +152,29 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4", "--field", "p:101")
         assert code == 0
 
+    def test_mismatch_line(self, capsys, monkeypatch):
+        # a brute force that misses one generator of F_2 in degree 3
+        real = stairstep.cli.minimal_resolution_bruteforce
+
+        def short(ideal, max_stage, max_degree, fld):
+            table = real(ideal, max_stage, max_degree, fld)
+            return replace(table, entries={**table.entries, (2, 3): table.entries[(2, 3)] - 1})
+
+        monkeypatch.setattr(stairstep.cli, "minimal_resolution_bruteforce", short)
+        code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["MISMATCH beta_(2,3): engine 2 vs oracle 1", "engine agreement: fail"]
+
 
 class TestResolve:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "resolve", "x2y,xy2", "--stages", "4")
         assert code == 0
         assert "ranks: 1 2 3 5 8" in out
+
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "resolve", "x2y,xy2", "--stages", "4", "--format", "csv")
+        assert (code, out) == (0, "stage,rank\n0,1\n1,2\n2,3\n3,5\n4,8\n")
 
     # stdout of `resolve IDEAL --stages 8 --format json`, as the engine
     # printed it before its templates were flattened
@@ -224,6 +252,21 @@ class TestErrors:
 
     def test_bad_field_exit_2(self, capsys):
         assert run(capsys, "oracle", "x2,y2", "--field", "p:6")[0] == 2
+
+    def test_unknown_field_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "x2,y2", "--field", "q2")
+        assert code == 2
+        assert "field must be 'q' or 'p:PRIME', got 'q2'" in err
+
+    def test_non_integer_stages_exit_2(self, capsys):
+        code, _, err = run(capsys, "betti", "x2,y2", "--stages", "abc")
+        assert code == 2
+        assert "invalid int value: 'abc'" in err
+
+    def test_empty_generator_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify", "x,,y")
+        assert (code, out) == (2, "")
+        assert err == "error: empty generator (at offset 2)\n"
 
     def test_graded_only_on_betti(self, capsys):
         assert run(capsys, "classify", "x2y,xy2", "--graded")[0] == 2

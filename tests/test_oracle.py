@@ -46,6 +46,7 @@ import stairstep.oracle
 from stairstep.oracle import (
     CheckRecord,
     _inhomogeneous,
+    _inhomogeneous_entries,
     _install_pivot,
     _is_prime,
     _modulus,
@@ -266,7 +267,9 @@ def graded_piece(diff: Differential, degree: int, fld: FieldConfig = ExactRation
     col_basis = _slice_basis(diff.source, ideal, degree)
     row_basis = _slice_basis(diff.target, ideal, degree)
     row_index = {(row, m.xdeg, m.ydeg): i for i, (row, m) in enumerate(row_basis)}
-    diff_cols = diff.columns()
+    diff_cols = [[] for _ in range(diff.source.rank)]
+    for row, col, sign, x, y in diff.entries:
+        diff_cols[col].append((row, sign, x, y))
     columns = []
     for g, m in col_basis:
         col: dict[int, int] = {}
@@ -319,13 +322,13 @@ class TestChecks:
 
     def test_complex_groups_each_map_once(self, monkeypatch):
         grouped = []
-        real = Differential.columns
+        real = stairstep.oracle._group_columns
 
         def spy(d):
             grouped.append(d)
             return real(d)
 
-        monkeypatch.setattr(Differential, "columns", spy)
+        monkeypatch.setattr(stairstep.oracle, "_group_columns", spy)
         res = build_resolution(M_RIGHT, 7)
         assert check_complex(res).verdict
         # the lower map of each composite, never the top map
@@ -389,6 +392,22 @@ class TestChecks:
         res = build_resolution(M((5, 0), (0, 6)), 5)
         with pytest.raises(TruncationTooSmall):
             check_exactness(res, 4, 5)
+
+    @pytest.mark.parametrize("pairs, stages", [(((1, 0),), 2), (((1, 0), (0, 1)), 3)], ids=["type-1", "type-3"])
+    def test_exactness_past_the_end_of_a_finite_resolution(self, pairs, stages):
+        # (x) and (x, y) end in a zero module, so every later stage is zero
+        # and exact: the check may be asked past the built stages
+        res = build_resolution(M(*pairs), stages)
+        assert res.modules[-1].rank == 0
+        report = check_exactness(res, 6, 10)
+        assert report.verdict
+        assert {c.stage for c in report.checks} == set(range(7))
+
+    def test_exactness_needs_the_next_stage(self):
+        res = build_resolution(M_RIGHT, 3)
+        with pytest.raises(ValueError, match=r"^resolution built to stage 3; need stage 4$"):
+            check_exactness(res, 3, 10)
+        assert check_exactness(res, 2, 10).verdict
 
     def test_report_json_shape(self):
         res = build_resolution(M_RIGHT, 4)
@@ -1010,7 +1029,7 @@ class TestBidegrees:
         for r in (res, loaded):
             # the total-degree checks cannot see it
             assert check_complex(r).verdict and check_minimality(r).verdict
-            assert r.differentials[1].inhomogeneous_entries()
+            assert _inhomogeneous_entries(r.differentials[1])
             exactness = check_exactness(r, 7, 30).failures()
             assert [(c.kind, c.stage, c.degree) for c in exactness] == [("exactness", 2, None)]
             assert "is not homogeneous" in exactness[0].detail

@@ -3,8 +3,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from stairstep import (
     IdealClass,
     Monomial,
     Resolution,
+    ShapeMismatch,
     build_resolution,
     check_homogeneity,
     check_minimality,
@@ -236,7 +238,7 @@ class TestDegenerate:
         res = build_resolution(M((3, 0), (0, 7)), 10)
 
         def coeff(i, col):  # the monomial of column col's one entry in d_i
-            ((_row, _sign, x, y),) = res.differentials[i - 1].columns()[col]
+            ((x, y),) = [(x, y) for _row, c, _sign, x, y in res.differentials[i - 1].entries if c == col]
             return Monomial(x, y)
 
         for i in range(3, 11):
@@ -371,6 +373,34 @@ def test_json_reload_rejects_a_rank_other_than_the_generator_count(rank):
         resolution_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("differentials", 1, "entries", 0, "row"), 0.0, "row of d2 entry 0 is 0.0, not an int"),
+        (("differentials", 1, "entries", 2, "col"), 2.0, "col of d2 entry 2 is 2.0, not an int"),
+        (("differentials", 1, "entries", 1, "sign"), True, "sign of d2 entry 1 is True, not an int"),
+        (("differentials", 2, "entries", 0, "monomial", 0), 2.5, "monomial[0] of d3 entry 0 is 2.5, not an int"),
+        (("differentials", 0, "entries", 1, "monomial", 1), 1.0, "monomial[1] of d1 entry 1 is 1.0, not an int"),
+        (("modules", 2, "generators", 1, "bidegree", 1), 2.0, "bidegree[1] of F2 generator 1 is 2.0, not an int"),
+        (("modules", 0, "rank"), True, "F0 has rank True but 1 generators"),
+        (("ideal", 1, 0), 1.0, "x-exponent of ideal generator 1 is 1.0, not an int"),
+        (("differentials", 3, "entries", 4, "row"), "0", "row of d4 entry 4 is '0', not an int"),
+        (("differentials", 1, "entries", 0, "monomial", 1), None, "monomial[1] of d2 entry 0 is None, not an int"),
+    ],
+)
+def test_json_reload_rejects_values_that_are_not_ints(path, value, message):
+    # a float, a string or null raised TypeError, and True loaded as 1
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    *parents, key = path
+    target = data
+    for step in parents:
+        target = target[step]
+    assert type(target[key]) is int
+    target[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("text", ["x3,x2y2,xy{e}", "x{e},y", "x{e}y"])
 def test_bidegrees_beyond_64_bits_are_a_value_error(text):
     # the main case, the Kunneth product and type II each store a bidegree
@@ -468,7 +498,7 @@ def compose_reference(d_hi, d_lo):
 @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))])
 def test_compose_check_matches_monomial_reference(ideal):
     res = build_resolution(ideal, 6)
-    nonzero = 0
+    nonzero = unordered = 0
     for i in range(1, len(res.differentials)):
         d_hi, d_lo = res.differentials[i], res.differentials[i - 1]
         # flip the first entry of every column: a column with several
@@ -479,6 +509,17 @@ def test_compose_check_matches_monomial_reference(ideal):
             seen.add(col)
         bad = Differential(d_hi.source, d_hi.target, tuple(entries), d_hi.ring)
         for hi in (d_hi, bad):
-            assert compose_check(hi, d_lo).entries == compose_reference(hi, d_lo)
+            # a shuffled copy is out of column order, so it is read sorted
+            shuffled = random.Random(i).sample(list(hi.entries), len(hi.entries))
+            unordered += shuffled != sorted(shuffled, key=lambda e: e[1])
+            for copy in (hi, replace(hi, entries=tuple(shuffled))):
+                assert compose_check(copy, d_lo).entries == compose_reference(copy, d_lo)
         nonzero += not compose_check(bad, d_lo).is_zero
-    assert nonzero > 0
+    assert nonzero > 0 and unordered > 0
+
+
+def test_compose_check_rejects_maps_that_do_not_meet():
+    d1, d2, d3 = build_resolution(M_RIGHT, 3).differentials
+    with pytest.raises(ShapeMismatch, match="^source of lower map must equal target of higher map$"):
+        compose_check(d3, d1)
+    assert compose_check(d3, d2).is_zero
