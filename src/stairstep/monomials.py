@@ -137,14 +137,14 @@ class MonomialIdeal:
 
 
 def _minimalize(raw: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    gens = sorted(set(raw), key=lambda m: (m.xdeg, m.ydeg))
+    """Minimal generators, falling x first: in (xdeg, ydeg) order m is kept iff its ydeg is below all kept."""
     kept: list[Monomial] = []
-    for m in gens:
-        if not any(g.divides(m) for g in kept if g != m):
-            kept = [g for g in kept if not m.divides(g)]
+    low = math.inf
+    for m in sorted(set(raw), key=lambda m: (m.xdeg, m.ydeg)):
+        if m.ydeg < low:
             kept.append(m)
-    kept.sort(key=lambda m: -m.xdeg)
-    return tuple(kept)
+            low = m.ydeg
+    return tuple(reversed(kept))
 
 
 def normalize_ideal(raw: Iterable[Monomial]) -> MonomialIdeal:

@@ -1,7 +1,8 @@
 """Independent verification by exact linear algebra on graded pieces.
 
-Every check of a resolution lives here, compose_check among them, and
-reads only M, the modules' bidegrees and the differentials' entries.
+Every check of a resolution lives here, reads only M, the modules'
+bidegrees and the differentials' entries, and fails a record on an entry
+that breaks the JSON loader's rule (resolution._shape_fault).
 
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
@@ -26,8 +27,8 @@ from operator import add, itemgetter
 from typing import Optional, Union
 
 from .betti import BettiTable
-from .monomials import Monomial, MonomialIdeal, _standard_x, term_str
-from .resolution import Differential, Resolution
+from .monomials import MonomialIdeal, _standard_x, term_str
+from .resolution import Differential, Resolution, _shape_fault
 
 
 class TruncationTooSmall(ValueError):
@@ -271,41 +272,6 @@ class VerificationReport:
         }
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ComposeProduct:
-    """Matrix of residue terms from composing two differentials."""
-
-    entries: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-def compose_check(d_hi: Differential, d_lo: Differential) -> ComposeProduct:
-    """Reduce d_lo o d_hi over S; the complex property holds iff zero.
-
-    Every pair of entries is multiplied out on integer exponents; a
-    Monomial is built only for a term that survives with a nonzero
-    coefficient.  Only d_lo is grouped by column, so a chain of composites
-    groups each lower map once and never the top one.  d_hi's entries are
-    read in column order: in place, as the engine and JSON give them, or
-    sorted by column if a column index falls; each column's terms are
-    reduced once its entries end."""
-    if d_lo.source is not d_hi.target and d_lo.source != d_hi.target:
-        raise ShapeMismatch("source of lower map must equal target of higher map")
-    lo_cols = _group_columns(d_lo)
-    hi = d_hi.entries
-    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
-    if out is None:
-        out = _compose_columns(sorted(hi, key=itemgetter(1)), lo_cols, d_lo.ring)
-    return ComposeProduct(out)
-
-
 def _group_columns(diff: Differential) -> list[list[tuple[int, int, int, int]]]:
     """The entries of ``diff`` grouped by column as (row, sign, xdeg, ydeg)."""
     cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(diff.source.rank)]
@@ -314,13 +280,25 @@ def _group_columns(diff: Differential) -> list[list[tuple[int, int, int, int]]]:
     return cols
 
 
+def _composite(d_hi: Differential, d_lo: Differential) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """d_lo o d_hi over S, for maps that meet and entries in their
+    matrices, as {(row, col): {(xdeg, ydeg): coeff}}, nonzero coefficients
+    only.  Only d_lo is grouped by column.  d_hi's entries are read in
+    column order: in place, as the engine and JSON give them, or sorted by
+    column if a column index falls."""
+    lo_cols = _group_columns(d_lo)
+    hi = d_hi.entries
+    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
+    return out if out is not None else _compose_columns(sorted(hi, key=itemgetter(1)), lo_cols, d_lo.ring)
+
+
 def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
     """The nonzero cells of the composite of the upper map's ``entries``
     with the lower map's grouped columns, or None if the entries are not
     in column order."""
     stair = ring.stair
     n, far = len(stair), stair[-1]
-    out: dict[tuple[int, int], tuple[tuple[int, Monomial], ...]] = {}
+    out: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     acc: dict[tuple[int, int, int], int] = {}
     current = -1
     for mid, col, sign, x, y in entries:
@@ -344,26 +322,29 @@ def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[di
 
 def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
     """Enter one column's nonzero (row, xdeg, ydeg) coefficients into out
-    as (row, col) -> terms sorted by monomial."""
-    by_cell: dict[int, list[tuple[int, Monomial]]] = {}
+    as (row, col) -> {(xdeg, ydeg): coeff}."""
     for (row, px, py), coeff in acc.items():
         if coeff:
-            by_cell.setdefault(row, []).append((coeff, Monomial(px, py)))
-    for row, terms in by_cell.items():
-        out[(row, col)] = tuple(sorted(terms, key=lambda t: (t[1].xdeg, t[1].ydeg)))
+            out.setdefault((row, col), {})[(px, py)] = coeff
 
 
 def check_complex(res: Resolution) -> VerificationReport:
     """Symbolic check that consecutive differentials compose to zero.
 
-    Each map below the top one is grouped by column once, as the lower map
-    of its composite; the top map, the largest, is never grouped."""
+    A composite is not formed when its maps do not meet or one breaks the
+    entry rule.  Each map below the top one is grouped by column once, as
+    the lower map of its composite; the top map is never grouped."""
     report = VerificationReport(res.ring)
     diffs = res.differentials
+    faults = [_shape_fault(d, i) for i, d in enumerate(diffs, start=1)]
     for i in range(1, len(diffs)):
-        prod = compose_check(diffs[i], diffs[i - 1])
-        detail = "" if prod.is_zero else f"nonzero composite at cells {sorted(prod.entries)[:3]}"
-        report.checks.append(CheckRecord("complex", i + 1, None, prod.is_zero, detail))
+        hi, lo = diffs[i], diffs[i - 1]
+        detail = faults[i - 1] or faults[i]
+        if lo.source is not hi.target and lo.source != hi.target:
+            detail = f"the source of d{i} is not the target of d{i + 1}"
+        elif not detail and (cells := _composite(hi, lo)):
+            detail = f"nonzero composite at cells {sorted(cells)[:3]}"
+        report.checks.append(CheckRecord("complex", i + 1, None, not detail, detail))
     return report
 
 
@@ -391,14 +372,16 @@ def check_minimality(res: Resolution) -> VerificationReport:
 
 
 def check_homogeneity(res: Resolution) -> VerificationReport:
-    """Every entry must carry its column's bidegree onto its row's:
-    source bidegree = target bidegree + (xdeg, ydeg).  Total degrees alone,
-    which the Betti tables read, would miss a swapped bidegree."""
+    """Every entry must lie in its matrix, have sign 1 or -1 and carry its
+    column's bidegree onto its row's: source bidegree = target bidegree +
+    (xdeg, ydeg).  Total degrees alone, which the Betti tables read, would
+    miss a swapped bidegree."""
     report = VerificationReport(res.ring)
     for i, diff in enumerate(res.differentials, start=1):
-        bad = _inhomogeneous_entries(diff)
-        detail = str(_inhomogeneous(*bad[0])) if bad else ""
-        report.checks.append(CheckRecord("homogeneity", i, None, not bad, detail))
+        detail = _shape_fault(diff, i)
+        if not detail and (bad := _inhomogeneous_entries(diff)):
+            detail = str(_inhomogeneous(*bad[0]))
+        report.checks.append(CheckRecord("homogeneity", i, None, not detail, detail))
     return report
 
 
@@ -580,8 +563,9 @@ def check_exactness(
     ranks of its bigraded pieces there, each ranked once per pattern of
     alive columns and rows (_block_ranks).  dim ker comes from the Hilbert
     function of S and each module's twists.  An inhomogeneous entry in d_i
-    ends the report with a failed record at stage i and no degree, as does
-    an entry with a negative exponent in a column of twist <= max_degree."""
+    ends the report with a failed record at stage i and no degree, as do
+    an entry outside its matrix or with a sign other than 1 or -1 and an
+    entry with a negative exponent in a column of twist <= max_degree."""
     _require_window(res.ring, max_degree)
     n_diffs = len(res.differentials)
     if n_diffs < max_stage + 1 and res.modules[-1].rank > 0:
@@ -595,8 +579,11 @@ def check_exactness(
     ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
+            diff = res.differentials[i - 1]
             try:
-                dim, rank = _stage_tables(res.differentials[i - 1], max_degree, std, fld, tables)
+                if fault := _shape_fault(diff, i):
+                    raise ValueError(fault)
+                dim, rank = _stage_tables(diff, max_degree, std, fld, tables)
             except ValueError as exc:
                 report.checks.append(CheckRecord("exactness", i, None, False, str(exc)))
                 return report

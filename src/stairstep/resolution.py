@@ -20,8 +20,8 @@ demand.
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
 so stage 40 takes milliseconds; a Kunneth product's are read off the two
-factors' twists by the reachability rule its builder uses.  No check of
-a resolution lives here: they are all in :mod:`stairstep.oracle`.
+factors' twists by the reachability rule its builder uses.  The checks
+are in :mod:`stairstep.oracle`, which shares the loader's entry rule.
 """
 from __future__ import annotations
 
@@ -185,6 +185,22 @@ class Differential:
         return grid
 
 
+def _shape_fault(diff: Differential, i: int) -> str:
+    """Why d_i breaks the entry rule of the loader and the checks, or "":
+    each row in [0, target rank), col in [0, source rank), sign 1 or -1.
+    Read as unsigned, a negative row or col exceeds every rank, so one max
+    per field and a set of the signs test the rule."""
+    ints, n_rows, n_cols = diff.entries.ints, diff.target.rank, diff.source.rank
+    rows, cols = array("Q", ints[0::5].tobytes()), array("Q", ints[1::5].tobytes())
+    if rows and (max(rows) >= n_rows or max(cols) >= n_cols):
+        row, col = next((r, c) for r, c in zip(ints[0::5], ints[1::5]) if not (0 <= r < n_rows and 0 <= c < n_cols))
+        return f"entry ({row}, {col}) of d{i} is outside its {n_rows}x{n_cols} matrix"
+    if not set(ints[2::5]) <= {1, -1}:
+        row, col, sign, _x, _y = next(e for e in diff.entries if e[2] not in (1, -1))
+        return f"entry ({row}, {col}) of d{i} has sign {sign}, not 1 or -1"
+    return ""
+
+
 def _free_rank_one() -> GradedFreeModule:
     """F_0 = S: one generator e1 in bidegree (0, 0)."""
     return GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))
@@ -196,13 +212,16 @@ class Resolution:
     derived from them is stored beside them."""
 
     ring: MonomialIdeal
-    ideal_class: IdealClass
     modules: list[GradedFreeModule]
     differentials: list[Differential]
 
     # Not a field: read only by the benchmark's traced with_blocks counter;
     # it goes with the next benchmark change.
     blocks = None
+
+    @property
+    def ideal_class(self) -> IdealClass:
+        return classify(self.ring)
 
     @property
     def stages(self) -> int:
@@ -429,11 +448,11 @@ class _MainBuilder(_MainTemplates):
         self._blocks = blocks
 
 
-def _build_main(ideal: MonomialIdeal, ideal_class: IdealClass, stages: int) -> Resolution:
+def _build_main(ideal: MonomialIdeal, stages: int) -> Resolution:
     builder = _MainBuilder(ideal)
     for _ in range(stages):
         builder.step()
-    return Resolution(ideal, ideal_class, builder.modules, builder.differentials)
+    return Resolution(ideal, builder.modules, builder.differentials)
 
 
 class _StageLabels:
@@ -489,7 +508,7 @@ def _product_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, 
     return entries
 
 
-def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
+def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
     """Types I, III, IV and V through stage n.
 
     S is k[x]/(x^a) tensor k[y]/(y^b), where a factor is k[v] when M holds
@@ -519,7 +538,7 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
             for p in ((i - j, j) if 2 * j != i else (j,))
             if p in reach
         ]
-        if cls is IdealClass.TYPE_IV:
+        if classify(ideal) is IdealClass.TYPE_IV:
             labels = ("g",) * len(ps) if i == 1 else _StageLabels("g", i, len(ps), numbered=False)
         elif i == 1:
             labels = tuple("e_x" if p else "e_y" for p in ps)
@@ -550,10 +569,10 @@ def _build_product(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
         module = GradedFreeModule(Generators(dx, dy, labels))
         diffs.append(Differential(module, modules[-1], entries, ideal))
         modules.append(module)
-    return Resolution(ideal, cls, modules, diffs)
+    return Resolution(ideal, modules, diffs)
 
 
-def _build_type_ii(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
+def _build_type_ii(ideal: MonomialIdeal, n: int) -> Resolution:
     """Type II, a single generator g of degree >= 2, through stage n.
 
     It is not a product; its maps repeat with period 2 from stage 3 on.
@@ -590,7 +609,7 @@ def _build_type_ii(ideal: MonomialIdeal, cls: IdealClass, n: int) -> Resolution:
         module = GradedFreeModule(Generators(dx, dy, labels))
         diffs.append(Differential(module, prev, entries[k], ideal))
         modules.append(module)
-    return Resolution(ideal, cls, modules, diffs)
+    return Resolution(ideal, modules, diffs)
 
 
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
@@ -608,7 +627,7 @@ def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
     else:
         build = _build_product
     try:
-        return build(ideal, cls, stages)
+        return build(ideal, stages)
     except OverflowError as exc:
         raise ValueError(f"the bidegrees of M through stage {stages} do not fit in 64 bits") from exc
 
@@ -689,7 +708,6 @@ def resolution_from_json(data: dict) -> Resolution:
             modules.append(GradedFreeModule(Generators(dx, dy, tuple(g["label"] for g in m["generators"]))))
         diffs = []
         for i, d in enumerate(data["differentials"]):
-            n_rows, n_cols = modules[i].rank, modules[i + 1].rank
             ints: list[int] = []
             try:
                 for e in d["entries"]:
@@ -697,14 +715,12 @@ def resolution_from_json(data: dict) -> Resolution:
                     ints += (row, col, e["sign"], x, y)
                     if x < 0 or y < 0:
                         raise ValueError(f"negative exponent in {(x, y)}")
-                    if not (0 <= row < n_rows and 0 <= col < n_cols):
-                        raise ValueError(f"entry ({row}, {col}) of d{i + 1} is outside its {n_rows}x{n_cols} matrix")
             finally:  # also when a comparison above failed: a value that is not an int is named first
                 _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
-            if not set(ints[2::5]) <= {1, -1}:
-                e = next(e for e in d["entries"] if e["sign"] not in (1, -1))
-                raise ValueError(f"entry ({e['row']}, {e['col']}) of d{i + 1} has sign {e['sign']!r}, not 1 or -1")
-            diffs.append(Differential(modules[i + 1], modules[i], Entries(_append_ints(array("q"), ints)), ideal))
+            diff = Differential(modules[i + 1], modules[i], Entries(_append_ints(array("q"), ints)), ideal)
+            if fault := _shape_fault(diff, i + 1):
+                raise ValueError(fault)
+            diffs.append(diff)
     except OverflowError as exc:
         raise ValueError(f"an int in the file does not fit in 64 bits: {exc}") from exc
-    return Resolution(ideal, cls, modules, diffs)
+    return Resolution(ideal, modules, diffs)

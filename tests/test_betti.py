@@ -236,7 +236,7 @@ class TestBettiTable:
         # which is right because the resolution that table builds is one
         ideal = parse_ideal(text)
         assert classify(ideal) is IdealClass.TYPE_II
-        res = _build_main(ideal, classify(ideal), 9)
+        res = _build_main(ideal, 9)
         assert check_complex(res).verdict
         assert check_minimality(res).verdict
         assert check_exactness(res, 8, 40).verdict

@@ -20,6 +20,7 @@ from stairstep import (
     staircase_outline,
     standard_monomials,
 )
+from stairstep.monomials import _minimalize
 
 monomials = st.builds(Monomial, st.integers(0, 8), st.integers(0, 8))
 proper_monomials = monomials.filter(lambda m: not m.is_unit)
@@ -85,6 +86,12 @@ class TestNormalize:
         b = [g.ydeg for g in ideal.generators]
         assert all(a[i] > a[i + 1] for i in range(len(a) - 1))
         assert all(b[i] < b[i + 1] for i in range(len(b) - 1))
+
+    @given(st.lists(monomials, max_size=10))
+    def test_minimal_generators_are_the_undivided_ones(self, raw):
+        # the sorted sweep against the definition: no other one divides it
+        undivided = {m for m in raw if not any(g != m and g.divides(m) for g in raw)}
+        assert _minimalize(raw) == tuple(sorted(undivided, key=lambda m: -m.xdeg))
 
     @given(ideals)
     def test_no_generator_divides_another(self, ideal):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -32,7 +33,6 @@ from stairstep import (
     check_homogeneity,
     check_minimality,
     compare_betti,
-    compose_check,
     graded_betti,
     minimal_resolution_bruteforce,
     normalize_ideal,
@@ -45,6 +45,7 @@ from stairstep.cli import main as cli_main
 import stairstep.oracle
 from stairstep.oracle import (
     CheckRecord,
+    _composite,
     _inhomogeneous,
     _inhomogeneous_entries,
     _install_pivot,
@@ -346,9 +347,9 @@ class TestChecks:
         diffs[stage_index] = flipped
         bad = replace(res, differentials=diffs)
         report = check_complex(bad)
-        expected = [compose_check(diffs[i], diffs[i - 1]) for i in range(1, len(diffs))]
+        expected = [_composite(diffs[i], diffs[i - 1]) for i in range(1, len(diffs))]
         assert [c.stage for c in report.checks] == list(range(2, len(diffs) + 1))
-        assert [c.passed for c in report.checks] == [p.is_zero for p in expected]
+        assert [c.passed for c in report.checks] == [not cells for cells in expected]
         assert not report.verdict
 
     def test_minimality_catches_zero_entry(self):
@@ -419,6 +420,54 @@ class TestChecks:
             set(c) == {"kind", "stage", "degree", "pass", "detail"}
             for c in data["checks"]
         )
+
+
+def entry_rule_mutant(which):
+    """(x^2y, xy^2) at stage 5 with one differential d_i breaking the
+    loader's entry rule: (resolution, i, the loader's message)."""
+    res = build_resolution(M_RIGHT, 5)
+    if which == "negative rows":  # every row r of d1 moved to r - rank
+        i, d = 1, res.differentials[0]
+        entries = [(r - d.target.rank, c, s, x, y) for r, c, s, x, y in d.entries]
+        detail = "entry (-1, 0) of d1 is outside its 1x2 matrix"
+    elif which == "row at rank":  # one row of d2 set to d2's target rank
+        i, d = 2, res.differentials[1]
+        r, c, s, x, y = d.entries[0]
+        entries = [(d.target.rank, c, s, x, y)] + list(d.entries[1:])
+        detail = f"entry (2, {c}) of d2 is outside its 2x3 matrix"
+    else:  # sign 2 on d3's last column, the F3 column d_1
+        i, d = 3, res.differentials[2]
+        j = max(range(len(d.entries)), key=lambda j: d.entries[j][1])
+        r, c, s, x, y = d.entries[j]
+        assert c == d.source.rank - 1 and s == 1
+        entries = list(d.entries[:j]) + [(r, c, 2, x, y)] + list(d.entries[j + 1 :])
+        detail = f"entry ({r}, {c}) of d3 has sign 2, not 1 or -1"
+    diffs = list(res.differentials)
+    diffs[i - 1] = replace(d, entries=tuple(entries))
+    return replace(res, differentials=diffs), i, detail
+
+
+class TestEntryRule:
+    """The checks apply the loader's entry rule to a resolution in memory:
+    row in [0, target rank), col in [0, source rank), sign 1 or -1.  Left
+    unchecked, a negative row wraps to the last row and passes every check,
+    a row at the rank raises IndexError, and a sign of 2 passes every check
+    over Q."""
+
+    @pytest.mark.parametrize("which", ["negative rows", "row at rank", "sign 2"])
+    def test_a_bad_entry_fails_a_record(self, which):
+        bad, i, detail = entry_rule_mutant(which)
+        # the composites at stages i and i + 1 read d_i; there are four, at 2..5
+        stages = [s for s in (i, i + 1) if 2 <= s <= 5]
+        assert check_complex(bad).failures() == [CheckRecord("complex", s, None, False, detail) for s in stages]
+        assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", i, None, False, detail)]
+        # the path an inhomogeneous entry takes: one record and the report ends
+        exactness = check_exactness(bad, 4, 15)
+        assert exactness.failures() == [exactness.checks[-1]] == [CheckRecord("exactness", i, None, False, detail)]
+        assert check_minimality(bad).verdict  # it indexes no module
+        data = json.loads(json.dumps(resolution_to_json(bad)))
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            resolution_from_json(data)
 
 
 class TestMutations:
@@ -852,6 +901,31 @@ class TestExactnessReadsEntries:
                 runs.append(time.perf_counter() - start)
             seconds[window] = min(runs)
         assert seconds[4000] <= 6 * seconds[1000]
+
+    def test_work_is_linear_in_the_window_without_pure_powers(self, monkeypatch):
+        # the count behind the timing above: one enumeration per degree of
+        # two exponents each, and one membership test per exponent below
+        # the staircase; testing every s <= d would make about W^2/2
+        counts = Counter()
+        standard_x, contains_xy = stairstep.oracle._standard_x, MonomialIdeal.contains_xy
+
+        def spy_standard_x(ideal, d):
+            found = standard_x(ideal, d)
+            counts["calls"] += 1
+            counts["exponents"] += len(found)
+            return found
+
+        def spy_contains_xy(ideal, x, y):
+            counts["contains_xy"] += 1
+            return contains_xy(ideal, x, y)
+
+        res = build_resolution(M_RIGHT, 4)
+        monkeypatch.setattr(stairstep.oracle, "_standard_x", spy_standard_x)
+        monkeypatch.setattr(MonomialIdeal, "contains_xy", spy_contains_xy)
+        for window in (1000, 4000):
+            counts.clear()
+            assert check_exactness(res, 3, window).verdict
+            assert counts == {"calls": window + 1, "exponents": 2 * (window + 1), "contains_xy": 4}
 
 
 class TestBruteforce:

@@ -15,16 +15,16 @@ from stairstep import (
     IdealClass,
     Monomial,
     Resolution,
-    ShapeMismatch,
     build_resolution,
+    check_complex,
     check_homogeneity,
     check_minimality,
-    compose_check,
     normalize_ideal,
     parse_ideal,
     resolution_from_json,
     resolution_to_json,
 )
+from stairstep.oracle import CheckRecord, _composite
 
 
 def M(*pairs):
@@ -167,8 +167,7 @@ class TestStructuralInvariants:
         assert res.modules[0].bidegree(0) == (0, 0)
         assert check_homogeneity(res).verdict
         assert check_minimality(res).verdict
-        for hi, lo in zip(res.differentials[1:], res.differentials):
-            assert compose_check(hi, lo).is_zero
+        assert check_complex(res).verdict
 
     @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((4, 0), (2, 1), (1, 3), (0, 4))], ids=str)
     def test_labels_unique(self, ideal):
@@ -247,8 +246,7 @@ class TestDegenerate:
 
     def test_type_v_complex(self):
         res = build_resolution(M((3, 0), (0, 7)), 8)
-        for hi, lo in zip(res.differentials[1:], res.differentials):
-            assert compose_check(hi, lo).is_zero
+        assert check_complex(res).verdict
 
 
 class TestDispatchAndJson:
@@ -289,8 +287,13 @@ class TestDispatchAndJson:
 class TestOneRepresentation:
     """A resolution is its modules and maps; everything else is derived."""
 
-    def test_four_fields(self):
-        assert [f.name for f in fields(Resolution)] == ["ring", "ideal_class", "modules", "differentials"]
+    def test_three_fields(self):
+        assert [f.name for f in fields(Resolution)] == ["ring", "modules", "differentials"]
+
+    def test_ideal_class_is_read_off_the_ring(self):
+        res = build_resolution(M_RIGHT, 3)
+        assert res.ideal_class is IdealClass.MAIN_CASE_1
+        assert replace(res, ring=M((3, 0), (0, 7))).ideal_class is IdealClass.TYPE_V
 
     def test_build_leaves_few_tracked_objects(self):
         # the engine's block lists are dropped with the builder; only the
@@ -475,7 +478,7 @@ def test_degenerate_json_is_unchanged():
 
 
 def compose_reference(d_hi, d_lo):
-    """compose_check's result computed with Monomial arithmetic throughout."""
+    """_composite's result computed with Monomial arithmetic throughout."""
     ring = d_lo.ring
     out = {}
     for col in range(d_hi.source.rank):
@@ -491,8 +494,8 @@ def compose_reference(d_hi, d_lo):
                     acc[key] = acc.get(key, 0) + sign * sign2
         for (row, prod), coeff in acc.items():
             if coeff:
-                out.setdefault((row, col), []).append((coeff, prod))
-    return {cell: tuple(sorted(terms, key=lambda t: t[1])) for cell, terms in out.items()}
+                out.setdefault((row, col), {})[(prod.xdeg, prod.ydeg)] = coeff
+    return out
 
 
 @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))])
@@ -513,13 +516,14 @@ def test_compose_check_matches_monomial_reference(ideal):
             shuffled = random.Random(i).sample(list(hi.entries), len(hi.entries))
             unordered += shuffled != sorted(shuffled, key=lambda e: e[1])
             for copy in (hi, replace(hi, entries=tuple(shuffled))):
-                assert compose_check(copy, d_lo).entries == compose_reference(copy, d_lo)
-        nonzero += not compose_check(bad, d_lo).is_zero
+                assert _composite(copy, d_lo) == compose_reference(copy, d_lo)
+        nonzero += bool(_composite(bad, d_lo))
     assert nonzero > 0 and unordered > 0
 
 
 def test_compose_check_rejects_maps_that_do_not_meet():
-    d1, d2, d3 = build_resolution(M_RIGHT, 3).differentials
-    with pytest.raises(ShapeMismatch, match="^source of lower map must equal target of higher map$"):
-        compose_check(d3, d1)
-    assert compose_check(d3, d2).is_zero
+    res = build_resolution(M_RIGHT, 3)
+    d1, d2, d3 = res.differentials
+    report = check_complex(replace(res, modules=res.modules[:2] + res.modules[3:], differentials=[d1, d3]))
+    assert report.checks == [CheckRecord("complex", 2, None, False, "the source of d1 is not the target of d2")]
+    assert not _composite(d3, d2)
