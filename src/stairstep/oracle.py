@@ -2,7 +2,10 @@
 
 Every check of a resolution lives here, reads only M, the modules'
 bidegrees and the differentials' entries, and fails a record on an entry
-that breaks the JSON loader's rule (resolution._shape_fault).
+that breaks the JSON loader's rule (resolution._shape_fault).  No report
+depends on the order of a differential's entries: check_complex adds
+every product of a composite into one accumulator, and check_exactness
+splits each differential into blocks in two passes over its entries.
 
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
@@ -21,9 +24,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 from math import gcd, inf
-from operator import add, itemgetter
+from operator import add
 from typing import Optional, Union
 
 from .betti import BettiTable
@@ -283,49 +285,27 @@ def _group_columns(diff: Differential) -> list[list[tuple[int, int, int, int]]]:
 def _composite(d_hi: Differential, d_lo: Differential) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
     """d_lo o d_hi over S, for maps that meet and entries in their
     matrices, as {(row, col): {(xdeg, ydeg): coeff}}, nonzero coefficients
-    only.  Only d_lo is grouped by column.  d_hi's entries are read in
-    column order: in place, as the engine and JSON give them, or sorted by
-    column if a column index falls."""
+    only.  Only d_lo is grouped by column; d_hi's entries are read in
+    place, each product outside M added into one accumulator keyed
+    (row, col, xdeg, ydeg), so their order does not matter.  A cell that
+    cancels leaves the accumulator, which then holds only the open cells:
+    in column order, those of one column."""
     lo_cols = _group_columns(d_lo)
-    hi = d_hi.entries
-    out = _compose_columns(iter(hi), lo_cols, d_lo.ring)
-    return out if out is not None else _compose_columns(sorted(hi, key=itemgetter(1)), lo_cols, d_lo.ring)
-
-
-def _compose_columns(entries, lo_cols: list, ring: MonomialIdeal) -> Optional[dict]:
-    """The nonzero cells of the composite of the upper map's ``entries``
-    with the lower map's grouped columns, or None if the entries are not
-    in column order."""
-    stair = ring.stair
+    stair = d_lo.ring.stair
     n, far = len(stair), stair[-1]
-    out: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    acc: dict[tuple[int, int, int], int] = {}
-    current = -1
-    for mid, col, sign, x, y in entries:
-        if col != current:
-            if col < current:
-                return None
-            if any(acc.values()):
-                _collect_terms(acc, current, out)
-            acc = {}
-            current = col
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for mid, col, sign, x, y in d_hi.entries:
         for row, sign2, x2, y2 in lo_cols[mid]:
             px, py = x + x2, y + y2
-            if py >= (stair[px] if px < n else far):
-                continue
-            key = (row, px, py)
-            acc[key] = acc.get(key, 0) + sign * sign2
-    if any(acc.values()):
-        _collect_terms(acc, current, out)
+            if py < (stair[px] if px < n else far):
+                key = (row, col, px, py)
+                coeff = acc.pop(key, 0) + sign * sign2
+                if coeff:
+                    acc[key] = coeff
+    out: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    for (row, col, px, py), coeff in acc.items():
+        out.setdefault((row, col), {})[(px, py)] = coeff
     return out
-
-
-def _collect_terms(acc: dict[tuple[int, int, int], int], col: int, out: dict) -> None:
-    """Enter one column's nonzero (row, xdeg, ydeg) coefficients into out
-    as (row, col) -> {(xdeg, ydeg): coeff}."""
-    for (row, px, py), coeff in acc.items():
-        if coeff:
-            out.setdefault((row, col), {})[(px, py)] = coeff
 
 
 def check_complex(res: Resolution) -> VerificationReport:
@@ -333,10 +313,14 @@ def check_complex(res: Resolution) -> VerificationReport:
 
     A composite is not formed when its maps do not meet or one breaks the
     entry rule.  Each map below the top one is grouped by column once, as
-    the lower map of its composite; the top map is never grouped."""
+    the lower map of its composite; the top map is never grouped.  A lone
+    d1 has no composite, but a break of the entry rule there still fails a
+    record at stage 1."""
     report = VerificationReport(res.ring)
     diffs = res.differentials
     faults = [_shape_fault(d, i) for i, d in enumerate(diffs, start=1)]
+    if len(faults) == 1 and faults[0]:
+        report.checks.append(CheckRecord("complex", 1, None, False, faults[0]))
     for i in range(1, len(diffs)):
         hi, lo = diffs[i], diffs[i - 1]
         detail = faults[i - 1] or faults[i]
@@ -389,57 +373,81 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     """Connected blocks of a differential: columns sharing a target row.
 
     Slice ranks add over blocks.  A key is a block's entries (column, row,
-    sign, xdeg, ydeg), columns and rows numbered in order of use; it maps
-    to (cbi, rbi, twists): the bidegrees of its first block's columns and
-    rows relative to that block's first row, read from the modules, and
-    the twist of the first row of each block with that key.  Every entry
-    must be homogeneous in the bigrading, so a key fixes its relative
-    bidegrees.  Only columns of twist <= max_degree join a block: a column
-    above has no basis element in any slice through max_degree, so
-    dropping it leaves every slice matrix there as it was.  A kept entry
-    with a negative exponent maps its column's generator off its row's
-    slice.  Either fault raises ValueError naming the entry by the
-    differential's own (row, col)."""
-    bad = _inhomogeneous_entries(diff)
-    if bad:
-        raise _inhomogeneous(*bad[0])
-    src, tgt, e = diff.source.generators, diff.target.generators, diff.entries
-    parent = list(range(len(tgt)))  # union-find over target rows
+    sign, xdeg, ydeg), five ints each in one flat tuple, columns and rows
+    numbered in order of use; it maps to (cbi, rbi, twists): the
+    bidegrees of the key's columns and rows relative to its first row,
+    read from the modules at one block with that key, and the twist of
+    the first row of each block with that key.  Every entry must be
+    homogeneous in the bigrading, so a key fixes its relative bidegrees.
+    Only columns of twist <= max_degree join a block: a column above has
+    no basis element in any slice through max_degree, so dropping it
+    leaves every slice matrix there as it was.  A kept entry with a
+    negative exponent maps its column's generator off its row's slice.
+    Either fault raises ValueError naming the entry by the differential's
+    own (row, col); an inhomogeneous entry anywhere wins over a negative
+    exponent, and the first in entry order over a later one of its kind.
+
+    One pass over the entries tests each for homogeneity and, in the
+    window, for a negative exponent, and joins its row to its column's
+    first row (union-find over target rows).  A second numbers each
+    block's columns and rows through one slot per column and one per row
+    of the whole differential, since a column or row lies in one block."""
+    src, tgt = diff.source.generators, diff.target.generators
+    # lists index without making an int per read, as arrays do
+    sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
+    parent = list(range(len(tx)))
 
     def find(i: int) -> int:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    in_window = [twist <= max_degree for twist in map(add, src.dx, src.dy)]
-    kept = list(compress(e, map(in_window.__getitem__, e.cols)))
-    first = [-1] * len(src)  # each column joins the block of its first row
-    for row, col, _sign, x, y in kept:
-        if x < 0 or y < 0:
+    in_window = [a + b <= max_degree for a, b in zip(sx, sy)]
+    first = [-1] * len(sx)  # each column joins the block of its first row
+    negative = None
+    for row, col, _sign, x, y in diff.entries:
+        if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
             raise _inhomogeneous(row, col)
+        if not in_window[col]:
+            continue
+        if x < 0 or y < 0:
+            negative = negative or (row, col)
+            continue
         f = first[col]
         if f < 0:
             first[col] = row
         elif f != row:
             parent[find(row)] = find(f)
-    root = [find(f) if f >= 0 else -1 for f in first]
-    blocks: dict[int, tuple[dict, dict, list]] = {}
-    for row, col, sign, x, y in kept:
-        block = blocks.get(root[col])
+    if negative:
+        raise _inhomogeneous(*negative)
+    root = list(map(find, range(len(tx))))
+    col_slot, row_slot = [-1] * len(sx), [-1] * len(tx)
+    blocks: list = [None] * len(tx)  # at its root row: a block's (flat entries, columns, rows)
+    for row, col, sign, x, y in diff.entries:
+        if not in_window[col]:
+            continue
+        block = blocks[root[row]]
         if block is None:
-            block = blocks[root[col]] = ({}, {}, [])
-        cols, rows, entries = block
-        entries.append((cols.setdefault(col, len(cols)), rows.setdefault(row, len(rows)), sign, x, y))
+            block = blocks[root[row]] = ([], [], [])
+        entries, cols, rows = block
+        c = col_slot[col]
+        if c < 0:
+            c = col_slot[col] = len(cols)
+            cols.append(col)
+        r = row_slot[row]
+        if r < 0:
+            r = row_slot[row] = len(rows)
+            rows.append(row)
+        entries += (c, r, sign, x, y)
     keyed: dict[tuple, tuple[list, list, list[int]]] = {}
-    for cols, rows, entries in blocks.values():
-        first_row = next(iter(rows))
-        tx, ty = tgt.dx[first_row], tgt.dy[first_row]
+    for entries, cols, rows in filter(None, blocks):
+        bx, by = tx[rows[0]], ty[rows[0]]
         key = tuple(entries)
         found = keyed.get(key)
         if found is None:  # the key's first block: bidegrees relative to its first row
-            cbi = [(src.dx[c] - tx, src.dy[c] - ty) for c in cols]
-            found = keyed[key] = (cbi, [(tgt.dx[r] - tx, tgt.dy[r] - ty) for r in rows], [])
-        found[2].append(tx + ty)
+            cbi = [(sx[c] - bx, sy[c] - by) for c in cols]
+            found = keyed[key] = (cbi, [(tx[r] - bx, ty[r] - by) for r in rows], [])
+        found[2].append(bx + by)
     return keyed
 
 
@@ -485,7 +493,8 @@ def _block_ranks(
     state = tables.get(key)
     if state is None:
         cells: list[dict[int, int]] = [{} for _ in cbi]
-        for c, r, s, _x, _y in key:
+        it = iter(key)
+        for c, r, s, _x, _y in zip(it, it, it, it, it):
             cells[c][r] = cells[c].get(r, 0) + s
         folded = [{r: v for r, v in col.items() if v} for col in cells]
         by_degree = sorted(range(len(cbi)), key=lambda c: sum(cbi[c]))
@@ -557,11 +566,11 @@ def check_exactness(
 
     Ranks come from the differentials' own entries and modules, so any
     Resolution is checked alike: engine-built, modified or loaded from
-    JSON, whatever the order of its entries.  Each
-    differential is split into connected blocks; a slice's rank is the sum
-    of its blocks' ranks, and a block's rank in a degree is the sum of the
-    ranks of its bigraded pieces there, each ranked once per pattern of
-    alive columns and rows (_block_ranks).  dim ker comes from the Hilbert
+    JSON, whatever the order of its entries.  Each differential is split
+    into connected blocks in two passes over its entries (_split_blocks);
+    a slice's rank is the sum of its blocks' ranks, and a block's rank in
+    a degree is the sum of the ranks of its bigraded pieces there, each
+    ranked once per pattern of alive columns and rows (_block_ranks).  dim ker comes from the Hilbert
     function of S and each module's twists.  An inhomogeneous entry in d_i
     ends the report with a failed record at stage i and no degree, as do
     an entry outside its matrix or with a sign other than 1 or -1 and an

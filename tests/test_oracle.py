@@ -335,6 +335,38 @@ class TestChecks:
         # the lower map of each composite, never the top map
         assert [id(d) for d in grouped] == [id(d) for d in res.differentials[:-1]]
 
+    @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))], ids=str)
+    def test_entry_order_changes_no_report(self, ideal):
+        # the engine's resolution; a copy with the first entry of every
+        # column flipped, which fails composites; one with a column of d3
+        # dropped, which fails exactness; one with an entry of d4 shifted,
+        # which fails homogeneity
+        res = build_resolution(ideal, 7)
+        flipped = []
+        for d in res.differentials:
+            entries, seen = [], set()
+            for row, col, sign, x, y in d.entries:
+                entries.append((row, col, sign if col in seen else -sign, x, y))
+                seen.add(col)
+            flipped.append(replace(d, entries=tuple(entries)))
+        cases = [res, replace(res, differentials=flipped), mutate(res, 2, "drop"), mutate(res, 3, "shift")]
+        checks = (check_complex, check_homogeneity, lambda r: check_exactness(r, 6, 20))
+        rng = random.Random(2207)
+        for case in cases:
+            shuffled = replace(
+                case,
+                differentials=[replace(d, entries=tuple(rng.sample(list(d.entries), len(d.entries)))) for d in case.differentials],
+            )
+            assert [tuple(d.entries) for d in shuffled.differentials] != [tuple(d.entries) for d in case.differentials]
+            for check in checks:
+                assert check(shuffled).to_json() == check(case).to_json()
+        assert [[check(case).verdict for check in checks] for case in cases] == [
+            [True, True, True],
+            [False, True, True],
+            [True, True, False],
+            [False, False, False],
+        ]
+
     @pytest.mark.parametrize("stage_index", [1, 3, 5])
     def test_complex_matches_compose_check_pairwise(self, stage_index):
         # a middle map with a flipped sign is the upper map of one
@@ -468,6 +500,18 @@ class TestEntryRule:
         data = json.loads(json.dumps(resolution_to_json(bad)))
         with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
             resolution_from_json(data)
+
+    def test_a_lone_bad_d1_fails_a_complex_record(self):
+        # one differential forms no composite, but its entries still obey
+        # the rule: every row r of d1 moved to r - 1
+        res = build_resolution(M_RIGHT, 1)
+        assert check_complex(res).checks == []
+        d1 = res.differentials[0]
+        bad_d1 = replace(d1, entries=tuple((r - 1, c, s, x, y) for r, c, s, x, y in d1.entries))
+        bad = replace(res, differentials=[bad_d1])
+        detail = "entry (-1, 0) of d1 is outside its 1x2 matrix"
+        assert check_complex(bad).checks == [CheckRecord("complex", 1, None, False, detail)]
+        assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
 
 
 class TestMutations:
@@ -709,6 +753,23 @@ class TestExactnessReadsEntries:
         assert check_homogeneity(bad).verdict
         assert "(7, 13," in check_minimality(bad).failures()[0].detail
         detail = "entry (7, 13) is not homogeneous"
+        assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
+
+    def test_inhomogeneous_entry_wins_over_an_earlier_negative_exponent(self):
+        # the in-window entry x^-1*y^3 of the test above comes first in
+        # entry order and the last entry of d5 is shifted off its
+        # bidegree: the record names the shifted entry
+        res = build_resolution(M_RIGHT, 6)
+        d5 = res.differentials[4]
+        tx, ty = d5.target.bidegree(7)
+        source = GradedFreeModule(tuple(d5.source.generators) + (("g", (tx - 1, ty + 3)),))
+        row, col, sign, x, y = d5.entries[-1]
+        entries = ((7, 13, 1, -1, 3),) + d5.entries[:-1] + ((row, col, sign, x + 1, y),)
+        bad = replace(res, differentials=res.differentials[:4] + [replace(d5, source=source, entries=entries)] + res.differentials[5:])
+        assert source.twist(13) <= 20
+        detail = f"entry ({row}, {col}) is not homogeneous"
+        assert (row, col) != (7, 13)
+        assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 5, None, False, detail)]
         assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
 
     @settings(max_examples=60, deadline=None)

@@ -512,11 +512,16 @@ def test_compose_check_matches_monomial_reference(ideal):
             seen.add(col)
         bad = Differential(d_hi.source, d_hi.target, tuple(entries), d_hi.ring)
         for hi in (d_hi, bad):
-            # a shuffled copy is out of column order, so it is read sorted
+            # a shuffled copy is out of column order; the composite does not see it
             shuffled = random.Random(i).sample(list(hi.entries), len(hi.entries))
             unordered += shuffled != sorted(shuffled, key=lambda e: e[1])
-            for copy in (hi, replace(hi, entries=tuple(shuffled))):
+            # a second entry in the first entry's cell cancels it: the map
+            # is the one without that entry
+            row, col, sign, x, y = hi.entries[0]
+            cancelling = replace(hi, entries=tuple(hi.entries) + ((row, col, -sign, x, y),))
+            for copy in (hi, replace(hi, entries=tuple(shuffled)), cancelling):
                 assert _composite(copy, d_lo) == compose_reference(copy, d_lo)
+            assert _composite(cancelling, d_lo) == _composite(replace(hi, entries=hi.entries[1:]), d_lo)
         nonzero += bool(_composite(bad, d_lo))
     assert nonzero > 0 and unordered > 0
 
