@@ -86,9 +86,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _print_resolution_text(res: Resolution) -> None:
     print(f"M = {res.ring}  [{res.ideal_class.slug}]")
     print("ranks: " + " ".join(str(m.rank) for m in res.modules))
-    for i, diff in enumerate(res.differentials, start=1):
+    for i in range(1, len(res.differentials) + 1):
         print(f"d{i}: F{i} -> F{i - 1}")
-        grid = diff.dense_strings()
+        grid = res.dense_strings(i)
         widths = [max(len(grid[r][c]) for r in range(len(grid))) for c in range(len(grid[0]))] if grid and grid[0] else []
         for row in grid:
             print("  [ " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + " ]")

@@ -1,8 +1,9 @@
 """Independent verification by exact linear algebra on graded pieces.
 
-Every check of a resolution lives here, reads only M, the modules'
-bidegrees and the differentials' entries, and fails a record on an entry
-that breaks the JSON loader's rule (resolution._shape_fault).  No report
+Every check of a resolution lives here; its readers take (res, i), d_i
+being F_i -> F_{i-1} of res.modules over res.ring.  A module or map too
+many raises the loader's ValueError (resolution._require_count), and an
+entry that breaks its entry rule fails a record (_shape_fault).  No report
 depends on the order of a differential's entries: check_complex adds
 every product of a composite into one accumulator, and check_exactness
 splits each differential into blocks in two passes over its entries.
@@ -30,7 +31,7 @@ from typing import Optional, Union
 
 from .betti import BettiTable
 from .monomials import MonomialIdeal, _standard_x, term_str
-from .resolution import Differential, Resolution, _shape_fault
+from .resolution import Resolution, _require_count, _shape_fault
 
 
 class TruncationTooSmall(ValueError):
@@ -227,13 +228,13 @@ def _inhomogeneous(row: int, col: int) -> ValueError:
     return ValueError(f"entry ({row}, {col}) is not homogeneous")
 
 
-def _inhomogeneous_entries(diff: Differential) -> list[tuple[int, int]]:
-    """(row, col) of each entry whose column's bidegree is not its row's
-    bidegree plus (xdeg, ydeg)."""
-    src, tgt = diff.source.generators, diff.target.generators
+def _inhomogeneous_entries(res: Resolution, i: int) -> list[tuple[int, int]]:
+    """(row, col) of each entry of d_i whose column's bidegree is not its
+    row's bidegree plus (xdeg, ydeg)."""
+    src, tgt, entries = res.modules[i].generators, res.modules[i - 1].generators, res.differentials[i - 1].entries
     # lists index without making an int per read, as arrays do
     sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
-    return [(row, col) for row, col, _sign, x, y in diff.entries if sx[col] != tx[row] + x or sy[col] != ty[row] + y]
+    return [(row, col) for row, col, _sign, x, y in entries if sx[col] != tx[row] + x or sy[col] != ty[row] + y]
 
 
 @dataclass(frozen=True)
@@ -274,27 +275,27 @@ class VerificationReport:
         }
 
 
-def _group_columns(diff: Differential) -> list[list[tuple[int, int, int, int]]]:
-    """The entries of ``diff`` grouped by column as (row, sign, xdeg, ydeg)."""
-    cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(diff.source.rank)]
-    for row, col, sign, x, y in diff.entries:
+def _group_columns(res: Resolution, i: int) -> list[list[tuple[int, int, int, int]]]:
+    """The entries of d_i grouped by column as (row, sign, xdeg, ydeg)."""
+    cols: list[list[tuple[int, int, int, int]]] = [[] for _ in range(res.modules[i].rank)]
+    for row, col, sign, x, y in res.differentials[i - 1].entries:
         cols[col].append((row, sign, x, y))
     return cols
 
 
-def _composite(d_hi: Differential, d_lo: Differential) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    """d_lo o d_hi over S, for maps that meet and entries in their
-    matrices, as {(row, col): {(xdeg, ydeg): coeff}}, nonzero coefficients
-    only.  Only d_lo is grouped by column; d_hi's entries are read in
-    place, each product outside M added into one accumulator keyed
-    (row, col, xdeg, ydeg), so their order does not matter.  A cell that
-    cancels leaves the accumulator, which then holds only the open cells:
-    in column order, those of one column."""
-    lo_cols = _group_columns(d_lo)
-    stair = d_lo.ring.stair
+def _composite(res: Resolution, i: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """d_i o d_{i+1} over S, for entries in their matrices, as {(row,
+    col): {(xdeg, ydeg): coeff}}, nonzero coefficients only.  Only d_i is
+    grouped by column; d_{i+1}'s entries are read in place, each product
+    outside M added into one accumulator keyed (row, col, xdeg, ydeg), so
+    their order does not matter.  A cell that cancels leaves the
+    accumulator, which then holds only the open cells: in column order,
+    those of one column."""
+    lo_cols = _group_columns(res, i)
+    stair = res.ring.stair
     n, far = len(stair), stair[-1]
     acc: dict[tuple[int, int, int, int], int] = {}
-    for mid, col, sign, x, y in d_hi.entries:
+    for mid, col, sign, x, y in res.differentials[i].entries:
         for row, sign2, x2, y2 in lo_cols[mid]:
             px, py = x + x2, y + y2
             if py < (stair[px] if px < n else far):
@@ -311,22 +312,19 @@ def _composite(d_hi: Differential, d_lo: Differential) -> dict[tuple[int, int], 
 def check_complex(res: Resolution) -> VerificationReport:
     """Symbolic check that consecutive differentials compose to zero.
 
-    A composite is not formed when its maps do not meet or one breaks the
-    entry rule.  Each map below the top one is grouped by column once, as
-    the lower map of its composite; the top map is never grouped.  A lone
-    d1 has no composite, but a break of the entry rule there still fails a
-    record at stage 1."""
-    report = VerificationReport(res.ring)
-    diffs = res.differentials
-    faults = [_shape_fault(d, i) for i, d in enumerate(diffs, start=1)]
-    if len(faults) == 1 and faults[0]:
+    A composite is not formed when one of its maps breaks the entry rule.
+    Each map below the top one is grouped by column once, as the lower map
+    of its composite; the top map is never grouped.  A lone d1 has no
+    composite, but a break of the entry rule there still fails a record at
+    stage 1."""
+    _require_count(res.modules, res.differentials)
+    report, n = VerificationReport(res.ring), len(res.differentials)
+    faults = [_shape_fault(res, i) for i in range(1, n + 1)]
+    if n == 1 and faults[0]:
         report.checks.append(CheckRecord("complex", 1, None, False, faults[0]))
-    for i in range(1, len(diffs)):
-        hi, lo = diffs[i], diffs[i - 1]
+    for i in range(1, n):
         detail = faults[i - 1] or faults[i]
-        if lo.source is not hi.target and lo.source != hi.target:
-            detail = f"the source of d{i} is not the target of d{i + 1}"
-        elif not detail and (cells := _composite(hi, lo)):
+        if not detail and (cells := _composite(res, i)):
             detail = f"nonzero composite at cells {sorted(cells)[:3]}"
         report.checks.append(CheckRecord("complex", i + 1, None, not detail, detail))
     return report
@@ -335,6 +333,7 @@ def check_complex(res: Resolution) -> VerificationReport:
 def check_minimality(res: Resolution) -> VerificationReport:
     """No differential entry may be a unit, vanish in S or have a negative
     exponent."""
+    _require_count(res.modules, res.differentials)
     report = VerificationReport(res.ring)
     stair = res.ring.stair
     n, far = len(stair), stair[-1]
@@ -360,17 +359,18 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     column's bidegree onto its row's: source bidegree = target bidegree +
     (xdeg, ydeg).  Total degrees alone, which the Betti tables read, would
     miss a swapped bidegree."""
+    _require_count(res.modules, res.differentials)
     report = VerificationReport(res.ring)
-    for i, diff in enumerate(res.differentials, start=1):
-        detail = _shape_fault(diff, i)
-        if not detail and (bad := _inhomogeneous_entries(diff)):
+    for i in range(1, len(res.differentials) + 1):
+        detail = _shape_fault(res, i)
+        if not detail and (bad := _inhomogeneous_entries(res, i)):
             detail = str(_inhomogeneous(*bad[0]))
         report.checks.append(CheckRecord("homogeneity", i, None, not detail, detail))
     return report
 
 
-def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
-    """Connected blocks of a differential: columns sharing a target row.
+def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
+    """Connected blocks of d_i: columns sharing a target row.
 
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), five ints each in one flat tuple, columns and rows
@@ -383,8 +383,8 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     no basis element in any slice through max_degree, so dropping it
     leaves every slice matrix there as it was.  A kept entry with a
     negative exponent maps its column's generator off its row's slice.
-    Either fault raises ValueError naming the entry by the differential's
-    own (row, col); an inhomogeneous entry anywhere wins over a negative
+    Either fault raises ValueError naming the entry by d_i's own (row,
+    col); an inhomogeneous entry anywhere wins over a negative
     exponent, and the first in entry order over a later one of its kind.
 
     One pass over the entries tests each for homogeneity and, in the
@@ -392,7 +392,7 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     first row (union-find over target rows).  A second numbers each
     block's columns and rows through one slot per column and one per row
     of the whole differential, since a column or row lies in one block."""
-    src, tgt = diff.source.generators, diff.target.generators
+    src, tgt, entries = res.modules[i].generators, res.modules[i - 1].generators, res.differentials[i - 1].entries
     # lists index without making an int per read, as arrays do
     sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
     parent = list(range(len(tx)))
@@ -405,7 +405,7 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     in_window = [a + b <= max_degree for a, b in zip(sx, sy)]
     first = [-1] * len(sx)  # each column joins the block of its first row
     negative = None
-    for row, col, _sign, x, y in diff.entries:
+    for row, col, _sign, x, y in entries:
         if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
             raise _inhomogeneous(row, col)
         if not in_window[col]:
@@ -423,7 +423,7 @@ def _split_blocks(diff: Differential, max_degree: int) -> dict[tuple, tuple[list
     root = list(map(find, range(len(tx))))
     col_slot, row_slot = [-1] * len(sx), [-1] * len(tx)
     blocks: list = [None] * len(tx)  # at its root row: a block's (flat entries, columns, rows)
-    for row, col, sign, x, y in diff.entries:
+    for row, col, sign, x, y in entries:
         if not in_window[col]:
             continue
         block = blocks[root[row]]
@@ -534,21 +534,21 @@ def _block_ranks(
     return low, ranks
 
 
-def _stage_tables(diff: Differential, max_degree: int, std: list, fld: FieldConfig, tables: dict):
-    """Slice dimensions and ranks of one differential in degrees 0..max_degree;
+def _stage_tables(res: Resolution, i: int, max_degree: int, std: list, fld: FieldConfig, tables: dict):
+    """Slice dimensions and ranks of d_i in degrees 0..max_degree;
     std[n], extended on demand, holds the x-exponents of the standard
     monomials of degree n (see _std_x), none of which lies above reach."""
     dim = [0] * (max_degree + 1)
     rank = [0] * (max_degree + 1)
-    reach = _std_top(diff.ring)
-    twists = Counter(map(add, diff.source.generators.dx, diff.source.generators.dy))
+    ring, src = res.ring, res.modules[i].generators
+    reach, twists = _std_top(ring), Counter(map(add, src.dx, src.dy))
     for t, count in twists.items():
         if t <= max_degree:
-            _std_x(diff.ring, std, min(max_degree - t, reach))
+            _std_x(ring, std, min(max_degree - t, reach))
             for d in range(max(t, 0), min(max_degree, t + reach) + 1):
                 dim[d] += count * len(std[d - t])
-    for key, (cbi, rbi, bases) in _split_blocks(diff, max_degree).items():
-        low, ranks = _block_ranks(key, cbi, rbi, diff.ring, max_degree - min(bases), fld, tables, std)
+    for key, (cbi, rbi, bases) in _split_blocks(res, i, max_degree).items():
+        low, ranks = _block_ranks(key, cbi, rbi, ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
             lo = base + low
             for d in range(max(lo, 0), max_degree + 1):
@@ -576,11 +576,10 @@ def check_exactness(
     an entry outside its matrix or with a sign other than 1 or -1 and an
     entry with a negative exponent in a column of twist <= max_degree."""
     _require_window(res.ring, max_degree)
+    _require_count(res.modules, res.differentials)
     n_diffs = len(res.differentials)
     if n_diffs < max_stage + 1 and res.modules[-1].rank > 0:
-        raise ValueError(
-            f"resolution built to stage {res.stages}; need stage {max_stage + 1}"
-        )
+        raise ValueError(f"resolution built to stage {res.stages}; need stage {max_stage + 1}")
     report = VerificationReport(res.ring)
     tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
     std: list = []
@@ -588,11 +587,10 @@ def check_exactness(
     ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
-            diff = res.differentials[i - 1]
             try:
-                if fault := _shape_fault(diff, i):
+                if fault := _shape_fault(res, i):
                     raise ValueError(fault)
-                dim, rank = _stage_tables(diff, max_degree, std, fld, tables)
+                dim, rank = _stage_tables(res, i, max_degree, std, fld, tables)
             except ValueError as exc:
                 report.checks.append(CheckRecord("exactness", i, None, False, str(exc)))
                 return report

@@ -12,16 +12,16 @@ it.  Degenerate types I, III, IV and V are one Kunneth tensor product of
 the one-variable resolutions of k; type II, a single generator, has its
 own period-2 construction.
 
-A built resolution keeps its ints in arrays: a differential's entries in
-one array('q') of five ints each, a module's bidegrees in two, and no
-label per generator, since a rule renders the labels of a stage on
-demand.
+A Resolution states M, each F_i and each map d_i: F_i -> F_{i-1} once, a
+map as its entries alone, and keeps its ints in arrays: a map's entries
+in one array('q') of five ints each, a module's bidegrees in two, and no
+label per generator, since a rule renders the labels of a stage on demand.
 
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
 so stage 40 takes milliseconds; a Kunneth product's are read off the two
 factors' twists by the reachability rule its builder uses.  The checks
-are in :mod:`stairstep.oracle`, which shares the loader's entry rule.
+are in :mod:`stairstep.oracle`, which shares the loader's rules.
 """
 from __future__ import annotations
 
@@ -116,8 +116,8 @@ class Entries:
 
     ``len`` is the entry count.  Iterating yields ``(row, col, sign, xdeg,
     ydeg)`` tuples, made on demand, as does indexing; a slice is a tuple
-    of them.  ``cols``, ``xdegs`` and ``ydegs`` are fresh int arrays of
-    one field, in entry order."""
+    of them.  ``xdegs`` and ``ydegs`` are fresh int arrays of one field,
+    in entry order."""
 
     __slots__ = ("ints",)
 
@@ -139,7 +139,6 @@ class Entries:
             ints[k::5] = part
         return cls(ints)
 
-    cols = property(lambda self: self.ints[1::5])
     xdegs = property(lambda self: self.ints[3::5])
     ydegs = property(lambda self: self.ints[4::5])
 
@@ -162,41 +161,37 @@ class Entries:
 
 @dataclass(frozen=True)
 class Differential:
-    """Sparse matrix of signed monomials between graded free modules.
+    """The entries of a map d_i: F_i -> F_{i-1}, whose modules and ring the
+    :class:`Resolution` holds.  Any iterable of (row, col, sign, xdeg,
+    ydeg) tuples, the term sign * x^xdeg y^ydeg with nonnegative exponents
+    in row ``row`` of column ``col``, is stored as an :class:`Entries`."""
 
-    ``entries`` is an :class:`Entries`; any iterable of (row, col, sign,
-    xdeg, ydeg) tuples, the term sign * x^xdeg y^ydeg with nonnegative
-    exponents in row ``row`` of column ``col``, is accepted and stored as
-    one."""
-
-    source: GradedFreeModule
-    target: GradedFreeModule
     entries: Entries
-    ring: MonomialIdeal
 
     def __post_init__(self) -> None:
         if not isinstance(self.entries, Entries):
             object.__setattr__(self, "entries", Entries.of(self.entries))
 
-    def dense_strings(self) -> list[list[str]]:
-        grid = [["0"] * self.source.rank for _ in range(self.target.rank)]
-        for row, col, sign, x, y in self.entries:
-            grid[row][col] = ("-" if sign < 0 else "") + term_str(x, y)
-        return grid
+
+def _require_count(modules: list, maps: list) -> None:
+    """ValueError unless each map d_i has its F_i and F_{i-1} and each F_i, i >= 1, its d_i."""
+    if len(modules) != len(maps) + 1:
+        raise ValueError(f"{len(maps)} differentials between {len(modules)} modules")
 
 
-def _shape_fault(diff: Differential, i: int) -> str:
-    """Why d_i breaks the entry rule of the loader and the checks, or "":
-    each row in [0, target rank), col in [0, source rank), sign 1 or -1.
-    Read as unsigned, a negative row or col exceeds every rank, so one max
-    per field and a set of the signs test the rule."""
-    ints, n_rows, n_cols = diff.entries.ints, diff.target.rank, diff.source.rank
+def _shape_fault(res: Resolution, i: int) -> str:
+    """Why d_i of a resolution that passes :func:`_require_count` breaks the
+    entry rule of the loader and the checks, or "": each row in [0, rank
+    F_{i-1}), col in [0, rank F_i), sign 1 or -1.  Read as unsigned, a
+    negative row or col exceeds every rank, so one max per field and a set
+    of the signs test the rule."""
+    ints, n_rows, n_cols = res.differentials[i - 1].entries.ints, res.modules[i - 1].rank, res.modules[i].rank
     rows, cols = array("Q", ints[0::5].tobytes()), array("Q", ints[1::5].tobytes())
     if rows and (max(rows) >= n_rows or max(cols) >= n_cols):
         row, col = next((r, c) for r, c in zip(ints[0::5], ints[1::5]) if not (0 <= r < n_rows and 0 <= c < n_cols))
         return f"entry ({row}, {col}) of d{i} is outside its {n_rows}x{n_cols} matrix"
     if not set(ints[2::5]) <= {1, -1}:
-        row, col, sign, _x, _y = next(e for e in diff.entries if e[2] not in (1, -1))
+        row, col, sign, _x, _y = next(e for e in res.differentials[i - 1].entries if e[2] not in (1, -1))
         return f"entry ({row}, {col}) of d{i} has sign {sign}, not 1 or -1"
     return ""
 
@@ -229,6 +224,13 @@ class Resolution:
 
     def total_betti_numbers(self) -> list[int]:
         return [m.rank for m in self.modules]
+
+    def dense_strings(self, i: int) -> list[list[str]]:
+        """The matrix of d_i, rank F_{i-1} rows of rank F_i terms."""
+        grid = [["0"] * self.modules[i].rank for _ in range(self.modules[i - 1].rank)]
+        for row, col, sign, x, y in self.differentials[i - 1].entries:
+            grid[row][col] = ("-" if sign < 0 else "") + term_str(x, y)
+        return grid
 
 
 class _MainTemplates:
@@ -443,7 +445,7 @@ class _MainBuilder(_MainTemplates):
         labels = _MainLabels(stage, tuple(counts), self._names)
         module = GradedFreeModule(Generators(dx, dy, labels))
         entries = Entries.interleave(rows, cols, signs, xs, ys)
-        self.differentials.append(Differential(module, self.modules[-1], entries, self.ideal))
+        self.differentials.append(Differential(entries))
         self.modules.append(module)
         self._blocks = blocks
 
@@ -567,7 +569,7 @@ def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
             by_y = (prev_rows[p], c, s, 0, ypow[q])
             entries += (by_y, by_x) if p >= q else (by_x, by_y) if p else (by_y,)
         module = GradedFreeModule(Generators(dx, dy, labels))
-        diffs.append(Differential(module, modules[-1], entries, ideal))
+        diffs.append(Differential(entries))
         modules.append(module)
     return Resolution(ideal, modules, diffs)
 
@@ -607,7 +609,7 @@ def _build_type_ii(ideal: MonomialIdeal, n: int) -> Resolution:
             dy.append(by + y)
         labels = ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2)
         module = GradedFreeModule(Generators(dx, dy, labels))
-        diffs.append(Differential(module, prev, entries[k], ideal))
+        diffs.append(Differential(entries[k]))
         modules.append(module)
     return Resolution(ideal, modules, diffs)
 
@@ -693,8 +695,7 @@ def resolution_from_json(data: dict) -> Resolution:
     cls = classify(ideal)
     if data["class"] != cls.slug:
         raise ValueError(f"class {data['class']!r} does not match the ideal's class {cls.slug!r}")
-    if len(data["differentials"]) != len(data["modules"]) - 1:
-        raise ValueError(f"{len(data['differentials'])} differentials between {len(data['modules'])} modules")
+    _require_count(data["modules"], data["differentials"])
     try:
         modules = []
         for k, m in enumerate(data["modules"]):
@@ -717,10 +718,10 @@ def resolution_from_json(data: dict) -> Resolution:
                         raise ValueError(f"negative exponent in {(x, y)}")
             finally:  # also when a comparison above failed: a value that is not an int is named first
                 _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
-            diff = Differential(modules[i + 1], modules[i], Entries(_append_ints(array("q"), ints)), ideal)
-            if fault := _shape_fault(diff, i + 1):
+            diffs.append(Differential(Entries(_append_ints(array("q"), ints))))
+            # the maps read so far between their modules: a fault is raised in the file's order
+            if fault := _shape_fault(Resolution(ideal, modules[: i + 2], diffs), i + 1):
                 raise ValueError(fault)
-            diffs.append(diff)
     except OverflowError as exc:
         raise ValueError(f"an int in the file does not fit in 64 bits: {exc}") from exc
     return Resolution(ideal, modules, diffs)

@@ -1,0 +1,141 @@
+"""Pinned SHA-256 digests of what the engine and the checks report on the
+300-ideal acceptance corpus: exhaustive_corpus(4) + random_corpus(50, seed=0).
+
+Each section hashes one JSON line per ideal:
+- json9: resolution_to_json at stage 9;
+- complex10, minimality10, homogeneity10, betti10: the three reports
+  and graded_betti at stage 10;
+- exact_q, exact_f2, exact_f32003: check_exactness(res, 8, 25) of the
+  stage-10 resolution over Q, F_2 and F_32003;
+- roundtrip7: the stage-7 resolution sent through resolution_from_json,
+  its JSON and its three structural reports;
+- mutations: seeded entry mutations of the stage-6 resolution, each
+  made with dataclasses.replace(d, entries=...), and every report on it.
+
+A refactor that keeps every report the same keeps every digest.  It uses
+only the package's public API and dataclasses.replace, so the same
+script can be run on an older checkout.  The file name has no test_
+prefix, so pytest does not collect it; run it on its own (about 12 s
+on a shared 2-core x86-64 VM):
+
+    PYTHONPATH=src python tests/report_digests.py
+
+It prints each section's digest and exits 1 if one differs from its pin.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from conftest import exhaustive_corpus, random_corpus  # noqa: E402
+from stairstep import (  # noqa: E402
+    ExactRationals,
+    PrimeField,
+    build_resolution,
+    check_complex,
+    check_exactness,
+    check_homogeneity,
+    check_minimality,
+    graded_betti,
+    resolution_from_json,
+    resolution_to_json,
+)
+
+PINNED = {
+    "json9": "fe0c52e4c2ccfb4508e70b7cab6a8c6faa852227a4a025abb4570cdeb9967ce2",
+    "complex10": "1af729ac98b20a0c79082ce881696fb9936d68491373b53469bcdab48eb2d3d0",
+    "minimality10": "18d4e9a024d8560065b0a4c26276d4c8805e04451cb4320605c8c82c6b41d988",
+    "homogeneity10": "eea54dc3f526c5bb618d346bd24d6a4b4ad5562c09e7f01fc630f510e5937ca2",
+    "betti10": "c13ea1924bafd73e5f9a44bd6987ed78735051cac7de30a1dcfedc15669a0762",
+    "exact_q": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
+    "exact_f2": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
+    "exact_f32003": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
+    "roundtrip7": "7ad10de50ef950cd6ad4f392ade7d62a30d8cbb0d785aa2b56515641972d073f",
+    "mutations": "3bc80c38abae62c52b43c8fbc00d7f0634b7cc5e3da20dda47d55410770c3ab2",
+}
+
+FIELDS = {"exact_q": ExactRationals(), "exact_f2": PrimeField(2), "exact_f32003": PrimeField(32003)}
+
+
+def _mutate(entries: list, kind: int, k: int, rng: random.Random) -> list:
+    """The entries with entry k changed by mutation ``kind``."""
+    row, col, sign, x, y = entries[k]
+    out = list(entries)
+    if kind == 0:
+        out[k] = (row, col, -sign, x, y)
+    elif kind == 1:
+        out[k] = (row, col, sign, x + 1, y)
+    elif kind == 2:
+        out[k] = (row + 1, col, sign, x, y)
+    elif kind == 3:
+        del out[k]
+    elif kind == 4:
+        out[k] = (row, col, 2, x, y)
+    elif kind == 5:
+        out[k] = (row, col, sign, -1, y)
+    elif kind == 6:
+        out.insert(k, entries[k])
+    else:
+        rng.shuffle(out)
+    return out
+
+
+def _mutations(res, seed: int) -> list:
+    """Four seeded mutants of ``res``, each one differential's entries changed."""
+    rng = random.Random(seed)
+    stages = [i for i, d in enumerate(res.differentials) if len(d.entries)]
+    out = []
+    for _ in range(4 if stages else 0):
+        i = rng.choice(stages)
+        d = res.differentials[i]
+        kind, k = rng.randrange(8), rng.randrange(len(d.entries))
+        diffs = list(res.differentials)
+        diffs[i] = replace(d, entries=tuple(_mutate(list(d.entries), kind, k, rng)))
+        out.append(((i + 1, kind, k), replace(res, differentials=diffs)))
+    return out
+
+
+def _reports(res, *checks) -> list:
+    return [check(res).to_json() for check in checks]
+
+
+def digests() -> dict[str, str]:
+    shas = {name: hashlib.sha256() for name in PINNED}
+
+    def put(name: str, value) -> None:
+        shas[name].update(json.dumps(value, sort_keys=True).encode() + b"\n")
+
+    structural = (check_complex, check_minimality, check_homogeneity)
+    for n, ideal in enumerate(exhaustive_corpus(4) + random_corpus(50, seed=0)):
+        put("json9", resolution_to_json(build_resolution(ideal, 9)))
+        res = build_resolution(ideal, 10)
+        for name, report in zip(("complex10", "minimality10", "homogeneity10"), _reports(res, *structural)):
+            put(name, report)
+        put("betti10", sorted(graded_betti(res).entries.items()))
+        for name, fld in FIELDS.items():
+            put(name, check_exactness(res, 8, 25, fld).to_json())
+        loaded = resolution_from_json(resolution_to_json(build_resolution(ideal, 7)))
+        put("roundtrip7", [resolution_to_json(loaded)] + _reports(loaded, *structural))
+        for what, mutant in _mutations(build_resolution(ideal, 6), n):
+            exact = check_exactness(mutant, 5, max(20, ideal.max_generator_degree)).to_json()
+            put("mutations", [what] + _reports(mutant, *structural) + [exact])
+    return {name: sha.hexdigest() for name, sha in shas.items()}
+
+
+def main() -> int:
+    bad = 0
+    for name, digest in digests().items():
+        ok = digest == PINNED[name]
+        bad += not ok
+        print(f"{name:14} {digest}  {'ok' if ok else 'MISMATCH, pinned ' + (PINNED[name] or 'nothing')}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
