@@ -2,11 +2,13 @@
 
 Every check of a resolution lives here; its readers take (res, i), d_i
 being F_i -> F_{i-1} of res.modules over res.ring.  A module or map too
-many raises the loader's ValueError (resolution._require_count), and an
-entry that breaks its entry rule fails a record (_shape_fault).  No report
-depends on the order of a differential's entries: check_complex adds
-every product of a composite into one accumulator, and check_exactness
-splits each differential into blocks in two passes over its entries.
+many raises the loader's ValueError (resolution._require_count).  An
+entry is tested in one order everywhere: first the loader's rule (row,
+col, sign, exponents: _shape_fault), then, where a check needs it, the
+bigrading (_entry_fault); a break fails a record.  No report depends on
+the order of a differential's entries: check_complex adds every product
+of a composite into one accumulator, and check_exactness splits each
+differential into blocks in two passes over its entries.
 
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
@@ -224,17 +226,22 @@ def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
     return null
 
 
-def _inhomogeneous(row: int, col: int) -> ValueError:
-    return ValueError(f"entry ({row}, {col}) is not homogeneous")
-
-
-def _inhomogeneous_entries(res: Resolution, i: int) -> list[tuple[int, int]]:
-    """(row, col) of each entry of d_i whose column's bidegree is not its
-    row's bidegree plus (xdeg, ydeg)."""
-    src, tgt, entries = res.modules[i].generators, res.modules[i - 1].generators, res.differentials[i - 1].entries
+def _entry_fault(res: Resolution, i: int) -> str:
+    """Why an entry of d_i breaks the entry rule or the bigrading, or "":
+    first the loader's rule (_shape_fault), then the first entry, in entry
+    order, whose column's bidegree is not its row's bidegree plus (xdeg,
+    ydeg).  The rule holds before any module is read at an entry's row or
+    col, so the bigrading test indexes only inside the modules."""
+    fault = _shape_fault(res, i)
+    if fault:
+        return fault
+    src, tgt = res.modules[i].generators, res.modules[i - 1].generators
     # lists index without making an int per read, as arrays do
     sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
-    return [(row, col) for row, col, _sign, x, y in entries if sx[col] != tx[row] + x or sy[col] != ty[row] + y]
+    for row, col, _sign, x, y in res.differentials[i - 1].entries:
+        if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
+            return f"entry ({row}, {col}) is not homogeneous"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -342,7 +349,7 @@ def check_minimality(res: Resolution) -> VerificationReport:
         e = diff.entries
         bad_monomials = {
             (x, y)
-            for x, y in set(zip(e.xdegs, e.ydegs))
+            for x, y in set(zip(e.ints[3::5], e.ints[4::5]))
             if x < 0 or y < 0 or x + y < 1 or y >= (stair[x] if x < n else far)
         }
         bad = []
@@ -355,16 +362,15 @@ def check_minimality(res: Resolution) -> VerificationReport:
 
 
 def check_homogeneity(res: Resolution) -> VerificationReport:
-    """Every entry must lie in its matrix, have sign 1 or -1 and carry its
-    column's bidegree onto its row's: source bidegree = target bidegree +
-    (xdeg, ydeg).  Total degrees alone, which the Betti tables read, would
-    miss a swapped bidegree."""
+    """Every entry must keep the loader's rule (in its matrix, sign 1 or
+    -1, no negative exponent) and then carry its column's bidegree onto
+    its row's: source bidegree = target bidegree + (xdeg, ydeg), as
+    _entry_fault tests them.  Total degrees alone, which the Betti tables
+    read, would miss a swapped bidegree."""
     _require_count(res.modules, res.differentials)
     report = VerificationReport(res.ring)
     for i in range(1, len(res.differentials) + 1):
-        detail = _shape_fault(res, i)
-        if not detail and (bad := _inhomogeneous_entries(res, i)):
-            detail = str(_inhomogeneous(*bad[0]))
+        detail = _entry_fault(res, i)
         report.checks.append(CheckRecord("homogeneity", i, None, not detail, detail))
     return report
 
@@ -377,21 +383,17 @@ def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple
     numbered in order of use; it maps to (cbi, rbi, twists): the
     bidegrees of the key's columns and rows relative to its first row,
     read from the modules at one block with that key, and the twist of
-    the first row of each block with that key.  Every entry must be
-    homogeneous in the bigrading, so a key fixes its relative bidegrees.
-    Only columns of twist <= max_degree join a block: a column above has
-    no basis element in any slice through max_degree, so dropping it
-    leaves every slice matrix there as it was.  A kept entry with a
-    negative exponent maps its column's generator off its row's slice.
-    Either fault raises ValueError naming the entry by d_i's own (row,
-    col); an inhomogeneous entry anywhere wins over a negative
-    exponent, and the first in entry order over a later one of its kind.
+    the first row of each block with that key.  d_i must have passed
+    _entry_fault: every entry is homogeneous in the bigrading, so a key
+    fixes its relative bidegrees.  Only columns of twist <= max_degree join
+    a block: a column above has no basis element in any slice through
+    max_degree, so dropping it leaves every slice matrix there as it was.
 
-    One pass over the entries tests each for homogeneity and, in the
-    window, for a negative exponent, and joins its row to its column's
-    first row (union-find over target rows).  A second numbers each
-    block's columns and rows through one slot per column and one per row
-    of the whole differential, since a column or row lies in one block."""
+    One pass over the entries' rows and cols joins each kept entry's row
+    to its column's first row (union-find over target rows).  A second
+    numbers each block's columns and rows through one slot per column and
+    one per row of the whole differential, since a column or row lies in
+    one block."""
     src, tgt, entries = res.modules[i].generators, res.modules[i - 1].generators, res.differentials[i - 1].entries
     # lists index without making an int per read, as arrays do
     sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
@@ -404,22 +406,13 @@ def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple
 
     in_window = [a + b <= max_degree for a, b in zip(sx, sy)]
     first = [-1] * len(sx)  # each column joins the block of its first row
-    negative = None
-    for row, col, _sign, x, y in entries:
-        if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
-            raise _inhomogeneous(row, col)
-        if not in_window[col]:
-            continue
-        if x < 0 or y < 0:
-            negative = negative or (row, col)
-            continue
-        f = first[col]
-        if f < 0:
-            first[col] = row
-        elif f != row:
-            parent[find(row)] = find(f)
-    if negative:
-        raise _inhomogeneous(*negative)
+    for row, col in zip(entries.ints[0::5], entries.ints[1::5]):
+        if in_window[col]:
+            f = first[col]
+            if f < 0:
+                first[col] = row
+            elif f != row:
+                parent[find(row)] = find(f)
     root = list(map(find, range(len(tx))))
     col_slot, row_slot = [-1] * len(sx), [-1] * len(tx)
     blocks: list = [None] * len(tx)  # at its root row: a block's (flat entries, columns, rows)
@@ -518,7 +511,7 @@ def _block_ranks(
             for c in cols:
                 for r in cells[c]:
                     rx, ry = rbi[r]
-                    u = px - rx  # >= 0: no entry has a negative exponent
+                    u = px - rx  # >= 0: no entry has a negative exponent (_shape_fault)
                     if py - ry < (stair[u] if u < n_stair else far):
                         rows.add(r)
             if not rows:
@@ -570,11 +563,11 @@ def check_exactness(
     into connected blocks in two passes over its entries (_split_blocks);
     a slice's rank is the sum of its blocks' ranks, and a block's rank in
     a degree is the sum of the ranks of its bigraded pieces there, each
-    ranked once per pattern of alive columns and rows (_block_ranks).  dim ker comes from the Hilbert
-    function of S and each module's twists.  An inhomogeneous entry in d_i
-    ends the report with a failed record at stage i and no degree, as do
-    an entry outside its matrix or with a sign other than 1 or -1 and an
-    entry with a negative exponent in a column of twist <= max_degree."""
+    ranked once per pattern of alive columns and rows (_block_ranks).
+    dim ker comes from the Hilbert function of S and each module's
+    twists.  An entry of d_i that breaks the loader's rule or the
+    bigrading (_entry_fault), wherever its column lies, ends the report
+    with a failed record at stage i and no degree."""
     _require_window(res.ring, max_degree)
     _require_count(res.modules, res.differentials)
     n_diffs = len(res.differentials)
@@ -587,13 +580,10 @@ def check_exactness(
     ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
-            try:
-                if fault := _shape_fault(res, i):
-                    raise ValueError(fault)
-                dim, rank = _stage_tables(res, i, max_degree, std, fld, tables)
-            except ValueError as exc:
-                report.checks.append(CheckRecord("exactness", i, None, False, str(exc)))
+            if fault := _entry_fault(res, i):
+                report.checks.append(CheckRecord("exactness", i, None, False, fault))
                 return report
+            dim, rank = _stage_tables(res, i, max_degree, std, fld, tables)
         else:
             dim = rank = [0] * (max_degree + 1)
         for d in range(max_degree + 1):

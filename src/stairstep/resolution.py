@@ -26,6 +26,7 @@ are in :mod:`stairstep.oracle`, which shares the loader's rules.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable
@@ -36,6 +37,10 @@ from .monomials import Monomial, MonomialIdeal, normalize_ideal, term_str
 
 class StageTooSmall(ValueError):
     pass
+
+
+# the index of the byte of a native int64 that holds its sign bit
+_TOP = 7 if sys.byteorder == "little" else 0
 
 
 def _append_ints(target: array, values: list[int]) -> array:
@@ -116,8 +121,7 @@ class Entries:
 
     ``len`` is the entry count.  Iterating yields ``(row, col, sign, xdeg,
     ydeg)`` tuples, made on demand, as does indexing; a slice is a tuple
-    of them.  ``xdegs`` and ``ydegs`` are fresh int arrays of one field,
-    in entry order."""
+    of them."""
 
     __slots__ = ("ints",)
 
@@ -138,9 +142,6 @@ class Entries:
         for k, part in enumerate((rows, cols, signs, xdegs, ydegs)):
             ints[k::5] = part
         return cls(ints)
-
-    xdegs = property(lambda self: self.ints[3::5])
-    ydegs = property(lambda self: self.ints[4::5])
 
     def __len__(self) -> int:
         return len(self.ints) // 5
@@ -182,9 +183,12 @@ def _require_count(modules: list, maps: list) -> None:
 def _shape_fault(res: Resolution, i: int) -> str:
     """Why d_i of a resolution that passes :func:`_require_count` breaks the
     entry rule of the loader and the checks, or "": each row in [0, rank
-    F_{i-1}), col in [0, rank F_i), sign 1 or -1.  Read as unsigned, a
-    negative row or col exceeds every rank, so one max per field and a set
-    of the signs test the rule."""
+    F_{i-1}), col in [0, rank F_i), sign 1 or -1 and both exponents >= 0,
+    tested in that order.  Read as unsigned, a negative row or col exceeds
+    every rank, so one max per field and a set of the signs test the rule;
+    an exponent is negative exactly when the top byte of its int64 is
+    above 127, so the top bytes of an exponent field are ASCII exactly
+    when none of its values is negative."""
     ints, n_rows, n_cols = res.differentials[i - 1].entries.ints, res.modules[i - 1].rank, res.modules[i].rank
     rows, cols = array("Q", ints[0::5].tobytes()), array("Q", ints[1::5].tobytes())
     if rows and (max(rows) >= n_rows or max(cols) >= n_cols):
@@ -193,6 +197,9 @@ def _shape_fault(res: Resolution, i: int) -> str:
     if not set(ints[2::5]) <= {1, -1}:
         row, col, sign, _x, _y = next(e for e in res.differentials[i - 1].entries if e[2] not in (1, -1))
         return f"entry ({row}, {col}) of d{i} has sign {sign}, not 1 or -1"
+    if not (ints[3::5].tobytes()[_TOP::8].isascii() and ints[4::5].tobytes()[_TOP::8].isascii()):
+        row, col, _sign, x, y = next(e for e in res.differentials[i - 1].entries if e[3] < 0 or e[4] < 0)
+        return f"entry ({row}, {col}) of d{i} has a negative exponent in {(x, y)}"
     return ""
 
 
@@ -243,13 +250,14 @@ class _MainTemplates:
     monomial kept as exponents; ``_columns`` holds each template's entry
     column offsets, signs, xdegs and ydegs as four int arrays.  An instance
     based at bidegree B has one generator at B + offset per column.
-    ``_children`` is the recursion: each block kind maps to the blocks of
-    the next stage based on one of its kind, each (kind, base offset,
-    rows) with the rows of the template's entries resolved against the
-    parent block's first generator.  An F1 sits at the F0 and at B + D for
-    each F3 at B, an F2 at each F1 and at B + G for each F3 at B, and an
-    F3 at each F2.  G holds the first r F2 offsets (a_i, b_i); D holds the
-    offsets (a_i, b_{i+1}) of the F3 columns d_i."""
+    ``_children`` is the recursion, keyed by the kind of a block of the
+    next stage, then by the kind of the block of the last stage it is
+    based on, parent kinds in stage order: each (base offset, rows), the
+    rows of the template's entries resolved against the parent block's
+    first generator.  An F1 sits at the F0 and at B + D for each F3 at B,
+    an F2 at each F1 and at B + G for each F3 at B, and an F3 at each F2.
+    G holds the first r F2 offsets (a_i, b_i); D holds the offsets
+    (a_i, b_{i+1}) of the F3 columns d_i."""
 
     def __init__(self, ideal: MonomialIdeal):
         gens = ideal.generators
@@ -290,16 +298,21 @@ class _MainTemplates:
             for kind, template in (("F1", f1), ("F2", f2), ("F3", f3))
         }
 
-        def child(kind, base, template, rows):
-            return kind, base, tuple(rows[entry[0]] for entry in template)
+        def child(base, template, rows):
+            return base, tuple(rows[entry[0]] for entry in template)
 
         self._children = {
-            "F0": (child("F1", (0, 0), f1, (0,)),),
-            "F1": (child("F2", (0, 0), f2, (0, 1)),),
-            "F2": (child("F3", (0, 0), f3, range(r + 1)),),
-            # into d_j of the F3, then into its columns c_j^x and c_j^y
-            "F3": tuple(child("F1", d[j], f1, (2 * r + j,)) for j in range(r - 1))
-            + tuple(child("F2", g[j], f2, (j, r + j)) for j in range(r)),
+            # at the F0, and into d_j of each F3
+            "F1": {
+                "F0": (child((0, 0), f1, (0,)),),
+                "F3": tuple(child(d[j], f1, (2 * r + j,)) for j in range(r - 1)),
+            },
+            # at each F1, and into the columns c_j^x and c_j^y of each F3
+            "F2": {
+                "F1": (child((0, 0), f2, (0, 1)),),
+                "F3": tuple(child(g[j], f2, (j, r + j)) for j in range(r)),
+            },
+            "F3": {"F2": (child((0, 0), f3, range(r + 1)),)},
         }
 
 
@@ -311,12 +324,13 @@ def _main_block_bases(t: _MainTemplates, stages: int):
     :meth:`_MainBuilder.step` builds from, with no module or matrix built."""
     counts: dict[str, dict[int, int]] = {"F0": {0: 1}}
     for stage in range(1, stages + 1):
-        bases: dict[str, dict[int, int]] = {"F1": {}, "F2": {}, "F3": {}}
-        for parent, parent_counts in counts.items():
-            children = [(bases[kind], ox + oy) for kind, (ox, oy), _rows in t._children[parent]]
-            for base, c in parent_counts.items():
-                for out, o in children:
-                    out[base + o] = out.get(base + o, 0) + c
+        bases: dict[str, dict[int, int]] = {}
+        for kind, kids in t._children.items():
+            out = bases[kind] = {}
+            for parent, children in kids.items():
+                for base, c in counts.get(parent, {}).items():
+                    for (ox, oy), _rows in children:
+                        out[base + ox + oy] = out.get(base + ox + oy, 0) + c
         counts = bases
         yield stage, bases
 
@@ -399,11 +413,6 @@ class _MainBuilder(_MainTemplates):
         self.differentials: list[Differential] = []
         # the last stage's blocks per kind: (first generator, base x, base y)
         self._blocks: dict[str, list[tuple[int, int, int]]] = {"F0": [(0, 0, 0)]}
-        # per kind: each parent kind's children of that kind, (base offset, rows)
-        self._kids: dict[str, dict[str, list]] = {kind: {parent: [] for parent in self._children} for kind in ("F1", "F2", "F3")}
-        for parent, children in self._children.items():
-            for kind, base, rel in children:
-                self._kids[kind][parent].append((base, rel))
         r = len(ideal.generators)
         cd = tuple(f"c{i}^{v}" for v in "xy" for i in range(1, r + 1)) + tuple(f"d{i}" for i in range(1, r))
         ks = range(1, r + 2)
@@ -418,15 +427,15 @@ class _MainBuilder(_MainTemplates):
         rows, cols, signs, xs, ys, dx, dy = (array("q") for _ in range(7))
         blocks: dict[str, list[tuple[int, int, int]]] = {}
         counts: list[int] = []  # the blocks of each kind
-        for kind, kids in self._kids.items():
+        for kind, kids in self._children.items():
             offsets = self._offsets[kind]
             tcols, tsigns, txs, tys = self._columns[kind]
             # (first target row, resolved rows, base x, base y) per instance
             placed = [
                 (start, rel, bx + ox, by + oy)
-                for parent, parents in self._blocks.items()
-                for start, bx, by in parents
-                for (ox, oy), rel in kids[parent]
+                for parent, children in kids.items()
+                for start, bx, by in self._blocks.get(parent, ())
+                for (ox, oy), rel in children
             ]
             n, width, c0 = len(placed), len(offsets), len(dx)
             counts.append(n)
@@ -687,9 +696,10 @@ def resolution_from_json(data: dict) -> Resolution:
     not the ideal's, a differential count other than the module count
     minus one, an exponent, bidegree, row, col or sign that is not an
     int (a bool is not), a module whose "rank" is not an int equal to its
-    generator count, an entry with a negative exponent, a sign other than
-    1 or -1 or a place outside its matrix, and an int that does not fit in
-    64 bits."""
+    generator count, an entry that breaks the checks' entry rule
+    (:func:`_shape_fault`: place, sign, exponents), and an int that does
+    not fit in 64 bits.  In one map, a value that is not an int anywhere
+    is named first, then the rule's first fault in the rule's order."""
     _require_ints([v for g in data["ideal"] for v in g], ("x-exponent", "y-exponent"), "ideal generator")
     ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
     cls = classify(ideal)
@@ -710,14 +720,10 @@ def resolution_from_json(data: dict) -> Resolution:
         diffs = []
         for i, d in enumerate(data["differentials"]):
             ints: list[int] = []
-            try:
-                for e in d["entries"]:
-                    row, col, (x, y) = e["row"], e["col"], e["monomial"]
-                    ints += (row, col, e["sign"], x, y)
-                    if x < 0 or y < 0:
-                        raise ValueError(f"negative exponent in {(x, y)}")
-            finally:  # also when a comparison above failed: a value that is not an int is named first
-                _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
+            for e in d["entries"]:
+                x, y = e["monomial"]
+                ints += (e["row"], e["col"], e["sign"], x, y)
+            _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
             diffs.append(Differential(Entries(_append_ints(array("q"), ints))))
             # the maps read so far between their modules: a fault is raised in the file's order
             if fault := _shape_fault(Resolution(ideal, modules[: i + 2], diffs), i + 1):

@@ -9,8 +9,10 @@ Each section hashes one JSON line per ideal:
   stage-10 resolution over Q, F_2 and F_32003;
 - roundtrip7: the stage-7 resolution sent through resolution_from_json,
   its JSON and its three structural reports;
-- mutations: seeded entry mutations of the stage-6 resolution, each
-  made with dataclasses.replace(d, entries=...), and every report on it.
+- mutation_<kind>: seeded entry mutations of the stage-6 resolution, each
+  made with dataclasses.replace(d, entries=...), and every report on it,
+  one section per kind of _mutate (MUTATIONS names them), so a change to
+  how one kind is reported moves that kind's digest alone.
 
 A refactor that keeps every report the same keeps every digest.  It uses
 only the package's public API and dataclasses.replace, so the same
@@ -57,8 +59,18 @@ PINNED = {
     "exact_f2": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
     "exact_f32003": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
     "roundtrip7": "7ad10de50ef950cd6ad4f392ade7d62a30d8cbb0d785aa2b56515641972d073f",
-    "mutations": "3bc80c38abae62c52b43c8fbc00d7f0634b7cc5e3da20dda47d55410770c3ab2",
+    "mutation_flip_sign": "22968a5ac92dee4d4936a4a47b6c908d5fe4672c97867b4231ed1f1442e65e1f",
+    "mutation_x_plus_1": "759a17866a7f20c8fd8ee88080a781a18de2a42e5aa04217ab04c952bb7d5f58",
+    "mutation_row_plus_1": "d3736afd87ceda923a55da91bea1e55636fa71a810f10da7d8f68b58b1cf4249",
+    "mutation_drop": "cf66b3b4c5dbd60c087b7e104b7a0c7488281979b21a21d7406e66276795fc8d",
+    "mutation_sign_2": "80b8ed272276b874f3d4555e78dc5eafa5f44476dd8880da4e4e2468516f94de",
+    "mutation_x_to_minus_1": "c6b8af067c85b95d670a89a1bcac5b2dfe5ae74bb496bf9cd444c6562fcd0375",
+    "mutation_duplicate": "72d325035ff48c1111f1e94754ed7c75c0057a9df6064566f116e16d3f1be96f",
+    "mutation_shuffle": "ec77f53f702c18065dcdf3bd9ef676fbb434bd5a03405a4809392836f21e2583",
 }
+
+# _mutate's kinds in order: kind k is hashed in section mutation_{MUTATIONS[k]}
+MUTATIONS = ("flip_sign", "x_plus_1", "row_plus_1", "drop", "sign_2", "x_to_minus_1", "duplicate", "shuffle")
 
 FIELDS = {"exact_q": ExactRationals(), "exact_f2": PrimeField(2), "exact_f32003": PrimeField(32003)}
 
@@ -124,7 +136,7 @@ def digests() -> dict[str, str]:
         put("roundtrip7", [resolution_to_json(loaded)] + _reports(loaded, *structural))
         for what, mutant in _mutations(build_resolution(ideal, 6), n):
             exact = check_exactness(mutant, 5, max(20, ideal.max_generator_degree)).to_json()
-            put("mutations", [what] + _reports(mutant, *structural) + [exact])
+            put(f"mutation_{MUTATIONS[what[1]]}", [what] + _reports(mutant, *structural) + [exact])
     return {name: sha.hexdigest() for name, sha in shas.items()}
 
 
@@ -133,7 +145,7 @@ def main() -> int:
     for name, digest in digests().items():
         ok = digest == PINNED[name]
         bad += not ok
-        print(f"{name:14} {digest}  {'ok' if ok else 'MISMATCH, pinned ' + (PINNED[name] or 'nothing')}")
+        print(f"{name:22} {digest}  {'ok' if ok else 'MISMATCH, pinned ' + (PINNED[name] or 'nothing')}")
     return 1 if bad else 0
 
 

@@ -253,9 +253,8 @@ class TestBettiTable:
 
         def init(self, ideal):
             real(self, ideal)
-            f3_children = self._children["F3"]
-            dropped = [i for i, child in enumerate(f3_children) if child[0] == "F2"][1]
-            self._children = {**self._children, "F3": f3_children[:dropped] + f3_children[dropped + 1 :]}
+            at_f3 = self._children["F2"]["F3"]  # the F2s based at an F3, one per c_j pair
+            self._children = {**self._children, "F2": {**self._children["F2"], "F3": at_f3[:1] + at_f3[2:]}}
 
         monkeypatch.setattr(_MainTemplates, "__init__", init)
         counted = betti_table(ideal, 8).entries

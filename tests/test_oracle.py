@@ -46,8 +46,7 @@ import stairstep.oracle
 from stairstep.oracle import (
     CheckRecord,
     _composite,
-    _inhomogeneous,
-    _inhomogeneous_entries,
+    _entry_fault,
     _install_pivot,
     _is_prime,
     _modulus,
@@ -280,7 +279,7 @@ def graded_piece(res, i: int, degree: int, fld: FieldConfig = ExactRationals()) 
                 continue
             ri = row_index.get((row, px, py))
             if ri is None:
-                raise _inhomogeneous(row, g)
+                raise ValueError(f"entry ({row}, {g}) is not homogeneous")
             col[ri] = col.get(ri, 0) + sign
         columns.append({k: v for k, v in col.items() if v})
     return GradedPieceMatrix(degree, tuple(row_basis), tuple(col_basis), tuple(columns))
@@ -478,10 +477,11 @@ def entry_rule_mutant(which):
 
 class TestEntryRule:
     """The checks apply the loader's entry rule to a resolution in memory:
-    row in [0, rank F_{i-1}), col in [0, rank F_i), sign 1 or -1.  Left
-    unchecked, a negative row wraps to the last row and passes every check,
-    a row at the rank raises IndexError, and a sign of 2 passes every check
-    over Q."""
+    row in [0, rank F_{i-1}), col in [0, rank F_i), sign 1 or -1, both
+    exponents >= 0.  Left unchecked, a negative row wraps to the last row
+    and passes every check, a row at the rank raises IndexError, a sign of
+    2 passes every check over Q, and a negative exponent can vanish in a
+    composite read off the end of the stair."""
 
     @pytest.mark.parametrize("which", ["negative rows", "row at rank", "sign 2"])
     def test_a_bad_entry_fails_a_record(self, which):
@@ -509,6 +509,37 @@ class TestEntryRule:
         detail = "entry (-1, 0) of d1 is outside its 1x2 matrix"
         assert check_complex(bad).checks == [CheckRecord("complex", 1, None, False, detail)]
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
+
+    def test_a_negative_exponent_fails_the_composite(self):
+        # (xy, y^2) at stage 5 with d1's entry x made x^-1: the composite
+        # d1 d2 would read the stair at x-exponent -1, its last entry
+        res = build_resolution(M((1, 1), (0, 2)), 5)
+        d1 = res.differentials[0]
+        assert d1.entries[0] == (0, 0, 1, 1, 0)
+        bad_d1 = replace(d1, entries=((0, 0, 1, -1, 0),) + d1.entries[1:])
+        bad = replace(res, differentials=[bad_d1] + res.differentials[1:])
+        detail = "entry (0, 0) of d1 has a negative exponent in (-1, 0)"
+        assert check_complex(bad).failures() == [CheckRecord("complex", 2, None, False, detail)]
+        assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
+        assert check_exactness(bad, 4, 10).failures() == [CheckRecord("exactness", 1, None, False, detail)]
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+
+    def test_every_negative_x_exponent_below_the_top_map_fails_the_composites(self):
+        # each entry of d_1..d_4 at stage 5 with its x-exponent set to -1,
+        # over exhaustive_corpus(3): 1507 mutants
+        count = 0
+        for ideal in exhaustive_corpus(3):
+            res = build_resolution(ideal, 5)
+            for i, d in enumerate(res.differentials[:-1], start=1):
+                for k, (row, col, sign, _x, y) in enumerate(d.entries):
+                    entries = d.entries[:k] + ((row, col, sign, -1, y),) + d.entries[k + 1 :]
+                    diffs = res.differentials[: i - 1] + [replace(d, entries=entries)] + res.differentials[i:]
+                    failures = check_complex(replace(res, differentials=diffs)).failures()
+                    detail = f"entry ({row}, {col}) of d{i} has a negative exponent in {(-1, y)}"
+                    assert failures and failures[0].detail == detail
+                    count += 1
+        assert count == 1507
 
 
 class TestShapeFromTheResolution:
@@ -773,38 +804,59 @@ class TestExactnessReadsEntries:
         assert passed == whole_matrix_exactness(bad, 2, 8)
         assert not all(passed)
 
-    def test_negative_exponent_named_by_its_own_row_and_col(self):
-        # a homogeneous entry x^-1*y^3 into d5's last row, in a new column;
-        # the report names it as check_minimality does, not by its place
-        # inside its block
-        res = build_resolution(M_RIGHT, 6)
-        d5 = res.differentials[4]
-        tx, ty = res.modules[4].bidegree(7)
-        source = GradedFreeModule(tuple(res.modules[5].generators) + (("g", (tx - 1, ty + 3)),))
-        bad_d5 = replace(d5, entries=tuple(d5.entries) + ((7, 13, 1, -1, 3),))
-        modules = res.modules[:5] + [source] + res.modules[6:]
-        bad = replace(res, modules=modules, differentials=res.differentials[:4] + [bad_d5] + res.differentials[5:])
-        assert check_homogeneity(bad).verdict
-        assert "(7, 13," in check_minimality(bad).failures()[0].detail
-        detail = "entry (7, 13) is not homogeneous"
-        assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
+    NEGATIVE = (7, 13, 1, -1, 3)  # x^-1*y^3 from a new column 13 of F5 into d5's row 7
+    NEGATIVE_DETAIL = "entry (7, 13) of d5 has a negative exponent in (-1, 3)"
 
-    def test_inhomogeneous_entry_wins_over_an_earlier_negative_exponent(self):
-        # the in-window entry x^-1*y^3 of the test above comes first in
-        # entry order and the last entry of d5 is shifted off its
-        # bidegree: the record names the shifted entry
+    @staticmethod
+    def with_column_13(entries):
+        """(x^2y, xy^2) at stage 6 with a column 13 of bidegree (row 7's) +
+        (-1, 3), twist 7, added to F5, and d5's entries made by ``entries``
+        from the engine's d5: NEGATIVE is homogeneous there."""
         res = build_resolution(M_RIGHT, 6)
         d5 = res.differentials[4]
         tx, ty = res.modules[4].bidegree(7)
         source = GradedFreeModule(tuple(res.modules[5].generators) + (("g", (tx - 1, ty + 3)),))
-        row, col, sign, x, y = d5.entries[-1]
-        entries = ((7, 13, 1, -1, 3),) + d5.entries[:-1] + ((row, col, sign, x + 1, y),)
+        assert source.twist(13) == 7
         modules = res.modules[:5] + [source] + res.modules[6:]
-        diffs = res.differentials[:4] + [replace(d5, entries=entries)] + res.differentials[5:]
-        bad = replace(res, modules=modules, differentials=diffs)
-        assert source.twist(13) <= 20
-        detail = f"entry ({row}, {col}) is not homogeneous"
-        assert (row, col) != (7, 13)
+        diffs = res.differentials[:4] + [replace(d5, entries=tuple(entries(d5)))] + res.differentials[5:]
+        return replace(res, modules=modules, differentials=diffs)
+
+    def test_negative_exponent_named_by_its_own_row_and_col(self):
+        # the report names the entry as check_minimality and the loader do,
+        # not by its place inside its block
+        bad = self.with_column_13(lambda d5: (*d5.entries, self.NEGATIVE))
+        assert "(7, 13," in check_minimality(bad).failures()[0].detail
+        detail = self.NEGATIVE_DETAIL
+        assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 5, None, False, detail)]
+        assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+
+    def test_negative_exponent_above_the_window_fails(self):
+        # column 13's twist 7 lies above max_degree 6, so it joins no block;
+        # the rule is still applied to every entry, as the loader applies it
+        bad = self.with_column_13(lambda d5: (*d5.entries, self.NEGATIVE))
+        detail = self.NEGATIVE_DETAIL
+        assert check_exactness(bad, 4, 6).failures() == [CheckRecord("exactness", 5, None, False, detail)]
+
+    @pytest.mark.parametrize("negative_first", [True, False])
+    def test_negative_exponent_wins_over_an_inhomogeneous_entry(self, negative_first):
+        # NEGATIVE, and the last entry of d5 shifted off its bidegree: the
+        # rule is tested before the bigrading, so the record names NEGATIVE
+        # in either entry order
+        def shifted(d5):
+            row, col, sign, x, y = d5.entries[-1]
+            return d5.entries[:-1] + ((row, col, sign, x + 1, y),)
+
+        alone = self.with_column_13(shifted)
+        row, col = alone.differentials[4].entries[-1][:2]
+        inhomogeneous = f"entry ({row}, {col}) is not homogeneous"
+        assert check_homogeneity(alone).failures() == [CheckRecord("homogeneity", 5, None, False, inhomogeneous)]
+        if negative_first:
+            bad = self.with_column_13(lambda d5: (self.NEGATIVE,) + shifted(d5))
+        else:
+            bad = self.with_column_13(lambda d5: shifted(d5) + (self.NEGATIVE,))
+        detail = self.NEGATIVE_DETAIL
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 5, None, False, detail)]
         assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
 
@@ -1200,7 +1252,7 @@ class TestBidegrees:
         for r in (res, loaded):
             # the total-degree checks cannot see it
             assert check_complex(r).verdict and check_minimality(r).verdict
-            assert _inhomogeneous_entries(r, 2)
+            assert _entry_fault(r, 2).endswith("is not homogeneous")
             exactness = check_exactness(r, 7, 30).failures()
             assert [(c.kind, c.stage, c.degree) for c in exactness] == [("exactness", 2, None)]
             assert "is not homogeneous" in exactness[0].detail

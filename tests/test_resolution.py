@@ -368,6 +368,28 @@ def test_json_reload_rejects_a_sign_other_than_one_or_minus_one(sign):
         resolution_from_json(data)
 
 
+@pytest.mark.parametrize("faults", [4, 3, 2, 1])
+def test_json_reload_names_the_faults_of_one_map_in_the_rules_order(faults):
+    # the last ``faults`` of four faults in d2, each kind in an earlier
+    # entry than the kind named before it: a value that is not an int is
+    # named first, then a place outside the matrix, then a sign, then a
+    # negative exponent
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    entries = data["differentials"][1]["entries"]
+    r0, c0, (_x0, y0) = entries[0]["row"], entries[0]["col"], entries[0]["monomial"]
+    r1, c1 = entries[1]["row"], entries[1]["col"]
+    kinds = [  # (entry, field, value, message), in the order they are named
+        (3, "sign", 1.5, "sign of d2 entry 3 is 1.5, not an int"),
+        (2, "row", 99, f"entry (99, {entries[2]['col']}) of d2 is outside its 2x3 matrix"),
+        (1, "sign", 2, f"entry ({r1}, {c1}) of d2 has sign 2, not 1 or -1"),
+        (0, "monomial", [-1, y0], f"entry ({r0}, {c0}) of d2 has a negative exponent in {(-1, y0)}"),
+    ][-faults:]
+    for k, field, value, _message in kinds:
+        entries[k][field] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(kinds[0][3])}$"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("rank", [2, 7, "abc", None])
 def test_json_reload_rejects_a_rank_other_than_the_generator_count(rank):
     # left unchecked, a module of 3 generators loads with any "rank"
