@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .betti import (
@@ -77,8 +76,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
         for flag, kwargs in flags:
-            if flag == "--field":  # STAIRSTEP_FIELD is read on every call
-                kwargs = {**kwargs, "default": os.environ.get("STAIRSTEP_FIELD", "q")}
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -258,7 +255,7 @@ def _cmd_staircase(args, ideal) -> int:
 # the flags a subcommand may take; each declares only those its handler reads
 _STAGES = ("--stages", {"type": _nonnegative_int, "default": 6})
 _MAX_DEGREE = ("--max-degree", {"type": int, "default": None})
-_FIELD = ("--field", {"type": _parse_field})
+_FIELD = ("--field", {"type": _parse_field, "default": "q"})
 _TEXT_JSON = ("--format", {"choices": ["text", "json"], "default": "text"})
 _TEXT_JSON_CSV = ("--format", {"choices": ["text", "json", "csv"], "default": "text"})
 

@@ -337,28 +337,37 @@ def check_complex(res: Resolution) -> VerificationReport:
     return report
 
 
+def _map_records(res: Resolution, kind: str, fault) -> VerificationReport:
+    """One ``kind`` record per map d_i, failed with fault(res, i) unless
+    that is ""."""
+    _require_count(res.modules, res.differentials)
+    report = VerificationReport(res.ring)
+    for i in range(1, len(res.differentials) + 1):
+        detail = fault(res, i)
+        report.checks.append(CheckRecord(kind, i, None, not detail, detail))
+    return report
+
+
+def _unit_fault(res: Resolution, i: int) -> str:
+    """The first three entries of d_i that are a unit, vanish in S or have
+    a negative exponent, or "".  An entry is bad by its monomial alone, so
+    each distinct one is tested once."""
+    stair, e = res.ring.stair, res.differentials[i - 1].entries
+    n, far = len(stair), stair[-1]
+    bad = {
+        (x, y)
+        for x, y in set(zip(e.ints[3::5], e.ints[4::5]))
+        if x < 0 or y < 0 or x + y < 1 or y >= (stair[x] if x < n else far)
+    }
+    if not bad:
+        return ""
+    return f"bad entries {[(row, col, term_str(x, y)) for row, col, _sign, x, y in e if (x, y) in bad][:3]}"
+
+
 def check_minimality(res: Resolution) -> VerificationReport:
     """No differential entry may be a unit, vanish in S or have a negative
     exponent."""
-    _require_count(res.modules, res.differentials)
-    report = VerificationReport(res.ring)
-    stair = res.ring.stair
-    n, far = len(stair), stair[-1]
-    for i, diff in enumerate(res.differentials, start=1):
-        # an entry is bad by its monomial alone, so each distinct one is tested once
-        e = diff.entries
-        bad_monomials = {
-            (x, y)
-            for x, y in set(zip(e.ints[3::5], e.ints[4::5]))
-            if x < 0 or y < 0 or x + y < 1 or y >= (stair[x] if x < n else far)
-        }
-        bad = []
-        if bad_monomials:
-            bad = [(row, col, term_str(x, y)) for row, col, _sign, x, y in e if (x, y) in bad_monomials]
-        report.checks.append(
-            CheckRecord("minimality", i, None, not bad, f"bad entries {bad[:3]}" if bad else "")
-        )
-    return report
+    return _map_records(res, "minimality", _unit_fault)
 
 
 def check_homogeneity(res: Resolution) -> VerificationReport:
@@ -367,12 +376,7 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     its row's: source bidegree = target bidegree + (xdeg, ydeg), as
     _entry_fault tests them.  Total degrees alone, which the Betti tables
     read, would miss a swapped bidegree."""
-    _require_count(res.modules, res.differentials)
-    report = VerificationReport(res.ring)
-    for i in range(1, len(res.differentials) + 1):
-        detail = _entry_fault(res, i)
-        report.checks.append(CheckRecord("homogeneity", i, None, not detail, detail))
-    return report
+    return _map_records(res, "homogeneity", _entry_fault)
 
 
 def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
@@ -527,26 +531,31 @@ def _block_ranks(
     return low, ranks
 
 
-def _stage_tables(res: Resolution, i: int, max_degree: int, std: list, fld: FieldConfig, tables: dict):
-    """Slice dimensions and ranks of d_i in degrees 0..max_degree;
-    std[n], extended on demand, holds the x-exponents of the standard
-    monomials of degree n (see _std_x), none of which lies above reach."""
+def _dims(res: Resolution, i: int, max_degree: int, std: list) -> list[int]:
+    """dim (F_i)_d for d in 0..max_degree: a generator of twist t adds the
+    standard monomials of degree d - t, whose x-exponents std[d - t] holds
+    (see _std_x); none lies above degree reach."""
     dim = [0] * (max_degree + 1)
-    rank = [0] * (max_degree + 1)
-    ring, src = res.ring, res.modules[i].generators
-    reach, twists = _std_top(ring), Counter(map(add, src.dx, src.dy))
-    for t, count in twists.items():
+    ring, gens = res.ring, res.modules[i].generators
+    reach = _std_top(ring)
+    for t, count in Counter(map(add, gens.dx, gens.dy)).items():
         if t <= max_degree:
             _std_x(ring, std, min(max_degree - t, reach))
             for d in range(max(t, 0), min(max_degree, t + reach) + 1):
                 dim[d] += count * len(std[d - t])
+    return dim
+
+
+def _ranks(res: Resolution, i: int, max_degree: int, std: list, fld: FieldConfig, tables: dict) -> list[int]:
+    """The slice ranks of d_i in degrees 0..max_degree."""
+    rank = [0] * (max_degree + 1)
     for key, (cbi, rbi, bases) in _split_blocks(res, i, max_degree).items():
-        low, ranks = _block_ranks(key, cbi, rbi, ring, max_degree - min(bases), fld, tables, std)
+        low, ranks = _block_ranks(key, cbi, rbi, res.ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
             lo = base + low
             for d in range(max(lo, 0), max_degree + 1):
                 rank[d] += count * ranks[d - lo]
-    return dim, rank
+    return rank
 
 
 def check_exactness(
@@ -564,10 +573,12 @@ def check_exactness(
     a slice's rank is the sum of its blocks' ranks, and a block's rank in
     a degree is the sum of the ranks of its bigraded pieces there, each
     ranked once per pattern of alive columns and rows (_block_ranks).
-    dim ker comes from the Hilbert function of S and each module's
-    twists.  An entry of d_i that breaks the loader's rule or the
-    bigrading (_entry_fault), wherever its column lies, ends the report
-    with a failed record at stage i and no degree."""
+    dim (F_i)_d is read off F_i's twists for every i, F_0 included
+    (_dims), so an F_0 that is not S fails; stage 0's kernel is that of
+    the augmentation F_0 -> k, one less in degree 0.  An entry of d_i
+    that breaks the loader's rule or the bigrading (_entry_fault),
+    wherever its column lies, ends the report with a failed record at
+    stage i and no degree."""
     _require_window(res.ring, max_degree)
     _require_count(res.modules, res.differentials)
     n_diffs = len(res.differentials)
@@ -576,27 +587,20 @@ def check_exactness(
     report = VerificationReport(res.ring)
     tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
     std: list = []
-    # augmentation S -> k: kernel dims of stage 0
-    ker_prev = [len(_std_x(res.ring, std, d)) - (1 if d == 0 else 0) for d in range(max_degree + 1)]
+    ker_prev = _dims(res, 0, max_degree, std)
+    ker_prev[0] -= 1  # the augmentation F_0 -> k
     for i in range(1, max_stage + 2):
         if i <= n_diffs:
             if fault := _entry_fault(res, i):
                 report.checks.append(CheckRecord("exactness", i, None, False, fault))
                 return report
-            dim, rank = _stage_tables(res, i, max_degree, std, fld, tables)
+            dim, rank = _dims(res, i, max_degree, std), _ranks(res, i, max_degree, std, fld, tables)
         else:
             dim = rank = [0] * (max_degree + 1)
         for d in range(max_degree + 1):
             ok = ker_prev[d] == rank[d]
-            report.checks.append(
-                CheckRecord(
-                    "exactness",
-                    i - 1,
-                    d,
-                    ok,
-                    "" if ok else f"dim ker={ker_prev[d]} != dim im={rank[d]}",
-                )
-            )
+            detail = "" if ok else f"dim ker={ker_prev[d]} != dim im={rank[d]}"
+            report.checks.append(CheckRecord("exactness", i - 1, d, ok, detail))
         if i <= max_stage:
             ker_prev = [dim[d] - rank[d] for d in range(max_degree + 1)]
     return report

@@ -690,43 +690,103 @@ def _require_ints(values: list, fields: tuple, item: str) -> None:
         raise ValueError(f"{fields[j % len(fields)]} of {item} {j // len(fields)} is {values[j]!r}, not an int")
 
 
+def _require_list(value, name: str) -> list:
+    """value, unless it is not a list: then a ValueError naming it."""
+    if type(value) not in (list, tuple):
+        raise ValueError(f"{name} is {value!r}, not a list")
+    return value
+
+
+def _require_keys(obj, keys: tuple, item: str) -> None:
+    """ValueError naming item unless it is an object holding every key."""
+    if type(obj) is not dict:
+        raise ValueError(f"{item} is {obj!r}, not an object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{key} of {item} is missing")
+
+
+def _require_pair(value, name: str) -> None:
+    """ValueError naming value unless it is a list of two."""
+    if type(value) not in (list, tuple) or len(value) != 2:
+        raise ValueError(f"{name} is {value!r}, not two ints")
+
+
+def _require_items(objs, name: str, keys: tuple, item: str) -> None:
+    """ValueError naming ``name`` unless it is a list, else the first of
+    its objects, the j-th named ``item`` j, that does not hold every key
+    or whose last key is not a pair.  Run only once a read has failed, so
+    a valid file pays nothing for it."""
+    for j, obj in enumerate(_require_list(objs, name)):
+        _require_keys(obj, keys, f"{item} {j}")
+        _require_pair(obj[keys[-1]], f"{keys[-1]} of {item} {j}")
+
+
 def resolution_from_json(data: dict) -> Resolution:
     """The resolution a :func:`resolution_to_json` dict describes; labels
-    are kept as the file's strings.  Raises ValueError on a class that is
-    not the ideal's, a differential count other than the module count
-    minus one, an exponent, bidegree, row, col or sign that is not an
-    int (a bool is not), a module whose "rank" is not an int equal to its
-    generator count, an entry that breaks the checks' entry rule
-    (:func:`_shape_fault`: place, sign, exponents), and an int that does
-    not fit in 64 bits.  In one map, a value that is not an int anywhere
-    is named first, then the rule's first fault in the rule's order."""
-    _require_ints([v for g in data["ideal"] for v in g], ("x-exponent", "y-exponent"), "ideal generator")
-    ideal = normalize_ideal([Monomial(a, b) for a, b in data["ideal"]])
+    are kept as the file's strings.  Raises ValueError on a missing key, a
+    list, object or pair of another shape, a label that is not a string, a
+    class that is not the ideal's, a differential count other than the
+    module count minus one, an exponent, bidegree, row, col or sign that
+    is not an int (a bool is not), a module whose "rank" is not an int
+    equal to its generator count, an entry that breaks the checks' entry
+    rule (:func:`_shape_fault`: place, sign, exponents), and an int that
+    does not fit in 64 bits.  In one map, a value of the wrong shape is
+    named first, then a value that is not an int anywhere, then the rule's
+    first fault in the rule's order."""
+    _require_keys(data, ("ideal", "class", "modules", "differentials"), "the file")
+    pairs = _require_list(data["ideal"], "ideal of the file")
+    for j, pair in enumerate(pairs):
+        _require_pair(pair, f"monomial of ideal generator {j}")
+    _require_ints([v for g in pairs for v in g], ("x-exponent", "y-exponent"), "ideal generator")
+    ideal = normalize_ideal([Monomial(a, b) for a, b in pairs])
     cls = classify(ideal)
     if data["class"] != cls.slug:
         raise ValueError(f"class {data['class']!r} does not match the ideal's class {cls.slug!r}")
-    _require_count(data["modules"], data["differentials"])
+    mods = _require_list(data["modules"], "modules of the file")
+    maps = _require_list(data["differentials"], "differentials of the file")
+    _require_count(mods, maps)
     try:
         modules = []
-        for k, m in enumerate(data["modules"]):
-            bidegrees = [g["bidegree"] for g in m["generators"]]
-            if type(m["rank"]) is not int or m["rank"] != len(bidegrees):
-                raise ValueError(f"F{k} has rank {m['rank']!r} but {len(bidegrees)} generators")
-            dxs, dys = [dx for dx, _dy in bidegrees], [dy for _dx, dy in bidegrees]
+        for k, m in enumerate(mods):
+            try:
+                gens, rank = m["generators"], m["rank"]
+                if type(gens) not in (list, tuple):  # "" or {} would read as no generators
+                    raise TypeError
+                labels = tuple(g["label"] for g in gens)
+                bidegrees = [g["bidegree"] for g in gens]
+                dxs, dys = [dx for dx, _dy in bidegrees], [dy for _dx, dy in bidegrees]
+            except (KeyError, TypeError, ValueError):
+                _require_keys(m, ("rank", "generators"), f"F{k}")
+                _require_items(m["generators"], f"generators of F{k}", ("label", "bidegree"), f"F{k} generator")
+                raise
+            if type(rank) is not int or rank != len(bidegrees):
+                raise ValueError(f"F{k} has rank {rank!r} but {len(bidegrees)} generators")
+            if not set(map(type, labels)) <= {str}:
+                j = next(j for j, label in enumerate(labels) if type(label) is not str)
+                raise ValueError(f"label of F{k} generator {j} is {labels[j]!r}, not a string")
             _require_ints(dxs, ("bidegree[0]",), f"F{k} generator")
             _require_ints(dys, ("bidegree[1]",), f"F{k} generator")
             dx, dy = _append_ints(array("q"), dxs), _append_ints(array("q"), dys)
-            modules.append(GradedFreeModule(Generators(dx, dy, tuple(g["label"] for g in m["generators"]))))
+            modules.append(GradedFreeModule(Generators(dx, dy, labels)))
         diffs = []
-        for i, d in enumerate(data["differentials"]):
+        for i, d in enumerate(maps, start=1):
             ints: list[int] = []
-            for e in d["entries"]:
-                x, y = e["monomial"]
-                ints += (e["row"], e["col"], e["sign"], x, y)
-            _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i + 1} entry")
+            try:
+                entries = d["entries"]
+                if type(entries) not in (list, tuple):  # "" or {} would read as no entries
+                    raise TypeError
+                for e in entries:
+                    x, y = e["monomial"]
+                    ints += (e["row"], e["col"], e["sign"], x, y)
+            except (KeyError, TypeError, ValueError):
+                _require_keys(d, ("entries",), f"d{i}")
+                _require_items(d["entries"], f"entries of d{i}", ("row", "col", "sign", "monomial"), f"d{i} entry")
+                raise
+            _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i} entry")
             diffs.append(Differential(Entries(_append_ints(array("q"), ints))))
             # the maps read so far between their modules: a fault is raised in the file's order
-            if fault := _shape_fault(Resolution(ideal, modules[: i + 2], diffs), i + 1):
+            if fault := _shape_fault(Resolution(ideal, modules[: i + 1], diffs), i):
                 raise ValueError(fault)
     except OverflowError as exc:
         raise ValueError(f"an int in the file does not fit in 64 bits: {exc}") from exc

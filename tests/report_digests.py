@@ -12,7 +12,10 @@ Each section hashes one JSON line per ideal:
 - mutation_<kind>: seeded entry mutations of the stage-6 resolution, each
   made with dataclasses.replace(d, entries=...), and every report on it,
   one section per kind of _mutate (MUTATIONS names them), so a change to
-  how one kind is reported moves that kind's digest alone.
+  how one kind is reported moves that kind's digest alone;
+- spare_generators: the stage-6 JSON with one spare generator, read by
+  no entry, appended to F_k for k = 0, 1, 2 in turn, loaded with
+  resolution_from_json, and all four checks' reports on it.
 
 A refactor that keeps every report the same keeps every digest.  It uses
 only the package's public API and dataclasses.replace, so the same
@@ -67,6 +70,7 @@ PINNED = {
     "mutation_x_to_minus_1": "c6b8af067c85b95d670a89a1bcac5b2dfe5ae74bb496bf9cd444c6562fcd0375",
     "mutation_duplicate": "72d325035ff48c1111f1e94754ed7c75c0057a9df6064566f116e16d3f1be96f",
     "mutation_shuffle": "ec77f53f702c18065dcdf3bd9ef676fbb434bd5a03405a4809392836f21e2583",
+    "spare_generators": "2233c329afec259e4cf9686ada1f918e099b61d5fc4e8957c3788d6957c58b34",
 }
 
 # _mutate's kinds in order: kind k is hashed in section mutation_{MUTATIONS[k]}
@@ -113,6 +117,19 @@ def _mutations(res, seed: int) -> list:
     return out
 
 
+def _spares(res) -> list:
+    """For k = 0, 1, 2: res sent through JSON with one more generator in F_k,
+    of twist 7 and read by no entry."""
+    out = []
+    for k in range(3):
+        data = resolution_to_json(res)
+        module = data["modules"][k]
+        module["generators"].append({"label": "spare", "bidegree": [3, 4]})
+        module["rank"] += 1
+        out.append((k, resolution_from_json(data)))
+    return out
+
+
 def _reports(res, *checks) -> list:
     return [check(res).to_json() for check in checks]
 
@@ -134,9 +151,12 @@ def digests() -> dict[str, str]:
             put(name, check_exactness(res, 8, 25, fld).to_json())
         loaded = resolution_from_json(resolution_to_json(build_resolution(ideal, 7)))
         put("roundtrip7", [resolution_to_json(loaded)] + _reports(loaded, *structural))
-        for what, mutant in _mutations(build_resolution(ideal, 6), n):
+        res6 = build_resolution(ideal, 6)
+        for what, mutant in _mutations(res6, n):
             exact = check_exactness(mutant, 5, max(20, ideal.max_generator_degree)).to_json()
             put(f"mutation_{MUTATIONS[what[1]]}", [what] + _reports(mutant, *structural) + [exact])
+        for k, spare in _spares(res6):
+            put("spare_generators", [k] + _reports(spare, *structural) + [check_exactness(spare, 5, 20).to_json()])
     return {name: sha.hexdigest() for name, sha in shas.items()}
 
 

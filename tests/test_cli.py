@@ -10,7 +10,6 @@ import pytest
 import stairstep.cli
 from stairstep import (
     ExactRationals,
-    PrimeField,
     betti_table,
     check_complex,
     check_exactness,
@@ -311,23 +310,24 @@ def oracle_fields(capsys, monkeypatch):
 
 
 class TestFieldEnv:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("STAIRSTEP_FIELD", "p:7")
-        assert oracle_fields(capsys, monkeypatch) == [PrimeField(7)]
-
     def test_default_is_exact_rationals(self, capsys, monkeypatch):
         monkeypatch.delenv("STAIRSTEP_FIELD", raising=False)
         assert oracle_fields(capsys, monkeypatch) == [ExactRationals()]
 
-    def test_env_invalid_prime_fails(self, capsys, monkeypatch):
+    def test_the_environment_does_not_choose_the_field(self, capsys, monkeypatch):
+        # --field is the one way to choose it: a bad prime in the
+        # environment is not read, and both commands run over Q
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
-        assert run(capsys, "oracle", "x2y,xy2", "--stages", "3")[0] == 2
+        for command, checker in (("verify", "check_exactness"), ("oracle", "minimal_resolution_bruteforce")):
+            seen, real = [], getattr(stairstep.cli, checker)
 
-    @pytest.mark.parametrize("command", ["classify", "resolve", "betti", "poincare", "staircase"])
-    def test_env_invalid_prime_ignored_without_field(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
-        code, out, err = run(capsys, command, "x2y,xy2")
-        assert (code, err) == (0, "") and out
+            def spy(*args, seen=seen, real=real):
+                seen.append(args[-1])  # the field, each checker's last argument
+                return real(*args)
+
+            monkeypatch.setattr(stairstep.cli, checker, spy)
+            code, _out, err = run(capsys, command, "x2y,xy2", "--stages", "3")
+            assert (code, err, seen) == (0, "", [ExactRationals()])
 
 
 class TestInputBounds:

@@ -611,7 +611,7 @@ class TestMutations:
 
 def whole_matrix_exactness(res, max_stage, max_degree, fld=ExactRationals()):
     """Pass/fail of every exactness check, from slices of whole differentials."""
-    ker_prev = [len(standard_monomials(res.ring, d)) - (d == 0) for d in range(max_degree + 1)]
+    ker_prev = [len(_slice_basis(res.modules[0], res.ring, d)) - (d == 0) for d in range(max_degree + 1)]
     passed = []
     for i in range(1, min(max_stage + 1, len(res.differentials)) + 1):
         pieces = [graded_piece(res, i, d, fld) for d in range(max_degree + 1)]
@@ -624,13 +624,18 @@ def whole_matrix_exactness(res, max_stage, max_degree, fld=ExactRationals()):
 def exactness_reference(res, max_stage, max_degree, fld):
     """The records check_exactness should give, without splitting blocks:
     dim im from graded_piece on whole differentials, dim ker from the
-    Hilbert function of S and each module's twists, and a stop at the
-    first entry that breaks the bigrading."""
+    Hilbert function of S and each module's twists, F_0's included, and a
+    stop at the first entry that breaks the bigrading."""
 
     def hilbert(n):
         return len(standard_monomials(res.ring, n)) if n >= 0 else 0
 
-    ker = [hilbert(d) - (d == 0) for d in range(max_degree + 1)]
+    def dims(module):
+        twists = [module.twist(g) for g in range(module.rank)]
+        return [sum(hilbert(d - t) for t in twists) for d in range(max_degree + 1)]
+
+    ker = dims(res.modules[0])
+    ker[0] -= 1  # the augmentation F_0 -> k
     records = []
     for i in range(1, max_stage + 2):
         rank = [0] * (max_degree + 1)
@@ -646,8 +651,7 @@ def exactness_reference(res, max_stage, max_degree, fld):
             detail = "" if ok else f"dim ker={ker[d]} != dim im={rank[d]}"
             records.append(CheckRecord("exactness", i - 1, d, ok, detail))
         if i <= len(res.differentials):
-            twists = [res.modules[i].twist(g) for g in range(res.modules[i].rank)]
-            ker = [sum(hilbert(d - t) for t in twists) - rank[d] for d in range(max_degree + 1)]
+            ker = [dim - r for dim, r in zip(dims(res.modules[i]), rank)]
         else:
             ker = [0] * (max_degree + 1)
     return records
@@ -738,6 +742,42 @@ def small_resolutions(draw):
         diffs[k] = replace(d, entries=tuple(entries))
         res = replace(res, differentials=diffs)
     return res, max_stage, max_degree
+
+
+def with_spare(res, k, bidegree):
+    """res with one more generator at the end of F_k, which no entry reads."""
+    modules = list(res.modules)
+    modules[k] = GradedFreeModule(list(modules[k].generators) + [("spare", bidegree)])
+    return replace(res, modules=modules)
+
+
+class TestStageZeroReadsItsModule:
+    """dim (F_0)_d is read off F_0's twists like every other module's, not
+    taken from S: F_0 must be S for exactness at stage 0 to hold."""
+
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_a_spare_f0_generator_fails_stage_zero(self, reload):
+        bad = with_spare(build_resolution(M_RIGHT, 5), 0, (7, 7))
+        if reload:
+            bad = resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+        for check in (check_complex, check_minimality, check_homogeneity):
+            assert check(bad).verdict
+        report = check_exactness(bad, 4, 18)
+        assert [(c.stage, c.degree) for c in report.failures()] == [(0, d) for d in range(14, 19)]
+        # S_14 is spanned by x^14 and y^14, and the spare adds its S_0
+        assert report.failures()[0].detail == "dim ker=3 != dim im=2"
+        assert report.checks == exactness_reference(bad, 4, 18, ExactRationals())
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_a_spare_generator_fails_its_stage_over_the_corpus(self, k):
+        # the spare is a kernel element of its stage that no map reaches
+        for ideal in exhaustive_corpus(3):
+            report = check_exactness(with_spare(build_resolution(ideal, 6), k, (3, 4)), 5, 20)
+            assert {c.stage for c in report.failures()} == {k}, ideal
+
+    def test_a_spare_f0_generator_above_the_window_passes(self):
+        bad = with_spare(build_resolution(M_RIGHT, 5), 0, (10, 9))
+        assert check_exactness(bad, 4, 18).verdict
 
 
 class TestExactnessReadsEntries:

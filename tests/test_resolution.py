@@ -429,6 +429,39 @@ def test_json_reload_rejects_values_that_are_not_ints(path, value, message):
         resolution_from_json(data)
 
 
+DELETE = object()  # a value that removes its key
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("differentials", 1, "entries", 2, "monomial"), [1], "monomial of d2 entry 2 is [1], not two ints"),
+        (("differentials", 1, "entries", 2, "monomial"), [1, 0, 0], "monomial of d2 entry 2 is [1, 0, 0], not two ints"),
+        (("modules", 1, "generators", 0, "bidegree"), [1], "bidegree of F1 generator 0 is [1], not two ints"),
+        (("ideal", 0), [1], "monomial of ideal generator 0 is [1], not two ints"),
+        (("differentials", 1, "entries", 2, "sign"), DELETE, "sign of d2 entry 2 is missing"),
+        (("modules", 1, "generators", 0, "label"), DELETE, "label of F1 generator 0 is missing"),
+        (("class",), DELETE, "class of the file is missing"),
+        (("differentials", 1, "entries"), 5, "entries of d2 is 5, not a list"),
+        (("modules", 1, "generators", 0, "label"), 5, "label of F1 generator 0 is 5, not a string"),
+    ],
+)
+def test_json_reload_names_every_malformed_shape(path, value, message):
+    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    # a shape fault is named before an int fault in an earlier entry of its map
+    data["differentials"][1]["entries"][0]["row"] = 0.5
+    *parents, key = path
+    target = data
+    for step in parents:
+        target = target[step]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resolution_from_json(data)
+
+
 @pytest.mark.parametrize("text", ["x3,x2y2,xy{e}", "x{e},y", "x{e}y"])
 def test_bidegrees_beyond_64_bits_are_a_value_error(text):
     # the main case, the Kunneth product and type II each store a bidegree
