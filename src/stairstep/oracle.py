@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, inf
 from operator import add
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .betti import BettiTable
 from .monomials import MonomialIdeal, _standard_x, term_str
@@ -244,8 +244,9 @@ def _entry_fault(res: Resolution, i: int) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One verdict; a tuple, since a report holds one per (stage, degree)."""
+
     kind: str  # "complex" | "minimality" | "homogeneity" | "exactness"
     stage: int
     degree: Optional[int]
@@ -486,7 +487,19 @@ def _block_ranks(
     the key's entries are folded into one integer per cell, cells that
     cancel dropped, once per key, and a piece's rank is computed once per
     (alive columns, alive rows) pattern and looked up after.  Each key's
-    ranks are extended on demand."""
+    ranks are extended on demand.
+
+    The ranks are constant from degree T = Pmax + Qmax on, where Pmax is
+    the largest relative x-degree of a column or row plus a_1 and Qmax the
+    largest relative y-degree plus b_r, so pieces are ranked only through
+    min(top, T) and the last rank is repeated after.  Whether x^u y^v lies
+    in M depends only on min(u, a_1) and min(v, b_r).  A piece (P, Q) with
+    P >= Pmax and Q >= Qmax has no alive column: each column's monomial
+    there is divisible by x^{a_1} y^{b_r}, which lies in M.  In degree
+    t >= T every other piece has exactly one of P < Pmax or Q < Qmax; if
+    P < Pmax, then Q - y >= b_r for every column and row, so the piece's
+    pattern depends on P alone, and likewise on Q alone if Q < Qmax.  So
+    degree t has the pieces of degree T with the same patterns."""
     state = tables.get(key)
     if state is None:
         cells: list[dict[int, int]] = [{} for _ in cbi]
@@ -496,13 +509,16 @@ def _block_ranks(
         folded = [{r: v for r, v in col.items() if v} for col in cells]
         by_degree = sorted(range(len(cbi)), key=lambda c: sum(cbi[c]))
         degrees = [sum(cbi[c]) for c in by_degree]
-        state = tables[key] = (folded, min(x + y for x, y in rbi), [], {}, by_degree, degrees)
-    cells, low, ranks, patterns, by_degree, degrees = state
+        xs, ys = zip(*cbi, *rbi)
+        settle = max(xs) + ring.generators[0].xdeg + max(ys) + ring.generators[-1].ydeg  # T = Pmax + Qmax
+        state = tables[key] = (folded, min(x + y for x, y in rbi), [], {}, by_degree, degrees, settle)
+    cells, low, ranks, patterns, by_degree, degrees, settle = state
+    last = min(top, settle)
     reach = _std_top(ring)
-    _std_x(ring, std, min(top - low, reach))  # no column twist lies below its rows'
+    _std_x(ring, std, min(last - low, reach))  # no column twist lies below its rows'
     stair = ring.stair
     n_stair, far = len(stair), stair[-1]
-    for t in range(low + len(ranks), top + 1):
+    for t in range(low + len(ranks), last + 1):
         pieces: dict[int, list[int]] = {}  # x-degree of a piece -> its alive columns
         for c in by_degree[bisect_left(degrees, t - reach) : bisect_right(degrees, t)]:
             cx, cy = cbi[c]
@@ -528,6 +544,7 @@ def _block_ranks(
                 )
             total += rank
         ranks.append(total)
+    ranks += ranks[-1:] * (top - low + 1 - len(ranks))
     return low, ranks
 
 

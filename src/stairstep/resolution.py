@@ -138,7 +138,7 @@ class Entries:
     @classmethod
     def interleave(cls, rows: array, cols: array, signs: array, xdegs: array, ydegs: array) -> "Entries":
         """The entries whose fields are the five equally long arrays."""
-        ints = array("q", bytes(40 * len(rows)))
+        ints = array("q", [0]) * (5 * len(rows))  # no zero bytes object to copy from
         for k, part in enumerate((rows, cols, signs, xdegs, ydegs)):
             ints[k::5] = part
         return cls(ints)
