@@ -197,14 +197,15 @@ def _cmd_verify(args, ideal) -> int:
     report = check_complex(res)
     report.checks.extend(check_minimality(res).checks)
     report.checks.extend(check_exactness(res, args.stages, max_degree, args.field).checks)
+    failures = report.failures()
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
-        for c in report.failures():
+        for c in failures:
             where = f"stage {c.stage}" + (f", degree {c.degree}" if c.degree is not None else "")
             print(f"FAIL {c.kind} at {where}: {c.detail}")
-        print("verdict: " + ("pass" if report.verdict else "fail"))
-    return 0 if report.verdict else 1
+        print("verdict: " + ("fail" if failures else "pass"))
+    return 1 if failures else 0
 
 
 def _cmd_oracle(args, ideal) -> int:
@@ -212,9 +213,9 @@ def _cmd_oracle(args, ideal) -> int:
     oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, args.field)
     res = build_resolution(ideal, args.stages)
     # the tables compare total degrees only; the bigrading is checked apart
-    homogeneity = check_homogeneity(res)
+    unhomogeneous = check_homogeneity(res).failures()
     diff = compare_betti(graded_betti(res), oracle_table)
-    agree = diff.is_empty and homogeneity.verdict
+    agree = diff.is_empty and not unhomogeneous
     if args.format == "json":
         print(
             json.dumps(
@@ -222,7 +223,7 @@ def _cmd_oracle(args, ideal) -> int:
                     "oracle": betti_json(oracle_table),
                     "match": diff.is_empty,
                     "mismatches": [list(m) for m in diff.mismatches],
-                    "homogeneous": homogeneity.verdict,
+                    "homogeneous": not unhomogeneous,
                 }
             )
         )
@@ -230,7 +231,7 @@ def _cmd_oracle(args, ideal) -> int:
         print(betti_csv(oracle_table))
     else:
         print(_betti_text(oracle_table, "oracle"))
-        for c in homogeneity.failures():
+        for c in unhomogeneous:
             print(f"FAIL homogeneity at stage {c.stage}: {c.detail}")
         for i, d, eng, orc in diff.mismatches:
             print(f"MISMATCH beta_({i},{d}): engine {eng} vs oracle {orc}")

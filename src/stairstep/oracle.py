@@ -102,7 +102,11 @@ def _modulus(fld: FieldConfig) -> int:
 
 def _working_copy(col: dict[int, int], p: int) -> dict[int, int]:
     """Nonzero entries of an integer column; when p > 0, each a residue
-    mod p in (-p, p)."""
+    mod p in (-p, p).  A column that already is one, as `in`, `min` and
+    `max` over its values tell, is copied whole."""
+    vals = col.values()
+    if 0 not in vals and (not p or not col or (-p < min(vals) and max(vals) < p)):
+        return col.copy()
     if p:
         return {r: w for r, v in col.items() if (w := v if -p < v < p else v % p)}
     return {r: v for r, v in col.items() if v}
@@ -135,57 +139,58 @@ def _content(vecs) -> int:
     return gcd(*(v for vec in vecs for v in vec.values()))
 
 
-def _reduce_column(col, pivots, p, combo=None, pivcombos=None):
-    """Reduce a sparse integer column against the pivot set in place.
+def _eliminate(col, pivots, p, combo=None, pivcombos=None) -> bool:
+    """Reduce a sparse integer column against the pivot set in place, then
+    install what is left; False if the column vanished.
 
-    p is the characteristic (0 for Q).  pivots maps a row to (a, tail):
-    the pivot entry a in that row and the pivot column's other entries.
-    With b the column's entry in a pivot row, col <- a*col - b*pivot, and
-    the combo likewise.  Over F_p pivots are monic, so a == 1 and entries
-    stay residues in (-p, p).  Over Q the elimination is fraction-free:
-    after a step with a != 1 the column and combo are divided by their
-    common gcd.
-    Returns None if the column vanished, else the pivot row it claims
-    (the caller enters it into the pivot set)."""
-    vecs = (col,) if combo is None else (col, combo)
+    p is the characteristic (0 for Q).  pivots maps a row to the whole
+    pivot column whose lowest row it is, its entry a there included, and
+    pivcombos maps it to that column's combo.  With b the column's entry in
+    a pivot row, col <- a*col - b*pivot, and the combo likewise: the pivot
+    row clears itself, a*b - b*a = 0.  Over F_p pivots are monic, so
+    a == 1 and entries stay residues in (-p, p).  Over Q the elimination is
+    fraction-free: after a step with a != 1 the column and combo are
+    divided by their common gcd.
+
+    A column left is installed at its lowest row: a lead of 1 as it is;
+    any other lead is scaled to 1 over F_p, and over Q the column and
+    combo are made primitive with a positive lead.  A lead of -1 only
+    flips every sign."""
     while col:
         prow = min(col)
         piv = pivots.get(prow)
         if piv is None:
-            return prow
-        a, tail = piv
-        b = col.pop(prow)  # a*b - b*a: the pivot row clears by construction
+            break
+        a, b = piv[prow], col[prow]
         if a != 1:
+            vecs = (col,) if combo is None else (col, combo)
             for vec in vecs:
                 for k in vec:
                     vec[k] *= a
-        _subtract(col, b, tail, p)
+        _subtract(col, b, piv, p)
         if combo is not None:
             _subtract(combo, b, pivcombos[prow], p)
         if a != 1:
             _divide(vecs, _content(vecs) or 1)
-    return None
-
-
-def _install_pivot(prow, col, pivots, p, combo=None, pivcombos=None):
-    """Enter a column and its combo into the pivot set, scaled so the
-    pivot entry is 1 over F_p, and primitive with a positive pivot entry
-    over Q.  The pivot entry is popped from col into pivots[prow]."""
-    vecs = (col,) if combo is None else (col, combo)
-    lead = col[prow]
-    if p and lead not in (1, -1):
-        inv = pow(lead, p - 2, p)
-        for vec in vecs:
-            for k in vec:
-                vec[k] = vec[k] * inv % p
     else:
-        # a unit lead leaves no content over Q and needs no inverse over
-        # F_p: a lead of -1 only flips every sign
-        g = 1 if lead in (1, -1) else _content(vecs)
-        _divide(vecs, g if lead > 0 else -g)
-    pivots[prow] = (col.pop(prow), col)
+        return False
+    lead = col[prow]
+    if lead != 1:
+        vecs = (col,) if combo is None else (col, combo)
+        if p and lead != -1:
+            inv = pow(lead, p - 2, p)
+            for vec in vecs:
+                for k in vec:
+                    vec[k] = vec[k] * inv % p
+        else:
+            # a lead of -1 leaves no content over Q and needs no inverse
+            # over F_p: it only flips every sign
+            g = 1 if lead == -1 else _content(vecs)
+            _divide(vecs, g if lead > 0 else -g)
+    pivots[prow] = col
     if combo is not None:
         pivcombos[prow] = combo
+    return True
 
 
 def sparse_rank(columns, fld: FieldConfig) -> int:
@@ -193,10 +198,7 @@ def sparse_rank(columns, fld: FieldConfig) -> int:
     p = _modulus(fld)
     pivots: dict = {}
     for col in columns:
-        work = _working_copy(col, p)
-        prow = _reduce_column(work, pivots, p)
-        if prow is not None:
-            _install_pivot(prow, work, pivots, p)
+        _eliminate(_working_copy(col, p), pivots, p)
     return len(pivots)
 
 
@@ -211,13 +213,9 @@ def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
     pivcombos: dict = {}
     null = []
     for j, col in enumerate(columns):
-        work = _working_copy(col, p)
         combo = {j: 1}
-        prow = _reduce_column(work, pivots, p, combo, pivcombos)
-        if prow is None:
+        if not _eliminate(_working_copy(col, p), pivots, p, combo, pivcombos):
             null.append(combo)
-        else:
-            _install_pivot(prow, work, pivots, p, combo, pivcombos)
     if p:  # from residues in (-p, p) to 0..p-1
         for vec in null:
             for k, v in vec.items():
@@ -706,9 +704,7 @@ def minimal_resolution_bruteforce(
                     r = k % width
                     if low - twists[k // width] + r < stair[width - r]:
                         shifted[k - 1] = c
-                prow = _reduce_column(shifted, pivots, p)
-                if prow is not None:
-                    _install_pivot(prow, shifted, pivots, p)
+                _eliminate(shifted, pivots, p)
             from_x = len(pivots)
             for vec in r_part:
                 shifted = {}
@@ -716,9 +712,7 @@ def minimal_resolution_bruteforce(
                     r = k % width
                     if low - twists[k // width] + r + 1 < stair[width - 1 - r]:
                         shifted[k] = c
-                prow = _reduce_column(shifted, pivots, p)
-                if prow is not None:
-                    _install_pivot(prow, shifted, pivots, p)
+                _eliminate(shifted, pivots, p)
             # the slice's keys outside the pivots, and their columns
             free: list[int] = []
             columns: list[dict[int, int]] = []
@@ -756,10 +750,7 @@ def minimal_resolution_bruteforce(
                         a = width - 1 - r
                         image.append((k, a, d - twists[g] - a, c))
                     new_gens.append(image)
-            basis = []
-            for prow, (lead, tail) in pivots.items():
-                tail[prow] = lead  # the elimination is over: restore the vector
-                basis.append(tail)
+            basis = list(pivots.values())
             x_part, r_part = basis[:from_x], basis[from_x:] + found
             d += 1
         twists, images = new_twists, new_gens

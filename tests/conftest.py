@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import settings
+
 from stairstep import Monomial, MonomialIdeal, normalize_ideal
 
 
@@ -44,3 +46,8 @@ def random_corpus(count: int, seed: int, max_r: int = 6, max_exp: int = 10) -> l
             continue
         out.append(normalize_ideal(gens))
     return out
+
+
+# a larger budget for the elimination kernel's property tests, loaded only
+# by --hypothesis-profile=elimination
+settings.register_profile("elimination", max_examples=2000)

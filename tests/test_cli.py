@@ -140,6 +140,39 @@ class TestVerify:
         kinds = {c["kind"] for c in data["checks"]}
         assert kinds == {"complex", "minimality", "exactness"}
 
+    def test_failed_checks_print_and_exit_1(self, capsys, monkeypatch):
+        # one minimality record and one exactness record planted as failed
+        def planting(checker, stage, degree):
+            real = getattr(stairstep.cli, checker)
+
+            def plant(*args):
+                report = real(*args)
+                report.checks = [
+                    c._replace(passed=False, detail="planted") if (c.stage, c.degree) == (stage, degree) else c
+                    for c in report.checks
+                ]
+                return report
+
+            monkeypatch.setattr(stairstep.cli, checker, plant)
+
+        planting("check_minimality", 2, None)
+        planting("check_exactness", 1, 3)
+        code, out, _ = run(capsys, "verify", "x2y,xy2", "--stages", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL minimality at stage 2: planted",
+            "FAIL exactness at stage 1, degree 3: planted",
+            "verdict: fail",
+        ]
+        code, out, _ = run(capsys, "verify", "x2y,xy2", "--stages", "3", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["verdict"] == "fail"
+        assert [(c["kind"], c["stage"], c["degree"]) for c in data["checks"] if not c["pass"]] == [
+            ("minimality", 2, None),
+            ("exactness", 1, 3),
+        ]
+
 
 class TestOracle:
     def test_agreement(self, capsys):
@@ -163,6 +196,23 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["MISMATCH beta_(2,3): engine 2 vs oracle 1", "engine agreement: fail"]
+
+    def test_homogeneity_failure(self, capsys, monkeypatch):
+        real = stairstep.cli.check_homogeneity
+
+        def plant(res):
+            report = real(res)
+            report.checks[1] = report.checks[1]._replace(passed=False, detail="planted")
+            return report
+
+        monkeypatch.setattr(stairstep.cli, "check_homogeneity", plant)
+        code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["FAIL homogeneity at stage 2: planted", "engine agreement: fail"]
+        code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert (data["match"], data["homogeneous"]) == (True, False)
 
 
 class TestResolve:

@@ -49,11 +49,11 @@ import stairstep.oracle
 from stairstep.oracle import (
     CheckRecord,
     _composite,
+    _eliminate,
     _entry_fault,
-    _install_pivot,
     _is_prime,
     _modulus,
-    _reduce_column,
+    _working_copy,
     sparse_nullspace,
     sparse_rank,
 )
@@ -214,6 +214,77 @@ class TestElimination:
         # factor 2 until the gcd division removes it
         null = sparse_nullspace([{0: 2}, {0: 4}, {0: 6}], ExactRationals())
         assert null == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+
+
+class TestEliminationStep:
+    """One deterministic case per path of _eliminate; each comment names the
+    slip it catches."""
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_unit_lead_installs_the_column_itself(self, p):
+        # catches a pivot stored as a copy, or without its lead
+        col, pivots = {2: 1, 4: 3}, {}
+        assert _eliminate(col, pivots, p)
+        assert pivots[2] is col
+        assert col == {2: 1, 4: 3}
+
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_minus_one_lead_flips_column_and_combo(self, p):
+        # catches a flip of the column alone, and an inverse taken for -1
+        col, combo, pivots, pivcombos = {1: -1, 3: 2}, {0: 1, 2: -3}, {}, {}
+        assert _eliminate(col, pivots, p, combo, pivcombos)
+        assert (pivots, pivcombos) == ({1: {1: 1, 3: -2}}, {1: {0: -1, 2: 3}})
+
+    def test_lead_two_over_f5_is_scaled_by_three(self):
+        # catches a non-monic pivot over F_p
+        col, combo, pivots, pivcombos = {0: 2, 2: 1, 3: 4}, {0: 1}, {}, {}
+        assert _eliminate(col, pivots, 5, combo, pivcombos)
+        assert (pivots, pivcombos) == ({0: {0: 1, 2: 3, 3: 2}}, {0: {0: 3}})
+
+    @pytest.mark.parametrize("lead", [6, -6])
+    def test_q_lead_with_content_becomes_primitive_and_positive(self, lead):
+        # catches a skipped content division and a kept negative lead
+        col, pivots = {0: lead, 1: -lead // 3 * 2}, {}
+        assert _eliminate(col, pivots, 0)
+        assert pivots == {0: {0: 3, 1: -2}}
+
+    def test_reduction_through_non_monic_q_pivot_divides_by_gcd(self):
+        # pivot lead a = 2, column entry b = 4: 2*col - 4*pivot vanishes and
+        # 2*combo - 4*pivcombo = (-4, 2) carries the factor 2; catches a
+        # step that does not divide it out
+        pivots, pivcombos = {0: {0: 2, 1: 1}}, {0: {0: 1}}
+        col, combo = {0: 4, 1: 2}, {1: 1}
+        assert not _eliminate(col, pivots, 0, combo, pivcombos)
+        assert combo == {1: 1, 0: -2}
+
+    @pytest.mark.parametrize("p, col", [(0, {0: 2, 2: 6}), (5, {0: 2, 2: 1})])
+    def test_vanishing_column_returns_false(self, p, col):
+        # catches an empty column installed, or a True return; over F_5,
+        # 1 - 2*3 = -5 must reduce to 0
+        pivots = {0: {0: 1, 2: 3}}
+        assert not _eliminate(col, pivots, p)
+        assert col == {}
+        assert pivots == {0: {0: 1, 2: 3}}
+
+
+class TestWorkingCopy:
+    @pytest.mark.parametrize("p", [0, 2, 5])
+    def test_working_column_is_copied(self, p):
+        col = {0: 1, 3: -1}
+        work = _working_copy(col, p)
+        assert work == col
+        assert work is not col
+
+    def test_zero_dropped_over_q(self):
+        assert _working_copy({0: 0, 1: 2, 2: -7}, 0) == {1: 2, 2: -7}
+
+    @pytest.mark.parametrize("col, work", [({0: 3, 1: -4, 2: -1}, {1: 2, 2: -1}), ({0: -3, 1: 1}, {1: 1})])
+    def test_out_of_range_entries_reduced_over_f3(self, col, work):
+        # -4 is -1 mod 3, kept as the residue 2; 3 and -3 are 0 mod 3
+        assert _working_copy(col, 3) == work
+
+    def test_two_dropped_over_f2(self):
+        assert _working_copy({0: 2, 1: 1}, 2) == {1: 1}
 
 
 BRUTEFORCE_SHA256 = {
@@ -1303,17 +1374,13 @@ def bruteforce_reference(ideal, max_stage, max_degree, fld):
                         g, x, y = prev_basis[j]
                         if (g, x + dx, y + dy) in index:  # else the shift lies in M
                             vec[index[g, x + dx, y + dy]] = c
-                    prow = _reduce_column(vec, pivots, p)
-                    if prow is not None:
-                        _install_pivot(prow, vec, pivots, p)
+                    _eliminate(vec, pivots, p)
             for k in kernel:
                 vec = dict(k)
-                prow = _reduce_column(vec, pivots, p)
-                if prow is not None:
+                if _eliminate(vec, pivots, p):
                     new_gens.append({basis[i]: c for i, c in vec.items()})
                     new_twists.append(d)
                     entries[(stage, d)] = entries.get((stage, d), 0) + 1
-                    _install_pivot(prow, vec, pivots, p)
             prev_basis, prev_kernel = basis, kernel
         twists, images = new_twists, new_gens
     return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)
