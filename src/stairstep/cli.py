@@ -19,7 +19,7 @@ from .betti import (
     series_expand,
 )
 from .classify import classify
-from .monomials import EmptyIdeal, ParseError, UnitIdeal, parse_ideal
+from .monomials import parse_ideal
 from .oracle import (
     ExactRationals,
     FieldConfig,
@@ -301,12 +301,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        ideal = parse_ideal(args.ideal)
-    except (ParseError, EmptyIdeal, UnitIdeal) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command][0](args, ideal)
+        # ParseError, EmptyIdeal and UnitIdeal are ValueErrors too
+        return _COMMANDS[args.command][0](args, parse_ideal(args.ideal))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Explicit graded minimal free resolutions of k over S = k[x,y]/M.
 
 build_resolution is the one builder: it rejects a negative stage count,
-classifies M and hands it to the builder of its regime.  The main-case
-resolution is assembled from three column templates
-(the maps into a rank-1 target, an {e_x,e_y} pair, and a full
+classifies M and, after F_0, wraps each stage that its regime's stage
+source yields.  The main-case resolution is assembled from three column
+templates (the maps into a rank-1 target, an {e_x,e_y} pair, and a full
 {e_f_1..e_f_{r+1}} stage-two module).  From stage four on, every module
 is a direct sum of copies of F1, F2 and F3 and the next differential is
 block diagonal in instantiated templates.  One rule table states which
@@ -203,11 +203,6 @@ def _shape_fault(res: Resolution, i: int) -> str:
     return ""
 
 
-def _free_rank_one() -> GradedFreeModule:
-    """F_0 = S: one generator e1 in bidegree (0, 0)."""
-    return GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))
-
-
 @dataclass
 class Resolution:
     """The modules F_0..F_n and the maps d_i: F_i -> F_{i-1}; nothing
@@ -321,7 +316,7 @@ def _main_block_bases(t: _MainTemplates, stages: int):
     F3 to the number of blocks of that kind per total degree of their base.
 
     The counts advance over ``t._children``, the table
-    :meth:`_MainBuilder.step` builds from, with no module or matrix built."""
+    :func:`_main_stages` builds from, with no module or matrix built."""
     counts: dict[str, dict[int, int]] = {"F0": {0: 1}}
     for stage in range(1, stages + 1):
         bases: dict[str, dict[int, int]] = {}
@@ -357,84 +352,63 @@ class _MainLabels:
     """The generator labels of one main-case stage, rendered on demand.
 
     A stage holds u F1 blocks, then v F2 blocks, then w F3 blocks, of
-    widths 2, r + 1 and 3r - 1, so a label depends only on the stage, the
-    counts and the per-kind names.  ``names`` holds, for F1, F2 and F3 in
-    turn, the column names through stage 3 and from stage 4 on, the head
-    that precedes a name and the block's number n among its kind from
-    stage 4 on, and whether n follows a name then instead.  A label is its
-    column's name, with n from stage 4 on (after "h" for an F1, after the
-    name for an F2), plus, from stage 5 on, "@{stage}.{block}" with the
+    widths 2, r + 1 and 3r - 1, so a label depends only on r, the stage
+    and the counts.  Through stage 3 a label is its column's name: e_x and
+    e_y, f1..f{r+1}, or c1^x..cr^x, c1^y..cr^y, d1..d{r-1}.  From stage 4
+    on, with n the block's number among its kind, an F1's labels are h{n}^x
+    and h{n}^y, an F2's k1,{n}..k{r+1},{n}, and an F3's its columns'
+    names; from stage 5 on each ends in "@{stage}.{block}" with the
     block's index in the stage.  Iterating renders each kind's labels
     with one comprehension."""
 
-    __slots__ = ("stage", "counts", "names")
+    __slots__ = ("r", "stage", "counts")
 
-    def __init__(self, stage: int, counts: tuple[int, int, int], names: tuple) -> None:
-        self.stage, self.counts, self.names = stage, counts, names
-
-    def _render(self, kind: int, count: int, block: int) -> list[str]:
-        """The labels of the stage's ``count`` blocks of one kind (0, 1, 2
-        for F1, F2, F3), the first of which is block ``block`` of the
-        stage."""
-        first, names, head, trailing = self.names[kind]
-        if self.stage < 4:
-            return list(first) * count
-        ats = [f"@{self.stage}.{b}" for b in range(block, block + count)] if self.stage >= 5 else [""] * count
-        if head:
-            return [f"{head}{m}{name}{at}" for m, at in enumerate(ats, 1) for name in names]
-        posts = [f"{m}{at}" for m, at in enumerate(ats, 1)] if trailing else ats
-        return [name + post for post in posts for name in names]
+    def __init__(self, r: int, stage: int, counts: tuple[int, int, int]) -> None:
+        self.r, self.stage, self.counts = r, stage, counts
 
     def __iter__(self):
-        labels, block = [], 0
-        for kind, count in enumerate(self.counts):
-            if count:
-                labels += self._render(kind, count, block)
-                block += count
-        return iter(labels)
-
-
-class _MainBuilder(_MainTemplates):
-    """Stage-by-stage fold assembling the main-case resolution.
-
-    Every block of the last stage places its children by ``_children``;
-    the new stage holds the F1 instances, then the F2s, then the F3s, each
-    kind in the order of the blocks they are based at.  A kind's instances
-    are written together: their entry rows with one comprehension over the
-    resolved template rows, their columns with one more, and their signs
-    and exponents by repeating the template's arrays; their bidegrees
-    with one comprehension per coordinate.  The stage's labels are a
-    :class:`_MainLabels` rule, so no label is stored."""
-
-    def __init__(self, ideal: MonomialIdeal):
-        super().__init__(ideal)
-        self.ideal = ideal
-        self.modules = [_free_rank_one()]
-        self.differentials: list[Differential] = []
-        # the last stage's blocks per kind: (first generator, base x, base y)
-        self._blocks: dict[str, list[tuple[int, int, int]]] = {"F0": [(0, 0, 0)]}
-        r = len(ideal.generators)
-        cd = tuple(f"c{i}^{v}" for v in "xy" for i in range(1, r + 1)) + tuple(f"d{i}" for i in range(1, r))
-        ks = range(1, r + 2)
-        self._names = (
-            (("e_x", "e_y"), ("^x", "^y"), "h", False),
-            (tuple(f"f{i}" for i in ks), tuple(f"k{i}," for i in ks), "", True),
-            (cd, cd, "", False),
+        (u, v, w), ks = self.counts, range(1, self.r + 2)
+        cd = [f"c{i}^{s}" for s in "xy" for i in range(1, self.r + 1)] + [f"d{i}" for i in range(1, self.r)]
+        if self.stage < 4:
+            return iter(["e_x", "e_y"] * u + [f"f{k}" for k in ks] * v + cd * w)
+        ats = [f"@{self.stage}.{b}" for b in range(u + v + w)] if self.stage >= 5 else [""] * (u + v + w)
+        f2_posts = [f"{n}{at}" for n, at in enumerate(ats[u : u + v], 1)]
+        f2_names = [f"k{k}," for k in ks]
+        return iter(
+            [f"h{n}^{s}{at}" for n, at in enumerate(ats[:u], 1) for s in "xy"]
+            + [name + post for post in f2_posts for name in f2_names]
+            + [name + at for at in ats[u + v :] for name in cd]
         )
 
-    def step(self) -> None:
-        stage = len(self.modules)
+
+def _main_stages(ideal: MonomialIdeal, stages: int):
+    """Yield stages 1..stages of the main-case resolution, each as
+    (dx, dy, labels, entries).
+
+    Every block of the last stage places its children by the rule table
+    of the ideal's :class:`_MainTemplates`; the new stage holds the F1
+    instances, then the F2s, then the F3s, each kind in the order of the
+    blocks they are based at.  A kind's instances are written together:
+    their entry rows with one comprehension over the resolved template
+    rows, their columns with one more, and their signs and exponents by
+    repeating the template's arrays; their bidegrees with one
+    comprehension per coordinate.  The stage's labels are a
+    :class:`_MainLabels` rule, so no label is stored."""
+    t, r = _MainTemplates(ideal), len(ideal.generators)
+    # the last stage's blocks per kind: (first generator, base x, base y)
+    last: dict[str, list[tuple[int, int, int]]] = {"F0": [(0, 0, 0)]}
+    for stage in range(1, stages + 1):
         rows, cols, signs, xs, ys, dx, dy = (array("q") for _ in range(7))
         blocks: dict[str, list[tuple[int, int, int]]] = {}
         counts: list[int] = []  # the blocks of each kind
-        for kind, kids in self._children.items():
-            offsets = self._offsets[kind]
-            tcols, tsigns, txs, tys = self._columns[kind]
+        for kind, kids in t._children.items():
+            offsets = t._offsets[kind]
+            tcols, tsigns, txs, tys = t._columns[kind]
             # (first target row, resolved rows, base x, base y) per instance
             placed = [
                 (start, rel, bx + ox, by + oy)
                 for parent, children in kids.items()
-                for start, bx, by in self._blocks.get(parent, ())
+                for start, bx, by in last.get(parent, ())
                 for (ox, oy), rel in children
             ]
             n, width, c0 = len(placed), len(offsets), len(dx)
@@ -451,33 +425,24 @@ class _MainBuilder(_MainTemplates):
             _append_ints(dx, [x + ox for _s, _r, x, _y in placed for ox, _oy in offsets])
             _append_ints(dy, [y + oy for _s, _r, _x, y in placed for _ox, oy in offsets])
             blocks[kind] = [(c, x, y) for c, (_s, _r, x, y) in zip(firsts, placed)]
-        labels = _MainLabels(stage, tuple(counts), self._names)
-        module = GradedFreeModule(Generators(dx, dy, labels))
-        entries = Entries.interleave(rows, cols, signs, xs, ys)
-        self.differentials.append(Differential(entries))
-        self.modules.append(module)
-        self._blocks = blocks
-
-
-def _build_main(ideal: MonomialIdeal, stages: int) -> Resolution:
-    builder = _MainBuilder(ideal)
-    for _ in range(stages):
-        builder.step()
-    return Resolution(ideal, builder.modules, builder.differentials)
+        yield dx, dy, _MainLabels(r, stage, tuple(counts)), Entries.interleave(rows, cols, signs, xs, ys)
+        last = blocks
 
 
 class _StageLabels:
     """The labels of the ``count`` generators of a degenerate stage
     i >= 2, rendered on demand: "{stem}{c}({i})" for the c-th generator,
-    or "{stem}({i})" for every generator when not numbered."""
+    or "{stem}({i})" for a stage's only generator."""
 
-    __slots__ = ("stem", "stage", "count", "numbered")
+    __slots__ = ("stem", "stage", "count")
 
-    def __init__(self, stem: str, stage: int, count: int, numbered: bool = True) -> None:
-        self.stem, self.stage, self.count, self.numbered = stem, stage, count, numbered
+    def __init__(self, stem: str, stage: int, count: int) -> None:
+        self.stem, self.stage, self.count = stem, stage, count
 
     def __iter__(self):
-        return iter([f"{self.stem}{c if self.numbered else ''}({self.stage})" for c in range(1, self.count + 1)])
+        if self.count == 1:
+            return iter([f"{self.stem}({self.stage})"])
+        return iter([f"{self.stem}{c}({self.stage})" for c in range(1, self.count + 1)])
 
 
 def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
@@ -519,8 +484,9 @@ def _product_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, 
     return entries
 
 
-def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
-    """Types I, III, IV and V through stage n.
+def _product_stages(ideal: MonomialIdeal, n: int):
+    """Yield stages 1..n of types I, III, IV and V, each as (dx, dy,
+    labels, entries).
 
     S is k[x]/(x^a) tensor k[y]/(y^b), where a factor is k[v] when M holds
     no power of v.  By Kunneth (Tate 1957) the tensor product of the two
@@ -537,8 +503,7 @@ def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
     construction gave and the pinned JSON records."""
     (xtw, xpow), (ytw, ypow) = _product_factors(ideal, n)
     tx, ty = len(xtw) - 1, len(ytw) - 1
-    modules = [_free_rank_one()]
-    diffs: list[Differential] = []
+    stem = "g" if classify(ideal) is IdealClass.TYPE_IV else "e"
     # per stage i, indexed by p: the row of u_p*v_{i-p} and its sign eps
     rows, signs = {0: 0}, {0: 1}
     for i in range(1, n + 1):
@@ -549,12 +514,12 @@ def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
             for p in ((i - j, j) if 2 * j != i else (j,))
             if p in reach
         ]
-        if classify(ideal) is IdealClass.TYPE_IV:
-            labels = ("g",) * len(ps) if i == 1 else _StageLabels("g", i, len(ps), numbered=False)
-        elif i == 1:
-            labels = tuple("e_x" if p else "e_y" for p in ps)
+        if i > 1:
+            labels = _StageLabels(stem, i, len(ps))
+        elif stem == "g":
+            labels = ("g",) * len(ps)
         else:
-            labels = _StageLabels("e", i, len(ps))
+            labels = tuple("e_x" if p else "e_y" for p in ps)
         prev_rows, prev_signs = rows, signs
         rows, signs = {}, {}
         dx, dy = array("q"), array("q")
@@ -577,14 +542,12 @@ def _build_product(ideal: MonomialIdeal, n: int) -> Resolution:
             s *= -prev_signs[p] if p % 2 else prev_signs[p]
             by_y = (prev_rows[p], c, s, 0, ypow[q])
             entries += (by_y, by_x) if p >= q else (by_x, by_y) if p else (by_y,)
-        module = GradedFreeModule(Generators(dx, dy, labels))
-        diffs.append(Differential(entries))
-        modules.append(module)
-    return Resolution(ideal, modules, diffs)
+        yield dx, dy, labels, entries
 
 
-def _build_type_ii(ideal: MonomialIdeal, n: int) -> Resolution:
-    """Type II, a single generator g of degree >= 2, through stage n.
+def _type_ii_stages(ideal: MonomialIdeal, n: int):
+    """Yield stages 1..n of type II, a single generator g of degree >= 2,
+    each as (dx, dy, labels, entries).
 
     It is not a product; its maps repeat with period 2 from stage 3 on.
     u is the variable g is divisible by (x, unless g is a power of y), v
@@ -607,40 +570,40 @@ def _build_type_ii(ideal: MonomialIdeal, n: int) -> Resolution:
         Entries.of((row, c, sign, x, y) for c, col in enumerate(cols) for row, sign, (x, y) in col)
         for cols in patterns
     ]
-    modules = [_free_rank_one()]
-    diffs: list[Differential] = []
+    dx, dy = (0,), (0,)  # the bidegree of F_0's generator
     for i in range(1, n + 1):
         k = min(i, 4 - i % 2) - 1
-        prev, dx, dy = modules[-1], array("q"), array("q")
+        prev_dx, prev_dy, dx, dy = dx, dy, array("q"), array("q")
         for row, _sign, (x, y) in (col[0] for col in patterns[k]):
-            bx, by = prev.bidegree(row)
-            dx.append(bx + x)
-            dy.append(by + y)
-        labels = ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2)
-        module = GradedFreeModule(Generators(dx, dy, labels))
-        diffs.append(Differential(entries[k]))
-        modules.append(module)
-    return Resolution(ideal, modules, diffs)
+            dx.append(prev_dx[row] + x)
+            dy.append(prev_dy[row] + y)
+        yield dx, dy, ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2), entries[k]
 
 
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
-    """Resolution of k over k[x,y]/M through the requested stage: the
-    main-case templates, the Kunneth product of types I, III, IV and V, or
-    the period-2 construction of type II.  Bidegrees and exponents are
-    stored as 64-bit ints; one that does not fit raises ValueError."""
+    """Resolution of k over k[x,y]/M through the requested stage: F_0 = S,
+    one generator e1 in bidegree (0, 0), then the stages of the main-case
+    templates, the Kunneth product of types I, III, IV and V, or the
+    period-2 construction of type II.  Bidegrees and exponents are stored
+    as 64-bit ints; one that does not fit raises ValueError."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
     if cls.is_main:
-        build = _build_main
+        source = _main_stages
     elif cls is IdealClass.TYPE_II:
-        build = _build_type_ii
+        source = _type_ii_stages
     else:
-        build = _build_product
+        source = _product_stages
+    modules = [GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))]
+    diffs: list[Differential] = []
     try:
-        return build(ideal, stages)
+        for dx, dy, labels, entries in source(ideal, stages):
+            modules.append(GradedFreeModule(Generators(dx, dy, labels)))
+            diffs.append(Differential(entries))
     except OverflowError as exc:
         raise ValueError(f"the bidegrees of M through stage {stages} do not fit in 64 bits") from exc
+    return Resolution(ideal, modules, diffs)
 
 
 def resolution_to_json(res: Resolution) -> dict:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import stairstep.cli
+import stairstep.resolution
 from stairstep import (
     ExactRationals,
     betti_table,
@@ -23,7 +24,6 @@ from stairstep import (
 )
 from stairstep.betti import render_shape
 from stairstep.cli import main
-from stairstep.resolution import _MainBuilder
 
 
 def run(capsys, *argv):
@@ -91,13 +91,13 @@ class TestBetti:
             built.append(str(ideal))
             return build_resolution(ideal, stages)
 
-        def refuse(self):
+        def refuse(ideal, stages):
             raise AssertionError("betti built a main-case stage")
 
         monkeypatch.setattr(stairstep.cli, "build_resolution", spy)
         assert run(capsys, "resolve", "xy2,y4", "--stages", "2")[0] == 0
         assert built == ["(x*y^2, y^4)"]  # the spy sees what the CLI builds
-        monkeypatch.setattr(_MainBuilder, "step", refuse)
+        monkeypatch.setattr(stairstep.resolution, "_main_stages", refuse)
         for ideal in ("xy2,y4", "x2y,xy2", "x6,x5y,x4y2,x3y3,x2y4,xy5"):
             for fmt in ("text", "json", "csv"):
                 for graded in ((), ("--graded",)):

@@ -57,7 +57,7 @@ from stairstep.oracle import (
     sparse_nullspace,
     sparse_rank,
 )
-from stairstep.resolution import _MainBuilder
+from stairstep.resolution import _MainTemplates
 
 
 def M(*pairs):
@@ -456,13 +456,22 @@ class TestChecks:
         assert [c.passed for c in report.checks] == [not cells for cells in expected]
         assert not report.verdict
 
-    def test_minimality_catches_zero_entry(self):
-        # the (x^3, y^7) second map with entry y^7 instead of y^6:
-        # y^7 = 0 in S, so the column drops rank
-        res = build_resolution(M((3, 0), (0, 7)), 3)
+    @pytest.mark.parametrize(
+        "ideal, old, new",
+        [
+            # the (x^3, y^7) second map with entry y^7 instead of y^6
+            (M((3, 0), (0, 7)), (0, 6), (0, 7)),
+            # x^3 y instead of xy over (x^2 y, xy^2), past the stair table's last column
+            (M_RIGHT, (1, 1), (3, 1)),
+        ],
+        ids=["y7", "x3y"],
+    )
+    def test_minimality_catches_zero_entry(self, ideal, old, new):
+        # the new entry is 0 in S, so the column drops rank
+        res = build_resolution(ideal, 3)
         d2 = res.differentials[1]
         entries = tuple(
-            (r, c, s, x, 7 if (x, y) == (0, 6) else y)
+            (r, c, s, *(new if (x, y) == old else (x, y)))
             for r, c, s, x, y in d2.entries
         )
         bad = replace(res, differentials=[res.differentials[0], replace(d2, entries=entries), res.differentials[2]])
@@ -476,16 +485,17 @@ class TestChecks:
         bad = replace(build_resolution(M_RIGHT, 1), modules=[mod, mod], differentials=[identity])
         assert check_minimality(bad).failures() == [CheckRecord("minimality", 1, None, False, "bad entries [(0, 0, '1')]")]
 
-    def test_minimality_reports_negative_exponent(self):
-        # x^-1 y^3 in place of d2's first entry: a failed record, as the
+    @pytest.mark.parametrize("mono, term", [((-1, 3), "x^-1*y^3"), ((2, -1), "x^2*y^-1")], ids=["x", "y"])
+    def test_minimality_reports_negative_exponent(self, mono, term):
+        # a negative exponent in d2's first entry: a failed record, as the
         # other checks give, not a ValueError from building the detail
         res = build_resolution(M_RIGHT, 4)
         d2 = res.differentials[1]
         row, col, sign, _x, _y = d2.entries[0]
-        entries = ((row, col, sign, -1, 3),) + d2.entries[1:]
+        entries = ((row, col, sign, *mono),) + d2.entries[1:]
         diffs = [res.differentials[0], replace(d2, entries=entries)] + res.differentials[2:]
         bad = replace(res, differentials=diffs)
-        detail = f"bad entries [({row}, {col}, 'x^-1*y^3')]"
+        detail = f"bad entries [({row}, {col}, '{term}')]"
         assert check_minimality(bad).failures() == [CheckRecord("minimality", 2, None, False, detail)]
         assert not check_complex(bad).verdict
         assert not check_homogeneity(bad).verdict
@@ -506,10 +516,15 @@ class TestChecks:
         assert report.verdict
         assert {c.stage for c in report.checks} == set(range(7))
 
-    def test_exactness_needs_the_next_stage(self):
-        res = build_resolution(M_RIGHT, 3)
-        with pytest.raises(ValueError, match=r"^resolution built to stage 3; need stage 4$"):
-            check_exactness(res, 3, 10)
+    @pytest.mark.parametrize(
+        "ideal, max_stage, max_degree",
+        [(M_RIGHT, 3, 10), (M((5, 0), (0, 1)), 5, 30)],  # the second's last module has rank 1
+        ids=["main", "rank-1"],
+    )
+    def test_exactness_needs_the_next_stage(self, ideal, max_stage, max_degree):
+        res = build_resolution(ideal, 3)
+        with pytest.raises(ValueError, match=rf"^resolution built to stage 3; need stage {max_stage + 1}$"):
+            check_exactness(res, max_stage, max_degree)
         assert check_exactness(res, 2, 10).verdict
 
     def test_report_json_shape(self):
@@ -1459,14 +1474,14 @@ def swapped_f2(monkeypatch):
     """The engine with each F2 generator at (bx + dy, by + dx) instead of
     (bx + dx, by + dy): every total degree, entry and Betti number stays
     as it was, only the bigrading is wrong."""
-    real = _MainBuilder.__init__
+    real = _MainTemplates.__init__
 
     def init(self, ideal):
         real(self, ideal)
         # the F2 generator offsets only: the bases G of later F2s stay
         self._offsets = {**self._offsets, "F2": tuple((dy, dx) for dx, dy in self._offsets["F2"])}
 
-    monkeypatch.setattr(_MainBuilder, "__init__", init)
+    monkeypatch.setattr(_MainTemplates, "__init__", init)
 
 
 class TestBidegrees:

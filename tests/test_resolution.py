@@ -335,6 +335,22 @@ def test_json_reload_keeps_labels_and_rejects_negative_exponents(text):
             resolution_from_json(data)
 
 
+def test_json_reload_reads_the_sign_byte_of_each_exponent():
+    # the rule reads one byte of each exponent, its int64's top byte: the
+    # low byte of 200 is above 127, and that of -256 is 0
+    dumped = json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4)))
+    for var in (0, 1):  # the x-exponents, then the y-exponents
+        data = json.loads(dumped)
+        entries = data["differentials"][3]["entries"]
+        entries[7]["monomial"][var] = 200
+        resolution_from_json(data)  # not homogeneous, but within the loader's rule
+        entries[2]["monomial"][var] = -256
+        row, col, mono = entries[2]["row"], entries[2]["col"], tuple(entries[2]["monomial"])
+        message = f"entry ({row}, {col}) of d4 has a negative exponent in {mono}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolution_from_json(data)
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
