@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
+Exit codes: 0 success, 1 verification failure, 2 parse or usage error
+or out of memory.
 """
 from __future__ import annotations
 
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args, parse_ideal(args.ideal))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -46,12 +46,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return self.xdeg == 0 and self.ydeg == 0
 
-    def divides(self, other: "Monomial") -> bool:
-        return self.xdeg <= other.xdeg and self.ydeg <= other.ydeg
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.xdeg + other.xdeg, self.ydeg + other.ydeg)
-
     def __str__(self) -> str:
         return term_str(self.xdeg, self.ydeg)
 

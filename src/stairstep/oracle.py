@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Union
 
 from .betti import BettiTable
 from .monomials import MonomialIdeal, _standard_x, term_str
-from .resolution import Resolution, _require_count, _shape_fault
+from .resolution import Resolution, StageTooSmall, _require_count, _shape_fault
 
 
 class TruncationTooSmall(ValueError):
@@ -456,12 +456,15 @@ def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
 
 
 def _std_top(ring: MonomialIdeal) -> float:
-    """The highest degree of a standard monomial: when M holds x^a and y^b,
-    x^u y^v is standard only if u < a and v < b, so none lies above
-    a + b - 2; otherwise every degree has one (inf)."""
-    first, last = ring.generators[0], ring.generators[-1]
-    if first.ydeg == 0 and last.xdeg == 0:
-        return first.xdeg + last.ydeg - 2
+    """The highest degree of a standard monomial, exactly.  When M holds
+    pure powers of x and y (b_1 = 0 = a_r), a standard x^u y^v has
+    u < a_1, so a_{i+1} <= u < a_i for one i < r, and then v < b_{i+1}:
+    the standard monomials are the divisors of the outer corners
+    x^{a_i - 1} y^{b_{i+1} - 1}, and the top degree is
+    max_i(a_i + b_{i+1}) - 2.  Otherwise every degree has one (inf)."""
+    gens = ring.generators
+    if gens[0].ydeg == 0 and gens[-1].xdeg == 0:
+        return max(g.xdeg + h.ydeg for g, h in zip(gens, gens[1:])) - 2
     return inf
 
 
@@ -594,6 +597,8 @@ def check_exactness(
     that breaks the loader's rule or the bigrading (_entry_fault),
     wherever its column lies, ends the report with a failed record at
     stage i and no degree."""
+    if max_stage < 0:
+        raise StageTooSmall("need n >= 0")
     _require_window(res.ring, max_degree)
     _require_count(res.modules, res.differentials)
     n_diffs = len(res.differentials)
@@ -653,6 +658,8 @@ def minimal_resolution_bruteforce(
     falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
     key - 1, by y the key itself.  A product is tested against M with the
     ring's stair, so no index of a slice's basis is built."""
+    if max_stage < 0:
+        raise StageTooSmall("need n >= 0")
     _require_window(ideal, max_degree)
     p = _modulus(fld)
     width = max_degree + 1
@@ -664,8 +671,6 @@ def minimal_resolution_bruteforce(
     top = min(max_degree, _std_top(ideal))
     std: list = []
     _std_x(ideal, std, top)
-    while not std[top]:
-        top -= 1
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     # F_{i-1} data: generator twists, nondecreasing, and images, each a list
     # of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the generator's

@@ -107,12 +107,6 @@ class GradedFreeModule:
     def rank(self) -> int:
         return len(self.generators)
 
-    def bidegree(self, i: int) -> tuple[int, int]:
-        return self.generators.dx[i], self.generators.dy[i]
-
-    def twist(self, i: int) -> int:
-        return self.generators.dx[i] + self.generators.dy[i]
-
 
 class Entries:
     """The entries of a sparse matrix in one int array, five ints per

@@ -317,6 +317,15 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: empty generator (at offset 2)\n"
 
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        # exit 1 means a failed verification, so running out of memory is 2
+        def exhaust(args, ideal):
+            raise MemoryError
+
+        _handler, help_text, flags = stairstep.cli._COMMANDS["betti"]
+        monkeypatch.setitem(stairstep.cli._COMMANDS, "betti", (exhaust, help_text, flags))
+        assert run(capsys, "betti", "x2y,xy2") == (2, "", "error: out of memory\n")
+
     def test_graded_only_on_betti(self, capsys):
         assert run(capsys, "classify", "x2y,xy2", "--graded")[0] == 2
 

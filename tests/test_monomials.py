@@ -31,6 +31,10 @@ def M(*pairs):
     return normalize_ideal([Monomial(a, b) for a, b in pairs])
 
 
+def divides(g, m):
+    return g.xdeg <= m.xdeg and g.ydeg <= m.ydeg
+
+
 class TestMonomial:
     def test_degree(self):
         assert Monomial(2, 3).degree == 5
@@ -38,10 +42,6 @@ class TestMonomial:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Monomial(-1, 0)
-
-    def test_divides(self):
-        assert Monomial(1, 2).divides(Monomial(3, 5))
-        assert not Monomial(1, 2).divides(Monomial(5, 0))
 
     def test_str(self):
         assert str(Monomial(3, 1)) == "x^3*y"
@@ -90,7 +90,7 @@ class TestNormalize:
     @given(st.lists(monomials, max_size=10))
     def test_minimal_generators_are_the_undivided_ones(self, raw):
         # the sorted sweep against the definition: no other one divides it
-        undivided = {m for m in raw if not any(g != m and g.divides(m) for g in raw)}
+        undivided = {m for m in raw if not any(g != m and divides(g, m) for g in raw)}
         assert _minimalize(raw) == tuple(sorted(undivided, key=lambda m: -m.xdeg))
 
     @given(ideals)
@@ -98,7 +98,7 @@ class TestNormalize:
         gens = ideal.generators
         for i, g in enumerate(gens):
             for j, h in enumerate(gens):
-                assert i == j or not g.divides(h)
+                assert i == j or not divides(g, h)
 
 
 class TestMembership:
@@ -111,13 +111,13 @@ class TestMembership:
     @given(ideals, monomials)
     def test_absorption(self, ideal, m):
         if ideal.contains(m):
-            assert ideal.contains(m * Monomial(1, 0))
-            assert ideal.contains(m * Monomial(0, 1))
+            assert ideal.contains(Monomial(m.xdeg + 1, m.ydeg))
+            assert ideal.contains(Monomial(m.xdeg, m.ydeg + 1))
 
 
 def scan_contains(ideal, m):
     """Reference membership test: a linear divisibility scan."""
-    return any(g.divides(m) for g in ideal.generators)
+    return any(divides(g, m) for g in ideal.generators)
 
 
 # reaches past the outer corners of every ideal drawn from ``ideals``

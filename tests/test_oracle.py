@@ -26,6 +26,7 @@ from stairstep import (
     Monomial,
     MonomialIdeal,
     PrimeField,
+    StageTooSmall,
     TruncationTooSmall,
     betti_json,
     build_resolution,
@@ -46,6 +47,7 @@ from stairstep import (
 )
 from stairstep.cli import main as cli_main
 import stairstep.oracle
+from stairstep.monomials import _standard_x
 from stairstep.oracle import (
     CheckRecord,
     _composite,
@@ -53,6 +55,7 @@ from stairstep.oracle import (
     _entry_fault,
     _is_prime,
     _modulus,
+    _std_top,
     _working_copy,
     sparse_nullspace,
     sparse_rank,
@@ -363,10 +366,8 @@ class TestGradedPiece:
     def test_slice_dimensions(self):
         res = build_resolution(M_RIGHT, 1)
         piece = graded_piece(res, 1, 3)
-        expected_cols = sum(
-            len(standard_monomials(M_RIGHT, 3 - res.modules[1].twist(i)))
-            for i in range(res.modules[1].rank)
-        )
+        gens = res.modules[1].generators
+        expected_cols = sum(len(standard_monomials(M_RIGHT, 3 - dx - dy)) for dx, dy in zip(gens.dx, gens.dy))
         assert len(piece.col_basis) == expected_cols
         assert len(piece.row_basis) == len(standard_monomials(M_RIGHT, 3))
 
@@ -505,6 +506,11 @@ class TestChecks:
         res = build_resolution(M((5, 0), (0, 6)), 5)
         with pytest.raises(TruncationTooSmall):
             check_exactness(res, 4, 5)
+
+    def test_negative_stage_rejected(self):
+        # no stage to check is not a pass
+        with pytest.raises(StageTooSmall, match=r"^need n >= 0$"):
+            check_exactness(build_resolution(M_RIGHT, 3), -1, 5)
 
     @pytest.mark.parametrize("pairs, stages", [(((1, 0),), 2), (((1, 0), (0, 1)), 3)], ids=["type-1", "type-3"])
     def test_exactness_past_the_end_of_a_finite_resolution(self, pairs, stages):
@@ -728,7 +734,7 @@ def exactness_reference(res, max_stage, max_degree, fld):
         return len(standard_monomials(res.ring, n)) if n >= 0 else 0
 
     def dims(module):
-        twists = [module.twist(g) for g in range(module.rank)]
+        twists = [dx + dy for dx, dy in zip(module.generators.dx, module.generators.dy)]
         return [sum(hilbert(d - t) for t in twists) for d in range(max_degree + 1)]
 
     ker = dims(res.modules[0])
@@ -737,9 +743,9 @@ def exactness_reference(res, max_stage, max_degree, fld):
     for i in range(1, max_stage + 2):
         rank = [0] * (max_degree + 1)
         if i <= len(res.differentials):
+            target, source = res.modules[i - 1].generators, res.modules[i].generators
             for row, col, _sign, x, y in res.differentials[i - 1].entries:
-                tx, ty = res.modules[i - 1].bidegree(row)
-                if res.modules[i].bidegree(col) != (tx + x, ty + y):
+                if (source.dx[col], source.dy[col]) != (target.dx[row] + x, target.dy[row] + y):
                     detail = f"entry ({row}, {col}) is not homogeneous"
                     return records + [CheckRecord("exactness", i, None, False, detail)]
             rank = [graded_piece(res, i, d, fld).rank(fld) for d in range(max_degree + 1)]
@@ -907,7 +913,8 @@ class TestWindowEdges:
         # as a list index would add its piece to degree 12 instead
         res = with_unit_summand(build_resolution(M_RIGHT, 5), 1, (-1, 0))
         loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
-        assert loaded.modules[2].twist(loaded.modules[2].rank - 1) == -1
+        gens = loaded.modules[2].generators
+        assert gens.dx[-1] + gens.dy[-1] == -1
         report = check_exactness(loaded, 4, 12)
         assert report.verdict
         assert report.checks == exactness_reference(loaded, 4, 12, ExactRationals())
@@ -1060,9 +1067,9 @@ class TestExactnessReadsEntries:
         from the engine's d5: NEGATIVE is homogeneous there."""
         res = build_resolution(M_RIGHT, 6)
         d5 = res.differentials[4]
-        tx, ty = res.modules[4].bidegree(7)
-        source = GradedFreeModule(tuple(res.modules[5].generators) + (("g", (tx - 1, ty + 3)),))
-        assert source.twist(13) == 7
+        target = res.modules[4].generators
+        source = GradedFreeModule(tuple(res.modules[5].generators) + (("g", (target.dx[7] - 1, target.dy[7] + 3)),))
+        assert source.generators.dx[13] + source.generators.dy[13] == 7
         modules = res.modules[:5] + [source] + res.modules[6:]
         diffs = res.differentials[:4] + [replace(d5, entries=tuple(entries(d5)))] + res.differentials[5:]
         return replace(res, modules=modules, differentials=diffs)
@@ -1118,7 +1125,8 @@ class TestExactnessReadsEntries:
         # bigrading is still checked on every entry
         res = build_resolution(parse_ideal("x8y,x7y3,x6y5,x5y6,xy8,y9"), 9)
         d9 = res.differentials[8]
-        assert min(res.modules[9].twist(col) for _row, col, *_rest in d9.entries) > 25
+        gens = res.modules[9].generators
+        assert min(gens.dx[col] + gens.dy[col] for _row, col, *_rest in d9.entries) > 25
         j, (row, col, sign, x, y) = next((j, e) for j, e in enumerate(d9.entries) if e[3] != e[4])
         entries = d9.entries[:j] + ((row, col, sign, y, x),) + d9.entries[j + 1 :]
         bad = replace(res, differentials=res.differentials[:8] + [replace(d9, entries=entries)])
@@ -1281,6 +1289,32 @@ class TestExactnessReadsEntries:
             seconds[n] = min(runs)
         assert seconds[4000] <= 8 * seconds[1000]
 
+    def test_visits_the_alive_columns_alone(self, monkeypatch):
+        # the count behind the timing above: in each degree _block_ranks
+        # visits the sorted columns from bisect_left to bisect_right, 2n
+        # in all on a chain of n columns, not n per degree
+        visited = 0
+        real_left, real_right = stairstep.oracle.bisect_left, stairstep.oracle.bisect_right
+
+        def left(*args):
+            nonlocal visited
+            found = real_left(*args)
+            visited -= found
+            return found
+
+        def right(*args):
+            nonlocal visited
+            found = real_right(*args)
+            visited += found
+            return found
+
+        monkeypatch.setattr(stairstep.oracle, "bisect_left", left)
+        monkeypatch.setattr(stairstep.oracle, "bisect_right", right)
+        for n in (1000, 4000):
+            visited = 0
+            check_exactness(self.rising_chain(n), 0, n + 1)
+            assert visited == 2 * n
+
     def test_cost_is_linear_in_the_window_without_pure_powers(self):
         # (x^2y, xy^2) holds no pure power, and each degree d >= 3 has two
         # standard monomials, x^d and y^d: a window four times as wide must
@@ -1341,6 +1375,22 @@ class TestBruteforce:
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
             minimal_resolution_bruteforce(M((5, 0), (0, 6)), 3, 4)
+
+    def test_negative_stage_rejected(self):
+        with pytest.raises(StageTooSmall, match=r"^need n >= 0$"):
+            minimal_resolution_bruteforce(M_RIGHT, -1, 5)
+
+    def test_std_top_is_the_highest_standard_degree(self):
+        # (x^3, xy, y^3) has no standard monomial above xy's outer
+        # corners x^2 and y^2, though x^3 and y^3 alone allow degree 4
+        assert _std_top(M((3, 0), (1, 1), (0, 3))) == 2
+        for ideal in exhaustive_corpus(6):
+            gens = ideal.generators
+            if gens[0].ydeg == 0 and gens[-1].xdeg == 0:
+                top = 0
+                while _standard_x(ideal, top + 1):
+                    top += 1
+                assert _std_top(ideal) == top, ideal
 
     def test_field_independence_sample(self):
         for ideal in [M_LEFT, M_RIGHT, M((3, 0), (0, 7)), M((2, 0), (1, 1), (0, 2))]:

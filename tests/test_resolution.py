@@ -6,6 +6,7 @@ import json
 import random
 import re
 from dataclasses import fields, replace
+from operator import add
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestLowStages:
 
     def test_d2_twists(self):
         f2 = build_resolution(M_RIGHT, 2).modules[2]
-        assert [f2.bidegree(i) for i in range(3)] == [(2, 1), (1, 2), (1, 1)]
+        assert list(zip(f2.generators.dx, f2.generators.dy)) == [(2, 1), (1, 2), (1, 1)]
 
     def test_d3_case1(self):
         assert build_resolution(M_RIGHT, 3).dense_strings(3) == [
@@ -78,9 +79,9 @@ class TestLowStages:
     def test_d3_twists(self):
         f3 = build_resolution(M_RIGHT, 3).modules[3]
         # S(-a_i-b_i-1)^2 for each generator plus S(-a_i-b_{i+1})
-        assert sorted(f3.twist(i) for i in range(5)) == [4, 4, 4, 4, 4]
+        assert sorted(map(add, f3.generators.dx, f3.generators.dy)) == [4, 4, 4, 4, 4]
         f3 = build_resolution(M_LEFT, 3).modules[3]
-        assert sorted(f3.twist(i) for i in range(5)) == [4, 4, 5, 5, 5]
+        assert sorted(map(add, f3.generators.dx, f3.generators.dy)) == [4, 4, 5, 5, 5]
 
     def test_d4_case1(self):
         res = build_resolution(M_RIGHT, 4)
@@ -163,7 +164,7 @@ class TestStructuralInvariants:
     def test_complex_homogeneous_minimal(self, ideal):
         res = build_resolution(ideal, 7)
         assert res.modules[0].rank == 1
-        assert res.modules[0].bidegree(0) == (0, 0)
+        assert list(zip(res.modules[0].generators.dx, res.modules[0].generators.dy)) == [(0, 0)]
         assert check_homogeneity(res).verdict
         assert check_minimality(res).verdict
         assert check_complex(res).verdict
@@ -235,13 +236,13 @@ class TestDegenerate:
     def test_type_v_coefficient_identity(self):
         res = build_resolution(M((3, 0), (0, 7)), 10)
 
-        def coeff(i, col):  # the monomial of column col's one entry in d_i
+        def coeff(i, col):  # the exponents of column col's one entry in d_i
             ((x, y),) = [(x, y) for _row, c, _sign, x, y in res.differentials[i - 1].entries if c == col]
-            return Monomial(x, y)
+            return x, y
 
         for i in range(3, 11):
-            assert coeff(i, 0) * coeff(i - 1, 0) == Monomial(3, 0)
-            assert coeff(i, 1) * coeff(i - 1, 1) == Monomial(0, 7)
+            assert tuple(map(add, coeff(i, 0), coeff(i - 1, 0))) == (3, 0)
+            assert tuple(map(add, coeff(i, 1), coeff(i - 1, 1))) == (0, 7)
 
     def test_type_v_complex(self):
         res = build_resolution(M((3, 0), (0, 7)), 8)
@@ -552,7 +553,7 @@ def test_degenerate_json_is_unchanged():
 
 
 def compose_reference(res, i):
-    """_composite(res, i), d_i o d_{i+1}, computed with Monomial arithmetic throughout."""
+    """_composite(res, i), d_i o d_{i+1}, computed with Monomial products and membership throughout."""
     ring, d_hi, d_lo = res.ring, res.differentials[i], res.differentials[i - 1]
     out = {}
     for col in range(res.modules[i + 1].rank):
@@ -560,11 +561,10 @@ def compose_reference(res, i):
         for mid, c, sign, x, y in d_hi.entries:
             if c != col:
                 continue
-            mono = Monomial(x, y)
             for row, c2, sign2, x2, y2 in d_lo.entries:
-                mono2 = Monomial(x2, y2)
-                if c2 == mid and not ring.contains(mono * mono2):
-                    key = (row, mono * mono2)
+                prod = Monomial(x + x2, y + y2)
+                if c2 == mid and not ring.contains(prod):
+                    key = (row, prod)
                     acc[key] = acc.get(key, 0) + sign * sign2
         for (row, prod), coeff in acc.items():
             if coeff:
