@@ -24,7 +24,6 @@ class UnitIdeal(ValueError):
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
 
 @dataclass(frozen=True, order=True)

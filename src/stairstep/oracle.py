@@ -21,6 +21,16 @@ so a shift by x is key - 1 and a shift by y is the key itself.  All of
 K_{d-1} is shifted by x, but only R, its pivots from y-shifts and its new
 generators, by y: the pivots X from x-shifts span x*K_{d-2}, and
 y*X = x*(y*K_{d-2}) already lies in x*K_{d-1}.
+
+Two facts skip the degrees that hold no new syzygy.  By rank-nullity,
+the slice map of F_{i-1} has rank dim K^{i-1}_d, which F_{i-1}'s
+generators span, so dim K^i_d = dim (F_{i-1})_d - dim K^{i-1}_d, an
+alternating sum of slice sizes; where it equals the shifts' rank, no
+column is built and no nullspace taken.  By the staircase lemma
+(x^u y^v lies in M according to min(u, a_1) and min(v, b_r)), a
+bigraded piece (P, Q) with P past m_x + a_1, m_x the largest x-degree
+of F_{i-1}'s generators, is x times the piece (P - 1, Q), and likewise
+in y; so each stage ends at degree m_x + m_y + a_1 + b_r.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd, inf
-from operator import add
+from operator import add, sub
 from typing import NamedTuple, Optional, Union
 
 from .betti import BettiTable
@@ -552,15 +562,24 @@ def _block_ranks(
 def _dims(res: Resolution, i: int, max_degree: int, std: list) -> list[int]:
     """dim (F_i)_d for d in 0..max_degree: a generator of twist t adds the
     standard monomials of degree d - t, whose x-exponents std[d - t] holds
-    (see _std_x); none lies above degree reach."""
-    dim = [0] * (max_degree + 1)
+    (see _std_x).  From degree a_1 + b_r - 1 on, S has b_1 + a_r of
+    them in every degree, the two arms of _standard_x and nothing between,
+    so std is read below that degree and a running sum adds the rest."""
     ring, gens = res.ring, res.modules[i].generators
-    reach = _std_top(ring)
+    g1, gr = ring.generators[0], ring.generators[-1]
+    flat, tail = g1.xdeg + gr.ydeg - 1, g1.ydeg + gr.xdeg
+    dim = [0] * (max_degree + 1)
+    steps = [0] * (max_degree + 1)  # steps[d]: the tails that start at degree d
     for t, count in Counter(map(add, gens.dx, gens.dy)).items():
         if t <= max_degree:
-            _std_x(ring, std, min(max_degree - t, reach))
-            for d in range(max(t, 0), min(max_degree, t + reach) + 1):
-                dim[d] += count * len(std[d - t])
+            for d in range(max(t, 0), min(max_degree + 1, t + flat)):
+                dim[d] += count * len(_std_x(ring, std, d - t))
+            if t + flat <= max_degree:
+                steps[max(t + flat, 0)] += count * tail
+    run = 0
+    for d, step in enumerate(steps):
+        run += step
+        dim[d] += run
     return dim
 
 
@@ -653,6 +672,31 @@ def minimal_resolution_bruteforce(
     generators.  Then V_{d+1} = x*K_d + y*R, because
     y*X = y*x*K_{d-1} = x*(y*K_{d-1}) lies in x*K_d.
 
+    Two facts, read off M and the oracle's own earlier stages, never the
+    engine, spare the degrees that hold no new generator:
+
+    - Rank-nullity.  F_{i-1}'s generators span the previous stage's kernel
+      K', so the slice map in degree d has rank dim K'_d and
+      dim K_d = dim (F_{i-1})_d - dim K'_d.  Unrolled down to F_0 = S,
+      dim K_d is an alternating sum of slice sizes, each a sum of
+      dim S_{d-t} over a module's twists t; euler holds those twists with
+      their signed counts.  K_d holds dim K_d - |P| new generators, and
+      when that is 0 no column is built and no nullspace taken.  The
+      augmentation's 1 in degree 0 is left out of the sum: stage 1 needs
+      no count, and no later stage visits degree 0.
+    - The staircase bound.  Each generator found is bihomogeneous, since
+      elimination combines only columns that share a row, and a bigraded
+      piece of the slice map is one integer matrix on the columns and rows
+      alive there.  Let m_x and m_y be the largest x- and y-degrees of
+      F_{i-1}'s generators; a row's bidegree lies below its columns'.
+      Whether x^u y^v lies in M depends only on min(u, a_1) and
+      min(v, b_r), so pieces (P, Q) and (P + 1, Q) with P >= m_x + a_1
+      have the same alive columns, rows and entries, and
+      K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
+      m_y + b_r on.  So a stage ends at degree m_x + m_y + a_1 + b_r.  At
+      stage 1, F_0 = S sits at (0, 0) and the augmentation vanishes
+      outside degree 0, so the bound holds there too.
+
     The basis element g*x^a*y^b of a slice in degree d is the int key
     g*W + (W-1-a), W = max_degree + 1: keys sort by generator, then by
     falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
@@ -666,19 +710,28 @@ def minimal_resolution_bruteforce(
     # x^a y^b lies in M iff b >= stair[a], for every a <= max_degree
     stair = list(ideal.stair)
     stair += [stair[-1]] * (width - len(stair))
-    # x-degrees of the standard monomials of degree n <= top, the highest
-    # degree of one in the window
+    # the highest degree of a standard monomial in the window
     top = min(max_degree, _std_top(ideal))
+    corner = ideal.generators[0].xdeg + ideal.generators[-1].ydeg  # a_1 + b_r
+    # std[n]: x-degrees of the standard monomials of degree n, extended
+    # by each stage through its last degree
     std: list = []
-    _std_x(ideal, std, top)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    # F_{i-1} data: generator twists, nondecreasing, and images, each a list
-    # of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the generator's
-    # twist; stage 0 is S itself with the augmentation to k.
-    twists = [0]
+    # F_{i-1} data: generator twists, nondecreasing, x-degrees and images,
+    # each a list of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the
+    # generator's twist; stage 0 is S itself with the augmentation to k.
+    twists, xdegs = [0], [0]
     images: Optional[list[list[tuple[int, int, int, int]]]] = None  # None marks the augmentation
+    # (twist, count) pairs: dim K_d is the sum of count * dim S_{d - twist}
+    euler: list[tuple[int, int]] = []
     for stage in range(1, max_stage + 1):
+        signed = Counter(twists)  # dim K_d = dim (F_{i-1})_d - dim K'_d
+        signed.subtract(dict(euler))
+        euler = [(t, c) for t, c in signed.items() if c]
+        last = min(max_degree, max(xdegs) + max(map(sub, twists, xdegs)) + corner)
+        _std_x(ideal, std, min(top, last))
         new_twists: list[int] = []
+        new_xdegs: list[int] = []
         new_gens: list[list[tuple[int, int, int, int]]] = []
         # K_{d-1}'s basis as sparse {key: coeff}: X from x-shifts, R the rest
         x_part: list[dict] = []
@@ -687,7 +740,7 @@ def minimal_resolution_bruteforce(
         # are first <= g < alive; with none, K_d is 0 and the next nonzero
         # slice is at the next twist
         count, first, alive, d = len(twists), 0, 0, 0
-        while d < width:
+        while d <= last:
             while alive < count and twists[alive] <= d:
                 alive += 1
             while first < alive and twists[first] < d - top:
@@ -718,26 +771,26 @@ def minimal_resolution_bruteforce(
                     if low - twists[k // width] + r + 1 < stair[width - 1 - r]:
                         shifted[k] = c
                 _eliminate(shifted, pivots, p)
-            # the slice's keys outside the pivots, and their columns
-            free: list[int] = []
-            columns: list[dict[int, int]] = []
-            for g in range(first, alive):
-                n = d - twists[g]
-                base = g * width + width - 1
-                for a in std[n]:
-                    k = base - a
-                    if k in pivots:
-                        continue
-                    free.append(k)
-                    if images is not None:
-                        b = n - a
-                        columns.append(
-                            {tk - a: c for tk, tx, ty, c in images[g] if ty + b < stair[tx + a]}
-                        )
+            found: list[dict] = []
             if images is None:
                 # augmentation: everything of positive degree is a syzygy
-                found: list[dict] = [{k: 1} for k in free] if d else []
-            else:
+                if d:
+                    base = width - 1
+                    found = [{base - a: 1} for a in std[d] if base - a not in pivots]
+            elif sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) > len(pivots):
+                # the slice's keys outside the pivots, and their columns
+                free: list[int] = []
+                columns: list[dict[int, int]] = []
+                for g in range(first, alive):
+                    n = d - twists[g]
+                    base = g * width + width - 1
+                    for a in std[n]:
+                        k = base - a
+                        if k in pivots:
+                            continue
+                        free.append(k)
+                        b = n - a
+                        columns.append({tk - a: c for tk, tx, ty, c in images[g] if ty + b < stair[tx + a]})
                 # over F_p, lifted from 0..p-1 to (-p/2, p/2] (no change over
                 # Q): a coefficient -1 then stays -1, a pivot lead that later
                 # eliminations install without an inverse
@@ -754,11 +807,12 @@ def minimal_resolution_bruteforce(
                         g, r = divmod(k, width)
                         a = width - 1 - r
                         image.append((k, a, d - twists[g] - a, c))
+                    new_xdegs.append(xdegs[g] + a)  # bihomogeneous: any key gives it
                     new_gens.append(image)
             basis = list(pivots.values())
             x_part, r_part = basis[:from_x], basis[from_x:] + found
             d += 1
-        twists, images = new_twists, new_gens
+        twists, xdegs, images = new_twists, new_xdegs, new_gens
         if not twists:
             break
     return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)

@@ -305,4 +305,4 @@ class TestParsing:
     def test_parse_error_offset(self):
         with pytest.raises(ParseError) as exc:
             parse_ideal("xy, z4")
-        assert exc.value.offset == 4
+        assert "(at offset 4)" in str(exc.value)

@@ -1331,10 +1331,11 @@ class TestExactnessReadsEntries:
             seconds[window] = min(runs)
         assert seconds[4000] <= 6 * seconds[1000]
 
-    def test_work_is_linear_in_the_window_without_pure_powers(self, monkeypatch):
-        # the count behind the timing above: one enumeration per degree of
-        # two exponents each, and one membership test per exponent below
-        # the staircase; testing every s <= d would make about W^2/2
+    def test_a_ten_times_wider_window_enumerates_no_more_degrees(self, monkeypatch):
+        # S's Hilbert function is b_1 + a_r = 2 from degree a_1 + b_r - 1 = 3
+        # on, so _dims adds that tail by a running sum, and block ranks stop
+        # where they settle: _standard_x and the membership tests it makes
+        # count the same at both windows, and each report is the one pinned
         counts = Counter()
         standard_x, contains_xy = stairstep.oracle._standard_x, MonomialIdeal.contains_xy
 
@@ -1348,13 +1349,24 @@ class TestExactnessReadsEntries:
             counts["contains_xy"] += 1
             return contains_xy(ideal, x, y)
 
-        res = build_resolution(M_RIGHT, 4)
+        res = build_resolution(M_RIGHT, 7)
         monkeypatch.setattr(stairstep.oracle, "_standard_x", spy_standard_x)
         monkeypatch.setattr(MonomialIdeal, "contains_xy", spy_contains_xy)
-        for window in (1000, 4000):
+        seen = []
+        for window, digest in WIDE_REPORT_SHA256.items():
             counts.clear()
-            assert check_exactness(res, 3, window).verdict
-            assert counts == {"calls": window + 1, "exponents": 2 * (window + 1), "contains_xy": 4}
+            report = check_exactness(res, 6, window)
+            assert hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest() == digest
+            seen.append(dict(counts))
+        assert seen[0] == seen[1] and seen[0]["calls"] < 100
+
+
+# json.dumps(check_exactness(build_resolution(M_RIGHT, 7), 6, window).to_json(),
+# sort_keys=True), as computed when _dims read every degree of the window
+WIDE_REPORT_SHA256 = {
+    2000: "96fc8f88cd7445f5cb4995cac1d404451fd0a4ea646f062e9d29edf188c25896",
+    20000: "27496fb1ebb24feb31561ff725eb2643c32f1aaa10fbbfccef1c92fea48c5e98",
+}
 
 
 class TestBruteforce:
@@ -1504,6 +1516,46 @@ class TestBruteforceComplement:
         table = minimal_resolution_bruteforce(parse_ideal(text), 6, 15, fld)
         generators = sum(v for (i, _d), v in table.entries.items() if i >= 2)
         assert generators > 0 and len(vectors) == generators
+
+
+class TestBruteforceStops:
+    """The oracle takes a nullspace only in a degree where rank-nullity
+    leaves new syzygies, and ends each stage at the staircase bound."""
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
+    @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x3,x2y2,xy3,y5"])
+    def test_one_nullspace_per_table_entry(self, monkeypatch, text, fld):
+        found = []
+
+        def spy(columns, f):
+            null = sparse_nullspace(columns, f)
+            found.append(len(null))
+            return null
+
+        monkeypatch.setattr(stairstep.oracle, "sparse_nullspace", spy)
+        ideal = parse_ideal(text)
+        table = minimal_resolution_bruteforce(ideal, 6, default_max_degree(ideal, 6), fld)
+        cells = [key for key in table.entries if key[0] >= 2]
+        assert cells and len(found) == len(cells) and min(found) > 0
+
+    def test_a_wider_window_eliminates_no_more(self, monkeypatch):
+        # every generator of (x^2y, xy^2) through stage 6 lies in degree
+        # <= 9, far below both windows
+        calls = 0
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return _eliminate(*args)
+
+        monkeypatch.setattr(stairstep.oracle, "_eliminate", spy)
+        counts, tables = [], []
+        for window in (60, 6000):
+            calls = 0
+            tables.append(minimal_resolution_bruteforce(M_RIGHT, 6, window))
+            counts.append(calls)
+        assert counts[0] == counts[1] > 0
+        assert tables[0].entries == tables[1].entries
 
 
 class TestCompareBetti:
