@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse or usage error
-or out of memory.
+Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
+a size too large to index, or out of memory.
 """
 from __future__ import annotations
 
@@ -309,6 +309,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size no list can index, such as a 2^63-degree window
+        print(f"error: too large to compute: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,15 +22,20 @@ K_{d-1} is shifted by x, but only R, its pivots from y-shifts and its new
 generators, by y: the pivots X from x-shifts span x*K_{d-2}, and
 y*X = x*(y*K_{d-2}) already lies in x*K_{d-1}.
 
-Two facts skip the degrees that hold no new syzygy.  By rank-nullity,
+Four rules spare the work that finds no new syzygy.  By rank-nullity,
 the slice map of F_{i-1} has rank dim K^{i-1}_d, which F_{i-1}'s
 generators span, so dim K^i_d = dim (F_{i-1})_d - dim K^{i-1}_d, an
-alternating sum of slice sizes; where it equals the shifts' rank, no
-column is built and no nullspace taken.  By the staircase lemma
-(x^u y^v lies in M according to min(u, a_1) and min(v, b_r)), a
-bigraded piece (P, Q) with P past m_x + a_1, m_x the largest x-degree
-of F_{i-1}'s generators, is x times the piece (P - 1, Q), and likewise
-in y; so each stage ends at degree m_x + m_y + a_1 + b_r.
+alternating sum of slice sizes; K^i_d holds that minus the shifts' rank
+new generators.  Where that count is 0, no column is built and no
+nullspace taken; elsewhere the nullspace stops at its count, since each
+vector it finds combines its own column with earlier ones only.  Stage 1
+ends at degree 1: its kernel is (x, y)S.  By the staircase lemma
+(x^u y^v lies in M according to min(u, a_1) and min(v, b_r)), a new
+generator of stage i >= 2 lies at a bidegree (P, Q) with P <= m_x + a_1
+and Q <= m_y + b_r, m_x and m_y the largest x- and y-degrees of
+F_{i-1}'s generators, and it needs a column alive there; so each such
+stage ends at degree m_x + m_y + c, with
+c = max(a_1 + b_r - 2, a_1 + b_1 - 1, a_r + b_r - 1).
 """
 from __future__ import annotations
 
@@ -212,20 +217,30 @@ def sparse_rank(columns, fld: FieldConfig) -> int:
     return len(pivots)
 
 
-def sparse_nullspace(columns, fld: FieldConfig) -> list[dict[int, int]]:
-    """Nullspace basis of a matrix given as sparse columns {row: int_coeff}.
+def sparse_nullspace(columns, fld: FieldConfig, *, limit: Optional[int] = None) -> list[dict[int, int]]:
+    """Nullspace basis of a matrix given as sparse columns {row: int_coeff},
+    any iterable of them.
 
     Vectors are sparse {column_index: int_coeff}, each fixed only up to a
     nonzero scalar: over Q the coefficients are integers (common factors
-    met during elimination are divided out), over F_p they lie in 0..p-1."""
+    met during elimination are divided out), over F_p they lie in 0..p-1.
+
+    With a limit, no column is read after the limit-th vector is found.
+    A vector found at column j combines column j with earlier columns
+    only, so when the nullspace has exactly limit vectors (a count that
+    rank-nullity gives the caller) the first limit found are all of it."""
     p = _modulus(fld)
     pivots: dict = {}
     pivcombos: dict = {}
-    null = []
+    null: list[dict[int, int]] = []
+    if limit == 0:
+        return null
     for j, col in enumerate(columns):
         combo = {j: 1}
         if not _eliminate(_working_copy(col, p), pivots, p, combo, pivcombos):
             null.append(combo)
+            if len(null) == limit:
+                break
     if p:  # from residues in (-p, p) to 0..p-1
         for vec in null:
             for k, v in vec.items():
@@ -649,6 +664,23 @@ def default_max_degree(ideal: MonomialIdeal, max_stage: int) -> int:
     return ideal.max_generator_degree * (max_stage + 2)
 
 
+def _free_columns(free, pivots, images, twists, gens, d, width, std, stair):
+    """The slice columns in degree d of the generators gens of F_{i-1}
+    whose keys lie outside pivots, built one at a time as they are read;
+    each column's key is appended to free before it is yielded.  images
+    and twists are those of F_{i-1} (see minimal_resolution_bruteforce)."""
+    for g in gens:
+        n = d - twists[g]
+        base = g * width + width - 1
+        image = images[g]
+        for a in std[n]:
+            k = base - a
+            if k not in pivots:
+                free.append(k)
+                b = n - a
+                yield {tk - a: c for tk, tx, ty, c in image if ty + b < stair[tx + a]}
+
+
 def minimal_resolution_bruteforce(
     ideal: MonomialIdeal,
     max_stage: int,
@@ -672,30 +704,45 @@ def minimal_resolution_bruteforce(
     generators.  Then V_{d+1} = x*K_d + y*R, because
     y*X = y*x*K_{d-1} = x*(y*K_{d-1}) lies in x*K_d.
 
-    Two facts, read off M and the oracle's own earlier stages, never the
-    engine, spare the degrees that hold no new generator:
+    Four rules, read off M and the oracle's own earlier stages, never the
+    engine, spare the work that finds no new generator:
 
     - Rank-nullity.  F_{i-1}'s generators span the previous stage's kernel
       K', so the slice map in degree d has rank dim K'_d and
       dim K_d = dim (F_{i-1})_d - dim K'_d.  Unrolled down to F_0 = S,
       dim K_d is an alternating sum of slice sizes, each a sum of
       dim S_{d-t} over a module's twists t; euler holds those twists with
-      their signed counts.  K_d holds dim K_d - |P| new generators, and
-      when that is 0 no column is built and no nullspace taken.  The
+      their signed counts.  K_d holds need = dim K_d - |P| new generators,
+      and when that is 0 no column is built and no nullspace taken.  The
       augmentation's 1 in degree 0 is left out of the sum: stage 1 needs
       no count, and no later stage visits degree 0.
-    - The staircase bound.  Each generator found is bihomogeneous, since
-      elimination combines only columns that share a row, and a bigraded
-      piece of the slice map is one integer matrix on the columns and rows
-      alive there.  Let m_x and m_y be the largest x- and y-degrees of
-      F_{i-1}'s generators; a row's bidegree lies below its columns'.
-      Whether x^u y^v lies in M depends only on min(u, a_1) and
-      min(v, b_r), so pieces (P, Q) and (P + 1, Q) with P >= m_x + a_1
-      have the same alive columns, rows and entries, and
-      K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
-      m_y + b_r on.  So a stage ends at degree m_x + m_y + a_1 + b_r.  At
-      stage 1, F_0 = S sits at (0, 0) and the augmentation vanishes
-      outside degree 0, so the bound holds there too.
+    - The nullspace stops at its count.  When need > 0 the free columns,
+      those outside P, are built one at a time as sparse_nullspace reads
+      them, and it reads none after the need-th vector.  The nullspace of
+      the free columns has exactly need vectors, by rank-nullity as above,
+      and each vector found combines its own column with earlier columns
+      only, so the first need found are the whole basis.
+    - Stage 1 ends at degree 1.  Its kernel is (x, y)S, and for d >= 2,
+      S_d = x*S_{d-1} + y*S_{d-1} = V_d holds no new generator.
+    - Stage i >= 2 ends at degree m_x + m_y + c, with
+      c = max(a_1 + b_r - 2, a_1 + b_1 - 1, a_r + b_r - 1).  Each
+      generator found is bihomogeneous, since elimination combines only
+      columns that share a row, and a bigraded piece of the slice map is
+      one integer matrix on the columns and rows alive there.  Let m_x and
+      m_y be the largest x- and y-degrees of F_{i-1}'s generators; a row's
+      bidegree lies below its columns'.  Whether x^u y^v lies in M depends
+      only on min(u, a_1) and min(v, b_r), so pieces (P, Q) and (P + 1, Q)
+      with P >= m_x + a_1 have the same alive columns, rows and entries,
+      and K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
+      m_y + b_r on.  So a new generator lies at P <= m_x + a_1 and
+      Q <= m_y + b_r, and it is nonzero on a column g alive there:
+      x^(P-g_x) y^(Q-g_y) is not in M.  At P = m_x + a_1 every column has
+      P - g_x >= a_1, so it is alive only if Q - g_y < b_1, and then
+      Q <= m_y + b_1 - 1.  At Q = m_y + b_r, likewise, P <= m_x + a_r - 1.
+      Otherwise P <= m_x + a_1 - 1 and Q <= m_y + b_r - 1.  So c is
+      a_1 + b_r - 2 when r >= 2, where b_1 < b_r and a_r < a_1, and
+      a_1 + b_1 - 1 when r = 1.  The bound is tight: on (x, y^2) at every
+      stage >= 2 and on (xy) at odd stages the last generator lies on it.
 
     The basis element g*x^a*y^b of a slice in degree d is the int key
     g*W + (W-1-a), W = max_degree + 1: keys sort by generator, then by
@@ -712,7 +759,9 @@ def minimal_resolution_bruteforce(
     stair += [stair[-1]] * (width - len(stair))
     # the highest degree of a standard monomial in the window
     top = min(max_degree, _std_top(ideal))
-    corner = ideal.generators[0].xdeg + ideal.generators[-1].ydeg  # a_1 + b_r
+    g1, gr = ideal.generators[0], ideal.generators[-1]
+    # c of the staircase bound: stage i >= 2 ends at degree m_x + m_y + c
+    corner = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
     # std[n]: x-degrees of the standard monomials of degree n, extended
     # by each stage through its last degree
     std: list = []
@@ -728,7 +777,7 @@ def minimal_resolution_bruteforce(
         signed = Counter(twists)  # dim K_d = dim (F_{i-1})_d - dim K'_d
         signed.subtract(dict(euler))
         euler = [(t, c) for t, c in signed.items() if c]
-        last = min(max_degree, max(xdegs) + max(map(sub, twists, xdegs)) + corner)
+        last = min(max_degree, 1 if images is None else max(xdegs) + max(map(sub, twists, xdegs)) + corner)
         _std_x(ideal, std, min(top, last))
         new_twists: list[int] = []
         new_xdegs: list[int] = []
@@ -777,26 +826,15 @@ def minimal_resolution_bruteforce(
                 if d:
                     base = width - 1
                     found = [{base - a: 1} for a in std[d] if base - a not in pivots]
-            elif sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) > len(pivots):
-                # the slice's keys outside the pivots, and their columns
-                free: list[int] = []
-                columns: list[dict[int, int]] = []
-                for g in range(first, alive):
-                    n = d - twists[g]
-                    base = g * width + width - 1
-                    for a in std[n]:
-                        k = base - a
-                        if k in pivots:
-                            continue
-                        free.append(k)
-                        b = n - a
-                        columns.append({tk - a: c for tk, tx, ty, c in images[g] if ty + b < stair[tx + a]})
+            elif (need := sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) - len(pivots)) > 0:
+                free: list[int] = []  # the keys of the columns read, in order
+                columns = _free_columns(free, pivots, images, twists, range(first, alive), d, width, std, stair)
                 # over F_p, lifted from 0..p-1 to (-p/2, p/2] (no change over
                 # Q): a coefficient -1 then stays -1, a pivot lead that later
                 # eliminations install without an inverse
                 found = [
                     {free[j]: c - p if 2 * c > p else c for j, c in vec.items()}
-                    for vec in sparse_nullspace(columns, fld)
+                    for vec in sparse_nullspace(columns, fld, limit=need)
                 ]
             if found:
                 entries[(stage, d)] = len(found)

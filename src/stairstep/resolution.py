@@ -714,9 +714,9 @@ def resolution_from_json(data: dict) -> Resolution:
                 bidegrees = [g["bidegree"] for g in gens]
                 dxs, dys = [dx for dx, _dy in bidegrees], [dy for _dx, dy in bidegrees]
             except (KeyError, TypeError, ValueError):
+                # each read above fails only on a shape these two name, so they raise
                 _require_keys(m, ("rank", "generators"), f"F{k}")
                 _require_items(m["generators"], f"generators of F{k}", ("label", "bidegree"), f"F{k} generator")
-                raise
             if type(rank) is not int or rank != len(bidegrees):
                 raise ValueError(f"F{k} has rank {rank!r} but {len(bidegrees)} generators")
             if not set(map(type, labels)) <= {str}:
@@ -737,9 +737,9 @@ def resolution_from_json(data: dict) -> Resolution:
                     x, y = e["monomial"]
                     ints += (e["row"], e["col"], e["sign"], x, y)
             except (KeyError, TypeError, ValueError):
+                # as for the modules: each read fails only on a shape these name
                 _require_keys(d, ("entries",), f"d{i}")
                 _require_items(d["entries"], f"entries of d{i}", ("row", "col", "sign", "monomial"), f"d{i} entry")
-                raise
             _require_ints(ints, ("row", "col", "sign", "monomial[0]", "monomial[1]"), f"d{i} entry")
             diffs.append(Differential(Entries(_append_ints(array("q"), ints))))
             # the maps read so far between their modules: a fault is raised in the file's order

@@ -1507,8 +1507,8 @@ class TestBruteforceComplement:
     def test_every_nullspace_vector_is_a_generator(self, monkeypatch, text, fld):
         vectors = []
 
-        def spy(columns, f):
-            null = sparse_nullspace(columns, f)
+        def spy(columns, f, **kw):
+            null = sparse_nullspace(columns, f, **kw)
             vectors.extend(null)
             return null
 
@@ -1527,8 +1527,8 @@ class TestBruteforceStops:
     def test_one_nullspace_per_table_entry(self, monkeypatch, text, fld):
         found = []
 
-        def spy(columns, f):
-            null = sparse_nullspace(columns, f)
+        def spy(columns, f, **kw):
+            null = sparse_nullspace(columns, f, **kw)
             found.append(len(null))
             return null
 
@@ -1556,6 +1556,107 @@ class TestBruteforceStops:
             counts.append(calls)
         assert counts[0] == counts[1] > 0
         assert tables[0].entries == tables[1].entries
+
+    def test_nullspace_reads_no_column_after_its_limit(self):
+        columns = [{0: 1}, {0: 2}, {1: 1}, {0: 3}, {2: 1}, {1: 5}]
+        for limit, vectors, read in [(None, 3, 6), (2, 2, 4), (1, 1, 2), (0, 0, 0)]:
+            seen = []
+
+            def reading(seen=seen):
+                for j, col in enumerate(columns):
+                    seen.append(j)
+                    yield col
+
+            null = sparse_nullspace(reading(), ExactRationals(), limit=limit)
+            assert (len(null), len(seen)) == (vectors, read)
+            assert null == sparse_nullspace(columns, ExactRationals())[:vectors]
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(32003)], ids=["Q", "F2", "F32003"])
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x6,x5y,x4y2,x3y3,x2y4,xy5", "x3,y7"])
+    def test_each_nullspace_stops_at_its_count(self, monkeypatch, text, fld):
+        # a vector found at column j combines j with earlier columns only,
+        # so the highest column any vector holds is the last one needed
+        calls = []
+
+        def spy(columns, f, **kw):
+            read = 0
+
+            def counted():
+                nonlocal read
+                for col in columns:
+                    read += 1
+                    yield col
+
+            null = sparse_nullspace(counted(), f, **kw)
+            calls.append((kw.get("limit"), len(null), read, max(max(vec) for vec in null)))
+            return null
+
+        monkeypatch.setattr(stairstep.oracle, "sparse_nullspace", spy)
+        ideal = parse_ideal(text)
+        table = minimal_resolution_bruteforce(ideal, 6, default_max_degree(ideal, 6), fld)
+        assert table.entries == bruteforce_reference(ideal, 6, default_max_degree(ideal, 6), fld).entries
+        assert calls and all(found == limit and read == last + 1 for limit, found, read, last in calls), calls
+
+    @pytest.mark.parametrize("text, stages", [("x,y2", range(2, 9)), ("xy", range(3, 9, 2))])
+    def test_last_generator_lies_on_the_staircase_bound(self, text, stages):
+        # stage i >= 2 ends at m_x + m_y + c, m_x and m_y the largest x- and
+        # y-degrees of F_{i-1}'s generators; here its last generator lies
+        # there, so a bound one lower would lose it
+        ideal = parse_ideal(text)
+        res = build_resolution(ideal, 8)
+        table = minimal_resolution_bruteforce(ideal, 8, 60)
+        assert compare_betti(graded_betti(res), table).is_empty
+        g1, gr = ideal.generators[0], ideal.generators[-1]
+        c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+        for i in stages:
+            gens = res.modules[i - 1].generators
+            assert max(d for j, d in table.entries if j == i) == max(gens.dx) + max(gens.dy) + c
+
+
+def mirror(ideal: MonomialIdeal) -> MonomialIdeal:
+    """M' = M with x and y swapped."""
+    return normalize_ideal([Monomial(g.ydeg, g.xdeg) for g in ideal.generators])
+
+
+def bigraded_table(res) -> Counter:
+    """(stage, xdeg, ydeg) -> the number of generators of that bidegree."""
+    return Counter((i, x, y) for i, m in enumerate(res.modules) for x, y in zip(m.generators.dx, m.generators.dy))
+
+
+class TestMirror:
+    """x <-> y as a second opinion: the brute force treats x-shifts and
+    y-shifts by different rules, and its stage bound is symmetric under the
+    swap, so M and its mirror M' must give one table, and the engine's
+    bigraded tables of M and M' must be transposes."""
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
+    def test_bruteforce_tables_of_mirrors_are_equal_on_exhaustive_corpus(self, fld):
+        for ideal in exhaustive_corpus(4):
+            window = 3 * ideal.max_generator_degree + 12
+            table = minimal_resolution_bruteforce(ideal, 6, window, fld)
+            assert table.entries == minimal_resolution_bruteforce(mirror(ideal), 6, window, fld).entries, str(ideal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2)]))
+    def test_bruteforce_tables_of_mirrors_are_equal(self, case, fld):
+        ideal, stages, _window = case
+        window = 3 * ideal.max_generator_degree + 12
+        table = minimal_resolution_bruteforce(ideal, stages, window, fld)
+        assert table.entries == minimal_resolution_bruteforce(mirror(ideal), stages, window, fld).entries
+
+    def test_engine_bigraded_tables_are_transposes_on_exhaustive_corpus(self):
+        for ideal in exhaustive_corpus(4):
+            table = bigraded_table(build_resolution(ideal, 7))
+            mirrored = bigraded_table(build_resolution(mirror(ideal), 7))
+            assert mirrored == Counter({(i, y, x): n for (i, x, y), n in table.items()}), str(ideal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_cases())
+    def test_engine_bigraded_tables_are_transposes(self, case):
+        ideal = case[0]
+        table = bigraded_table(build_resolution(ideal, 7))
+        mirrored = bigraded_table(build_resolution(mirror(ideal), 7))
+        assert mirrored == Counter({(i, y, x): n for (i, x, y), n in table.items()})
 
 
 class TestCompareBetti:

@@ -461,6 +461,9 @@ DELETE = object()  # a value that removes its key
         (("class",), DELETE, "class of the file is missing"),
         (("differentials", 1, "entries"), 5, "entries of d2 is 5, not a list"),
         (("modules", 1, "generators", 0, "label"), 5, "label of F1 generator 0 is 5, not a string"),
+        (("modules", 1, "generators"), "", "generators of F1 is '', not a list"),
+        (("modules", 2), [], "F2 is [], not an object"),
+        (("differentials", 0), "d1", "d1 is 'd1', not an object"),
     ],
 )
 def test_json_reload_names_every_malformed_shape(path, value, message):
@@ -476,6 +479,12 @@ def test_json_reload_names_every_malformed_shape(path, value, message):
     else:
         target[key] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resolution_from_json(data)
+
+
+@pytest.mark.parametrize("data", [[], "", None])
+def test_json_reload_rejects_a_file_that_is_not_an_object(data):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'the file is {data!r}, not an object')}$"):
         resolution_from_json(data)
 
 
