@@ -68,11 +68,18 @@ class MonomialIdeal:
     Generators are in staircase order: a_1 > a_2 > ... > a_r >= 0 with
     0 <= b_1 < b_2 < ... < b_r, where g_i = x^{a_i} y^{b_i}.  Construction
     rejects an empty tuple with ``EmptyIdeal``, the unit monomial with
-    ``UnitIdeal`` and any other order with ``ValueError``, because
-    :attr:`stair` relies on it: the generators with a_k <= p form a
-    suffix, whose first member has the smallest y-exponent, so x^p y^q
-    lies in M iff q >= b_k for the first k with a_k <= p.
-    :func:`normalize_ideal` builds one from any generators.
+    ``UnitIdeal`` and any other order with ``ValueError``, because the
+    staircase lemma relies on it.  :func:`normalize_ideal` builds one from
+    any generators.
+
+    The staircase lemma: whether x^u y^v lies in M depends only on
+    min(u, a_1) and min(v, b_r).  It lies in M iff a_i <= u and b_i <= v
+    for some i; every a_i <= a_1 and every b_i <= b_r, so a_i <= u iff
+    a_i <= min(u, a_1), and b_i <= v iff b_i <= min(v, b_r).  The i with
+    a_i <= u form a suffix, whose first member k has the least y-exponent,
+    so x^u y^v lies in M iff v >= b_k: :attr:`stair` tabulates it for
+    u <= a_1, and b_1 serves every u >= a_1.  The lemma gives S = k[x,y]/M
+    the degrees :attr:`flat`, :attr:`tail` and :attr:`top`.
     """
 
     generators: tuple[Monomial, ...]
@@ -109,11 +116,11 @@ class MonomialIdeal:
 
     @cached_property
     def stair(self) -> tuple:
-        """stair[p] for 0 <= p <= a_1: the least q with x^p y^q in M
-        (inf if there is none), so x^p y^q lies in M iff
-        q >= stair[min(p, a_1)].  Tabulated by one linear sweep over the
-        generators on first read and kept, outside equality, hashing and
-        repr; a loop testing many products looks each up in the tuple.
+        """stair[p] for 0 <= p <= a_1: the least q with x^p y^q in M (inf
+        if there is none), so x^p y^q lies in M iff q >= stair[min(p, a_1)].
+        Tabulated by one linear sweep over the generators on first read and
+        kept, outside equality, hashing and repr; a loop testing many
+        products clamps inline, stair[p] if p < len(stair) else stair[-1].
         ValueError when a_1 >= sys.maxsize, which no tuple can index."""
         gens = self.generators
         if gens[0].xdeg >= sys.maxsize:
@@ -124,6 +131,30 @@ class MonomialIdeal:
             stair[g.xdeg : hi] = [g.ydeg] * (hi - g.xdeg)
             hi = g.xdeg
         return tuple(stair)
+
+    @property
+    def flat(self) -> int:
+        """a_1 + b_r - 1: from this degree on, S_d is the two arms of
+        _standard_x, as each x^s y^t there has s >= a_1 or t >= b_r."""
+        return self.generators[0].xdeg + self.generators[-1].ydeg - 1
+
+    @property
+    def tail(self) -> int:
+        """b_1 + a_r: dim S_d for d >= flat, the b_1 monomials of the arm
+        along the x-axis and the a_r of the arm along the y-axis."""
+        return self.generators[0].ydeg + self.generators[-1].xdeg
+
+    @property
+    def top(self) -> float:
+        """The highest degree of a standard monomial: inf unless M holds
+        pure powers of x and y (b_1 = 0 = a_r).  Then a standard x^u y^v has
+        u < a_1, so a_{i+1} <= u < a_i for one i < r and v < b_{i+1}: the
+        standard monomials divide the outer corners x^{a_i - 1} y^{b_{i+1} - 1},
+        and the top degree is max_i(a_i + b_{i+1}) - 2."""
+        gens = self.generators
+        if gens[0].ydeg == 0 and gens[-1].xdeg == 0:
+            return max(g.xdeg + h.ydeg for g, h in zip(gens, gens[1:])) - 2
+        return math.inf
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -150,7 +181,7 @@ def _standard_x(ideal: MonomialIdeal, d: int) -> tuple[int, ...]:
     """x-exponents s of the standard monomials x^s y^(d-s) of degree d,
     highest first.
 
-    With a_1 > ... > a_r and b_1 < ... < b_r, x^s y^t with s >= a_1 is
+    By the staircase lemma (MonomialIdeal), x^s y^t with s >= a_1 is
     standard exactly when t < b_1, and with t >= b_r exactly when s < a_r.
     So the piece is an arm along the x-axis, s >= a_1 and t < b_1, the
     part below the staircase, s < a_1 and t < b_r, whose at most

@@ -12,37 +12,20 @@ differential into blocks in two passes over its entries.
 
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
-adjudicate every engine construction.  In each degree it first
-eliminates the shifts of the previous degree's syzygies, then takes the
-nullspace of only the slice columns outside their pivot coordinates:
-every vector of that nullspace is a new minimal generator.  A slice's
-basis element g*x^a*y^b is the int key g*W + (W-1-a), W = max_degree + 1,
-so a shift by x is key - 1 and a shift by y is the key itself.  All of
-K_{d-1} is shifted by x, but only R, its pivots from y-shifts and its new
-generators, by y: the pivots X from x-shifts span x*K_{d-2}, and
-y*X = x*(y*K_{d-2}) already lies in x*K_{d-1}.
-
-Four rules spare the work that finds no new syzygy.  By rank-nullity,
-the slice map of F_{i-1} has rank dim K^{i-1}_d, which F_{i-1}'s
-generators span, so dim K^i_d = dim (F_{i-1})_d - dim K^{i-1}_d, an
-alternating sum of slice sizes; K^i_d holds that minus the shifts' rank
-new generators.  Where that count is 0, no column is built and no
-nullspace taken; elsewhere the nullspace stops at its count, since each
-vector it finds combines its own column with earlier ones only.  Stage 1
-ends at degree 1: its kernel is (x, y)S.  By the staircase lemma
-(x^u y^v lies in M according to min(u, a_1) and min(v, b_r)), a new
-generator of stage i >= 2 lies at a bidegree (P, Q) with P <= m_x + a_1
-and Q <= m_y + b_r, m_x and m_y the largest x- and y-degrees of
-F_{i-1}'s generators, and it needs a column alive there; so each such
-stage ends at degree m_x + m_y + c, with
-c = max(a_1 + b_r - 2, a_1 + b_1 - 1, a_r + b_r - 1).
+adjudicate every engine construction.  In each degree it eliminates the
+shifts of the previous degree's syzygies, then takes the nullspace of
+only the slice columns outside their pivots, and four rules spare the
+work that finds no new syzygy: rank-nullity counts the new generators,
+the nullspace stops at that count, stage 1 ends at degree 1, and stage
+i >= 2 ends at a bound the staircase lemma (see MonomialIdeal) gives.
+minimal_resolution_bruteforce proves each step.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd, inf
+from math import gcd
 from operator import add, sub
 from typing import NamedTuple, Optional, Union
 
@@ -480,19 +463,6 @@ def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
     return std[n]
 
 
-def _std_top(ring: MonomialIdeal) -> float:
-    """The highest degree of a standard monomial, exactly.  When M holds
-    pure powers of x and y (b_1 = 0 = a_r), a standard x^u y^v has
-    u < a_1, so a_{i+1} <= u < a_i for one i < r, and then v < b_{i+1}:
-    the standard monomials are the divisors of the outer corners
-    x^{a_i - 1} y^{b_{i+1} - 1}, and the top degree is
-    max_i(a_i + b_{i+1}) - 2.  Otherwise every degree has one (inf)."""
-    gens = ring.generators
-    if gens[0].ydeg == 0 and gens[-1].xdeg == 0:
-        return max(g.xdeg + h.ydeg for g, h in zip(gens, gens[1:])) - 2
-    return inf
-
-
 def _block_ranks(
     key: tuple, cbi: list, rbi: list, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list
 ):
@@ -500,8 +470,8 @@ def _block_ranks(
     counted from its first row's twist, through degree top.  cbi and rbi
     are the bidegrees of the key's columns and rows relative to its first
     row (see _split_blocks).  A column is alive in degree t only if its
-    degree lies in [t - _std_top(ring), t], so the columns, sorted by
-    degree once per key, are visited only in that range.
+    degree lies in [t - ring.top, t], so the columns, sorted by degree once
+    per key, are visited only in that range.
 
     Every entry is homogeneous in the bigrading, so a slice is the direct
     sum of its bigraded pieces, and a piece has at most one basis element
@@ -518,14 +488,14 @@ def _block_ranks(
     The ranks are constant from degree T = Pmax + Qmax on, where Pmax is
     the largest relative x-degree of a column or row plus a_1 and Qmax the
     largest relative y-degree plus b_r, so pieces are ranked only through
-    min(top, T) and the last rank is repeated after.  Whether x^u y^v lies
-    in M depends only on min(u, a_1) and min(v, b_r).  A piece (P, Q) with
+    min(top, T) and the last rank is repeated after.  A piece (P, Q) with
     P >= Pmax and Q >= Qmax has no alive column: each column's monomial
     there is divisible by x^{a_1} y^{b_r}, which lies in M.  In degree
     t >= T every other piece has exactly one of P < Pmax or Q < Qmax; if
-    P < Pmax, then Q - y >= b_r for every column and row, so the piece's
-    pattern depends on P alone, and likewise on Q alone if Q < Qmax.  So
-    degree t has the pieces of degree T with the same patterns."""
+    P < Pmax, then Q - y >= b_r for every column and row, so by the
+    staircase lemma (see MonomialIdeal) the piece's pattern depends on P
+    alone, and likewise on Q alone if Q < Qmax.  So degree t has the
+    pieces of degree T with the same patterns."""
     state = tables.get(key)
     if state is None:
         cells: list[dict[int, int]] = [{} for _ in cbi]
@@ -536,11 +506,11 @@ def _block_ranks(
         by_degree = sorted(range(len(cbi)), key=lambda c: sum(cbi[c]))
         degrees = [sum(cbi[c]) for c in by_degree]
         xs, ys = zip(*cbi, *rbi)
-        settle = max(xs) + ring.generators[0].xdeg + max(ys) + ring.generators[-1].ydeg  # T = Pmax + Qmax
+        settle = max(xs) + max(ys) + ring.flat + 1  # T = Pmax + Qmax, flat = a_1 + b_r - 1
         state = tables[key] = (folded, min(x + y for x, y in rbi), [], {}, by_degree, degrees, settle)
     cells, low, ranks, patterns, by_degree, degrees, settle = state
     last = min(top, settle)
-    reach = _std_top(ring)
+    reach = ring.top
     _std_x(ring, std, min(last - low, reach))  # no column twist lies below its rows'
     stair = ring.stair
     n_stair, far = len(stair), stair[-1]
@@ -577,12 +547,11 @@ def _block_ranks(
 def _dims(res: Resolution, i: int, max_degree: int, std: list) -> list[int]:
     """dim (F_i)_d for d in 0..max_degree: a generator of twist t adds the
     standard monomials of degree d - t, whose x-exponents std[d - t] holds
-    (see _std_x).  From degree a_1 + b_r - 1 on, S has b_1 + a_r of
-    them in every degree, the two arms of _standard_x and nothing between,
-    so std is read below that degree and a running sum adds the rest."""
+    (see _std_x).  From degree ring.flat on, S has ring.tail of them in
+    every degree (see MonomialIdeal), so std is read below that degree and a
+    running sum adds the rest."""
     ring, gens = res.ring, res.modules[i].generators
-    g1, gr = ring.generators[0], ring.generators[-1]
-    flat, tail = g1.xdeg + gr.ydeg - 1, g1.ydeg + gr.xdeg
+    flat, tail = ring.flat, ring.tail
     dim = [0] * (max_degree + 1)
     steps = [0] * (max_degree + 1)  # steps[d]: the tails that start at degree d
     for t, count in Counter(map(add, gens.dx, gens.dy)).items():
@@ -669,6 +638,7 @@ def _free_columns(free, pivots, images, twists, gens, d, width, std, stair):
     whose keys lie outside pivots, built one at a time as they are read;
     each column's key is appended to free before it is yielded.  images
     and twists are those of F_{i-1} (see minimal_resolution_bruteforce)."""
+    n_stair, far = len(stair), stair[-1]
     for g in gens:
         n = d - twists[g]
         base = g * width + width - 1
@@ -678,7 +648,7 @@ def _free_columns(free, pivots, images, twists, gens, d, width, std, stair):
             if k not in pivots:
                 free.append(k)
                 b = n - a
-                yield {tk - a: c for tk, tx, ty, c in image if ty + b < stair[tx + a]}
+                yield {tk - a: c for tk, tx, ty, c in image if ty + b < (stair[u] if (u := tx + a) < n_stair else far)}
 
 
 def minimal_resolution_bruteforce(
@@ -724,44 +694,42 @@ def minimal_resolution_bruteforce(
       only, so the first need found are the whole basis.
     - Stage 1 ends at degree 1.  Its kernel is (x, y)S, and for d >= 2,
       S_d = x*S_{d-1} + y*S_{d-1} = V_d holds no new generator.
-    - Stage i >= 2 ends at degree m_x + m_y + c, with
-      c = max(a_1 + b_r - 2, a_1 + b_1 - 1, a_r + b_r - 1).  Each
-      generator found is bihomogeneous, since elimination combines only
-      columns that share a row, and a bigraded piece of the slice map is
-      one integer matrix on the columns and rows alive there.  Let m_x and
-      m_y be the largest x- and y-degrees of F_{i-1}'s generators; a row's
-      bidegree lies below its columns'.  Whether x^u y^v lies in M depends
-      only on min(u, a_1) and min(v, b_r), so pieces (P, Q) and (P + 1, Q)
-      with P >= m_x + a_1 have the same alive columns, rows and entries,
-      and K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
+    - Stage i >= 2 ends at degree m_x + m_y + c, with c = flat - [r >= 2].
+      Each generator found is bihomogeneous, since elimination combines
+      only columns that share a row, and a bigraded piece of the slice map
+      is one integer matrix on the columns and rows alive there.  Let m_x
+      and m_y be the largest x- and y-degrees of F_{i-1}'s generators; a
+      row's bidegree lies below its columns'.  By the staircase lemma (see
+      MonomialIdeal), pieces (P, Q) and (P + 1, Q) with P >= m_x + a_1
+      have the same alive columns, rows and entries, and
+      K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
       m_y + b_r on.  So a new generator lies at P <= m_x + a_1 and
       Q <= m_y + b_r, and it is nonzero on a column g alive there:
       x^(P-g_x) y^(Q-g_y) is not in M.  At P = m_x + a_1 every column has
       P - g_x >= a_1, so it is alive only if Q - g_y < b_1, and then
       Q <= m_y + b_1 - 1.  At Q = m_y + b_r, likewise, P <= m_x + a_r - 1.
       Otherwise P <= m_x + a_1 - 1 and Q <= m_y + b_r - 1.  So c is
-      a_1 + b_r - 2 when r >= 2, where b_1 < b_r and a_r < a_1, and
-      a_1 + b_1 - 1 when r = 1.  The bound is tight: on (x, y^2) at every
-      stage >= 2 and on (xy) at odd stages the last generator lies on it.
+      a_1 + b_r - 2 = flat - 1 when r >= 2, where b_1 < b_r and a_r < a_1,
+      and a_1 + b_1 - 1 = flat when r = 1.  The bound is tight: on
+      (x, y^2) at every stage >= 2 and on (xy) at odd stages the last
+      generator lies on it.
 
     The basis element g*x^a*y^b of a slice in degree d is the int key
     g*W + (W-1-a), W = max_degree + 1: keys sort by generator, then by
     falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
     key - 1, by y the key itself.  A product is tested against M with the
-    ring's stair, so no index of a slice's basis is built."""
+    ring's stair, clamped inline, so no index of a slice's basis is built
+    and nothing is sized by the window."""
     if max_stage < 0:
         raise StageTooSmall("need n >= 0")
     _require_window(ideal, max_degree)
     p = _modulus(fld)
     width = max_degree + 1
-    # x^a y^b lies in M iff b >= stair[a], for every a <= max_degree
-    stair = list(ideal.stair)
-    stair += [stair[-1]] * (width - len(stair))
-    # the highest degree of a standard monomial in the window
-    top = min(max_degree, _std_top(ideal))
-    g1, gr = ideal.generators[0], ideal.generators[-1]
+    stair = ideal.stair
+    n_stair, far = len(stair), stair[-1]
+    top = min(max_degree, ideal.top)
     # c of the staircase bound: stage i >= 2 ends at degree m_x + m_y + c
-    corner = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+    corner = ideal.flat - (ideal.num_generators > 1)
     # std[n]: x-degrees of the standard monomials of degree n, extended
     # by each stage through its last degree
     std: list = []
@@ -801,23 +769,22 @@ def minimal_resolution_bruteforce(
                 d = twists[alive]
                 continue
             # V_d in echelon form, x-shifts first.  A key k of degree d - 1
-            # has x-degree W-1-r and y-degree low - twists[g] + r, where
-            # g, r = divmod(k, W); a shift in M is dropped.
-            low = d - width
+            # has x-degree W-1-(k % W) and twist twists[k // W]; its shift of
+            # x-degree u has y-degree d - twist - u, and is dropped in M.
             pivots: dict = {}
             for vec in x_part + r_part:
                 shifted = {}
                 for k, c in vec.items():
-                    r = k % width
-                    if low - twists[k // width] + r < stair[width - r]:
+                    u = width - k % width
+                    if d - u - twists[k // width] < (stair[u] if u < n_stair else far):
                         shifted[k - 1] = c
                 _eliminate(shifted, pivots, p)
             from_x = len(pivots)
             for vec in r_part:
                 shifted = {}
                 for k, c in vec.items():
-                    r = k % width
-                    if low - twists[k // width] + r + 1 < stair[width - 1 - r]:
+                    u = width - 1 - k % width
+                    if d - u - twists[k // width] < (stair[u] if u < n_stair else far):
                         shifted[k] = c
                 _eliminate(shifted, pivots, p)
             found: list[dict] = []

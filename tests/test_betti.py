@@ -85,6 +85,9 @@ class TestPoincareSeries:
         assert str(poincare_series(IdealClass.TYPE_IV)) == "1/(1-z)"
         assert str(poincare_series(IdealClass.TYPE_V)) == "1/(1-2z+z^2)"
 
+    def test_zero_coefficients_are_skipped(self):
+        assert str(PoincareSeries((1, 0, 1), (1, 0, -1))) == "(1+z^2)/(1-z^2)"
+
     def test_expand_examples(self):
         assert series_expand(poincare_series(IdealClass.MAIN_CASE_1, 2), 6) == [
             1, 2, 3, 5, 8, 13, 21,

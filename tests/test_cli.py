@@ -326,15 +326,22 @@ class TestErrors:
         monkeypatch.setitem(stairstep.cli._COMMANDS, "betti", (exhaust, help_text, flags))
         assert run(capsys, "betti", "x2y,xy2") == (2, "", "error: out of memory\n")
 
-    @pytest.mark.parametrize("command", ["verify", "oracle"])
     @pytest.mark.parametrize("window", [str(2**63 - 1), str(10**20)])
-    def test_window_past_64_bits_exit_2(self, capsys, command, window):
-        # a window that long cannot be indexed or allocated, so it is an
-        # input error, not a failed check: OverflowError, or MemoryError
-        # where the oracle's window-wide table still fits an index
-        code, _out, err = run(capsys, command, "x2y,xy2", "--stages", "2", "--max-degree", window)
+    def test_verify_window_past_64_bits_exit_2(self, capsys, window):
+        # the exactness check keeps one list entry per degree of the
+        # window, and a window that long cannot be allocated, so it is an
+        # input error, not a failed check
+        code, _out, err = run(capsys, "verify", "x2y,xy2", "--stages", "2", "--max-degree", window)
         assert (code, len(err.splitlines())) == (2, 1)
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("window", [str(2**63 - 1), str(10**20)])
+    def test_oracle_window_past_64_bits_answers(self, capsys, window):
+        # each brute-force stage ends at its staircase bound and clamps its
+        # products to the ring's stair, so nothing is sized by the window
+        code, out, err = run(capsys, "oracle", "x2y,xy2", "--stages", "9", "--max-degree", window)
+        assert (code, err) == (0, "") and "engine agreement: pass" in out.splitlines()
+        assert out == run(capsys, "oracle", "x2y,xy2", "--stages", "9", "--max-degree", "99999")[1]
 
     def test_graded_only_on_betti(self, capsys):
         assert run(capsys, "classify", "x2y,xy2", "--graded")[0] == 2

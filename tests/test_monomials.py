@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import exhaustive_corpus
 from stairstep import (
     EmptyIdeal,
     Monomial,
@@ -20,7 +23,7 @@ from stairstep import (
     staircase_outline,
     standard_monomials,
 )
-from stairstep.monomials import _minimalize
+from stairstep.monomials import _minimalize, _standard_x
 
 monomials = st.builds(Monomial, st.integers(0, 8), st.integers(0, 8))
 proper_monomials = monomials.filter(lambda m: not m.is_unit)
@@ -152,7 +155,6 @@ class TestStaircaseIndex:
         assert "stair" not in vars(ideal)
 
     def test_bruteforce_leaves_the_stair_unchanged(self):
-        # the oracle pads a copy of the stair to its degree window
         ideal = M((3, 0), (0, 1))
         before = ideal.stair
         assert before == (1, 1, 1, 0)
@@ -259,6 +261,44 @@ class TestStandardMonomials:
         start = ideal.generators[0].xdeg + ideal.generators[-1].ydeg
         counts = {len(standard_monomials(ideal, d)) for d in range(start, start + 10)}
         assert len(counts) == 1
+
+
+def tail_from_flat(ideal):
+    assert [len(_standard_x(ideal, d)) for d in range(ideal.flat, ideal.flat + 21)] == [ideal.tail] * 21, ideal
+
+
+def top_by_scan(ideal):
+    # every degree from flat on has the same number of standard monomials
+    # (tail_from_flat), so S's top degree lies below flat or is inf
+    found = [
+        d for d in range(ideal.flat + 1) if any(not scan_contains(ideal, Monomial(s, d - s)) for s in range(d + 1))
+    ]
+    assert ideal.top == (math.inf if found[-1] == ideal.flat else found[-1]), ideal
+
+
+def stage_bound(ideal):
+    # the brute force's c, against the three-term form it replaced
+    g1, gr = ideal.generators[0], ideal.generators[-1]
+    c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+    assert ideal.flat - (ideal.num_generators > 1) == c, ideal
+
+
+DEGREE_CHECKS = [tail_from_flat, top_by_scan, stage_bound]
+
+
+class TestStaircaseDegrees:
+    """flat, tail and top, which MonomialIdeal derives from the staircase
+    lemma, against direct counts."""
+
+    @pytest.mark.parametrize("check", DEGREE_CHECKS, ids=lambda f: f.__name__)
+    @given(ideals)
+    def test_on_hypothesis_staircases(self, check, ideal):
+        check(ideal)
+
+    @pytest.mark.parametrize("check", DEGREE_CHECKS, ids=lambda f: f.__name__)
+    def test_on_exhaustive_corpus(self, check):
+        for ideal in exhaustive_corpus(5):
+            check(ideal)
 
 
 class TestStaircaseOutline:

@@ -55,7 +55,7 @@ from stairstep.oracle import (
     _entry_fault,
     _is_prime,
     _modulus,
-    _std_top,
+    _std_x,
     _working_copy,
     sparse_nullspace,
     sparse_rank,
@@ -1395,14 +1395,14 @@ class TestBruteforce:
     def test_std_top_is_the_highest_standard_degree(self):
         # (x^3, xy, y^3) has no standard monomial above xy's outer
         # corners x^2 and y^2, though x^3 and y^3 alone allow degree 4
-        assert _std_top(M((3, 0), (1, 1), (0, 3))) == 2
+        assert M((3, 0), (1, 1), (0, 3)).top == 2
         for ideal in exhaustive_corpus(6):
             gens = ideal.generators
             if gens[0].ydeg == 0 and gens[-1].xdeg == 0:
                 top = 0
                 while _standard_x(ideal, top + 1):
                     top += 1
-                assert _std_top(ideal) == top, ideal
+                assert ideal.top == top, ideal
 
     def test_field_independence_sample(self):
         for ideal in [M_LEFT, M_RIGHT, M((3, 0), (0, 7)), M((2, 0), (1, 1), (0, 2))]:
@@ -1611,6 +1611,26 @@ class TestBruteforceStops:
         for i in stages:
             gens = res.modules[i - 1].generators
             assert max(d for j, d in table.entries if j == i) == max(gens.dx) + max(gens.dy) + c
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x2y"])
+    def test_each_stage_reads_s_through_its_bound(self, monkeypatch, text):
+        # M holds no pure powers, so S has no top degree: stage 1 reads S
+        # through degree 1 and stage i >= 2 through m_x + m_y + c.  A bound
+        # past c changes no table, so only this test sees it
+        reads = []
+
+        def spy(ring, std, n):
+            reads.append(n)
+            return _std_x(ring, std, n)
+
+        monkeypatch.setattr(stairstep.oracle, "_std_x", spy)
+        ideal = parse_ideal(text)
+        minimal_resolution_bruteforce(ideal, 6, 60)
+        res = build_resolution(ideal, 6)
+        g1, gr = ideal.generators[0], ideal.generators[-1]
+        c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+        bounds = [max(m.generators.dx) + max(m.generators.dy) + c for m in res.modules[1:6]]
+        assert reads == [1] + bounds
 
 
 def mirror(ideal: MonomialIdeal) -> MonomialIdeal:
