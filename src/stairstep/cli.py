@@ -6,38 +6,22 @@ a size too large to index, or out of memory.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from .betti import (
-    betti_csv,
-    betti_json,
-    betti_table,
-    graded_betti,
-    poincare_series,
-    render_betti_table,
-    render_shape,
-    series_expand,
-)
-from .classify import classify
 from .monomials import parse_ideal
-from .oracle import (
-    ExactRationals,
-    FieldConfig,
-    PrimeField,
-    check_complex,
-    check_exactness,
-    check_homogeneity,
-    check_minimality,
-    compare_betti,
-    default_max_degree,
-    minimal_resolution_bruteforce,
-)
-from .resolution import Resolution, build_resolution, resolution_to_json
-from .staircase import render_ascii, render_svg
+
+if TYPE_CHECKING:
+    from .oracle import FieldConfig
+    from .resolution import Resolution
+
+# Each handler imports what it reads when it runs, so that a command loads
+# only the modules it needs: classify and staircase never load the builder.
 
 
 def _parse_field(text: str) -> FieldConfig:
+    from .oracle import ExactRationals, PrimeField
+
     if text == "q":
         return ExactRationals()
     if text.startswith("p:"):
@@ -93,13 +77,18 @@ def _print_resolution_text(res: Resolution) -> None:
 
 
 def _cmd_classify(args, ideal) -> int:
+    from .classify import classify
+
     print(classify(ideal).slug)
     return 0
 
 
 def _cmd_resolve(args, ideal) -> int:
+    from .resolution import build_resolution, resolution_to_json
+
     res = build_resolution(ideal, args.stages)
     if args.format == "json":
+        import json
         print(json.dumps(resolution_to_json(res), indent=2))
     elif args.format == "csv":
         print("stage,rank")
@@ -127,6 +116,8 @@ BETTI_MAX_CELLS = 5_000_000
 def _betti_text(table, command: str) -> str:
     """render_betti_table(table), or ValueError naming ``command`` when its
     grid is larger than BETTI_MAX_CELLS."""
+    from .betti import render_betti_table, render_shape
+
     rows, cols = render_shape(table)
     if rows * cols > BETTI_MAX_CELLS:
         raise ValueError(
@@ -138,11 +129,14 @@ def _betti_text(table, command: str) -> str:
 
 
 def _cmd_betti(args, ideal) -> int:
+    from .betti import betti_csv, betti_json, betti_table
+
     if args.stages > BETTI_MAX_STAGES:
         raise ValueError(f"betti --stages must be <= {BETTI_MAX_STAGES}, got {args.stages}")
     table = betti_table(ideal, args.stages)
     if args.graded:
         if args.format == "json":
+            import json
             print(json.dumps(betti_json(table)))
         elif args.format == "csv":
             print(betti_csv(table))
@@ -151,6 +145,7 @@ def _cmd_betti(args, ideal) -> int:
     else:
         totals = table.totals()
         if args.format == "json":
+            import json
             print(json.dumps({"totals": totals}))
         elif args.format == "csv":
             print("i,beta")
@@ -162,16 +157,21 @@ def _cmd_betti(args, ideal) -> int:
 
 
 def _cmd_poincare(args, ideal) -> int:
+    from .betti import poincare_series, series_expand
+    from .classify import classify
+
     cls = classify(ideal)
     series = poincare_series(cls, ideal.num_generators)
     if args.expand is not None:
         coeffs = series_expand(series, args.expand)
         if args.format == "json":
+            import json
             print(json.dumps({"series": str(series), "coefficients": coeffs}))
         else:
             print(" ".join(str(c) for c in coeffs))
     else:
         if args.format == "json":
+            import json
             print(
                 json.dumps(
                     {
@@ -187,12 +187,17 @@ def _cmd_poincare(args, ideal) -> int:
 
 
 def _max_degree(args, ideal) -> int:
+    from .oracle import default_max_degree
+
     if args.max_degree is not None:
         return args.max_degree
     return default_max_degree(ideal, args.stages)
 
 
 def _cmd_verify(args, ideal) -> int:
+    from .oracle import check_complex, check_exactness, check_minimality
+    from .resolution import build_resolution
+
     max_degree = _max_degree(args, ideal)
     res = build_resolution(ideal, args.stages + 1)
     report = check_complex(res)
@@ -200,6 +205,7 @@ def _cmd_verify(args, ideal) -> int:
     report.checks.extend(check_exactness(res, args.stages, max_degree, args.field).checks)
     failures = report.failures()
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json()))
     else:
         for c in failures:
@@ -210,6 +216,10 @@ def _cmd_verify(args, ideal) -> int:
 
 
 def _cmd_oracle(args, ideal) -> int:
+    from .betti import betti_csv, betti_json, graded_betti
+    from .oracle import check_homogeneity, compare_betti, minimal_resolution_bruteforce
+    from .resolution import build_resolution
+
     max_degree = _max_degree(args, ideal)
     oracle_table = minimal_resolution_bruteforce(ideal, args.stages, max_degree, args.field)
     res = build_resolution(ideal, args.stages)
@@ -218,6 +228,7 @@ def _cmd_oracle(args, ideal) -> int:
     diff = compare_betti(graded_betti(res), oracle_table)
     agree = diff.is_empty and not unhomogeneous
     if args.format == "json":
+        import json
         print(
             json.dumps(
                 {
@@ -241,6 +252,8 @@ def _cmd_oracle(args, ideal) -> int:
 
 
 def _cmd_staircase(args, ideal) -> int:
+    from .staircase import render_ascii, render_svg
+
     if args.svg:
         try:
             with open(args.svg, "w") as fh:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import stairstep.cli
+import stairstep.oracle
 import stairstep.resolution
 from stairstep import (
     ExactRationals,
@@ -94,7 +95,7 @@ class TestBetti:
         def refuse(ideal, stages):
             raise AssertionError("betti built a main-case stage")
 
-        monkeypatch.setattr(stairstep.cli, "build_resolution", spy)
+        monkeypatch.setattr(stairstep.resolution, "build_resolution", spy)
         assert run(capsys, "resolve", "xy2,y4", "--stages", "2")[0] == 0
         assert built == ["(x*y^2, y^4)"]  # the spy sees what the CLI builds
         monkeypatch.setattr(stairstep.resolution, "_main_stages", refuse)
@@ -143,7 +144,7 @@ class TestVerify:
     def test_failed_checks_print_and_exit_1(self, capsys, monkeypatch):
         # one minimality record and one exactness record planted as failed
         def planting(checker, stage, degree):
-            real = getattr(stairstep.cli, checker)
+            real = getattr(stairstep.oracle, checker)
 
             def plant(*args):
                 report = real(*args)
@@ -153,7 +154,7 @@ class TestVerify:
                 ]
                 return report
 
-            monkeypatch.setattr(stairstep.cli, checker, plant)
+            monkeypatch.setattr(stairstep.oracle, checker, plant)
 
         planting("check_minimality", 2, None)
         planting("check_exactness", 1, 3)
@@ -186,26 +187,26 @@ class TestOracle:
 
     def test_mismatch_line(self, capsys, monkeypatch):
         # a brute force that misses one generator of F_2 in degree 3
-        real = stairstep.cli.minimal_resolution_bruteforce
+        real = stairstep.oracle.minimal_resolution_bruteforce
 
         def short(ideal, max_stage, max_degree, fld):
             table = real(ideal, max_stage, max_degree, fld)
             return replace(table, entries={**table.entries, (2, 3): table.entries[(2, 3)] - 1})
 
-        monkeypatch.setattr(stairstep.cli, "minimal_resolution_bruteforce", short)
+        monkeypatch.setattr(stairstep.oracle, "minimal_resolution_bruteforce", short)
         code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["MISMATCH beta_(2,3): engine 2 vs oracle 1", "engine agreement: fail"]
 
     def test_homogeneity_failure(self, capsys, monkeypatch):
-        real = stairstep.cli.check_homogeneity
+        real = stairstep.oracle.check_homogeneity
 
         def plant(res):
             report = real(res)
             report.checks[1] = report.checks[1]._replace(passed=False, detail="planted")
             return report
 
-        monkeypatch.setattr(stairstep.cli, "check_homogeneity", plant)
+        monkeypatch.setattr(stairstep.oracle, "check_homogeneity", plant)
         code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["FAIL homogeneity at stage 2: planted", "engine agreement: fail"]
@@ -378,7 +379,7 @@ def oracle_fields(capsys, monkeypatch):
         seen.append(fld)
         return minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
 
-    monkeypatch.setattr(stairstep.cli, "minimal_resolution_bruteforce", spy)
+    monkeypatch.setattr(stairstep.oracle, "minimal_resolution_bruteforce", spy)
     code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
     assert code == 0
     assert "engine agreement: pass" in out
@@ -395,13 +396,13 @@ class TestFieldEnv:
         # environment is not read, and both commands run over Q
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
         for command, checker in (("verify", "check_exactness"), ("oracle", "minimal_resolution_bruteforce")):
-            seen, real = [], getattr(stairstep.cli, checker)
+            seen, real = [], getattr(stairstep.oracle, checker)
 
             def spy(*args, seen=seen, real=real):
                 seen.append(args[-1])  # the field, each checker's last argument
                 return real(*args)
 
-            monkeypatch.setattr(stairstep.cli, checker, spy)
+            monkeypatch.setattr(stairstep.oracle, checker, spy)
             code, _out, err = run(capsys, command, "x2y,xy2", "--stages", "3")
             assert (code, err, seen) == (0, "", [ExactRationals()])
 
