@@ -29,7 +29,6 @@ _EXPORTS = {
         "normalize_ideal",
         "parse_ideal",
         "parse_monomial",
-        "staircase_outline",
         "standard_monomials",
     ),
     "oracle": (
@@ -55,7 +54,7 @@ _EXPORTS = {
         "resolution_from_json",
         "resolution_to_json",
     ),
-    "staircase": ("render_ascii", "render_svg"),
+    "staircase": ("render_ascii", "render_svg", "staircase_outline"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

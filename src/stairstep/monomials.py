@@ -26,7 +26,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at offset {offset})")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Monomial:
     """x^xdeg * y^ydeg with nonnegative exponents."""
 
@@ -55,9 +55,6 @@ def term_str(xdeg: int, ydeg: int) -> str:
     x = "" if xdeg == 0 else "x" if xdeg == 1 else f"x^{xdeg}"
     y = "" if ydeg == 0 else "y" if ydeg == 1 else f"y^{ydeg}"
     return f"{x}*{y}" if x and y else x or y or "1"
-
-
-ONE = Monomial(0, 0)
 
 
 @dataclass(frozen=True)
@@ -207,30 +204,6 @@ def standard_monomials(ideal: MonomialIdeal, d: int) -> tuple[Monomial, ...]:
     return tuple(Monomial(s, d - s) for s in _standard_x(ideal, d))
 
 
-@dataclass(frozen=True)
-class StaircaseOutline:
-    """Inner corners of the staircase plus the boundary polyline."""
-
-    corners: tuple[tuple[int, int], ...]
-    outline: tuple[tuple[int, int], ...]
-    xmax: int
-    ymax: int
-
-
-def staircase_outline(ideal: MonomialIdeal) -> StaircaseOutline:
-    gens = ideal.generators
-    corners = tuple((g.xdeg, g.ydeg) for g in gens)
-    xmax = gens[0].xdeg + 2
-    ymax = gens[-1].ydeg + 2
-    path: list[tuple[int, int]] = [(xmax, gens[0].ydeg)]
-    for i, g in enumerate(gens):
-        path.append((g.xdeg, g.ydeg))
-        if i + 1 < len(gens):
-            path.append((g.xdeg, gens[i + 1].ydeg))
-    path.append((gens[-1].xdeg, ymax))
-    return StaircaseOutline(corners, tuple(path), xmax, ymax)
-
-
 def parse_monomial(text: str, base_offset: int = 0) -> Monomial:
     """Parse ``x^3*y``, ``x3y``, ``y^4``, ``1`` and friends."""
     xd = yd = 0
@@ -247,7 +220,7 @@ def parse_monomial(text: str, base_offset: int = 0) -> Monomial:
             rest = text[i + 1 :].strip(" \t*")
             if rest:
                 raise ParseError("unexpected input after '1'", base_offset + i + 1)
-            return ONE
+            return Monomial(0, 0)
         if ch in "xy":
             i += 1
             if i < n and text[i] == "^":

@@ -5,7 +5,33 @@ are shaded, the minimal generators are the inner corners.
 """
 from __future__ import annotations
 
-from .monomials import MonomialIdeal, Monomial, staircase_outline
+from dataclasses import dataclass
+
+from .monomials import MonomialIdeal, Monomial
+
+
+@dataclass(frozen=True)
+class StaircaseOutline:
+    """Inner corners of the staircase plus the boundary polyline."""
+
+    corners: tuple[tuple[int, int], ...]
+    outline: tuple[tuple[int, int], ...]
+    xmax: int
+    ymax: int
+
+
+def staircase_outline(ideal: MonomialIdeal) -> StaircaseOutline:
+    gens = ideal.generators
+    corners = tuple((g.xdeg, g.ydeg) for g in gens)
+    xmax = gens[0].xdeg + 2
+    ymax = gens[-1].ydeg + 2
+    path: list[tuple[int, int]] = [(xmax, gens[0].ydeg)]
+    for i, g in enumerate(gens):
+        path.append((g.xdeg, g.ydeg))
+        if i + 1 < len(gens):
+            path.append((g.xdeg, gens[i + 1].ydeg))
+    path.append((gens[-1].xdeg, ymax))
+    return StaircaseOutline(corners, tuple(path), xmax, ymax)
 
 
 def render_ascii(ideal: MonomialIdeal) -> str:

@@ -20,7 +20,9 @@ from stairstep import (
     default_max_degree,
     minimal_resolution_bruteforce,
     parse_ideal,
+    render_ascii,
     render_betti_table,
+    render_svg,
     resolution_from_json,
 )
 from stairstep.betti import render_shape
@@ -261,6 +263,45 @@ class TestStaircase:
         text = path.read_text()
         assert text.startswith("<svg") and "polygon" in text
         assert ">x</text>" in text and ">y</text>" in text
+
+    # render_ascii(M) and render_svg(M), as the renderer drew them when the
+    # staircase frame was computed in monomials.py
+    PICTURE_SHA256 = {
+        "x2y,xy2": (
+            "dbfb95540064424e8c1d14cae24eb7c331b521f104dbce5b37528e77aea833ce",
+            "47a4b2e58206844e1534c3afd4578c5fcc5a40338303a7e0897fd60eed5eb1da",
+        ),
+        "xy2,y4": (
+            "81919b24477e07671f52c44bd6a9440dbda2fef713056be7974425e331749725",
+            "d265906a19391f8a63fa87b11d75afadb0abea6c2ff83fc7d3142d0c49dc786d",
+        ),
+        "x3,y7": (
+            "45ceb60ad744ba32bc2c2744154520e4f3e1680812e563c0e41d1a9bf68e6cce",
+            "06a7ec141fc98e277d11080dec5057e44470b8cb9fd563be5c0aad09356f135d",
+        ),
+        "x5,y": (
+            "e0d70dbf756281600170ac59fb0b54b1623dbe4b455601f5ff6a57242af46db2",
+            "fa8ac6e2ba9577b615707804d42caa9af59b2e2812e6a941ef02d2ec84529997",
+        ),
+        "x2y3": (
+            "d03c4a8bb382462f161e713fe992a4db8f35e82f68669b7e5a11024319a19449",
+            "5616ad0e79621ebbff30be4efeeb1b7b6948b7963a1390965a83315802c3f690",
+        ),
+        "y5": (
+            "ad94e42b549a786dd60e7a1d8f0029be6a7a684e0015833205e0a9c7ce1439b1",
+            "8cc42113b4bc42e7273d52daedb7d32eb8c2640f858e355f4f98f497128f2dd9",
+        ),
+        "x6,x5y,x4y2,x3y3,x2y4,xy5": (
+            "04de6d180e1d954c99ffb4401b91663109f59b57e128fa1ca57d8c651bf368fb",
+            "c45baded64a5d237bced9223280597680c2df0ef698ce86cb030d7bc15a05b67",
+        ),
+    }
+
+    @pytest.mark.parametrize("text", sorted(PICTURE_SHA256))
+    def test_pictures_are_pinned(self, text):
+        ideal = parse_ideal(text)
+        pictures = render_ascii(ideal), render_svg(ideal)
+        assert tuple(hashlib.sha256(p.encode()).hexdigest() for p in pictures) == self.PICTURE_SHA256[text]
 
     def test_svg_unwritable_path_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "stairs.svg"
