@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from operator import add, sub
 from typing import NamedTuple, Optional, Union
@@ -467,11 +468,12 @@ def _block_ranks(
     key: tuple, cbi: list, rbi: list, ring: MonomialIdeal, top: int, fld: FieldConfig, tables: dict, std: list
 ):
     """(low, ranks): ranks[s] is the block's slice rank in degree low + s,
-    counted from its first row's twist, through degree top.  cbi and rbi
-    are the bidegrees of the key's columns and rows relative to its first
-    row (see _split_blocks).  A column is alive in degree t only if its
-    degree lies in [t - ring.top, t], so the columns, sorted by degree once
-    per key, are visited only in that range.
+    counted from its first row's twist, through degree min(top, T) at
+    least; from T on (see below) it is ranks[-1], which _spread holds on.
+    cbi and rbi are the bidegrees of the key's columns and rows relative
+    to its first row (see _split_blocks).  A column is alive in degree t
+    only if its degree lies in [t - ring.top, t], so the columns, sorted
+    by degree once per key, are visited only in that range.
 
     Every entry is homogeneous in the bigrading, so a slice is the direct
     sum of its bigraded pieces, and a piece has at most one basis element
@@ -488,9 +490,9 @@ def _block_ranks(
     The ranks are constant from degree T = Pmax + Qmax on, where Pmax is
     the largest relative x-degree of a column or row plus a_1 and Qmax the
     largest relative y-degree plus b_r, so pieces are ranked only through
-    min(top, T) and the last rank is repeated after.  A piece (P, Q) with
-    P >= Pmax and Q >= Qmax has no alive column: each column's monomial
-    there is divisible by x^{a_1} y^{b_r}, which lies in M.  In degree
+    min(top, T).  A piece (P, Q) with P >= Pmax and Q >= Qmax has no
+    alive column: each column's monomial there is divisible by
+    x^{a_1} y^{b_r}, which lies in M.  In degree
     t >= T every other piece has exactly one of P < Pmax or Q < Qmax; if
     P < Pmax, then Q - y >= b_r for every column and row, so by the
     staircase lemma (see MonomialIdeal) the piece's pattern depends on P
@@ -540,43 +542,36 @@ def _block_ranks(
                 )
             total += rank
         ranks.append(total)
-    ranks += ranks[-1:] * (top - low + 1 - len(ranks))
     return low, ranks
 
 
-def _dims(res: Resolution, i: int, max_degree: int, std: list) -> list[int]:
-    """dim (F_i)_d for d in 0..max_degree: a generator of twist t adds the
-    standard monomials of degree d - t, whose x-exponents std[d - t] holds
-    (see _std_x).  From degree ring.flat on, S has ring.tail of them in
-    every degree (see MonomialIdeal), so std is read below that degree and a
-    running sum adds the rest."""
-    ring, gens = res.ring, res.modules[i].generators
-    flat, tail = ring.flat, ring.tail
-    dim = [0] * (max_degree + 1)
-    steps = [0] * (max_degree + 1)  # steps[d]: the tails that start at degree d
+def _spread(diff: list[int], lo: int, head, count: int) -> None:
+    """Add count * head[d - lo] to the count that diff holds as a difference
+    list (its value in degree d is diff[0] + ... + diff[d]), in every
+    degree d of the window 0..len(diff)-1.  head is 0 below lo and its last
+    value holds on past its end, so the work is at most len(head), however
+    wide the window; the steps below degree 0 go into diff[0]."""
+    prev = 0
+    for d, h in zip(range(lo, len(diff)), head):
+        diff[d if d > 0 else 0] += count * (h - prev)
+        prev = h
+
+
+def _dims(res: Resolution, i: int, diff: list[int], hilbert: list[int]) -> None:
+    """Spread dim (F_i)_d into diff: a generator of twist t adds S's
+    Hilbert function, hilbert, from degree t on."""
+    gens = res.modules[i].generators
     for t, count in Counter(map(add, gens.dx, gens.dy)).items():
-        if t <= max_degree:
-            for d in range(max(t, 0), min(max_degree + 1, t + flat)):
-                dim[d] += count * len(_std_x(ring, std, d - t))
-            if t + flat <= max_degree:
-                steps[max(t + flat, 0)] += count * tail
-    run = 0
-    for d, step in enumerate(steps):
-        run += step
-        dim[d] += run
-    return dim
+        _spread(diff, t, hilbert, count)
 
 
-def _ranks(res: Resolution, i: int, max_degree: int, std: list, fld: FieldConfig, tables: dict) -> list[int]:
-    """The slice ranks of d_i in degrees 0..max_degree."""
-    rank = [0] * (max_degree + 1)
+def _ranks(res: Resolution, i: int, diff: list[int], std: list, fld: FieldConfig, tables: dict) -> None:
+    """Spread the slice ranks of d_i into diff: each block's from its first row's twist on."""
+    max_degree = len(diff) - 1
     for key, (cbi, rbi, bases) in _split_blocks(res, i, max_degree).items():
         low, ranks = _block_ranks(key, cbi, rbi, res.ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
-            lo = base + low
-            for d in range(max(lo, 0), max_degree + 1):
-                rank[d] += count * ranks[d - lo]
-    return rank
+            _spread(diff, base + low, ranks, count)
 
 
 def check_exactness(
@@ -596,10 +591,13 @@ def check_exactness(
     ranked once per pattern of alive columns and rows (_block_ranks).
     dim (F_i)_d is read off F_i's twists for every i, F_0 included
     (_dims), so an F_0 that is not S fails; stage 0's kernel is that of
-    the augmentation F_0 -> k, one less in degree 0.  An entry of d_i
-    that breaks the loader's rule or the bigrading (_entry_fault),
-    wherever its column lies, ends the report with a failed record at
-    stage i and no degree."""
+    the augmentation F_0 -> k, one less in degree 0.  Each count is a
+    difference list that _spread adds to, summed only in the record loop.
+    S's Hilbert function is enumerated through flat, from which it is tail
+    (see MonomialIdeal), as a twist below 0 reads past the window's end;
+    flat < 2 * max_degree by _require_window.  An entry of d_i that breaks
+    the loader's rule or the bigrading (_entry_fault), wherever its column
+    lies, ends the report with a failed record at stage i and no degree."""
     if max_stage < 0:
         raise StageTooSmall("need n >= 0")
     _require_window(res.ring, max_degree)
@@ -610,22 +608,22 @@ def check_exactness(
     report = VerificationReport(res.ring)
     tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
     std: list = []
-    ker_prev = _dims(res, 0, max_degree, std)
-    ker_prev[0] -= 1  # the augmentation F_0 -> k
+    ker = [0] * (max_degree + 1)  # first: a window no list can hold raises here, at once
+    hilbert = [len(_std_x(res.ring, std, d)) for d in range(res.ring.flat)] + [res.ring.tail]
+    _dims(res, 0, ker, hilbert)
+    _spread(ker, 0, (1, 0), -1)  # the augmentation F_0 -> k
     for i in range(1, max_stage + 2):
+        dim, rank = [0] * (max_degree + 1), [0] * (max_degree + 1)
         if i <= n_diffs:
             if fault := _entry_fault(res, i):
                 report.checks.append(CheckRecord("exactness", i, None, False, fault))
                 return report
-            dim, rank = _dims(res, i, max_degree, std), _ranks(res, i, max_degree, std, fld, tables)
-        else:
-            dim = rank = [0] * (max_degree + 1)
-        for d in range(max_degree + 1):
-            ok = ker_prev[d] == rank[d]
-            detail = "" if ok else f"dim ker={ker_prev[d]} != dim im={rank[d]}"
-            report.checks.append(CheckRecord("exactness", i - 1, d, ok, detail))
-        if i <= max_stage:
-            ker_prev = [dim[d] - rank[d] for d in range(max_degree + 1)]
+            _dims(res, i, dim, hilbert)
+            _ranks(res, i, rank, std, fld, tables)
+        for d, (k, im) in enumerate(zip(accumulate(ker), accumulate(rank))):
+            detail = "" if k == im else f"dim ker={k} != dim im={im}"
+            report.checks.append(CheckRecord("exactness", i - 1, d, not detail, detail))
+        ker = list(map(sub, dim, rank))
     return report
 
 

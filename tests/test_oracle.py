@@ -10,10 +10,11 @@ import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import exhaustive_corpus, random_corpus
 from stairstep import (
@@ -55,6 +56,7 @@ from stairstep.oracle import (
     _entry_fault,
     _is_prime,
     _modulus,
+    _spread,
     _std_x,
     _working_copy,
     sparse_nullspace,
@@ -884,9 +886,36 @@ def with_unit_summand(res, k, bidegree):
     return replace(res, modules=modules, differentials=diffs)
 
 
+class TestSpread:
+    """_spread against the per-degree sum it stands for: count times head
+    from degree lo on, head's last value held past its end, added in the
+    window 0..len(start) - 1 only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+        st.integers(-30, 30),
+        st.lists(st.integers(-9, 9), max_size=30),
+        st.integers(-4, 4),
+    )
+    @example(start=[0] * 5, lo=-8, head=[1, 2, 3], count=1)  # the whole head below degree 0
+    @example(start=[0] * 5, lo=-2, head=[4, 1, 7, 2], count=2)  # a head across degree 0
+    @example(start=[0] * 5, lo=5, head=[3, 1], count=1)  # lo just past the window
+    @example(start=[0] * 5, lo=40, head=[3], count=1)  # lo far past it
+    @example(start=[1] * 5, lo=0, head=[], count=3)  # an empty head adds nothing
+    @example(start=[0] * 5, lo=1, head=list(range(20)), count=1)  # a head longer than the window
+    @example(start=[2] * 5, lo=2, head=[5, 6], count=-3)
+    def test_matches_a_per_degree_sum(self, start, lo, head, count):
+        diff = list(start)
+        _spread(diff, lo, head, count)
+        added = [count * head[min(d - lo, len(head) - 1)] if head and d >= lo else 0 for d in range(len(start))]
+        assert list(accumulate(diff)) == list(map(add, accumulate(start), added))
+
+
 class TestWindowEdges:
-    """The degree clamps of _dims and _ranks: a block that starts at degree
-    0, and twists below it, which a resolution loaded from JSON may hold."""
+    """The degree clamps of _spread: a block that starts at degree 0,
+    twists below it, which a resolution loaded from JSON may hold, and
+    twists above the window."""
 
     def test_a_block_with_rank_in_degree_zero(self):
         # the unit block ranks 1 in degree 0; skipping degree 0 would leave
@@ -906,6 +935,34 @@ class TestWindowEdges:
         report = check_exactness(loaded, 4, 12)
         assert report.verdict
         assert report.checks == exactness_reference(loaded, 4, 12, ExactRationals())
+
+    def test_a_loaded_twist_whose_hilbert_head_lies_below_degree_zero(self):
+        # S's Hilbert function is constant from degree flat = 3 on, so a
+        # twist of -50 reads only its tail in the window
+        res = with_unit_summand(build_resolution(M_RIGHT, 5), 1, (-50, 0))
+        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        report = check_exactness(loaded, 4, 12)
+        assert report.verdict
+        assert report.checks == exactness_reference(loaded, 4, 12, ExactRationals())
+
+    def test_a_loaded_negative_twist_reads_hilbert_past_the_window(self):
+        # (x^3, y^3) has flat = 5 above the window 0..3, and the twist -2
+        # reads dim S_4 = 1 in degree 2: a Hilbert function cut at the
+        # window's end would read S's tail, 0, there
+        res = with_unit_summand(build_resolution(parse_ideal("x3,y3"), 5), 1, (-2, 0))
+        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        report = check_exactness(loaded, 4, 3)
+        assert report.verdict
+        assert report.checks == exactness_reference(loaded, 4, 3, ExactRationals())
+
+    def test_a_block_whose_first_row_lies_above_the_window(self):
+        # the unit block's row and column have twist 13: _split_blocks
+        # drops the column, and both twists spread nothing into 0..12
+        res = with_unit_summand(build_resolution(M_RIGHT, 5), 1, (13, 0))
+        report = check_exactness(res, 4, 12)
+        assert report.verdict
+        assert report.checks == exactness_reference(res, 4, 12, ExactRationals())
+        assert report.checks == check_exactness(build_resolution(M_RIGHT, 5), 4, 12).checks
 
 
 def settled_by(res, max_stage):
@@ -1321,11 +1378,17 @@ class TestExactnessReadsEntries:
 
     def test_a_ten_times_wider_window_enumerates_no_more_degrees(self, monkeypatch):
         # S's Hilbert function is b_1 + a_r = 2 from degree a_1 + b_r - 1 = 3
-        # on, so _dims adds that tail by a running sum, and block ranks stop
-        # where they settle: _standard_x and the membership tests it makes
-        # count the same at both windows, and each report is the one pinned
+        # on, so it is enumerated only that far, and block ranks stop where
+        # they settle: _standard_x, the membership tests it makes and the
+        # head values _spread reads count the same at both windows, and
+        # each report is the one pinned
         counts = Counter()
         standard_x, contains_xy = stairstep.oracle._standard_x, MonomialIdeal.contains_xy
+        spread = stairstep.oracle._spread
+
+        def spy_spread(diff, lo, head, count):
+            counts["head values"] += len(range(lo, len(diff))[: len(head)])
+            spread(diff, lo, head, count)
 
         def spy_standard_x(ideal, d):
             found = standard_x(ideal, d)
@@ -1340,6 +1403,7 @@ class TestExactnessReadsEntries:
         res = build_resolution(M_RIGHT, 7)
         monkeypatch.setattr(stairstep.oracle, "_standard_x", spy_standard_x)
         monkeypatch.setattr(MonomialIdeal, "contains_xy", spy_contains_xy)
+        monkeypatch.setattr(stairstep.oracle, "_spread", spy_spread)
         seen = []
         for window, digest in WIDE_REPORT_SHA256.items():
             counts.clear()
@@ -1347,6 +1411,7 @@ class TestExactnessReadsEntries:
             assert hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest() == digest
             seen.append(dict(counts))
         assert seen[0] == seen[1] and seen[0]["calls"] < 100
+        assert 0 < seen[0]["head values"] < 1000
 
 
 # json.dumps(check_exactness(build_resolution(M_RIGHT, 7), 6, window).to_json(),
@@ -1626,9 +1691,20 @@ def mirror(ideal: MonomialIdeal) -> MonomialIdeal:
     return normalize_ideal([Monomial(g.ydeg, g.xdeg) for g in ideal.generators])
 
 
+def mirror_resolution(res):
+    """res with x and y swapped: over the mirror ring, with each
+    generator's (dx, dy) and each entry's (xdeg, ydeg) swapped."""
+    modules = [GradedFreeModule([(label, (dy, dx)) for label, (dx, dy) in m.generators]) for m in res.modules]
+    diffs = [Differential([(row, col, sign, y, x) for row, col, sign, x, y in d.entries]) for d in res.differentials]
+    return replace(res, ring=mirror(res.ring), modules=modules, differentials=diffs)
+
+
 def bigraded_table(res) -> Counter:
     """(stage, xdeg, ydeg) -> the number of generators of that bidegree."""
     return Counter((i, x, y) for i, m in enumerate(res.modules) for x, y in zip(m.generators.dx, m.generators.dy))
+
+
+MIRROR_IDEALS = exhaustive_corpus(4) + random_corpus(50, seed=0)
 
 
 class TestMirror:
@@ -1665,6 +1741,36 @@ class TestMirror:
         table = bigraded_table(build_resolution(ideal, 7))
         mirrored = bigraded_table(build_resolution(mirror(ideal), 7))
         assert mirrored == Counter({(i, y, x): n for (i, x, y), n in table.items()})
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
+    def test_exactness_records_of_mirrored_resolutions_are_equal(self, fld):
+        for ideal in MIRROR_IDEALS:
+            res = build_resolution(ideal, 8)
+            window = max(20, ideal.max_generator_degree)
+            mirrored = check_exactness(mirror_resolution(res), 7, window, fld)
+            assert mirrored.checks == check_exactness(res, 7, window, fld).checks, str(ideal)
+
+    def test_a_sign_flip_in_d3_and_its_mirror_fail_alike(self):
+        # the flip breaks d2 d3 = 0 on most ideals but keeps every block's
+        # rank, so check_complex fails and check_exactness's records stay
+        rng = random.Random(3)
+        failed = 0
+        for ideal in MIRROR_IDEALS:
+            res = build_resolution(ideal, 8)
+            entries = list(res.differentials[2].entries)
+            if not entries:
+                continue
+            j = rng.randrange(len(entries))
+            row, col, sign, x, y = entries[j]
+            entries[j] = (row, col, -sign, x, y)
+            flipped = replace(res, differentials=[*res.differentials[:2], Differential(entries), *res.differentials[3:]])
+            mirrored, window = mirror_resolution(flipped), max(20, ideal.max_generator_degree)
+            exactness = check_exactness(flipped, 7, window)
+            assert check_exactness(mirrored, 7, window).checks == exactness.checks, str(ideal)
+            passed = [c.passed for c in check_complex(flipped).checks]
+            assert [c.passed for c in check_complex(mirrored).checks] == passed, str(ideal)
+            failed += not all(passed)
+        assert failed > 150
 
 
 class TestCompareBetti:
