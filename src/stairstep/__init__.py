@@ -41,6 +41,7 @@ _EXPORTS = {
         "check_exactness",
         "check_homogeneity",
         "check_minimality",
+        "check_resolution",
         "compare_betti",
         "default_max_degree",
         "minimal_resolution_bruteforce",

@@ -195,14 +195,11 @@ def _max_degree(args, ideal) -> int:
 
 
 def _cmd_verify(args, ideal) -> int:
-    from .oracle import check_complex, check_exactness, check_minimality
+    from .oracle import check_resolution
     from .resolution import build_resolution
 
-    max_degree = _max_degree(args, ideal)
     res = build_resolution(ideal, args.stages + 1)
-    report = check_complex(res)
-    report.checks.extend(check_minimality(res).checks)
-    report.checks.extend(check_exactness(res, args.stages, max_degree, args.field).checks)
+    report = check_resolution(res, args.stages, _max_degree(args, ideal), args.field)
     failures = report.failures()
     if args.format == "json":
         import json

@@ -1,6 +1,7 @@
 """Independent verification by exact linear algebra on graded pieces.
 
-Every check of a resolution lives here; its readers take (res, i), d_i
+Every check of a resolution lives here, and check_resolution is the one
+verdict: no check alone proves a resolution.  Readers take (res, i), d_i
 being F_i -> F_{i-1} of res.modules over res.ring.  A module or map too
 many raises the loader's ValueError (resolution._require_count).  An
 entry is tested in one order everywhere: first the loader's rule (row,
@@ -39,7 +40,9 @@ class TruncationTooSmall(ValueError):
     pass
 
 
-def _require_window(ideal: MonomialIdeal, max_degree: int) -> None:
+def _require_window(ideal: MonomialIdeal, max_stage: int, max_degree: int) -> None:
+    if max_stage < 0:
+        raise StageTooSmall("need n >= 0")
     if max_degree < ideal.max_generator_degree:
         raise TruncationTooSmall(f"max_degree {max_degree} below largest generator degree {ideal.max_generator_degree}")
 
@@ -233,14 +236,13 @@ def sparse_nullspace(columns, fld: FieldConfig, *, limit: Optional[int] = None) 
     return null
 
 
-def _entry_fault(res: Resolution, i: int) -> str:
+def _entry_fault(res: Resolution, i: int, shape: Optional[str] = None) -> str:
     """Why an entry of d_i breaks the entry rule or the bigrading, or "":
-    first the loader's rule (_shape_fault), then the first entry, in entry
-    order, whose column's bidegree is not its row's bidegree plus (xdeg,
-    ydeg).  The rule holds before any module is read at an entry's row or
-    col, so the bigrading test indexes only inside the modules."""
-    fault = _shape_fault(res, i)
-    if fault:
+    first the loader's rule (shape, if not _shape_fault(res, i)), then the
+    first entry, in entry order, whose column's bidegree is not its row's
+    bidegree plus (xdeg, ydeg).  The rule holds before any module is read
+    at an entry's row or col, so the bigrading test indexes only inside."""
+    if fault := _shape_fault(res, i) if shape is None else shape:
         return fault
     src, tgt = res.modules[i].generators, res.modules[i - 1].generators
     # lists index without making an int per read, as arrays do
@@ -324,6 +326,22 @@ def _composite(res: Resolution, i: int) -> dict[tuple[int, int], dict[tuple[int,
     return out
 
 
+def _shape_faults(res: Resolution, top: int) -> list[str]:
+    """_shape_fault of each map d_1 .. d_top that res has."""
+    return [_shape_fault(res, i) for i in range(1, min(top, len(res.differentials)) + 1)]
+
+
+def _complex_records(res: Resolution, shapes: list[str]) -> list[CheckRecord]:
+    """check_complex's records; shapes is _shape_faults of every map."""
+    records = [CheckRecord("complex", 1, None, False, shapes[0])] if len(shapes) == 1 and shapes[0] else []
+    for i in range(1, len(shapes)):
+        detail = shapes[i - 1] or shapes[i]
+        if not detail and (cells := _composite(res, i)):
+            detail = f"nonzero composite at cells {sorted(cells)[:3]}"
+        records.append(CheckRecord("complex", i + 1, None, not detail, detail))
+    return records
+
+
 def check_complex(res: Resolution) -> VerificationReport:
     """Symbolic check that consecutive differentials compose to zero.
 
@@ -333,27 +351,12 @@ def check_complex(res: Resolution) -> VerificationReport:
     composite, but a break of the entry rule there still fails a record at
     stage 1."""
     _require_count(res.modules, res.differentials)
-    report, n = VerificationReport(res.ring), len(res.differentials)
-    faults = [_shape_fault(res, i) for i in range(1, n + 1)]
-    if n == 1 and faults[0]:
-        report.checks.append(CheckRecord("complex", 1, None, False, faults[0]))
-    for i in range(1, n):
-        detail = faults[i - 1] or faults[i]
-        if not detail and (cells := _composite(res, i)):
-            detail = f"nonzero composite at cells {sorted(cells)[:3]}"
-        report.checks.append(CheckRecord("complex", i + 1, None, not detail, detail))
-    return report
+    return VerificationReport(res.ring, _complex_records(res, _shape_faults(res, len(res.differentials))))
 
 
-def _map_records(res: Resolution, kind: str, fault) -> VerificationReport:
-    """One ``kind`` record per map d_i, failed with fault(res, i) unless
-    that is ""."""
-    _require_count(res.modules, res.differentials)
-    report = VerificationReport(res.ring)
-    for i in range(1, len(res.differentials) + 1):
-        detail = fault(res, i)
-        report.checks.append(CheckRecord(kind, i, None, not detail, detail))
-    return report
+def _map_records(res: Resolution, kind: str, fault) -> list[CheckRecord]:
+    """One ``kind`` record per map d_i, failed with fault(res, i) unless that is ""."""
+    return [CheckRecord(kind, i, None, not (d := fault(res, i)), d) for i in range(1, len(res.differentials) + 1)]
 
 
 def _unit_fault(res: Resolution, i: int) -> str:
@@ -374,8 +377,10 @@ def _unit_fault(res: Resolution, i: int) -> str:
 
 def check_minimality(res: Resolution) -> VerificationReport:
     """No differential entry may be a unit, vanish in S or have a negative
-    exponent."""
-    return _map_records(res, "minimality", _unit_fault)
+    exponent.  Only monomials are tested: the entry rule's row, col and
+    sign are left to the complex records, which fail a map breaking it."""
+    _require_count(res.modules, res.differentials)
+    return VerificationReport(res.ring, _map_records(res, "minimality", _unit_fault))
 
 
 def check_homogeneity(res: Resolution) -> VerificationReport:
@@ -384,7 +389,8 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     its row's: source bidegree = target bidegree + (xdeg, ydeg), as
     _entry_fault tests them.  Total degrees alone, which the Betti tables
     read, would miss a swapped bidegree."""
-    return _map_records(res, "homogeneity", _entry_fault)
+    _require_count(res.modules, res.differentials)
+    return VerificationReport(res.ring, _map_records(res, "homogeneity", _entry_fault))
 
 
 def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
@@ -574,13 +580,45 @@ def _ranks(res: Resolution, i: int, diff: list[int], std: list, fld: FieldConfig
             _spread(diff, base + low, ranks, count)
 
 
+def _require_stages(res: Resolution, max_stage: int, max_degree: int) -> None:
+    """check_exactness's ValueErrors, raised before any map is read."""
+    _require_window(res.ring, max_stage, max_degree)
+    _require_count(res.modules, res.differentials)
+    if len(res.differentials) < max_stage + 1 and res.modules[-1].rank > 0:
+        raise ValueError(f"resolution built to stage {res.stages}; need stage {max_stage + 1}")
+
+
+def _exactness_records(res: Resolution, max_stage: int, max_degree: int, fld: FieldConfig, shapes: list) -> list:
+    """check_exactness's records; shapes is _shape_faults(res, k), k > max_stage."""
+    records: list[CheckRecord] = []
+    tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
+    std: list = []
+    ker = [0] * (max_degree + 1)  # first: a window no list can hold raises here, at once
+    hilbert = [len(_std_x(res.ring, std, d)) for d in range(res.ring.flat)] + [res.ring.tail]
+    _dims(res, 0, ker, hilbert)
+    _spread(ker, 0, (1, 0), -1)  # the augmentation F_0 -> k
+    for i in range(1, max_stage + 2):
+        dim, rank = [0] * (max_degree + 1), [0] * (max_degree + 1)
+        if i <= len(shapes):  # d_i exists
+            if fault := _entry_fault(res, i, shapes[i - 1]):
+                records.append(CheckRecord("exactness", i, None, False, fault))
+                return records
+            _dims(res, i, dim, hilbert)
+            _ranks(res, i, rank, std, fld, tables)
+        for d, (k, im) in enumerate(zip(accumulate(ker), accumulate(rank))):
+            detail = "" if k == im else f"dim ker={k} != dim im={im}"
+            records.append(CheckRecord("exactness", i - 1, d, not detail, detail))
+        ker = list(map(sub, dim, rank))
+    return records
+
+
 def check_exactness(
-    res: Resolution,
-    max_stage: int,
-    max_degree: int,
-    fld: FieldConfig = ExactRationals(),
+    res: Resolution, max_stage: int, max_degree: int, fld: FieldConfig = ExactRationals()
 ) -> VerificationReport:
-    """Rank-nullity comparison dim ker = dim im on every degree slice.
+    """Rank-nullity comparison dim ker = dim im on every degree slice.  It
+    proves exactness only when check_complex passes too (check_resolution
+    runs both): flipping the sign of d3's first entry breaks d2 d3 = 0 on
+    most ideals, yet keeps every rank, and this check passes.
 
     Ranks come from the differentials' own entries and modules, so any
     Resolution is checked alike: engine-built, modified or loaded from
@@ -597,34 +635,25 @@ def check_exactness(
     (see MonomialIdeal), as a twist below 0 reads past the window's end;
     flat < 2 * max_degree by _require_window.  An entry of d_i that breaks
     the loader's rule or the bigrading (_entry_fault), wherever its column
-    lies, ends the report with a failed record at stage i and no degree."""
-    if max_stage < 0:
-        raise StageTooSmall("need n >= 0")
-    _require_window(res.ring, max_degree)
-    _require_count(res.modules, res.differentials)
-    n_diffs = len(res.differentials)
-    if n_diffs < max_stage + 1 and res.modules[-1].rank > 0:
-        raise ValueError(f"resolution built to stage {res.stages}; need stage {max_stage + 1}")
-    report = VerificationReport(res.ring)
-    tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
-    std: list = []
-    ker = [0] * (max_degree + 1)  # first: a window no list can hold raises here, at once
-    hilbert = [len(_std_x(res.ring, std, d)) for d in range(res.ring.flat)] + [res.ring.tail]
-    _dims(res, 0, ker, hilbert)
-    _spread(ker, 0, (1, 0), -1)  # the augmentation F_0 -> k
-    for i in range(1, max_stage + 2):
-        dim, rank = [0] * (max_degree + 1), [0] * (max_degree + 1)
-        if i <= n_diffs:
-            if fault := _entry_fault(res, i):
-                report.checks.append(CheckRecord("exactness", i, None, False, fault))
-                return report
-            _dims(res, i, dim, hilbert)
-            _ranks(res, i, rank, std, fld, tables)
-        for d, (k, im) in enumerate(zip(accumulate(ker), accumulate(rank))):
-            detail = "" if k == im else f"dim ker={k} != dim im={im}"
-            report.checks.append(CheckRecord("exactness", i - 1, d, not detail, detail))
-        ker = list(map(sub, dim, rank))
-    return report
+    lies, ends the report with a failed record at stage i and no degree;
+    no map above d_{max_stage + 1} is read."""
+    _require_stages(res, max_stage, max_degree)
+    records = _exactness_records(res, max_stage, max_degree, fld, _shape_faults(res, max_stage + 1))
+    return VerificationReport(res.ring, records)
+
+
+def check_resolution(
+    res: Resolution, max_stage: int, max_degree: int, fld: FieldConfig = ExactRationals()
+) -> VerificationReport:
+    """check_complex's, check_minimality's and check_exactness's records,
+    in that order, each map's entry rule read once; it raises what
+    check_exactness raises.  Exactness by ranks is sound only beside the
+    complex records: dim ker = dim im makes the homology vanish only when
+    im d_{i+1} lies in ker d_i, that is, when d_i d_{i+1} = 0."""
+    _require_stages(res, max_stage, max_degree)
+    shapes = _shape_faults(res, len(res.differentials))
+    records = _complex_records(res, shapes) + _map_records(res, "minimality", _unit_fault)
+    return VerificationReport(res.ring, records + _exactness_records(res, max_stage, max_degree, fld, shapes))
 
 
 def default_max_degree(ideal: MonomialIdeal, max_stage: int) -> int:
@@ -718,9 +747,7 @@ def minimal_resolution_bruteforce(
     key - 1, by y the key itself.  A product is tested against M with the
     ring's stair, clamped inline, so no index of a slice's basis is built
     and nothing is sized by the window."""
-    if max_stage < 0:
-        raise StageTooSmall("need n >= 0")
-    _require_window(ideal, max_degree)
+    _require_window(ideal, max_stage, max_degree)
     p = _modulus(fld)
     width = max_degree + 1
     stair = ideal.stair

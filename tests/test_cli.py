@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
@@ -140,26 +142,39 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["verdict"] == "pass"
-        kinds = {c["kind"] for c in data["checks"]}
-        assert kinds == {"complex", "minimality", "exactness"}
+        kinds = [kind for kind, _ in groupby(c["kind"] for c in data["checks"])]
+        assert kinds == ["complex", "minimality", "exactness"]
+
+    def test_one_check_call_reads_each_entry_rule_once(self, capsys, monkeypatch):
+        # verify's whole verdict is one check_resolution call, which reads
+        # the entry rule of each of the 9 maps once
+        calls, real, shape, seen = [], stairstep.oracle.check_resolution, stairstep.oracle._shape_fault, Counter()
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        for name in ("check_complex", "check_minimality", "check_exactness", "check_homogeneity"):
+            monkeypatch.setattr(stairstep.oracle, name, None)  # a call raises TypeError
+        monkeypatch.setattr(stairstep.oracle, "check_resolution", spy)
+        monkeypatch.setattr(stairstep.oracle, "_shape_fault", lambda res, i: seen.update([i]) or shape(res, i))
+        code, out, err = run(capsys, "verify", "x6,x5y,x4y2,x3y3,x2y4,xy5", "--stages", "8")
+        assert (code, out, err, calls) == (0, "verdict: pass\n", "", [(8, 60, ExactRationals())])
+        assert seen == Counter(range(1, 10))
 
     def test_failed_checks_print_and_exit_1(self, capsys, monkeypatch):
         # one minimality record and one exactness record planted as failed
-        def planting(checker, stage, degree):
-            real = getattr(stairstep.oracle, checker)
+        real, planted = stairstep.oracle.check_resolution, {("minimality", 2, None), ("exactness", 1, 3)}
 
-            def plant(*args):
-                report = real(*args)
-                report.checks = [
-                    c._replace(passed=False, detail="planted") if (c.stage, c.degree) == (stage, degree) else c
-                    for c in report.checks
-                ]
-                return report
+        def plant(*args):
+            report = real(*args)
+            report.checks = [
+                c._replace(passed=False, detail="planted") if (c.kind, c.stage, c.degree) in planted else c
+                for c in report.checks
+            ]
+            return report
 
-            monkeypatch.setattr(stairstep.oracle, checker, plant)
-
-        planting("check_minimality", 2, None)
-        planting("check_exactness", 1, 3)
+        monkeypatch.setattr(stairstep.oracle, "check_resolution", plant)
         code, out, _ = run(capsys, "verify", "x2y,xy2", "--stages", "3")
         assert code == 1
         assert out.splitlines() == [
@@ -436,7 +451,7 @@ class TestFieldEnv:
         # --field is the one way to choose it: a bad prime in the
         # environment is not read, and both commands run over Q
         monkeypatch.setenv("STAIRSTEP_FIELD", "p:9")
-        for command, checker in (("verify", "check_exactness"), ("oracle", "minimal_resolution_bruteforce")):
+        for command, checker in (("verify", "check_resolution"), ("oracle", "minimal_resolution_bruteforce")):
             seen, real = [], getattr(stairstep.oracle, checker)
 
             def spy(*args, seen=seen, real=real):

@@ -35,6 +35,7 @@ from stairstep import (
     check_exactness,
     check_homogeneity,
     check_minimality,
+    check_resolution,
     classify,
     compare_betti,
     default_max_degree,
@@ -694,13 +695,7 @@ class TestMutations:
     @pytest.mark.parametrize("which", ["sign", "drop", "shift"])
     def test_detected(self, which):
         res = build_resolution(M_RIGHT, 7)
-        bad = mutate(res, 2, which)
-        caught = (
-            not check_complex(bad).verdict
-            or not check_minimality(bad).verdict
-            or not check_exactness(bad, 5, 15).verdict
-        )
-        assert caught
+        assert not check_resolution(mutate(res, 2, which), 5, 15).verdict
 
     def test_column_drop_breaks_exactness(self):
         res = build_resolution(M_LEFT, 7)
@@ -712,6 +707,115 @@ class TestMutations:
         bad = replace(res, differentials=diffs, modules=res.modules[:3] + [src])
         report = check_exactness(bad, 2, 15)
         assert not report.verdict
+
+
+def joined(res, max_stage, max_degree, fld=ExactRationals()) -> list:
+    """The records of the three checks check_resolution joins, each run alone."""
+    return (
+        check_complex(res).checks
+        + check_minimality(res).checks
+        + check_exactness(res, max_stage, max_degree, fld).checks
+    )
+
+
+def shape_fault_spy(monkeypatch) -> Counter:
+    """Count the maps whose entry rule the checks read, by index."""
+    seen, real = Counter(), stairstep.oracle._shape_fault
+
+    def spy(res, i):
+        seen[i] += 1
+        return real(res, i)
+
+    monkeypatch.setattr(stairstep.oracle, "_shape_fault", spy)
+    return seen
+
+
+class TestCheckResolution:
+    def test_d3_sign_flip_fails_only_beside_the_complex_records(self):
+        # exactness compares dimensions, which a sign flip keeps: it passes
+        # a map sequence that is not a complex, and the joined verdict
+        # fails exactly where the complex records do
+        flipped = complex_failed = 0
+        for ideal in exhaustive_corpus(4) + random_corpus(50, seed=0):
+            res = build_resolution(ideal, 8)
+            if not len(res.differentials[2].entries):
+                continue
+            bad = mutate(res, 2, "sign")
+            flipped += 1
+            complex_failed += not check_complex(bad).verdict
+            assert check_exactness(bad, 7, 25).verdict, ideal
+            assert check_resolution(bad, 7, 25).verdict == check_complex(bad).verdict, ideal
+        assert (flipped, complex_failed) == (297, 276)
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
+    def test_records_are_the_three_reports_joined(self, fld):
+        from report_digests import MUTATIONS, _mutate, _spares
+
+        kinds = Counter()
+        for n, ideal in enumerate(exhaustive_corpus(2) + random_corpus(6, seed=36)):
+            res = build_resolution(ideal, 6)
+            max_degree = max(20, ideal.max_generator_degree)
+            cases = [res] + [spare for _k, spare in _spares(res)]
+            rng = random.Random(n)
+            stages = [i for i, d in enumerate(res.differentials) if len(d.entries)]
+            for kind in range(len(MUTATIONS) if stages else 0):
+                i = rng.choice(stages)
+                d = res.differentials[i]
+                entries = _mutate(list(d.entries), kind, rng.randrange(len(d.entries)), rng)
+                diffs = res.differentials[:i] + [replace(d, entries=tuple(entries))] + res.differentials[i + 1 :]
+                cases.append(replace(res, differentials=diffs))
+                kinds[MUTATIONS[kind]] += 1
+            for case in cases:
+                assert check_resolution(case, 5, max_degree, fld).checks == joined(case, 5, max_degree, fld)
+        assert set(kinds) == set(MUTATIONS)
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            lambda row, col, sign, x, y: (row, col, sign, x, y),
+            lambda row, col, sign, x, y: (row, col, -sign, x, y),
+            lambda row, col, sign, x, y: (row, col, 2, x, y),  # breaks the entry rule
+            lambda row, col, sign, x, y: (row, col, sign, x + 1, y),
+        ],
+        ids=["engine", "sign_flip", "sign_2", "x_plus_1"],
+    )
+    def test_reads_each_entry_rule_once(self, monkeypatch, first):
+        res = build_resolution(M((6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5)), 8)
+        d3 = res.differentials[2]
+        d3 = replace(d3, entries=(first(*d3.entries[0]),) + tuple(d3.entries)[1:])
+        res = replace(res, differentials=res.differentials[:2] + [d3] + res.differentials[3:])
+        expected = joined(res, 7, 25)
+        seen = shape_fault_spy(monkeypatch)
+        assert check_resolution(res, 7, 25).checks == expected
+        assert seen == Counter(range(1, 9))
+
+    def test_exactness_reads_no_map_above_the_next_stage(self, monkeypatch):
+        res = build_resolution(M_RIGHT, 8)
+        res = replace(res, differentials=res.differentials[:6] + [Differential(((0, 0, 2, 1, 1),))] * 2)
+        seen = shape_fault_spy(monkeypatch)
+        assert check_exactness(res, 5, 20).verdict
+        assert seen == Counter(range(1, 7))
+        assert not check_resolution(res, 5, 20).verdict
+
+    @pytest.mark.parametrize(
+        "change, args",
+        [
+            (lambda r: r, (-1, 20)),
+            (lambda r: r, (4, 2)),
+            (lambda r: r, (6, 20)),
+            (lambda r: replace(r, modules=r.modules[:-1]), (4, 20)),
+            (lambda r: replace(r, modules=r.modules[:-1]), (-1, 2)),
+        ],
+        ids=["stage_-1", "window_2", "stage_7_unbuilt", "module_short", "module_short_stage_-1"],
+    )
+    def test_raises_what_check_exactness_raises_before_reading_a_map(self, monkeypatch, change, args):
+        res = change(build_resolution(M_RIGHT, 6))
+        with pytest.raises(ValueError) as alone:
+            check_exactness(res, *args)
+        seen = shape_fault_spy(monkeypatch)
+        with pytest.raises(type(alone.value), match=re.escape(str(alone.value))):
+            check_resolution(res, *args)
+        assert not seen
 
 
 def exactness_reference(res, max_stage, max_degree, fld):
