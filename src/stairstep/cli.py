@@ -112,6 +112,17 @@ BETTI_MAX_STAGES = 500
 # stage 40 would print 82 M cells.  json and csv list only nonzero entries.
 BETTI_MAX_CELLS = 5_000_000
 
+# The most digits `poincare --expand` prints.  Converting an n-digit int to
+# text costs about n^2, so on the same VM (x^2y, xy^2) --expand 10000
+# prints 10.5 MB in 0.3 s and --expand 20000 41.8 MB in 2.1 s.
+POINCARE_MAX_DIGITS = 5_000_000
+
+# The most lattice cells `staircase` draws, (a_1 + 3)(b_r + 3) of them.  On
+# the same VM a cell costs about 1 us as text (2 bytes) and 1.6 us as SVG
+# (65 bytes): (x^497, y^497) draws 250,000 cells, 0.5 MB of text or 16 MB
+# of SVG, in well under a second.
+STAIRCASE_MAX_CELLS = 250_000
+
 
 def _betti_text(table, command: str) -> str:
     """render_betti_table(table), or ValueError naming ``command`` when its
@@ -156,6 +167,35 @@ def _cmd_betti(args, ideal) -> int:
     return 0
 
 
+def _require_expand(main: bool, r: int, n: int) -> None:
+    """ValueError naming `poincare --expand` unless its coefficients through
+    z^n print at most POINCARE_MAX_DIGITS digits in all and none of them
+    more than Python converts to text.  A main-case coefficient c_k is at
+    most rho^(k+1), rho = (1 + sqrt(4r - 3))/2, by induction on c_k =
+    c_{k-1} + (r - 1)c_{k-2}, since rho^2 = rho + r - 1; every other
+    regime's is at most k + 1."""
+    import math
+
+    if n >= POINCARE_MAX_DIGITS:  # each coefficient prints one digit at least
+        total = largest = n + 1
+    elif main:
+        lg = math.log10((1 + math.sqrt(4 * r - 3)) / 2)
+        largest, total = 1 + int((n + 1) * lg), n + 1 + int(lg * (n + 1) * (n + 2) / 2)
+    else:  # the digits of 1, 2, ..., n + 1: n + 2 - 10^j of them have more than j
+        largest = len(str(n + 1))
+        total = sum(n + 2 - 10**j for j in range(largest))
+    if total > POINCARE_MAX_DIGITS:
+        raise ValueError(
+            f"poincare --expand {n} would print about {total} digits, above the limit of {POINCARE_MAX_DIGITS}"
+        )
+    cap = getattr(sys, "get_int_max_str_digits", int)()  # 0, no cap, before Python 3.10.7
+    if cap and largest > cap:
+        raise ValueError(
+            f"poincare --expand {n} would print a coefficient of about {largest} digits, above Python's limit of "
+            f"{cap} digits for one integer"
+        )
+
+
 def _cmd_poincare(args, ideal) -> int:
     from .betti import poincare_series, series_expand
     from .classify import classify
@@ -163,6 +203,7 @@ def _cmd_poincare(args, ideal) -> int:
     cls = classify(ideal)
     series = poincare_series(cls, ideal.num_generators)
     if args.expand is not None:
+        _require_expand(cls.is_main, ideal.num_generators, args.expand)
         coeffs = series_expand(series, args.expand)
         if args.format == "json":
             import json
@@ -249,8 +290,12 @@ def _cmd_oracle(args, ideal) -> int:
 
 
 def _cmd_staircase(args, ideal) -> int:
-    from .staircase import render_ascii, render_svg
+    from .staircase import render_ascii, render_svg, staircase_outline
 
+    outline = staircase_outline(ideal)
+    cells = (outline.xmax + 1) * (outline.ymax + 1)
+    if cells > STAIRCASE_MAX_CELLS:
+        raise ValueError(f"staircase would draw {cells} cells, above the limit of {STAIRCASE_MAX_CELLS}")
     if args.svg:
         try:
             with open(args.svg, "w") as fh:

@@ -6,10 +6,10 @@ being F_i -> F_{i-1} of res.modules over res.ring.  A module or map too
 many raises the loader's ValueError (resolution._require_count).  An
 entry is tested in one order everywhere: first the loader's rule (row,
 col, sign, exponents: _shape_fault), then, where a check needs it, the
-bigrading (_entry_fault); a break fails a record.  No report depends on
-the order of a differential's entries: check_complex adds every product
-of a composite into one accumulator, and check_exactness splits each
-differential into blocks in two passes over its entries.
+bigrading (the first pass of _split_blocks); a break fails a record.
+No report depends on the order of a differential's entries: the complex
+check adds every product of a composite into one accumulator, and the
+exactness check splits each map into blocks in two passes over it.
 
 The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
@@ -236,23 +236,6 @@ def sparse_nullspace(columns, fld: FieldConfig, *, limit: Optional[int] = None) 
     return null
 
 
-def _entry_fault(res: Resolution, i: int, shape: Optional[str] = None) -> str:
-    """Why an entry of d_i breaks the entry rule or the bigrading, or "":
-    first the loader's rule (shape, if not _shape_fault(res, i)), then the
-    first entry, in entry order, whose column's bidegree is not its row's
-    bidegree plus (xdeg, ydeg).  The rule holds before any module is read
-    at an entry's row or col, so the bigrading test indexes only inside."""
-    if fault := _shape_fault(res, i) if shape is None else shape:
-        return fault
-    src, tgt = res.modules[i].generators, res.modules[i - 1].generators
-    # lists index without making an int per read, as arrays do
-    sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
-    for row, col, _sign, x, y in res.differentials[i - 1].entries:
-        if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
-            return f"entry ({row}, {col}) is not homogeneous"
-    return ""
-
-
 class CheckRecord(NamedTuple):
     """One verdict; a tuple, since a report holds one per (stage, degree)."""
 
@@ -383,35 +366,44 @@ def check_minimality(res: Resolution) -> VerificationReport:
     return VerificationReport(res.ring, _map_records(res, "minimality", _unit_fault))
 
 
+def _entry_fault(res: Resolution, i: int) -> str:
+    """_shape_fault, then the bigrading fault of a split that keeps no column."""
+    return _shape_fault(res, i) or _split_blocks(res, i, -1)[0]
+
+
 def check_homogeneity(res: Resolution) -> VerificationReport:
     """Every entry must keep the loader's rule (in its matrix, sign 1 or
     -1, no negative exponent) and then carry its column's bidegree onto
-    its row's: source bidegree = target bidegree + (xdeg, ydeg), as
-    _entry_fault tests them.  Total degrees alone, which the Betti tables
-    read, would miss a swapped bidegree."""
+    its row's: source bidegree = target bidegree + (xdeg, ydeg), as the
+    first pass of _split_blocks tests it (_entry_fault).  Total degrees
+    alone, which the Betti tables read, would miss a swapped bidegree."""
     _require_count(res.modules, res.differentials)
     return VerificationReport(res.ring, _map_records(res, "homogeneity", _entry_fault))
 
 
-def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple[list, list, list[int]]]:
-    """Connected blocks of d_i: columns sharing a target row.
+def _split_blocks(res: Resolution, i: int, max_degree: int) -> tuple[str, dict[tuple, tuple[list, list, list[int]]]]:
+    """(fault, blocks) of d_i: the first entry that breaks the bigrading,
+    or "", and the connected blocks, columns sharing a target row.
 
     Slice ranks add over blocks.  A key is a block's entries (column, row,
     sign, xdeg, ydeg), five ints each in one flat tuple, columns and rows
     numbered in order of use; it maps to (cbi, rbi, twists): the
     bidegrees of the key's columns and rows relative to its first row,
     read from the modules at one block with that key, and the twist of
-    the first row of each block with that key.  d_i must have passed
-    _entry_fault: every entry is homogeneous in the bigrading, so a key
-    fixes its relative bidegrees.  Only columns of twist <= max_degree join
-    a block: a column above has no basis element in any slice through
-    max_degree, so dropping it leaves every slice matrix there as it was.
+    the first row of each block with that key.  Only columns of twist <=
+    max_degree join a block: a column above has no basis element in any
+    slice through max_degree, so dropping it leaves every slice matrix
+    there as it was.
 
-    One pass over the entries' rows and cols joins each kept entry's row
-    to its column's first row (union-find over target rows).  A second
-    numbers each block's columns and rows through one slot per column and
-    one per row of the whole differential, since a column or row lies in
-    one block."""
+    One pass over the entries, which must have passed _shape_fault, tests
+    each before its window: its column's bidegree must be its row's plus
+    (xdeg, ydeg).  The first that breaks this, in entry order, ends the
+    split with no blocks; so a key fixes its relative bidegrees.  The pass
+    joins each kept entry's row to its column's first row (union-find over
+    target rows), and with no column in the window the split ends there.
+    A second numbers each block's columns and rows through one slot per
+    column and one per row of the whole differential, since a column or
+    row lies in one block."""
     src, tgt, entries = res.modules[i].generators, res.modules[i - 1].generators, res.differentials[i - 1].entries
     # lists index without making an int per read, as arrays do
     sx, sy, tx, ty = src.dx.tolist(), src.dy.tolist(), tgt.dx.tolist(), tgt.dy.tolist()
@@ -424,13 +416,17 @@ def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple
 
     in_window = [a + b <= max_degree for a, b in zip(sx, sy)]
     first = [-1] * len(sx)  # each column joins the block of its first row
-    for row, col in zip(entries.ints[0::5], entries.ints[1::5]):
+    for row, col, _sign, x, y in entries:
+        if sx[col] != tx[row] + x or sy[col] != ty[row] + y:
+            return f"entry ({row}, {col}) is not homogeneous", {}
         if in_window[col]:
             f = first[col]
             if f < 0:
                 first[col] = row
             elif f != row:
                 parent[find(row)] = find(f)
+    if not any(in_window):
+        return "", {}
     root = list(map(find, range(len(tx))))
     col_slot, row_slot = [-1] * len(sx), [-1] * len(tx)
     blocks: list = [None] * len(tx)  # at its root row: a block's (flat entries, columns, rows)
@@ -459,7 +455,7 @@ def _split_blocks(res: Resolution, i: int, max_degree: int) -> dict[tuple, tuple
             cbi = [(sx[c] - bx, sy[c] - by) for c in cols]
             found = keyed[key] = (cbi, [(tx[r] - bx, ty[r] - by) for r in rows], [])
         found[2].append(bx + by)
-    return keyed
+    return "", keyed
 
 
 def _std_x(ring: MonomialIdeal, std: list, n: int) -> tuple[int, ...]:
@@ -571,13 +567,16 @@ def _dims(res: Resolution, i: int, diff: list[int], hilbert: list[int]) -> None:
         _spread(diff, t, hilbert, count)
 
 
-def _ranks(res: Resolution, i: int, diff: list[int], std: list, fld: FieldConfig, tables: dict) -> None:
-    """Spread the slice ranks of d_i into diff: each block's from its first row's twist on."""
+def _ranks(res: Resolution, i: int, diff: list[int], std: list, fld: FieldConfig, tables: dict) -> str:
+    """Spread the slice ranks of d_i into diff, each block's from its first
+    row's twist on, and return the split's fault, which spreads nothing."""
     max_degree = len(diff) - 1
-    for key, (cbi, rbi, bases) in _split_blocks(res, i, max_degree).items():
+    fault, blocks = _split_blocks(res, i, max_degree)
+    for key, (cbi, rbi, bases) in blocks.items():
         low, ranks = _block_ranks(key, cbi, rbi, res.ring, max_degree - min(bases), fld, tables, std)
         for base, count in Counter(bases).items():
             _spread(diff, base + low, ranks, count)
+    return fault
 
 
 def _require_stages(res: Resolution, max_stage: int, max_degree: int) -> None:
@@ -600,11 +599,10 @@ def _exactness_records(res: Resolution, max_stage: int, max_degree: int, fld: Fi
     for i in range(1, max_stage + 2):
         dim, rank = [0] * (max_degree + 1), [0] * (max_degree + 1)
         if i <= len(shapes):  # d_i exists
-            if fault := _entry_fault(res, i, shapes[i - 1]):
+            if fault := shapes[i - 1] or _ranks(res, i, rank, std, fld, tables):
                 records.append(CheckRecord("exactness", i, None, False, fault))
                 return records
             _dims(res, i, dim, hilbert)
-            _ranks(res, i, rank, std, fld, tables)
         for d, (k, im) in enumerate(zip(accumulate(ker), accumulate(rank))):
             detail = "" if k == im else f"dim ker={k} != dim im={im}"
             records.append(CheckRecord("exactness", i - 1, d, not detail, detail))
@@ -634,9 +632,9 @@ def check_exactness(
     S's Hilbert function is enumerated through flat, from which it is tail
     (see MonomialIdeal), as a twist below 0 reads past the window's end;
     flat < 2 * max_degree by _require_window.  An entry of d_i that breaks
-    the loader's rule or the bigrading (_entry_fault), wherever its column
-    lies, ends the report with a failed record at stage i and no degree;
-    no map above d_{max_stage + 1} is read."""
+    the loader's rule or the bigrading (_shape_fault, then _split_blocks),
+    wherever its column lies, ends the report with a failed record at
+    stage i and no degree; no map above d_{max_stage + 1} is read."""
     _require_stages(res, max_stage, max_degree)
     records = _exactness_records(res, max_stage, max_degree, fld, _shape_faults(res, max_stage + 1))
     return VerificationReport(res.ring, records)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -19,6 +21,7 @@ from stairstep import (
     check_exactness,
     check_minimality,
     build_resolution,
+    classify,
     default_max_degree,
     minimal_resolution_bruteforce,
     parse_ideal,
@@ -546,6 +549,99 @@ class TestInputBounds:
         # json and csv list the nonzero entries only, and are not bounded
         code, out, _ = run(capsys, "betti", "x^100000,y", "--stages", "40", "--graded", "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 1 + 41  # the header, one generator per stage
+
+    @staticmethod
+    def expand_limit(text):
+        """The largest n that poincare --expand accepts on the ideal."""
+        ideal = parse_ideal(text)
+        main, r = classify(ideal).is_main, ideal.num_generators
+        lo, hi = 0, stairstep.cli.POINCARE_MAX_DIGITS
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                stairstep.cli._require_expand(main, r, mid)
+                lo = mid
+            except ValueError:
+                hi = mid - 1
+        return lo
+
+    @pytest.mark.parametrize("text, limit", [("x2y,xy2", None), ("x3,y7", 10_000)], ids=["main", "type_v"])
+    def test_poincare_expand_at_digit_limit(self, capsys, monkeypatch, text, limit):
+        # the printed digits come within 1% of the limit, so the bound is
+        # priced from what is printed; one coefficient more exits 2 at once
+        if limit is not None:
+            monkeypatch.setattr(stairstep.cli, "POINCARE_MAX_DIGITS", limit)
+        limit = stairstep.cli.POINCARE_MAX_DIGITS
+        n = self.expand_limit(text)
+        code, out, _ = run(capsys, "poincare", text, "--expand", str(n))
+        coeffs = out.split()
+        assert code == 0 and len(coeffs) == n + 1
+        assert 0.99 * limit < sum(map(len, coeffs)) <= limit
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "poincare", text, "--expand", str(n + 1))
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: poincare --expand {n + 1} would print about ")
+        assert err.endswith(f" digits, above the limit of {limit}\n")
+
+    def test_poincare_expand_of_many_generators_stops_at_pythons_limit(self, capsys):
+        # with 10000 generators, rho is about 100: the coefficient of z^2147
+        # would pass the digits Python converts to text before the whole
+        # expansion passed POINCARE_MAX_DIGITS
+        text = ",".join(f"x{9999 - i}y{i}" for i in range(10000))
+        cap = sys.get_int_max_str_digits()
+        n = self.expand_limit(text)
+        code, out, _ = run(capsys, "poincare", text, "--expand", str(n))
+        assert code == 0
+        assert max(map(len, out.split())) <= cap
+        code, out, err = run(capsys, "poincare", text, "--expand", str(n + 1))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: poincare --expand {n + 1} would print a coefficient of about {cap + 1} digits, "
+            f"above Python's limit of {cap} digits for one integer\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_poincare_expand_far_above_the_limit_exit_2_at_once(self, capsys, fmt):
+        for n in (10**6, 10**200):  # 10^200 squared would overflow a float
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "poincare", "x2y,xy2", "--expand", str(n), "--format", fmt)
+            assert time.perf_counter() - t0 < 0.5
+            assert (code, out) == (2, "")
+            assert f"poincare --expand {n} would print about" in err
+            assert f"above the limit of {stairstep.cli.POINCARE_MAX_DIGITS}" in err
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])
+    def test_staircase_at_cell_limit(self, capsys, monkeypatch, tmp_path, svg):
+        # (x^2y, xy^2) is drawn on (2 + 3)(2 + 3) = 25 cells
+        path = tmp_path / "stairs.svg"
+        argv = ("staircase", "x2y,xy2") + (("--svg", str(path)) if svg else ())
+        monkeypatch.setattr(stairstep.cli, "STAIRCASE_MAX_CELLS", 25)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        ideal = parse_ideal("x2y,xy2")
+        assert (path.read_text() == render_svg(ideal)) if svg else (out == render_ascii(ideal) + "\n")
+        path.unlink(missing_ok=True)
+        monkeypatch.setattr(stairstep.cli, "STAIRCASE_MAX_CELLS", 24)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: staircase would draw 25 cells, above the limit of 24\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("svg", [False, True], ids=["text", "svg"])
+    def test_staircase_too_large_exit_2_at_once(self, capsys, tmp_path, svg):
+        path = tmp_path / "stairs.svg"
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "staircase", "x^20000,y^20000", *(("--svg", str(path)) if svg else ()))
+        assert time.perf_counter() - t0 < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: staircase would draw 400120009 cells, above the limit of {stairstep.cli.STAIRCASE_MAX_CELLS}\n"
+        assert not path.exists()
+
+    def test_staircase_cell_limit_admits_the_largest_square(self, capsys):
+        # (x^(s-3), y^(s-3)) with s^2 <= STAIRCASE_MAX_CELLS is drawn
+        side = math.isqrt(stairstep.cli.STAIRCASE_MAX_CELLS)
+        code, out, _ = run(capsys, "staircase", f"x^{side - 3},y^{side - 3}")
+        assert code == 0 and len(out.splitlines()) == side + 2  # and the axis and M
 
     def test_large_prime_field_accepted_quickly(self, capsys):
         t0 = time.perf_counter()

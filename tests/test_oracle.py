@@ -57,6 +57,7 @@ from stairstep.oracle import (
     _entry_fault,
     _is_prime,
     _modulus,
+    _split_blocks,
     _spread,
     _std_x,
     _working_copy,
@@ -718,6 +719,27 @@ def joined(res, max_stage, max_degree, fld=ExactRationals()) -> list:
     )
 
 
+def corpus_mutants():
+    """(ideal, res, mutants) for each ideal of exhaustive_corpus(2) +
+    random_corpus(6, seed=36), res built to stage 6 and mutants a list of
+    (kind, mutant): each _mutate kind of tests/report_digests.py applied
+    to one random entry of a random nonzero map of res."""
+    from report_digests import MUTATIONS, _mutate
+
+    for n, ideal in enumerate(exhaustive_corpus(2) + random_corpus(6, seed=36)):
+        res = build_resolution(ideal, 6)
+        rng = random.Random(n)
+        stages = [i for i, d in enumerate(res.differentials) if len(d.entries)]
+        mutants = []
+        for kind in range(len(MUTATIONS) if stages else 0):
+            i = rng.choice(stages)
+            d = res.differentials[i]
+            entries = _mutate(list(d.entries), kind, rng.randrange(len(d.entries)), rng)
+            diffs = res.differentials[:i] + [replace(d, entries=tuple(entries))] + res.differentials[i + 1 :]
+            mutants.append((MUTATIONS[kind], replace(res, differentials=diffs)))
+        yield ideal, res, mutants
+
+
 def shape_fault_spy(monkeypatch) -> Counter:
     """Count the maps whose entry rule the checks read, by index."""
     seen, real = Counter(), stairstep.oracle._shape_fault
@@ -749,25 +771,35 @@ class TestCheckResolution:
 
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
     def test_records_are_the_three_reports_joined(self, fld):
-        from report_digests import MUTATIONS, _mutate, _spares
+        from report_digests import MUTATIONS, _spares
 
         kinds = Counter()
-        for n, ideal in enumerate(exhaustive_corpus(2) + random_corpus(6, seed=36)):
-            res = build_resolution(ideal, 6)
+        for ideal, res, mutants in corpus_mutants():
             max_degree = max(20, ideal.max_generator_degree)
-            cases = [res] + [spare for _k, spare in _spares(res)]
-            rng = random.Random(n)
-            stages = [i for i, d in enumerate(res.differentials) if len(d.entries)]
-            for kind in range(len(MUTATIONS) if stages else 0):
-                i = rng.choice(stages)
-                d = res.differentials[i]
-                entries = _mutate(list(d.entries), kind, rng.randrange(len(d.entries)), rng)
-                diffs = res.differentials[:i] + [replace(d, entries=tuple(entries))] + res.differentials[i + 1 :]
-                cases.append(replace(res, differentials=diffs))
-                kinds[MUTATIONS[kind]] += 1
-            for case in cases:
+            kinds.update(kind for kind, _bad in mutants)
+            for case in [res] + [spare for _k, spare in _spares(res)] + [bad for _kind, bad in mutants]:
                 assert check_resolution(case, 5, max_degree, fld).checks == joined(case, 5, max_degree, fld)
         assert set(kinds) == set(MUTATIONS)
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
+    def test_homogeneity_and_exactness_fail_a_map_alike(self, fld):
+        # an exactness record with no degree names the first entry of its
+        # map that breaks the rule or the bigrading, and check_homogeneity
+        # fails that map with the same detail: both read _shape_fault and
+        # then the first pass of _split_blocks
+        kinds, inhomogeneous = Counter(), 0
+        for ideal, _res, mutants in corpus_mutants():
+            max_degree = max(20, ideal.max_generator_degree)
+            for kind, bad in mutants:
+                failed = [c for c in check_exactness(bad, 5, max_degree, fld).checks if c.degree is None]
+                if failed:
+                    (record,) = failed
+                    homogeneity = check_homogeneity(bad).checks[record.stage - 1]
+                    assert homogeneity == CheckRecord("homogeneity", record.stage, None, False, record.detail)
+                    kinds[kind] += 1
+                    inhomogeneous += record.detail.endswith("is not homogeneous")
+        assert set(kinds) == {"x_plus_1", "row_plus_1", "sign_2", "x_to_minus_1"}
+        assert inhomogeneous >= kinds["x_plus_1"] > 0
 
     @pytest.mark.parametrize(
         "first",
@@ -1271,7 +1303,9 @@ class TestExactnessReadsEntries:
 
     def test_inhomogeneous_entry_above_max_degree_reported(self):
         # no column of d9 has twist <= 25, so none joins a block; the
-        # bigrading is still checked on every entry
+        # bigrading is still checked on every entry, and the split of the
+        # engine's d9 and of one with an entry's exponents swapped has no
+        # block either way
         res = build_resolution(parse_ideal("x8y,x7y3,x6y5,x5y6,xy8,y9"), 9)
         d9 = res.differentials[8]
         gens = res.modules[9].generators
@@ -1282,6 +1316,8 @@ class TestExactnessReadsEntries:
         assert check_exactness(res, 8, 25).verdict
         detail = f"entry ({row}, {col}) is not homogeneous"
         assert check_exactness(bad, 8, 25).failures() == [CheckRecord("exactness", 9, None, False, detail)]
+        assert _split_blocks(res, 9, 25) == ("", {})
+        assert _split_blocks(bad, 9, 25) == (detail, {})
 
     def test_json_round_trip_gives_same_report(self):
         res = build_resolution(M((3, 0), (2, 2), (1, 3), (0, 5)), 9)
