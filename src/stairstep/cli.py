@@ -117,10 +117,11 @@ BETTI_MAX_CELLS = 5_000_000
 # prints 10.5 MB in 0.3 s and --expand 20000 41.8 MB in 2.1 s.
 POINCARE_MAX_DIGITS = 5_000_000
 
-# The most lattice cells `staircase` draws, (a_1 + 3)(b_r + 3) of them.  On
-# the same VM a cell costs about 1 us as text (2 bytes) and 1.6 us as SVG
-# (65 bytes): (x^497, y^497) draws 250,000 cells, 0.5 MB of text or 16 MB
-# of SVG, in well under a second.
+# The most lattice cells `staircase` draws, (a_1 + 3)(b_r + 3) of them.  The
+# limit bounds output size: about 2 bytes a cell as text and 65 as SVG.  On
+# the same VM a cell costs about 15 ns as text and 0.5 us as SVG, so
+# (x^497, y^497) draws 250,000 cells, 0.5 MB of text in 4 ms or 16 MB of
+# SVG in 0.13 s.
 STAIRCASE_MAX_CELLS = 250_000
 
 

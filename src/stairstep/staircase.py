@@ -6,6 +6,7 @@ are shaded, the minimal generators are the inner corners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .monomials import MonomialIdeal, Monomial
 
@@ -34,6 +35,12 @@ def staircase_outline(ideal: MonomialIdeal) -> StaircaseOutline:
     return StaircaseOutline(corners, tuple(path), xmax, ymax)
 
 
+def _row_starts(outline: StaircaseOutline) -> list[int]:
+    """Where each row b <= ymax enters M: min a_i over corners with b_i <= b, else xmax + 1."""
+    firsts = {b: a for a, b in outline.corners}
+    return list(accumulate((firsts.get(b, outline.xmax + 1) for b in range(outline.ymax + 1)), min))
+
+
 def render_ascii(ideal: MonomialIdeal) -> str:
     """Lattice picture with y up and x right.
 
@@ -41,19 +48,14 @@ def render_ascii(ideal: MonomialIdeal) -> str:
     ``.`` a standard monomial.
     """
     outline = staircase_outline(ideal)
-    gens = set(outline.corners)
+    starts = _row_starts(outline)
+    width = max(2, len(str(outline.ymax)))
     rows = []
     for b in range(outline.ymax, -1, -1):
-        cells = []
-        for a in range(outline.xmax + 1):
-            if (a, b) in gens:
-                cells.append("*")
-            elif ideal.contains(Monomial(a, b)):
-                cells.append("#")
-            else:
-                cells.append(".")
-        rows.append(f"{b:>2} " + " ".join(cells))
-    rows.append("   " + " ".join(f"{a}"[-1] for a in range(outline.xmax + 1)))
+        at = starts[b]
+        star = at < (starts[b - 1] if b else outline.xmax + 1)  # starts drops on a corner's row
+        rows.append(f"{b:>{width}} " + " ".join("." * at + "*" * star + "#" * (outline.xmax + 1 - at - star)))
+    rows.append(" " * (width + 1) + " ".join(f"{a}"[-1] for a in range(outline.xmax + 1)))
     rows.append(f"M = {ideal}")
     return "\n".join(rows)
 
@@ -103,12 +105,11 @@ def render_svg(ideal: MonomialIdeal) -> str:
         f'<text x="{px(0) - 5}" y="{py(outline.ymax) - 25}" font-size="16">y</text>'
     )
     # lattice points and generator markers with labels
-    for b in range(outline.ymax + 1):
+    for b, at in enumerate(_row_starts(outline)):
         for a in range(outline.xmax + 1):
-            inside = ideal.contains(Monomial(a, b))
             parts.append(
                 f'<circle cx="{px(a)}" cy="{py(b)}" r="3" '
-                f'fill="{"black" if inside else "white"}" stroke="black"/>'
+                f'fill="{"black" if a >= at else "white"}" stroke="black"/>'
             )
     for a, b in outline.corners:
         parts.append(

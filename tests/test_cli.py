@@ -10,12 +10,14 @@ from dataclasses import replace
 from itertools import groupby
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import stairstep.cli
 import stairstep.oracle
 import stairstep.resolution
 from stairstep import (
     ExactRationals,
+    Monomial,
     betti_table,
     check_complex,
     check_exactness,
@@ -24,14 +26,67 @@ from stairstep import (
     classify,
     default_max_degree,
     minimal_resolution_bruteforce,
+    normalize_ideal,
     parse_ideal,
     render_ascii,
     render_betti_table,
     render_svg,
     resolution_from_json,
+    staircase_outline,
 )
 from stairstep.betti import render_shape
 from stairstep.cli import main
+
+
+@st.composite
+def random_staircases(draw):
+    """r <= 6 generators x^{a_i} y^{b_i} with exponents <= 30."""
+    r = draw(st.integers(1, 6))
+    xs = draw(st.lists(st.integers(0, 30), min_size=r, max_size=r, unique=True))
+    ys = draw(st.lists(st.integers(0, 30), min_size=r, max_size=r, unique=True))
+    gens = [Monomial(a, b) for a, b in zip(sorted(xs, reverse=True), sorted(ys))]
+    assume(gens != [Monomial(0, 0)])
+    return normalize_ideal(gens)
+
+
+# random staircases (one generator whenever r = 1), plus the pure powers
+# (x^a, y^b) of types III, IV and V, which random exponents rarely draw
+pictured_ideals = st.one_of(
+    random_staircases(),
+    st.builds(lambda a, b: normalize_ideal([Monomial(a, 0), Monomial(0, b)]), st.integers(1, 30), st.integers(1, 30)),
+)
+
+
+def reference_ascii(ideal) -> str:
+    """render_ascii's picture drawn cell by cell: * at a corner, # where M
+    contains the cell, . elsewhere."""
+    outline = staircase_outline(ideal)
+    corners = set(outline.corners)
+    width = max(2, len(str(outline.ymax)))
+
+    def cell(a, b):
+        if (a, b) in corners:
+            return "*"
+        return "#" if ideal.contains(Monomial(a, b)) else "."
+
+    cols = range(outline.xmax + 1)
+    rows = [f"{b:>{width}} " + " ".join(cell(a, b) for a in cols) for b in range(outline.ymax, -1, -1)]
+    rows.append(" " * (width + 1) + " ".join(f"{a}"[-1] for a in cols))
+    rows.append(f"M = {ideal}")
+    return "\n".join(rows)
+
+
+def reference_lattice_circles(ideal) -> list[str]:
+    """render_svg's lattice circles drawn cell by cell, black where M
+    contains the cell; the picture is 40 px a cell inside a 50 px pad."""
+    outline = staircase_outline(ideal)
+    h = outline.ymax * 40 + 100
+    return [
+        f'<circle cx="{50 + 40 * a}" cy="{h - 50 - 40 * b}" r="3" '
+        f'fill="{"black" if ideal.contains(Monomial(a, b)) else "white"}" stroke="black"/>'
+        for b in range(outline.ymax + 1)
+        for a in range(outline.xmax + 1)
+    ]
 
 
 def run(capsys, *argv):
@@ -320,6 +375,26 @@ class TestStaircase:
         ideal = parse_ideal(text)
         pictures = render_ascii(ideal), render_svg(ideal)
         assert tuple(hashlib.sha256(p.encode()).hexdigest() for p in pictures) == self.PICTURE_SHA256[text]
+
+    @given(pictured_ideals)
+    @example(parse_ideal("x2y3"))  # type II, one generator
+    @example(parse_ideal("y5"))  # one generator, a pure power
+    @example(parse_ideal("x,y"))  # type III
+    @example(parse_ideal("x,y7"))  # type IV
+    @example(parse_ideal("x5,y"))  # type IV
+    @example(parse_ideal("x3,y7"))  # type V
+    @example(parse_ideal("x3,y99"))  # row labels of three digits
+    def test_pictures_match_the_per_cell_reference(self, ideal):
+        assert render_ascii(ideal) == reference_ascii(ideal)
+        circles = [line for line in render_svg(ideal).splitlines() if ' r="3" ' in line]
+        assert circles == reference_lattice_circles(ideal)
+
+    def test_rows_100_and_above_keep_their_cells_over_the_axis(self):
+        ideal = parse_ideal("x3,y99")
+        *lattice, axis, _ = render_ascii(ideal).splitlines()
+        assert {len(line) for line in lattice + [axis]} == {15}
+        stars = [(int(line.split()[0]), axis[line.index("*")]) for line in lattice if "*" in line]
+        assert stars == [(b, f"{a}"[-1]) for a, b in reversed(staircase_outline(ideal).corners)]
 
     def test_svg_unwritable_path_exit_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "stairs.svg"
