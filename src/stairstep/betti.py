@@ -1,10 +1,11 @@
 """Betti sequences, graded Betti tables and Poincare-Betti series."""
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from operator import add
-from typing import Optional
+from itertools import chain, repeat
+from operator import add, mul
+from typing import Iterator, Optional
 
 from .classify import IdealClass, classify
 from .monomials import MonomialIdeal
@@ -101,19 +102,25 @@ def poincare_series(ideal_class: IdealClass, r: int = 0) -> PoincareSeries:
     }[ideal_class]
 
 
-def series_expand(series: PoincareSeries, n: int) -> list[int]:
-    """First n+1 power-series coefficients, exact integer arithmetic."""
+def series_coefficients(series: PoincareSeries) -> Iterator[int]:
+    """The power-series coefficients c_0, c_1, ..., without end, in exact
+    integer arithmetic.  c_k = num_k - sum_j den_j c_{k-j}, so only the
+    last len(denominator) - 1 of them are held."""
     den = series.denominator
     if not den or den[0] != 1:
         raise ValueError("denominator must have constant term 1")
-    num = series.numerator
-    out: list[int] = []
-    for k in range(n + 1):
-        c = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            c -= den[j] * out[k - j]
-        out.append(c)
-    return out
+    tail = den[1:]
+    recent = deque([0] * len(tail), maxlen=len(tail))  # c_{k-1}, c_{k-2}, ...
+    for num_k in chain(series.numerator, repeat(0)):
+        c = num_k - sum(map(mul, tail, recent))
+        recent.appendleft(c)
+        yield c
+
+
+def series_expand(series: PoincareSeries, n: int) -> list[int]:
+    """First n+1 power-series coefficients, exact integer arithmetic."""
+    coeffs = series_coefficients(series)
+    return [next(coeffs) for _ in range(n + 1)]
 
 
 def graded_betti(res: Resolution) -> BettiTable:
@@ -147,16 +154,21 @@ def render_shape(table: BettiTable) -> tuple[int, int]:
 
 
 def render_betti_table(table: BettiTable) -> str:
-    """Macaulay2-style text layout: row j, column i holds beta_{i, i+j}."""
+    """Macaulay2-style text layout: row j, column i holds beta_{i, i+j}.
+
+    The entries are sorted into their rows once; each row is then a run of
+    "." with its entries written in, so no cell is looked up.  An entry
+    outside the grid (i > max_stage, or d < i) is not shown."""
     rows, n_cols = render_shape(table)
-    cols = range(n_cols)
-    lines = ["      " + " ".join(str(i) for i in cols)]
-    lines.append("total: " + " ".join(str(v) for v in table.totals()))
-    for j in range(rows):
-        cells = [
-            str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "."
-            for i in cols
-        ]
+    in_row: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for (i, d), v in table.entries.items():
+        if 0 <= i < n_cols and d >= i:
+            in_row[d - i].append((i, v))
+    lines = ["      " + " ".join(map(str, range(n_cols))), "total: " + " ".join(map(str, table.totals()))]
+    for j, entries in enumerate(in_row):
+        cells = ["."] * n_cols
+        for i, v in entries:
+            cells[i] = str(v)
         lines.append(f"{j}: " + " ".join(cells))
     return "\n".join(lines)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .monomials import parse_ideal
@@ -42,27 +43,49 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only ``command``'s, which
-    costs about a fifth as much.  The usage line lists all seven either
-    way; the full parser keeps argparse's default metavar, which reads the
-    same, because errors name the argument by an explicit metavar instead
-    of as "command"."""
+def _add_arguments(parser: argparse.ArgumentParser, flags) -> None:
+    """The ideal and ``flags``, one command's arguments."""
+    parser.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
+    for flag, kwargs in flags:
+        parser.add_argument(flag, **kwargs)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand.  :func:`_parse_args` builds it only
+    for the top-level help, a missing or unknown command, and any error,
+    whose usage line and message it prints."""
     parser = argparse.ArgumentParser(
         prog="stairstep",
         description="Minimal free resolutions of k over k[x,y]/M "
         "for monomial ideals M in two variables.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_handler, help_text, flags) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
+        _add_arguments(sub.add_parser(name, help=help_text), flags)
     return parser
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, built as the full parser builds its subparser,
+    whose errors raise ArgumentError instead of printing and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, from one parser when argv names
+    a command and parses cleanly: that parser is the command's subparser,
+    so ``-h`` prints the same help.  On an error the full parser parses
+    again, to print the message it always has and exit 2."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _CommandParser(prog=f"stairstep {argv[0]}")
+        _add_arguments(parser, _COMMANDS[argv[0]][2])
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except argparse.ArgumentError:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _print_resolution_text(res: Resolution) -> None:
@@ -106,10 +129,11 @@ def _cmd_resolve(args, ideal) -> int:
 BETTI_MAX_STAGES = 500
 
 # The largest grid of cells `betti --graded` or `oracle` prints as text, one
-# per (row, stage).  Rendering costs 190-350 ns a cell on the same VM: 3.96 M
-# cells (the 200-generator staircase at stage 200) take 0.74 s and print
-# 8.6 MB.  A degenerate ideal has one row per d - i, so (x^100000, y) at
-# stage 40 would print 82 M cells.  json and csv list only nonzero entries.
+# per (row, stage).  Rendering costs 25-80 ns a cell on the same VM, the
+# most where the table is dense: 3.96 M cells (the 200-generator staircase
+# at stage 200) take 0.1 s and print 8.6 MB.  A degenerate ideal has one row
+# per d - i, so (x^100000, y) at stage 40 would print 82 M cells.  json and
+# csv list only nonzero entries.
 BETTI_MAX_CELLS = 5_000_000
 
 # The most digits `poincare --expand` prints.  Converting an n-digit int to
@@ -197,20 +221,35 @@ def _require_expand(main: bool, r: int, n: int) -> None:
         )
 
 
+def _write_joined(values, sep: str) -> None:
+    """Write ``sep.join(map(str, values))`` to stdout a chunk of values at a
+    time, so that only one chunk is held as text."""
+    values = iter(values)
+    lead = ""
+    while chunk := list(islice(values, 1024)):
+        sys.stdout.write(lead + sep.join(map(str, chunk)))
+        lead = sep
+
+
 def _cmd_poincare(args, ideal) -> int:
-    from .betti import poincare_series, series_expand
+    from .betti import poincare_series, series_coefficients
     from .classify import classify
 
     cls = classify(ideal)
     series = poincare_series(cls, ideal.num_generators)
     if args.expand is not None:
         _require_expand(cls.is_main, ideal.num_generators, args.expand)
-        coeffs = series_expand(series, args.expand)
+        # written as they are made: json.dumps of the same object, or the
+        # coefficients joined by spaces
+        coeffs = islice(series_coefficients(series), args.expand + 1)
         if args.format == "json":
             import json
-            print(json.dumps({"series": str(series), "coefficients": coeffs}))
+            sys.stdout.write(f'{{"series": {json.dumps(str(series))}, "coefficients": [')
+            _write_joined(coeffs, ", ")
+            sys.stdout.write("]}\n")
         else:
-            print(" ".join(str(c) for c in coeffs))
+            _write_joined(coeffs, " ")
+            sys.stdout.write("\n")
     else:
         if args.format == "json":
             import json
@@ -350,11 +389,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named subcommand gets only its own parser; anything else, such as
-    # --help or an unknown command, gets all of them
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    # a named command that parses cleanly builds its own parser alone; help,
+    # an unknown command and every error build the full one
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 import stairstep.resolution
 from conftest import exhaustive_corpus, random_corpus
 from stairstep import (
+    BettiTable,
     IdealClass,
     Monomial,
     PoincareSeries,
@@ -26,6 +27,7 @@ from stairstep import (
     series_expand,
     total_betti,
 )
+from stairstep.betti import render_shape
 from stairstep.resolution import _MainTemplates
 
 
@@ -108,6 +110,23 @@ class TestPoincareSeries:
         main = PoincareSeries((1, 1), (1, -1, 1 - r))
         alternate = PoincareSeries((1, 2, 1), (1, 0, -r, 1 - r))
         assert series_expand(main, 30) == series_expand(alternate, 30)
+
+    @given(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+        st.lists(st.integers(-5, 5), max_size=3),
+        st.integers(0, 40),
+    )
+    def test_expand_matches_the_whole_list_recurrence(self, num, den_tail, n):
+        # series_expand reads series_coefficients, which holds only the last
+        # len(den) - 1 coefficients; the recurrence it replaced held them all
+        den = (1, *den_tail)
+        out: list[int] = []
+        for k in range(n + 1):
+            c = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                c -= den[j] * out[k - j]
+            out.append(c)
+        assert series_expand(PoincareSeries(tuple(num), den), n) == out
 
     def test_expand_matches_total_betti_all_classes(self):
         for cls in IdealClass:
@@ -276,6 +295,40 @@ class TestBettiTable:
             betti_table(parse_ideal(text), -1)
         with pytest.raises(StageTooSmall):
             build_resolution(parse_ideal(text), -1)
+
+
+def render_per_cell(table: BettiTable) -> str:
+    """render_betti_table as it was: each cell of the grid looked up in the
+    entries."""
+    rows, n_cols = render_shape(table)
+    cols = range(n_cols)
+    lines = ["      " + " ".join(str(i) for i in cols)]
+    lines.append("total: " + " ".join(str(v) for v in table.totals()))
+    for j in range(rows):
+        cells = [str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "." for i in cols]
+        lines.append(f"{j}: " + " ".join(cells))
+    return "\n".join(lines)
+
+
+class TestRender:
+    # entries past the last stage, below the grid (d < i) or at stage -1
+    # are not shown, by either renderer
+    @given(
+        st.dictionaries(st.tuples(st.integers(-1, 12), st.integers(-3, 30)), st.integers(0, 10**12), max_size=40),
+        st.integers(0, 10),
+    )
+    def test_matches_the_per_cell_renderer(self, entries, max_stage):
+        table = BettiTable(entries, max_stage)
+        assert render_betti_table(table) == render_per_cell(table)
+
+    @pytest.mark.parametrize(
+        "text, stages",
+        [("x6,x5y,x4y2,x3y3,x2y4,xy5", 11), ("x8y,x7y3,x6y5,x5y6,xy8,y9", 11), ("x2y,xy2", 6), ("x^200,y", 40),
+         ("x^12,y", 3), ("x2y3", 5), ("x,y", 4)],
+    )
+    def test_counted_tables_match_the_per_cell_renderer(self, text, stages):
+        table = betti_table(parse_ideal(text), stages)
+        assert render_betti_table(table) == render_per_cell(table)
 
 
 class TestSerialization:

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
 from itertools import groupby
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import stairstep.cli
 import stairstep.oracle
@@ -28,10 +33,12 @@ from stairstep import (
     minimal_resolution_bruteforce,
     normalize_ideal,
     parse_ideal,
+    poincare_series,
     render_ascii,
     render_betti_table,
     render_svg,
     resolution_from_json,
+    series_expand,
     staircase_outline,
 )
 from stairstep.betti import render_shape
@@ -187,6 +194,18 @@ class TestPoincare:
         code, out, _ = run(capsys, "poincare", "x,y", "--format", "json", "--expand", "4")
         assert code == 0
         assert json.loads(out) == {"series": "1", "coefficients": [1, 0, 0, 0, 0]}
+
+    # every regime, and 1, 1024 (one chunk), 1025 and 2501 coefficients
+    @pytest.mark.parametrize("text", ["x", "x2y3", "x2y,xy2", "x6,x5y,x4y2,x3y3,x2y4,xy5", "x,y", "x5,y", "x3,y7"])
+    @pytest.mark.parametrize("n", [0, 1023, 1024, 2500])
+    def test_written_as_made_it_prints_the_whole_lists_text(self, capsys, text, n):
+        ideal = parse_ideal(text)
+        series = poincare_series(classify(ideal), ideal.num_generators)
+        coeffs = series_expand(series, n)
+        code, out, err = run(capsys, "poincare", text, "--expand", str(n))
+        assert (code, out, err) == (0, " ".join(map(str, coeffs)) + "\n", "")
+        code, out, err = run(capsys, "poincare", text, "--expand", str(n), "--format", "json")
+        assert (code, out, err) == (0, json.dumps({"series": str(series), "coefficients": coeffs}) + "\n", "")
 
 
 class TestVerify:
@@ -428,7 +447,8 @@ class TestErrors:
             assert f"\n    {name} " in out
 
     def test_usage_line_lists_every_subcommand(self, capsys):
-        # only betti's parser is built, yet the usage line is the full one
+        # betti's own parser fails on --svg, and the full parser, parsing
+        # again, prints the top-level usage line and error
         code, _, err = run(capsys, "betti", "x2y,xy2", "--svg", "a")
         assert code == 2
         usage = stairstep.cli._build_parser().format_usage()
@@ -503,6 +523,115 @@ class TestErrors:
     )
     def test_flag_on_other_subcommand_exit_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
+
+
+# every flag a command may take: values that parse, then values that do
+# not; None gives the flag alone, and --svg writes to the null device
+FLAG_VALUES = {
+    "--stages": (("0", "2"), ("-1", "two", None)),
+    "--max-degree": (("9", "0"), ("nine", None)),
+    "--field": (("q", "p:7"), ("p:6", "r", None)),
+    "--format": (("text", "json", "csv"), ("xml", None)),
+    "--expand": (("4",), ("-3", "four", None)),
+    "--graded": ((None,), ()),
+    "--svg": ((os.devnull, ""), (None,)),
+}
+
+
+def flag_tokens(flag):
+    """The flag with a value, mostly one that parses."""
+    valid, invalid = FLAG_VALUES[flag]
+    return st.sampled_from(valid * 4 + invalid).map(lambda value: [flag] if value is None else [flag, value])
+
+
+@st.composite
+def command_lines(draw):
+    """A command, or an unknown one, then its ideal 0-2 times and some of
+    its flags, and at times a flag of another command, a flag no command
+    has, an abbreviation, -h or --, in any order."""
+    name = draw(st.sampled_from([*stairstep.cli._COMMANDS, "frobnicate"]))
+    own = [flag for flag, _kwargs in stairstep.cli._COMMANDS[name][2]] if name in stairstep.cli._COMMANDS else []
+    parts = [["x2y,xy2"], ["x3,y7"]][: draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))]
+    if own:
+        parts += draw(st.lists(st.sampled_from(own).flatmap(flag_tokens), max_size=3))
+    odd = st.sampled_from([["--seed", "3"], ["--stag", "3"], ["--f", "q"], ["--form", "json"], ["--g"], ["-h"], ["--"]])
+    parts += [draw(st.one_of(odd, *map(flag_tokens, FLAG_VALUES))) for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])))]
+    return [name] + [token for part in draw(st.permutations(parts)) for token in part]
+
+
+def outcome(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, with each handler printing
+    the namespace it was given before it runs."""
+
+    def echo(handler):
+        def run_handler(args, ideal):
+            print(sorted(vars(args).items()))
+            return handler(args, ideal)
+
+        return run_handler
+
+    handlers = {name: (echo(h), help_text, flags) for name, (h, help_text, flags) in stairstep.cli._COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(stairstep.cli._COMMANDS, handlers), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    """The reference: every argv parsed by the full parser, as main did
+    before a named command was parsed by its own parser alone."""
+    return stairstep.cli._build_parser().parse_args(argv)
+
+
+class TestParsing:
+    @settings(max_examples=300)
+    @given(command_lines())
+    @example(["betti", "x2y,xy2", "--svg", "a"])
+    @example(["verify", "x2y,xy2", "--stag", "1", "--f", "p:7"])
+    @example(["betti", "--stages", "2", "--", "x2y,xy2"])
+    @example(["oracle", "x2y,xy2", "--field", "p:6", "-h"])
+    @example(["poincare", "-h", "--expand", "four"])
+    @example(["staircase", "x2y,xy2", "--svg", os.devnull, "--svg", ""])
+    @example([])
+    def test_a_command_parsed_alone_prints_what_the_full_parser_does(self, argv):
+        with mock.patch.object(stairstep.cli, "_parse_args", full_parse):
+            expected = outcome(argv)
+        assert outcome(argv) == expected
+
+    @pytest.mark.parametrize("command", list(stairstep.cli._COMMANDS))
+    @pytest.mark.parametrize("help_args", [("-h",), ("x2y,xy2", "--help")])
+    def test_help_is_the_subparsers(self, command, help_args):
+        with mock.patch.object(stairstep.cli, "_parse_args", full_parse):
+            expected = outcome([command, *help_args])
+        assert outcome([command, *help_args]) == expected
+        assert expected[0] == 0 and expected[1].startswith(f"usage: stairstep {command} [-h]")
+
+    def test_a_named_command_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (
+            ("classify", "x2y,xy2"),
+            ("resolve", "x2y,xy2", "--stages", "2"),
+            ("betti", "x2y,xy2", "--graded"),
+            ("poincare", "x2y,xy2", "--expand", "3"),
+            ("verify", "x2y,xy2", "--stages", "2", "--field", "p:7"),
+            ("oracle", "x2y,xy2", "--stages", "2"),
+            ("staircase", "x2y,xy2"),
+        ):
+            built.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert built == [f"stairstep {argv[0]}"]
+        # an error builds the full parser, with all seven subparsers, after it
+        built.clear()
+        assert run(capsys, "betti", "x2y,xy2", "--svg", "a")[0] == 2
+        assert built[:2] == ["stairstep betti", "stairstep"] and len(built) == 2 + len(stairstep.cli._COMMANDS)
 
 
 def oracle_fields(capsys, monkeypatch):
