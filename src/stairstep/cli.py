@@ -1,23 +1,35 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
-a size too large to index, or out of memory.
+a size too large to index, or out of memory, 141 a closed stdout.
 """
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .monomials import parse_ideal
 
 if TYPE_CHECKING:
+    import argparse
+
     from .oracle import FieldConfig
     from .resolution import Resolution
 
 # Each handler imports what it reads when it runs, so that a command loads
 # only the modules it needs: classify and staircase never load the builder.
+# argparse is imported only to print help, usage and errors.
+
+
+def _type_error(message: str) -> Exception:
+    """argparse's ArgumentTypeError, which a flag's type raises on a bad
+    value; imported only then."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _parse_field(text: str) -> FieldConfig:
@@ -29,31 +41,25 @@ def _parse_field(text: str) -> FieldConfig:
         try:
             return PrimeField(int(text[2:]))
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    raise argparse.ArgumentTypeError(f"field must be 'q' or 'p:PRIME', got {text!r}")
+            raise _type_error(str(exc))
+    raise _type_error(f"field must be 'q' or 'p:PRIME', got {text!r}")
 
 
 def _nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise _type_error(f"invalid int value: {text!r}")
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise _type_error(f"must be >= 0, got {value}")
     return value
 
 
-def _add_arguments(parser: argparse.ArgumentParser, flags) -> None:
-    """The ideal and ``flags``, one command's arguments."""
-    parser.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
-    for flag, kwargs in flags:
-        parser.add_argument(flag, **kwargs)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser with every subcommand.  :func:`_parse_args` builds it only
-    for the top-level help, a missing or unknown command, and any error,
-    whose usage line and message it prints."""
+    """The parser with every subcommand, built only when _read_args hands
+    argv over: for help, a missing or unknown command and any error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stairstep",
         description="Minimal free resolutions of k over k[x,y]/M "
@@ -61,31 +67,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_handler, help_text, flags) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), flags)
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("ideal", help='generators, e.g. "x^2*y, x*y^2" or "xy2,y4"')
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
     return parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser, built as the full parser builds its subparser,
-    whose errors raise ArgumentError instead of printing and exiting."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, from one parser when argv names
-    a command and parses cleanly: that parser is the command's subparser,
-    so ``-h`` prints the same help.  On an error the full parser parses
-    again, to print the message it always has and exit 2."""
-    if argv and argv[0] in _COMMANDS:
-        parser = _CommandParser(prog=f"stairstep {argv[0]}")
-        _add_arguments(parser, _COMMANDS[argv[0]][2])
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """``_build_parser().parse_args(argv)`` when argv names a command, then
+    gives its ideal once and each of the command's flags at most once, by
+    its exact name, as ``--flag value`` or ``--flag=value`` with a value
+    that does not start with "-" and that the flag's type and choices
+    accept, or bare if it stores true.  None for any other argv: argparse
+    reads it instead.  A string default goes through the flag's type, as
+    argparse converts it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = {"ideal": {}, **dict(_COMMANDS[argv[0]][2])}
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        # a token not starting with "-" is the ideal, which carries its value
+        flag, eq, value = token.partition("=") if token.startswith("-") else ("ideal", "=", token)
+        kwargs = flags.get(flag)
+        if kwargs is None or flag in given or ("action" in kwargs and eq):
+            return None
+        if "action" in kwargs:  # store_true, given bare
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused as "-" is
+        if value.startswith("-"):
+            return None
         try:
-            return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-        except argparse.ArgumentError:
-            pass
-    return _build_parser().parse_args(argv)
+            given[flag] = kwargs.get("type", str)(value)
+        except Exception:  # argparse prints its message, or raises it again
+            return None
+        if "choices" in kwargs and given[flag] not in kwargs["choices"]:
+            return None
+    if "ideal" not in given:
+        return None
+    for flag, kwargs in flags.items():
+        if flag not in given:
+            default = kwargs.get("default", False)  # False: a store_true flag's
+            given[flag] = kwargs.get("type", str)(default) if isinstance(default, str) else default
+    return SimpleNamespace(command=argv[0], **{flag.lstrip("-").replace("-", "_"): v for flag, v in given.items()})
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """``_build_parser().parse_args(argv)``: _read_args's namespace for a
+    valid command line, or else the full parser's, which prints help, usage
+    and errors and exits."""
+    args = _read_args(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _print_resolution_text(res: Resolution) -> None:
@@ -389,15 +424,20 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named command that parses cleanly builds its own parser alone; help,
-    # an unknown command and every error build the full one
     try:
         args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         # ParseError, EmptyIdeal and UnitIdeal are ValueErrors too
-        return _COMMANDS[args.command][0](args, parse_ideal(args.ideal))
+        code = _COMMANDS[args.command][0](args, parse_ideal(args.ideal))
+        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a writer killed by SIGPIPE, with
+        # stdout on the null device so that the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

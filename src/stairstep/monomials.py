@@ -131,8 +131,8 @@ class MonomialIdeal:
 
     @property
     def flat(self) -> int:
-        """a_1 + b_r - 1: from this degree on, S_d is the two arms of
-        _standard_x, as each x^s y^t there has s >= a_1 or t >= b_r."""
+        """a_1 + b_r - 1: from this degree on, each x^s y^t has s >= a_1 or
+        t >= b_r, so S_d is two arms, one along each axis."""
         return self.generators[0].xdeg + self.generators[-1].ydeg - 1
 
     @property
@@ -178,23 +178,20 @@ def _standard_x(ideal: MonomialIdeal, d: int) -> tuple[int, ...]:
     """x-exponents s of the standard monomials x^s y^(d-s) of degree d,
     highest first.
 
-    By the staircase lemma (MonomialIdeal), x^s y^t with s >= a_1 is
-    standard exactly when t < b_1, and with t >= b_r exactly when s < a_r.
-    So the piece is an arm along the x-axis, s >= a_1 and t < b_1, the
-    part below the staircase, s < a_1 and t < b_r, whose at most
-    min(a_1, b_r) exponents are each tested, and an arm along the y-axis,
-    t >= b_r and s < a_r.  A degree costs O(min(a_1, b_r)) plus its
-    standard monomials, however large d is; a pure power in M leaves its
-    arm empty."""
-    if d < 0:
-        return ()
-    gens = ideal.generators
-    a1, b1, ar, br = gens[0].xdeg, gens[0].ydeg, gens[-1].xdeg, gens[-1].ydeg
-    contains_xy = ideal.contains_xy
-    arm_x = range(d, max(a1, d - b1 + 1) - 1, -1)
-    below = [s for s in range(min(a1 - 1, d), max(0, d - br + 1) - 1, -1) if not contains_xy(s, d - s)]
-    arm_y = range(min(ar - 1, d - br), -1, -1)
-    return (*arm_x, *below, *arm_y)
+    By the staircase lemma (MonomialIdeal), for a_j <= s < a_{j-1} (a_0 =
+    inf) the first generator dividing x^s y^t is g_j, so x^s y^t is
+    standard exactly when t < b_j; every x^s y^t with s < a_r is standard.
+    So the piece is one range of s per corner, from the top of its strip
+    down to max(a_j, d - b_j + 1), and one below a_r: at most r + 1
+    ranges, at O(r) cost plus its standard monomials, however large d and
+    the exponents are.  No cell is tested."""
+    hi = d  # the highest s not yet walked
+    xs: list[int] = []
+    for g in ideal.generators:
+        xs += range(hi, max(g.xdeg, d - g.ydeg + 1) - 1, -1)
+        hi = min(hi, g.xdeg - 1)
+    xs += range(hi, -1, -1)
+    return tuple(xs)
 
 
 # Bounded.  No check calls it: they read _standard_x's ints, uncached.

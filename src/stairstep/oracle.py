@@ -558,6 +558,21 @@ def _spread(diff: list[int], lo: int, head, count: int) -> None:
         prev = h
 
 
+def _hilbert(ring: MonomialIdeal) -> list[int]:
+    """dim S_d for 0 <= d < flat, then tail.  By Hilbert-Burch, S has the
+    Hilbert series (1 - sum_i t^{a_i+b_i} + sum_{i<r} t^{a_i+b_{i+1}}) / (1 - t)^2,
+    the numerator's terms at the generators' degrees and at the lcms of
+    neighbours, so the function is those terms summed twice."""
+    gens, flat = ring.generators, ring.flat
+    second = [0] * flat
+    degrees = [(g.xdeg + g.ydeg, -1) for g in gens]
+    lcms = [(g.xdeg + h.ydeg, 1) for g, h in zip(gens, gens[1:])]
+    for d, sign in [(0, 1), *degrees, *lcms]:
+        if d < flat:
+            second[d] += sign
+    return [*accumulate(accumulate(second)), ring.tail]
+
+
 def _dims(res: Resolution, i: int, diff: list[int], hilbert: list[int]) -> None:
     """Spread dim (F_i)_d into diff: a generator of twist t adds S's
     Hilbert function, hilbert, from degree t on."""
@@ -592,7 +607,7 @@ def _exactness_records(res: Resolution, max_stage: int, max_degree: int, fld: Fi
     tables: dict = {}  # block key -> its folded cells and ranks, shared by all stages
     std: list = []
     ker = [0] * (max_degree + 1)  # first: a window no list can hold raises here, at once
-    hilbert = [len(_std_x(res.ring, std, d)) for d in range(res.ring.flat)] + [res.ring.tail]
+    hilbert = _hilbert(res.ring)
     _dims(res, 0, ker, hilbert)
     _spread(ker, 0, (1, 0), -1)  # the augmentation F_0 -> k
     for i in range(1, max_stage + 2):
@@ -628,9 +643,10 @@ def check_exactness(
     (_dims), so an F_0 that is not S fails; stage 0's kernel is that of
     the augmentation F_0 -> k, one less in degree 0.  Each count is a
     difference list that _spread adds to, summed only in the record loop.
-    S's Hilbert function is enumerated through flat, from which it is tail
-    (see MonomialIdeal), as a twist below 0 reads past the window's end;
-    flat < 2 * max_degree by _require_window.  An entry of d_i that breaks
+    S's Hilbert function is summed from its Hilbert-Burch numerator through
+    flat (_hilbert), from which it is tail (see MonomialIdeal), as a twist
+    below 0 reads past the window's end; flat < 2 * max_degree by
+    _require_window.  An entry of d_i that breaks
     the loader's rule or the bigrading (_shape_fault, then _split_blocks),
     wherever its column lies, ends the report with a failed record at
     stage i and no degree; no map above d_{max_stage + 1} is read."""

@@ -1,8 +1,10 @@
 """Shared corpus helpers for the test suite."""
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 
 from hypothesis import settings
 
@@ -51,3 +53,28 @@ def random_corpus(count: int, seed: int, max_r: int = 6, max_exp: int = 10) -> l
 # a larger budget for the elimination kernel's property tests, loaded only
 # by --hypothesis-profile=elimination
 settings.register_profile("elimination", max_examples=2000)
+
+
+def python_steps(fn, *args):
+    """(fn's result, the Python steps it took): every call, line and return
+    its frames report to a trace function.  The garbage collector is off
+    during the call, so no collection callback runs under the trace, and
+    the count repeats exactly where a timing does not; unlike a count of
+    calls alone it sees a loop that calls nothing."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += 1
+        return trace
+
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+        if collecting:
+            gc.enable()
+    return result, count

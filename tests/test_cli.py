@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -448,8 +449,8 @@ class TestErrors:
             assert f"\n    {name} " in out
 
     def test_usage_line_lists_every_subcommand(self, capsys):
-        # betti's own parser fails on --svg, and the full parser, parsing
-        # again, prints the top-level usage line and error
+        # betti takes no --svg, so the full parser reads the line and prints
+        # the top-level usage line and error
         code, _, err = run(capsys, "betti", "x2y,xy2", "--svg", "a")
         assert code == 2
         usage = stairstep.cli._build_parser().format_usage()
@@ -481,6 +482,20 @@ class TestErrors:
         _handler, help_text, flags = stairstep.cli._COMMANDS["betti"]
         monkeypatch.setitem(stairstep.cli._COMMANDS, "betti", (exhaust, help_text, flags))
         assert run(capsys, "betti", "x2y,xy2") == (2, "", "error: out of memory\n")
+
+    def test_a_closed_stdout_exits_141(self):
+        # the reader takes 100 bytes of a 2.9 MB resolution and closes the
+        # pipe: exit 128 + SIGPIPE, as a shell reports for a killed writer,
+        # with no traceback
+        src = os.path.dirname(os.path.dirname(stairstep.cli.__file__))
+        argv = ["resolve", "x6,x5y,x4y2,x3y3,x2y4,xy5", "--stages", "7"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "stairstep.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
 
     @pytest.mark.parametrize("window", [str(2**63 - 1), str(10**20)])
     def test_verify_window_past_64_bits_exit_2(self, capsys, window):
@@ -581,7 +596,7 @@ def outcome(argv) -> tuple[int, str, str]:
 
 def full_parse(argv):
     """The reference: every argv parsed by the full parser, as main did
-    before a named command was parsed by its own parser alone."""
+    before it read a valid command line without argparse."""
     return stairstep.cli._build_parser().parse_args(argv)
 
 
@@ -595,6 +610,17 @@ class TestParsing:
     @example(["poincare", "-h", "--expand", "four"])
     @example(["staircase", "x2y,xy2", "--svg", os.devnull, "--svg", ""])
     @example([])
+    # each line the reader hands over to the full parser, or reads as it does
+    @example(["betti", "x2y,xy2", "--stages=3"])
+    @example(["betti", "x2y,xy2", "--graded=1"])
+    @example(["resolve", "x2y,xy2", "--stages", "2", "--stages", "3"])
+    @example(["verify", "x2y,xy2", "--stages", "2", "--max-degree", "-1"])
+    @example(["classify", "-"])
+    @example(["classify", "--", "x2y,xy2"])
+    @example(["betti", "x2y,xy2", "--stag", "2"])
+    @example(["classify", ""])
+    @example(["betti", "--graded", "--format=csv", "x2y,xy2"])
+    @example(["staircase", "x2y,xy2", "--svg="])
     def test_a_command_parsed_alone_prints_what_the_full_parser_does(self, argv):
         # in a directory of its own: an ideal drawn after a bare --svg is a
         # file name, and staircase writes its picture there
@@ -616,7 +642,7 @@ class TestParsing:
         assert outcome([command, *help_args]) == expected
         assert expected[0] == 0 and expected[1].startswith(f"usage: stairstep {command} [-h]")
 
-    def test_a_named_command_builds_one_parser(self, capsys, monkeypatch):
+    def test_a_valid_command_builds_no_parser(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -636,11 +662,11 @@ class TestParsing:
         ):
             built.clear()
             assert run(capsys, *argv)[0] == 0
-            assert built == [f"stairstep {argv[0]}"]
-        # an error builds the full parser, with all seven subparsers, after it
+            assert built == []
+        # an error builds the full parser alone, with its seven subparsers
         built.clear()
         assert run(capsys, "betti", "x2y,xy2", "--svg", "a")[0] == 2
-        assert built[:2] == ["stairstep betti", "stairstep"] and len(built) == 2 + len(stairstep.cli._COMMANDS)
+        assert built[0] == "stairstep" and len(built) == 1 + len(stairstep.cli._COMMANDS)
 
 
 def oracle_fields(capsys, monkeypatch):

@@ -5,18 +5,17 @@ import hashlib
 import json
 import random
 import re
-import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import exhaustive_corpus, random_corpus
+from conftest import exhaustive_corpus, python_steps, random_corpus
 from stairstep import (
     BettiTable,
     Differential,
@@ -56,6 +55,7 @@ from stairstep.oracle import (
     _composite,
     _eliminate,
     _entry_fault,
+    _hilbert,
     _is_prime,
     _modulus,
     _split_blocks,
@@ -73,27 +73,6 @@ def M(*pairs):
 
 M_LEFT = M((1, 2), (0, 4))
 M_RIGHT = M((2, 1), (1, 2))
-
-
-def python_steps(fn, *args):
-    """(fn's result, the Python steps it took): every call, line and return
-    its frames report to a trace function.  The count repeats exactly,
-    where a timing does not, and unlike a count of calls alone it sees a
-    loop that calls nothing."""
-    count = 0
-
-    def trace(frame, event, arg):
-        nonlocal count
-        count += 1
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(previous)
-    return result, count
 
 
 def mutate(res, stage_index, which):
@@ -1044,6 +1023,60 @@ def with_unit_summand(res, k, bidegree):
     return replace(res, modules=modules, differentials=diffs)
 
 
+def standard_by_cells(ideal: MonomialIdeal, d: int) -> tuple[int, ...]:
+    """The reference for _standard_x: each generator x^a y^b marks the cells
+    x^s y^(d-s) of degree d it divides, a <= s <= d - b, and the x-exponents
+    of the cells left unmarked are listed highest first."""
+    divided = bytearray(d + 1)
+    for g in ideal.generators:
+        if g.xdeg + g.ydeg <= d:
+            divided[g.xdeg : d - g.ydeg + 1] = b"\1" * (d - g.ydeg + 1 - g.xdeg)
+    return tuple(compress(range(d, -1, -1), divided[::-1].translate(UNMARKED)))
+
+
+UNMARKED = bytes([1, 0]) + bytes(254)  # 1 for an unmarked cell, 0 for a marked one
+
+# r <= 6 generators with exponents up to 10^6: the staircase's strips, and
+# the Hilbert list through flat, are up to 2 million long
+wide_ideals = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any), min_size=1, max_size=6
+).map(lambda pairs: normalize_ideal([Monomial(a, b) for a, b in pairs]))
+
+
+def breakpoints(ideal: MonomialIdeal) -> list[int]:
+    """The degrees where S's Hilbert function changes slope, and their
+    neighbours: the generators', their neighbours' lcms' and flat."""
+    gens = ideal.generators
+    corners = [g.xdeg + g.ydeg for g in gens] + [g.xdeg + h.ydeg for g, h in zip(gens, gens[1:])] + [ideal.flat]
+    return [d + e for d in corners for e in (-1, 0, 1) if d + e >= 0]
+
+
+@st.composite
+def wide_pieces(draw):
+    """A wide ideal and up to four degrees, across its breakpoints or
+    anywhere through flat + 7."""
+    ideal = draw(wide_ideals)
+    anywhere = st.integers(0, ideal.flat + 7)
+    return ideal, draw(st.lists(st.one_of(st.sampled_from(breakpoints(ideal)), anywhere), min_size=1, max_size=4))
+
+
+class TestHilbertAtLargeExponents:
+    """_standard_x's walk over the corners and _hilbert's numerator against
+    cells marked one generator at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_pieces())
+    @example((M((10**6, 0), (3, 3), (0, 10**6)), breakpoints(M((10**6, 0), (3, 3), (0, 10**6)))))
+    @example((M((5, 2), (1, 9)), list(range(20))))
+    def test_match_the_cells(self, piece):
+        ideal, degrees = piece
+        hilbert = _hilbert(ideal)
+        for d in degrees:
+            cells = standard_by_cells(ideal, d)
+            assert _standard_x(ideal, d) == cells, (ideal, d)
+            assert hilbert[min(d, ideal.flat)] == len(cells), (ideal, d)
+
+
 class TestSpread:
     """_spread against the per-degree sum it stands for: count times head
     from degree lo on, head's last value held past its end, added in the
@@ -1522,12 +1555,12 @@ class TestExactnessReadsEntries:
 
     def test_a_ten_times_wider_window_enumerates_no_more_degrees(self, monkeypatch):
         # S's Hilbert function is b_1 + a_r = 2 from degree a_1 + b_r - 1 = 3
-        # on, so it is enumerated only that far, and block ranks stop where
-        # they settle: _standard_x, the membership tests it makes and the
-        # head values _spread reads count the same at both windows, and
+        # on, so _hilbert sums the numerator only that far, and block ranks
+        # stop where they settle: _standard_x is called as often, and the
+        # head values _spread reads count the same, at both windows, and
         # each report is the one pinned
         counts = Counter()
-        standard_x, contains_xy = stairstep.oracle._standard_x, MonomialIdeal.contains_xy
+        standard_x = stairstep.oracle._standard_x
         spread = stairstep.oracle._spread
 
         def spy_spread(diff, lo, head, count):
@@ -1540,13 +1573,8 @@ class TestExactnessReadsEntries:
             counts["exponents"] += len(found)
             return found
 
-        def spy_contains_xy(ideal, x, y):
-            counts["contains_xy"] += 1
-            return contains_xy(ideal, x, y)
-
         res = build_resolution(M_RIGHT, 7)
         monkeypatch.setattr(stairstep.oracle, "_standard_x", spy_standard_x)
-        monkeypatch.setattr(MonomialIdeal, "contains_xy", spy_contains_xy)
         monkeypatch.setattr(stairstep.oracle, "_spread", spy_spread)
         seen = []
         for window, digest in WIDE_REPORT_SHA256.items():
