@@ -15,10 +15,10 @@ The brute-force resolution here never looks at the engine's matrices:
 it finds syzygies degree by degree from graded slices, so it can
 adjudicate every engine construction.  In each degree it eliminates the
 shifts of the previous degree's syzygies, then takes the nullspace of
-only the slice columns outside their pivots, and four rules spare the
+only the slice columns outside their pivots, and three rules spare the
 work that finds no new syzygy: rank-nullity counts the new generators,
-the nullspace stops at that count, stage 1 ends at degree 1, and stage
-i >= 2 ends at a bound the staircase lemma (see MonomialIdeal) gives.
+the nullspace stops at that count, and stage i >= 2 ends at a bound the
+staircase lemma (see MonomialIdeal) gives.  Stage 1 is read off S.
 minimal_resolution_bruteforce proves each step.
 """
 from __future__ import annotations
@@ -698,7 +698,9 @@ def minimal_resolution_bruteforce(
     fld: FieldConfig = ExactRationals(),
 ) -> BettiTable:
     """Graded Betti numbers computed from scratch, one syzygy stage at a
-    time, without consulting the engine's matrices.
+    time, without consulting the engine's matrices.  F_1 is read off S:
+    the kernel of S -> k is (x, y)S, minimally generated by the standard
+    monomials of degree 1.  Each stage i >= 2 is found as follows.
 
     In each degree d the kernel K_d of the slice map contains the shifted
     syzygies V_d = x*K_{d-1} + y*K_{d-1}, which are eliminated first.  The
@@ -714,7 +716,7 @@ def minimal_resolution_bruteforce(
     generators.  Then V_{d+1} = x*K_d + y*R, because
     y*X = y*x*K_{d-1} = x*(y*K_{d-1}) lies in x*K_d.
 
-    Four rules, read off M and the oracle's own earlier stages, never the
+    Three rules, read off M and the oracle's own earlier stages, never the
     engine, spare the work that finds no new generator:
 
     - Rank-nullity.  F_{i-1}'s generators span the previous stage's kernel
@@ -724,16 +726,14 @@ def minimal_resolution_bruteforce(
       dim S_{d-t} over a module's twists t; euler holds those twists with
       their signed counts.  K_d holds need = dim K_d - |P| new generators,
       and when that is 0 no column is built and no nullspace taken.  The
-      augmentation's 1 in degree 0 is left out of the sum: stage 1 needs
-      no count, and no later stage visits degree 0.
+      augmentation's 1 in degree 0 is left out of the sum: no stage
+      i >= 2 visits degree 0.
     - The nullspace stops at its count.  When need > 0 the free columns,
       those outside P, are built one at a time as sparse_nullspace reads
       them, and it reads none after the need-th vector.  The nullspace of
       the free columns has exactly need vectors, by rank-nullity as above,
       and each vector found combines its own column with earlier columns
       only, so the first need found are the whole basis.
-    - Stage 1 ends at degree 1.  Its kernel is (x, y)S, and for d >= 2,
-      S_d = x*S_{d-1} + y*S_{d-1} = V_d holds no new generator.
     - Stage i >= 2 ends at degree m_x + m_y + c, with c = flat - [r >= 2].
       Each generator found is bihomogeneous, since elimination combines
       only columns that share a row, and a bigraded piece of the slice map
@@ -774,16 +774,21 @@ def minimal_resolution_bruteforce(
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     # F_{i-1} data: generator twists, nondecreasing, x-degrees and images,
     # each a list of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the
-    # generator's twist; stage 0 is S itself with the augmentation to k.
-    twists, xdegs = [0], [0]
-    images: Optional[list[list[tuple[int, int, int, int]]]] = None  # None marks the augmentation
+    # generator's twist; F_1 is read off S: x^a y^(1-a) maps to itself.
+    ones = _std_x(ideal, std, 1) if max_stage else ()
+    twists, xdegs = [1] * len(ones), list(ones)
+    images = [[(width - 1 - a, a, 1 - a, 1)] for a in ones]
+    if ones:
+        entries[(1, 1)] = len(ones)
     # (twist, count) pairs: dim K_d is the sum of count * dim S_{d - twist}
-    euler: list[tuple[int, int]] = []
-    for stage in range(1, max_stage + 1):
+    euler = [(0, 1)]  # stage 1's: dim (x, y)S_d, the augmentation's 1 left out
+    for stage in range(2, max_stage + 1):
+        if not twists:
+            break
         signed = Counter(twists)  # dim K_d = dim (F_{i-1})_d - dim K'_d
         signed.subtract(dict(euler))
         euler = [(t, c) for t, c in signed.items() if c]
-        last = min(max_degree, 1 if images is None else max(xdegs) + max(map(sub, twists, xdegs)) + corner)
+        last = min(max_degree, max(xdegs) + max(map(sub, twists, xdegs)) + corner)
         _std_x(ideal, std, min(top, last))
         new_twists: list[int] = []
         new_xdegs: list[int] = []
@@ -826,12 +831,7 @@ def minimal_resolution_bruteforce(
                         shifted[k] = c
                 _eliminate(shifted, pivots, p)
             found: list[dict] = []
-            if images is None:
-                # augmentation: everything of positive degree is a syzygy
-                if d:
-                    base = width - 1
-                    found = [{base - a: 1} for a in std[d] if base - a not in pivots]
-            elif (need := sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) - len(pivots)) > 0:
+            if (need := sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) - len(pivots)) > 0:
                 free: list[int] = []  # the keys of the columns read, in order
                 columns = _free_columns(free, pivots, images, twists, range(first, alive), d, width, std, stair)
                 # over F_p the coefficients are balanced: a -1 stays -1, a
@@ -852,8 +852,6 @@ def minimal_resolution_bruteforce(
             x_part, r_part = basis[:from_x], basis[from_x:] + found
             d += 1
         twists, xdegs, images = new_twists, new_xdegs, new_gens
-        if not twists:
-            break
     return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)
 
 

@@ -6,7 +6,7 @@ import itertools
 import random
 import sys
 
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
 from stairstep import Monomial, MonomialIdeal, normalize_ideal
 
@@ -48,6 +48,18 @@ def random_corpus(count: int, seed: int, max_r: int = 6, max_exp: int = 10) -> l
             continue
         out.append(normalize_ideal(gens))
     return out
+
+
+@st.composite
+def staircases(draw, max_r: int, max_exp: int) -> MonomialIdeal:
+    """r <= max_r generators x^{a_i} y^{b_i} with exponents <= max_exp,
+    drawn as a staircase pairing and normalized."""
+    r = draw(st.integers(1, max_r))
+    xs = draw(st.lists(st.integers(0, max_exp), min_size=r, max_size=r, unique=True))
+    ys = draw(st.lists(st.integers(0, max_exp), min_size=r, max_size=r, unique=True))
+    gens = [Monomial(a, b) for a, b in zip(sorted(xs, reverse=True), sorted(ys))]
+    assume(gens != [Monomial(0, 0)])
+    return normalize_ideal(gens)
 
 
 # a larger budget for the elimination kernel's property tests, loaded only

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 import stairstep.resolution
-from conftest import exhaustive_corpus, random_corpus
+from conftest import exhaustive_corpus, random_corpus, staircases
 from stairstep import (
     BettiTable,
     IdealClass,
@@ -205,15 +205,7 @@ def bend_rule(monkeypatch, bend) -> None:
     monkeypatch.setattr(stairstep.resolution, "_main_rule", lambda gens: bend(*real(gens)))
 
 
-@st.composite
-def staircase_ideals(draw):
-    """r <= 5 generators x^{a_i} y^{b_i} with exponents <= 8."""
-    r = draw(st.integers(1, 5))
-    xs = draw(st.lists(st.integers(0, 8), min_size=r, max_size=r, unique=True))
-    ys = draw(st.lists(st.integers(0, 8), min_size=r, max_size=r, unique=True))
-    gens = [Monomial(a, b) for a, b in zip(sorted(xs, reverse=True), sorted(ys))]
-    assume(gens != [Monomial(0, 0)])
-    return normalize_ideal(gens)
+staircase_ideals = staircases(5, 8)
 
 
 class TestBettiTable:
@@ -235,7 +227,7 @@ class TestBettiTable:
         ideal = parse_ideal(text)
         assert betti_table(ideal, 11).entries == graded_betti(build_resolution(ideal, 11)).entries
 
-    @given(staircase_ideals(), st.integers(0, 7))
+    @given(staircase_ideals, st.integers(0, 7))
     def test_matches_engine_on_random_staircases(self, ideal, stages):
         assert betti_table(ideal, stages).entries == graded_betti(build_resolution(ideal, stages)).entries
 

@@ -17,8 +17,9 @@ from itertools import groupby
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import staircases
 import stairstep.cli
 import stairstep.oracle
 import stairstep.resolution
@@ -47,21 +48,13 @@ from stairstep.betti import render_shape
 from stairstep.cli import main
 
 
-@st.composite
-def random_staircases(draw):
-    """r <= 6 generators x^{a_i} y^{b_i} with exponents <= 30."""
-    r = draw(st.integers(1, 6))
-    xs = draw(st.lists(st.integers(0, 30), min_size=r, max_size=r, unique=True))
-    ys = draw(st.lists(st.integers(0, 30), min_size=r, max_size=r, unique=True))
-    gens = [Monomial(a, b) for a, b in zip(sorted(xs, reverse=True), sorted(ys))]
-    assume(gens != [Monomial(0, 0)])
-    return normalize_ideal(gens)
+random_staircases = staircases(6, 30)
 
 
 # random staircases (one generator whenever r = 1), plus the pure powers
 # (x^a, y^b) of types III, IV and V, which random exponents rarely draw
 pictured_ideals = st.one_of(
-    random_staircases(),
+    random_staircases,
     st.builds(lambda a, b: normalize_ideal([Monomial(a, 0), Monomial(0, b)]), st.integers(1, 30), st.integers(1, 30)),
 )
 

@@ -15,7 +15,7 @@ from operator import add
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import exhaustive_corpus, python_steps, random_corpus
+from conftest import exhaustive_corpus, python_steps, random_corpus, staircases
 from stairstep import (
     BettiTable,
     Differential,
@@ -29,6 +29,7 @@ from stairstep import (
     StageTooSmall,
     TruncationTooSmall,
     betti_json,
+    betti_table,
     build_resolution,
     check_complex,
     check_exactness,
@@ -1553,6 +1554,19 @@ class TestExactnessReadsEntries:
         steps = {window: python_steps(check_exactness, res, 3, window)[1] for window in (1000, 4000)}
         assert steps[4000] <= 4.5 * steps[1000]
 
+    def test_ten_times_the_exponents_cost_about_ten_times_as_much(self):
+        # (x^k, x^3y^3, y^k) to stage 4 in its default window: S's Hilbert
+        # function is summed from the corners and _standard_x walks one range
+        # per corner, so the cost follows the window, 6k wide, and not the
+        # k^2 cells below the staircase.  The cost is counted in Python
+        # steps, which repeat exactly, not timed
+        steps = {}
+        for k in (100, 1000):
+            ideal = M((k, 0), (3, 3), (0, k))
+            report, steps[k] = python_steps(check_exactness, build_resolution(ideal, 5), 4, default_max_degree(ideal, 4))
+            assert report.verdict
+        assert steps[1000] <= 12 * steps[100]
+
     def test_a_ten_times_wider_window_enumerates_no_more_degrees(self, monkeypatch):
         # S's Hilbert function is b_1 + a_r = 2 from degree a_1 + b_r - 1 = 3
         # on, so _hilbert sums the numerator only that far, and block ranks
@@ -1640,6 +1654,23 @@ class TestBruteforce:
             engine = graded_betti(build_resolution(ideal, 5))
             oracle = minimal_resolution_bruteforce(ideal, 5, 12)
             assert compare_betti(engine, oracle).is_empty, str(ideal)
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
+    @pytest.mark.parametrize("extra", [0, 10])
+    @pytest.mark.parametrize("stages", range(4))
+    @pytest.mark.parametrize(
+        "text", ["x", "y", "x,y", "x2y3", "y5", "x3,y7", "x,y2", "x5,y", "x2y,xy2", "xy2,y4", "x6,x5y,x4y2,x3y3,x2y4,xy5"]
+    )
+    def test_stage_one_is_read_off_s(self, text, stages, extra, fld):
+        # F_1 is S's degree-1 standard monomials: x and y in the main case,
+        # one of them for (x), (y), (y^5), (x, y^2) and (x^5, y), none for
+        # (x, y).  Stage 0 alone, stage 1 alone and the stages built on it
+        # give the counted table, in the narrowest window and a wider one
+        ideal = parse_ideal(text)
+        window = ideal.max_generator_degree + extra
+        counted = betti_table(ideal, stages).entries
+        table = minimal_resolution_bruteforce(ideal, stages, window, fld)
+        assert table.entries == {(i, d): n for (i, d), n in counted.items() if d <= window}
 
 
 def bruteforce_reference(ideal, max_stage, max_degree, fld):
@@ -1921,6 +1952,23 @@ class TestMirror:
             window = max(20, ideal.max_generator_degree)
             mirrored = check_exactness(mirror_resolution(res), 7, window, fld)
             assert mirrored.checks == check_exactness(res, 7, window, fld).checks, str(ideal)
+
+    @settings(max_examples=60, deadline=None)
+    @given(staircases(6, 12), st.booleans(), st.randoms(use_true_random=False), st.sampled_from([ExactRationals(), PrimeField(2)]))
+    def test_records_of_mirrored_staircases_are_equal(self, ideal, flip, rng, fld):
+        # exponents up to 12, past the corpus's; half the examples flip one
+        # sign, in a map and at an entry the seeded rng picks ((x, y) has none)
+        res = build_resolution(ideal, 8)
+        if flip and (maps := [i for i, d in enumerate(res.differentials) if d.entries]):
+            i = rng.choice(maps)
+            entries = list(res.differentials[i].entries)
+            j = rng.randrange(len(entries))
+            row, col, sign, x, y = entries[j]
+            entries[j] = (row, col, -sign, x, y)
+            res = replace(res, differentials=[*res.differentials[:i], Differential(entries), *res.differentials[i + 1 :]])
+        mirrored, window = mirror_resolution(res), max(20, ideal.max_generator_degree)
+        assert check_exactness(mirrored, 7, window, fld).checks == check_exactness(res, 7, window, fld).checks
+        assert check_complex(mirrored).checks == check_complex(res).checks
 
     def test_a_sign_flip_in_d3_and_its_mirror_fail_alike(self):
         # the flip breaks d2 d3 = 0 on most ideals but keeps every block's
