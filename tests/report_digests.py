@@ -10,16 +10,17 @@ Each section hashes one JSON line per ideal:
 - roundtrip7: the stage-7 resolution sent through resolution_from_json,
   its JSON and its three structural reports;
 - mutation_<kind>: seeded entry mutations of the stage-6 resolution, each
-  made with dataclasses.replace(d, entries=...), and every report on it,
-  one section per kind of _mutate (MUTATIONS names them), so a change to
-  how one kind is reported moves that kind's digest alone;
+  made by mutate in tests/conftest.py, and every report on it, one section
+  per kind the digest draws from MUTATIONS, so a change to how one kind
+  is reported moves that kind's digest alone;
 - spare_generators: the stage-6 JSON with one spare generator, read by
   no entry, appended to F_k for k = 0, 1, 2 in turn, loaded with
   resolution_from_json, and all four checks' reports on it.
 
 A refactor that keeps every report the same keeps every digest.  It uses
-only the package's public API and dataclasses.replace, so the same
-script can be run on an older checkout.  The file name has no test_
+only the package's public API and the helpers of tests/conftest.py, where
+the mutation vocabulary, MUTATIONS and mutate_entries, lives beside the
+tests that read it.  The file name has no test_
 prefix, so pytest does not collect it; run it on its own (about 12 s
 on a shared 2-core x86-64 VM):
 
@@ -33,12 +34,11 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import exhaustive_corpus, random_corpus  # noqa: E402
+from conftest import MUTATIONS, exhaustive_corpus, mutate, random_corpus  # noqa: E402
 from stairstep import (  # noqa: E402
     ExactRationals,
     PrimeField,
@@ -73,33 +73,7 @@ PINNED = {
     "spare_generators": "2233c329afec259e4cf9686ada1f918e099b61d5fc4e8957c3788d6957c58b34",
 }
 
-# _mutate's kinds in order: kind k is hashed in section mutation_{MUTATIONS[k]}
-MUTATIONS = ("flip_sign", "x_plus_1", "row_plus_1", "drop", "sign_2", "x_to_minus_1", "duplicate", "shuffle")
-
 FIELDS = {"exact_q": ExactRationals(), "exact_f2": PrimeField(2), "exact_f32003": PrimeField(32003)}
-
-
-def _mutate(entries: list, kind: int, k: int, rng: random.Random) -> list:
-    """The entries with entry k changed by mutation ``kind``."""
-    row, col, sign, x, y = entries[k]
-    out = list(entries)
-    if kind == 0:
-        out[k] = (row, col, -sign, x, y)
-    elif kind == 1:
-        out[k] = (row, col, sign, x + 1, y)
-    elif kind == 2:
-        out[k] = (row + 1, col, sign, x, y)
-    elif kind == 3:
-        del out[k]
-    elif kind == 4:
-        out[k] = (row, col, 2, x, y)
-    elif kind == 5:
-        out[k] = (row, col, sign, -1, y)
-    elif kind == 6:
-        out.insert(k, entries[k])
-    else:
-        rng.shuffle(out)
-    return out
 
 
 def _mutations(res, seed: int) -> list:
@@ -109,11 +83,8 @@ def _mutations(res, seed: int) -> list:
     out = []
     for _ in range(4 if stages else 0):
         i = rng.choice(stages)
-        d = res.differentials[i]
-        kind, k = rng.randrange(8), rng.randrange(len(d.entries))
-        diffs = list(res.differentials)
-        diffs[i] = replace(d, entries=tuple(_mutate(list(d.entries), kind, k, rng)))
-        out.append(((i + 1, kind, k), replace(res, differentials=diffs)))
+        kind, k = rng.randrange(8), rng.randrange(len(res.differentials[i].entries))
+        out.append(((i + 1, kind, k), mutate(res, i + 1, MUTATIONS[kind], k, rng)))
     return out
 
 

@@ -7,12 +7,9 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
-from conftest import exhaustive_corpus, random_corpus
+from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, mutate, random_corpus
 from stairstep import (
     BettiTable,
-    Monomial,
     PoincareSeries,
     build_resolution,
     check_complex,
@@ -22,20 +19,9 @@ from stairstep import (
     compare_betti,
     graded_betti,
     minimal_resolution_bruteforce,
-    normalize_ideal,
     series_expand,
     total_betti,
 )
-from test_oracle import mutate
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
-
-
-M_LEFT = M((1, 2), (0, 4))   # (xy^2, y^4)
-M_RIGHT = M((2, 1), (1, 2))  # (x^2y, xy^2)
-
 # printed graded Betti diagrams for the two running examples, i <= 6
 GOLDEN_LEFT_ENTRIES = {
     (0, 0): 1, (1, 1): 2,
@@ -182,8 +168,8 @@ def test_criterion_7_degenerate_fidelity():
 def test_criterion_8_mutation_detection():
     results = {}
     base = build_resolution(M_RIGHT, 7)
-    for which in ("sign", "drop", "shift"):
-        bad = mutate(base, 2, which)
+    for which, kind, k in (("sign", "flip_sign", 0), ("drop", "drop_column", -1), ("shift", "x_plus_1", 0)):
+        bad = mutate(base, 3, kind, k)
         results[which] = (
             not check_complex(bad).verdict
             or not check_minimality(bad).verdict

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stairstep.resolution
-from conftest import exhaustive_corpus, random_corpus, staircases
+from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, random_corpus, staircases
 from stairstep import (
     BettiTable,
     IdealClass,
-    Monomial,
     PoincareSeries,
     StageTooSmall,
     betti_csv,
@@ -21,7 +20,6 @@ from stairstep import (
     classify,
     graded_betti,
     minimal_resolution_bruteforce,
-    normalize_ideal,
     parse_ideal,
     poincare_series,
     render_betti_table,
@@ -30,10 +28,6 @@ from stairstep import (
 )
 from stairstep.betti import render_shape
 from stairstep.monomials import _standard_x
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
 
 
 GOLDEN_LEFT = """\
@@ -138,18 +132,18 @@ class TestPoincareSeries:
 
 class TestGradedBetti:
     def test_golden_tables(self):
-        left = graded_betti(build_resolution(M((1, 2), (0, 4)), 6))
-        right = graded_betti(build_resolution(M((2, 1), (1, 2)), 6))
+        left = graded_betti(build_resolution(M_LEFT, 6))
+        right = graded_betti(build_resolution(M_RIGHT, 6))
         assert render_betti_table(left) == GOLDEN_LEFT
         assert render_betti_table(right) == GOLDEN_RIGHT
 
     def test_spot_entries(self):
-        left = graded_betti(build_resolution(M((1, 2), (0, 4)), 6))
+        left = graded_betti(build_resolution(M_LEFT, 6))
         assert left.entries[(2, 2)] == 1
         assert left.entries[(2, 3)] == 1
         assert left.entries[(2, 4)] == 1
         assert left.entries[(4, 8)] == 1
-        right = graded_betti(build_resolution(M((2, 1), (1, 2)), 6))
+        right = graded_betti(build_resolution(M_RIGHT, 6))
         assert right.entries[(3, 4)] == 5
         assert right.entries[(6, 9)] == 8
 

@@ -2,12 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import exhaustive_corpus
-from stairstep import IdealClass, Monomial, classify, normalize_ideal
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
+from conftest import M, exhaustive_corpus
+from stairstep import IdealClass, classify
 
 
 @pytest.mark.parametrize(

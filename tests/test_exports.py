@@ -12,7 +12,14 @@ same rule.
 
 Every private module-level name, a function, class or assignment whose
 name starts with one underscore, is read somewhere in the package
-outside its own definition, so no helper outlives its last caller."""
+outside its own definition, so no helper outlives its last caller.
+
+Every name a module of the package or a file of ``tests/`` imports is
+loaded in that file, in its code or in an unquoted annotation, which
+``from __future__ import annotations`` keeps in the syntax tree.  No test
+module imports another: what several of them share lives in
+``tests/conftest.py``, and every public name conftest defines is imported
+and loaded by another file of ``tests/``."""
 from __future__ import annotations
 
 import ast
@@ -25,6 +32,11 @@ import stairstep
 PACKAGE = Path(stairstep.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+TESTS = ROOT / "tests"
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def names_loaded(tree: ast.AST) -> set[str]:
@@ -40,7 +52,7 @@ def names_loaded(tree: ast.AST) -> set[str]:
 
 def names_loaded_in_modules() -> set[str]:
     paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    return set().union(*(names_loaded(ast.parse(path.read_text(encoding="utf-8"))) for path in paths))
+    return set().union(*(names_loaded(parse(path)) for path in paths))
 
 
 def names_in_readme_code_spans() -> set[str]:
@@ -79,9 +91,7 @@ def private_names_and_readers() -> tuple[set[tuple[str, str]], set[str]]:
     """(the package's private module-level names, each tagged with its
     module, and the names each top-level statement of the package reads
     outside the statement that defines them)."""
-    statements = [
-        (path.stem, node) for path in PACKAGE.glob("*.py") for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    statements = [(path.stem, node) for path in PACKAGE.glob("*.py") for node in parse(path).body]
     private, read = set(), set()
     for module, node in statements:
         defined = names_defined(node)
@@ -89,6 +99,16 @@ def private_names_and_readers() -> tuple[set[tuple[str, str]], set[str]]:
         imported = {alias.name for sub in ast.walk(node) if isinstance(sub, ast.ImportFrom) for alias in sub.names}
         read.update(name for name in names_loaded(node) | imported if name not in defined)
     return private, read
+
+
+def imported_names(tree: ast.AST) -> set[str]:
+    """The names tree's imports bind, ``__future__``'s aside."""
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
 
 
 def public_members(cls: type) -> set[str]:
@@ -113,3 +133,43 @@ def test_every_private_name_is_read():
     private, read = private_names_and_readers()
     assert private
     assert sorted(f"{module}.{name}" for module, name in private if name not in read) == []
+
+
+def test_every_import_is_read():
+    paths = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    unread = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in paths
+        for tree in [parse(path)]
+        for name in sorted(imported_names(tree) - names_loaded(tree))
+    ]
+    assert unread == []
+
+
+def test_no_test_module_imports_another():
+    imports = []
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for module in modules if module.startswith("test_")]
+    assert imports == []
+
+
+def test_every_conftest_helper_has_a_reader():
+    helpers = {name for node in parse(TESTS / "conftest.py").body for name in names_defined(node) if not name.startswith("_")}
+    read = set()
+    for path in TESTS.glob("*.py"):
+        tree = parse(path)
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "conftest"
+            for alias in node.names
+        }
+        read |= imported & names_loaded(tree)
+    assert helpers and sorted(helpers - read) == []

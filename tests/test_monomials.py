@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import exhaustive_corpus, python_steps
+from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, python_steps
 from stairstep import (
     EmptyIdeal,
     Monomial,
@@ -28,10 +28,6 @@ from stairstep.monomials import _minimalize, _standard_x
 monomials = st.builds(Monomial, st.integers(0, 8), st.integers(0, 8))
 proper_monomials = monomials.filter(lambda m: not m.is_unit)
 ideals = st.lists(proper_monomials, min_size=1, max_size=6).map(normalize_ideal)
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
 
 
 def divides(g, m):
@@ -106,7 +102,7 @@ class TestNormalize:
 
 class TestMembership:
     def test_examples(self):
-        ideal = M((1, 2), (0, 4))
+        ideal = M_LEFT
         assert ideal.contains(Monomial(3, 5))
         assert not ideal.contains(Monomial(5, 0))
         assert ideal.contains(Monomial(0, 4))
@@ -168,7 +164,7 @@ class TestStaircaseIndex:
             MonomialIdeal(tuple(Monomial(a, b) for a, b in gens))
 
     def test_index_not_in_equality_hash_or_repr(self):
-        ideal = M((1, 2), (0, 4))
+        ideal = M_LEFT
         assert ideal.stair == (4, 2)  # tabulated on one side only
         same = MonomialIdeal((Monomial(1, 2), Monomial(0, 4)))
         assert ideal == same and hash(ideal) == hash(same)
@@ -188,7 +184,7 @@ class TestStandardMonomials:
         standard_monomials.cache_clear()
         maxsize = standard_monomials.cache_info().maxsize
         assert maxsize is not None and maxsize >= 1024
-        ideal = M((2, 1), (1, 2))
+        ideal = M_RIGHT
         for d in range(-maxsize - 10, 0):  # distinct keys, each with an empty piece
             standard_monomials(ideal, d)
         info = standard_monomials.cache_info()
@@ -201,7 +197,7 @@ class TestStandardMonomials:
         xy = M((1, 0), (0, 1))
         assert standard_monomials(xy, 0) == (Monomial(0, 0),)
         assert standard_monomials(xy, 1) == ()
-        assert standard_monomials(M((2, 1), (1, 2)), 3) == (
+        assert standard_monomials(M_RIGHT, 3) == (
             Monomial(3, 0),
             Monomial(0, 3),
         )
@@ -298,12 +294,12 @@ class TestStaircaseDegrees:
 
 class TestStaircaseOutline:
     def test_corners(self):
-        assert staircase_outline(M((1, 2), (0, 4))).corners == ((1, 2), (0, 4))
-        assert staircase_outline(M((2, 1), (1, 2))).corners == ((2, 1), (1, 2))
+        assert staircase_outline(M_LEFT).corners == ((1, 2), (0, 4))
+        assert staircase_outline(M_RIGHT).corners == ((2, 1), (1, 2))
         assert staircase_outline(M((1, 0))).corners == ((1, 0),)
 
     def test_outline_is_monotone_staircase(self):
-        outline = staircase_outline(M((2, 1), (1, 2))).outline
+        outline = staircase_outline(M_RIGHT).outline
         for (x0, y0), (x1, y1) in zip(outline, outline[1:]):
             assert x1 <= x0 and y1 >= y0
 

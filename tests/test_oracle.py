@@ -15,7 +15,19 @@ from operator import add
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import exhaustive_corpus, python_steps, random_corpus, staircases
+from conftest import (
+    M,
+    M_LEFT,
+    M_RIGHT,
+    MUTATIONS,
+    exhaustive_corpus,
+    mutate,
+    mutate_entries,
+    python_steps,
+    random_corpus,
+    staircases,
+    with_map,
+)
 from stairstep import (
     BettiTable,
     Differential,
@@ -41,7 +53,6 @@ from stairstep import (
     default_max_degree,
     graded_betti,
     minimal_resolution_bruteforce,
-    normalize_ideal,
     parse_ideal,
     resolution_from_json,
     resolution_to_json,
@@ -66,33 +77,6 @@ from stairstep.oracle import (
     sparse_nullspace,
     sparse_rank,
 )
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
-
-
-M_LEFT = M((1, 2), (0, 4))
-M_RIGHT = M((2, 1), (1, 2))
-
-
-def mutate(res, stage_index, which):
-    """Corrupt one differential of a resolution."""
-    d = res.differentials[stage_index]
-    entries = list(d.entries)
-    if which == "sign":
-        r, c, s, x, y = entries[0]
-        entries[0] = (r, c, -s, x, y)
-    elif which == "drop":
-        drop_col = entries[-1][1]
-        entries = [e for e in entries if e[1] != drop_col]
-    elif which == "shift":
-        r, c, s, x, y = entries[0]
-        entries[0] = (r, c, s, x + 1, y)
-    d2 = replace(d, entries=tuple(entries))
-    diffs = list(res.differentials)
-    diffs[stage_index] = d2
-    return replace(res, differentials=diffs)
 
 
 class TestFieldConfig:
@@ -428,7 +412,7 @@ class TestChecks:
                 entries.append((row, col, sign if col in seen else -sign, x, y))
                 seen.add(col)
             flipped.append(replace(d, entries=tuple(entries)))
-        cases = [res, replace(res, differentials=flipped), mutate(res, 2, "drop"), mutate(res, 3, "shift")]
+        cases = [res, replace(res, differentials=flipped), mutate(res, 3, "drop_column", -1), mutate(res, 4, "x_plus_1")]
         checks = (check_complex, check_homogeneity, lambda r: check_exactness(r, 6, 20))
         rng = random.Random(2207)
         for case in cases:
@@ -450,16 +434,10 @@ class TestChecks:
     def test_complex_matches_compose_check_pairwise(self, stage_index):
         # a middle map with a flipped sign is the upper map of one
         # composite and the lower map of the next
-        res = build_resolution(M_LEFT, 7)
-        d = res.differentials[stage_index]
-        row, col, sign, x, y = d.entries[0]
-        flipped = replace(d, entries=((row, col, -sign, x, y),) + d.entries[1:])
-        diffs = list(res.differentials)
-        diffs[stage_index] = flipped
-        bad = replace(res, differentials=diffs)
+        bad = mutate(build_resolution(M_LEFT, 7), stage_index + 1, "flip_sign")
         report = check_complex(bad)
-        expected = [_composite(bad, i) for i in range(1, len(diffs))]
-        assert [c.stage for c in report.checks] == list(range(2, len(diffs) + 1))
+        expected = [_composite(bad, i) for i in range(1, len(bad.differentials))]
+        assert [c.stage for c in report.checks] == list(range(2, len(bad.differentials) + 1))
         assert [c.passed for c in report.checks] == [not cells for cells in expected]
         assert not report.verdict
 
@@ -476,12 +454,8 @@ class TestChecks:
     def test_minimality_catches_zero_entry(self, ideal, old, new):
         # the new entry is 0 in S, so the column drops rank
         res = build_resolution(ideal, 3)
-        d2 = res.differentials[1]
-        entries = tuple(
-            (r, c, s, *(new if (x, y) == old else (x, y)))
-            for r, c, s, x, y in d2.entries
-        )
-        bad = replace(res, differentials=[res.differentials[0], replace(d2, entries=entries), res.differentials[2]])
+        entries = [(r, c, s, *(new if (x, y) == old else (x, y))) for r, c, s, x, y in res.differentials[1].entries]
+        bad = with_map(res, 2, entries)
         report = check_minimality(bad)
         assert not report.verdict
         assert any(c.stage == 2 and not c.passed for c in report.checks)
@@ -499,9 +473,7 @@ class TestChecks:
         res = build_resolution(M_RIGHT, 4)
         d2 = res.differentials[1]
         row, col, sign, _x, _y = d2.entries[0]
-        entries = ((row, col, sign, *mono),) + d2.entries[1:]
-        diffs = [res.differentials[0], replace(d2, entries=entries)] + res.differentials[2:]
-        bad = replace(res, differentials=diffs)
+        bad = with_map(res, 2, ((row, col, sign, *mono),) + d2.entries[1:])
         detail = f"bad entries [({row}, {col}, '{term}')]"
         assert check_minimality(bad).failures() == [CheckRecord("minimality", 2, None, False, detail)]
         assert not check_complex(bad).verdict
@@ -577,11 +549,9 @@ def entry_rule_mutant(which):
         j = max(range(len(d.entries)), key=lambda j: d.entries[j][1])
         r, c, s, x, y = d.entries[j]
         assert c == res.modules[3].rank - 1 and s == 1
-        entries = list(d.entries[:j]) + [(r, c, 2, x, y)] + list(d.entries[j + 1 :])
+        entries = mutate_entries(d.entries, "sign_2", j)
         detail = f"entry ({r}, {c}) of d3 has sign 2, not 1 or -1"
-    diffs = list(res.differentials)
-    diffs[i - 1] = replace(d, entries=tuple(entries))
-    return replace(res, differentials=diffs), i, detail
+    return with_map(res, i, entries), i, detail
 
 
 class TestEntryRule:
@@ -612,9 +582,7 @@ class TestEntryRule:
         # the rule: every row r of d1 moved to r - 1
         res = build_resolution(M_RIGHT, 1)
         assert check_complex(res).checks == []
-        d1 = res.differentials[0]
-        bad_d1 = replace(d1, entries=tuple((r - 1, c, s, x, y) for r, c, s, x, y in d1.entries))
-        bad = replace(res, differentials=[bad_d1])
+        bad = with_map(res, 1, [(r - 1, c, s, x, y) for r, c, s, x, y in res.differentials[0].entries])
         detail = "entry (-1, 0) of d1 is outside its 1x2 matrix"
         assert check_complex(bad).checks == [CheckRecord("complex", 1, None, False, detail)]
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
@@ -623,10 +591,8 @@ class TestEntryRule:
         # (xy, y^2) at stage 5 with d1's entry x made x^-1: the composite
         # d1 d2 would read the stair at x-exponent -1, its last entry
         res = build_resolution(M((1, 1), (0, 2)), 5)
-        d1 = res.differentials[0]
-        assert d1.entries[0] == (0, 0, 1, 1, 0)
-        bad_d1 = replace(d1, entries=((0, 0, 1, -1, 0),) + d1.entries[1:])
-        bad = replace(res, differentials=[bad_d1] + res.differentials[1:])
+        assert res.differentials[0].entries[0] == (0, 0, 1, 1, 0)
+        bad = mutate(res, 1, "x_to_minus_1")
         detail = "entry (0, 0) of d1 has a negative exponent in (-1, 0)"
         assert check_complex(bad).failures() == [CheckRecord("complex", 2, None, False, detail)]
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
@@ -641,10 +607,8 @@ class TestEntryRule:
         for ideal in exhaustive_corpus(3):
             res = build_resolution(ideal, 5)
             for i, d in enumerate(res.differentials[:-1], start=1):
-                for k, (row, col, sign, _x, y) in enumerate(d.entries):
-                    entries = d.entries[:k] + ((row, col, sign, -1, y),) + d.entries[k + 1 :]
-                    diffs = res.differentials[: i - 1] + [replace(d, entries=entries)] + res.differentials[i:]
-                    failures = check_complex(replace(res, differentials=diffs)).failures()
+                for k, (row, col, _sign, _x, y) in enumerate(d.entries):
+                    failures = check_complex(mutate(res, i, "x_to_minus_1", k)).failures()
                     detail = f"entry ({row}, {col}) of d{i} has a negative exponent in {(-1, y)}"
                     assert failures and failures[0].detail == detail
                     count += 1
@@ -695,19 +659,17 @@ class TestShapeFromTheResolution:
 
 
 class TestMutations:
-    @pytest.mark.parametrize("which", ["sign", "drop", "shift"])
-    def test_detected(self, which):
+    @pytest.mark.parametrize("kind, k", [("flip_sign", 0), ("drop_column", -1), ("x_plus_1", 0)], ids=["sign", "drop", "shift"])
+    def test_detected(self, kind, k):
         res = build_resolution(M_RIGHT, 7)
-        assert not check_resolution(mutate(res, 2, which), 5, 15).verdict
+        assert not check_resolution(mutate(res, 3, kind, k), 5, 15).verdict
 
     def test_column_drop_breaks_exactness(self):
-        res = build_resolution(M_LEFT, 7)
-        d3 = res.differentials[2]
+        res = build_resolution(M_LEFT, 3)
         # remove the e_{d_1} column (the last one)
-        entries = tuple(e for e in d3.entries if e[1] != res.modules[3].rank - 1)
+        entries = [e for e in res.differentials[2].entries if e[1] != res.modules[3].rank - 1]
         src = GradedFreeModule(tuple(res.modules[3].generators)[:-1])
-        diffs = res.differentials[:2] + [replace(d3, entries=entries)]
-        bad = replace(res, differentials=diffs, modules=res.modules[:3] + [src])
+        bad = replace(with_map(res, 3, entries), modules=res.modules[:3] + [src])
         report = check_exactness(bad, 2, 15)
         assert not report.verdict
 
@@ -724,21 +686,16 @@ def joined(res, max_stage, max_degree, fld=ExactRationals()) -> list:
 def corpus_mutants():
     """(ideal, res, mutants) for each ideal of exhaustive_corpus(2) +
     random_corpus(6, seed=36), res built to stage 6 and mutants a list of
-    (kind, mutant): each _mutate kind of tests/report_digests.py applied
-    to one random entry of a random nonzero map of res."""
-    from report_digests import MUTATIONS, _mutate
-
+    (kind, mutant): each kind of MUTATIONS applied to one random entry of
+    a random nonzero map of res."""
     for n, ideal in enumerate(exhaustive_corpus(2) + random_corpus(6, seed=36)):
         res = build_resolution(ideal, 6)
         rng = random.Random(n)
         stages = [i for i, d in enumerate(res.differentials) if len(d.entries)]
         mutants = []
-        for kind in range(len(MUTATIONS) if stages else 0):
+        for kind in MUTATIONS if stages else ():
             i = rng.choice(stages)
-            d = res.differentials[i]
-            entries = _mutate(list(d.entries), kind, rng.randrange(len(d.entries)), rng)
-            diffs = res.differentials[:i] + [replace(d, entries=tuple(entries))] + res.differentials[i + 1 :]
-            mutants.append((MUTATIONS[kind], replace(res, differentials=diffs)))
+            mutants.append((kind, mutate(res, i + 1, kind, rng.randrange(len(res.differentials[i].entries)), rng)))
         yield ideal, res, mutants
 
 
@@ -764,7 +721,7 @@ class TestCheckResolution:
             res = build_resolution(ideal, 8)
             if not len(res.differentials[2].entries):
                 continue
-            bad = mutate(res, 2, "sign")
+            bad = mutate(res, 3, "flip_sign")
             flipped += 1
             complex_failed += not check_complex(bad).verdict
             assert check_exactness(bad, 7, 25).verdict, ideal
@@ -773,13 +730,11 @@ class TestCheckResolution:
 
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
     def test_records_are_the_three_reports_joined(self, fld):
-        from report_digests import MUTATIONS, _spares
-
         kinds = Counter()
         for ideal, res, mutants in corpus_mutants():
             max_degree = max(20, ideal.max_generator_degree)
             kinds.update(kind for kind, _bad in mutants)
-            for case in [res] + [spare for _k, spare in _spares(res)] + [bad for _kind, bad in mutants]:
+            for case in [res] + [with_spare(res, k, (3, 4)) for k in range(3)] + [bad for _kind, bad in mutants]:
                 assert check_resolution(case, 5, max_degree, fld).checks == joined(case, 5, max_degree, fld)
         assert set(kinds) == set(MUTATIONS)
 
@@ -803,21 +758,12 @@ class TestCheckResolution:
         assert set(kinds) == {"x_plus_1", "row_plus_1", "sign_2", "x_to_minus_1"}
         assert inhomogeneous >= kinds["x_plus_1"] > 0
 
-    @pytest.mark.parametrize(
-        "first",
-        [
-            lambda row, col, sign, x, y: (row, col, sign, x, y),
-            lambda row, col, sign, x, y: (row, col, -sign, x, y),
-            lambda row, col, sign, x, y: (row, col, 2, x, y),  # breaks the entry rule
-            lambda row, col, sign, x, y: (row, col, sign, x + 1, y),
-        ],
-        ids=["engine", "sign_flip", "sign_2", "x_plus_1"],
-    )
-    def test_reads_each_entry_rule_once(self, monkeypatch, first):
+    # the engine's d3, and d3 with its first entry mutated; sign_2 breaks the entry rule
+    @pytest.mark.parametrize("kind", [None, "flip_sign", "sign_2", "x_plus_1"], ids=["engine", "sign_flip", "sign_2", "x_plus_1"])
+    def test_reads_each_entry_rule_once(self, monkeypatch, kind):
         res = build_resolution(M((6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5)), 8)
-        d3 = res.differentials[2]
-        d3 = replace(d3, entries=(first(*d3.entries[0]),) + tuple(d3.entries)[1:])
-        res = replace(res, differentials=res.differentials[:2] + [d3] + res.differentials[3:])
+        if kind:
+            res = mutate(res, 3, kind)
         expected = joined(res, 7, 25)
         seen = shape_fault_spy(monkeypatch)
         assert check_resolution(res, 7, 25).checks == expected
@@ -952,26 +898,10 @@ def small_resolutions(draw):
     max_degree = draw(st.integers(ideal.max_generator_degree, 14))
     res = build_resolution(ideal, max_stage + 1)
     live = [k for k, d in enumerate(res.differentials) if d.entries]
-    which = draw(st.sampled_from(["none", "sign", "drop", "shift", "swap", "drop column"]))
-    if which != "none" and live:
+    kind = draw(st.sampled_from(["none", "flip_sign", "drop", "x_plus_1", "swap", "drop_column"]))
+    if kind != "none" and live:
         k = draw(st.sampled_from(live))
-        d = res.differentials[k]
-        entries = list(d.entries)
-        j = draw(st.integers(0, len(entries) - 1))
-        row, col, sign, x, y = entries[j]
-        if which == "sign":
-            entries[j] = (row, col, -sign, x, y)
-        elif which == "drop":
-            del entries[j]
-        elif which == "shift":
-            entries[j] = (row, col, sign, x + 1, y)
-        elif which == "swap":
-            entries[j] = (row, col, sign, y, x)
-        else:
-            entries = [e for e in entries if e[1] != col]
-        diffs = list(res.differentials)
-        diffs[k] = replace(d, entries=tuple(entries))
-        res = replace(res, differentials=diffs)
+        res = mutate(res, k + 1, kind, draw(st.integers(0, len(res.differentials[k].entries) - 1)))
     return res, max_stage, max_degree
 
 
@@ -1018,10 +948,8 @@ def with_unit_summand(res, k, bidegree):
     modules = list(res.modules)
     for j in (k, k + 1):
         modules[j] = GradedFreeModule(list(modules[j].generators) + [("unit", bidegree)])
-    diffs = list(res.differentials)
     unit = (modules[k].rank - 1, modules[k + 1].rank - 1, 1, 0, 0)
-    diffs[k] = Differential(tuple(diffs[k].entries) + (unit,))
-    return replace(res, modules=modules, differentials=diffs)
+    return replace(with_map(res, k + 1, (*res.differentials[k].entries, unit)), modules=modules)
 
 
 def standard_by_cells(ideal: MonomialIdeal, d: int) -> tuple[int, ...]:
@@ -1041,7 +969,7 @@ UNMARKED = bytes([1, 0]) + bytes(254)  # 1 for an unmarked cell, 0 for a marked 
 # the Hilbert list through flat, are up to 2 million long
 wide_ideals = st.lists(
     st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any), min_size=1, max_size=6
-).map(lambda pairs: normalize_ideal([Monomial(a, b) for a, b in pairs]))
+).map(lambda pairs: M(*pairs))
 
 
 def breakpoints(ideal: MonomialIdeal) -> list[int]:
@@ -1189,18 +1117,9 @@ class TestRanksSettle:
         assert window > settled_by(res, 3)
         cases = [res]
         live = [k for k, d in enumerate(res.differentials) if d.entries]
-        for which in ("sign", "drop") if live else ():
+        for kind in ("flip_sign", "drop") if live else ():
             k = rng.choice(live)
-            entries = list(res.differentials[k].entries)
-            j = rng.randrange(len(entries))
-            if which == "sign":
-                row, col, sign, x, y = entries[j]
-                entries[j] = (row, col, -sign, x, y)
-            else:
-                del entries[j]
-            diffs = list(res.differentials)
-            diffs[k] = Differential(tuple(entries))
-            cases.append(replace(res, differentials=diffs))
+            cases.append(mutate(res, k + 1, kind, rng.randrange(len(res.differentials[k].entries))))
         for case in cases:
             assert check_exactness(case, 3, window, fld).checks == exactness_reference(case, 3, window, fld)
 
@@ -1238,12 +1157,12 @@ class TestExactnessReadsEntries:
     def test_column_drop_caught_after_json_reload(self, stage_index):
         res = build_resolution(M_RIGHT, 7)
         loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
-        bad = mutate(loaded, stage_index, "drop")
+        bad = mutate(loaded, stage_index + 1, "drop_column", -1)
         assert not check_exactness(bad, 6, 15).verdict
 
     @pytest.mark.parametrize("stage_index", [2, 5])
     def test_inhomogeneous_entry_reported(self, stage_index):
-        bad = mutate(build_resolution(M_RIGHT, 7), stage_index, "shift")
+        bad = mutate(build_resolution(M_RIGHT, 7), stage_index + 1, "x_plus_1")
         row, col = bad.differentials[stage_index].entries[0][:2]
         detail = f"entry ({row}, {col}) is not homogeneous"
         with pytest.raises(ValueError) as exc:
@@ -1254,19 +1173,12 @@ class TestExactnessReadsEntries:
         assert report.failures() == [CheckRecord("exactness", stage_index + 1, None, False, detail)]
 
     @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (1, 1), (0, 3))], ids=str)
-    @pytest.mark.parametrize("which", ["sign", "drop"])
+    @pytest.mark.parametrize("which", ["flip_sign", "drop_column"], ids=["sign", "drop"])
     def test_block_ranks_match_whole_matrices(self, ideal, which):
         res = build_resolution(ideal, 6)
         for k, diff in enumerate(res.differentials):
             for j in range(0, len(diff.entries), 5):
-                row, col, sign, x, y = diff.entries[j]
-                if which == "sign":
-                    entries = diff.entries[:j] + ((row, col, -sign, x, y),) + diff.entries[j + 1 :]
-                else:
-                    entries = tuple(e for e in diff.entries if e[1] != col)
-                diffs = list(res.differentials)
-                diffs[k] = replace(diff, entries=entries)
-                bad = replace(res, differentials=diffs)
+                bad = mutate(res, k + 1, which, j)
                 report = check_exactness(bad, 5, 12)
                 assert [c.passed for c in report.checks] == [c.passed for c in exactness_reference(bad, 5, 12, ExactRationals())]
 
@@ -1303,13 +1215,11 @@ class TestExactnessReadsEntries:
         (-1, 3), twist 7, added to F5, and d5's entries made by ``entries``
         from the engine's d5: NEGATIVE is homogeneous there."""
         res = build_resolution(M_RIGHT, 6)
-        d5 = res.differentials[4]
         target = res.modules[4].generators
         source = GradedFreeModule(tuple(res.modules[5].generators) + (("g", (target.dx[7] - 1, target.dy[7] + 3)),))
         assert source.generators.dx[13] + source.generators.dy[13] == 7
         modules = res.modules[:5] + [source] + res.modules[6:]
-        diffs = res.differentials[:4] + [replace(d5, entries=tuple(entries(d5)))] + res.differentials[5:]
-        return replace(res, modules=modules, differentials=diffs)
+        return replace(with_map(res, 5, entries(res.differentials[4])), modules=modules)
 
     def test_negative_exponent_named_by_its_own_row_and_col(self):
         # the report names the entry as check_minimality and the loader do,
@@ -1335,17 +1245,16 @@ class TestExactnessReadsEntries:
         # rule is tested before the bigrading, so the record names NEGATIVE
         # in either entry order
         def shifted(d5):
-            row, col, sign, x, y = d5.entries[-1]
-            return d5.entries[:-1] + ((row, col, sign, x + 1, y),)
+            return mutate_entries(d5.entries, "x_plus_1", -1)
 
         alone = self.with_column_13(shifted)
         row, col = alone.differentials[4].entries[-1][:2]
         inhomogeneous = f"entry ({row}, {col}) is not homogeneous"
         assert check_homogeneity(alone).failures() == [CheckRecord("homogeneity", 5, None, False, inhomogeneous)]
         if negative_first:
-            bad = self.with_column_13(lambda d5: (self.NEGATIVE,) + shifted(d5))
+            bad = self.with_column_13(lambda d5: [self.NEGATIVE, *shifted(d5)])
         else:
-            bad = self.with_column_13(lambda d5: shifted(d5) + (self.NEGATIVE,))
+            bad = self.with_column_13(lambda d5: [*shifted(d5), self.NEGATIVE])
         detail = self.NEGATIVE_DETAIL
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 5, None, False, detail)]
         assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
@@ -1366,9 +1275,8 @@ class TestExactnessReadsEntries:
         d9 = res.differentials[8]
         gens = res.modules[9].generators
         assert min(gens.dx[col] + gens.dy[col] for _row, col, *_rest in d9.entries) > 25
-        j, (row, col, sign, x, y) = next((j, e) for j, e in enumerate(d9.entries) if e[3] != e[4])
-        entries = d9.entries[:j] + ((row, col, sign, y, x),) + d9.entries[j + 1 :]
-        bad = replace(res, differentials=res.differentials[:8] + [replace(d9, entries=entries)])
+        j, (row, col, *_rest) = next((j, e) for j, e in enumerate(d9.entries) if e[3] != e[4])
+        bad = mutate(res, 9, "swap", j)
         assert check_exactness(res, 8, 25).verdict
         detail = f"entry ({row}, {col}) is not homogeneous"
         assert check_exactness(bad, 8, 25).failures() == [CheckRecord("exactness", 9, None, False, detail)]
@@ -1891,7 +1799,7 @@ class TestBruteforceStops:
 
 def mirror(ideal: MonomialIdeal) -> MonomialIdeal:
     """M' = M with x and y swapped."""
-    return normalize_ideal([Monomial(g.ydeg, g.xdeg) for g in ideal.generators])
+    return M(*((g.ydeg, g.xdeg) for g in ideal.generators))
 
 
 def mirror_resolution(res):
@@ -1961,11 +1869,7 @@ class TestMirror:
         res = build_resolution(ideal, 8)
         if flip and (maps := [i for i, d in enumerate(res.differentials) if d.entries]):
             i = rng.choice(maps)
-            entries = list(res.differentials[i].entries)
-            j = rng.randrange(len(entries))
-            row, col, sign, x, y = entries[j]
-            entries[j] = (row, col, -sign, x, y)
-            res = replace(res, differentials=[*res.differentials[:i], Differential(entries), *res.differentials[i + 1 :]])
+            res = mutate(res, i + 1, "flip_sign", rng.randrange(len(res.differentials[i].entries)))
         mirrored, window = mirror_resolution(res), max(20, ideal.max_generator_degree)
         assert check_exactness(mirrored, 7, window, fld).checks == check_exactness(res, 7, window, fld).checks
         assert check_complex(mirrored).checks == check_complex(res).checks
@@ -1977,13 +1881,9 @@ class TestMirror:
         failed = 0
         for ideal in MIRROR_IDEALS:
             res = build_resolution(ideal, 8)
-            entries = list(res.differentials[2].entries)
-            if not entries:
+            if not res.differentials[2].entries:
                 continue
-            j = rng.randrange(len(entries))
-            row, col, sign, x, y = entries[j]
-            entries[j] = (row, col, -sign, x, y)
-            flipped = replace(res, differentials=[*res.differentials[:2], Differential(entries), *res.differentials[3:]])
+            flipped = mutate(res, 3, "flip_sign", rng.randrange(len(res.differentials[2].entries)))
             mirrored, window = mirror_resolution(flipped), max(20, ideal.max_generator_degree)
             exactness = check_exactness(flipped, 7, window)
             assert check_exactness(mirrored, 7, window).checks == exactness.checks, str(ideal)

@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from conftest import exhaustive_corpus, random_corpus
+from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, random_corpus, with_map
 from stairstep import (
     Differential,
     IdealClass,
@@ -22,21 +22,12 @@ from stairstep import (
     check_homogeneity,
     check_minimality,
     classify,
-    normalize_ideal,
     parse_ideal,
     resolution_from_json,
     resolution_to_json,
 )
 from stairstep.oracle import _composite
 from stairstep.resolution import _main_rule
-
-
-def M(*pairs):
-    return normalize_ideal([Monomial(a, b) for a, b in pairs])
-
-
-M_LEFT = M((1, 2), (0, 4))   # (xy^2, y^4), case 2
-M_RIGHT = M((2, 1), (1, 2))  # (x^2y, xy^2), case 1
 
 
 def decomposition(res):
@@ -691,13 +682,6 @@ def compose_reference(res, i):
     return out
 
 
-def with_map(res, i, d):
-    """``res`` with d_i replaced by ``d``."""
-    diffs = list(res.differentials)
-    diffs[i - 1] = d
-    return replace(res, differentials=diffs)
-
-
 @pytest.mark.parametrize("ideal", [M_LEFT, M_RIGHT, M((3, 0), (2, 2), (1, 3), (0, 5))])
 def test_compose_check_matches_monomial_reference(ideal):
     res = build_resolution(ideal, 6)
@@ -706,22 +690,20 @@ def test_compose_check_matches_monomial_reference(ideal):
         d_hi = res.differentials[i]
         # flip the first entry of every column: a column with several
         # entries loses the cancellation that made its composite vanish
-        entries, seen = [], set()
+        bad, seen = [], set()
         for row, col, sign, x, y in d_hi.entries:
-            entries.append((row, col, sign if col in seen else -sign, x, y))
+            bad.append((row, col, sign if col in seen else -sign, x, y))
             seen.add(col)
-        bad = replace(d_hi, entries=tuple(entries))
-        for hi in (d_hi, bad):
+        for hi in (tuple(d_hi.entries), bad):
             # a shuffled copy is out of column order; the composite does not see it
-            shuffled = random.Random(i).sample(list(hi.entries), len(hi.entries))
+            shuffled = random.Random(i).sample(hi, len(hi))
             unordered += shuffled != sorted(shuffled, key=lambda e: e[1])
             # a second entry in the first entry's cell cancels it: the map
             # is the one without that entry
-            row, col, sign, x, y = hi.entries[0]
-            cancelling = replace(hi, entries=tuple(hi.entries) + ((row, col, -sign, x, y),))
-            for copy in (hi, replace(hi, entries=tuple(shuffled)), cancelling):
+            row, col, sign, x, y = hi[0]
+            cancelling = [*hi, (row, col, -sign, x, y)]
+            for copy in (hi, shuffled, cancelling):
                 assert _composite(with_map(res, i + 1, copy), i) == compose_reference(with_map(res, i + 1, copy), i)
-            without_first = replace(hi, entries=hi.entries[1:])
-            assert _composite(with_map(res, i + 1, cancelling), i) == _composite(with_map(res, i + 1, without_first), i)
+            assert _composite(with_map(res, i + 1, cancelling), i) == _composite(with_map(res, i + 1, hi[1:]), i)
         nonzero += bool(_composite(with_map(res, i + 1, bad), i))
     assert nonzero > 0 and unordered > 0
