@@ -129,14 +129,6 @@ class Entries:
             ints += (row, col, sign, x, y)
         return cls(_append_ints(array("q"), ints))
 
-    @classmethod
-    def interleave(cls, rows: array, cols: array, signs: array, xdegs: array, ydegs: array) -> "Entries":
-        """The entries whose fields are the five equally long arrays."""
-        ints = array("q", [0]) * (5 * len(rows))  # no zero bytes object to copy from
-        for k, part in enumerate((rows, cols, signs, xdegs, ydegs)):
-            ints[k::5] = part
-        return cls(ints)
-
     def __len__(self) -> int:
         return len(self.ints) // 5
 
@@ -377,23 +369,24 @@ def _main_stages(ideal: MonomialIdeal, stages: int):
     Every block of the last stage places its children by the rule table
     of :func:`_main_rule`; the new stage holds the F1 instances, then the
     F2s, then the F3s, each kind in the order of the blocks they are based
-    at.  A kind's instances are written together: their entry rows with
-    one comprehension over the resolved template rows, their columns with
-    one more, and their signs and exponents by repeating the template's
-    column offsets, signs, xdegs and ydegs, packed once into four int
-    arrays; their bidegrees with one comprehension per coordinate.  The
-    stage's labels are a :class:`_MainLabels` rule, so no label is stored."""
+    at.  A kind's instances are written together, straight into the
+    layout :class:`Entries` stores: the kind's template entries, flattened
+    once per ideal into one int array, are repeated once per instance, and
+    two comprehensions overwrite the row field, with the resolved template
+    rows, and the column field; the kinds' blocks are joined with +, which
+    allocates the stage's array at its final size.  Their bidegrees take
+    one comprehension per coordinate.  The stage's labels are a
+    :class:`_MainLabels` rule, so no label is stored."""
     (offsets, templates, children), r = _main_rule(ideal.generators), len(ideal.generators)
-    columns = {kind: [array("q", part) for part in list(zip(*t))[1:]] for kind, t in templates.items()}
+    flat = {kind: array("q", [v for entry in t for v in entry]) for kind, t in templates.items()}
     # the last stage's blocks per kind: (first generator, base x, base y)
     last: dict[str, list[tuple[int, int, int]]] = {"F0": [(0, 0, 0)]}
     for stage in range(1, stages + 1):
-        rows, cols, signs, xs, ys, dx, dy = (array("q") for _ in range(7))
+        ints, dx, dy = array("q"), array("q"), array("q")
         blocks: dict[str, list[tuple[int, int, int]]] = {}
         counts: list[int] = []  # the blocks of each kind
         for kind, kids in children.items():
-            kind_offsets = offsets[kind]
-            tcols, tsigns, txs, tys = columns[kind]
+            kind_offsets, template = offsets[kind], flat[kind]
             # (first target row, resolved rows, base x, base y) per instance
             placed = [
                 (start, rel, bx + ox, by + oy)
@@ -406,16 +399,15 @@ def _main_stages(ideal: MonomialIdeal, stages: int):
             blocks[kind] = []
             if not n:
                 continue
-            firsts = range(c0, c0 + n * width, width)
-            _append_ints(rows, [start + row for start, rel, _x, _y in placed for row in rel])
-            _append_ints(cols, [c + k for c in firsts for k in tcols])
-            signs += tsigns * n
-            xs += txs * n
-            ys += tys * n
+            firsts, tcols = range(c0, c0 + n * width, width), template[1::5]
+            block = template * n
+            block[0::5] = _append_ints(array("q"), [start + row for start, rel, _x, _y in placed for row in rel])
+            block[1::5] = _append_ints(array("q"), [c + k for c in firsts for k in tcols])
+            ints = ints + block  # += would leave spare room in the stored array
             _append_ints(dx, [x + ox for _s, _r, x, _y in placed for ox, _oy in kind_offsets])
             _append_ints(dy, [y + oy for _s, _r, _x, y in placed for _ox, oy in kind_offsets])
             blocks[kind] = [(c, x, y) for c, (_s, _r, x, y) in zip(firsts, placed)]
-        yield dx, dy, _MainLabels(r, stage, tuple(counts)), Entries.interleave(rows, cols, signs, xs, ys)
+        yield dx, dy, _MainLabels(r, stage, tuple(counts)), Entries(ints)
         last = blocks
 
 

@@ -2,6 +2,7 @@
 and the one way tests replace or corrupt a map of a resolution."""
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import random
@@ -29,14 +30,16 @@ def with_map(res, i, entries):
 
 
 # the kinds tests/report_digests.py draws from, in order: kind k is hashed
-# in its section mutation_{MUTATIONS[k]}; mutate_entries also knows swap
-# and drop_column
+# in its section mutation_{MUTATIONS[k]}; mutate_entries also knows swap,
+# drop_column and flip_column_heads
 MUTATIONS = ("flip_sign", "x_plus_1", "row_plus_1", "drop", "sign_2", "x_to_minus_1", "duplicate", "shuffle")
 
 
 def mutate_entries(entries, kind: str, k: int, rng: random.Random | None = None) -> list:
     """The entries with entry k changed by mutation ``kind``; shuffle
-    reorders them all with ``rng``, drop_column drops entry k's column."""
+    reorders them all with ``rng``, drop_column drops entry k's column,
+    and flip_column_heads flips the sign of the first entry of every
+    column, whatever k."""
     row, col, sign, x, y = entries[k]
     out = list(entries)
     if kind == "flip_sign":
@@ -59,6 +62,11 @@ def mutate_entries(entries, kind: str, k: int, rng: random.Random | None = None)
         out[k] = (row, col, sign, y, x)
     elif kind == "drop_column":
         out = [e for e in out if e[1] != col]
+    elif kind == "flip_column_heads":
+        out, seen = [], set()
+        for row, col, sign, x, y in entries:
+            out.append((row, col, sign if col in seen else -sign, x, y))
+            seen.add(col)
     else:
         raise ValueError(f"unknown mutation {kind!r}")
     return out
@@ -67,6 +75,11 @@ def mutate_entries(entries, kind: str, k: int, rng: random.Random | None = None)
 def mutate(res, i, kind: str, k: int = 0, rng: random.Random | None = None):
     """``res`` with entry k of d_i, numbered from 1, changed by mutation ``kind``."""
     return with_map(res, i, mutate_entries(res.differentials[i - 1].entries, kind, k, rng))
+
+
+def each_map(res, edit):
+    """``res`` with every d_i replaced by ``Differential(edit(entries of d_i))``, d_1 first."""
+    return replace(res, differentials=[Differential(edit(d.entries)) for d in res.differentials])
 
 
 def exhaustive_corpus(max_exp: int) -> list[MonomialIdeal]:
@@ -106,6 +119,14 @@ def random_corpus(count: int, seed: int, max_r: int = 6, max_exp: int = 10) -> l
             continue
         out.append(normalize_ideal(gens))
     return out
+
+
+@functools.cache
+def acceptance_corpus() -> tuple[MonomialIdeal, ...]:
+    """The 300 ideals of the acceptance corpus: every ideal with exponents
+    <= 4, then 50 seed-0 random ones.  The ideals are frozen, so every
+    caller shares them."""
+    return tuple(exhaustive_corpus(4) + random_corpus(50, seed=0))
 
 
 @st.composite

@@ -38,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import MUTATIONS, exhaustive_corpus, mutate, random_corpus  # noqa: E402
+from conftest import MUTATIONS, acceptance_corpus, mutate  # noqa: E402
 from stairstep import (  # noqa: E402
     ExactRationals,
     PrimeField,
@@ -112,7 +112,7 @@ def digests() -> dict[str, str]:
         shas[name].update(json.dumps(value, sort_keys=True).encode() + b"\n")
 
     structural = (check_complex, check_minimality, check_homogeneity)
-    for n, ideal in enumerate(exhaustive_corpus(4) + random_corpus(50, seed=0)):
+    for n, ideal in enumerate(acceptance_corpus()):
         put("json9", resolution_to_json(build_resolution(ideal, 9)))
         res = build_resolution(ideal, 10)
         for name, report in zip(("complex10", "minimality10", "homogeneity10"), _reports(res, *structural)):

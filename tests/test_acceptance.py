@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, mutate, random_corpus
+from conftest import M, M_LEFT, M_RIGHT, acceptance_corpus, exhaustive_corpus, mutate
 from stairstep import (
     BettiTable,
     PoincareSeries,
@@ -40,15 +40,6 @@ GOLDEN_RIGHT_ENTRIES = {
     (6, 8): 13, (6, 9): 8,
 }
 
-_corpus_cache: dict = {}
-
-
-def corpus():
-    if "ideals" not in _corpus_cache:
-        _corpus_cache["ideals"] = exhaustive_corpus(4) + random_corpus(50, seed=0)
-    return _corpus_cache["ideals"]
-
-
 def report(num: int, ok: bool, detail: str = "") -> None:
     tail = f"  ({detail})" if detail else ""
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'}{tail}")
@@ -79,7 +70,7 @@ def test_criterion_2_golden_graded_tables():
 def test_criterion_3_engine_oracle_equivalence():
     mismatched = []
     exhaustive_count = len(exhaustive_corpus(4))
-    for ideal in corpus():
+    for ideal in acceptance_corpus():
         engine = graded_betti(build_resolution(ideal, 6))
         depth = max(15, ideal.max_generator_degree)
         oracle = minimal_resolution_bruteforce(ideal, 6, depth)
@@ -91,13 +82,13 @@ def test_criterion_3_engine_oracle_equivalence():
         if not compare_betti(engine, clipped).is_empty:
             mismatched.append(str(ideal))
     ok = not mismatched and exhaustive_count == 250
-    report(3, ok, f"{len(corpus())} ideals, mismatches: {mismatched[:3]}")
+    report(3, ok, f"{len(acceptance_corpus())} ideals, mismatches: {mismatched[:3]}")
 
 
 def test_criterion_4_complex_minimality_exactness():
     start = time.perf_counter()
     failures = []
-    for ideal in corpus():
+    for ideal in acceptance_corpus():
         res = build_resolution(ideal, 10)
         if not (check_complex(res).verdict and check_minimality(res).verdict):
             failures.append((str(ideal), "symbolic"))
@@ -110,7 +101,7 @@ def test_criterion_4_complex_minimality_exactness():
 
 def test_criterion_5_betti_recursions():
     failures = []
-    for ideal in corpus():
+    for ideal in acceptance_corpus():
         if not classify(ideal).is_main:
             continue
         r = ideal.num_generators

@@ -1,14 +1,14 @@
 """Every name the package exports has a reader: a module of the package
 other than ``__init__.py`` loads it, or the README names it in code.
 
-Every public member of an exported class has a reader too: each name its
-class body defines that does not start with an underscore (a method, a
-property, a dataclass field or an enum member) is loaded as an attribute
-by a module of the package or a script of ``bench/``, or the README names
-it, in a code span or in its python example.  A member only tests read is
-API nobody runs.  Dunders, such as an operator's ``__mul__``, and
-attributes set in ``__init__`` are out of the scan's sight; they keep the
-same rule.
+Every public member of a class the package defines, exported or not,
+has a reader too: each name its class body defines that does not start
+with an underscore (a method, a property, a dataclass field or an enum
+member) is loaded as an attribute by a module of the package or a script
+of ``bench/``, or the README names it, in a code span or in its python
+example.  A member only tests read is API nobody runs.  Dunders, such as
+an operator's ``__mul__``, and attributes set in ``__init__`` are out of
+the scan's sight; they keep the same rule.
 
 Every private module-level name, a function, class or assignment whose
 name starts with one underscore, is read somewhere in the package
@@ -23,6 +23,7 @@ and loaded by another file of ``tests/``."""
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -122,9 +123,23 @@ def test_every_export_is_read_or_documented():
     assert [name for name in stairstep.__all__ if name not in read] == []
 
 
+def package_classes() -> list[type]:
+    """The classes the package's modules define at their top level."""
+    paths = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    modules = [importlib.import_module(f"stairstep.{path.stem}") for path in paths]
+    return [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    ]
+
+
 def test_every_member_of_an_exported_class_is_read_or_documented():
+    """Every class of the package, the exported ones and the rest."""
     read = attributes_read_at_runtime() | names_in_readme_code_spans()
-    classes = [obj for name in stairstep.__all__ if inspect.isclass(obj := getattr(stairstep, name))]
+    classes = package_classes()
+    assert set(classes) >= {obj for name in stairstep.__all__ if inspect.isclass(obj := getattr(stairstep, name))}
     unread = [f"{cls.__name__}.{name}" for cls in classes for name in sorted(public_members(cls) - read)]
     assert unread == []
 

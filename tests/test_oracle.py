@@ -5,7 +5,9 @@ import hashlib
 import json
 import random
 import re
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -20,6 +22,8 @@ from conftest import (
     M_LEFT,
     M_RIGHT,
     MUTATIONS,
+    acceptance_corpus,
+    each_map,
     exhaustive_corpus,
     mutate,
     mutate_entries,
@@ -405,21 +409,12 @@ class TestChecks:
         # dropped, which fails exactness; one with an entry of d4 shifted,
         # which fails homogeneity
         res = build_resolution(ideal, 7)
-        flipped = []
-        for d in res.differentials:
-            entries, seen = [], set()
-            for row, col, sign, x, y in d.entries:
-                entries.append((row, col, sign if col in seen else -sign, x, y))
-                seen.add(col)
-            flipped.append(replace(d, entries=tuple(entries)))
-        cases = [res, replace(res, differentials=flipped), mutate(res, 3, "drop_column", -1), mutate(res, 4, "x_plus_1")]
+        flipped = each_map(res, lambda entries: mutate_entries(entries, "flip_column_heads", 0))
+        cases = [res, flipped, mutate(res, 3, "drop_column", -1), mutate(res, 4, "x_plus_1")]
         checks = (check_complex, check_homogeneity, lambda r: check_exactness(r, 6, 20))
         rng = random.Random(2207)
         for case in cases:
-            shuffled = replace(
-                case,
-                differentials=[replace(d, entries=tuple(rng.sample(list(d.entries), len(d.entries)))) for d in case.differentials],
-            )
+            shuffled = each_map(case, lambda entries: rng.sample(list(entries), len(entries)))
             assert [tuple(d.entries) for d in shuffled.differentials] != [tuple(d.entries) for d in case.differentials]
             for check in checks:
                 assert check(shuffled).to_json() == check(case).to_json()
@@ -717,7 +712,7 @@ class TestCheckResolution:
         # a map sequence that is not a complex, and the joined verdict
         # fails exactly where the complex records do
         flipped = complex_failed = 0
-        for ideal in exhaustive_corpus(4) + random_corpus(50, seed=0):
+        for ideal in acceptance_corpus():
             res = build_resolution(ideal, 8)
             if not len(res.differentials[2].entries):
                 continue
@@ -1354,23 +1349,12 @@ class TestExactnessReadsEntries:
     def test_entry_order_does_not_change_the_report(self, text):
         res = build_resolution(parse_ideal(text), 7)
         rng = random.Random(7)
-
-        def reorder(how):
-            diffs = []
-            for d in res.differentials:
-                entries = list(d.entries)
-                if how == "reverse":
-                    entries.reverse()
-                else:
-                    rng.shuffle(entries)
-                diffs.append(replace(d, entries=tuple(entries)))
-            return replace(res, differentials=diffs)
-
+        reorders = (lambda entries: entries[::-1], lambda entries: mutate_entries(entries, "shuffle", 0, rng))
         for fld in (ExactRationals(), PrimeField(2), PrimeField(32003)):
             expected = check_exactness(res, 6, 24, fld).to_json()
             assert expected["verdict"] == "pass"
-            for how in ("reverse", "shuffle"):
-                assert check_exactness(reorder(how), 6, 24, fld).to_json() == expected
+            for reorder in reorders:
+                assert check_exactness(each_map(res, reorder), 6, 24, fld).to_json() == expected
 
     @staticmethod
     def chain(n, far_entry_first):
@@ -1815,9 +1799,6 @@ def bigraded_table(res) -> Counter:
     return Counter((i, x, y) for i, m in enumerate(res.modules) for x, y in zip(m.generators.dx, m.generators.dy))
 
 
-MIRROR_IDEALS = exhaustive_corpus(4) + random_corpus(50, seed=0)
-
-
 class TestMirror:
     """x <-> y as a second opinion: the brute force treats x-shifts and
     y-shifts by different rules, and its stage bound is symmetric under the
@@ -1855,7 +1836,7 @@ class TestMirror:
 
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2)], ids=["Q", "F2"])
     def test_exactness_records_of_mirrored_resolutions_are_equal(self, fld):
-        for ideal in MIRROR_IDEALS:
+        for ideal in acceptance_corpus():
             res = build_resolution(ideal, 8)
             window = max(20, ideal.max_generator_degree)
             mirrored = check_exactness(mirror_resolution(res), 7, window, fld)
@@ -1879,7 +1860,7 @@ class TestMirror:
         # rank, so check_complex fails and check_exactness's records stay
         rng = random.Random(3)
         failed = 0
-        for ideal in MIRROR_IDEALS:
+        for ideal in acceptance_corpus():
             res = build_resolution(ideal, 8)
             if not res.differentials[2].entries:
                 continue
@@ -2002,9 +1983,10 @@ def test_resolution_holds_no_object_per_entry_or_generator(text):
 def test_deep_resolution_is_held_in_arrays():
     """(x^9,x^8y^3,x^7y^4,x^6y^5,xy^6,y^8) to stage 10: 45,019 entries of
     five ints and 37,051 generators of two, with no label stored.  The
-    build peaks at 1.59 times what it holds after, below 1.7: the last
-    stage's entry array is made once, not also as a zero bytes object to
-    copy from."""
+    build peaks at 1.49 times what it holds after, below 1.55: each
+    stage's entries are written once, straight into the array it keeps,
+    not first into one array per field.  Each entry array is allocated at
+    its final size, with no spare room left from growing it."""
     ideal = parse_ideal("x9,x8y3,x7y4,x6y5,xy6,y8")
     gc.collect()
     tracemalloc.start()
@@ -2016,4 +1998,6 @@ def test_deep_resolution_is_held_in_arrays():
     assert sum(len(d.entries) for d in res.differentials) == 45019
     assert sum(m.rank for m in res.modules) == 37051
     assert held <= 4_000_000
-    assert peak <= 1.7 * held, (peak, held)
+    assert peak <= 1.55 * held, (peak, held)
+    for d in res.differentials:
+        assert sys.getsizeof(d.entries.ints) == sys.getsizeof(array("q", d.entries.ints))

@@ -11,7 +11,7 @@ from operator import add
 
 import pytest
 
-from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, random_corpus, with_map
+from conftest import M, M_LEFT, M_RIGHT, acceptance_corpus, exhaustive_corpus, mutate_entries, with_map
 from stairstep import (
     Differential,
     IdealClass,
@@ -244,7 +244,7 @@ class TestMainRuleIsAffine:
         slug = f"main-case-{case}"
         ideals = [
             ideal
-            for ideal in exhaustive_corpus(4) + random_corpus(50, seed=0)
+            for ideal in acceptance_corpus()
             if ideal.num_generators == r and classify(ideal).slug == slug
         ]
         assert ideals
@@ -690,10 +690,7 @@ def test_compose_check_matches_monomial_reference(ideal):
         d_hi = res.differentials[i]
         # flip the first entry of every column: a column with several
         # entries loses the cancellation that made its composite vanish
-        bad, seen = [], set()
-        for row, col, sign, x, y in d_hi.entries:
-            bad.append((row, col, sign if col in seen else -sign, x, y))
-            seen.add(col)
+        bad = mutate_entries(d_hi.entries, "flip_column_heads", 0)
         for hi in (tuple(d_hi.entries), bad):
             # a shuffled copy is out of column order; the composite does not see it
             shuffled = random.Random(i).sample(hi, len(hi))
