@@ -5,11 +5,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .classify import IdealClass, classify
-from .monomials import MonomialIdeal
-from .resolution import Resolution, StageTooSmall, _main_betti_counts, _product_betti_counts
+from .classify import IdealClass
+
+if TYPE_CHECKING:
+    from .monomials import MonomialIdeal
+    from .resolution import Resolution
 
 
 @dataclass(frozen=True)
@@ -132,20 +134,12 @@ def graded_betti(res: Resolution) -> BettiTable:
 
 
 def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
-    """The graded Betti table of :func:`build_resolution` through
-    ``stages``, counted without building it.
+    """The graded Betti table of :func:`build_resolution` through ``stages``,
+    counted by the Betti counter of M's regime with no resolution built."""
+    from .resolution import _regime
 
-    A main-case table is counted from the base degrees of the F1, F2 and
-    F3 blocks stage by stage, with no module or matrix built; type II is
-    the same rule table at r = 1, two generators per stage.  Types I, III,
-    IV and V, the Kunneth product, add one generator of stage i for each
-    p that both one-variable factors reach, at twist xtw[p] + ytw[i-p]."""
-    if stages < 0:
-        raise StageTooSmall("need n >= 0")
-    cls = classify(ideal)
-    if cls.is_main or cls is IdealClass.TYPE_II:
-        return BettiTable(_main_betti_counts(ideal, stages), max_stage=stages)
-    return BettiTable(_product_betti_counts(ideal, stages), max_stage=stages)
+    _source, count = _regime(ideal, stages)
+    return BettiTable(count(ideal, stages), max_stage=stages)
 
 
 def render_shape(table: BettiTable) -> tuple[int, int]:
@@ -164,12 +158,13 @@ def render_betti_table(table: BettiTable) -> str:
     for (i, d), v in table.entries.items():
         if 0 <= i < n_cols and d >= i:
             in_row[d - i].append((i, v))
-    lines = ["      " + " ".join(map(str, range(n_cols))), "total: " + " ".join(map(str, table.totals()))]
+    pad = max(len("total:"), len(f"{rows - 1}:")) + 1  # one label column, labels padded after the colon
+    lines = [" " * pad + " ".join(map(str, range(n_cols))), "total:".ljust(pad) + " ".join(map(str, table.totals()))]
     for j, entries in enumerate(in_row):
         cells = ["."] * n_cols
         for i, v in entries:
             cells[i] = str(v)
-        lines.append(f"{j}: " + " ".join(cells))
+        lines.append(f"{j}:".ljust(pad) + " ".join(cells))
     return "\n".join(lines)
 
 

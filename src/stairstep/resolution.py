@@ -1,16 +1,17 @@
 """Explicit graded minimal free resolutions of k over S = k[x,y]/M.
 
-build_resolution is the one builder: it rejects a negative stage count,
-classifies M and, after F_0, wraps each stage that its regime's stage
-source yields.  The main-case resolution is assembled from three column
-templates (the maps into a rank-1 target, an {e_x,e_y} pair, and a full
-{e_f_1..e_f_{r+1}} stage-two module).  From stage four on, every module
-is a direct sum of copies of F1, F2 and F3 and the next differential is
-block diagonal in instantiated templates.  One pure function,
-_main_rule, states the templates and which blocks of the next stage each
-block carries; the builder instantiates them.  Degenerate types I, III,
-IV and V are one Kunneth tensor product of the one-variable resolutions
-of k; type II, a single generator, has its own period-2 construction.
+_regime, the one home of the regime split, classifies M and names its
+stage source and Betti counter; build_resolution, the one builder, wraps
+each stage the source yields.  The main-case resolution is assembled
+from three column templates (the maps into a rank-1 target, an {e_x,e_y}
+pair, and a full {e_f_1..e_f_{r+1}} stage-two module).  From stage four
+on, every module is a direct sum of copies of F1, F2 and F3 and the next
+differential is block diagonal in instantiated templates.  One pure
+function, _main_rule, states the templates and which blocks of the next
+stage each block carries; the builder instantiates them.  Degenerate
+types I, III, IV and V are one Kunneth product of the one-variable
+resolutions of k; type II, a single generator, has its own period-2
+construction.
 
 A Resolution states M, each F_i and each map d_i: F_i -> F_{i-1} once, a
 map as its entries alone, and keeps its ints in arrays: a map's entries
@@ -562,21 +563,25 @@ def _type_ii_stages(ideal: MonomialIdeal, n: int):
         yield dx, dy, ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2), entries[k]
 
 
-def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
-    """Resolution of k over k[x,y]/M through the requested stage: F_0 = S,
-    one generator e1 in bidegree (0, 0), then the stages of the main-case
-    templates, the Kunneth product of types I, III, IV and V, or the
-    period-2 construction of type II.  Bidegrees and exponents are stored
-    as 64-bit ints; one that does not fit raises ValueError."""
+def _regime(ideal: MonomialIdeal, stages: int):
+    """(stage source, Betti counter) of M's regime, read by name when this
+    runs; type II is counted over the main-case rule table at r = 1."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
     if cls.is_main:
-        source = _main_stages
-    elif cls is IdealClass.TYPE_II:
-        source = _type_ii_stages
-    else:
-        source = _product_stages
+        return _main_stages, _main_betti_counts
+    if cls is IdealClass.TYPE_II:
+        return _type_ii_stages, _main_betti_counts
+    return _product_stages, _product_betti_counts
+
+
+def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
+    """Resolution of k over k[x,y]/M through the requested stage: F_0 = S,
+    one generator e1 in bidegree (0, 0), then each stage of the source of
+    M's regime.  Bidegrees and exponents are stored as 64-bit ints; one
+    that does not fit raises ValueError."""
+    source, _count = _regime(ideal, stages)
     modules = [GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))]
     diffs: list[Differential] = []
     try:

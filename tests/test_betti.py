@@ -31,23 +31,39 @@ from stairstep.monomials import _standard_x
 
 
 GOLDEN_LEFT = """\
-      0 1 2 3 4 5 6
+       0 1 2 3 4 5 6
 total: 1 2 3 5 8 13 21
-0: 1 2 1 . . . .
-1: . . 1 2 1 . .
-2: . . 1 3 4 3 1
-3: . . . . 2 6 7
-4: . . . . 1 4 9
-5: . . . . . . 3
-6: . . . . . . 1"""
+0:     1 2 1 . . . .
+1:     . . 1 2 1 . .
+2:     . . 1 3 4 3 1
+3:     . . . . 2 6 7
+4:     . . . . 1 4 9
+5:     . . . . . . 3
+6:     . . . . . . 1"""
 
 GOLDEN_RIGHT = """\
-      0 1 2 3 4 5 6
+       0 1 2 3 4 5 6
 total: 1 2 3 5 8 13 21
-0: 1 2 1 . . . .
-1: . . 2 5 4 1 .
-2: . . . . 4 12 13
-3: . . . . . . 8"""
+0:     1 2 1 . . . .
+1:     . . 2 5 4 1 .
+2:     . . . . 4 12 13
+3:     . . . . . . 8"""
+
+# (x^12, y) at stage 3: rows 0..10, so a two-digit row label
+GOLDEN_X12_Y = """\
+       0 1 2 3
+total: 1 1 1 1
+0:     1 1 . .
+1:     . . . .
+2:     . . . .
+3:     . . . .
+4:     . . . .
+5:     . . . .
+6:     . . . .
+7:     . . . .
+8:     . . . .
+9:     . . . .
+10:    . . 1 1"""
 
 
 class TestTotalBetti:
@@ -136,6 +152,9 @@ class TestGradedBetti:
         right = graded_betti(build_resolution(M_RIGHT, 6))
         assert render_betti_table(left) == GOLDEN_LEFT
         assert render_betti_table(right) == GOLDEN_RIGHT
+
+    def test_a_two_digit_row_label_keeps_the_column(self):
+        assert render_betti_table(betti_table(parse_ideal("x^12,y"), 3)) == GOLDEN_X12_Y
 
     def test_spot_entries(self):
         left = graded_betti(build_resolution(M_LEFT, 6))
@@ -252,6 +271,9 @@ class TestBettiTable:
 
         for builder in ("build_resolution", "_main_stages", "_type_ii_stages", "_product_stages"):
             monkeypatch.setattr(stairstep.resolution, builder, no_build)
+        for ideal in (M((2, 3)), M((2, 0), (0, 3))):  # the regime split reads the patched sources
+            with pytest.raises(AssertionError, match="was built"):
+                build_resolution(ideal, 2)
         kinds = set()
         for (ideal, stages), table in built.items():
             counted = betti_table(ideal, stages)
@@ -267,9 +289,11 @@ class TestBettiTable:
         # which is right because the resolution that table builds is one
         ideal = parse_ideal(text)
         assert classify(ideal) is IdealClass.TYPE_II
-        expected = graded_betti(build_resolution(ideal, 9)).entries
+        own = build_resolution(ideal, 9)
+        expected = graded_betti(own).entries
         monkeypatch.setattr(stairstep.resolution, "_type_ii_stages", stairstep.resolution._main_stages)
         res = build_resolution(ideal, 9)
+        assert res.differentials != own.differentials  # the main-case source ran
         assert check_complex(res).verdict
         assert check_minimality(res).verdict
         assert check_exactness(res, 8, 40).verdict
@@ -338,16 +362,16 @@ class TestEulerCharacteristic:
 
 
 def render_per_cell(table: BettiTable) -> str:
-    """render_betti_table as it was: each cell of the grid looked up in the
-    entries."""
+    """render_betti_table written cell by cell: each cell of the grid looked
+    up in the entries, each label padded after its colon to the longest."""
     rows, n_cols = render_shape(table)
     cols = range(n_cols)
-    lines = ["      " + " ".join(str(i) for i in cols)]
-    lines.append("total: " + " ".join(str(v) for v in table.totals()))
+    labels = ["", "total:"] + [f"{j}:" for j in range(rows)]
+    width = max(map(len, labels))
+    grid = [[str(i) for i in cols], [str(v) for v in table.totals()]]
     for j in range(rows):
-        cells = [str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "." for i in cols]
-        lines.append(f"{j}: " + " ".join(cells))
-    return "\n".join(lines)
+        grid.append([str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "." for i in cols])
+    return "\n".join(f"{label:<{width}} " + " ".join(cells) for label, cells in zip(labels, grid))
 
 
 class TestRender:
@@ -369,6 +393,14 @@ class TestRender:
     def test_counted_tables_match_the_per_cell_renderer(self, text, stages):
         table = betti_table(parse_ideal(text), stages)
         assert render_betti_table(table) == render_per_cell(table)
+
+    @pytest.mark.parametrize("last_row, total", [(9, "total: 1 1"), (99_999, "total: 1 1"), (100_000, "total:  1 1")])
+    def test_one_label_width_on_every_line(self, last_row, total):
+        # "total:" sets the width up to row 99999; the label "100000:" widens it
+        lines = render_betti_table(BettiTable({(0, 0): 1, (1, 1 + last_row): 1}, 1)).split("\n")
+        assert lines[1] == total
+        assert {len(line) for line in lines} == {len(total)}
+        assert lines[-1] == f"{last_row}:".ljust(len(total) - 3) + ". 1"
 
 
 class TestSerialization:
