@@ -32,7 +32,7 @@ class BettiTable:
     def totals(self) -> list[int]:
         out = [0] * (self.max_stage + 1)
         for (i, _d), v in self.entries.items():
-            if i <= self.max_stage:
+            if 0 <= i <= self.max_stage:
                 out[i] += v
         return out
 
@@ -144,7 +144,8 @@ def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
 
 def render_shape(table: BettiTable) -> tuple[int, int]:
     """(rows, columns) of the cell grid :func:`render_betti_table` prints."""
-    return 1 + max((d - i for (i, d) in table.entries), default=0), table.max_stage + 1
+    shown = (d - i for (i, d) in table.entries if 0 <= i <= table.max_stage and d >= i)
+    return 1 + max(shown, default=0), table.max_stage + 1
 
 
 def render_betti_table(table: BettiTable) -> str:

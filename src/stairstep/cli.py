@@ -153,6 +153,10 @@ def _cmd_resolve(args, ideal) -> int:
         for i, m in enumerate(res.modules):
             print(f"{i},{m.rank}")
     else:
+        ranks = [m.rank for m in res.modules]
+        cells = sum(a * b for a, b in zip(ranks, ranks[1:]))  # one per entry of each dense d_i
+        if cells > BETTI_MAX_CELLS:
+            raise ValueError(f"resolve text would print {cells} cells, above the limit of {BETTI_MAX_CELLS}")
         _print_resolution_text(res)
     return 0
 
@@ -163,12 +167,13 @@ def _cmd_resolve(args, ideal) -> int:
 # (9 MB).  Stage 1000 costs 3-5x that, and stage 2000 another 4-7x.
 BETTI_MAX_STAGES = 500
 
-# The largest grid of cells `betti --graded` or `oracle` prints as text, one
-# per (row, stage).  Rendering costs 25-80 ns a cell on the same VM, the
-# most where the table is dense: 3.96 M cells (the 200-generator staircase
-# at stage 200) take 0.1 s and print 8.6 MB.  A degenerate ideal has one row
-# per d - i, so (x^100000, y) at stage 40 would print 82 M cells.  json and
-# csv list only nonzero entries.
+# The most cells `betti --graded` or `oracle` prints as a text grid, one per
+# (row, stage), and `resolve` as text matrices, one per entry of each dense
+# d_i.  A grid cell costs 25-80 ns on the same VM, the most where the table is
+# dense: 3.96 M cells (the 200-generator staircase at stage 200) take 0.1 s
+# and print 8.6 MB.  (x^100000, y) at stage 40 would print 82 M, one row per
+# d - i, and `resolve` (x^6, ..., xy^5) --stages 9 29.8 M, about 176 MB.
+# json and csv list only nonzero entries.
 BETTI_MAX_CELLS = 5_000_000
 
 # The most digits `poincare --expand` prints.  Converting an n-digit int to

@@ -102,18 +102,6 @@ def _modulus(fld: FieldConfig) -> int:
     return fld.p if isinstance(fld, PrimeField) else 0
 
 
-def _working_copy(col: dict[int, int], p: int) -> dict[int, int]:
-    """Nonzero entries of an integer column; when p > 0, each a residue
-    mod p in (-p, p).  A column that already is one, as `in`, `min` and
-    `max` over its values tell, is copied whole."""
-    vals = col.values()
-    if 0 not in vals and (not p or not col or (-p < min(vals) and max(vals) < p)):
-        return col.copy()
-    if p:
-        return {r: w for r, v in col.items() if (w := v if -p < v < p else v % p)}
-    return {r: v for r, v in col.items() if v}
-
-
 def _subtract(vec: dict, b: int, other: dict, p: int) -> None:
     """vec -= b * other in place; zeros are dropped.  When p > 0 entries
     are residues in (-p, p), reduced mod p only when one leaves that range:
@@ -196,17 +184,19 @@ def _eliminate(col, pivots, p, combo=None, pivcombos=None) -> bool:
 
 
 def sparse_rank(columns, fld: FieldConfig) -> int:
-    """Rank of a matrix given as sparse columns {row: int_coeff}."""
+    """Rank of a matrix given as sparse columns {row: int_coeff}, which the
+    kernel owns: each holds nonzero ints only, over F_p residues in (-p, p),
+    and _eliminate reduces it in place and may keep it as a pivot."""
     p = _modulus(fld)
     pivots: dict = {}
     for col in columns:
-        _eliminate(_working_copy(col, p), pivots, p)
+        _eliminate(col, pivots, p)
     return len(pivots)
 
 
 def sparse_nullspace(columns, fld: FieldConfig, *, limit: Optional[int] = None) -> list[dict[int, int]]:
     """Nullspace basis of a matrix given as sparse columns {row: int_coeff},
-    any iterable of them.
+    any iterable of them, each owned by the kernel as sparse_rank's are.
 
     Vectors are sparse {column_index: int_coeff}, each fixed only up to a
     nonzero scalar: over Q the coefficients are integers (common factors
@@ -225,7 +215,7 @@ def sparse_nullspace(columns, fld: FieldConfig, *, limit: Optional[int] = None) 
         return null
     for j, col in enumerate(columns):
         combo = {j: 1}
-        if not _eliminate(_working_copy(col, p), pivots, p, combo, pivcombos):
+        if not _eliminate(col, pivots, p, combo, pivcombos):
             null.append(combo)
             if len(null) == limit:
                 break
@@ -483,10 +473,10 @@ def _block_ranks(
     column alive in the piece to a row alive there is s in the piece's
     matrix; to a dead row, its product lies in M.  So a piece's matrix is
     the block's integer sign matrix on the columns and rows alive there:
-    the key's entries are folded into one integer per cell, cells that
-    cancel dropped, once per key, and a piece's rank is computed once per
-    (alive columns, alive rows) pattern and looked up after.  Each key's
-    ranks are extended on demand.
+    the key's entries are folded into one integer per cell, over F_p a
+    residue in (-p, p), and cells that vanish dropped, once per key, and a
+    piece's rank is computed once per (alive columns, alive rows) pattern
+    and looked up after.  Each key's ranks are extended on demand.
 
     The ranks are constant from degree T = Pmax + Qmax on, where Pmax is
     the largest relative x-degree of a column or row plus a_1 and Qmax the
@@ -505,7 +495,8 @@ def _block_ranks(
         it = iter(key)
         for c, r, s, _x, _y in zip(it, it, it, it, it):
             cells[c][r] = cells[c].get(r, 0) + s
-        folded = [{r: v for r, v in col.items() if v} for col in cells]
+        p = _modulus(fld)
+        folded = [{r: w for r, v in col.items() if (w := v % p if p and not -p < v < p else v)} for col in cells]
         by_degree = sorted(range(len(cbi)), key=lambda c: sum(cbi[c]))
         degrees = [sum(cbi[c]) for c in by_degree]
         xs, ys = zip(*cbi, *rbi)

@@ -1,17 +1,19 @@
 """Shared helpers for the test suite: the corpora, the running examples,
-and the one way tests replace or corrupt a map of a resolution."""
+the one way tests replace or corrupt a map of a resolution, a
+resolution's JSON as a file holds it, and the staircase bound's c."""
 from __future__ import annotations
 
 import functools
 import gc
 import itertools
+import json
 import random
 import sys
 from dataclasses import replace
 
 from hypothesis import assume, settings, strategies as st
 
-from stairstep import Differential, Monomial, MonomialIdeal, normalize_ideal
+from stairstep import Differential, Monomial, MonomialIdeal, normalize_ideal, resolution_to_json
 
 
 def M(*pairs):
@@ -80,6 +82,20 @@ def mutate(res, i, kind: str, k: int = 0, rng: random.Random | None = None):
 def each_map(res, edit):
     """``res`` with every d_i replaced by ``Differential(edit(entries of d_i))``, d_1 first."""
     return replace(res, differentials=[Differential(edit(d.entries)) for d in res.differentials])
+
+
+def json_data(res) -> dict:
+    """``resolution_to_json(res)`` written as JSON text and read back, as a
+    loader reads it from a file."""
+    return json.loads(json.dumps(resolution_to_json(res)))
+
+
+def staircase_c(ideal: MonomialIdeal) -> int:
+    """c of the brute force's staircase bound (stage i >= 2 ends at degree
+    m_x + m_y + c), in its three-term form, read off the first and last
+    generators."""
+    g1, gr = ideal.generators[0], ideal.generators[-1]
+    return max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
 
 
 def exhaustive_corpus(max_exp: int) -> list[MonomialIdeal]:

@@ -26,7 +26,6 @@ from stairstep import (
     series_expand,
     total_betti,
 )
-from stairstep.betti import render_shape
 from stairstep.monomials import _standard_x
 
 
@@ -363,12 +362,14 @@ class TestEulerCharacteristic:
 
 def render_per_cell(table: BettiTable) -> str:
     """render_betti_table written cell by cell: each cell of the grid looked
-    up in the entries, each label padded after its colon to the longest."""
-    rows, n_cols = render_shape(table)
-    cols = range(n_cols)
+    up in the entries, each total summed over its stage's entries, one row
+    per d - i the grid shows, each label padded after its colon to the
+    longest."""
+    cols = range(table.max_stage + 1)
+    rows = 1 + max((d - i for i, d in table.entries if i in cols and d >= i), default=0)
     labels = ["", "total:"] + [f"{j}:" for j in range(rows)]
     width = max(map(len, labels))
-    grid = [[str(i) for i in cols], [str(v) for v in table.totals()]]
+    grid = [[str(i) for i in cols], [str(sum(v for (j, _d), v in table.entries.items() if j == i)) for i in cols]]
     for j in range(rows):
         grid.append([str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "." for i in cols])
     return "\n".join(f"{label:<{width}} " + " ".join(cells) for label, cells in zip(labels, grid))
@@ -393,6 +394,13 @@ class TestRender:
     def test_counted_tables_match_the_per_cell_renderer(self, text, stages):
         table = betti_table(parse_ideal(text), stages)
         assert render_betti_table(table) == render_per_cell(table)
+
+    def test_an_entry_off_the_grid_counts_in_no_total_or_row(self):
+        # stage -1 is no column of the grid, so it adds to no total (not to
+        # out[-1], the last) and opens no row
+        table = BettiTable({(-1, 0): 5, (0, 0): 1}, 2)
+        assert table.totals() == [1, 0, 0]
+        assert render_betti_table(table) == "       0 1 2\ntotal: 1 0 0\n0:     1 . ."
 
     @pytest.mark.parametrize("last_row, total", [(9, "total: 1 1"), (99_999, "total: 1 1"), (100_000, "total:  1 1")])
     def test_one_label_width_on_every_line(self, last_row, total):

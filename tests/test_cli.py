@@ -765,6 +765,21 @@ class TestInputBounds:
         # json and csv list the nonzero entries only
         assert run(capsys, "oracle", "x^7,y", "--format", "csv")[0] == 0
 
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x^7,y"])
+    def test_resolve_text_at_cell_limit(self, capsys, monkeypatch, text):
+        # one cell per entry of each dense d_i: rank F_{i-1} x rank F_i
+        ranks = [m.rank for m in build_resolution(parse_ideal(text), 6).modules]
+        cells = sum(a * b for a, b in zip(ranks, ranks[1:]))
+        _, expected, _ = run(capsys, "resolve", text)
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", cells)
+        assert run(capsys, "resolve", text) == (0, expected, "")
+        monkeypatch.setattr(stairstep.cli, "BETTI_MAX_CELLS", cells - 1)
+        code, out, err = run(capsys, "resolve", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: resolve text would print {cells} cells, above the limit of {cells - 1}\n"
+        # json and csv are not bounded
+        assert run(capsys, "resolve", text, "--format", "json")[0] == 0
+
     def test_betti_graded_cell_limit_fits_the_stage_limit(self):
         # the six-generator table at the deepest stage betti accepts fits
         table = betti_table(parse_ideal("x6,x5y,x4y2,x3y3,x2y4,xy5"), stairstep.cli.BETTI_MAX_STAGES)

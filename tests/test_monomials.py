@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, python_steps
+from conftest import M, M_LEFT, M_RIGHT, exhaustive_corpus, python_steps, staircase_c
 from stairstep import (
     EmptyIdeal,
     Monomial,
@@ -269,9 +269,7 @@ def top_by_scan(ideal):
 
 def stage_bound(ideal):
     # the brute force's c, against the three-term form it replaced
-    g1, gr = ideal.generators[0], ideal.generators[-1]
-    c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
-    assert ideal.flat - (ideal.num_generators > 1) == c, ideal
+    assert ideal.flat - (ideal.num_generators > 1) == staircase_c(ideal), ideal
 
 
 DEGREE_CHECKS = [tail_from_flat, top_by_scan, stage_bound]

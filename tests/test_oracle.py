@@ -25,10 +25,12 @@ from conftest import (
     acceptance_corpus,
     each_map,
     exhaustive_corpus,
+    json_data,
     mutate,
     mutate_entries,
     python_steps,
     random_corpus,
+    staircase_c,
     staircases,
     with_map,
 )
@@ -77,7 +79,6 @@ from stairstep.oracle import (
     _split_blocks,
     _spread,
     _std_x,
-    _working_copy,
     sparse_nullspace,
     sparse_rank,
 )
@@ -152,6 +153,15 @@ def reference_elimination(columns, nrows, p):
     return len(pivots), null
 
 
+def owned(columns, fld):
+    """Fresh copies of integer columns as the kernel takes them: nonzero
+    entries only, over F_p reduced mod p.  The kernel reduces a column
+    handed to it in place, so a test that reads its columns again, or
+    hands them over twice, hands over these."""
+    p = _modulus(fld)
+    return [{r: w for r, v in col.items() if (w := v % p if p else v)} for col in columns]
+
+
 FIELDS = [ExactRationals(), PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(32003)]
 
 matrices = st.integers(1, 6).flatmap(
@@ -169,11 +179,9 @@ class TestElimination:
     def test_matches_fraction_reference(self, matrix, fld):
         nrows, columns = matrix
         p = getattr(fld, "p", 0)
-        snapshot = [dict(col) for col in columns]
         rank, ref_null = reference_elimination(columns, nrows, p)
-        assert sparse_rank(columns, fld) == rank
-        null = sparse_nullspace(columns, fld)
-        assert columns == snapshot
+        assert sparse_rank(owned(columns, fld), fld) == rank
+        null = sparse_nullspace(owned(columns, fld), fld)
         assert len(null) == len(columns) - rank
         for vec, ref in zip(null, ref_null):
             # the same line as the reference vector, with integer coefficients
@@ -193,15 +201,15 @@ class TestElimination:
     @pytest.mark.parametrize("fld, rank", [(ExactRationals(), 2), (PrimeField(2), 1), (PrimeField(3), 2)])
     def test_rank_depends_on_characteristic(self, fld, rank):
         columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-        assert sparse_rank(columns, fld) == rank
-        assert len(sparse_nullspace(columns, fld)) == 2 - rank
+        assert sparse_rank(owned(columns, fld), fld) == rank
+        assert len(sparse_nullspace(owned(columns, fld), fld)) == 2 - rank
 
     @pytest.mark.parametrize("fld, rank", [(ExactRationals(), 3), (PrimeField(3), 2), (PrimeField(2), 3)])
     def test_determinant_three(self, fld, rank):
         # [[2, 1, 0], [1, 2, 0], [0, 0, 1]] has determinant 3
         columns = [{0: 2, 1: 1}, {0: 1, 1: 2}, {2: 1}]
-        assert sparse_rank(columns, fld) == rank
-        null = sparse_nullspace(columns, fld)
+        assert sparse_rank(owned(columns, fld), fld) == rank
+        null = sparse_nullspace(owned(columns, fld), fld)
         assert len(null) == 3 - rank
         if null:
             assert null == [{0: 1, 1: 1}]  # 2 + 1 = 1 + 2 = 3 = 0 in F_3
@@ -211,6 +219,30 @@ class TestElimination:
         # factor 2 until the gcd division removes it
         null = sparse_nullspace([{0: 2}, {0: 4}, {0: 6}], ExactRationals())
         assert null == [{1: 1, 0: -2}, {2: 1, 0: -3}]
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])
+    def test_package_callers_hand_over_owned_columns(self, monkeypatch, fld):
+        # the kernel reduces every column in place, so each one handed over
+        # must hold nonzero entries only, over F_p in (-p, p), and be a new
+        # object: handed keeps every column alive, so no id is reused
+        p = _modulus(fld)
+        handed = []
+
+        def checked(columns):
+            for col in columns:
+                assert all(v and (not p or -p < v < p) for v in col.values()), col
+                handed.append(col)
+                yield col
+
+        rank, nullspace = sparse_rank, sparse_nullspace
+        monkeypatch.setattr(stairstep.oracle, "sparse_rank", lambda columns, f: rank(checked(columns), f))
+        monkeypatch.setattr(
+            stairstep.oracle, "sparse_nullspace", lambda columns, f, **kw: nullspace(checked(columns), f, **kw)
+        )
+        for ideal in exhaustive_corpus(3):
+            assert check_exactness(build_resolution(ideal, 6), 5, 20, fld).verdict
+            minimal_resolution_bruteforce(ideal, 5, 20, fld)
+        assert handed and len({id(col) for col in handed}) == len(handed)
 
 
 class TestEliminationStep:
@@ -264,26 +296,6 @@ class TestEliminationStep:
         assert pivots == {0: {0: 1, 2: 3}}
 
 
-class TestWorkingCopy:
-    @pytest.mark.parametrize("p", [0, 2, 5])
-    def test_working_column_is_copied(self, p):
-        col = {0: 1, 3: -1}
-        work = _working_copy(col, p)
-        assert work == col
-        assert work is not col
-
-    def test_zero_dropped_over_q(self):
-        assert _working_copy({0: 0, 1: 2, 2: -7}, 0) == {1: 2, 2: -7}
-
-    @pytest.mark.parametrize("col, work", [({0: 3, 1: -4, 2: -1}, {1: 2, 2: -1}), ({0: -3, 1: 1}, {1: 1})])
-    def test_out_of_range_entries_reduced_over_f3(self, col, work):
-        # -4 is -1 mod 3, kept as the residue 2; 3 and -3 are 0 mod 3
-        assert _working_copy(col, 3) == work
-
-    def test_two_dropped_over_f2(self):
-        assert _working_copy({0: 2, 1: 1}, 2) == {1: 1}
-
-
 BRUTEFORCE_SHA256 = {
     # json.dumps(betti_json(minimal_resolution_bruteforce(M, 6, 15, fld)), sort_keys=True),
     # the same over Q and over F_32003
@@ -313,7 +325,7 @@ class GradedPieceMatrix:
     columns: tuple[dict[int, int], ...]  # sparse, integer coefficients
 
     def rank(self, fld: FieldConfig) -> int:
-        return sparse_rank(self.columns, fld)
+        return sparse_rank(owned(self.columns, fld), fld)
 
 
 def _slice_basis(module, ideal: MonomialIdeal, degree: int):
@@ -568,7 +580,7 @@ class TestEntryRule:
         exactness = check_exactness(bad, 4, 15)
         assert exactness.failures() == [exactness.checks[-1]] == [CheckRecord("exactness", i, None, False, detail)]
         assert check_minimality(bad).verdict  # it indexes no module
-        data = json.loads(json.dumps(resolution_to_json(bad)))
+        data = json_data(bad)
         with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
             resolution_from_json(data)
 
@@ -593,7 +605,7 @@ class TestEntryRule:
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 1, None, False, detail)]
         assert check_exactness(bad, 4, 10).failures() == [CheckRecord("exactness", 1, None, False, detail)]
         with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
-            resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+            resolution_from_json(json_data(bad))
 
     def test_every_negative_x_exponent_below_the_top_map_fails_the_composites(self):
         # each entry of d_1..d_4 at stage 5 with its x-exponent set to -1,
@@ -650,7 +662,7 @@ class TestShapeFromTheResolution:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 check(bad)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+            resolution_from_json(json_data(bad))
 
 
 class TestMutations:
@@ -915,7 +927,7 @@ class TestStageZeroReadsItsModule:
     def test_a_spare_f0_generator_fails_stage_zero(self, reload):
         bad = with_spare(build_resolution(M_RIGHT, 5), 0, (7, 7))
         if reload:
-            bad = resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+            bad = resolution_from_json(json_data(bad))
         for check in (check_complex, check_minimality, check_homogeneity):
             assert check(bad).verdict
         report = check_exactness(bad, 4, 18)
@@ -1044,7 +1056,7 @@ class TestWindowEdges:
         # the twist -1 reaches into the window from below; reading degree -1
         # as a list index would add its piece to degree 12 instead
         res = with_unit_summand(build_resolution(M_RIGHT, 5), 1, (-1, 0))
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         gens = loaded.modules[2].generators
         assert gens.dx[-1] + gens.dy[-1] == -1
         report = check_exactness(loaded, 4, 12)
@@ -1055,7 +1067,7 @@ class TestWindowEdges:
         # S's Hilbert function is constant from degree flat = 3 on, so a
         # twist of -50 reads only its tail in the window
         res = with_unit_summand(build_resolution(M_RIGHT, 5), 1, (-50, 0))
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         report = check_exactness(loaded, 4, 12)
         assert report.verdict
         assert report.checks == exactness_reference(loaded, 4, 12, ExactRationals())
@@ -1065,7 +1077,7 @@ class TestWindowEdges:
         # reads dim S_4 = 1 in degree 2: a Hilbert function cut at the
         # window's end would read S's tail, 0, there
         res = with_unit_summand(build_resolution(parse_ideal("x3,y3"), 5), 1, (-2, 0))
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         report = check_exactness(loaded, 4, 3)
         assert report.verdict
         assert report.checks == exactness_reference(loaded, 4, 3, ExactRationals())
@@ -1151,7 +1163,7 @@ class TestExactnessReadsEntries:
     @pytest.mark.parametrize("stage_index", [2, 4, 5])
     def test_column_drop_caught_after_json_reload(self, stage_index):
         res = build_resolution(M_RIGHT, 7)
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         bad = mutate(loaded, stage_index + 1, "drop_column", -1)
         assert not check_exactness(bad, 6, 15).verdict
 
@@ -1225,7 +1237,7 @@ class TestExactnessReadsEntries:
         assert check_homogeneity(bad).failures() == [CheckRecord("homogeneity", 5, None, False, detail)]
         assert check_exactness(bad, 4, 20).failures() == [CheckRecord("exactness", 5, None, False, detail)]
         with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
-            resolution_from_json(json.loads(json.dumps(resolution_to_json(bad))))
+            resolution_from_json(json_data(bad))
 
     def test_negative_exponent_above_the_window_fails(self):
         # column 13's twist 7 lies above max_degree 6, so it joins no block;
@@ -1280,7 +1292,7 @@ class TestExactnessReadsEntries:
 
     def test_json_round_trip_gives_same_report(self):
         res = build_resolution(M((3, 0), (2, 2), (1, 3), (0, 5)), 9)
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         expected = check_exactness(res, 8, 30).to_json()
         assert expected["verdict"] == "pass"
         assert check_exactness(loaded, 8, 30).to_json() == expected
@@ -1320,6 +1332,10 @@ class TestExactnessReadsEntries:
             # the cell (e_x, column 0) holds y twice: 2y, which is 0 over F_2
             f2 = module((1, 1))
             entries = ((0, 0, 1, *y), (0, 0, 1, *y), (1, 0, -1, *x))
+        elif case == "triple":
+            # the cell (e_x, column 0) holds y three times: 3y, which is 0 over F_3
+            f2 = module((1, 1))
+            entries = ((0, 0, 1, *y), (0, 0, 1, *y), (0, 0, 1, *y), (1, 0, -1, *x))
         else:
             # the columns y*e_x -+ x*e_y at their monomial x^2: the row e_x
             # meets x^2y = 0 in S and e_y meets x^3, so the piece has rank
@@ -1329,8 +1345,8 @@ class TestExactnessReadsEntries:
         d2 = Differential(entries)
         return replace(build_resolution(M_RIGHT, 2), modules=[f0, f1, f2], differentials=[d1, d2])
 
-    @pytest.mark.parametrize("case", ["cancel", "double", "dead row"])
-    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(32003)], ids=str)
+    @pytest.mark.parametrize("case", ["cancel", "double", "triple", "dead row"])
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(3), PrimeField(32003)], ids=str)
     def test_hand_built_blocks_match_reference(self, case, fld):
         res = self.hand_built(case)
         report = check_exactness(res, 1, 8, fld)
@@ -1342,6 +1358,14 @@ class TestExactnessReadsEntries:
         for fld in (ExactRationals(), PrimeField(2), PrimeField(32003)):
             passed[str(fld)] = [c.passed for c in check_exactness(res, 1, 8, fld).checks]
         assert passed["ExactRationals()"] == passed["PrimeField(p=32003)"] != passed["PrimeField(p=2)"]
+
+    def test_tripled_cell_vanishes_only_over_f3(self):
+        # the fold reduces a cell mod p before the kernel sees it
+        res = self.hand_built("triple")
+        passed = {}
+        for fld in (ExactRationals(), PrimeField(3), PrimeField(32003)):
+            passed[str(fld)] = [c.passed for c in check_exactness(res, 1, 8, fld).checks]
+        assert passed["ExactRationals()"] == passed["PrimeField(p=32003)"] != passed["PrimeField(p=3)"]
 
     @pytest.mark.parametrize(
         "text", ["x2y,xy2", "xy2,y4", "x3,x2y2,xy3,y5", "x3,y7", "x2y3", "x3,y"], ids=str
@@ -1590,7 +1614,7 @@ def bruteforce_reference(ideal, max_stage, max_degree, fld):
                             ri = rows.setdefault((tg, x + tx, y + ty), len(rows))
                             col[ri] = col.get(ri, 0) + c
                     columns.append(col)
-                kernel = sparse_nullspace(columns, fld)
+                kernel = sparse_nullspace(owned(columns, fld), fld)
             pivots = {}
             for k in prev_kernel:
                 for dx, dy in ((1, 0), (0, 1)):
@@ -1711,13 +1735,13 @@ class TestBruteforceStops:
             seen = []
 
             def reading(seen=seen):
-                for j, col in enumerate(columns):
+                for j, col in enumerate(owned(columns, ExactRationals())):
                     seen.append(j)
                     yield col
 
             null = sparse_nullspace(reading(), ExactRationals(), limit=limit)
             assert (len(null), len(seen)) == (vectors, read)
-            assert null == sparse_nullspace(columns, ExactRationals())[:vectors]
+            assert null == sparse_nullspace(owned(columns, ExactRationals()), ExactRationals())[:vectors]
 
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(32003)], ids=["Q", "F2", "F32003"])
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x6,x5y,x4y2,x3y3,x2y4,xy5", "x3,y7"])
@@ -1754,8 +1778,7 @@ class TestBruteforceStops:
         res = build_resolution(ideal, 8)
         table = minimal_resolution_bruteforce(ideal, 8, 60)
         assert compare_betti(graded_betti(res), table).is_empty
-        g1, gr = ideal.generators[0], ideal.generators[-1]
-        c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+        c = staircase_c(ideal)
         for i in stages:
             gens = res.modules[i - 1].generators
             assert max(d for j, d in table.entries if j == i) == max(gens.dx) + max(gens.dy) + c
@@ -1775,8 +1798,7 @@ class TestBruteforceStops:
         ideal = parse_ideal(text)
         minimal_resolution_bruteforce(ideal, 6, 60)
         res = build_resolution(ideal, 6)
-        g1, gr = ideal.generators[0], ideal.generators[-1]
-        c = max(g1.xdeg + gr.ydeg - 2, g1.xdeg + g1.ydeg - 1, gr.xdeg + gr.ydeg - 1)
+        c = staircase_c(ideal)
         bounds = [max(m.generators.dx) + max(m.generators.dy) + c for m in res.modules[1:6]]
         assert reads == [1] + bounds
 
@@ -1908,7 +1930,7 @@ class TestBidegrees:
     @pytest.mark.parametrize("text", ["x3,x2y2,xy3,y5", "x2y,xy2"])
     def test_swapped_f2_bidegrees_fail(self, swapped_f2, text):
         res = build_resolution(parse_ideal(text), 8)
-        loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+        loaded = resolution_from_json(json_data(res))
         for r in (res, loaded):
             # the total-degree checks cannot see it
             assert check_complex(r).verdict and check_minimality(r).verdict
@@ -1968,7 +1990,7 @@ def test_resolution_holds_no_object_per_entry_or_generator(text):
     bidegrees in int arrays and no label per generator: it reaches a few
     objects of each type per stage, and the collector tracks no tuple."""
     res = build_resolution(parse_ideal(text), 8)
-    loaded = resolution_from_json(json.loads(json.dumps(resolution_to_json(res))))
+    loaded = resolution_from_json(json_data(res))
     for r in (res, loaded):
         # a tuple of strings is untracked by a collection, and a tuple of
         # such tuples by the next

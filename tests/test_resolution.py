@@ -11,7 +11,16 @@ from operator import add
 
 import pytest
 
-from conftest import M, M_LEFT, M_RIGHT, acceptance_corpus, exhaustive_corpus, mutate_entries, with_map
+from conftest import (
+    M,
+    M_LEFT,
+    M_RIGHT,
+    acceptance_corpus,
+    exhaustive_corpus,
+    json_data,
+    mutate_entries,
+    with_map,
+)
 from stairstep import (
     Differential,
     IdealClass,
@@ -358,7 +367,7 @@ class TestDispatchAndJson:
     def test_json_round_trip(self):
         for ideal in (M_RIGHT, M((3, 0), (0, 7)), M((1, 0))):
             res = build_resolution(ideal, 6)
-            data = json.loads(json.dumps(resolution_to_json(res)))
+            data = json_data(res)
             res2 = resolution_from_json(data)
             assert res2.ring == res.ring
             assert res2.ideal_class is res.ideal_class
@@ -367,7 +376,7 @@ class TestDispatchAndJson:
                 assert a.entries == b.entries
 
     def test_json_class_must_match_the_ideal(self):
-        data = json.loads(json.dumps(resolution_to_json(build_resolution(M((3, 0), (0, 7)), 6))))
+        data = json_data(build_resolution(M((3, 0), (0, 7)), 6))
         data["class"] = "main-case-2"
         with pytest.raises(ValueError, match="'main-case-2'.*'type-5'"):
             resolution_from_json(data)
@@ -465,7 +474,7 @@ def test_json_reload_reads_the_sign_byte_of_each_exponent():
 def test_json_reload_rejects_entries_outside_their_matrix(field, value, message):
     # left unchecked, a row of 99 loads and crashes the checks with
     # IndexError, and a col of -1 wraps to the last column
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     entry = data["differentials"][1]["entries"][0]
     assert (entry["row"], entry["col"]) == (0, 0)
     entry[field] = value
@@ -477,7 +486,7 @@ def test_json_reload_rejects_entries_outside_their_matrix(field, value, message)
 def test_json_reload_rejects_a_sign_other_than_one_or_minus_one(sign):
     # left unchecked, a sign of 3 loads, passes check_complex,
     # check_minimality and check_exactness over Q, and prints unsigned
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     entries = data["differentials"][1]["entries"]
     entries[-1]["sign"] = sign
     row, col = entries[-1]["row"], entries[-1]["col"]
@@ -492,7 +501,7 @@ def test_json_reload_names_the_faults_of_one_map_in_the_rules_order(faults):
     # entry than the kind named before it: a value that is not an int is
     # named first, then a place outside the matrix, then a sign, then a
     # negative exponent
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     entries = data["differentials"][1]["entries"]
     r0, c0, (_x0, y0) = entries[0]["row"], entries[0]["col"], entries[0]["monomial"]
     r1, c1 = entries[1]["row"], entries[1]["col"]
@@ -511,7 +520,7 @@ def test_json_reload_names_the_faults_of_one_map_in_the_rules_order(faults):
 @pytest.mark.parametrize("rank", [2, 7, "abc", None])
 def test_json_reload_rejects_a_rank_other_than_the_generator_count(rank):
     # left unchecked, a module of 3 generators loads with any "rank"
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     assert data["modules"][2]["rank"] == len(data["modules"][2]["generators"]) == 3
     data["modules"][2]["rank"] = rank
     message = f"F2 has rank {rank!r} but 3 generators"
@@ -536,7 +545,7 @@ def test_json_reload_rejects_a_rank_other_than_the_generator_count(rank):
 )
 def test_json_reload_rejects_values_that_are_not_ints(path, value, message):
     # a float, a string or null raised TypeError, and True loaded as 1
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     *parents, key = path
     target = data
     for step in parents:
@@ -568,7 +577,7 @@ DELETE = object()  # a value that removes its key
     ],
 )
 def test_json_reload_names_every_malformed_shape(path, value, message):
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     # a shape fault is named before an int fault in an earlier entry of its map
     data["differentials"][1]["entries"][0]["row"] = 0.5
     *parents, key = path
@@ -599,7 +608,7 @@ def test_bidegrees_beyond_64_bits_are_a_value_error(text):
 
 
 def test_json_reload_rejects_an_int_beyond_64_bits():
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     data["modules"][2]["generators"][0]["bidegree"][0] = 2**63
     with pytest.raises(ValueError, match="does not fit in 64 bits"):
         resolution_from_json(data)
@@ -607,7 +616,7 @@ def test_json_reload_rejects_an_int_beyond_64_bits():
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_json_reload_rejects_a_differential_count_off_the_modules(extra):
-    data = json.loads(json.dumps(resolution_to_json(build_resolution(M_RIGHT, 4))))
+    data = json_data(build_resolution(M_RIGHT, 4))
     if extra > 0:
         data["differentials"].append(data["differentials"][-1])
     else:
