@@ -26,15 +26,17 @@ class BettiTable:
     max_stage: int
     max_degree: Optional[int] = None
 
-    def total(self, i: int) -> int:
-        return sum(v for (j, _d), v in self.entries.items() if j == i)
-
     def totals(self) -> list[int]:
         out = [0] * (self.max_stage + 1)
-        for (i, _d), v in self.entries.items():
-            if 0 <= i <= self.max_stage:
-                out[i] += v
+        for i, _d, v in _shown(self):
+            out[i] += v
         return out
+
+
+def _shown(table: BettiTable) -> Iterator[tuple[int, int, int]]:
+    """(i, d, beta_{i,d}) for each entry on the grid, 0 <= i <= max_stage
+    and d >= i: the cells the totals, the shape and the render read."""
+    return ((i, d, v) for (i, d), v in table.entries.items() if 0 <= i <= table.max_stage and d >= i)
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,7 @@ def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
 
 def render_shape(table: BettiTable) -> tuple[int, int]:
     """(rows, columns) of the cell grid :func:`render_betti_table` prints."""
-    shown = (d - i for (i, d) in table.entries if 0 <= i <= table.max_stage and d >= i)
-    return 1 + max(shown, default=0), table.max_stage + 1
+    return 1 + max((d - i for i, d, _v in _shown(table)), default=0), table.max_stage + 1
 
 
 def render_betti_table(table: BettiTable) -> str:
@@ -153,12 +154,12 @@ def render_betti_table(table: BettiTable) -> str:
 
     The entries are sorted into their rows once; each row is then a run of
     "." with its entries written in, so no cell is looked up.  An entry
-    outside the grid (i > max_stage, or d < i) is not shown."""
+    outside the grid (i < 0, i > max_stage, or d < i) is not shown and
+    counts in no total."""
     rows, n_cols = render_shape(table)
     in_row: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-    for (i, d), v in table.entries.items():
-        if 0 <= i < n_cols and d >= i:
-            in_row[d - i].append((i, v))
+    for i, d, v in _shown(table):
+        in_row[d - i].append((i, v))
     pad = max(len("total:"), len(f"{rows - 1}:")) + 1  # one label column, labels padded after the colon
     lines = [" " * pad + " ".join(map(str, range(n_cols))), "total:".ljust(pad) + " ".join(map(str, table.totals()))]
     for j, entries in enumerate(in_row):

@@ -1,5 +1,7 @@
-"""Classification of two-variable monomial ideals into the six
-construction regimes: the two main cases and the five degenerate types."""
+"""Classification of two-variable monomial ideals into seven classes:
+the two main cases and the five degenerate types.  They are built in two
+regimes: the main-case rule table, which builds type II at r = 1, and
+the Kunneth product, which builds types I, III, IV and V."""
 from __future__ import annotations
 
 import enum

@@ -607,7 +607,8 @@ def _exactness_records(res: Resolution, max_stage: int, max_degree: int, fld: Fi
             if fault := shapes[i - 1] or _ranks(res, i, rank, std, fld, tables):
                 records.append(CheckRecord("exactness", i, None, False, fault))
                 return records
-            _dims(res, i, dim, hilbert)
+            if i <= max_stage:  # F_{max_stage+1}'s dims feed only a ker no record reads
+                _dims(res, i, dim, hilbert)
         for d, (k, im) in enumerate(zip(accumulate(ker), accumulate(rank))):
             detail = "" if k == im else f"dim ker={k} != dim im={im}"
             records.append(CheckRecord("exactness", i - 1, d, not detail, detail))

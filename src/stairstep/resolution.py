@@ -8,10 +8,10 @@ pair, and a full {e_f_1..e_f_{r+1}} stage-two module).  From stage four
 on, every module is a direct sum of copies of F1, F2 and F3 and the next
 differential is block diagonal in instantiated templates.  One pure
 function, _main_rule, states the templates and which blocks of the next
-stage each block carries; the builder instantiates them.  Degenerate
-types I, III, IV and V are one Kunneth product of the one-variable
-resolutions of k; type II, a single generator, has its own period-2
-construction.
+stage each block carries; the builder instantiates them.  Type II, a
+single generator, is the main case at r = 1 and is built by the same
+rule.  Degenerate types I, III, IV and V are one Kunneth product of the
+one-variable resolutions of k.
 
 A Resolution states M, each F_i and each map d_i: F_i -> F_{i-1} once, a
 map as its entries alone, and keeps its ints in arrays: a map's entries
@@ -528,51 +528,15 @@ def _product_stages(ideal: MonomialIdeal, n: int):
         yield dx, dy, labels, entries
 
 
-def _type_ii_stages(ideal: MonomialIdeal, n: int):
-    """Yield stages 1..n of type II, a single generator g of degree >= 2,
-    each as (dx, dy, labels, entries).
-
-    It is not a product; its maps repeat with period 2 from stage 3 on.
-    u is the variable g is divisible by (x, unless g is a power of y), v
-    the other and m = g/u.  A column is its entries (row, sign, monomial);
-    a generator's bidegree is its first entry's row's plus that monomial."""
-    g = ideal.generators[0]
-    u, v = ((1, 0), (0, 1)) if g.xdeg else ((0, 1), (1, 0))
-    m = (g.xdeg - u[0], g.ydeg - u[1])
-    # the columns of d_1..d_4; stage i >= 5 repeats d_{4 - i % 2}.  The
-    # second generator of F4 carries a minus sign so that both composites
-    # with its period-2 neighbours vanish in every characteristic.
-    patterns = (
-        (((0, 1, u),), ((0, 1, v),)),
-        (((0, -1, v), (1, 1, u)), ((0, 1, m),)),
-        (((0, 1, m), (1, 1, v)), ((1, 1, u),)),
-        (((0, -1, u), (1, 1, v)), ((1, -1, m),)),
-    )
-    # each pattern's entries, emitted once and shared by every stage using it
-    entries = [
-        Entries.of((row, c, sign, x, y) for c, col in enumerate(cols) for row, sign, (x, y) in col)
-        for cols in patterns
-    ]
-    dx, dy = (0,), (0,)  # the bidegree of F_0's generator
-    for i in range(1, n + 1):
-        k = min(i, 4 - i % 2) - 1
-        prev_dx, prev_dy, dx, dy = dx, dy, array("q"), array("q")
-        for row, _sign, (x, y) in (col[0] for col in patterns[k]):
-            dx.append(prev_dx[row] + x)
-            dy.append(prev_dy[row] + y)
-        yield dx, dy, ("e_x", "e_y") if i == 1 else _StageLabels("g", i, 2), entries[k]
-
-
 def _regime(ideal: MonomialIdeal, stages: int):
     """(stage source, Betti counter) of M's regime, read by name when this
-    runs; type II is counted over the main-case rule table at r = 1."""
+    runs; type II is built and counted over the main-case rule table at
+    r = 1."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
-    if cls.is_main:
+    if cls.is_main or cls is IdealClass.TYPE_II:
         return _main_stages, _main_betti_counts
-    if cls is IdealClass.TYPE_II:
-        return _type_ii_stages, _main_betti_counts
     return _product_stages, _product_betti_counts
 
 

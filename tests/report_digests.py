@@ -53,7 +53,7 @@ from stairstep import (  # noqa: E402
 )
 
 PINNED = {
-    "json9": "fe0c52e4c2ccfb4508e70b7cab6a8c6faa852227a4a025abb4570cdeb9967ce2",
+    "json9": "f901f846e506fd00d8fa8126de8a2f70a40aae3008c806c9f193bd76e21ac88c",
     "complex10": "1af729ac98b20a0c79082ce881696fb9936d68491373b53469bcdab48eb2d3d0",
     "minimality10": "18d4e9a024d8560065b0a4c26276d4c8805e04451cb4320605c8c82c6b41d988",
     "homogeneity10": "eea54dc3f526c5bb618d346bd24d6a4b4ad5562c09e7f01fc630f510e5937ca2",
@@ -61,14 +61,14 @@ PINNED = {
     "exact_q": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
     "exact_f2": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
     "exact_f32003": "b743fb3dd1dbaa01467d67826975f27bad53d9695151e7ae12cf23a1b6623de3",
-    "roundtrip7": "7ad10de50ef950cd6ad4f392ade7d62a30d8cbb0d785aa2b56515641972d073f",
-    "mutation_flip_sign": "22968a5ac92dee4d4936a4a47b6c908d5fe4672c97867b4231ed1f1442e65e1f",
-    "mutation_x_plus_1": "759a17866a7f20c8fd8ee88080a781a18de2a42e5aa04217ab04c952bb7d5f58",
-    "mutation_row_plus_1": "d3736afd87ceda923a55da91bea1e55636fa71a810f10da7d8f68b58b1cf4249",
-    "mutation_drop": "cf66b3b4c5dbd60c087b7e104b7a0c7488281979b21a21d7406e66276795fc8d",
-    "mutation_sign_2": "80b8ed272276b874f3d4555e78dc5eafa5f44476dd8880da4e4e2468516f94de",
-    "mutation_x_to_minus_1": "c6b8af067c85b95d670a89a1bcac5b2dfe5ae74bb496bf9cd444c6562fcd0375",
-    "mutation_duplicate": "72d325035ff48c1111f1e94754ed7c75c0057a9df6064566f116e16d3f1be96f",
+    "roundtrip7": "fc15a1fb19a26eb5de85c46af28420fc51a6ed38ffc295f1a85e6809fde54613",
+    "mutation_flip_sign": "e0def68ab40b5f9567c4c6645257b96c71b28bdc4b75d18580b46520a8716f4e",
+    "mutation_x_plus_1": "97a4212e4992f740cfb3c94dae3e07c47d260f5c79dc6d99c3efe7160c8216cc",
+    "mutation_row_plus_1": "cf7013210226a33f4c09e636f01ff546b3eb8d176e72757e68bafe742ddcb85d",
+    "mutation_drop": "760a223b1d0687ca216b6cf95d87b0e43fafa32315d06e026d5272c3d41018fc",
+    "mutation_sign_2": "e9e41d41ec93e05ec4afc3a4d430f20ea210676511b2966259f46c499db590dc",
+    "mutation_x_to_minus_1": "695c222c0e8178b666255c7b05e9941ce08f0100ce6242ec2888233dc9e04a0e",
+    "mutation_duplicate": "3b0d5f91bd256c5ccc9bb1a0cd2520c0ac7a7daea927a501c6fdf1877f2b87ca",
     "mutation_shuffle": "ec77f53f702c18065dcdf3bd9ef676fbb434bd5a03405a4809392836f21e2583",
     "spare_generators": "2233c329afec259e4cf9686ada1f918e099b61d5fc4e8957c3788d6957c58b34",
 }

@@ -7,17 +7,18 @@ import stairstep.resolution
 from conftest import M, M_LEFT, M_RIGHT, acceptance_corpus, exhaustive_corpus, staircases
 from stairstep import (
     BettiTable,
+    ExactRationals,
     IdealClass,
     PoincareSeries,
+    PrimeField,
     StageTooSmall,
     betti_csv,
     betti_json,
     betti_table,
     build_resolution,
-    check_complex,
-    check_exactness,
-    check_minimality,
+    check_resolution,
     classify,
+    default_max_degree,
     graded_betti,
     minimal_resolution_bruteforce,
     parse_ideal,
@@ -268,7 +269,7 @@ class TestBettiTable:
         def no_build(ideal, *args):
             raise AssertionError(f"{ideal} was built")
 
-        for builder in ("build_resolution", "_main_stages", "_type_ii_stages", "_product_stages"):
+        for builder in ("build_resolution", "_main_stages", "_product_stages"):
             monkeypatch.setattr(stairstep.resolution, builder, no_build)
         for ideal in (M((2, 3)), M((2, 0), (0, 3))):  # the regime split reads the patched sources
             with pytest.raises(AssertionError, match="was built"):
@@ -282,21 +283,18 @@ class TestBettiTable:
         assert kinds == {
             IdealClass.TYPE_I, IdealClass.TYPE_II, IdealClass.TYPE_III, IdealClass.TYPE_IV, IdealClass.TYPE_V}
 
-    @pytest.mark.parametrize("text", ["x2y3", "y5"])
-    def test_main_rule_table_resolves_type_ii(self, monkeypatch, text):
-        # betti_table counts type II over the main-case rule table at r = 1,
-        # which is right because the resolution that table builds is one
+    # both cases of the rule (x divides g, or g is a pure y-power), both
+    # pure powers, and a = b = 1
+    @pytest.mark.parametrize("text", ["x2y3", "y5", "x5", "xy"])
+    def test_main_rule_table_resolves_type_ii(self, text):
+        # type II is the main case at r = 1: the one rule table builds a
+        # resolution and counts its table
         ideal = parse_ideal(text)
         assert classify(ideal) is IdealClass.TYPE_II
-        own = build_resolution(ideal, 9)
-        expected = graded_betti(own).entries
-        monkeypatch.setattr(stairstep.resolution, "_type_ii_stages", stairstep.resolution._main_stages)
         res = build_resolution(ideal, 9)
-        assert res.differentials != own.differentials  # the main-case source ran
-        assert check_complex(res).verdict
-        assert check_minimality(res).verdict
-        assert check_exactness(res, 8, 40).verdict
-        assert graded_betti(res).entries == expected
+        for fld in (ExactRationals(), PrimeField(2), PrimeField(3)):
+            assert check_resolution(res, 8, default_max_degree(ideal, 8), fld).verdict, fld
+        assert betti_table(ideal, 9).entries == graded_betti(res).entries
 
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5"])  # main cases 1 and 2
     def test_one_rule_drives_count_and_build(self, monkeypatch, text):
@@ -311,7 +309,7 @@ class TestBettiTable:
         assert counted != before
 
     def test_deep_total(self):
-        assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).total(40) == 562162801058854612
+        assert betti_table(parse_ideal(DEEP_IDEALS[0]), 40).totals()[40] == 562162801058854612
 
     @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x", "x2y3", "x,y", "x3,y", "x2,y3"])
     def test_negative_stages_rejected(self, text):
@@ -362,14 +360,14 @@ class TestEulerCharacteristic:
 
 def render_per_cell(table: BettiTable) -> str:
     """render_betti_table written cell by cell: each cell of the grid looked
-    up in the entries, each total summed over its stage's entries, one row
-    per d - i the grid shows, each label padded after its colon to the
-    longest."""
+    up in the entries, each total summed over its stage's entries on the
+    grid (d >= i), one row per d - i the grid shows, each label padded
+    after its colon to the longest."""
     cols = range(table.max_stage + 1)
     rows = 1 + max((d - i for i, d in table.entries if i in cols and d >= i), default=0)
     labels = ["", "total:"] + [f"{j}:" for j in range(rows)]
     width = max(map(len, labels))
-    grid = [[str(i) for i in cols], [str(sum(v for (j, _d), v in table.entries.items() if j == i)) for i in cols]]
+    grid = [[str(i) for i in cols], [str(sum(v for (j, d), v in table.entries.items() if j == i <= d)) for i in cols]]
     for j in range(rows):
         grid.append([str(table.entries[(i, i + j)]) if (i, i + j) in table.entries else "." for i in cols])
     return "\n".join(f"{label:<{width}} " + " ".join(cells) for label, cells in zip(labels, grid))
@@ -401,6 +399,10 @@ class TestRender:
         table = BettiTable({(-1, 0): 5, (0, 0): 1}, 2)
         assert table.totals() == [1, 0, 0]
         assert render_betti_table(table) == "       0 1 2\ntotal: 1 0 0\n0:     1 . ."
+        # d < i lies below the grid: no cell shows it, so no total counts it
+        table = BettiTable({(2, 1): 5, (0, 0): 1, (1, 1): 2}, 2)
+        assert table.totals() == [1, 2, 0]
+        assert render_betti_table(table) == "       0 1 2\ntotal: 1 2 0\n0:     1 2 ."
 
     @pytest.mark.parametrize("last_row, total", [(9, "total: 1 1"), (99_999, "total: 1 1"), (100_000, "total:  1 1")])
     def test_one_label_width_on_every_line(self, last_row, total):

@@ -314,19 +314,22 @@ class TestDegenerate:
             assert res.dense_strings(i) == [["x"]]
 
     def test_type_ii_matrices(self):
+        # the main-case rule at r = 1 (case 1: x divides the generator)
         res = build_resolution(M((2, 3)), 8)
         grids = [res.dense_strings(i) for i in range(1, res.stages + 1)]
         assert grids[0] == [["x", "y"]]
-        assert grids[1] == [["-y", "x*y^3"], ["x", "0"]]
-        assert grids[2] == [["x*y^3", "0"], ["y", "x"]]
-        assert grids[3] == [["-x", "0"], ["y", "-x*y^3"]]
-        for i in range(4, 8):
+        assert grids[1] == [["x*y^3", "-y"], ["0", "x"]]
+        assert grids[2] == [["x", "y"], ["0", "x*y^3"]]
+        for i in range(3, 8):
             assert grids[i] == grids[i - 2]
 
     def test_type_ii_pure_power_swaps(self):
+        # case 2 at r = 1: a pure y-power maps its F2 column by y^(b-1) from the y-row
         res = build_resolution(M((0, 3)), 4)
         grids = [res.dense_strings(i) for i in range(1, res.stages + 1)]
-        assert grids[1] == [["-x", "y^2"], ["y", "0"]]
+        assert grids[1] == [["0", "-y"], ["y^2", "x"]]
+        assert grids[2] == [["x", "y"], ["-y^2", "0"]]
+        assert grids[3] == grids[1]
 
     def test_type_v_printed_matrices(self):
         res = build_resolution(M((3, 0), (0, 7)), 4)
@@ -647,9 +650,10 @@ def test_resolution_json_is_unchanged(text):
     assert digest == GOLDEN_JSON_SHA256[text]
 
 
-# SHA-256 over the JSON of every degenerate ideal with exponents up to 8,
-# recorded from the per-type constructions the Kunneth product replaced.
-DEGENERATE_SHA256 = "6b851371f21fa14d239c0f970fb02ed3aeefc637f88b962256d5c8e13937afec"
+# SHA-256 over the JSON of every degenerate ideal with exponents up to 8:
+# types I, III, IV and V as the per-type constructions the Kunneth product
+# replaced wrote them, type II as the main-case rule writes it at r = 1.
+DEGENERATE_SHA256 = "cdebef5fc8defb3edfa02d478d1a1cdeb5007b24aa9cff6e7f6199be6fca4b3a"
 
 
 def test_degenerate_json_is_unchanged():
