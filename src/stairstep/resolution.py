@@ -15,8 +15,10 @@ one-variable resolutions of k.
 
 A Resolution states M, each F_i and each map d_i: F_i -> F_{i-1} once, a
 map as its entries alone, and keeps its ints in arrays: a map's entries
-in one array('q') of five ints each, a module's bidegrees in two, and no
-label per generator, since a rule renders the labels of a stage on demand.
+in one array('q') of five ints each and a module's bidegrees in two.  A
+main-case stage stores no label per generator, since a rule renders its
+labels on demand; a Kunneth stage i holds at most i + 1 generators and
+keeps their labels as a tuple of strings.
 
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
@@ -61,11 +63,10 @@ class Generators:
     """The generators of a graded free module: generator i has bidegree
     (dx[i], dy[i]), two int arrays, and the i-th label of ``labels``.
 
-    ``labels`` is anything iterated in generator order: a tuple of strings
-    for a module read from JSON or built by hand, and for an engine-built
-    module a rule that renders its labels when iterated, so no
-    per-generator object is stored.  Iterating yields ``(label, (dx,
-    dy))`` pairs, made on demand."""
+    ``labels`` is anything iterated in generator order: for a main-case
+    stage a rule that renders its labels when iterated, so no
+    per-generator object is stored, and otherwise a tuple of strings.
+    Iterating yields ``(label, (dx, dy))`` pairs, made on demand."""
 
     __slots__ = ("dx", "dy", "labels")
 
@@ -115,8 +116,7 @@ class Entries:
     ``row`` of column ``col``.
 
     ``len`` is the entry count.  Iterating yields ``(row, col, sign, xdeg,
-    ydeg)`` tuples, made on demand, as does indexing; a slice is a tuple
-    of them."""
+    ydeg)`` tuples, made on demand."""
 
     __slots__ = ("ints",)
 
@@ -136,12 +136,6 @@ class Entries:
     def __iter__(self):
         it = iter(self.ints)
         return zip(it, it, it, it, it)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self)[j]
-        j = range(len(self))[j]
-        return tuple(self.ints[5 * j : 5 * j + 5])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Entries) and self.ints == other.ints
@@ -412,22 +406,6 @@ def _main_stages(ideal: MonomialIdeal, stages: int):
         last = blocks
 
 
-class _StageLabels:
-    """The labels of the ``count`` generators of a degenerate stage
-    i >= 2, rendered on demand: "{stem}{c}({i})" for the c-th generator,
-    or "{stem}({i})" for a stage's only generator."""
-
-    __slots__ = ("stem", "stage", "count")
-
-    def __init__(self, stem: str, stage: int, count: int) -> None:
-        self.stem, self.stage, self.count = stem, stage, count
-
-    def __iter__(self):
-        if self.count == 1:
-            return iter([f"{self.stem}({self.stage})"])
-        return iter([f"{self.stem}{c}({self.stage})" for c in range(1, self.count + 1)])
-
-
 def _factor(e: int | None, n: int) -> tuple[list[int], list[int]]:
     """Twists and map exponents of the minimal resolution of k over one
     factor k[v]/(v^e) through stage n: k[v] (e None) has the one map v,
@@ -497,12 +475,12 @@ def _product_stages(ideal: MonomialIdeal, n: int):
             for p in ((i - j, j) if 2 * j != i else (j,))
             if p in reach
         ]
-        if i > 1:
-            labels = _StageLabels(stem, i, len(ps))
-        elif stem == "g":
-            labels = ("g",) * len(ps)
+        if i == 1:
+            labels = ("g",) * len(ps) if stem == "g" else tuple("e_x" if p else "e_y" for p in ps)
+        elif len(ps) == 1:
+            labels = (f"{stem}({i})",)
         else:
-            labels = tuple("e_x" if p else "e_y" for p in ps)
+            labels = tuple(f"{stem}{c}({i})" for c in range(1, len(ps) + 1))
         prev_rows, prev_signs = rows, signs
         rows, signs = {}, {}
         dx, dy = array("q"), array("q")

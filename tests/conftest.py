@@ -42,8 +42,8 @@ def mutate_entries(entries, kind: str, k: int, rng: random.Random | None = None)
     reorders them all with ``rng``, drop_column drops entry k's column,
     and flip_column_heads flips the sign of the first entry of every
     column, whatever k."""
-    row, col, sign, x, y = entries[k]
     out = list(entries)
+    row, col, sign, x, y = out[k]
     if kind == "flip_sign":
         out[k] = (row, col, -sign, x, y)
     elif kind == "x_plus_1":
@@ -57,7 +57,7 @@ def mutate_entries(entries, kind: str, k: int, rng: random.Random | None = None)
     elif kind == "x_to_minus_1":
         out[k] = (row, col, sign, -1, y)
     elif kind == "duplicate":
-        out.insert(k, entries[k])
+        out.insert(k, out[k])
     elif kind == "shuffle":
         rng.shuffle(out)
     elif kind == "swap":

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -356,6 +360,174 @@ class TestEulerCharacteristic:
         for ideal in main:
             assert euler_faults(betti_table(ideal, 8), ideal, 8)
             assert euler_faults(graded_betti(build_resolution(ideal, 8)), ideal, 8)
+
+
+def bar_rank(rows: list[dict[int, int]], p: int | None) -> int:
+    """The rank of the rows, each a dict column -> int, over Q in exact
+    Fractions (p None) or over F_p: each row is reduced against the pivot
+    rows found so far, and a row left nonzero adds its first column as a
+    pivot.  The oracle's own elimination, so it shares no code with the
+    verifier's."""
+    reduce = Fraction if p is None else lambda v: v % p
+    pivots: dict[int, dict[int, Fraction | int]] = {}  # column -> its row, 1 there
+    for row in rows:
+        row = {c: reduce(v) for c, v in row.items() if reduce(v)}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inverse = 1 / row[c] if p is None else pow(row[c], -1, p)
+                pivots[c] = {k: reduce(v * inverse) for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivots[c].items():
+                row[k] = reduce(row.get(k, 0) - f * v)
+            row = {k: v for k, v in row.items() if v}
+    return len(pivots)
+
+
+def bar_betti(ideal, max_stage: int, max_degree: int, p: int | None) -> dict[tuple[int, int, int], int]:
+    """beta_{i,(P,Q)} = dim Tor_i^S(k, k)_{(P,Q)} for i <= max_stage and
+    P + Q <= max_degree, from its definition: the homology of the
+    normalized bar complex of S = k[x,y]/M (Eilenberg and Mac Lane).
+
+    B_i in bidegree (P, Q) has the basis [m_1|...|m_i] of standard
+    non-unit monomials summing to (P, Q), and d[m_1|...|m_i] = sum_{j<i}
+    (-1)^j [...|m_j m_{j+1}|...], a product in M taken as 0; d_1 = 0.  So
+    beta_i = dim B_i - rank d_i - rank d_{i+1} in each bidegree.  Reads M's
+    generators alone, none of the package's resolutions, tables or
+    elimination."""
+    gens = [(g.xdeg, g.ydeg) for g in ideal.generators]
+
+    def standard(a, b):
+        return not any(a >= gx and b >= gy for gx, gy in gens)
+
+    letters = [(a, b) for a in range(max_degree + 1) for b in range(max_degree + 1 - a) if a + b and standard(a, b)]
+    # words[i][(P, Q)]: the basis of B_i in bidegree (P, Q), in a fixed order
+    words: list[dict[tuple[int, int], list[tuple]]] = [{(0, 0): [()]}]
+    for _ in range(max_stage + 1):
+        level: dict[tuple[int, int], list[tuple]] = {}
+        for (P, Q), ws in words[-1].items():
+            for a, b in letters:
+                if P + Q + a + b <= max_degree:
+                    level.setdefault((P + a, Q + b), []).extend(w + ((a, b),) for w in ws)
+        words.append(level)
+
+    # rank d_i per (i, bidegree), each row the image of one word; d_1 = 0
+    rank: dict[tuple[int, tuple[int, int]], int] = {}
+    for i in range(2, max_stage + 2):
+        for bidegree, ws in words[i].items():
+            target = {w: k for k, w in enumerate(words[i - 1].get(bidegree, ()))}
+            rows = []
+            for w in ws:
+                row: dict[int, int] = {}
+                for j in range(1, i):
+                    (a, b), (c, e) = w[j - 1], w[j]
+                    if standard(a + c, b + e):
+                        k = target[w[: j - 1] + ((a + c, b + e),) + w[j + 1 :]]
+                        row[k] = row.get(k, 0) + (-1) ** j
+                rows.append(row)
+            rank[(i, bidegree)] = bar_rank(rows, p)
+    table = {}
+    for i in range(max_stage + 1):
+        for bidegree, ws in words[i].items():
+            if beta := len(ws) - rank.get((i, bidegree), 0) - rank.get((i + 1, bidegree), 0):
+                table[(i, *bidegree)] = beta
+    return table
+
+
+def bar_faults(ideal, max_stage: int, max_degree: int, p: int | None) -> list[str]:
+    """Where the bar complex's table of M in the window disagrees with the
+    built resolution's (i, dx, dy) counts, or, by total degree, with
+    betti_table's and the brute force's."""
+    bar = bar_betti(ideal, max_stage, max_degree, p)
+    res = build_resolution(ideal, max_stage)
+    built = Counter(
+        (i, dx, dy) for i, m in enumerate(res.modules) for _label, (dx, dy) in m.generators if dx + dy <= max_degree
+    )
+    by_degree = Counter()
+    for (i, dx, dy), beta in bar.items():
+        by_degree[(i, dx + dy)] += beta
+    counted = {key: v for key, v in betti_table(ideal, max_stage).entries.items() if key[1] <= max_degree}
+    brute = minimal_resolution_bruteforce(ideal, max_stage, max_degree).entries
+    return [
+        f"{ideal}: the bar complex's {name} table {dict(ours)} is not {dict(theirs)}"
+        for name, ours, theirs in (
+            ("bigraded", bar, built), ("betti_table", by_degree, counted), ("brute-force", by_degree, brute))
+        if ours != theirs
+    ]
+
+
+# the bar oracle's window; CI runs a wider one, (5, 7), as its own step
+BAR_WINDOW = tuple(map(int, os.environ.get("BAR_WINDOW", "4,6").split(",")))
+
+
+class TestBarComplex:
+    """A third oracle, from the definition of Tor^S(k, k): the normalized
+    bar complex, with its own elimination, against the built, counted and
+    brute-force tables on every ideal with exponents <= 3."""
+
+    @pytest.mark.parametrize("p", [None, 2], ids=["Q", "F2"])
+    def test_every_ideal_of_the_corpus(self, p):
+        corpus = exhaustive_corpus(3)
+        assert len(corpus) == 68 and {classify(ideal) for ideal in corpus} == set(IdealClass)
+        assert [fault for ideal in corpus for fault in bar_faults(ideal, *BAR_WINDOW, p)] == []
+
+    def test_a_bent_rule_breaks_it_on_every_main_case_ideal(self, monkeypatch):
+        bend_rule(monkeypatch, shift_f3)
+        main = [ideal for ideal in exhaustive_corpus(3) if classify(ideal).is_main]
+        assert len(main) == 44
+        assert all(bar_faults(ideal, *BAR_WINDOW, 2) for ideal in main)
+
+
+def golod_rows(ideal, stages: int) -> list[Counter]:
+    """B_0..B_stages, each a Counter degree -> coefficient: the rows of the
+    graded Poincare series of k over S at x = y = t, for the main case and
+    type II, from Golod's recurrence B_0 = 1, B_1 = 2t, B_2 = G + t^2 and
+    B_n = G B_{n-2} + D B_{n-3}, where G = sum_i t^{a_i+b_i} sums M's
+    generators and D = sum_{i<r} t^{a_i+b_{i+1}} the lcms of neighbours
+    (0 for type II).  Reads M's generators alone, never the rule table."""
+    a, b = [g.xdeg for g in ideal.generators], [g.ydeg for g in ideal.generators]
+    G = Counter(x + y for x, y in zip(a, b))
+    D = Counter(a[i] + b[i + 1] for i in range(len(a) - 1))
+
+    def times(f, g):
+        out = Counter()
+        for d, c in f.items():
+            for e, v in g.items():
+                out[d + e] += c * v
+        return out
+
+    rows = [Counter({0: 1}), Counter({1: 2}), G + Counter({2: 1})]
+    for n in range(3, stages + 1):
+        rows.append(times(G, rows[n - 2]) + times(D, rows[n - 3]))
+    return rows[: stages + 1]
+
+
+def golod_faults(ideal, stages: int) -> list[int]:
+    """The stages n <= stages whose row of the counted table, sum_d
+    beta_{n,d} t^d, is not Golod's B_n."""
+    rows = [Counter() for _ in range(stages + 1)]
+    for (n, d), beta in betti_table(ideal, stages).entries.items():
+        rows[n][d] += beta
+    return [n for n, (row, expected) in enumerate(zip(rows, golod_rows(ideal, stages))) if row != expected]
+
+
+class TestGolodRecurrence:
+    """The counted table's rows at x = y = t against Golod's recurrence, on
+    every main-case and type II ideal with exponents <= 3, through stage
+    40, and not once the main-case rule is bent."""
+
+    def test_every_main_case_and_type_ii_ideal(self):
+        ideals = [ideal for ideal in exhaustive_corpus(3) if classify(ideal).is_main or classify(ideal) is IdealClass.TYPE_II]
+        assert len(ideals) == 57
+        assert {str(ideal): golod_faults(ideal, 40) for ideal in ideals} == {str(ideal): [] for ideal in ideals}
+
+    @pytest.mark.parametrize("bend", [swap_d_and_g, drop_an_f2_at_an_f3, shift_f3], ids=lambda f: f.__name__)
+    def test_a_bent_rule_breaks_it_on_every_main_case_ideal(self, monkeypatch, bend):
+        bend_rule(monkeypatch, bend)
+        main = [ideal for ideal in exhaustive_corpus(3) if classify(ideal).is_main]
+        assert len(main) == 44
+        assert all(golod_faults(ideal, 40) for ideal in main)
 
 
 def render_per_cell(table: BettiTable) -> str:
