@@ -12,13 +12,8 @@ check adds every product of a composite into one accumulator, and the
 exactness check splits each map into blocks in two passes over it.
 
 The brute-force resolution here never looks at the engine's matrices:
-it finds syzygies degree by degree from graded slices, so it can
-adjudicate every engine construction.  In each degree it eliminates the
-shifts of the previous degree's syzygies, then takes the nullspace of
-only the slice columns outside their pivots, and three rules spare the
-work that finds no new syzygy: rank-nullity counts the new generators,
-the nullspace stops at that count, and stage i >= 2 ends at a bound the
-staircase lemma (see MonomialIdeal) gives.  Stage 1 is read off S.
+it finds syzygies degree by degree from graded slices, each kind of
+block of a map once, so it can adjudicate every engine construction;
 minimal_resolution_bruteforce proves each step.
 """
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from math import gcd
 from operator import add, sub
 from typing import NamedTuple, Optional, Union
@@ -665,22 +660,106 @@ def default_max_degree(ideal: MonomialIdeal, max_stage: int) -> int:
     return ideal.max_generator_degree * (max_stage + 2)
 
 
-def _free_columns(free, pivots, images, twists, gens, d, width, std, stair):
-    """The slice columns in degree d of the generators gens of F_{i-1}
-    whose keys lie outside pivots, built one at a time as they are read;
-    each column's key is appended to free before it is yielded.  images
-    and twists are those of F_{i-1} (see minimal_resolution_bruteforce)."""
+def _block_columns(free, pivots, images, twists, std, stair, d, gens, w):
+    """The slice columns in degree d of a block's columns gens outside
+    pivots, each built as it is read, its key appended to free first."""
     n_stair, far = len(stair), stair[-1]
     for g in gens:
-        n = d - twists[g]
-        base = g * width + width - 1
-        image = images[g]
+        n, img = d - twists[g], images[g]
         for a in std[n]:
-            k = base - a
-            if k not in pivots:
+            o = w - 1 - a  # the key of g*x^a*y^b is g*W + o
+            if (k := g * w + o) not in pivots:
                 free.append(k)
                 b = n - a
-                yield {tk - a: c for tk, tx, ty, c in image if ty + b < (stair[u] if (u := tx + a) < n_stair else far)}
+                yield {r * w + o - x: c for r, x, y, c in img if y + b < (stair[u] if (u := x + a) < n_stair else far)}
+
+
+def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: FieldConfig, std: list, hilbert: list):
+    """(end, settle, found, children) of one block from its base row through
+    end = min(window, settle), settle being T or, if lower, where every column
+    dies; found counts new generators by degree.  kern[d] = dim K_d is a lone
+    child's image; with more groups the loop runs to end, noting runs."""
+    cols, _rows, images = key
+    p, stair, reach, twists = _modulus(fld), ring.stair, ring.top, [x + y for x, y in cols]
+    n_stair, far = len(stair), stair[-1]
+    span = max(x for x, _ in cols) + max(y for _, y in cols)
+    end = min(window, settle := min(span + ring.flat + 1, twists[-1] + reach + 1))
+    width = end + 1
+    kern = [0] * width  # dim (F_B)_d as a difference list, then dim K_d by rank-nullity
+    for t, c in Counter(twists).items():
+        _spread(kern, t, hilbert, c)
+    kern = list(map(sub, accumulate(kern), chain(islice(im, width), repeat(im[-1], width - len(im)))))
+    gens: list[tuple[int, dict]] = []  # (degree, vector) of each new generator
+    group: dict[int, int] = {}  # column -> the last generator to join its connected group
+    runs: list[list] = []  # [first degree, last degree, a column of each basis vector]
+    groups, d, x_part, r_part = 0, 0, [], []  # K_{d-1}'s basis {key: coeff}: X from x-shifts, R the rest
+    last = min(end, span + ring.flat - (ring.num_generators > 1))  # the staircase bound
+    _std_x(ring, std, min(reach, last))  # past it no column is built: K_d = V_d there
+    while d <= last:
+        first, alive = bisect_left(twists, d - reach), bisect_right(twists, d)  # alive: first <= g < alive
+        if first == alive:  # K_d is 0; the next nonzero slice is at the next twist
+            x_part, r_part = [], []
+            if alive == len(twists):
+                break
+            d = twists[alive]
+            continue
+        # V_d in echelon form, x-shifts (s = 1) first.  A key k of degree d - 1 has x-degree W-1-(k % W)
+        # and twist twists[k // W]; its shift of x-degree u has y-degree d - twist - u, dropped in M.
+        pivots: dict = {}
+        for s, vecs in ((1, x_part + r_part), (0, r_part)):
+            from_x, top_u = len(pivots), width - 1 + s
+            for vec in vecs:
+                shifted = {}
+                for k, c in vec.items():
+                    u = top_u - k % width
+                    if d - u - twists[k // width] < (stair[u] if u < n_stair else far):
+                        shifted[k - s] = c
+                _eliminate(shifted, pivots, p)
+        found: list[dict] = []
+        if (need := kern[d] - len(pivots)) > 0:
+            free: list[int] = []  # the keys of the columns read; over F_p a -1 stays -1
+            columns = _block_columns(free, pivots, images, twists, std, stair, d, range(first, alive), width)
+            found = [{free[j]: c for j, c in vec.items()} for vec in sparse_nullspace(columns, fld, limit=need)]
+        for vec in found:  # a generator joins every group it shares a column with
+            gens.append((d, vec))
+            joined = set(map(group.get, map(width.__rfloordiv__, vec)))
+            group = {g: len(gens) if j in joined else j for g, j in group.items()}
+            group.update(dict.fromkeys(map(width.__rfloordiv__, vec), len(gens)))
+            groups = len(set(group.values()))
+        if groups > 1 or runs:
+            last = end
+            at = tuple(map(width.__rfloordiv__, [*pivots, *map(min, found)]))
+            if runs and runs[-1][1:] == [d - 1, at]:
+                runs[-1][1] = d
+            else:
+                runs.append([d, d, at])
+        basis = list(pivots.values())
+        x_part, r_part = basis[:from_x], basis[from_x:] + found
+        d += 1
+    members: dict[int, list] = {}  # each group's generators as (degree, their sorted entries)
+    for e, vec in gens:
+        members.setdefault(group[min(vec) // width], []).append((e, sorted(vec.items())))
+    shares = dict.fromkeys(members, kern)
+    if len(members) > 1:  # kern up to the first run, then each run's counts by group
+        shares = dict(zip(members, map(list, repeat([0] * width))))
+        shares[group[min(gens[0][1]) // width]][: runs[0][0]] = kern[: runs[0][0]]
+        for lo, hi, at in runs:
+            for j, n in Counter(map(group.__getitem__, at)).items():
+                shares[j][lo : hi + 1] = [n] * (hi + 1 - lo)
+    children = []  # (key, base bidegree, image counts by degree, least column twist) of each group
+    for j, generators in members.items():
+        rows: dict[int, int] = {}  # a column -> its row in the child, numbered by first use
+        images = []
+        for e, entries in generators:
+            images.append([])
+            for k, c in entries:
+                g, a = divmod(k, width)
+                images[-1].append((rows.setdefault(g, len(rows)), width - 1 - a, e - twists[g] - width + 1 + a, c))
+        bx, by = cols[min(rows, key=twists.__getitem__)]  # the base row: the first of least twist
+        rbi = tuple((cols[g][0] - bx, cols[g][1] - by) for g in rows)
+        cbi = tuple((rbi[r][0] + a, rbi[r][1] + b) for (r, a, b, _c), *_ in images)
+        children.append(((cbi, rbi, tuple(map(tuple, images))), (bx, by), shares[j][bx + by :], min(map(sum, cbi))))
+    return end, settle, Counter(e for e, _ in gens), children
 
 
 def minimal_resolution_bruteforce(
@@ -692,158 +771,79 @@ def minimal_resolution_bruteforce(
     """Graded Betti numbers computed from scratch, one syzygy stage at a
     time, without consulting the engine's matrices.  F_1 is read off S:
     the kernel of S -> k is (x, y)S, minimally generated by the standard
-    monomials of degree 1.  Each stage i >= 2 is found as follows.
+    monomials of degree 1.  Stage i >= 2 resolves each kind of block of
+    F_{i-1} -> F_{i-2} once, a block being a connected component: the
+    generators whose images share a generator (row) of F_{i-2}.
 
-    In each degree d the kernel K_d of the slice map contains the shifted
-    syzygies V_d = x*K_{d-1} + y*K_{d-1}, which are eliminated first.  The
-    echelon basis of V_d has distinct pivot coordinates P, so projecting
-    onto P is an isomorphism on V_d, and K_d is the direct sum of V_d and
-    the kernel vectors that vanish on P.  Only the slice columns outside P
-    are built, and every vector of their nullspace is a new minimal
-    generator.
+    - Blocks have disjoint rows, so the kernel K is the sum of theirs, K/mK
+      that of their K_B/mK_B, and by graded Nakayama the union of the
+      blocks' minimal generators is minimal.  B's use B's columns alone, so
+      each block of the next map, a child of B, is a connected group of them.
+    - A key holds a block's column and row bidegrees relative to its base
+      row, the first of least twist, and each column's entries (row by
+      first use, xdeg, ydeg, coeff): the block up to a shift of every
+      bidegree, which moves a slice basis element g*x^a*y^b with its image
+      and no exponent, and M reads exponents alone.  So a copy's generators
+      and children are the key's, moved by its base.  A stage maps each key
+      to a Counter of its copies' bases, resolved once per call through its
+      lowest copy's window (_block_kernel): an entry is a count times its
+      copies, dropped past max_degree, as is a child copy with no column in.
+    - dim K_d = dim (F_B)_d - dim (im B)_d, the image's handed down by B's
+      parent P.  By exactness K_P, spanned by P's generators, is the direct
+      sum of its children's images, on disjoint rows: dim (im B)_d counts
+      the echelon basis vectors of (K_P)_d in B's rows, each in one child's,
+      as a shift keeps its columns and an elimination meets only pivots
+      sharing one.  From P's settle degree T = (m_x + a_1) + (m_y + b_r) on
+      each count is constant by _block_ranks' staircase argument, whose
+      pieces' kernels split by child alike.  The root F_1 -> S has image
+      (x, y)S, of dimension dim S_d for d >= 1.
+    - K_d contains V_d = x*K_{d-1} + y*K_{d-1}, eliminated first; projecting
+      onto its pivots P is an isomorphism on V_d, so K_d holds need =
+      dim K_d - |P| new generators, the nullspace of the columns outside P,
+      read only then and no further than the need-th vector, as each
+      combines its own column with earlier ones only.  K_d goes on as X,
+      the pivots from x-shifts, spanning x*K_{d-1}, and R: V_{d+1} =
+      x*K_d + y*R, since y*X = x*(y*K_{d-1}).
+    - A block's last generator lies in degree m_x + m_y + c at most,
+      c = flat - [r >= 2], m_x and m_y the largest x- and y-degrees of its
+      columns.  A bigraded piece of the slice map is one integer matrix on
+      the columns and rows alive there, so by the staircase lemma (see
+      MonomialIdeal) pieces (P, Q) and (P + 1, Q) with P >= m_x + a_1 have
+      one matrix and K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise
+      in y from m_y + b_r.  A new one is nonzero on a column g alive in its
+      piece: at P = m_x + a_1 that needs Q - g_y < b_1, and at Q = m_y + b_r,
+      P - g_x < a_r; so c = a_1 + b_r - 2 if r >= 2, else a_1 + b_1 - 1,
+      met on (x, y^2) and (xy).  Only the block's own matrix is read.
 
-    The basis of K_d carried to degree d + 1 has two parts: X, the pivots
-    installed from x-shifts, which are eliminated first and so span
-    x*K_{d-1}; and R, the pivots installed from y-shifts with the new
-    generators.  Then V_{d+1} = x*K_d + y*R, because
-    y*X = y*x*K_{d-1} = x*(y*K_{d-1}) lies in x*K_d.
-
-    Three rules, read off M and the oracle's own earlier stages, never the
-    engine, spare the work that finds no new generator:
-
-    - Rank-nullity.  F_{i-1}'s generators span the previous stage's kernel
-      K', so the slice map in degree d has rank dim K'_d and
-      dim K_d = dim (F_{i-1})_d - dim K'_d.  Unrolled down to F_0 = S,
-      dim K_d is an alternating sum of slice sizes, each a sum of
-      dim S_{d-t} over a module's twists t; euler holds those twists with
-      their signed counts.  K_d holds need = dim K_d - |P| new generators,
-      and when that is 0 no column is built and no nullspace taken.  The
-      augmentation's 1 in degree 0 is left out of the sum: no stage
-      i >= 2 visits degree 0.
-    - The nullspace stops at its count.  When need > 0 the free columns,
-      those outside P, are built one at a time as sparse_nullspace reads
-      them, and it reads none after the need-th vector.  The nullspace of
-      the free columns has exactly need vectors, by rank-nullity as above,
-      and each vector found combines its own column with earlier columns
-      only, so the first need found are the whole basis.
-    - Stage i >= 2 ends at degree m_x + m_y + c, with c = flat - [r >= 2].
-      Each generator found is bihomogeneous, since elimination combines
-      only columns that share a row, and a bigraded piece of the slice map
-      is one integer matrix on the columns and rows alive there.  Let m_x
-      and m_y be the largest x- and y-degrees of F_{i-1}'s generators; a
-      row's bidegree lies below its columns'.  By the staircase lemma (see
-      MonomialIdeal), pieces (P, Q) and (P + 1, Q) with P >= m_x + a_1
-      have the same alive columns, rows and entries, and
-      K_(P+1,Q) = x*K_(P,Q) holds no new generator; likewise in y from
-      m_y + b_r on.  So a new generator lies at P <= m_x + a_1 and
-      Q <= m_y + b_r, and it is nonzero on a column g alive there:
-      x^(P-g_x) y^(Q-g_y) is not in M.  At P = m_x + a_1 every column has
-      P - g_x >= a_1, so it is alive only if Q - g_y < b_1, and then
-      Q <= m_y + b_1 - 1.  At Q = m_y + b_r, likewise, P <= m_x + a_r - 1.
-      Otherwise P <= m_x + a_1 - 1 and Q <= m_y + b_r - 1.  So c is
-      a_1 + b_r - 2 = flat - 1 when r >= 2, where b_1 < b_r and a_r < a_1,
-      and a_1 + b_1 - 1 = flat when r = 1.  The bound is tight: on
-      (x, y^2) at every stage >= 2 and on (xy) at odd stages the last
-      generator lies on it.
-
-    The basis element g*x^a*y^b of a slice in degree d is the int key
-    g*W + (W-1-a), W = max_degree + 1: keys sort by generator, then by
-    falling x-degree, and b is d - twist(g) - a.  Multiplying by x is
-    key - 1, by y the key itself.  A product is tested against M with the
-    ring's stair, clamped inline, so no index of a slice's basis is built
-    and nothing is sized by the window."""
+    x is key - 1, y the key itself; M is read through its stair, and every
+    list is sized by a block's settle degree at most, never the window."""
     _require_window(ideal, max_stage, max_degree)
-    p = _modulus(fld)
-    width = max_degree + 1
-    stair = ideal.stair
-    n_stair, far = len(stair), stair[-1]
-    top = min(max_degree, ideal.top)
-    # c of the staircase bound: stage i >= 2 ends at degree m_x + m_y + c
-    corner = ideal.flat - (ideal.num_generators > 1)
-    # std[n]: x-degrees of the standard monomials of degree n, extended
-    # by each stage through its last degree
-    std: list = []
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    # F_{i-1} data: generator twists, nondecreasing, x-degrees and images,
-    # each a list of (key, xdeg, ydeg, coeff) over F_{i-2}'s slice in the
-    # generator's twist; F_1 is read off S: x^a y^(1-a) maps to itself.
-    ones = _std_x(ideal, std, 1) if max_stage else ()
-    twists, xdegs = [1] * len(ones), list(ones)
-    images = [[(width - 1 - a, a, 1 - a, 1)] for a in ones]
-    if ones:
+    ideal.stair  # its ValueError, when a_1 is too large to tabulate, comes before any work
+    std: list = []  # S's standard monomials by degree, x-degrees only (_std_x)
+    entries, blocks = {(0, 0): 1}, {}  # blocks: key -> [Counter of its copies' bases, least base twist, im]
+    if ones := _std_x(ideal, std, 1) if max_stage else ():
         entries[(1, 1)] = len(ones)
-    # (twist, count) pairs: dim K_d is the sum of count * dim S_{d - twist}
-    euler = [(0, 1)]  # stage 1's: dim (x, y)S_d, the augmentation's 1 left out
+    if ones and max_stage > 1:  # the root block F_1 -> S: x^a y^(1-a) maps to itself
+        hilbert = _hilbert(ideal)
+        root = (tuple((a, 1 - a) for a in ones), ((0, 0),), tuple(((0, a, 1 - a, 1),) for a in ones))
+        blocks[root] = [Counter({(0, 0): 1}), 0, [0, *hilbert[1:], hilbert[-1]]]
+    memo: dict = {}  # key -> _block_kernel's (end, settle, found, children)
     for stage in range(2, max_stage + 1):
-        if not twists:
-            break
-        signed = Counter(twists)  # dim K_d = dim (F_{i-1})_d - dim K'_d
-        signed.subtract(dict(euler))
-        euler = [(t, c) for t, c in signed.items() if c]
-        last = min(max_degree, max(xdegs) + max(map(sub, twists, xdegs)) + corner)
-        _std_x(ideal, std, min(top, last))
-        new_twists: list[int] = []
-        new_xdegs: list[int] = []
-        new_gens: list[list[tuple[int, int, int, int]]] = []
-        # K_{d-1}'s basis as sparse {key: coeff}: X from x-shifts, R the rest
-        x_part: list[dict] = []
-        r_part: list[dict] = []
-        # the generators twist[g] <= d with a nonzero slice in degree d
-        # are first <= g < alive; with none, K_d is 0 and the next nonzero
-        # slice is at the next twist
-        count, first, alive, d = len(twists), 0, 0, 0
-        while d <= last:
-            while alive < count and twists[alive] <= d:
-                alive += 1
-            while first < alive and twists[first] < d - top:
-                first += 1
-            if first == alive:
-                x_part, r_part = [], []
-                if alive == count:
-                    break
-                d = twists[alive]
-                continue
-            # V_d in echelon form, x-shifts first.  A key k of degree d - 1
-            # has x-degree W-1-(k % W) and twist twists[k // W]; its shift of
-            # x-degree u has y-degree d - twist - u, and is dropped in M.
-            pivots: dict = {}
-            for vec in x_part + r_part:
-                shifted = {}
-                for k, c in vec.items():
-                    u = width - k % width
-                    if d - u - twists[k // width] < (stair[u] if u < n_stair else far):
-                        shifted[k - 1] = c
-                _eliminate(shifted, pivots, p)
-            from_x = len(pivots)
-            for vec in r_part:
-                shifted = {}
-                for k, c in vec.items():
-                    u = width - 1 - k % width
-                    if d - u - twists[k // width] < (stair[u] if u < n_stair else far):
-                        shifted[k] = c
-                _eliminate(shifted, pivots, p)
-            found: list[dict] = []
-            if (need := sum(c * len(std[d - t]) for t, c in euler if d - top <= t <= d) - len(pivots)) > 0:
-                free: list[int] = []  # the keys of the columns read, in order
-                columns = _free_columns(free, pivots, images, twists, range(first, alive), d, width, std, stair)
-                # over F_p the coefficients are balanced: a -1 stays -1, a
-                # pivot lead that later eliminations install without an inverse
-                found = [{free[j]: c for j, c in vec.items()} for vec in sparse_nullspace(columns, fld, limit=need)]
-            if found:
-                entries[(stage, d)] = len(found)
-                new_twists += [d] * len(found)
-                for vec in found:
-                    image = []
-                    for k, c in vec.items():
-                        g, r = divmod(k, width)
-                        a = width - 1 - r
-                        image.append((k, a, d - twists[g] - a, c))
-                    new_xdegs.append(xdegs[g] + a)  # bihomogeneous: any key gives it
-                    new_gens.append(image)
-            basis = list(pivots.values())
-            x_part, r_part = basis[:from_x], basis[from_x:] + found
-            d += 1
-        twists, xdegs, images = new_twists, new_xdegs, new_gens
+        current, blocks = blocks, {}
+        for key, (bases, low, im) in current.items():
+            done = memo.get(key)
+            if done is None or done[0] < min(max_degree - low, done[1]):
+                done = memo[key] = _block_kernel(key, im, max_degree - low, ideal, fld, std, hilbert)
+            for (bx, by), n in bases.items():
+                for e, m in done[2].items():
+                    if (d := bx + by + e) <= max_degree:
+                        entries[(stage, d)] = entries.get((stage, d), 0) + n * m
+                for child, (ox, oy), child_im, least in done[3]:
+                    if (base := bx + by + ox + oy) + least <= max_degree:
+                        slot = blocks.setdefault(child, [Counter(), base, child_im])
+                        if base < slot[1]:  # the lowest copy's parent read the furthest
+                            slot[1:] = base, child_im
+                        slot[0][(bx + ox, by + oy)] += n
     return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)
 
 

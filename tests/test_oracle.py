@@ -1679,17 +1679,32 @@ class TestBruteforceComplement:
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5", "x6,x5y,x4y2,x3y3,x2y4,xy5"])
     def test_every_nullspace_vector_is_a_generator(self, monkeypatch, text, fld):
-        vectors = []
+        # every vector a block's loop takes is a new generator of that
+        # block, and each kind of block is resolved once: the vectors count
+        # a key's generators once, however many copies of it there are
+        vectors, resolved = [], []
 
         def spy(columns, f, **kw):
             null = sparse_nullspace(columns, f, **kw)
             vectors.extend(null)
             return null
 
+        def kernel(key, *args):
+            read = len(vectors)
+            done = block_kernel(key, *args)
+            resolved.append((key, len(vectors) - read, sum(done[2].values())))
+            return done
+
+        block_kernel = stairstep.oracle._block_kernel
         monkeypatch.setattr(stairstep.oracle, "sparse_nullspace", spy)
-        table = minimal_resolution_bruteforce(parse_ideal(text), 6, 15, fld)
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
+        ideal = parse_ideal(text)
+        table = minimal_resolution_bruteforce(ideal, 6, 15, fld)
+        assert table.entries == bruteforce_reference(ideal, 6, 15, fld).entries
         generators = sum(v for (i, _d), v in table.entries.items() if i >= 2)
-        assert generators > 0 and len(vectors) == generators
+        assert vectors and all(taken == made for _key, taken, made in resolved)
+        assert len({key for key, _taken, _made in resolved}) == len(resolved)
+        assert len(vectors) < generators  # the copies of a key share its vectors
 
 
 class TestBruteforceStops:
@@ -1699,18 +1714,29 @@ class TestBruteforceStops:
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(32003)], ids=["Q", "F32003"])
     @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x3,x2y2,xy3,y5"])
     def test_one_nullspace_per_table_entry(self, monkeypatch, text, fld):
-        found = []
+        # a block's loop takes one nullspace in each of its relative
+        # degrees that holds a new generator, and none elsewhere
+        found, resolved = [], []
 
         def spy(columns, f, **kw):
             null = sparse_nullspace(columns, f, **kw)
             found.append(len(null))
             return null
 
+        def kernel(*args):
+            taken = len(found)
+            done = block_kernel(*args)
+            resolved.append((found[taken:], [done[2][e] for e in sorted(done[2])]))
+            return done
+
+        block_kernel = stairstep.oracle._block_kernel
         monkeypatch.setattr(stairstep.oracle, "sparse_nullspace", spy)
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
         ideal = parse_ideal(text)
         table = minimal_resolution_bruteforce(ideal, 6, default_max_degree(ideal, 6), fld)
-        cells = [key for key in table.entries if key[0] >= 2]
-        assert cells and len(found) == len(cells) and min(found) > 0
+        assert table.entries == bruteforce_reference(ideal, 6, default_max_degree(ideal, 6), fld).entries
+        assert found and min(found) > 0
+        assert all(sizes == made for sizes, made in resolved), resolved
 
     def test_a_wider_window_eliminates_no_more(self, monkeypatch):
         # every generator of (x^2y, xy^2) through stage 6 lies in degree
@@ -1788,21 +1814,135 @@ class TestBruteforceStops:
     @pytest.mark.parametrize("text", ["x2y,xy2", "xy2,y4", "x2y"])
     def test_each_stage_reads_s_through_its_bound(self, monkeypatch, text):
         # M holds no pure powers, so S has no top degree: stage 1 reads S
-        # through degree 1 and stage i >= 2 through m_x + m_y + c.  A bound
-        # past c changes no table, so only this test sees it
-        reads = []
+        # through degree 1 and each block's loop through its own bound,
+        # m_x + m_y + c over its columns' bidegrees relative to its base
+        # row, or its window if that is lower.  A bound past c changes no
+        # table, so only this test sees it
+        reads, bounds = [], []
 
         def spy(ring, std, n):
             reads.append(n)
             return _std_x(ring, std, n)
 
+        def kernel(key, im, window, *args):
+            cols = key[0]
+            bounds.append(min(window, max(x for x, _ in cols) + max(y for _, y in cols) + c))
+            return block_kernel(key, im, window, *args)
+
+        block_kernel = stairstep.oracle._block_kernel
         monkeypatch.setattr(stairstep.oracle, "_std_x", spy)
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
         ideal = parse_ideal(text)
-        minimal_resolution_bruteforce(ideal, 6, 60)
-        res = build_resolution(ideal, 6)
         c = staircase_c(ideal)
-        bounds = [max(m.generators.dx) + max(m.generators.dy) + c for m in res.modules[1:6]]
-        assert reads == [1] + bounds
+        table = minimal_resolution_bruteforce(ideal, 6, 60)
+        assert table.entries == bruteforce_reference(ideal, 6, 60, ExactRationals()).entries
+        assert len(bounds) > 1 and reads == [1] + bounds
+
+
+def block_slice_rank(ideal, key, d: int, fld) -> int:
+    """The rank of a brute-force block's slice map in degree d, relative to
+    its base row, built from the block's key alone: each column g times
+    each standard monomial of degree d - twist(g), mapped through the
+    key's entries (row, xdeg, ydeg, coeff) and reduced through M."""
+    cols, _rows, images = key
+    rows, columns = {}, []
+    for (cx, cy), image in zip(cols, images):
+        for m in standard_monomials(ideal, d - cx - cy) if d >= cx + cy else ():
+            col = {}
+            for r, a, b, c in image:
+                if not ideal.contains_xy(m.xdeg + a, m.ydeg + b):
+                    k = rows.setdefault((r, m.xdeg + a), len(rows))
+                    col[k] = col.get(k, 0) + c
+            columns.append(col)
+    return sparse_rank(owned(columns, fld), fld)
+
+
+class TestBruteforceBlocks:
+    """The brute force resolves each kind of block once per call, in its
+    own degrees, from the image counts its parent hands down."""
+
+    def test_the_number_of_block_kernels_is_flat_in_the_stage(self, monkeypatch):
+        # from stage 4 on the main case is a sum of copies of a few
+        # templates, so deeper stages add no kind of block; a Kunneth
+        # product's stage is one new block
+        keys = []
+
+        def kernel(key, *args):
+            keys.append(key)
+            return block_kernel(key, *args)
+
+        block_kernel = stairstep.oracle._block_kernel
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
+        counts = {}
+        for text in ("x3,x2y2,xy3,y5", "x2y,xy2", "x3,y7"):
+            ideal = parse_ideal(text)
+            for stages in (8, 10, 12):
+                keys.clear()
+                table = minimal_resolution_bruteforce(ideal, stages, 200)
+                assert compare_betti(betti_table(ideal, stages), table).is_empty
+                counts[text, stages] = len(keys)
+        assert [counts["x3,x2y2,xy3,y5", s] for s in (8, 10, 12)] == [6] * 3
+        assert [counts["x2y,xy2", s] for s in (8, 10, 12)] == [3] * 3
+        assert [counts["x3,y7", s] for s in (8, 10, 12)] == [7, 9, 11]
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(3)]))
+    @example(case=(M_LEFT, 6, 14), fld=ExactRationals())
+    def test_handed_down_image_counts_are_the_slice_ranks(self, case, fld):
+        # a parent hands each child dim (im B)_d, read off its own kernel;
+        # through the child's window and settle degree T it must be the
+        # rank of the child's slice map, built here from its key alone
+        ideal, max_stage, max_degree = case
+        seen = []
+        block_kernel = stairstep.oracle._block_kernel
+
+        def kernel(key, im, window, *args):
+            seen.append((key, im, window))
+            return block_kernel(key, im, window, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stairstep.oracle, "_block_kernel", kernel)
+            minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
+        flat = ideal.flat
+        for key, im, window in seen:
+            cols = key[0]
+            settle = max(x for x, _ in cols) + max(y for _, y in cols) + flat + 1
+            for d in range(min(window, settle) + 1):
+                assert im[min(d, len(im) - 1)] == block_slice_rank(ideal, key, d, fld), (key, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(3)]))
+    def test_tables_match_the_reference_over_q_f2_and_f3(self, case, fld):
+        # a key keeps every coefficient: one that dropped signs would merge
+        # blocks that differ over Q and F_3 but not over F_2
+        ideal, max_stage, max_degree = case
+        table = minimal_resolution_bruteforce(ideal, max_stage, max_degree, fld)
+        assert table.entries == bruteforce_reference(ideal, max_stage, max_degree, fld).entries
+
+    @pytest.mark.parametrize(
+        "text, stages, window",
+        [
+            # a key met first at a higher copy: the image counts must come
+            # from the parent of its lowest copy, which read them furthest
+            ("x8,x7y2,x2y3,xy4,y10", 7, 20),
+            # a key met again at a later stage with a lower copy, whose
+            # wider window the first resolution did not reach
+            ("x10y,x7y2,x6y3,x5y4,x4y8,x2y9", 8, 29),
+            ("x10y,x7y2,x6y5,x5y8,x4y9,xy10", 8, 31),
+        ],
+    )
+    def test_a_key_is_read_through_its_lowest_copys_window(self, text, stages, window):
+        ideal = parse_ideal(text)
+        table = minimal_resolution_bruteforce(ideal, stages, window)
+        assert table.entries == bruteforce_reference(ideal, stages, window, ExactRationals()).entries
+
+    @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])
+    @pytest.mark.parametrize("text", ["x10,x8y,x6y3,x5y8,x2y9,xy10", "x10y,x9y2,x7y3,x5y6,x3y7,y9"])
+    def test_ideals_whose_elimination_meets_a_two_match_the_reference(self, text, fld):
+        # the two ideals whose elimination met an entry of 2 at stage 7
+        ideal = parse_ideal(text)
+        table = minimal_resolution_bruteforce(ideal, 7, 40, fld)
+        assert table.entries == bruteforce_reference(ideal, 7, 40, fld).entries
 
 
 def mirror(ideal: MonomialIdeal) -> MonomialIdeal:
