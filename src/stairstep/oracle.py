@@ -690,9 +690,16 @@ def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: F
         _spread(kern, t, hilbert, c)
     kern = list(map(sub, accumulate(kern), chain(islice(im, width), repeat(im[-1], width - len(im)))))
     gens: list[tuple[int, dict]] = []  # (degree, vector) of each new generator
-    group: dict[int, int] = {}  # column -> the last generator to join its connected group
+    parent: dict[int, int] = {}  # union-find over the generators' columns, one root per connected group
+    roots: set[int] = set()
     runs: list[list] = []  # [first degree, last degree, a column of each basis vector]
-    groups, d, x_part, r_part = 0, 0, [], []  # K_{d-1}'s basis {key: coeff}: X from x-shifts, R the rest
+    d, x_part, r_part = 0, [], []  # K_{d-1}'s basis {key: coeff}: X from x-shifts, R the rest
+
+    def find(g: int) -> int:
+        while (up := parent[g]) != g:
+            parent[g] = g = parent[up]  # path halving
+        return g
+
     last = min(end, span + ring.flat - (ring.num_generators > 1))  # the staircase bound
     _std_x(ring, std, min(reach, last))  # past it no column is built: K_d = V_d there
     while d <= last:
@@ -722,11 +729,13 @@ def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: F
             found = [{free[j]: c for j, c in vec.items()} for vec in sparse_nullspace(columns, fld, limit=need)]
         for vec in found:  # a generator joins every group it shares a column with
             gens.append((d, vec))
-            joined = set(map(group.get, map(width.__rfloordiv__, vec)))
-            group = {g: len(gens) if j in joined else j for g, j in group.items()}
-            group.update(dict.fromkeys(map(width.__rfloordiv__, vec), len(gens)))
-            groups = len(set(group.values()))
-        if groups > 1 or runs:
+            heads = {find(parent.setdefault(g, g)) for g in map(width.__rfloordiv__, vec)}
+            root = heads.pop()
+            for h in heads:
+                parent[h] = root
+            roots -= heads
+            roots.add(root)
+        if len(roots) > 1 or runs:
             last = end
             at = tuple(map(width.__rfloordiv__, [*pivots, *map(min, found)]))
             if runs and runs[-1][1:] == [d - 1, at]:
@@ -738,13 +747,13 @@ def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: F
         d += 1
     members: dict[int, list] = {}  # each group's generators as (degree, their sorted entries)
     for e, vec in gens:
-        members.setdefault(group[min(vec) // width], []).append((e, sorted(vec.items())))
+        members.setdefault(find(min(vec) // width), []).append((e, sorted(vec.items())))
     shares = dict.fromkeys(members, kern)
     if len(members) > 1:  # kern up to the first run, then each run's counts by group
         shares = dict(zip(members, map(list, repeat([0] * width))))
-        shares[group[min(gens[0][1]) // width]][: runs[0][0]] = kern[: runs[0][0]]
+        shares[find(min(gens[0][1]) // width)][: runs[0][0]] = kern[: runs[0][0]]
         for lo, hi, at in runs:
-            for j, n in Counter(map(group.__getitem__, at)).items():
+            for j, n in Counter(map(find, at)).items():
                 shares[j][lo : hi + 1] = [n] * (hi + 1 - lo)
     children = []  # (key, base bidegree, image counts by degree, least column twist) of each group
     for j, generators in members.items():
@@ -785,9 +794,11 @@ def minimal_resolution_bruteforce(
       bidegree, which moves a slice basis element g*x^a*y^b with its image
       and no exponent, and M reads exponents alone.  So a copy's generators
       and children are the key's, moved by its base.  A stage maps each key
-      to a Counter of its copies' bases, resolved once per call through its
-      lowest copy's window (_block_kernel): an entry is a count times its
-      copies, dropped past max_degree, as is a child copy with no column in.
+      to a count of its copies by base bidegree, and the key is resolved
+      once per call through its lowest copy's window (_block_kernel): an
+      entry is a count times the key's copies of one base twist, dropped
+      past max_degree, and each child takes the copies moved by its
+      offset, all but those whose child has no column in.
     - dim K_d = dim (F_B)_d - dim (im B)_d, the image's handed down by B's
       parent P.  By exactness K_P, spanned by P's generators, is the direct
       sum of its children's images, on disjoint rows: dim (im B)_d counts
@@ -820,13 +831,13 @@ def minimal_resolution_bruteforce(
     _require_window(ideal, max_stage, max_degree)
     ideal.stair  # its ValueError, when a_1 is too large to tabulate, comes before any work
     std: list = []  # S's standard monomials by degree, x-degrees only (_std_x)
-    entries, blocks = {(0, 0): 1}, {}  # blocks: key -> [Counter of its copies' bases, least base twist, im]
+    entries, blocks = {(0, 0): 1}, {}  # blocks: key -> [{copy's base bidegree: count}, least base twist, im]
     if ones := _std_x(ideal, std, 1) if max_stage else ():
         entries[(1, 1)] = len(ones)
     if ones and max_stage > 1:  # the root block F_1 -> S: x^a y^(1-a) maps to itself
         hilbert = _hilbert(ideal)
         root = (tuple((a, 1 - a) for a in ones), ((0, 0),), tuple(((0, a, 1 - a, 1),) for a in ones))
-        blocks[root] = [Counter({(0, 0): 1}), 0, [0, *hilbert[1:], hilbert[-1]]]
+        blocks[root] = [{(0, 0): 1}, 0, [0, *hilbert[1:], hilbert[-1]]]
     memo: dict = {}  # key -> _block_kernel's (end, settle, found, children)
     for stage in range(2, max_stage + 1):
         current, blocks = blocks, {}
@@ -834,16 +845,27 @@ def minimal_resolution_bruteforce(
             done = memo.get(key)
             if done is None or done[0] < min(max_degree - low, done[1]):
                 done = memo[key] = _block_kernel(key, im, max_degree - low, ideal, fld, std, hilbert)
+            by_twist: dict[int, int] = {}  # the key's copies counted by base twist
             for (bx, by), n in bases.items():
+                by_twist[bx + by] = by_twist.get(bx + by, 0) + n
+            for t, n in by_twist.items():
                 for e, m in done[2].items():
-                    if (d := bx + by + e) <= max_degree:
+                    if (d := t + e) <= max_degree:
                         entries[(stage, d)] = entries.get((stage, d), 0) + n * m
-                for child, (ox, oy), child_im, least in done[3]:
-                    if (base := bx + by + ox + oy) + least <= max_degree:
-                        slot = blocks.setdefault(child, [Counter(), base, child_im])
-                        if base < slot[1]:  # the lowest copy's parent read the furthest
-                            slot[1:] = base, child_im
-                        slot[0][(bx + ox, by + oy)] += n
+            for child, (ox, oy), child_im, least in done[3]:
+                if (cap := max_degree - ox - oy - least) < low:  # no copy's child has a column in
+                    continue
+                moved = {(bx + ox, by + oy): n for (bx, by), n in bases.items() if bx + by <= cap}
+                base = low + ox + oy  # the lowest copy's child, whose parent read the furthest
+                slot = blocks.get(child)
+                if slot is None:
+                    blocks[child] = [moved, base, child_im]
+                    continue
+                if base < slot[1]:
+                    slot[1:] = base, child_im
+                copies = slot[0]
+                for b, n in moved.items():
+                    copies[b] = copies.get(b, 0) + n
     return BettiTable(entries, max_stage=max_stage, max_degree=max_degree)
 
 

@@ -1885,6 +1885,36 @@ class TestBruteforceBlocks:
         assert [counts["x2y,xy2", s] for s in (8, 10, 12)] == [3] * 3
         assert [counts["x3,y7", s] for s in (8, 10, 12)] == [7, 9, 11]
 
+    @pytest.mark.parametrize("text, kinds", [("x3,x2y2,xy3,y5", 6), ("x2y,xy2", 3)])
+    def test_stage_24_is_the_counted_table_from_as_many_kernels(self, monkeypatch, text, kinds):
+        # deep in the main case each copy's generators and children come
+        # from its kind's one kernel, moved by the copy's base; the counted
+        # table holds every one of them through the default window
+        keys = []
+
+        def kernel(key, *args):
+            keys.append(key)
+            return block_kernel(key, *args)
+
+        block_kernel = stairstep.oracle._block_kernel
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
+        ideal = parse_ideal(text)
+        window = default_max_degree(ideal, 24)
+        table = minimal_resolution_bruteforce(ideal, 24, window)
+        assert table.entries == {(i, d): n for (i, d), n in betti_table(ideal, 24).entries.items() if d <= window}
+        assert len(keys) == kinds
+
+    def test_twice_the_stages_cost_at_most_four_times_the_steps(self):
+        # past stage 8 a stage of (x^3,x^2y^2,xy^3,y^5) adds copies, not
+        # kinds, and a key's copies are summed by twist for its Betti
+        # entries and moved to each child in one pass, so the cost per
+        # copy stays small beside the kernels.  The window is 5(s + 2), as
+        # the default.  The cost is counted in Python steps, which repeat
+        # exactly, not timed
+        ideal = parse_ideal("x3,x2y2,xy3,y5")
+        steps = {s: python_steps(minimal_resolution_bruteforce, ideal, s, 5 * (s + 2))[1] for s in (12, 24)}
+        assert steps[24] <= 4 * steps[12]
+
     @settings(max_examples=40, deadline=None)
     @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(3)]))
     @example(case=(M_LEFT, 6, 14), fld=ExactRationals())
@@ -1935,6 +1965,15 @@ class TestBruteforceBlocks:
         ideal = parse_ideal(text)
         table = minimal_resolution_bruteforce(ideal, stages, window)
         assert table.entries == bruteforce_reference(ideal, stages, window, ExactRationals()).entries
+
+    def test_each_child_keeps_the_copies_in_its_own_window(self):
+        # from stage 9 on, keys of this ideal have copies on both sides of
+        # a child's window, and their children differ in offset and least
+        # twist: a copy one child keeps, another drops.  Cutting every
+        # child at the narrowest child's window loses generators here
+        ideal = parse_ideal("x8,x5y,x4y3,x2y6,xy9")
+        table = minimal_resolution_bruteforce(ideal, 11, 33)
+        assert table.entries == bruteforce_reference(ideal, 11, 33, ExactRationals()).entries
 
     @pytest.mark.parametrize("fld", [ExactRationals(), PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])
     @pytest.mark.parametrize("text", ["x10,x8y,x6y3,x5y8,x2y9,xy10", "x10y,x9y2,x7y3,x5y6,x3y7,y9"])
