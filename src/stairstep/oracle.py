@@ -755,7 +755,7 @@ def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: F
         for lo, hi, at in runs:
             for j, n in Counter(map(find, at)).items():
                 shares[j][lo : hi + 1] = [n] * (hi + 1 - lo)
-    children = []  # (key, base bidegree, image counts by degree, least column twist) of each group
+    children = []  # (key, base twist, image counts by degree, least column twist) of each group
     for j, generators in members.items():
         rows: dict[int, int] = {}  # a column -> its row in the child, numbered by first use
         images = []
@@ -767,7 +767,7 @@ def _block_kernel(key: tuple, im: list, window: int, ring: MonomialIdeal, fld: F
         bx, by = cols[min(rows, key=twists.__getitem__)]  # the base row: the first of least twist
         rbi = tuple((cols[g][0] - bx, cols[g][1] - by) for g in rows)
         cbi = tuple((rbi[r][0] + a, rbi[r][1] + b) for (r, a, b, _c), *_ in images)
-        children.append(((cbi, rbi, tuple(map(tuple, images))), (bx, by), shares[j][bx + by :], min(map(sum, cbi))))
+        children.append(((cbi, rbi, tuple(map(tuple, images))), bx + by, shares[j][bx + by :], min(map(sum, cbi))))
     return end, settle, Counter(e for e, _ in gens), children
 
 
@@ -793,12 +793,15 @@ def minimal_resolution_bruteforce(
       first use, xdeg, ydeg, coeff): the block up to a shift of every
       bidegree, which moves a slice basis element g*x^a*y^b with its image
       and no exponent, and M reads exponents alone.  So a copy's generators
-      and children are the key's, moved by its base.  A stage maps each key
-      to a count of its copies by base bidegree, and the key is resolved
-      once per call through its lowest copy's window (_block_kernel): an
-      entry is a count times the key's copies of one base twist, dropped
-      past max_degree, and each child takes the copies moved by its
-      offset, all but those whose child has no column in.
+      and children are the key's, moved by its base, and as the rest reads
+      twists alone, a stage maps each key to a count of its copies by base
+      twist.  The key is resolved once per call through its lowest copy's
+      window (_block_kernel): an entry is a count times the key's
+      generators moved by a twist, dropped past max_degree, and each child
+      takes the copies moved by its offset but those whose least column
+      lies at max_degree or past it: its columns there are minimal
+      generators of the parent's kernel, linearly independent, so its
+      syzygies lie past max_degree.
     - dim K_d = dim (F_B)_d - dim (im B)_d, the image's handed down by B's
       parent P.  By exactness K_P, spanned by P's generators, is the direct
       sum of its children's images, on disjoint rows: dim (im B)_d counts
@@ -831,13 +834,13 @@ def minimal_resolution_bruteforce(
     _require_window(ideal, max_stage, max_degree)
     ideal.stair  # its ValueError, when a_1 is too large to tabulate, comes before any work
     std: list = []  # S's standard monomials by degree, x-degrees only (_std_x)
-    entries, blocks = {(0, 0): 1}, {}  # blocks: key -> [{copy's base bidegree: count}, least base twist, im]
+    entries, blocks = {(0, 0): 1}, {}  # blocks: key -> [{copy's base twist: count}, least base twist, im]
     if ones := _std_x(ideal, std, 1) if max_stage else ():
         entries[(1, 1)] = len(ones)
     if ones and max_stage > 1:  # the root block F_1 -> S: x^a y^(1-a) maps to itself
         hilbert = _hilbert(ideal)
         root = (tuple((a, 1 - a) for a in ones), ((0, 0),), tuple(((0, a, 1 - a, 1),) for a in ones))
-        blocks[root] = [{(0, 0): 1}, 0, [0, *hilbert[1:], hilbert[-1]]]
+        blocks[root] = [{0: 1}, 0, [0, *hilbert[1:], hilbert[-1]]]
     memo: dict = {}  # key -> _block_kernel's (end, settle, found, children)
     for stage in range(2, max_stage + 1):
         current, blocks = blocks, {}
@@ -845,18 +848,15 @@ def minimal_resolution_bruteforce(
             done = memo.get(key)
             if done is None or done[0] < min(max_degree - low, done[1]):
                 done = memo[key] = _block_kernel(key, im, max_degree - low, ideal, fld, std, hilbert)
-            by_twist: dict[int, int] = {}  # the key's copies counted by base twist
-            for (bx, by), n in bases.items():
-                by_twist[bx + by] = by_twist.get(bx + by, 0) + n
-            for t, n in by_twist.items():
+            for t, n in bases.items():
                 for e, m in done[2].items():
                     if (d := t + e) <= max_degree:
                         entries[(stage, d)] = entries.get((stage, d), 0) + n * m
-            for child, (ox, oy), child_im, least in done[3]:
-                if (cap := max_degree - ox - oy - least) < low:  # no copy's child has a column in
+            for child, o, child_im, least in done[3]:
+                if (cap := max_degree - o - least) <= low:  # no copy's child has a column below max_degree
                     continue
-                moved = {(bx + ox, by + oy): n for (bx, by), n in bases.items() if bx + by <= cap}
-                base = low + ox + oy  # the lowest copy's child, whose parent read the furthest
+                moved = {t + o: n for t, n in bases.items() if t < cap}
+                base = low + o  # the lowest copy's child, whose parent read the furthest
                 slot = blocks.get(child)
                 if slot is None:
                     blocks[child] = [moved, base, child_im]

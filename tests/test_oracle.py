@@ -1904,16 +1904,43 @@ class TestBruteforceBlocks:
         assert table.entries == {(i, d): n for (i, d), n in betti_table(ideal, 24).entries.items() if d <= window}
         assert len(keys) == kinds
 
-    def test_twice_the_stages_cost_at_most_four_times_the_steps(self):
+    @pytest.mark.parametrize("text, fld", [("x3,x2y2,xy3,y5", PrimeField(32003)), ("x2y,xy2", ExactRationals())], ids=["F32003", "Q"])
+    def test_stage_40_is_the_counted_table_inside_the_default_window(self, text, fld):
+        # forty stages of copies moved by base twist, through the default
+        # window, over a large prime and over Q
+        ideal = parse_ideal(text)
+        window = default_max_degree(ideal, 40)
+        table = minimal_resolution_bruteforce(ideal, 40, window, fld)
+        assert table.entries == {(i, d): n for (i, d), n in betti_table(ideal, 40).entries.items() if d <= window}
+
+    def test_no_copy_is_made_whose_least_column_lies_at_max_degree(self, monkeypatch):
+        # on (x^2y, xy^2) to stage 4 at window 4 a block of F_3 -> F_2 has
+        # its least column at degree 4: its columns there are independent,
+        # so its syzygies lie past the window and its kernel is never run
+        calls = []
+
+        def kernel(*args):
+            calls.append(args[0])
+            return block_kernel(*args)
+
+        block_kernel = stairstep.oracle._block_kernel
+        monkeypatch.setattr(stairstep.oracle, "_block_kernel", kernel)
+        ideal = parse_ideal("x2y,xy2")
+        table = minimal_resolution_bruteforce(ideal, 4, 4)
+        assert table.entries == {(i, d): n for (i, d), n in betti_table(ideal, 4).entries.items() if d <= 4}
+        assert len(calls) == 2
+
+    def test_twice_the_stages_cost_few_more_steps(self):
         # past stage 8 a stage of (x^3,x^2y^2,xy^3,y^5) adds copies, not
-        # kinds, and a key's copies are summed by twist for its Betti
-        # entries and moved to each child in one pass, so the cost per
-        # copy stays small beside the kernels.  The window is 5(s + 2), as
-        # the default.  The cost is counted in Python steps, which repeat
-        # exactly, not timed
-        ideal = parse_ideal("x3,x2y2,xy3,y5")
-        steps = {s: python_steps(minimal_resolution_bruteforce, ideal, s, 5 * (s + 2))[1] for s in (12, 24)}
-        assert steps[24] <= 4 * steps[12]
+        # kinds, and a key's copies are kept by base twist, of which the
+        # window holds about s, not by base bidegree, of which there are
+        # about s^2; so the cost per stage stays small beside the kernels.
+        # The windows are the default, 5(s + 2) and 6(s + 2).  The cost is
+        # counted in Python steps, which repeat exactly, not timed
+        for text, low, high, bound in (("x3,x2y2,xy3,y5", 12, 24, 2.5), ("x6,x5y,x4y2,x3y3,x2y4,xy5", 8, 16, 1.4)):
+            ideal = parse_ideal(text)
+            steps = {s: python_steps(minimal_resolution_bruteforce, ideal, s, default_max_degree(ideal, s))[1] for s in (low, high)}
+            assert steps[high] <= bound * steps[low], (text, steps)
 
     @settings(max_examples=40, deadline=None)
     @given(oracle_cases(), st.sampled_from([ExactRationals(), PrimeField(2), PrimeField(3)]))
