@@ -140,7 +140,7 @@ def betti_table(ideal: MonomialIdeal, stages: int) -> BettiTable:
     counted by the Betti counter of M's regime with no resolution built."""
     from .resolution import _regime
 
-    _source, count = _regime(ideal, stages)
+    _source, count, _check = _regime(ideal, stages)
     return BettiTable(count(ideal, stages), max_stage=stages)
 
 

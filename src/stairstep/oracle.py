@@ -360,7 +360,12 @@ def check_homogeneity(res: Resolution) -> VerificationReport:
     -1, no negative exponent) and then carry its column's bidegree onto
     its row's: source bidegree = target bidegree + (xdeg, ydeg), as the
     first pass of _split_blocks tests it (_entry_fault).  Total degrees
-    alone, which the Betti tables read, would miss a swapped bidegree."""
+    alone, which the Betti tables read, would miss a swapped bidegree.
+
+    This is the library check of a built or loaded resolution; `verify`
+    covers the same ground through the exactness check's split, and
+    `oracle` checks the engine's bigrading on its rule, with nothing
+    built."""
     _require_count(res.modules, res.differentials)
     return VerificationReport(res.ring, _map_records(res, "homogeneity", _entry_fault))
 

@@ -1,17 +1,17 @@
 """Explicit graded minimal free resolutions of k over S = k[x,y]/M.
 
 _regime, the one home of the regime split, classifies M and names its
-stage source and Betti counter; build_resolution, the one builder, wraps
-each stage the source yields.  The main-case resolution is assembled
-from three column templates (the maps into a rank-1 target, an {e_x,e_y}
-pair, and a full {e_f_1..e_f_{r+1}} stage-two module).  From stage four
-on, every module is a direct sum of copies of F1, F2 and F3 and the next
-differential is block diagonal in instantiated templates.  One pure
-function, _main_rule, states the templates and which blocks of the next
-stage each block carries; the builder instantiates them.  Type II, a
-single generator, is the main case at r = 1 and is built by the same
-rule.  Degenerate types I, III, IV and V are one Kunneth product of the
-one-variable resolutions of k.
+stage source, Betti counter and bigrading check; build_resolution, the
+one builder, wraps each stage the source yields.  The main-case
+resolution is assembled from three column templates (the maps into a
+rank-1 target, an {e_x,e_y} pair, and a full {e_f_1..e_f_{r+1}}
+stage-two module).  From stage four on, every module is a direct sum of
+copies of F1, F2 and F3 and the next differential is block diagonal in
+instantiated templates.  One pure function, _main_rule, states the
+templates and which blocks of the next stage each block carries; the
+builder instantiates them.  Type II, a single generator, is the main
+case at r = 1 and is built by the same rule.  Degenerate types I, III,
+IV and V are one Kunneth product of the one-variable resolutions of k.
 
 A Resolution states M, each F_i and each map d_i: F_i -> F_{i-1} once, a
 map as its entries alone, and keeps its ints in arrays: a map's entries
@@ -23,8 +23,11 @@ keeps their labels as a tuple of strings.
 Graded Betti numbers need no matrices: a counting pass advances the
 number of F1, F2 and F3 blocks per base degree over the same rule table,
 so stage 40 takes milliseconds; a Kunneth product's are read off the two
-factors' twists by the reachability rule its builder uses.  The checks
-are in :mod:`stairstep.oracle`, which shares the loader's rules.
+factors' twists by the reachability rule its builder uses.  Each map's
+bigrading is checked the same way, on the rule table or on the factors'
+twists and powers, so engine-oracle agreement builds no resolution.  The
+checks of a built or loaded resolution are in :mod:`stairstep.oracle`,
+which shares the loader's rules.
 """
 from __future__ import annotations
 
@@ -324,6 +327,58 @@ def _main_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int
     return entries
 
 
+def _main_bigrading_faults(ideal: MonomialIdeal, stages: int) -> list[tuple[int, str]]:
+    """(stage, detail) for each map d_1..d_stages of the main-case
+    resolution with an entry that breaks the bigrading, read off the rule
+    table of :func:`_main_rule` with no module or matrix built.
+
+    An entry of a block of kind K at offset o on a parent block of kind P
+    maps template column c to the parent's column rel[e].  Whatever the
+    parent's base B, its column lies at B + o + off_K[c] and its row at B +
+    off_P[rel[e]], so it is homogeneous iff o + off_K[c] = off_P[rel[e]] +
+    (xdeg, ydeg).  One pass over the table finds each (kind, parent) pair's
+    first bad placement, and d_i fails iff stage i - 1 holds a block of a
+    bad pair's parent.  The detail names the entry that the bigrading test
+    of check_homogeneity meets first in d_i: the first bad pair's first bad
+    placement on the first block of its parent kind, found from the
+    stages' block counts per kind and the layout of :func:`_main_stages`."""
+    offsets, templates, children = _main_rule(ideal.generators)
+    offsets = {"F0": ((0, 0),), **offsets}
+    bad: dict[tuple[str, str], tuple[int, int, int]] = {}  # (kind, parent) -> (placement, row, col)
+    for kind, kids in children.items():
+        for parent, placed in kids.items():
+            col_at, row_at = offsets[kind], offsets[parent]
+            bad_entries = (
+                (j, row, c)
+                for j, ((ox, oy), rel) in enumerate(placed)
+                for (_row, c, _sign, x, y), row in zip(templates[kind], rel)
+                if (ox + col_at[c][0], oy + col_at[c][1]) != (row_at[row][0] + x, row_at[row][1] + y)
+            )
+            if first := next(bad_entries, None):
+                bad[(kind, parent)] = first
+    if not bad:
+        return []
+    faults, counts = [], {"F0": 1}  # the last stage's blocks per kind, in layout order
+    for stage in range(1, stages + 1):
+        starts, col = {}, 0  # each kind's first column in the last stage
+        for kind, n in counts.items():
+            starts[kind], col = col, col + n * len(offsets[kind])
+        found, new, col = "", {}, 0
+        for kind, kids in children.items():
+            n = 0  # the kind's blocks placed so far in this stage
+            for parent, placed in kids.items():
+                if counts.get(parent) and (kind, parent) in bad and not found:
+                    j, row, c = bad[(kind, parent)]
+                    entry = starts[parent] + row, col + (n + j) * len(offsets[kind]) + c
+                    found = f"entry {entry} is not homogeneous"
+                n += counts.get(parent, 0) * len(placed)
+            new[kind], col = n, col + n * len(offsets[kind])
+        if found:
+            faults.append((stage, found))
+        counts = new
+    return faults
+
+
 class _MainLabels:
     """The generator labels of one main-case stage, rendered on demand.
 
@@ -433,6 +488,13 @@ def _product_stage(tx: int, ty: int, i: int) -> range:
     return range(max(0, i - ty), min(i, tx) + 1)
 
 
+def _product_order(tx: int, ty: int, i: int) -> list[int]:
+    """The p of _product_stage in the order of stage i's generators: those
+    of (i,0), (0,i), (i-1,1), (1,i-1), ... that both factors reach."""
+    reach = _product_stage(tx, ty, i)
+    return [p for j in range(min(i // 2, tx, ty) + 1) for p in ((i - j, j) if 2 * j != i else (j,)) if p in reach]
+
+
 def _product_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int], int]:
     """Graded Betti numbers beta_{i,d} of the Kunneth product through
     ``stages``: one generator per reachable p, of twist xtw[p] + ytw[i-p]."""
@@ -468,13 +530,7 @@ def _product_stages(ideal: MonomialIdeal, n: int):
     # per stage i, indexed by p: the row of u_p*v_{i-p} and its sign eps
     rows, signs = {0: 0}, {0: 1}
     for i in range(1, n + 1):
-        reach = _product_stage(tx, ty, i)
-        ps = [  # the p of (i,0), (0,i), (i-1,1), (1,i-1), ... that both factors reach
-            p
-            for j in range(min(i // 2, tx, ty) + 1)
-            for p in ((i - j, j) if 2 * j != i else (j,))
-            if p in reach
-        ]
+        ps = _product_order(tx, ty, i)
         if i == 1:
             labels = ("g",) * len(ps) if stem == "g" else tuple("e_x" if p else "e_y" for p in ps)
         elif len(ps) == 1:
@@ -506,16 +562,50 @@ def _product_stages(ideal: MonomialIdeal, n: int):
         yield dx, dy, labels, entries
 
 
+def _product_bigrading_faults(ideal: MonomialIdeal, stages: int) -> list[tuple[int, str]]:
+    """(stage, detail) for each map d_1..d_stages of the Kunneth product
+    with an entry that breaks the bigrading, read off the factors' data
+    with no module or matrix built.
+
+    The entry of u_p*v_q through du_p maps it, at (xtw[p], ytw[q]), to
+    u_{p-1}*v_q by x^xpow[p], so it is homogeneous iff xtw[p] = xtw[p-1] +
+    xpow[p]; the entry through dv_q likewise iff ytw[q] = ytw[q-1] +
+    ypow[q].  The detail names the entry of d_i that the bigrading test of
+    check_homogeneity meets first, in the order :func:`_product_stages`
+    writes them."""
+    (xtw, xpow), (ytw, ypow) = _product_factors(ideal, stages)
+    x_bad = [p > 0 and xtw[p] != xtw[p - 1] + xpow[p] for p in range(len(xtw))]
+    y_bad = [q > 0 and ytw[q] != ytw[q - 1] + ypow[q] for q in range(len(ytw))]
+    if not any(x_bad + y_bad):
+        return []
+    tx, ty = len(xtw) - 1, len(ytw) - 1
+    faults, rows = [], {0: 0}  # the last stage's row of u_p*v_{i-1-p}, by p
+    for i in range(1, stages + 1):
+        ps = _product_order(tx, ty, i)
+        for c, p in enumerate(ps):
+            q = i - p
+            # the column's entries as (row, bad), in written order
+            by_x = [(rows[p - 1], x_bad[p])] if p else []
+            by_y = [(rows[p], y_bad[q])] if q else []
+            row = next((row for row, wrong in (by_y + by_x if p >= q else by_x + by_y) if wrong), None)
+            if row is not None:
+                faults.append((i, f"entry ({row}, {c}) is not homogeneous"))
+                break
+        rows = {p: c for c, p in enumerate(ps)}
+    return faults
+
+
 def _regime(ideal: MonomialIdeal, stages: int):
-    """(stage source, Betti counter) of M's regime, read by name when this
-    runs; type II is built and counted over the main-case rule table at
-    r = 1."""
+    """(stage source, Betti counter, bigrading check) of M's regime, read
+    by name when this runs; type II is built, counted and checked over the
+    main-case rule table at r = 1.  The check reads the rule alone, so
+    engine-oracle agreement needs no resolution built."""
     if stages < 0:
         raise StageTooSmall("need n >= 0")
     cls = classify(ideal)
     if cls.is_main or cls is IdealClass.TYPE_II:
-        return _main_stages, _main_betti_counts
-    return _product_stages, _product_betti_counts
+        return _main_stages, _main_betti_counts, _main_bigrading_faults
+    return _product_stages, _product_betti_counts, _product_bigrading_faults
 
 
 def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
@@ -523,7 +613,7 @@ def build_resolution(ideal: MonomialIdeal, stages: int) -> Resolution:
     one generator e1 in bidegree (0, 0), then each stage of the source of
     M's regime.  Bidegrees and exponents are stored as 64-bit ints; one
     that does not fit raises ValueError."""
-    source, _count = _regime(ideal, stages)
+    source, _count, _check = _regime(ideal, stages)
     modules = [GradedFreeModule(Generators(array("q", [0]), array("q", [0]), ("e1",)))]
     diffs: list[Differential] = []
     try:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: the corpora, the running examples,
-the one way tests replace or corrupt a map of a resolution, a
-resolution's JSON as a file holds it, and the staircase bound's c."""
+the one way tests replace or corrupt a map of a resolution, the bent
+main-case rules, a resolution's JSON as a file holds it, and the
+staircase bound's c."""
 from __future__ import annotations
 
 import functools
@@ -13,6 +14,7 @@ from dataclasses import replace
 
 from hypothesis import assume, settings, strategies as st
 
+import stairstep.resolution
 from stairstep import Differential, Monomial, MonomialIdeal, normalize_ideal, resolution_to_json
 
 
@@ -82,6 +84,36 @@ def mutate(res, i, kind: str, k: int = 0, rng: random.Random | None = None):
 def each_map(res, edit):
     """``res`` with every d_i replaced by ``Differential(edit(entries of d_i))``, d_1 first."""
     return replace(res, differentials=[Differential(edit(d.entries)) for d in res.differentials])
+
+
+# Bent main-case rules: each takes _main_rule's (offsets, templates,
+# children) and returns them changed, and bend_rule installs one.
+def swap_d_and_g(offsets, templates, children):
+    """Each F1 at an F3 based at G's offset, each F2 at an F3 at D's."""
+    f1_at, f2_at = children["F1"]["F3"], children["F2"]["F3"]
+    f1 = tuple((g, rows) for (_d, rows), (g, _rows) in zip(f1_at, f2_at))
+    f2 = tuple((d, rows) for (d, _rows), (_g, rows) in zip(f1_at, f2_at)) + f2_at[len(f1_at) :]
+    return offsets, templates, {**children, "F1": {**children["F1"], "F3": f1}, "F2": {**children["F2"], "F3": f2}}
+
+
+def drop_an_f2_at_an_f3(offsets, templates, children):
+    at_f3 = children["F2"]["F3"]  # the F2s based at an F3, one per c_j pair
+    return offsets, templates, {**children, "F2": {**children["F2"], "F3": at_f3[:1] + at_f3[2:]}}
+
+
+def shift_f3(offsets, templates, children):
+    return {**offsets, "F3": tuple((dx + 1, dy) for dx, dy in offsets["F3"])}, templates, children
+
+
+def swap_f1(offsets, templates, children):
+    """e_x at (0, 1) and e_y at (1, 0): every total degree stays."""
+    return {**offsets, "F1": tuple((dy, dx) for dx, dy in offsets["F1"])}, templates, children
+
+
+def bend_rule(monkeypatch, bend) -> None:
+    """Make _main_rule return its tables passed through bend."""
+    real = stairstep.resolution._main_rule
+    monkeypatch.setattr(stairstep.resolution, "_main_rule", lambda gens: bend(*real(gens)))
 
 
 def json_data(res) -> dict:

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stairstep.resolution
-from conftest import M, M_LEFT, M_RIGHT, acceptance_corpus, exhaustive_corpus, staircases
+from conftest import (
+    M,
+    M_LEFT,
+    M_RIGHT,
+    acceptance_corpus,
+    bend_rule,
+    drop_an_f2_at_an_f3,
+    exhaustive_corpus,
+    shift_f3,
+    staircases,
+    swap_d_and_g,
+)
 from stairstep import (
     BettiTable,
     ExactRationals,
@@ -197,29 +208,6 @@ class TestGradedBetti:
 
 
 DEEP_IDEALS = ("x6,x5y,x4y2,x3y3,x2y4,xy5", "x8y,x7y3,x6y5,x5y6,xy8,y9")
-
-
-def swap_d_and_g(offsets, templates, children):
-    """Each F1 at an F3 based at G's offset, each F2 at an F3 at D's."""
-    f1_at, f2_at = children["F1"]["F3"], children["F2"]["F3"]
-    f1 = tuple((g, rows) for (_d, rows), (g, _rows) in zip(f1_at, f2_at))
-    f2 = tuple((d, rows) for (d, _rows), (_g, rows) in zip(f1_at, f2_at)) + f2_at[len(f1_at) :]
-    return offsets, templates, {**children, "F1": {**children["F1"], "F3": f1}, "F2": {**children["F2"], "F3": f2}}
-
-
-def drop_an_f2_at_an_f3(offsets, templates, children):
-    at_f3 = children["F2"]["F3"]  # the F2s based at an F3, one per c_j pair
-    return offsets, templates, {**children, "F2": {**children["F2"], "F3": at_f3[:1] + at_f3[2:]}}
-
-
-def shift_f3(offsets, templates, children):
-    return {**offsets, "F3": tuple((dx + 1, dy) for dx, dy in offsets["F3"])}, templates, children
-
-
-def bend_rule(monkeypatch, bend) -> None:
-    """Make _main_rule return its tables passed through bend."""
-    real = stairstep.resolution._main_rule
-    monkeypatch.setattr(stairstep.resolution, "_main_rule", lambda gens: bend(*real(gens)))
 
 
 staircase_ideals = staircases(5, 8)

@@ -288,14 +288,14 @@ class TestOracle:
         assert out.splitlines()[-2:] == ["MISMATCH beta_(2,3): engine 2 vs oracle 1", "engine agreement: fail"]
 
     def test_homogeneity_failure(self, capsys, monkeypatch):
-        real = stairstep.oracle.check_homogeneity
+        # a fault planted at stage 2 in the rule's bigrading check, which
+        # the regime split reads by name
+        real = stairstep.resolution._main_bigrading_faults
 
-        def plant(res):
-            report = real(res)
-            report.checks[1] = report.checks[1]._replace(passed=False, detail="planted")
-            return report
+        def plant(ideal, stages):
+            return [*real(ideal, stages), (2, "planted")]
 
-        monkeypatch.setattr(stairstep.oracle, "check_homogeneity", plant)
+        monkeypatch.setattr(stairstep.resolution, "_main_bigrading_faults", plant)
         code, out, _ = run(capsys, "oracle", "x2y,xy2", "--stages", "4")
         assert code == 1
         assert out.splitlines()[-2:] == ["FAIL homogeneity at stage 2: planted", "engine agreement: fail"]

@@ -23,6 +23,8 @@ from conftest import (
     M_RIGHT,
     MUTATIONS,
     acceptance_corpus,
+    bend_rule,
+    drop_an_f2_at_an_f3,
     each_map,
     exhaustive_corpus,
     json_data,
@@ -30,8 +32,11 @@ from conftest import (
     mutate_entries,
     python_steps,
     random_corpus,
+    shift_f3,
     staircase_c,
     staircases,
+    swap_d_and_g,
+    swap_f1,
     with_map,
 )
 from stairstep import (
@@ -65,6 +70,7 @@ from stairstep import (
     standard_monomials,
 )
 from stairstep.cli import main as cli_main
+import stairstep.betti
 import stairstep.oracle
 import stairstep.resolution
 from stairstep.monomials import _standard_x
@@ -2172,6 +2178,95 @@ class TestBidegrees:
         assert cli_main(["oracle", "x2y,xy2", "--stages", "4", "--format", "json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert (data["match"], data["homogeneous"]) == (True, False)
+
+
+class TestRuleBigrading:
+    """`oracle` checks the engine's bigrading on its rule, with no
+    resolution built: under a bent rule the check fails the maps, at the
+    entries, that check_homogeneity fails on the built resolution."""
+
+    IDEALS = exhaustive_corpus(3) + random_corpus(40, seed=53)
+
+    def stage_sets(self) -> Counter:
+        """How many IDEALS fail the rule check at each set of stages
+        through 7, once it is held equal, stage and detail, to
+        check_homogeneity's records on the build to stage 7."""
+        seen = Counter()
+        for ideal in self.IDEALS:
+            rule = stairstep.resolution._regime(ideal, 7)[2](ideal, 7)
+            built = check_homogeneity(build_resolution(ideal, 7)).failures()
+            assert rule == [(c.stage, c.detail) for c in built], str(ideal)
+            seen[tuple(stage for stage, _detail in rule)] += 1
+        return seen
+
+    def test_the_rule_is_homogeneous(self):
+        assert self.stage_sets() == {(): 108}
+
+    def test_swapped_f2(self, swapped_f2):
+        # F2 first appears at stage 2; an F2 offset with dx = dy stays put
+        assert self.stage_sets() == {(): 17, (2, 3, 4, 5, 6, 7): 91}
+
+    @pytest.mark.parametrize(
+        "bend, expected",
+        [
+            # stage 3 holds only F3s at F2s; type II places no F1 at an
+            # F3, so from stage 3 on it holds no F1
+            (swap_f1, {(): 12, (1, 2): 23, (1, 2, 4, 5, 6, 7): 73}),
+            # the bent placements sit on F3s, which stage 4 does not hold;
+            # at r = 1 the bend moves nothing
+            (swap_d_and_g, {(): 35, (4, 6, 7): 73}),
+            (drop_an_f2_at_an_f3, {(): 108}),  # it breaks the count, not the bigrading
+            (shift_f3, {(): 12, (3, 4, 5, 6, 7): 96}),
+        ],
+        ids=lambda v: getattr(v, "__name__", ""),
+    )
+    def test_bent_rule(self, monkeypatch, bend, expected):
+        bend_rule(monkeypatch, bend)
+        assert self.stage_sets() == expected
+
+    @pytest.mark.parametrize("bend", [swap_f1, swap_d_and_g, drop_an_f2_at_an_f3, shift_f3], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5"])
+    def test_oracle_fails_a_bent_rule(self, monkeypatch, capsys, bend, text):
+        bend_rule(monkeypatch, bend)
+        built = check_homogeneity(build_resolution(parse_ideal(text), 6)).failures()
+        assert cli_main(["oracle", text, "--stages", "6"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL")] == [
+            f"FAIL homogeneity at stage {c.stage}: {c.detail}" for c in built
+        ]
+        assert out[-1] == "engine agreement: fail"
+
+    def test_a_kunneth_fault_fails_oracle_from_its_first_stage(self, monkeypatch, capsys):
+        real = stairstep.resolution._factor
+
+        def factor(e, n):  # u_2 one degree up in both factors: d(u_2) and d(u_3) break the bigrading
+            twists, powers = real(e, n)
+            return [t + (p == 2) for p, t in enumerate(twists)], powers
+
+        monkeypatch.setattr(stairstep.resolution, "_factor", factor)
+        built = check_homogeneity(build_resolution(parse_ideal("x3,y7"), 8)).failures()
+        assert [c.stage for c in built] == list(range(2, 9))
+        assert cli_main(["oracle", "x3,y7", "--stages", "8"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL")] == [
+            f"FAIL homogeneity at stage {c.stage}: {c.detail}" for c in built
+        ]
+
+    @pytest.mark.parametrize("text", ["x2y,xy2", "x3,y7", "y5"])
+    def test_oracle_builds_no_resolution(self, monkeypatch, capsys, text):
+        def refuse(*args):
+            raise AssertionError("oracle built or read a resolution")
+
+        for module, name in [
+            (stairstep.resolution, "build_resolution"),
+            (stairstep.resolution, "_main_stages"),
+            (stairstep.resolution, "_product_stages"),
+            (stairstep.betti, "graded_betti"),
+            (stairstep.oracle, "check_homogeneity"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert cli_main(["oracle", text, "--stages", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "engine agreement: pass"
 
 
 # One ideal per construction regime.
