@@ -336,46 +336,29 @@ def _main_bigrading_faults(ideal: MonomialIdeal, stages: int) -> list[tuple[int,
     maps template column c to the parent's column rel[e].  Whatever the
     parent's base B, its column lies at B + o + off_K[c] and its row at B +
     off_P[rel[e]], so it is homogeneous iff o + off_K[c] = off_P[rel[e]] +
-    (xdeg, ydeg).  One pass over the table finds each (kind, parent) pair's
-    first bad placement, and d_i fails iff stage i - 1 holds a block of a
-    bad pair's parent.  The detail names the entry that the bigrading test
-    of check_homogeneity meets first in d_i: the first bad pair's first bad
-    placement on the first block of its parent kind, found from the
-    stages' block counts per kind and the layout of :func:`_main_stages`."""
+    (xdeg, ydeg).  One pass over the table finds, per parent kind, the
+    first bad entry of the first pair on it, and d_i fails iff stage i - 1,
+    whose block kinds :func:`_main_block_bases` counts, holds a block of
+    such a kind.  The detail names that entry in the rule's terms, as in
+    "the F2 template's entry 3 at placement 1 on an F3 is not homogeneous";
+    check_homogeneity names the matrix cell of a built resolution."""
     offsets, templates, children = _main_rule(ideal.generators)
     offsets = {"F0": ((0, 0),), **offsets}
-    bad: dict[tuple[str, str], tuple[int, int, int]] = {}  # (kind, parent) -> (placement, row, col)
+    bad: dict[str, str] = {}  # parent kind -> the detail of its first bad pair
     for kind, kids in children.items():
         for parent, placed in kids.items():
-            col_at, row_at = offsets[kind], offsets[parent]
-            bad_entries = (
-                (j, row, c)
-                for j, ((ox, oy), rel) in enumerate(placed)
-                for (_row, c, _sign, x, y), row in zip(templates[kind], rel)
-                if (ox + col_at[c][0], oy + col_at[c][1]) != (row_at[row][0] + x, row_at[row][1] + y)
-            )
-            if first := next(bad_entries, None):
-                bad[(kind, parent)] = first
+            for j, ((ox, oy), rel) in enumerate(placed):
+                for e, ((_row, c, _sign, x, y), row) in enumerate(zip(templates[kind], rel)):
+                    (cx, cy), (rx, ry) = offsets[kind][c], offsets[parent][row]
+                    if (ox + cx, oy + cy) != (rx + x, ry + y):
+                        bad.setdefault(parent, f"the {kind} template's entry {e} at placement {j} on an {parent}")
     if not bad:
         return []
-    faults, counts = [], {"F0": 1}  # the last stage's blocks per kind, in layout order
-    for stage in range(1, stages + 1):
-        starts, col = {}, 0  # each kind's first column in the last stage
-        for kind, n in counts.items():
-            starts[kind], col = col, col + n * len(offsets[kind])
-        found, new, col = "", {}, 0
-        for kind, kids in children.items():
-            n = 0  # the kind's blocks placed so far in this stage
-            for parent, placed in kids.items():
-                if counts.get(parent) and (kind, parent) in bad and not found:
-                    j, row, c = bad[(kind, parent)]
-                    entry = starts[parent] + row, col + (n + j) * len(offsets[kind]) + c
-                    found = f"entry {entry} is not homogeneous"
-                n += counts.get(parent, 0) * len(placed)
-            new[kind], col = n, col + n * len(offsets[kind])
-        if found:
-            faults.append((stage, found))
-        counts = new
+    faults, held = [], {"F0"}  # the block kinds of the last stage
+    for stage, bases in _main_block_bases(children, stages):
+        if detail := next((detail for parent, detail in bad.items() if parent in held), None):
+            faults.append((stage, detail + " is not homogeneous"))
+        held = {kind for kind, counts in bases.items() if counts}
     return faults
 
 
@@ -488,13 +471,6 @@ def _product_stage(tx: int, ty: int, i: int) -> range:
     return range(max(0, i - ty), min(i, tx) + 1)
 
 
-def _product_order(tx: int, ty: int, i: int) -> list[int]:
-    """The p of _product_stage in the order of stage i's generators: those
-    of (i,0), (0,i), (i-1,1), (1,i-1), ... that both factors reach."""
-    reach = _product_stage(tx, ty, i)
-    return [p for j in range(min(i // 2, tx, ty) + 1) for p in ((i - j, j) if 2 * j != i else (j,)) if p in reach]
-
-
 def _product_betti_counts(ideal: MonomialIdeal, stages: int) -> dict[tuple[int, int], int]:
     """Graded Betti numbers beta_{i,d} of the Kunneth product through
     ``stages``: one generator per reachable p, of twist xtw[p] + ytw[i-p]."""
@@ -530,7 +506,8 @@ def _product_stages(ideal: MonomialIdeal, n: int):
     # per stage i, indexed by p: the row of u_p*v_{i-p} and its sign eps
     rows, signs = {0: 0}, {0: 1}
     for i in range(1, n + 1):
-        ps = _product_order(tx, ty, i)
+        # the reached p in the order (i,0), (0,i), (i-1,1), (1,i-1), ...
+        ps = sorted(_product_stage(tx, ty, i), key=lambda p: (min(p, i - p), -p))
         if i == 1:
             labels = ("g",) * len(ps) if stem == "g" else tuple("e_x" if p else "e_y" for p in ps)
         elif len(ps) == 1:
@@ -570,28 +547,23 @@ def _product_bigrading_faults(ideal: MonomialIdeal, stages: int) -> list[tuple[i
     The entry of u_p*v_q through du_p maps it, at (xtw[p], ytw[q]), to
     u_{p-1}*v_q by x^xpow[p], so it is homogeneous iff xtw[p] = xtw[p-1] +
     xpow[p]; the entry through dv_q likewise iff ytw[q] = ytw[q-1] +
-    ypow[q].  The detail names the entry of d_i that the bigrading test of
-    check_homogeneity meets first, in the order :func:`_product_stages`
-    writes them."""
+    ypow[q].  A bad x-step p fails d_i iff p is in stage i's reach
+    (:func:`_product_stage`), a bad y-step q iff i - q is.  The detail
+    names the factor step, the x factor's least bad step first, as in
+    "d(u_2) of the x factor is not homogeneous"; check_homogeneity names
+    the matrix cell of a built resolution."""
     (xtw, xpow), (ytw, ypow) = _product_factors(ideal, stages)
-    x_bad = [p > 0 and xtw[p] != xtw[p - 1] + xpow[p] for p in range(len(xtw))]
-    y_bad = [q > 0 and ytw[q] != ytw[q - 1] + ypow[q] for q in range(len(ytw))]
-    if not any(x_bad + y_bad):
+    x_bad = [p for p in range(1, len(xtw)) if xtw[p] != xtw[p - 1] + xpow[p]]
+    y_bad = [q for q in range(1, len(ytw)) if ytw[q] != ytw[q - 1] + ypow[q]]
+    if not x_bad + y_bad:
         return []
-    tx, ty = len(xtw) - 1, len(ytw) - 1
-    faults, rows = [], {0: 0}  # the last stage's row of u_p*v_{i-1-p}, by p
+    faults = []
     for i in range(1, stages + 1):
-        ps = _product_order(tx, ty, i)
-        for c, p in enumerate(ps):
-            q = i - p
-            # the column's entries as (row, bad), in written order
-            by_x = [(rows[p - 1], x_bad[p])] if p else []
-            by_y = [(rows[p], y_bad[q])] if q else []
-            row = next((row for row, wrong in (by_y + by_x if p >= q else by_x + by_y) if wrong), None)
-            if row is not None:
-                faults.append((i, f"entry ({row}, {c}) is not homogeneous"))
-                break
-        rows = {p: c for c, p in enumerate(ps)}
+        reach = _product_stage(len(xtw) - 1, len(ytw) - 1, i)
+        steps = [f"d(u_{p}) of the x factor" for p in x_bad if p in reach]
+        steps += [f"d(v_{q}) of the y factor" for q in y_bad if i - q in reach]
+        if steps:
+            faults.append((i, steps[0] + " is not homogeneous"))
     return faults
 
 

@@ -2123,6 +2123,20 @@ class TestCompareBetti:
         assert compare_betti(a, b).is_empty
 
 
+# the main case's bigrading detail: (kind, parent) of the bad template entry
+RULE_DETAIL = re.compile(r"the (F\d) template's entry \d+ at placement \d+ on an (F\d) is not homogeneous")
+# a FAIL line of oracle's homogeneity check: (stage, detail)
+HOMOGENEITY_FAIL = re.compile(r"FAIL homogeneity at stage (\d+): (.*)")
+
+
+def homogeneity_fails(out: list[str]) -> list[tuple[int, str]]:
+    """(stage, detail) of each FAIL line of oracle's output, once each is
+    held to be a homogeneity failure."""
+    fails = [HOMOGENEITY_FAIL.fullmatch(line) for line in out if line.startswith("FAIL")]
+    assert all(fails), out
+    return [(int(m[1]), m[2]) for m in fails]
+
+
 @pytest.fixture
 def swapped_f2(monkeypatch):
     """The engine with each F2 generator at (bx + dy, by + dx) instead of
@@ -2163,6 +2177,7 @@ class TestBidegrees:
             (("verify", "x2y,xy2", "--stages", "8"), "verdict: fail"),
             (("oracle", "x3,x2y2,xy3,y5", "--stages", "6"), "engine agreement: fail"),
             (("oracle", "x2y,xy2", "--stages", "6", "--field", "p:32003"), "engine agreement: fail"),
+            (("oracle", "x3,x2y2,xy3,y5", "--stages", "40", "--field", "p:32003"), "engine agreement: fail"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )
@@ -2171,8 +2186,15 @@ class TestBidegrees:
         out = capsys.readouterr().out
         assert (code, out.splitlines()[-1]) == (1, last)
         if argv[0] == "oracle":
-            assert "FAIL homogeneity at stage 2: entry" in out
+            assert "FAIL homogeneity at stage 2: the F2 template's entry" in out
             assert "MISMATCH" not in out
+        if "40" in argv:
+            fails = homogeneity_fails(out.splitlines())
+            assert [stage for stage, _detail in fails] == list(range(2, 41))
+            # each stage names entry 0 at placement 0, of the template its bent pair places
+            assert {re.search(r"entry \d+ at placement \d+", detail)[0] for _stage, detail in fails} == {
+                "entry 0 at placement 0"
+            }
 
     def test_oracle_json_reports_homogeneity(self, swapped_f2, capsys):
         assert cli_main(["oracle", "x2y,xy2", "--stages", "4", "--format", "json"]) == 1
@@ -2182,21 +2204,26 @@ class TestBidegrees:
 
 class TestRuleBigrading:
     """`oracle` checks the engine's bigrading on its rule, with no
-    resolution built: under a bent rule the check fails the maps, at the
-    entries, that check_homogeneity fails on the built resolution."""
+    resolution built: under a bent rule the check fails the maps that
+    check_homogeneity fails on the built resolution, and names a bent
+    step of the rule."""
 
     IDEALS = exhaustive_corpus(3) + random_corpus(40, seed=53)
 
-    def stage_sets(self) -> Counter:
+    def stage_sets(self, pairs=()) -> Counter:
         """How many IDEALS fail the rule check at each set of stages
-        through 7, once it is held equal, stage and detail, to
-        check_homogeneity's records on the build to stage 7."""
+        through 7, once its stages are held equal to check_homogeneity's
+        on the build to stage 7 and each detail to name a (kind, parent)
+        pair of ``pairs``, the pairs the bend changes."""
         seen = Counter()
         for ideal in self.IDEALS:
             rule = stairstep.resolution._regime(ideal, 7)[2](ideal, 7)
             built = check_homogeneity(build_resolution(ideal, 7)).failures()
-            assert rule == [(c.stage, c.detail) for c in built], str(ideal)
-            seen[tuple(stage for stage, _detail in rule)] += 1
+            stages = tuple(stage for stage, _detail in rule)
+            assert stages == tuple(c.stage for c in built), str(ideal)
+            for _stage, detail in rule:
+                assert (m := RULE_DETAIL.fullmatch(detail)) and m.groups() in pairs, (str(ideal), detail)
+            seen[stages] += 1
         return seen
 
     def test_the_rule_is_homogeneous(self):
@@ -2204,25 +2231,26 @@ class TestRuleBigrading:
 
     def test_swapped_f2(self, swapped_f2):
         # F2 first appears at stage 2; an F2 offset with dx = dy stays put
-        assert self.stage_sets() == {(): 17, (2, 3, 4, 5, 6, 7): 91}
+        pairs = {("F2", "F1"), ("F2", "F3"), ("F3", "F2")}
+        assert self.stage_sets(pairs) == {(): 17, (2, 3, 4, 5, 6, 7): 91}
 
     @pytest.mark.parametrize(
-        "bend, expected",
+        "bend, pairs, expected",
         [
             # stage 3 holds only F3s at F2s; type II places no F1 at an
             # F3, so from stage 3 on it holds no F1
-            (swap_f1, {(): 12, (1, 2): 23, (1, 2, 4, 5, 6, 7): 73}),
+            (swap_f1, {("F1", "F0"), ("F1", "F3"), ("F2", "F1")}, {(): 12, (1, 2): 23, (1, 2, 4, 5, 6, 7): 73}),
             # the bent placements sit on F3s, which stage 4 does not hold;
             # at r = 1 the bend moves nothing
-            (swap_d_and_g, {(): 35, (4, 6, 7): 73}),
-            (drop_an_f2_at_an_f3, {(): 108}),  # it breaks the count, not the bigrading
-            (shift_f3, {(): 12, (3, 4, 5, 6, 7): 96}),
+            (swap_d_and_g, {("F1", "F3"), ("F2", "F3")}, {(): 35, (4, 6, 7): 73}),
+            (drop_an_f2_at_an_f3, (), {(): 108}),  # it breaks the count, not the bigrading
+            (shift_f3, {("F3", "F2"), ("F1", "F3"), ("F2", "F3")}, {(): 12, (3, 4, 5, 6, 7): 96}),
         ],
         ids=lambda v: getattr(v, "__name__", ""),
     )
-    def test_bent_rule(self, monkeypatch, bend, expected):
+    def test_bent_rule(self, monkeypatch, bend, pairs, expected):
         bend_rule(monkeypatch, bend)
-        assert self.stage_sets() == expected
+        assert self.stage_sets(pairs) == expected
 
     @pytest.mark.parametrize("bend", [swap_f1, swap_d_and_g, drop_an_f2_at_an_f3, shift_f3], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,x2y2,xy3,y5"])
@@ -2231,9 +2259,9 @@ class TestRuleBigrading:
         built = check_homogeneity(build_resolution(parse_ideal(text), 6)).failures()
         assert cli_main(["oracle", text, "--stages", "6"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert [line for line in out if line.startswith("FAIL")] == [
-            f"FAIL homogeneity at stage {c.stage}: {c.detail}" for c in built
-        ]
+        fails = homogeneity_fails(out)
+        assert [stage for stage, _detail in fails] == [c.stage for c in built]
+        assert all(RULE_DETAIL.fullmatch(detail) for _stage, detail in fails), fails
         assert out[-1] == "engine agreement: fail"
 
     def test_a_kunneth_fault_fails_oracle_from_its_first_stage(self, monkeypatch, capsys):
@@ -2248,9 +2276,10 @@ class TestRuleBigrading:
         assert [c.stage for c in built] == list(range(2, 9))
         assert cli_main(["oracle", "x3,y7", "--stages", "8"]) == 1
         out = capsys.readouterr().out.splitlines()
-        assert [line for line in out if line.startswith("FAIL")] == [
-            f"FAIL homogeneity at stage {c.stage}: {c.detail}" for c in built
-        ]
+        fails = homogeneity_fails(out)
+        assert [stage for stage, _detail in fails] == [c.stage for c in built]
+        steps = {"d(u_2) of the x factor", "d(u_3) of the x factor", "d(v_2) of the y factor", "d(v_3) of the y factor"}
+        assert {detail.removesuffix(" is not homogeneous") for _stage, detail in fails} <= steps, fails
 
     @pytest.mark.parametrize("text", ["x2y,xy2", "x3,y7", "y5"])
     def test_oracle_builds_no_resolution(self, monkeypatch, capsys, text):
